@@ -404,7 +404,10 @@ let overhead ctx =
   Fmt.pr "== Middleware overhead: optimization vs execution time [ms] ==@.";
   Fmt.pr "(paper: \"for the tested queries, the middleware optimization overhead@.";
   Fmt.pr " was very small\")@.";
-  header [ "query"; "optimize[ms]"; "execute[ms]"; "overhead%" ];
+  Fmt.pr "(optimize: the query's first optimization, which also collects the@.";
+  Fmt.pr " base-table statistics; warm: median of 5 re-optimizations once the@.";
+  Fmt.pr " statistics are cached -- the Volcano search alone)@.";
+  header [ "query"; "optimize[ms]"; "warm[ms]"; "execute[ms]"; "overhead%" ];
   let _db, mw =
     session ctx [ ("POSITION", ctx.full_position); ("EMPLOYEE", ctx.full_employee) ]
   in
@@ -412,8 +415,19 @@ let overhead ctx =
     (fun (name, sql) ->
       let r = Middleware.query mw sql in
       let o = r.Middleware.optimize_us /. 1000.0 in
+      let initial =
+        Tango_tsql.Compile.initial_plan ~lookup:(Middleware.schema_lookup mw) sql
+      in
+      let required_order = Tango_tsql.Compile.required_order sql in
+      let warm =
+        List.init 5 (fun _ ->
+            (Middleware.optimize mw ~required_order initial).Tango_volcano.Search.time_us
+            /. 1000.0)
+        |> List.sort Float.compare
+        |> fun ts -> List.nth ts 2
+      in
       let e = Stdlib.max 0.001 (ms r) in
-      Fmt.pr "%-8s %11.1f %11.1f %9.1f@." name o e (100.0 *. o /. (o +. e)))
+      Fmt.pr "%-8s %11.1f %8.2f %11.1f %9.1f@." name o warm e (100.0 *. o /. (o +. e)))
     Queries.workload;
   Fmt.pr "@."
 
@@ -794,7 +808,7 @@ let throughput ctx =
           Queries.workload;
         let optimize_us = ref 0.0 and execute_us = ref 0.0 in
         let queries = rounds * List.length Queries.workload in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Tango_obs.mono_us () in
         for _ = 1 to rounds do
           List.iter
             (fun (_, sql) ->
@@ -803,7 +817,7 @@ let throughput ctx =
               execute_us := !execute_us +. r.Middleware.execute_us)
             Queries.workload
         done;
-        let wall_s = Unix.gettimeofday () -. t0 in
+        let wall_s = (Tango_obs.mono_us () -. t0) /. 1e6 in
         let qps = float_of_int queries /. wall_s in
         let total_ms = 1000.0 *. wall_s in
         let optimize_ms = !optimize_us /. 1000.0 in
@@ -910,9 +924,9 @@ let param_cache ctx =
           Middleware.Config.(
             Middleware.config mw |> with_plan_cache true
             |> with_auto_parameterize auto |> with_roundtrip_spin 0);
-        let t0 = Unix.gettimeofday () in
+        let t0 = Tango_obs.mono_us () in
         List.iter (fun sql -> ignore (Middleware.query mw sql)) stream;
-        let wall_s = Unix.gettimeofday () -. t0 in
+        let wall_s = (Tango_obs.mono_us () -. t0) /. 1e6 in
         let s = Middleware.plan_cache_stats mw in
         let hits = s.Tango_cache.Plan_cache.hits in
         let hit_rate = float_of_int hits /. float_of_int n in
@@ -1487,7 +1501,9 @@ let () =
         "S  size multiplier vs the paper's relations (default 0.02)" );
       ("--quick", Arg.Set quick, "  fewer sweep points");
       ( "--experiment",
-        Arg.String (fun s -> selected := String.split_on_char ',' s @ !selected),
+        Arg.String
+          (fun s ->
+            selected := List.rev_append (String.split_on_char ',' s) !selected),
         "NAMES  comma-separated experiments (default: all)" );
       ( "--out",
         Arg.Set_string out,
@@ -1513,16 +1529,16 @@ let () =
           (List.rev names)
   in
   if to_run = [] then exit 1;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Tango_obs.mono_us () in
   let ctx = make_ctx ~scale:!scale ~quick:!quick in
   List.iter
     (fun (name, f) ->
-      let e0 = Unix.gettimeofday () in
+      let e0 = Tango_obs.mono_us () in
       bench_payload := None;
       f ctx;
       if !out <> "" then
         write_bench_json ~dir:!out ~name ~scale:!scale ~quick:!quick
-          ~wall_s:(Unix.gettimeofday () -. e0)
+          ~wall_s:((Tango_obs.mono_us () -. e0) /. 1e6)
           !bench_payload)
     to_run;
-  Fmt.pr "# total bench time: %.1f s@." (Unix.gettimeofday () -. t0)
+  Fmt.pr "# total bench time: %.1f s@." ((Tango_obs.mono_us () -. t0) /. 1e6)

@@ -50,6 +50,20 @@ type t =
   | To_db of t  (** T^D: middleware → DBMS *)
 
 (* ------------------------------------------------------------------ *)
+(* Traversal helpers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let children = function
+  | Scan _ -> []
+  | Select { arg; _ } | Project { arg; _ } | Sort { arg; _ }
+  | Temporal_aggregate { arg; _ } | Dup_elim arg | Coalesce arg | To_mw arg
+  | To_db arg ->
+      [ arg ]
+  | Product { left; right } | Join { left; right; _ }
+  | Temporal_join { left; right; _ } | Difference { left; right } ->
+      [ left; right ]
+
+(* ------------------------------------------------------------------ *)
 (* Schema inference                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -83,20 +97,26 @@ let agg_out_dtype (schema : Schema.t) (a : agg) : Value.dtype =
   | (Ast.Sum | Ast.Min | Ast.Max), None ->
       ill_formed "aggregate %s needs an argument" (Ast.aggfun_name a.fn)
 
-(** Output schema of an operator tree.  Raises {!Ill_formed} when attribute
+(** One level of schema inference: the output schema of [op]'s top
+    operator given its arguments' schemas, in {!children} order ([op]'s own
+    arguments are not looked at).  Raises {!Ill_formed} when attribute
     references do not resolve. *)
-let rec schema (op : t) : Schema.t =
+let schema_step (op : t) (args : Schema.t list) : Schema.t =
+  let arg () = match args with [ s ] -> s | _ -> invalid_arg "Op.schema_step" in
+  let args2 () =
+    match args with [ l; r ] -> (l, r) | _ -> invalid_arg "Op.schema_step"
+  in
   match op with
   | Scan { table; alias; schema = s } ->
       Schema.qualify (Option.value alias ~default:table) s
-  | Select { pred; arg } ->
-      let s = schema arg in
+  | Select { pred; _ } ->
+      let s = arg () in
       if not (Scalar.covers s pred) then
         ill_formed "selection predicate %s does not resolve"
           (Scalar.to_string pred);
       s
-  | Project { items; arg } ->
-      let s = schema arg in
+  | Project { items; _ } ->
+      let s = arg () in
       Schema.make
         (List.map
            (fun (e, name) ->
@@ -104,18 +124,19 @@ let rec schema (op : t) : Schema.t =
                ill_formed "projection %s does not resolve" (Scalar.to_string e);
              (name, Scalar.dtype s e))
            items)
-  | Sort { order; arg } ->
-      let s = schema arg in
+  | Sort { order; _ } ->
+      let s = arg () in
       List.iter
         (fun k ->
           if not (Schema.mem s k.Order.attr) then
             ill_formed "sort attribute %s does not resolve" k.Order.attr)
         order;
       s
-  | Product { left; right } | Join { left; right; _ } ->
-      Schema.concat (schema left) (schema right)
-  | Temporal_join { left; right; pred } ->
-      let sl = schema left and sr = schema right in
+  | Product _ | Join _ ->
+      let sl, sr = args2 () in
+      Schema.concat sl sr
+  | Temporal_join { pred; _ } ->
+      let sl, sr = args2 () in
       let () =
         match (period_attrs sl, period_attrs sr) with
         | Some _, Some _ -> ()
@@ -132,8 +153,8 @@ let rec schema (op : t) : Schema.t =
         ill_formed "temporal join predicate %s does not resolve"
           (Scalar.to_string pred);
       out
-  | Temporal_aggregate { group_by; aggs; arg } ->
-      let s = schema arg in
+  | Temporal_aggregate { group_by; aggs; _ } ->
+      let s = arg () in
       if period_attrs s = None then
         ill_formed "temporal aggregation argument must be temporal";
       let groups =
@@ -148,33 +169,39 @@ let rec schema (op : t) : Schema.t =
         (groups
         @ [ ("T1", Value.TDate); ("T2", Value.TDate) ]
         @ List.map (fun a -> (a.out, agg_out_dtype s a)) aggs)
-  | Dup_elim arg | Coalesce arg -> schema arg
-  | Difference { left; right } ->
-      let sl = schema left and sr = schema right in
+  | Dup_elim _ | Coalesce _ | To_mw _ | To_db _ -> arg ()
+  | Difference _ ->
+      let sl, sr = args2 () in
       if not (Schema.union_compatible sl sr) then
         ill_formed "difference arguments are not union-compatible";
       sl
-  | To_mw arg | To_db arg -> schema arg
 
 (* ------------------------------------------------------------------ *)
 (* Location inference                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(** One level of location inference: where [op]'s top operator leaves its
+    result given its arguments' locations, in {!children} order.  Raises
+    {!Ill_formed} when a binary operator mixes locations. *)
+let location_step (op : t) (args : location list) : location =
+  match (op, args) with
+  | Scan _, _ | To_db _, _ -> Db
+  | To_mw _, _ -> Mw
+  | _, [ l ] -> l
+  | _, [ l; r ] ->
+      if l <> r then
+        ill_formed "binary operator with arguments in different locations";
+      l
+  | _ -> invalid_arg "Op.location_step"
+
+(** Output schema of an operator tree.  Raises {!Ill_formed} when attribute
+    references do not resolve. *)
+let rec schema (op : t) : Schema.t =
+  schema_step op (List.map schema (children op))
+
 (** Residence of an operator's result. *)
 let rec location (op : t) : location =
-  match op with
-  | Scan _ -> Db
-  | To_mw _ -> Mw
-  | To_db _ -> Db
-  | Select { arg; _ } | Project { arg; _ } | Sort { arg; _ }
-  | Temporal_aggregate { arg; _ } | Dup_elim arg | Coalesce arg ->
-      location arg
-  | Product { left; right } | Join { left; right; _ }
-  | Temporal_join { left; right; _ } | Difference { left; right } ->
-      let ll = location left and lr = location right in
-      if ll <> lr then
-        ill_formed "binary operator with arguments in different locations";
-      ll
+  location_step op (List.map location (children op))
 
 (** Validate a whole tree: schemas resolve, binary locations agree, and
     transfers alternate sensibly ([To_mw] takes a DBMS-resident argument,
@@ -199,18 +226,8 @@ let rec validate (op : t) : unit =
       validate right
 
 (* ------------------------------------------------------------------ *)
-(* Traversal helpers                                                    *)
+(* Rebuilding                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let children = function
-  | Scan _ -> []
-  | Select { arg; _ } | Project { arg; _ } | Sort { arg; _ }
-  | Temporal_aggregate { arg; _ } | Dup_elim arg | Coalesce arg | To_mw arg
-  | To_db arg ->
-      [ arg ]
-  | Product { left; right } | Join { left; right; _ }
-  | Temporal_join { left; right; _ } | Difference { left; right } ->
-      [ left; right ]
 
 let with_children op args =
   match (op, args) with

@@ -62,6 +62,16 @@ val location : t -> location
 (** Residence of the operator's result; raises {!Ill_formed} when a binary
     operator mixes locations. *)
 
+val schema_step : t -> Schema.t list -> Schema.t
+(** One level of {!schema}: the top operator's output schema given its
+    arguments' schemas in {!children} order; the operator's own argument
+    subtrees are not looked at.  {!schema} is this step applied bottom-up;
+    the optimizer's memo applies it to stored per-class schemas. *)
+
+val location_step : t -> location list -> location
+(** One level of {!location}, over the arguments' locations in
+    {!children} order. *)
+
 val validate : t -> unit
 (** Check the whole tree: schemas resolve, binary locations agree, and
     transfers alternate sensibly. *)

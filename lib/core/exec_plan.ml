@@ -197,13 +197,7 @@ let of_physical (db : Database.t) (plan : Physical.plan) : node * string list =
   (node, List.map snd ctx.temp_names)
 
 (* ------------------------------------------------------------------ *)
-(* Cursor construction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let now_us () = Unix.gettimeofday () *. 1_000_000.0
-
-(* ------------------------------------------------------------------ *)
-(* Transfer sharing                                                     *)
+(* Cursor construction: transfer sharing                                *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's Section 7 refinement: "if a query is to access the same DBMS
@@ -321,13 +315,13 @@ let instrument (n : node) (c : Cursor.t) : Cursor.t =
   n.roundtrips <- 0;
   (* Snapshot the global counters around [f] and attribute the deltas. *)
   let measured f =
-    let t0 = now_us () in
+    let t0 = Tango_obs.mono_us () in
     let pr0 = Tango_obs.Counter.value c_page_reads in
     let rt0 = Tango_obs.Counter.value c_roundtrips in
     let r = f () in
     n.page_reads <- n.page_reads + Tango_obs.Counter.value c_page_reads - pr0;
     n.roundtrips <- n.roundtrips + Tango_obs.Counter.value c_roundtrips - rt0;
-    n.elapsed_us <- n.elapsed_us +. (now_us () -. t0);
+    n.elapsed_us <- n.elapsed_us +. (Tango_obs.mono_us () -. t0);
     r
   in
   Cursor.make_full ~schema:(Cursor.schema c)

@@ -15,12 +15,10 @@ open Tango_sql
 open Tango_dbms
 open Tango_xxl
 
-let now_us () = Unix.gettimeofday () *. 1_000_000.0
-
 let time_us f =
-  let t0 = now_us () in
+  let t0 = Tango_obs.mono_us () in
   let r = f () in
-  (now_us () -. t0, r)
+  (Tango_obs.mono_us () -. t0, r)
 
 (* Deterministic pseudo-random stream. *)
 let lcg seed =

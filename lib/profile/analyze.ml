@@ -39,6 +39,7 @@ type record = {
   act_roundtrips : int;
   q_rows : float;
   q_cost : float;
+  q_self : float;
 }
 
 type report = {
@@ -143,17 +144,12 @@ let analyze ~(stats_env : Derive.env) ~(factors : Factors.t)
     let act_bytes = float_of_int (attr_i s "bytes") in
     let act_us = s.Trace.elapsed_us in
     let est_us = p.Physical.total_cost in
-    let child_est =
-      List.fold_left
-        (fun acc ((c : Physical.plan), _) -> acc +. c.Physical.total_cost)
-        0.0 pairs
-    in
     let child_act =
       List.fold_left
         (fun acc (_, (cs : Trace.span)) -> acc +. cs.Trace.elapsed_us)
         0.0 pairs
     in
-    let est_self_us = Float.max 0.0 (est_us -. child_est) in
+    let est_self_us = p.Physical.own_cost in
     let act_self_us = Float.max 0.0 (act_us -. child_act) in
     let in_bytes =
       match pairs with
@@ -194,6 +190,7 @@ let analyze ~(stats_env : Derive.env) ~(factors : Factors.t)
         act_roundtrips = attr_i s "roundtrips";
         q_rows = q_error ~est:est_rows ~actual:(float_of_int act_rows) ();
         q_cost = q_error ~est:est_us ~actual:act_us ();
+        q_self = q_error ~est:est_self_us ~actual:act_self_us ();
       }
     in
     records := record :: !records;
@@ -270,6 +267,7 @@ let record_to_json (r : record) : Json.t =
       ("act_roundtrips", Json.Int r.act_roundtrips);
       ("q_rows", Json.Float r.q_rows);
       ("q_cost", Json.Float r.q_cost);
+      ("q_self", Json.Float r.q_self);
     ]
 
 let to_json (r : report) : Json.t =

@@ -30,14 +30,21 @@ type record = {
   act_bytes : float;
   est_us : float;  (** inclusive estimated cost (children included) *)
   act_us : float;  (** inclusive measured wall time *)
-  est_self_us : float;  (** this operator only *)
-  act_self_us : float;
+  est_self_us : float;
+      (** this operator's own formula term ([own_cost]); for a transfer
+          that is [p_tm·size], which the refit observations charge with
+          the whole DBMS statement below it *)
+  act_self_us : float;  (** measured time minus the paired children's *)
   est_pages : float;  (** DBMS pages; rough, nonzero only for transfers *)
   act_pages : int;
   est_roundtrips : float;  (** client round trips; transfers only *)
   act_roundtrips : int;
   q_rows : float;  (** cardinality q-error *)
   q_cost : float;  (** cost q-error (inclusive us, floored at 1) *)
+  q_self : float;
+      (** self-cost q-error ([est_self_us] vs [act_self_us]): the error of
+          the one factor that prices this operator, undiluted by the
+          costs of its inputs *)
 }
 
 type report = {

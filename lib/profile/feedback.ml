@@ -82,12 +82,12 @@ let get_agg table key op_name =
       a
 [@@tango.unguarded "internal helper, only called under t.lock"]
 
-let fold_record (a : agg) (r : Analyze.record) =
+let fold_record (a : agg) ~q_cost (r : Analyze.record) =
   a.executions <- a.executions + 1;
   a.sum_q_rows <- a.sum_q_rows +. r.Analyze.q_rows;
-  a.sum_q_cost <- a.sum_q_cost +. r.Analyze.q_cost;
+  a.sum_q_cost <- a.sum_q_cost +. q_cost;
   a.max_q_rows <- Float.max a.max_q_rows r.Analyze.q_rows;
-  a.max_q_cost <- Float.max a.max_q_cost r.Analyze.q_cost;
+  a.max_q_cost <- Float.max a.max_q_cost q_cost;
   a.sum_act_us <- a.sum_act_us +. r.Analyze.act_us
 [@@tango.unguarded "internal helper, only called under t.lock"]
 
@@ -98,9 +98,14 @@ let record (t : t) (report : Analyze.report) =
         (fun (r : Analyze.record) ->
           fold_record
             (get_agg t.frags r.Analyze.fingerprint r.Analyze.operator)
-            r;
+            ~q_cost:r.Analyze.q_cost r;
+          (* a factor prices only its operator's own term: judge it by the
+             self-cost q-error, which the inputs' costs cannot dilute *)
           match factor_of_operator r.Analyze.operator with
-          | Some f -> fold_record (get_agg t.factors f r.Analyze.operator) r
+          | Some f ->
+              fold_record
+                (get_agg t.factors f r.Analyze.operator)
+                ~q_cost:r.Analyze.q_self r
           | None -> ())
         report.Analyze.records;
       t.observations <-

@@ -40,8 +40,9 @@ val fragments : t -> (string * stats) list
 (** All fragments, worst mean cost q-error first. *)
 
 val factor_q : t -> (string * (int * float)) list
-(** Per cost factor: (samples, mean cost q-error) of the operators priced
-    by that factor — the adaptation trigger signal. *)
+(** Per cost factor: (samples, mean self-cost q-error — {!Analyze.record}'s
+    [q_self]) of the operators priced by that factor — the adaptation
+    trigger signal. *)
 
 val observations : t -> Calibrate.observation list
 (** The current refit window, oldest first. *)

@@ -31,27 +31,7 @@ let report g ~rule ~path msg =
 
 (* One representative Op.t per element: the element's own operator over
    extracted child subtrees. *)
-let op_of_element m (n : Memo.node) : Op.t =
-  let ex c = Memo.extract m c in
-  match n with
-  | Memo.N_scan { table; alias; schema } -> Op.Scan { table; alias; schema }
-  | Memo.N_select { pred; arg } -> Op.Select { pred; arg = ex arg }
-  | Memo.N_project { items; arg } -> Op.Project { items; arg = ex arg }
-  | Memo.N_sort { order; arg } -> Op.Sort { order; arg = ex arg }
-  | Memo.N_product { left; right } ->
-      Op.Product { left = ex left; right = ex right }
-  | Memo.N_join { pred; left; right } ->
-      Op.Join { pred; left = ex left; right = ex right }
-  | Memo.N_tjoin { pred; left; right } ->
-      Op.Temporal_join { pred; left = ex left; right = ex right }
-  | Memo.N_taggr { group_by; aggs; arg } ->
-      Op.Temporal_aggregate { group_by; aggs; arg = ex arg }
-  | Memo.N_dupelim arg -> Op.Dup_elim (ex arg)
-  | Memo.N_coalesce arg -> Op.Coalesce (ex arg)
-  | Memo.N_difference { left; right } ->
-      Op.Difference { left = ex left; right = ex right }
-  | Memo.N_tm arg -> Op.To_mw (ex arg)
-  | Memo.N_td arg -> Op.To_db (ex arg)
+let op_of_element m (n : Memo.node) : Op.t = Memo.op_of_node (Memo.extract m) n
 
 (* Stored poisoned ids can go stale when a union picks a new root, so
    compare through [find]. *)
@@ -59,19 +39,6 @@ let poisoned_class g m id =
   let r = Memo.find m id in
   Hashtbl.mem g.poisoned r
   || Hashtbl.fold (fun p () acc -> acc || Memo.find m p = r) g.poisoned false
-
-let child_classes : Memo.node -> int list = function
-  | Memo.N_scan _ -> []
-  | Memo.N_select { arg; _ }
-  | Memo.N_project { arg; _ }
-  | Memo.N_sort { arg; _ }
-  | Memo.N_taggr { arg; _ }
-  | Memo.N_dupelim arg | Memo.N_coalesce arg | Memo.N_tm arg | Memo.N_td arg
-    -> [ arg ]
-  | Memo.N_product { left; right }
-  | Memo.N_join { left; right; _ }
-  | Memo.N_tjoin { left; right; _ }
-  | Memo.N_difference { left; right } -> [ left; right ]
 
 let observer g ~rule (m : Memo.t) (c : int) : unit =
   g.fired <- g.fired + 1;
@@ -84,7 +51,7 @@ let observer g ~rule (m : Memo.t) (c : int) : unit =
   let els = Memo.elements m c in
   let inherits =
     List.exists
-      (fun el -> List.exists (poisoned_class g m) (child_classes el))
+      (fun el -> List.exists (poisoned_class g m) (Memo.children el))
       els
   in
   if poisoned_class g m c then ()

@@ -7,6 +7,13 @@
     equivalent (e.g. rule T7, [T^M(T^D(r)) → r]).  Merging uses union-find;
     class ids must be resolved through {!find} before use.
 
+    Each class also stores its logical properties — output schema and
+    result location — derived once, when the class is created, from the
+    creating element and its children's stored properties (one level of
+    {!Op.schema_step} / {!Op.location_step}).  All elements of a class
+    denote the same relation, so any element yields the same properties
+    and merging two classes keeps the surviving root's.
+
     The class/element counts the paper reports per query (e.g. "12
     equivalence classes with 29 class elements" for Query 1) are exposed by
     {!class_count} and {!element_count}. *)
@@ -32,19 +39,30 @@ type node =
   | N_tm of int
   | N_td of int
 
+(** A class's logical properties; each is the value, or the exception its
+    derivation raised (the class is ill-formed in that respect). *)
+type props = {
+  schema : (Schema.t, exn) result;
+  location : (Op.location, exn) result;
+}
+
 type t = {
   mutable parent : int array;  (** union-find *)
   mutable elements : node list array;  (** per class, newest first *)
+  mutable props : props array;  (** per class; valid at roots *)
   node_class : (node, int) Hashtbl.t;  (** dedup: node -> class *)
   mutable class_cnt : int;
   mutable element_cnt : int;
   mutable capacity : int;
 }
 
+let unset = { schema = Error Not_found; location = Error Not_found }
+
 let create () =
   {
     parent = Array.init 64 Fun.id;
     elements = Array.make 64 [];
+    props = Array.make 64 unset;
     node_class = Hashtbl.create 256;
     class_cnt = 0;
     element_cnt = 0;
@@ -86,8 +104,11 @@ let grow m =
     let parent = Array.init cap (fun i -> if i < m.capacity then m.parent.(i) else i) in
     let elements = Array.make cap [] in
     Array.blit m.elements 0 elements 0 m.capacity;
+    let props = Array.make cap unset in
+    Array.blit m.props 0 props 0 m.capacity;
     m.parent <- parent;
     m.elements <- elements;
+    m.props <- props;
     m.capacity <- cap
   end
 
@@ -114,7 +135,62 @@ let element_count m = m.element_cnt
 let classes m =
   List.filter (fun i -> find m i = i) (List.init m.class_cnt Fun.id)
 
-(** Merge two classes proved equivalent; returns the surviving root. *)
+(** Child class ids of a node, in {!Op.children} order. *)
+let children : node -> int list = function
+  | N_scan _ -> []
+  | N_select { arg; _ } | N_project { arg; _ } | N_sort { arg; _ }
+  | N_taggr { arg; _ } | N_dupelim arg | N_coalesce arg | N_tm arg | N_td arg ->
+      [ arg ]
+  | N_product { left; right } | N_join { left; right; _ }
+  | N_tjoin { left; right; _ } | N_difference { left; right } ->
+      [ left; right ]
+
+(** The operator tree of a node, with [sub] supplying each child's. *)
+let op_of_node (sub : int -> Op.t) (n : node) : Op.t =
+  match n with
+  | N_scan { table; alias; schema } -> Op.Scan { table; alias; schema }
+  | N_select { pred; arg } -> Op.Select { pred; arg = sub arg }
+  | N_project { items; arg } -> Op.Project { items; arg = sub arg }
+  | N_sort { order; arg } -> Op.Sort { order; arg = sub arg }
+  | N_product { left; right } -> Op.Product { left = sub left; right = sub right }
+  | N_join { pred; left; right } ->
+      Op.Join { pred; left = sub left; right = sub right }
+  | N_tjoin { pred; left; right } ->
+      Op.Temporal_join { pred; left = sub left; right = sub right }
+  | N_taggr { group_by; aggs; arg } ->
+      Op.Temporal_aggregate { group_by; aggs; arg = sub arg }
+  | N_dupelim c -> Op.Dup_elim (sub c)
+  | N_coalesce c -> Op.Coalesce (sub c)
+  | N_difference { left; right } ->
+      Op.Difference { left = sub left; right = sub right }
+  | N_tm c -> Op.To_mw (sub c)
+  | N_td c -> Op.To_db (sub c)
+
+(** Stored properties of a class. *)
+let props m c = m.props.(find m c)
+
+(* Stands in for every argument of the operator a one-level step looks
+   at; the steps read only the top operator. *)
+let hole = Op.Scan { table = ""; alias = None; schema = Schema.make [] }
+
+let get = function Ok v -> v | Error e -> raise e
+
+(** A node's properties, one level above its children's stored ones.  The
+    first ill-formed child's error propagates; otherwise the step's own
+    exception (an unresolved attribute, mixed locations) is the result. *)
+let derive m (n : node) : props =
+  let args = List.map (props m) (children n) in
+  let op = op_of_node (fun _ -> hole) n in
+  let step f prop =
+    try Ok (f op (List.map (fun a -> get (prop a)) args)) with e -> Error e
+  in
+  {
+    schema = step Op.schema_step (fun a -> a.schema);
+    location = step Op.location_step (fun a -> a.location);
+  }
+
+(** Merge two classes proved equivalent; returns the surviving root, which
+    keeps its own properties (both classes denote the same relation). *)
 let rec union m a b =
   let ra = find m a and rb = find m b in
   if ra = rb then ra
@@ -157,8 +233,10 @@ let insert m (n : node) : int =
   match Hashtbl.find_opt m.node_class n with
   | Some c -> find m c
   | None ->
+      let p = derive m n in
       let c = new_class m in
       m.elements.(c) <- [ n ];
+      m.props.(c) <- p;
       m.element_cnt <- m.element_cnt + 1;
       Hashtbl.replace m.node_class n c;
       c
@@ -213,63 +291,27 @@ exception Cyclic
 (** Extract one representative operator tree from a class (the first
     element acyclically reachable; transfers are deprioritized so the
     representative is the "plain" logical expression when one exists).
-    Used for schema and statistics derivation — all elements are
-    equivalent, so any representative works. *)
-let rec extract m ?(visiting = []) (c : int) : Op.t =
-  let c = find m c in
-  if List.mem c visiting then raise Cyclic;
-  let visiting = c :: visiting in
-  let els = elements m c in
-  let rank = function N_tm _ | N_td _ -> 1 | _ -> 0 in
-  let els = List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) els in
-  let rec try_els = function
-    | [] -> raise Cyclic
-    | n :: rest -> (
-        try extract_node m ~visiting n with Cyclic -> try_els rest)
+    Used for statistics derivation and the rule-soundness gate — all
+    elements are equivalent, so any representative works. *)
+let extract m (c : int) : Op.t =
+  let rec go visiting c =
+    let c = find m c in
+    if List.mem c visiting then raise Cyclic;
+    let visiting = c :: visiting in
+    let rank = function N_tm _ | N_td _ -> 1 | _ -> 0 in
+    let els =
+      List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) (elements m c)
+    in
+    let rec try_els = function
+      | [] -> raise Cyclic
+      | n :: rest -> ( try op_of_node (go visiting) n with Cyclic -> try_els rest)
+    in
+    try_els els
   in
-  try_els els
+  go [] c
 
-and extract_node m ~visiting (n : node) : Op.t =
-  let sub c = extract m ~visiting c in
-  match n with
-  | N_scan { table; alias; schema } -> Op.Scan { table; alias; schema }
-  | N_select { pred; arg } -> Op.Select { pred; arg = sub arg }
-  | N_project { items; arg } -> Op.Project { items; arg = sub arg }
-  | N_sort { order; arg } -> Op.Sort { order; arg = sub arg }
-  | N_product { left; right } -> Op.Product { left = sub left; right = sub right }
-  | N_join { pred; left; right } ->
-      Op.Join { pred; left = sub left; right = sub right }
-  | N_tjoin { pred; left; right } ->
-      Op.Temporal_join { pred; left = sub left; right = sub right }
-  | N_taggr { group_by; aggs; arg } ->
-      Op.Temporal_aggregate { group_by; aggs; arg = sub arg }
-  | N_dupelim c -> Op.Dup_elim (sub c)
-  | N_coalesce c -> Op.Coalesce (sub c)
-  | N_difference { left; right } ->
-      Op.Difference { left = sub left; right = sub right }
-  | N_tm c -> Op.To_mw (sub c)
-  | N_td c -> Op.To_db (sub c)
+(** Output schema of a class; raises what its derivation raised. *)
+let schema_of m c = get (props m c).schema
 
-(** Output schema of a class (derived from a representative). *)
-let schema_of m c = Op.schema (extract m c)
-
-(** Result location of a class.  Invariant: all elements of a class share a
-    location (rules never mix them). *)
-let rec location m ?(visiting = []) (c : int) : Op.location =
-  let c = find m c in
-  if List.mem c visiting then raise Cyclic;
-  let visiting = c :: visiting in
-  let rec of_node = function
-    | [] -> raise Cyclic
-    | n :: rest -> (
-        match n with
-        | N_scan _ | N_td _ -> Op.Db
-        | N_tm _ -> Op.Mw
-        | N_select { arg; _ } | N_project { arg; _ } | N_sort { arg; _ }
-        | N_taggr { arg; _ } | N_dupelim arg | N_coalesce arg -> (
-            try location m ~visiting arg with Cyclic -> of_node rest)
-        | N_product { left; _ } | N_join { left; _ } | N_tjoin { left; _ }
-        | N_difference { left; _ } -> (
-            try location m ~visiting left with Cyclic -> of_node rest))
-  in
-  of_node (elements m c)
+(** Result location of a class; raises what its derivation raised. *)
+let location m c = get (props m c).location

@@ -3,9 +3,10 @@
 
     Each class stores {e elements} — operators whose arguments are (ids of)
     other classes.  Rules add elements to classes or merge classes proved
-    equivalent (union-find; resolve ids through {!find}).  The per-query
-    class/element counts the paper reports are {!class_count} and
-    {!element_count}. *)
+    equivalent (union-find; resolve ids through {!find}).  Each class
+    stores its logical properties (schema and location), derived once when
+    the class is created.  The per-query class/element counts the paper
+    reports are {!class_count} and {!element_count}. *)
 
 open Tango_rel
 open Tango_algebra
@@ -28,6 +29,13 @@ type node =
 
 type t
 
+(** A class's logical properties; each is the value, or the exception its
+    derivation raised. *)
+type props = {
+  schema : (Schema.t, exn) result;
+  location : (Op.location, exn) result;
+}
+
 val create : unit -> t
 
 val find : t -> int -> int
@@ -39,12 +47,28 @@ val canon : t -> node -> node
 val elements : t -> int -> node list
 (** Elements of a class, canonicalized. *)
 
+val children : node -> int list
+(** Child class ids of a node, in {!Op.children} order. *)
+
+val op_of_node : (int -> Op.t) -> node -> Op.t
+(** The node's operator over the trees [sub] gives for its children. *)
+
+val props : t -> int -> props
+(** Stored properties of a class: those of the element that created it
+    (a merge keeps the surviving root's). *)
+
+val derive : t -> node -> props
+(** A node's properties, one {!Op.schema_step}/{!Op.location_step} above
+    its children's stored properties (a child's error propagates).  This
+    is how {!insert} computes a new class's properties. *)
+
 val class_count : t -> int
 val element_count : t -> int
 val classes : t -> int list
 
 val union : t -> int -> int -> int
-(** Merge two classes proved equivalent; returns the surviving root. *)
+(** Merge two classes proved equivalent; returns the surviving root, which
+    keeps its own properties. *)
 
 val insert : t -> node -> int
 (** Class holding the node, creating one if new (structural dedup). *)
@@ -58,9 +82,15 @@ val insert_op : t -> Op.t -> int
 
 exception Cyclic
 
-val extract : t -> ?visiting:int list -> int -> Op.t
-(** One representative operator tree of a class (transfers deprioritized);
-    raises {!Cyclic} only if every element is cyclically self-referential. *)
+val extract : t -> int -> Op.t
+(** One representative operator tree of a class (transfers deprioritized),
+    for statistics derivation and the rule-soundness gate; raises {!Cyclic}
+    only if every element is cyclically self-referential. *)
 
 val schema_of : t -> int -> Schema.t
-val location : t -> ?visiting:int list -> int -> Op.location
+(** The class's stored output schema; raises what its derivation raised
+    (usually {!Op.Ill_formed}). *)
+
+val location : t -> int -> Op.location
+(** The class's stored result location; raises what its derivation
+    raised. *)

@@ -65,8 +65,9 @@ let identity_items (s : Schema.t) =
     (fun (a : Schema.attribute) -> (Ast.Col (None, a.Schema.name), a.Schema.name))
     (Schema.attributes s)
 
-let try_schema m c = try Some (Memo.schema_of m c) with _ -> None
-let try_location m c = try Some (Memo.location m c) with Memo.Cyclic -> None
+(* A class's stored properties; None when ill-formed. *)
+let try_schema m c = Result.to_option (Memo.props m c).schema
+let try_location m c = Result.to_option (Memo.props m c).location
 
 (* Find the item whose key (computed by [key_of]) names [name]: an exact
    match wins; otherwise a unique base-name match, mirroring Schema.index

@@ -16,10 +16,8 @@ type result = {
   classes : int;  (** equivalence classes generated *)
   elements : int;  (** class elements generated *)
   considered : int;  (** physical algorithm instantiations examined *)
-  time_us : float;  (** optimization wall time *)
+  time_us : float;  (** optimization time (monotonic clock) *)
 }
-
-let now_us () = Unix.gettimeofday () *. 1_000_000.0
 
 (** Optimize an initial plan.
 
@@ -32,7 +30,7 @@ let now_us () = Unix.gettimeofday () *. 1_000_000.0
 let optimize ~(factors : Factors.t) ~(stats_env : Derive.env)
     ?(required_order : Order.t = []) ?max_elements ?rules ?rule_observer
     ?partition ?shard_factors (initial : Op.t) : result =
-  let t0 = now_us () in
+  let t0 = Tango_obs.mono_us () in
   Op.validate initial;
   let memo = Memo.create () in
   let root = Memo.insert_op memo initial in
@@ -60,7 +58,7 @@ let optimize ~(factors : Factors.t) ~(stats_env : Derive.env)
     classes = Memo.class_count memo;
     elements = Memo.element_count memo;
     considered = planner.Physical.considered;
-    time_us = now_us () -. t0;
+    time_us = Tango_obs.mono_us () -. t0;
   }
 
 (** Cost a {e fixed} operator tree without rule exploration — used by the

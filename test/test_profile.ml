@@ -211,7 +211,15 @@ let test_adaptive_refit_triggers () =
   let factors = Middleware.factors mw in
   ignore (Tango_cost.Factors.set_by_name factors "p_tm" 1e-6);
   let before = Tango_cost.Factors.get_by_name factors "p_tm" in
-  for _ = 1 to 4 do
+  ignore (Middleware.query mw Queries.q1_sql);
+  (* the perturbed factor shows in the transfer's self-cost q-error,
+     whatever the DBMS work below the transfer costs *)
+  (match List.assoc_opt "p_tm" (Feedback.factor_q (Middleware.profile_store mw)) with
+  | Some (_, q) ->
+      Alcotest.(check bool) "p_tm misestimate above the refit threshold" true
+        (q >= Adapt.default_params.Adapt.q_threshold)
+  | None -> Alcotest.fail "no p_tm evidence");
+  for _ = 2 to 4 do
     ignore (Middleware.query mw Queries.q1_sql)
   done;
   let after = Tango_cost.Factors.get_by_name factors "p_tm" in

@@ -142,8 +142,7 @@ let test_t4_t6_pull_above_tm () =
       (fun c ->
         class_has m c (function Memo.N_tm _ -> true | _ -> false)
         && class_has m c (function
-             | Memo.N_select { arg; _ } -> (
-                 try Memo.location m arg = Op.Mw with Memo.Cyclic -> false)
+             | Memo.N_select { arg; _ } -> Memo.location m arg = Op.Mw
              | _ -> false))
       (Memo.classes m)
   in
@@ -155,8 +154,7 @@ let test_t4_t6_pull_above_tm () =
     List.exists
       (fun c ->
         class_has m c (function
-          | Memo.N_sort { arg; _ } -> (
-              try Memo.location m arg = Op.Mw with Memo.Cyclic -> false)
+          | Memo.N_sort { arg; _ } -> Memo.location m arg = Op.Mw
           | _ -> false))
       (Memo.classes m)
   in
