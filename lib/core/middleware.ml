@@ -1111,9 +1111,8 @@ let query_template_body t ~(template : string) ~(values : Value.t array) :
       let g_p = gc_point (telemetry_on t) in
       let initial, required_order =
         Tango_obs.Trace.span "parse" (fun () ->
-            ( Tango_tsql.Compile.initial_plan ~lookup:(schema_lookup t)
-                template,
-              Tango_tsql.Compile.required_order template ))
+            Tango_tsql.Compile.initial_plan_and_order
+              ~lookup:(schema_lookup t) template)
       in
       let parse_res = gc_delta g_p in
       let parse_us = mono_us () -. p0 in
@@ -1186,8 +1185,8 @@ let query_exact_body t (sql : string) : report =
       let g_p = gc_point (telemetry_on t) in
       let initial, required_order =
         Tango_obs.Trace.span "parse" (fun () ->
-            ( Tango_tsql.Compile.initial_plan ~lookup:(schema_lookup t) sql,
-              Tango_tsql.Compile.required_order sql ))
+            Tango_tsql.Compile.initial_plan_and_order
+              ~lookup:(schema_lookup t) sql)
       in
       let parse_res = gc_delta g_p in
       let parse_us = mono_us () -. p0 in

@@ -330,9 +330,8 @@ and indexed_scan ctx (table : Catalog.table) schema cands :
         | Gt | Ge -> Tango_storage.Ordered_index.range idx ~lo:v ()
         | _ -> []
       in
-      let matches t =
-        truthy ((compile_expr ctx [ schema ] e) [ t ])
-      in
+      let pred = compile_expr ctx [ schema ] e in
+      let matches t = truthy (pred [ t ]) in
       let tuples =
         List.filter_map
           (fun rid ->

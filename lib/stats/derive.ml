@@ -181,18 +181,26 @@ let taggr_cardinality (s : Rel_stats.t) (group_by : string list) :
   in
   (min_card, max_card, Float.max 1.0 estimate)
 
-(** Derive statistics for an operator tree. *)
-let rec derive (e : env) (op : Op.t) : Rel_stats.t =
+(** One level of derivation: the statistics of [op]'s top operator's output
+    given its arguments' statistics and (lazily) schemas, in {!Op.children}
+    order; [op]'s own arguments are not looked at.  The schemas are forced
+    only by the temporal join, whose output drops each side's period. *)
+let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
+    : Rel_stats.t =
+  let arg () = match args with [ (s, _) ] -> s | _ -> invalid_arg "Derive.step" in
+  let args2 () =
+    match args with [ l; r ] -> (l, r) | _ -> invalid_arg "Derive.step"
+  in
   match op with
   | Op.Scan { table; alias; _ } ->
       e.base ~qualifier:(Option.value alias ~default:table) table
-  | Op.Select { pred; arg } ->
-      let s = derive e arg in
+  | Op.Select { pred; _ } ->
+      let s = arg () in
       let pred = close e pred in
       let sel = Selectivity.selectivity ~mode:e.mode s pred in
       apply_selection s pred sel
-  | Op.Project { items; arg } ->
-      let s = derive e arg in
+  | Op.Project { items; _ } ->
+      let s = arg () in
       let cols =
         List.map
           (fun (expr, name) ->
@@ -205,36 +213,36 @@ let rec derive (e : env) (op : Op.t) : Rel_stats.t =
           items
       in
       strip_indexes { s with Rel_stats.cols }
-  | Op.Sort { arg; _ } -> strip_indexes (derive e arg)
-  | Op.To_mw arg | Op.To_db arg -> strip_indexes (derive e arg)
-  | Op.Product { left; right } ->
-      let l = derive e left and r = derive e right in
+  | Op.Sort _ | Op.To_mw _ | Op.To_db _ -> strip_indexes (arg ())
+  | Op.Product _ ->
+      let (l, _), (r, _) = args2 () in
       strip_indexes
         {
           Rel_stats.card = l.Rel_stats.card *. r.Rel_stats.card;
           cols = l.Rel_stats.cols @ r.Rel_stats.cols;
         }
-  | Op.Join { pred; left; right } ->
-      let l = derive e left and r = derive e right in
+  | Op.Join { pred; _ } ->
+      let (l, _), (r, _) = args2 () in
       let pred = close e pred in
       strip_indexes
         {
           Rel_stats.card = join_cardinality l r pred;
           cols = l.Rel_stats.cols @ r.Rel_stats.cols;
         }
-  | Op.Temporal_join { pred; left; right } ->
-      let l = derive e left and r = derive e right in
+  | Op.Temporal_join { pred; _ } ->
+      let (l, sl), (r, sr) = args2 () in
       let pred = close e pred in
       let card = join_cardinality l r pred *. temporal_overlap_factor l r in
       let keep (s : Rel_stats.t) side_schema =
+        let attrs = Op.non_period_attrs side_schema in
         List.filter
           (fun (n, _) ->
             List.exists
               (fun (a : Schema.attribute) -> String.equal a.Schema.name n)
-              (Op.non_period_attrs side_schema))
+              attrs)
           s.Rel_stats.cols
       in
-      let sl = Op.schema left and sr = Op.schema right in
+      let sl = Lazy.force sl and sr = Lazy.force sr in
       let t_cols =
         let of_side (s : Rel_stats.t) name =
           match Rel_stats.find s name with
@@ -246,8 +254,8 @@ let rec derive (e : env) (op : Op.t) : Rel_stats.t =
         ]
       in
       strip_indexes { Rel_stats.card; cols = keep l sl @ keep r sr @ t_cols }
-  | Op.Temporal_aggregate { group_by; aggs; arg } ->
-      let s = derive e arg in
+  | Op.Temporal_aggregate { group_by; aggs; _ } ->
+      let s = arg () in
       let _, _, card = taggr_cardinality s group_by in
       let group_cols =
         List.map
@@ -276,8 +284,8 @@ let rec derive (e : env) (op : Op.t) : Rel_stats.t =
           @ [ ("T1", period_col t1); ("T2", period_col t2) ]
           @ agg_cols;
       }
-  | Op.Dup_elim arg ->
-      let s = derive e arg in
+  | Op.Dup_elim _ ->
+      let s = arg () in
       (* bounded by the product of distinct counts *)
       let prod =
         List.fold_left
@@ -285,14 +293,19 @@ let rec derive (e : env) (op : Op.t) : Rel_stats.t =
           1.0 s.Rel_stats.cols
       in
       { s with Rel_stats.card = Float.min s.Rel_stats.card prod }
-  | Op.Coalesce arg ->
-      let s = derive e arg in
+  | Op.Coalesce _ ->
+      let s = arg () in
       (* coalescing can only shrink; 60 % heuristic as for aggregation *)
       { s with Rel_stats.card = Float.max 1.0 (0.6 *. s.Rel_stats.card) }
-  | Op.Difference { left; right } ->
-      let l = derive e left and r = derive e right in
+  | Op.Difference _ ->
+      let (l, _), (r, _) = args2 () in
       {
         l with
         Rel_stats.card =
           Float.max 0.0 (l.Rel_stats.card -. (r.Rel_stats.card /. 2.0));
       }
+
+(** Derive statistics for an operator tree: {!step} applied bottom-up. *)
+let rec derive (e : env) (op : Op.t) : Rel_stats.t =
+  step e op
+    (List.map (fun a -> (derive e a, lazy (Op.schema a))) (Op.children op))

@@ -308,10 +308,9 @@ let compile ~(lookup : string -> Schema.t) (sql : string) : Op.t =
 let initial_plan ~lookup (sql : string) : Op.t =
   Op.to_mw (compile ~lookup sql)
 
-(** Final order requested by the query (its outermost ORDER BY), used as the
-    root's required physical property. *)
-let required_order (sql : string) : Order.t =
-  match Parser.query sql with
+(* The outermost ORDER BY of a parsed query. *)
+let order_of_query (q : Ast.query) : Order.t =
+  match q with
   | Ast.Select s ->
       List.map
         (fun (e, asc) ->
@@ -322,3 +321,13 @@ let required_order (sql : string) : Order.t =
           | _ -> unsupported "ORDER BY must use columns")
         s.Ast.order_by
   | _ -> []
+
+(** Final order requested by the query (its outermost ORDER BY), used as the
+    root's required physical property. *)
+let required_order (sql : string) : Order.t = order_of_query (Parser.query sql)
+
+(** {!initial_plan} and {!required_order} from a single parse. *)
+let initial_plan_and_order ~lookup (sql : string) : Op.t * Order.t =
+  let q = Parser.query sql in
+  let plan = Op.to_mw (compile_query ~lookup q) in
+  (plan, order_of_query q)

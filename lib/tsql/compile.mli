@@ -25,3 +25,7 @@ val initial_plan : lookup:(string -> Schema.t) -> string -> Op.t
 val required_order : string -> Order.t
 (** The query's outermost ORDER BY, as the root's required physical
     property. *)
+
+val initial_plan_and_order :
+  lookup:(string -> Schema.t) -> string -> Op.t * Order.t
+(** {!initial_plan} and {!required_order} from one parse of the text. *)

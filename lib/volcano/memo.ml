@@ -14,6 +14,11 @@
     denote the same relation, so any element yields the same properties
     and merging two classes keeps the surviving root's.
 
+    Every change to a class — gaining an element, or surviving a union —
+    stamps it with the value of a change {!clock}, so a rule probe can
+    tell whether anything it reads has changed since an earlier probe
+    ({!changed_since}).
+
     The class/element counts the paper reports per query (e.g. "12
     equivalence classes with 29 class elements" for Query 1) are exposed by
     {!class_count} and {!element_count}. *)
@@ -48,12 +53,19 @@ type props = {
 
 type t = {
   mutable parent : int array;  (** union-find *)
-  mutable elements : node list array;  (** per class, newest first *)
+  mutable elements : (int * node) list array;
+      (** per class, newest first, each with its element id *)
   mutable props : props array;  (** per class; valid at roots *)
+  mutable stamp : int array;
+      (** per class: the clock value of its last change; valid at roots *)
   node_class : (node, int) Hashtbl.t;  (** dedup: node -> class *)
   mutable class_cnt : int;
   mutable element_cnt : int;
   mutable capacity : int;
+  mutable clock : int;
+  mutable props_replaced : int;
+      (** clock value of the last union that replaced a class's properties
+          with different ones *)
 }
 
 let unset = { schema = Error Not_found; location = Error Not_found }
@@ -63,10 +75,13 @@ let create () =
     parent = Array.init 64 Fun.id;
     elements = Array.make 64 [];
     props = Array.make 64 unset;
+    stamp = Array.make 64 0;
     node_class = Hashtbl.create 256;
     class_cnt = 0;
     element_cnt = 0;
     capacity = 64;
+    clock = 0;
+    props_replaced = -1;
   }
 
 let rec find m i =
@@ -106,9 +121,12 @@ let grow m =
     Array.blit m.elements 0 elements 0 m.capacity;
     let props = Array.make cap unset in
     Array.blit m.props 0 props 0 m.capacity;
+    let stamp = Array.make cap 0 in
+    Array.blit m.stamp 0 stamp 0 m.capacity;
     m.parent <- parent;
     m.elements <- elements;
     m.props <- props;
+    m.stamp <- stamp;
     m.capacity <- cap
   end
 
@@ -118,8 +136,18 @@ let new_class m =
   m.class_cnt <- m.class_cnt + 1;
   id
 
+(** Elements of a class with their ids (canonicalized child ids). *)
+let entries m i = List.map (fun (id, n) -> (id, canon m n)) m.elements.(find m i)
+
 (** Elements of a class (canonicalized child ids). *)
-let elements m i = List.map (canon m) m.elements.(find m i)
+let elements m i = List.map (fun (_, n) -> canon m n) m.elements.(find m i)
+
+let clock m = m.clock
+
+(* Record a change to root class [c]. *)
+let touch m c =
+  m.clock <- m.clock + 1;
+  m.stamp.(c) <- m.clock
 
 let class_count m =
   (* live root classes *)
@@ -169,9 +197,20 @@ let op_of_node (sub : int -> Op.t) (n : node) : Op.t =
 (** Stored properties of a class. *)
 let props m c = m.props.(find m c)
 
+(** Whether something a rule probing [n] reads may have changed after clock
+    value [t]: a child class gained an element or survived a union, or a
+    union replaced some class's properties (which every class reference
+    resolves through). *)
+let changed_since m (n : node) t =
+  m.props_replaced > t
+  || List.exists (fun c -> m.stamp.(find m c) > t) (children n)
+
 (* Stands in for every argument of the operator a one-level step looks
    at; the steps read only the top operator. *)
 let hole = Op.Scan { table = ""; alias = None; schema = Schema.make [] }
+
+(** The node's operator over placeholder arguments, for one-level steps. *)
+let top_op (n : node) : Op.t = op_of_node (fun _ -> hole) n
 
 let get = function Ok v -> v | Error e -> raise e
 
@@ -180,7 +219,7 @@ let get = function Ok v -> v | Error e -> raise e
     exception (an unresolved attribute, mixed locations) is the result. *)
 let derive m (n : node) : props =
   let args = List.map (props m) (children n) in
-  let op = op_of_node (fun _ -> hole) n in
+  let op = top_op n in
   let step f prop =
     try Ok (f op (List.map (fun a -> get (prop a)) args)) with e -> Error e
   in
@@ -188,6 +227,9 @@ let derive m (n : node) : props =
     schema = step Op.schema_step (fun a -> a.schema);
     location = step Op.location_step (fun a -> a.location);
   }
+
+(* Structural equality, or false where the values cannot be compared. *)
+let same_props (a : props) b = try a = b with Invalid_argument _ -> false
 
 (** Merge two classes proved equivalent; returns the surviving root, which
     keeps its own properties (both classes denote the same relation). *)
@@ -200,6 +242,9 @@ let rec union m a b =
     m.parent.(other) <- root;
     m.elements.(root) <- m.elements.(other) @ m.elements.(root);
     m.elements.(other) <- [];
+    touch m root;
+    if not (same_props m.props.(root) m.props.(other)) then
+      m.props_replaced <- m.clock;
     (* Re-canonicalize the dedup table lazily: entries pointing at [other]
        now resolve to [root] through find. Merging may make two previously
        distinct nodes equal; fix up collisions. *)
@@ -215,7 +260,7 @@ and rehash m =
   for i = 0 to m.class_cnt - 1 do
     if find m i = i then
       List.iter
-        (fun n ->
+        (fun (_, n) ->
           let cn = canon m n in
           match Hashtbl.find_opt m.node_class cn with
           | Some j when find m j <> i -> pending := (i, j) :: !pending
@@ -235,9 +280,10 @@ let insert m (n : node) : int =
   | None ->
       let p = derive m n in
       let c = new_class m in
-      m.elements.(c) <- [ n ];
+      m.elements.(c) <- [ (m.element_cnt, n) ];
       m.props.(c) <- p;
       m.element_cnt <- m.element_cnt + 1;
+      touch m c;
       Hashtbl.replace m.node_class n c;
       c
 
@@ -253,8 +299,9 @@ let add_to_class m c (n : node) : bool =
       ignore (union m c c');
       true
   | None ->
-      m.elements.(c) <- n :: m.elements.(c);
+      m.elements.(c) <- (m.element_cnt, n) :: m.elements.(c);
       m.element_cnt <- m.element_cnt + 1;
+      touch m c;
       Hashtbl.replace m.node_class n c;
       true
 
@@ -288,25 +335,27 @@ let rec insert_op m (op : Op.t) : int =
 
 exception Cyclic
 
+(** Elements of a class, non-transfer elements first, so that a
+    representative is the "plain" logical expression when one exists. *)
+let preferred_elements m c =
+  let rank = function N_tm _ | N_td _ -> 1 | _ -> 0 in
+  List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) (elements m c)
+
 (** Extract one representative operator tree from a class (the first
     element acyclically reachable; transfers are deprioritized so the
     representative is the "plain" logical expression when one exists).
-    Used for statistics derivation and the rule-soundness gate — all
-    elements are equivalent, so any representative works. *)
+    Used by the rule-soundness gate — all elements are equivalent, so any
+    representative works. *)
 let extract m (c : int) : Op.t =
   let rec go visiting c =
     let c = find m c in
     if List.mem c visiting then raise Cyclic;
     let visiting = c :: visiting in
-    let rank = function N_tm _ | N_td _ -> 1 | _ -> 0 in
-    let els =
-      List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) (elements m c)
-    in
     let rec try_els = function
       | [] -> raise Cyclic
       | n :: rest -> ( try op_of_node (go visiting) n with Cyclic -> try_els rest)
     in
-    try_els els
+    try_els (preferred_elements m c)
   in
   go [] c
 

@@ -5,8 +5,10 @@
     other classes.  Rules add elements to classes or merge classes proved
     equivalent (union-find; resolve ids through {!find}).  Each class
     stores its logical properties (schema and location), derived once when
-    the class is created.  The per-query class/element counts the paper
-    reports are {!class_count} and {!element_count}. *)
+    the class is created.  Each change to a class — gaining an element or
+    surviving a union — stamps it with the memo's change {!clock}.  The
+    per-query class/element counts the paper reports are {!class_count}
+    and {!element_count}. *)
 
 open Tango_rel
 open Tango_algebra
@@ -47,11 +49,31 @@ val canon : t -> node -> node
 val elements : t -> int -> node list
 (** Elements of a class, canonicalized. *)
 
+val entries : t -> int -> (int * node) list
+(** {!elements} paired with their element ids: insertion ordinals, stable
+    for the memo's life (a union moves elements, it does not renumber
+    them). *)
+
+val clock : t -> int
+(** The change clock: advances whenever a class gains an element or
+    survives a union, and stamps that class with its new value. *)
+
+val changed_since : t -> node -> int -> bool
+(** [changed_since m n t]: whether anything a rule probing [n] reads may
+    have changed after clock value [t] — a child class of [n] was stamped
+    since, or a union since merged classes whose stored properties
+    differ. *)
+
 val children : node -> int list
 (** Child class ids of a node, in {!Op.children} order. *)
 
 val op_of_node : (int -> Op.t) -> node -> Op.t
 (** The node's operator over the trees [sub] gives for its children. *)
+
+val top_op : node -> Op.t
+(** The node's operator over placeholder arguments — enough for one-level
+    steps ({!Op.schema_step}, {!Tango_stats.Derive.step}), which read only
+    the top operator. *)
 
 val props : t -> int -> props
 (** Stored properties of a class: those of the element that created it
@@ -82,9 +104,13 @@ val insert_op : t -> Op.t -> int
 
 exception Cyclic
 
+val preferred_elements : t -> int -> node list
+(** {!elements} with transfers last: the order in which a representative
+    is chosen ({!extract}, and [Physical.class_stats]). *)
+
 val extract : t -> int -> Op.t
 (** One representative operator tree of a class (transfers deprioritized),
-    for statistics derivation and the rule-soundness gate; raises {!Cyclic}
+    for the rule-soundness gate; raises {!Cyclic}
     only if every element is cyclically self-referential. *)
 
 val schema_of : t -> int -> Schema.t

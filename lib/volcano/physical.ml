@@ -96,6 +96,9 @@ type t = {
   cache : (int * req, plan option) Hashtbl.t;
   in_progress : (int * req, unit) Hashtbl.t;
   stats_cache : (int, Rel_stats.t option) Hashtbl.t;
+  components : int array Lazy.t;
+      (** by class id: its strongly connected component in the class
+          graph *)
   mutable considered : int;  (** algorithm instantiations examined *)
 }
 
@@ -103,6 +106,46 @@ let c_considered = Tango_obs.Counter.make "volcano.plans_considered"
 
 let c_infeasible = Tango_obs.Counter.make "volcano.plans_infeasible"
 (** class elements rejected (location/order requirement unmet, or cyclic). *)
+
+(* Tarjan's strongly connected components of the class graph, which has an
+   edge from each class to every child class of its elements: [comp.(c)]
+   names class [c]'s component. *)
+let components (m : Memo.t) : int array =
+  let n = 1 + List.fold_left max (-1) (Memo.classes m) in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let comp = Array.make n (-1) in
+  let stack = ref [] and next = ref 0 in
+  let rec visit c =
+    index.(c) <- !next;
+    low.(c) <- !next;
+    incr next;
+    stack := c :: !stack;
+    List.iter
+      (fun n ->
+        List.iter
+          (fun k ->
+            let k = Memo.find m k in
+            if index.(k) < 0 then begin
+              visit k;
+              low.(c) <- min low.(c) low.(k)
+            end
+            else if comp.(k) < 0 then low.(c) <- min low.(c) index.(k))
+          (Memo.children n))
+      (Memo.elements m c);
+    if low.(c) = index.(c) then begin
+      let rec pop () =
+        match !stack with
+        | k :: rest ->
+            stack := rest;
+            comp.(k) <- c;
+            if k <> c then pop ()
+        | [] -> ()
+      in
+      pop ()
+    end
+  in
+  List.iter (fun c -> if index.(c) < 0 then visit c) (Memo.classes m);
+  comp
 
 let create ?partition ?shard_factors ~memo ~factors ~stats_env () =
   {
@@ -115,20 +158,52 @@ let create ?partition ?shard_factors ~memo ~factors ~stats_env () =
     cache = Hashtbl.create 256;
     in_progress = Hashtbl.create 64;
     stats_cache = Hashtbl.create 64;
+    components = lazy (components memo);
     considered = 0;
   }
 
-let class_stats (p : t) (c : int) : Rel_stats.t option =
-  let c = Memo.find p.memo c in
+(* Statistics of class [c] as derived over {!Memo.extract}'s tree, one
+   {!Derive.step} per class.  Extract picks, along its path of classes being
+   extracted, the first of {!Memo.preferred_elements} whose subtree does not
+   lead back onto the path.  That choice can depend on the path only within
+   the class's strongly connected component; a class entered from another
+   component extracts as it does at top level.  So statistics are cached
+   per class, keyed by component entry, and recomputed along the path
+   inside a component.  Raises {!Memo.Cyclic} when every element is
+   cyclic. *)
+let rec entry_stats (p : t) (c : int) : Rel_stats.t option =
   match Hashtbl.find_opt p.stats_cache c with
   | Some s -> s
   | None ->
-      let s =
-        try Some (Derive.derive p.stats_env (Memo.extract p.memo c))
-        with _ -> None
-      in
+      let s = first_acyclic p [ c ] (Memo.preferred_elements p.memo c) in
       Hashtbl.replace p.stats_cache c s;
       s
+
+and stats_along p path c =
+  let c = Memo.find p.memo c in
+  let comp = Lazy.force p.components in
+  if comp.(c) <> comp.(List.hd path) then entry_stats p c
+  else if List.mem c path then raise Memo.Cyclic
+  else first_acyclic p (c :: path) (Memo.preferred_elements p.memo c)
+
+and first_acyclic p path = function
+  | [] -> raise Memo.Cyclic
+  | n :: rest -> (
+      let kids = Memo.children n in
+      match List.map (stats_along p path) kids with
+      | exception Memo.Cyclic -> first_acyclic p path rest
+      | stats -> (
+          (* a child whose derivation failed ([None]) fails this one *)
+          try
+            Some
+              (Derive.step p.stats_env (Memo.top_op n)
+                 (List.map2
+                    (fun c s -> (Option.get s, lazy (Memo.schema_of p.memo c)))
+                    kids stats))
+          with _ -> None))
+
+let class_stats (p : t) (c : int) : Rel_stats.t option =
+  try entry_stats p (Memo.find p.memo c) with Memo.Cyclic -> None
 
 let class_size p c =
   match class_stats p c with Some s -> Rel_stats.size s | None -> 1.0

@@ -64,6 +64,9 @@ type t = {
   cache : (int * req, plan option) Hashtbl.t;
   in_progress : (int * req, unit) Hashtbl.t;
   stats_cache : (int, Tango_stats.Rel_stats.t option) Hashtbl.t;
+  components : int array Lazy.t;
+      (** by class id: its strongly connected component in the class
+          graph *)
   mutable considered : int;  (** algorithm instantiations examined *)
 }
 
@@ -77,6 +80,12 @@ val create :
   t
 
 val class_stats : t -> int -> Tango_stats.Rel_stats.t option
+(** A class's estimated statistics, derived one level
+    ({!Tango_stats.Derive.step}) from its children's cached statistics,
+    for the element {!Memo.extract} would choose: transfers last, then the
+    first element that does not lead back into a class being derived.
+    [None] when the derivation fails or every element is cyclic. *)
+
 val class_size : t -> int -> float
 
 val best : t -> int -> req -> plan option

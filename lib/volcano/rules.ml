@@ -792,12 +792,31 @@ let all : rule list =
 
 let c_rules_fired = Tango_obs.Counter.make "volcano.rules_fired"
 let c_passes = Tango_obs.Counter.make "volcano.saturate_passes"
+let c_probes = Tango_obs.Counter.make "volcano.rule_probes"
 
-(** Apply rules to fixpoint (bounded by [max_elements]). *)
 type observer = rule:string -> Memo.t -> int -> unit
 
+(** Apply rules to fixpoint (bounded by [max_elements]), semi-naively.
+
+    A rule reads only its element, stored class properties, and the
+    element lists of the element's child classes.  Applied again with none
+    of that changed, it changes nothing: it would add the same nodes and
+    merge the same classes, all already done.  So once an element has been
+    swept through the rules, it is skipped until one of its child classes
+    is stamped ({!Memo.changed_since}) — unless the sweep itself stamped
+    one, as a rule adding to a class that is also its own child does.  The
+    rules that fire, their order, and the final memo are those of sweeping
+    every element in every pass. *)
 let saturate ?(rules = all) ?(max_elements = 5_000) ?observer (m : Memo.t) :
     unit =
+  (* element id -> clock value after its last sweep, when nothing that
+     sweep read changed during it *)
+  let quiet : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let stale id el =
+    match Hashtbl.find_opt quiet id with
+    | Some t -> Memo.changed_since m el t
+    | None -> true
+  in
   let changed = ref true in
   while !changed && Memo.element_count m < max_elements do
     changed := false;
@@ -806,8 +825,10 @@ let saturate ?(rules = all) ?(max_elements = 5_000) ?observer (m : Memo.t) :
       (fun c ->
         let c = Memo.find m c in
         List.iter
-          (fun el ->
-            if Memo.element_count m < max_elements then
+          (fun (id, el) ->
+            if Memo.element_count m < max_elements && stale id el then begin
+              Tango_obs.Counter.incr c_probes;
+              let t = Memo.clock m in
               List.iter
                 (fun r ->
                   if r.apply m c el then begin
@@ -817,7 +838,10 @@ let saturate ?(rules = all) ?(max_elements = 5_000) ?observer (m : Memo.t) :
                     | None -> ());
                     changed := true
                   end)
-                rules)
-          (Memo.elements m c))
+                rules;
+              if Memo.changed_since m el t then Hashtbl.remove quiet id
+              else Hashtbl.replace quiet id (Memo.clock m)
+            end)
+          (Memo.entries m c))
       (Memo.classes m)
   done

@@ -44,4 +44,8 @@ type observer = rule:string -> Memo.t -> int -> unit
 
 val saturate :
   ?rules:rule list -> ?max_elements:int -> ?observer:observer -> Memo.t -> unit
-(** Apply rules to fixpoint, bounded by [max_elements] (default 5000). *)
+(** Apply rules to fixpoint, bounded by [max_elements] (default 5000).
+    An element is swept through the rules again only when one of its child
+    classes changed since its last sweep; the rules that fire, in order,
+    are those of re-sweeping every element on every pass.  Each sweep
+    counts in [volcano.rule_probes]. *)

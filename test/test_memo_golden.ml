@@ -9,7 +9,15 @@
    The second check is the invariant the memo's stored logical properties
    rest on: in every class of every corpus memo, each element's one-level
    schema and location — derived from its children's stored properties —
-   equal the class's stored properties. *)
+   equal the class's stored properties.
+
+   The last two checks hold the optimizer's incremental paths to their
+   references on a wider corpus (Queries 1-4 on one to three shards and
+   102 more seeded ad hoc queries): saturation that re-probes only
+   elements whose inputs changed must build the memo the naive fixpoint
+   loop builds, firing the same rules; and each class's one-level
+   statistics must equal those derived over the class's extracted
+   representative tree, bit for bit. *)
 
 open Tango_core
 open Tango_workload
@@ -253,6 +261,143 @@ let test_element_props () =
         (Memo.classes m))
     (corpus ())
 
+(* ------------------------------------------------------------------ *)
+(* Incremental paths against their references                           *)
+(* ------------------------------------------------------------------ *)
+
+let equivalence_corpus =
+  lazy
+    (let one, two = Lazy.force sessions in
+     let three =
+       Middleware.connect_topology
+         (Uis.load_sharded ~scale ~roundtrip_spins:[ 0; 0; 0 ] ~shards:3 ())
+     in
+     let st = Random.State.make [| 13 |] in
+     let shapes = [| self_join; group_join; employee_join |] in
+     List.concat_map
+       (fun (tag, mw) ->
+         List.map (fun (q, sql) -> (q ^ tag, mw, sql)) Queries.workload)
+       [ ("/1", one); ("/2", two); ("/3", three) ]
+     @ List.init 102 (fun i ->
+           (Printf.sprintf "adhoc%03d" i, one, shapes.(i mod 3) st)))
+
+let max_elements mw = (Middleware.config mw).Middleware.Config.max_memo_elements
+
+let fresh_memo mw sql =
+  let m = Memo.create () in
+  let root = Memo.insert_op m (initial mw sql) in
+  (m, root)
+
+(* The reference saturation: every rule on every element of every class,
+   pass after pass, until a pass fires nothing.  Returns the rules fired
+   and the element sweeps made. *)
+let naive_saturate ~max_elements m =
+  let fired = ref 0 and sweeps = ref 0 in
+  let changed = ref true in
+  while !changed && Memo.element_count m < max_elements do
+    changed := false;
+    List.iter
+      (fun c ->
+        let c = Memo.find m c in
+        List.iter
+          (fun el ->
+            if Memo.element_count m < max_elements then begin
+              incr sweeps;
+              List.iter
+                (fun (r : Rules.rule) ->
+                  if r.Rules.apply m c el then begin
+                    incr fired;
+                    changed := true
+                  end)
+                Rules.all
+            end)
+          (Memo.elements m c))
+      (Memo.classes m)
+  done;
+  (!fired, !sweeps)
+
+let counter = Tango_obs.Counter.make
+
+let test_incremental_saturation () =
+  let fired = counter "volcano.rules_fired" in
+  let probes = counter "volcano.rule_probes" in
+  let corpus = Lazy.force equivalence_corpus in
+  let naive_sweeps = ref 0 and probes_made = ref 0 in
+  List.iter
+    (fun (name, mw, sql) ->
+      let max_elements = max_elements mw in
+      let reference, _ = fresh_memo mw sql in
+      let want_fired, sweeps = naive_saturate ~max_elements reference in
+      let m, _ = fresh_memo mw sql in
+      let f0 = Tango_obs.Counter.value fired in
+      let p0 = Tango_obs.Counter.value probes in
+      Rules.saturate ~max_elements m;
+      naive_sweeps := !naive_sweeps + sweeps;
+      probes_made := !probes_made + Tango_obs.Counter.value probes - p0;
+      let shape m = (Memo.class_count m, Memo.element_count m, Memo.classes m) in
+      if shape reference <> shape m then
+        Alcotest.failf "%s: memo shape differs from the naive loop's" name;
+      let got_fired = Tango_obs.Counter.value fired - f0 in
+      if got_fired <> want_fired then
+        Alcotest.failf "%s: %d rules fired, the naive loop fired %d" name
+          got_fired want_fired;
+      List.iter
+        (fun c ->
+          let els m = List.sort compare (Memo.elements m c) in
+          if els reference <> els m then
+            Alcotest.failf "%s: class %d holds different elements" name c)
+        (Memo.classes m))
+    corpus;
+  let per_query n = float_of_int n /. float_of_int (List.length corpus) in
+  Printf.printf "element sweeps per query: naive %.1f, incremental %.1f\n"
+    (per_query !naive_sweeps) (per_query !probes_made);
+  Alcotest.(check bool)
+    "incremental saturation probes no more than the naive loop" true
+    (!probes_made <= !naive_sweeps)
+
+let show_stats = function
+  | None -> "none"
+  | Some (s : Tango_stats.Rel_stats.t) ->
+      Printf.sprintf "card %h, columns %s" s.Tango_stats.Rel_stats.card
+        (String.concat " "
+           (List.map
+              (fun (n, (c : Tango_stats.Rel_stats.col)) ->
+                Printf.sprintf "%s(d=%h%s%s)" n c.Tango_stats.Rel_stats.distinct
+                  (if c.Tango_stats.Rel_stats.indexed then ",idx" else "")
+                  (if c.Tango_stats.Rel_stats.histogram = None then "" else ",hist"))
+              s.Tango_stats.Rel_stats.cols))
+
+let test_class_stats () =
+  List.iter
+    (fun (name, mw, sql) ->
+      let m, root = fresh_memo mw sql in
+      Rules.saturate ~max_elements:(max_elements mw) m;
+      let stats_env = Middleware.stats_env mw in
+      let p =
+        Physical.create ?partition:(Middleware.partition_layout mw) ~memo:m
+          ~factors:(Middleware.factors mw) ~stats_env ()
+      in
+      (* fill the statistics cache in the order the plan search does *)
+      ignore
+        (Physical.best p root
+           {
+             Physical.loc = Tango_algebra.Op.Mw;
+             order = Tango_tsql.Compile.required_order sql;
+           });
+      List.iter
+        (fun c ->
+          let want =
+            try Some (Tango_stats.Derive.derive stats_env (Memo.extract m c))
+            with _ -> None
+          in
+          let got = Physical.class_stats p c in
+          (* [compare], not [=]: bit-exact, and NaN equals itself *)
+          if compare want got <> 0 then
+            Alcotest.failf "%s class %d: one-level statistics %s, extracted tree %s"
+              name c (show_stats got) (show_stats want))
+        (Memo.classes m))
+    (Lazy.force equivalence_corpus)
+
 let () =
   Alcotest.run "memo_golden"
     [
@@ -261,5 +406,9 @@ let () =
           Alcotest.test_case "plans match the table" `Quick test_golden;
           Alcotest.test_case "element properties match the class" `Quick
             test_element_props;
+          Alcotest.test_case "incremental saturation = naive loop" `Quick
+            test_incremental_saturation;
+          Alcotest.test_case "one-level class statistics = extracted tree" `Quick
+            test_class_stats;
         ] );
     ]
