@@ -16,7 +16,7 @@
      feedback  cost-factor adaptation across repeated queries
      adapt     est-vs-actual profiling + adaptive recalibration (JSON trajectory)
      obs       per-query traces + global metrics, exported as JSON
-     throughput  repeated workload, plan cache x batch execution (qps)
+     throughput  repeated workload, plan cache on vs off (qps)
      sharding  workload over 1/2/4 time-range shards + pruning smoke
      tail      tail-latency attribution on a skewed 2-shard topology
      micro     Bechamel micro-benchmarks of the core algorithms
@@ -755,21 +755,20 @@ let baseline ctx =
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
-(* throughput: plan cache x batch execution on the repeated workload    *)
+(* throughput: plan cache on vs off on the repeated workload            *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-submit the whole workload [rounds] times under the four
-   cache x batching configurations.  The cache turns the repeated rounds
-   into hit-path runs (no parse, no optimize); batching amortizes the
-   per-tuple iterator overhead.  The JSON payload carries the qps of
-   every variant plus the speedup ratios the CI perf-smoke gates on.
+(* Re-submit the whole workload [rounds] times with the plan cache on
+   and off.  The cache turns the repeated rounds into hit-path runs (no
+   parse, no optimize).  The JSON payload carries the qps of both
+   variants plus the speedup ratio the CI perf-smoke gates on.
 
    Unlike the analytical experiments, the relations here are small fixed
    prefixes (not governed by --scale): the cache amortizes the per-query
    {e fixed} costs (parse, statistics, memo search), so its regime is
    many repetitions of quick queries, not one scan-bound giant. *)
 let throughput ctx =
-  Fmt.pr "== Throughput: repeated workload, plan cache x batch execution ==@.";
+  Fmt.pr "== Throughput: repeated workload, plan cache on vs off ==@.";
   Fmt.pr "(every variant runs one untimed warm round, then %s timed rounds@."
     (if ctx.quick then "5" else "10");
   Fmt.pr " over Queries 1-4; parse+overhead = total - optimize - execute)@.";
@@ -784,24 +783,20 @@ let throughput ctx =
       (Relation.schema ctx.full_employee)
       (Array.sub tuples 0 (min 200 (Array.length tuples)))
   in
-  let variants =
-    [ ("cache+batch", true, true); ("cache-only", true, false);
-      ("batch-only", false, true); ("neither", false, false) ]
-  in
+  let variants = [ ("cache-on", true); ("cache-off", false) ] in
   let results =
     List.map
-      (fun (name, cache, batching) ->
+      (fun (name, cache) ->
         let _db, mw =
           session ctx [ ("POSITION", position); ("EMPLOYEE", employee) ]
         in
         (* spin 0: the simulated network latency is identical across the
-           four variants (both the cache and batching preserve round
-           trips), so leaving it in only dilutes the middleware effect
-           this experiment measures *)
+           variants (the cache preserves round trips), so leaving it in
+           only dilutes the middleware effect this experiment measures *)
         Middleware.set_config mw
           Middleware.Config.(
             Middleware.config mw |> with_plan_cache cache
-            |> with_batching batching |> with_roundtrip_spin 0);
+            |> with_roundtrip_spin 0);
         (* warm round: fills the plan cache and the statistics cache so the
            timed rounds measure the steady state of each variant *)
         List.iter (fun (_, sql) -> ignore (Middleware.query mw sql))
@@ -833,7 +828,6 @@ let throughput ctx =
             [
               ("variant", Tango_obs.Json.String name);
               ("plan_cache", Tango_obs.Json.Bool cache);
-              ("batching", Tango_obs.Json.Bool batching);
               ("rounds", Tango_obs.Json.Int rounds);
               ("queries", Tango_obs.Json.Int queries);
               ("qps", Tango_obs.Json.Float qps);
@@ -851,27 +845,22 @@ let throughput ctx =
     | Some (_, _, qps) -> qps
     | None -> nan
   in
-  let best = qps_of "cache+batch" in
-  let cache_only = qps_of "cache-only" in
-  let batch_only = qps_of "batch-only" in
-  let neither = qps_of "neither" in
-  let cache_on_beats_cache_off = best > batch_only && cache_only > neither in
+  let cache_on = qps_of "cache-on" in
+  let cache_off = qps_of "cache-off" in
+  let cache_on_beats_cache_off = cache_on > cache_off in
   let doc =
     Tango_obs.Json.Obj
       [
         ("experiment", Tango_obs.Json.String "throughput");
         ( "variants",
           Tango_obs.Json.List (List.map (fun (_, j, _) -> j) results) );
-        ("speedup_vs_neither", Tango_obs.Json.Float (best /. neither));
-        ("speedup_cache", Tango_obs.Json.Float (best /. batch_only));
-        ("speedup_batching", Tango_obs.Json.Float (best /. cache_only));
+        ("speedup_cache", Tango_obs.Json.Float (cache_on /. cache_off));
         ("cache_on_beats_cache_off", Tango_obs.Json.Bool cache_on_beats_cache_off);
       ]
   in
   bench_payload := Some doc;
   Fmt.pr "%s@." (Tango_obs.Json.to_string doc);
-  Fmt.pr "# cache+batch vs neither: %.2fx; cache on vs off (batched): %.2fx%s@.@."
-    (best /. neither) (best /. batch_only)
+  Fmt.pr "# cache on vs off: %.2fx%s@.@." (cache_on /. cache_off)
     (if cache_on_beats_cache_off then "" else "  (CACHE DID NOT HELP)")
 
 (* ------------------------------------------------------------------ *)

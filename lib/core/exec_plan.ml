@@ -281,32 +281,28 @@ let alpha_normalize (q : Ast.query) : Ast.query =
   query q
 
 (** A per-execution context; when [share_transfers] is set, alpha-equivalent
-    dependency-free `TRANSFER^M` statements are fetched once.  When
-    [batching] is unset, every node is degraded to tuple-at-a-time pulls
-    (see {!Tango_xxl.Cursor.tuple_at_a_time}) — the classic XXL protocol,
-    kept for differential testing and benchmarking. *)
+    dependency-free `TRANSFER^M` statements are fetched once. *)
 type run_ctx = {
   topology : Topology.t;
   share_transfers : bool;
-  batching : bool;
   fetched : (Ast.query * string list, Relation.t) Hashtbl.t;
       (** keyed by normalized SQL {e and} the shard list: a scatter and a
           single-backend transfer of the same statement read different
           data *)
 }
 
-let run_ctx ?(share_transfers = true) ?(batching = true) topology =
-  { topology; share_transfers; batching; fetched = Hashtbl.create 4 }
+let run_ctx ?(share_transfers = true) topology =
+  { topology; share_transfers; fetched = Hashtbl.create 4 }
 
-(* Global counters snapshotted around each node's init/next to attribute
-   inclusive page reads and client round trips to operators (same
-   inclusive convention as [elapsed_us]).  These are the storage and
-   client layers' own counters, shared by name. *)
+(* Global counters snapshotted around each node's init/next_batch to
+   attribute inclusive page reads and client round trips to operators
+   (same inclusive convention as [elapsed_us]).  These are the storage
+   and client layers' own counters, shared by name. *)
 let c_page_reads = Tango_obs.Counter.make "storage.page_reads"
 let c_roundtrips = Tango_obs.Counter.make "client.roundtrips"
 
-(* Wrap a cursor with per-node instrumentation; both pull protocols are
-   forwarded natively (a batch costs one counter snapshot). *)
+(* Wrap a cursor with per-node instrumentation (a batch costs one counter
+   snapshot). *)
 let instrument (n : node) (c : Cursor.t) : Cursor.t =
   n.elapsed_us <- 0.0;
   n.out_bytes <- 0.0;
@@ -324,16 +320,8 @@ let instrument (n : node) (c : Cursor.t) : Cursor.t =
     n.elapsed_us <- n.elapsed_us +. (Tango_obs.mono_us () -. t0);
     r
   in
-  Cursor.make_full ~schema:(Cursor.schema c)
+  Cursor.make ~schema:(Cursor.schema c)
     ~init:(fun () -> measured (fun () -> Cursor.init c))
-    ~next:(fun () ->
-      let r = measured (fun () -> Cursor.next c) in
-      (match r with
-      | Some t ->
-          n.out_tuples <- n.out_tuples + 1;
-          n.out_bytes <- n.out_bytes +. float_of_int (Tuple.byte_size t)
-      | None -> ());
-      r)
     ~next_batch:(fun () ->
       let r = measured (fun () -> Cursor.next_batch c) in
       (match r with
@@ -348,9 +336,8 @@ let instrument (n : node) (c : Cursor.t) : Cursor.t =
 
 (* Rename a cursor's schema to the sanitized temp-table column names. *)
 let with_schema schema (c : Cursor.t) : Cursor.t =
-  Cursor.make_full ~schema
+  Cursor.make ~schema
     ~init:(fun () -> Cursor.init c)
-    ~next:(fun () -> Cursor.next c)
     ~next_batch:(fun () -> Cursor.next_batch c)
 
 let rec build_cursor (ctx : run_ctx) (n : node) : Cursor.t =
@@ -390,7 +377,6 @@ let rec build_cursor (ctx : run_ctx) (n : node) : Cursor.t =
     | Difference (l, r) ->
         Dup_elim.difference (build_cursor ctx l) (build_cursor ctx r)
   in
-  let c = if ctx.batching then c else Cursor.tuple_at_a_time c in
   instrument n c
 
 and transfer_cursor ctx (n : node) ~sql ~deps ~shard_key (tm : Cursor.t) :
@@ -401,7 +387,7 @@ and transfer_cursor ctx (n : node) ~sql ~deps ~shard_key (tm : Cursor.t) :
     else None
   in
   let replay : Cursor.t option ref = ref None in
-  Cursor.make_full ~schema:n.schema
+  Cursor.make ~schema:n.schema
     ~init:(fun () ->
       match shared_key with
       | Some key when Hashtbl.mem ctx.fetched key ->
@@ -425,10 +411,6 @@ and transfer_cursor ctx (n : node) ~sql ~deps ~shard_key (tm : Cursor.t) :
           List.iter (fun dep -> run_dep ctx dep) deps;
           Cursor.init tm;
           replay := None)
-    ~next:(fun () ->
-      match !replay with
-      | Some c -> Cursor.next c
-      | None -> Cursor.next tm)
     ~next_batch:(fun () ->
       match !replay with
       | Some c -> Cursor.next_batch c

@@ -74,13 +74,10 @@ val alpha_normalize : Ast.query -> Ast.query
 (** A per-execution context; when [share_transfers] is set (the default),
     alpha-equivalent dependency-free `TRANSFER^M` statements are fetched
     from the DBMS only once — the paper's §7 "issue only one T^M"
-    refinement.  When [batching] is unset, every node is degraded to
-    tuple-at-a-time pulls — the classic XXL protocol, kept for
-    differential testing and benchmarking. *)
+    refinement. *)
 type run_ctx
 
-val run_ctx :
-  ?share_transfers:bool -> ?batching:bool -> Tango_dbms.Topology.t -> run_ctx
+val run_ctx : ?share_transfers:bool -> Tango_dbms.Topology.t -> run_ctx
 
 val build_cursor : run_ctx -> node -> Tango_xxl.Cursor.t
 

@@ -47,7 +47,6 @@ module Config = struct
     auto_parameterize : bool;
     param_buckets : int;
     replan_q_error : float;
-    batch_execution : bool;
     telemetry : bool;
   }
 
@@ -71,7 +70,6 @@ module Config = struct
       auto_parameterize = true;
       param_buckets = 8;
       replan_q_error = 0.0;
-      batch_execution = true;
       telemetry = true;
     }
 
@@ -116,7 +114,6 @@ module Config = struct
        per-execution analysis *)
     { c with replan_q_error = q; profiling = (q > 0.0) || c.profiling }
 
-  let with_batching b c = { c with batch_execution = b }
   let with_telemetry b c = { c with telemetry = b }
 end
 
@@ -769,8 +766,7 @@ let execute_physical_full t (physical : Physical.plan) :
             Tango_xxl.Attribution.with_collector collector (fun () ->
                 let ctx =
                   Exec_plan.run_ctx
-                    ~share_transfers:t.config.Config.share_transfers
-                    ~batching:t.config.Config.batch_execution t.topology
+                    ~share_transfers:t.config.Config.share_transfers t.topology
                 in
                 let r =
                   Tango_xxl.Cursor.to_relation

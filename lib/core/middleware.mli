@@ -77,10 +77,6 @@ module Config : sig
             re-optimized with the bound values and the result stored as
             that selectivity bucket's region plan (0 = guard off;
             a positive value implies [profiling]) *)
-    batch_execution : bool;
-        (** pull tuples through the middleware pipeline in array batches
-            (default); unset to force the classic tuple-at-a-time XXL
-            protocol *)
     telemetry : bool;
         (** capture GC/allocation deltas per pipeline phase and per query
             ({!Tango_obs.Runtime}) and feed the [tango_alloc_*] /
@@ -126,11 +122,6 @@ module Config : sig
   val with_replan_q_error : float -> t -> t
   (** Sensitivity-guard q-error threshold; a positive value also enables
       [profiling] (the guard judges plans by measured q-errors). *)
-
-  val with_batching : bool -> t -> t
-  (** Batch-at-a-time execution (on by default); unset for the classic
-      tuple-at-a-time protocol — used by differential tests and the
-      [throughput] benchmark. *)
 
   val with_telemetry : bool -> t -> t
   (** GC/allocation attribution (on by default); unset to skip every

@@ -11,7 +11,6 @@ module type S = sig
   val kind : string
   val execute_query : conn -> Ast.query -> cursor
   val cursor_schema : cursor -> Schema.t
-  val fetch : cursor -> Tuple.t option
   val fetch_batch : cursor -> Tuple.t array option
   val execute_update : conn -> string -> int
   val bulk_load : conn -> table:string -> Schema.t -> Tuple.t Seq.t -> string
@@ -44,7 +43,6 @@ type meters = {
    the existential: [conn]/[cursor] never escape. *)
 type cursor = {
   cur_schema : Schema.t;
-  cur_fetch : unit -> Tuple.t option;
   cur_fetch_batch : unit -> Tuple.t array option;
 }
 
@@ -113,7 +111,6 @@ let make (type c) (module M : S with type conn = c) (conn : c) ~name ?client ()
         let cur = m (fun () -> M.execute_query conn q) in
         {
           cur_schema = M.cursor_schema cur;
-          cur_fetch = (fun () -> m (fun () -> M.fetch cur));
           cur_fetch_batch = (fun () -> m (fun () -> M.fetch_batch cur));
         });
     f_update = (fun sql -> m (fun () -> M.execute_update conn sql));
@@ -135,7 +132,6 @@ module In_process : S with type conn = Client.t = struct
   let kind = "in_process"
   let execute_query = Client.execute_query_ast
   let cursor_schema = Client.cursor_schema
-  let fetch = Client.fetch
   let fetch_batch = Client.fetch_batch
   let execute_update = Client.execute_update
   let bulk_load = Client.bulk_load
@@ -171,7 +167,6 @@ let database b = Option.map Client.database b.client_opt
 
 let execute_query b q = b.f_query q
 let cursor_schema cur = cur.cur_schema
-let fetch cur = cur.cur_fetch ()
 let fetch_batch cur = cur.cur_fetch_batch ()
 let execute_update b sql = b.f_update sql
 let bulk_load b ~table schema seq = b.f_bulk_load ~table schema seq

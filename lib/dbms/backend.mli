@@ -28,9 +28,9 @@ module type S = sig
 
   val execute_query : conn -> Ast.query -> cursor
   val cursor_schema : cursor -> Schema.t
-  val fetch : cursor -> Tuple.t option
   val fetch_batch : cursor -> Tuple.t array option
-  (** Batch pull; [None] at exhaustion, never an empty array. *)
+  (** The only way to drain a cursor: [None] at exhaustion, never an
+      empty array. *)
 
   val execute_update : conn -> string -> int
 
@@ -92,7 +92,6 @@ val database : t -> Database.t option
 
 val execute_query : t -> Ast.query -> cursor
 val cursor_schema : cursor -> Schema.t
-val fetch : cursor -> Tuple.t option
 val fetch_batch : cursor -> Tuple.t array option
 val execute_update : t -> string -> int
 val bulk_load : t -> table:string -> Schema.t -> Tuple.t Seq.t -> string

@@ -30,13 +30,16 @@ let c_bulk_loads = Tango_obs.Counter.make "client.bulk_loads"
 let default_row_prefetch = 10 (* Oracle JDBC's historical default *)
 let default_roundtrip_spin = 20_000
 
+(* Every round trip ships at least one row. *)
+let clamp_prefetch n = max 1 n
+
 let connect ?(row_prefetch = default_row_prefetch)
     ?(roundtrip_spin = default_roundtrip_spin) db =
-  { db; row_prefetch; roundtrip_spin; roundtrips = 0; tuples_shipped = 0;
-    bytes_shipped = 0 }
+  { db; row_prefetch = clamp_prefetch row_prefetch; roundtrip_spin;
+    roundtrips = 0; tuples_shipped = 0; bytes_shipped = 0 }
 
 let database c = c.db
-let set_row_prefetch c n = c.row_prefetch <- max 1 n
+let set_row_prefetch c n = c.row_prefetch <- clamp_prefetch n
 let row_prefetch c = c.row_prefetch
 let set_roundtrip_spin c n = c.roundtrip_spin <- max 0 n
 
@@ -88,7 +91,6 @@ let ship_batch c (batch : Tuple.t list) : Tuple.t list * int =
 type cursor = {
   schema : Schema.t;
   mutable pending : Tuple.t list;  (** rows not yet shipped *)
-  mutable buffered : Tuple.t list;  (** client-side prefetch buffer *)
   client : t;
   mutable cur_roundtrips : int;
   mutable cur_tuples : int;
@@ -102,7 +104,6 @@ let cursor_of_relation c rel =
   {
     schema = Relation.schema rel;
     pending = Array.to_list (Relation.tuples rel);
-    buffered = [];
     client = c;
     cur_roundtrips = 0;
     cur_tuples = 0;
@@ -122,46 +123,25 @@ let cursor_roundtrips cur = cur.cur_roundtrips
 let cursor_tuples cur = cur.cur_tuples
 let cursor_bytes cur = cur.cur_bytes
 
-(* Ship the next prefetch-sized batch into the client-side buffer.  The
-   single refill path shared by [fetch] and [fetch_batch], so the two
-   drain styles account identical round trips / tuples / bytes. *)
-let refill (cur : cursor) : bool =
+(** Ship the next prefetch-sized batch of rows over the wire: one round
+    trip per call, or [None] once every row has been shipped. *)
+let fetch_batch (cur : cursor) : Tuple.t array option =
   match cur.pending with
-  | [] -> false
+  | [] -> None
   | pending ->
-      let n = cur.client.row_prefetch in
       let rec take k = function
         | x :: rest when k > 0 ->
             let taken, rem = take (k - 1) rest in
             (x :: taken, rem)
         | rest -> ([], rest)
       in
-      let batch, rest = take n pending in
+      let batch, rest = take cur.client.row_prefetch pending in
       cur.pending <- rest;
       let shipped, nbytes = ship_batch cur.client batch in
       cur.cur_roundtrips <- cur.cur_roundtrips + 1;
       cur.cur_tuples <- cur.cur_tuples + List.length shipped;
       cur.cur_bytes <- cur.cur_bytes + nbytes;
-      cur.buffered <- shipped;
-      true
-
-let rec fetch (cur : cursor) : Tuple.t option =
-  match cur.buffered with
-  | t :: rest ->
-      cur.buffered <- rest;
-      Some t
-  | [] -> if refill cur then fetch cur else None
-
-(** Fetch one prefetch batch: the buffered rows (refilled over the wire if
-    the buffer is empty) as an array, or [None] when the cursor is
-    exhausted.  One call consumes at most one round trip — exactly the
-    accounting [fetch] would do for the same rows. *)
-let rec fetch_batch (cur : cursor) : Tuple.t array option =
-  match cur.buffered with
-  | _ :: _ as buffered ->
-      cur.buffered <- [];
-      Some (Array.of_list buffered)
-  | [] -> if refill cur then fetch_batch cur else None
+      Some (Array.of_list shipped)
 
 (** Drain a cursor into a relation (paying all transfer work). *)
 let fetch_all (cur : cursor) : Relation.t =

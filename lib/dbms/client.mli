@@ -17,6 +17,7 @@ val default_row_prefetch : int
 val default_roundtrip_spin : int
 
 val connect : ?row_prefetch:int -> ?roundtrip_spin:int -> Database.t -> t
+(** [row_prefetch] is clamped to at least 1, as by {!set_row_prefetch}. *)
 
 val database : t -> Database.t
 val set_row_prefetch : t -> int -> unit
@@ -42,13 +43,10 @@ val cursor_schema : cursor -> Schema.t
 val cursor_roundtrips : cursor -> int
 val cursor_tuples : cursor -> int
 val cursor_bytes : cursor -> int
-val fetch : cursor -> Tuple.t option
 
 val fetch_batch : cursor -> Tuple.t array option
-(** The buffered prefetch rows as one array ([None] at exhaustion),
-    refilling over the wire when the buffer is empty.  Interleaves freely
-    with {!fetch} and accounts exactly the same round trips / tuples /
-    bytes for the same rows. *)
+(** The next prefetch batch, shipped over the wire in one round trip
+    ([None] at exhaustion, never an empty array). *)
 
 val fetch_all : cursor -> Relation.t
 

@@ -1,10 +1,8 @@
-(** Tuple- and batch-at-a-time middleware algorithms: `FILTER^M` and
-    `PROJECT^M`.
+(** The middleware algorithms `FILTER^M` and `PROJECT^M`.
 
     Both are order-preserving, as the paper requires of middleware
-    algorithms (Section 4), and both are native batch producers: one
-    input batch yields (at most) one output batch with no per-tuple
-    closure calls on the pipeline below. *)
+    algorithms (Section 4): one input batch yields (at most) one output
+    batch with no per-tuple closure calls on the pipeline below. *)
 
 open Tango_rel
 open Tango_sql
@@ -41,7 +39,7 @@ let filter (pred : Ast.expr) (arg : Cursor.t) : Cursor.t =
   let schema = Cursor.schema arg in
   let p = Scalar.compile_pred schema pred in
   Cursor.observed "filter"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () -> Cursor.init arg)
        ~next_batch:(fun () ->
          let rec go () =
@@ -64,7 +62,7 @@ let project (items : (Ast.expr * string) list) (arg : Cursor.t) : Cursor.t =
   let fns = Array.of_list (List.map (fun (e, _) -> Scalar.compile in_schema e) items) in
   let eval t = Array.map (fun f -> f t) fns in
   Cursor.observed "project"
-    (Cursor.make_batched ~schema:out_schema
+    (Cursor.make ~schema:out_schema
        ~init:(fun () -> Cursor.init arg)
        ~next_batch:(fun () ->
          match Cursor.next_batch arg with

@@ -1,125 +1,38 @@
 (** The iterator (cursor) framework of the middleware execution engine.
 
     Modeled on the XXL library the paper builds on: every algorithm is a
-    result set with [init]/[next] methods, enabling pipelined execution
-    (paper Figure 2).  [init] prepares inner structures — and for some
-    algorithms does real work up front (sorting materializes runs; the
-    `TRANSFER^D` algorithm copies its whole input into the DBMS).
+    result set with an [init] method and a pull method, enabling pipelined
+    execution (paper Figure 2).  [init] prepares inner structures — and
+    for some algorithms does real work up front (sorting materializes
+    runs; the `TRANSFER^D` algorithm copies its whole input into the DBMS).
 
-    On top of the classic tuple-at-a-time protocol every cursor also
-    carries a {e batch} pull, [next_batch], returning an array of tuples
-    per call.  Batches are a pure amortization of the per-tuple closure
-    chain: the tuple stream delivered through [next_batch] is exactly the
-    stream [next] would deliver, in the same order, and the two entry
-    points may be interleaved freely.  A batch is never empty; [None]
-    marks exhaustion, exactly like [next]. *)
+    The pull, [next_batch], returns an array of tuples per call, which
+    amortizes the closure chain of a pipeline over many tuples.  A batch
+    is never empty; [None] marks exhaustion.  Consumers that read one
+    tuple at a time own a {!reader} over their input. *)
 
 open Tango_rel
 
 type t = {
   schema : Schema.t;
   init : unit -> unit;
-  next : unit -> Tuple.t option;
   next_batch : unit -> Tuple.t array option;
 }
 
-(** Tuples per batch produced by the default shim (and a reasonable size
-    for native producers that must pick one). *)
+(** Tuples per batch for producers that must pick a size. *)
 let default_batch_size = 256
 
-(* Shim: assemble a batch by looping the tuple-at-a-time entry point.
-   Used for cursors defined only via [next]. *)
-let batch_of_next (next : unit -> Tuple.t option) () :
-    Tuple.t array option =
-  match next () with
-  | None -> None
-  | Some first ->
-      let buf = ref [ first ] in
-      let n = ref 1 in
-      (try
-         while !n < default_batch_size do
-           match next () with
-           | None -> raise Exit
-           | Some t ->
-               buf := t :: !buf;
-               incr n
-         done
-       with Exit -> ());
-      Some (Array.of_list (List.rev !buf))
-
-let make ~schema ~init ~next =
-  { schema; init; next; next_batch = batch_of_next next }
-
-(** For wrappers around an existing cursor: supply both protocols so each
-    forwards to the wrapped cursor's native implementation. *)
-let make_full ~schema ~init ~next ~next_batch = { schema; init; next; next_batch }
-
-(** Build a cursor from a native batch producer; the tuple-at-a-time
-    [next] is derived by serving tuples out of an internal buffer, so
-    per-tuple pulls cost an array index, not a closure chain.  The
-    producer must never return an empty array (empty batches are skipped
-    defensively, but producing them wastes work). *)
-let make_batched ~schema ~init ~(next_batch : unit -> Tuple.t array option) =
-  let buf = ref [||] in
-  let pos = ref 0 in
-  (* Pull the next non-empty batch from the producer. *)
-  let rec pull () =
-    match next_batch () with
-    | None -> None
-    | Some b when Array.length b = 0 -> pull ()
-    | some -> some
-  in
-  let rec next () =
-    if !pos < Array.length !buf then begin
-      let t = (!buf).(!pos) in
-      incr pos;
-      Some t
-    end
-    else
-      match pull () with
-      | None -> None
-      | Some b ->
-          buf := b;
-          pos := 0;
-          next ()
-  in
-  let next_batch' () =
-    if !pos < Array.length !buf then begin
-      (* serve the buffered remainder first so interleaving [next] and
-         [next_batch] preserves the stream *)
-      let rest = Array.sub !buf !pos (Array.length !buf - !pos) in
-      buf := [||];
-      pos := 0;
-      Some rest
-    end
-    else pull ()
-  in
-  let init' () =
-    buf := [||];
-    pos := 0;
-    init ()
-  in
-  { schema; init = init'; next; next_batch = next_batch' }
-
+let make ~schema ~init ~next_batch = { schema; init; next_batch }
 let schema c = c.schema
 let init c = c.init ()
-let next c = c.next ()
 let next_batch c = c.next_batch ()
 
-(** Hide the native batch path: the result answers [next_batch] through
-    the per-tuple shim, so every pull below this point degrades to
-    tuple-at-a-time closure calls.  Used to measure (and differentially
-    test) batch-at-a-time against the classic protocol. *)
-let tuple_at_a_time (c : t) : t =
-  { schema = c.schema; init = c.init; next = c.next;
-    next_batch = batch_of_next c.next }
-
-(** Cursor over a materialized relation; the native batch path hands out
-    the remaining tuples in one array. *)
+(** Cursor over a materialized relation; the remaining tuples are handed
+    out in one array. *)
 let of_relation (r : Relation.t) : t =
   let ts = Relation.tuples r in
   let pos = ref 0 in
-  make_batched ~schema:(Relation.schema r)
+  make ~schema:(Relation.schema r)
     ~init:(fun () -> pos := 0)
     ~next_batch:(fun () ->
       let len = Array.length ts in
@@ -130,27 +43,6 @@ let of_relation (r : Relation.t) : t =
         Some b
       end)
 
-(** Cursor over a thunked relation, materialized at [init] time. *)
-let of_relation_lazy schema (produce : unit -> Relation.t) : t =
-  let state = ref None in
-  let pos = ref 0 in
-  make_batched ~schema
-    ~init:(fun () ->
-      state := Some (produce ());
-      pos := 0)
-    ~next_batch:(fun () ->
-      match !state with
-      | None -> invalid_arg "Cursor: next before init"
-      | Some r ->
-          let ts = Relation.tuples r in
-          let len = Array.length ts in
-          if !pos >= len then None
-          else begin
-            let b = Array.sub ts !pos (len - !pos) in
-            pos := len;
-            Some b
-          end)
-
 (* Drain every remaining batch, in order. *)
 let drain_batches (c : t) : Tuple.t array list =
   let rec go acc =
@@ -158,7 +50,7 @@ let drain_batches (c : t) : Tuple.t array list =
   in
   go []
 
-(** [init] then drain into a relation (batch pulls). *)
+(** [init] then drain into a relation. *)
 let to_relation (c : t) : Relation.t =
   c.init ();
   Relation.make c.schema (Array.concat (drain_batches c))
@@ -178,15 +70,34 @@ let iter f (c : t) =
   in
   go ()
 
+(* A consumer-side buffer: the current batch and the position of the next
+   unread tuple in it. *)
+type reader = { src : t; mutable buf : Tuple.t array; mutable pos : int }
+
+let reader src = { src; buf = [||]; pos = 0 }
+
+let rec read r =
+  if r.pos < Array.length r.buf then begin
+    let t = r.buf.(r.pos) in
+    r.pos <- r.pos + 1;
+    Some t
+  end
+  else
+    match r.src.next_batch () with
+    | None -> None
+    | Some b ->
+        r.buf <- b;
+        r.pos <- 0;
+        read r
+
 (** Wrap a cursor with per-algorithm observability (see {!Tango_obs}).
 
     Counters [xxl.<name>.opens] / [.tuples] / [.closes] are always live
-    (a close is the first exhausted [next]).  When a trace is being
-    collected, [init] time and the summed [next] time until exhaustion
-    are additionally recorded in the [xxl.<name>.init_us] / [.drain_us] /
-    [.tuples_per_open] histograms; with tracing off, the only per-tuple
-    overhead is one branch and one counter increment (one per {e batch}
-    on the batch path). *)
+    (a close is the first exhausted pull).  When a trace is being
+    collected, [init] time and the summed pull time until exhaustion are
+    additionally recorded in the [xxl.<name>.init_us] / [.drain_us] /
+    [.tuples_per_open] histograms; with tracing off, the only overhead is
+    one branch and one counter add per batch. *)
 let observed (name : string) (c : t) : t =
   let pre = "xxl." ^ name in
   let c_opens = Tango_obs.Counter.make (pre ^ ".opens") in
@@ -226,26 +137,6 @@ let observed (name : string) (c : t) : t =
           Tango_obs.Histogram.observe h_init (Tango_obs.mono_us () -. t0)
         end
         else c.init ());
-    next =
-      (fun () ->
-        if Tango_obs.Trace.active () then begin
-          let t0 = Tango_obs.mono_us () in
-          let r = c.next () in
-          spent := !spent +. (Tango_obs.mono_us () -. t0);
-          (match r with
-          | Some _ ->
-              incr produced;
-              Tango_obs.Counter.incr c_tuples
-          | None -> on_close_traced ());
-          r
-        end
-        else begin
-          let r = c.next () in
-          (match r with
-          | Some _ -> Tango_obs.Counter.incr c_tuples
-          | None -> on_close ());
-          r
-        end);
     next_batch =
       (fun () ->
         if Tango_obs.Trace.active () then begin

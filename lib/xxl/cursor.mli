@@ -1,48 +1,27 @@
 (** The iterator (cursor) framework of the middleware execution engine,
     modeled on the XXL library the paper builds on: every algorithm is a
-    result set with [init]/[next] methods, enabling pipelined execution
-    (paper Figure 2).
+    result set with an [init] method and a pull method, enabling pipelined
+    execution (paper Figure 2).
 
-    Every cursor additionally answers a {e batch-at-a-time} pull,
-    {!next_batch}, which delivers the same tuple stream as {!next} in
-    array-sized chunks.  Cursors built with {!make} answer it through a
-    shim that loops [next]; cursors built with {!make_batched} are
-    {e native} batch producers whose per-tuple [next] serves out of an
-    internal buffer.  The two entry points may be interleaved freely and
-    always agree on the stream. *)
+    The pull is batch-at-a-time: {!next_batch} returns a non-empty array
+    of consecutive stream tuples, or [None] once the stream is exhausted.
+    A consumer that reads one tuple at a time wraps its input in a
+    {!reader}, which it owns. *)
 
 open Tango_rel
 
 type t
 
 val default_batch_size : int
-(** Tuples per batch assembled by the shim (256). *)
+(** Tuples per batch for producers that must pick a size (256). *)
 
 val make :
-  schema:Schema.t -> init:(unit -> unit) -> next:(unit -> Tuple.t option) -> t
-(** Tuple-at-a-time constructor; [next_batch] is the looping shim. *)
-
-val make_full :
-  schema:Schema.t ->
-  init:(unit -> unit) ->
-  next:(unit -> Tuple.t option) ->
-  next_batch:(unit -> Tuple.t array option) ->
-  t
-(** Explicit constructor for {e wrappers}: both protocols are supplied,
-    typically forwarding to a wrapped cursor's native implementations.
-    The caller is responsible for the two entry points delivering the
-    same stream. *)
-
-val make_batched :
   schema:Schema.t ->
   init:(unit -> unit) ->
   next_batch:(unit -> Tuple.t array option) ->
   t
-(** Native batch constructor.  The producer must return [None] at
-    exhaustion and should never return an empty array.  The derived
-    per-tuple [next] serves from an internal buffer, so a per-tuple
-    consumer over a batched pipeline costs an array index per tuple, not
-    a closure chain. *)
+(** The producer must never return an empty array, and returns [None] at
+    exhaustion. *)
 
 val schema : t -> Schema.t
 
@@ -50,37 +29,36 @@ val init : t -> unit
 (** Prepare inner structures.  Some algorithms do real work here: sorting
     materializes runs; `TRANSFER^D` copies its whole input into the DBMS. *)
 
-val next : t -> Tuple.t option
-
 val next_batch : t -> Tuple.t array option
-(** The batch pull: a non-empty array of consecutive stream tuples, or
-    [None] at exhaustion. *)
-
-val tuple_at_a_time : t -> t
-(** Hide the native batch path: the result's [next_batch] is the
-    per-tuple shim over [next], so everything below degrades to
-    tuple-at-a-time closure calls.  Used by the execution engine's
-    [batching=false] mode and the differential tests. *)
 
 val of_relation : Relation.t -> t
-(** Cursor over a materialized relation; [init] rewinds.  Native batch
-    producer (one array for the whole remainder). *)
-
-val of_relation_lazy : Schema.t -> (unit -> Relation.t) -> t
-(** Materializes the thunk at [init] time. *)
+(** Cursor over a materialized relation; [init] rewinds.  The remainder
+    is handed out as one batch. *)
 
 val to_relation : t -> Relation.t
-(** [init] then drain (batch pulls). *)
+(** [init] then drain. *)
 
 val drain : t -> Tuple.t list
 (** Drain without [init] (the caller already initialized). *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
 
+(** {1 Tuple-at-a-time reading} *)
+
+type reader
+(** A consumer-side buffer over a cursor's batches. *)
+
+val reader : t -> reader
+(** A reader over the cursor's remaining stream; make a fresh one after
+    each [init]. *)
+
+val read : reader -> Tuple.t option
+(** The next tuple, pulling the next batch when the buffer is spent. *)
+
 val observed : string -> t -> t
 (** [observed name c] wraps [c] with per-algorithm observability under
     the [xxl.<name>.*] metric names: opens/tuples/closes counters are
-    always live; init/drain timing histograms are recorded only while a
-    {!Tango_obs.Trace} is being collected.  Both pull protocols are
-    forwarded natively (a batch costs one counter add).  Every middleware
-    algorithm constructor applies this to its result. *)
+    always live (a batch costs one counter add); init/drain timing
+    histograms are recorded only while a {!Tango_obs.Trace} is being
+    collected.  Every middleware algorithm constructor applies this to
+    its result. *)

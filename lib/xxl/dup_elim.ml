@@ -10,10 +10,9 @@
       [T1], and merges adjacent value-equivalent tuples whose periods
       overlap or meet.
 
-    Duplicate elimination and difference are native batch producers
-    (one input batch in, at most one output batch out); coalescing stays
-    tuple-at-a-time because its output tuple is open-ended until the next
-    non-mergeable input arrives. *)
+    Each takes one input batch in and gives at most one output batch out;
+    coalescing carries its open tuple across input batches, since it is
+    open-ended until the next non-mergeable input arrives. *)
 
 open Tango_rel
 open Tango_algebra
@@ -23,7 +22,7 @@ let dup_elim (arg : Cursor.t) : Cursor.t =
   let schema = Cursor.schema arg in
   let last = ref None in
   Cursor.observed "dupelim"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () ->
          Cursor.init arg;
          last := None)
@@ -63,7 +62,7 @@ let difference (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     | _ -> true
   in
   Cursor.observed "difference"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () ->
          Cursor.init left;
          Hashtbl.reset budget;
@@ -105,34 +104,38 @@ let coalesce (arg : Cursor.t) : Cursor.t =
   in
   (* pending: the open coalesced tuple being extended *)
   let pending = ref None in
+  (* Fold [t] into the open tuple; a closed tuple is consed onto [out]. *)
+  let step out t =
+    match !pending with
+    | Some p
+      when same_value p t && Value.to_int t.(t1_idx) <= Value.to_int p.(t2_idx)
+      ->
+        (* extend the open period *)
+        if Value.compare t.(t2_idx) p.(t2_idx) > 0 then
+          p.(t2_idx) <- t.(t2_idx);
+        out
+    | Some p ->
+        pending := Some (Array.copy t);
+        p :: out
+    | None ->
+        pending := Some (Array.copy t);
+        out
+  in
   Cursor.observed "coalesce"
     (Cursor.make ~schema
        ~init:(fun () ->
          Cursor.init arg;
          pending := None)
-       ~next:(fun () ->
+       ~next_batch:(fun () ->
          let rec go () =
-           match (Cursor.next arg, !pending) with
-           | None, None -> None
-           | None, Some p ->
+           match Cursor.next_batch arg with
+           | None ->
+               let last = Option.map (fun p -> [| p |]) !pending in
                pending := None;
-               Some p
-           | Some t, None ->
-               pending := Some (Array.copy t);
-               go ()
-           | Some t, Some p ->
-               if
-                 same_value p t
-                 && Value.to_int t.(t1_idx) <= Value.to_int p.(t2_idx)
-               then begin
-                 (* extend the open period *)
-                 if Value.compare t.(t2_idx) p.(t2_idx) > 0 then
-                   p.(t2_idx) <- t.(t2_idx);
-                 go ()
-               end
-               else begin
-                 pending := Some (Array.copy t);
-                 Some p
-               end
+               last
+           | Some b -> (
+               match Array.fold_left step [] b with
+               | [] -> go ()
+               | out -> Some (Array.of_list (List.rev out)))
          in
          go ()))

@@ -38,7 +38,7 @@ let concat ?names ~schema (sources : Cursor.t list) : Cursor.t =
   let n = Array.length sources in
   let at = ref 0 in
   Cursor.observed "gather"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () ->
          Array.iteri
            (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
@@ -101,7 +101,7 @@ let kway ?names ~order ~schema (sources : Cursor.t array) : Cursor.t =
         Some t
   in
   Cursor.observed "gather"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () ->
          Array.iteri
            (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
@@ -129,7 +129,7 @@ let merge ?(order = []) ?names ~schema (sources : Cursor.t list) : Cursor.t =
   let names = Option.map Array.of_list names in
   match sources with
   | [] ->
-      Cursor.make ~schema ~init:(fun () -> ()) ~next:(fun () -> None)
+      Cursor.make ~schema ~init:(fun () -> ()) ~next_batch:(fun () -> None)
   | [ c ] -> c
   | _ ->
       if order = [] then concat ?names ~schema sources

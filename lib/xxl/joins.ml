@@ -1,7 +1,6 @@
 (** Middleware join algorithms: `MERGEJOIN^M` (regular join) and `TJOIN^M`
     (temporal join), both sort-merge over inputs sorted on the join
     attributes, as the paper implements them (Section 4.1, rules T2/T3).
-    Nested-loop fallbacks are provided for joins without an equi-key.
 
     The temporal join concatenates the non-period attributes of both inputs
     and appends the period intersection as unqualified [T1]/[T2], matching
@@ -15,6 +14,7 @@ open Tango_temporal
 type side_state = {
   cursor : Cursor.t;
   key : Tuple.t -> Tuple.t;  (* extract join key *)
+  mutable reader : Cursor.reader;
   mutable look : Tuple.t option;  (* one-tuple lookahead *)
 }
 
@@ -22,15 +22,17 @@ let make_side cursor key_idxs =
   {
     cursor;
     key = (fun t -> Array.of_list (List.map (fun i -> t.(i)) key_idxs));
+    reader = Cursor.reader cursor;
     look = None;
   }
 
 let side_init s =
   Cursor.init s.cursor;
-  s.look <- Cursor.next s.cursor
+  s.reader <- Cursor.reader s.cursor;
+  s.look <- Cursor.read s.reader
 
 let side_peek s = s.look
-let side_advance s = s.look <- Cursor.next s.cursor
+let side_advance s = s.look <- Cursor.read s.reader
 
 (* Read the full run of tuples whose key equals the current lookahead's. *)
 let side_read_group s =
@@ -92,7 +94,7 @@ let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
             side_advance ls;
             fill ())
   in
-  Cursor.make_batched ~schema
+  Cursor.make ~schema
     ~init:(fun () ->
       side_init ls;
       side_init rs;
@@ -112,8 +114,11 @@ let merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true)) ~left_keys
          let t = Tuple.concat lt rt in
          if p t then Some t else None))
 
-(* Build the temporal-join output machinery shared by both variants. *)
-let tjoin_emit ~sl ~sr ~pred =
+(** `TJOIN^M`: temporal equi-join (overlap implicit) of inputs sorted on the
+    join keys. *)
+let temporal_merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
+    ~left_keys ~right_keys left right : Cursor.t =
+  let sl = Cursor.schema left and sr = Cursor.schema right in
   let concat_schema = Schema.concat sl sr in
   let p = Scalar.compile_pred concat_schema pred in
   let out_schema =
@@ -154,81 +159,6 @@ let tjoin_emit ~sl ~sr ~pred =
     end
     else None
   in
-  (out_schema, emit)
-
-(** `TJOIN^M`: temporal equi-join (overlap implicit) of inputs sorted on the
-    join keys. *)
-let temporal_merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
-    ~left_keys ~right_keys left right : Cursor.t =
-  let sl = Cursor.schema left and sr = Cursor.schema right in
-  let out_schema, emit = tjoin_emit ~sl ~sr ~pred in
   Cursor.observed "tjoin"
     (merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
        ~emit)
-
-(** Nested-loop join (no order requirement); for completeness and testing. *)
-let nested_loop_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true)) left right :
-    Cursor.t =
-  let out_schema = Schema.concat (Cursor.schema left) (Cursor.schema right) in
-  let p = Scalar.compile_pred out_schema pred in
-  let right_rel = ref [||] in
-  let li = ref None in
-  let ri = ref 0 in
-  Cursor.observed "nl_join"
-    (Cursor.make ~schema:out_schema
-       ~init:(fun () ->
-         Cursor.init left;
-         right_rel := Relation.tuples (Cursor.to_relation right);
-         li := Cursor.next left;
-         ri := 0)
-       ~next:(fun () ->
-         let rec go () =
-           match !li with
-           | None -> None
-           | Some lt ->
-               if !ri >= Array.length !right_rel then begin
-                 li := Cursor.next left;
-                 ri := 0;
-                 go ()
-               end
-               else begin
-                 let rt = !right_rel.(!ri) in
-                 incr ri;
-                 let t = Tuple.concat lt rt in
-                 if p t then Some t else go ()
-               end
-         in
-         go ()))
-
-(** Nested-loop temporal join (no order requirement). *)
-let temporal_nested_loop_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
-    left right : Cursor.t =
-  let sl = Cursor.schema left and sr = Cursor.schema right in
-  let out_schema, emit = tjoin_emit ~sl ~sr ~pred in
-  let right_rel = ref [||] in
-  let li = ref None in
-  let ri = ref 0 in
-  Cursor.observed "tnl_join"
-    (Cursor.make ~schema:out_schema
-       ~init:(fun () ->
-         Cursor.init left;
-         right_rel := Relation.tuples (Cursor.to_relation right);
-         li := Cursor.next left;
-         ri := 0)
-       ~next:(fun () ->
-         let rec go () =
-           match !li with
-           | None -> None
-           | Some lt ->
-               if !ri >= Array.length !right_rel then begin
-                 li := Cursor.next left;
-                 ri := 0;
-                 go ()
-               end
-               else begin
-                 let rt = !right_rel.(!ri) in
-                 incr ri;
-                 match emit lt rt with Some t -> Some t | None -> go ()
-               end
-         in
-         go ()))

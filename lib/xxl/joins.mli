@@ -1,6 +1,6 @@
 (** Middleware join algorithms: `MERGEJOIN^M` and `TJOIN^M`, both
     sort-merge over inputs sorted on the join attributes (paper rules
-    T2/T3), plus nested-loop fallbacks for joins without an equi-key.
+    T2/T3).
 
     The temporal join concatenates the non-period attributes of both inputs
     and appends the period intersection as unqualified [T1]/[T2], matching
@@ -27,9 +27,3 @@ val temporal_merge_join :
   Cursor.t ->
   Cursor.t
 (** Temporal equi-join (period overlap implicit) of sorted inputs. *)
-
-val nested_loop_join : ?pred:Ast.expr -> Cursor.t -> Cursor.t -> Cursor.t
-(** No order requirement; the right input is materialized at [init]. *)
-
-val temporal_nested_loop_join :
-  ?pred:Ast.expr -> Cursor.t -> Cursor.t -> Cursor.t

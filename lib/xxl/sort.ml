@@ -1,9 +1,10 @@
 (** `SORT^M`: external merge sort in the middleware.
 
     The input is consumed at [init] into sorted runs of at most [run_size]
-    tuples; [next] merges the runs through a binary heap.  With the default
-    run size, small and medium inputs sort in one in-memory run; large
-    inputs exercise the multi-run merge path (the "very large relations"
+    tuples; each pull merges up to {!Cursor.default_batch_size} tuples
+    out of the runs through a binary heap.  With the default run size,
+    small and medium inputs sort in one in-memory run; large inputs
+    exercise the multi-run merge path (the "very large relations"
     enhancement the paper lists as future work).  The sort is stable, which
     the list-equivalence reasoning of the rule set relies on. *)
 
@@ -18,6 +19,7 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
   let schema = Cursor.schema arg in
   let cmp = Order.comparator order schema in
   let runs : run list ref = ref [] in
+  let remaining = ref 0 in
   (* Heap of runs keyed by their current head tuple; ties broken by run
      index to keep the merge stable. *)
   let heap : (Tuple.t * int * run) array ref = ref [||] in
@@ -63,24 +65,29 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
     incr heap_len;
     sift_up (!heap_len - 1)
   in
-  let heap_pop () =
-    if !heap_len = 0 then None
-    else begin
-      let top = !heap.(0) in
-      decr heap_len;
-      if !heap_len > 0 then begin
-        !heap.(0) <- !heap.(!heap_len);
-        sift_down 0
-      end;
-      Some top
-    end
+  (* Pop the least head and push its run's next tuple; the caller
+     guarantees a tuple remains. *)
+  let pop () =
+    let t, i, r = !heap.(0) in
+    decr heap_len;
+    if !heap_len > 0 then begin
+      !heap.(0) <- !heap.(!heap_len);
+      sift_down 0
+    end;
+    if r.pos < Array.length r.tuples then begin
+      heap_push (r.tuples.(r.pos), i, r);
+      r.pos <- r.pos + 1
+    end;
+    t
   in
   let build_runs () =
     runs := [];
+    remaining := 0;
     let buf = ref [] in
     let buf_len = ref 0 in
     let flush () =
       if !buf_len > 0 then begin
+        remaining := !remaining + !buf_len;
         let arr = Array.of_list (List.rev !buf) in
         Array.stable_sort cmp arr;
         runs := { tuples = arr; pos = 0 } :: !runs;
@@ -121,12 +128,14 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
        ~init:(fun () ->
          Cursor.init arg;
          build_runs ())
-       ~next:(fun () ->
-         match heap_pop () with
-         | None -> None
-         | Some (t, i, r) ->
-             if r.pos < Array.length r.tuples then begin
-               heap_push (r.tuples.(r.pos), i, r);
-               r.pos <- r.pos + 1
-             end;
-             Some t))
+       ~next_batch:(fun () ->
+         if !remaining = 0 then None
+         else begin
+           let n = min !remaining Cursor.default_batch_size in
+           remaining := !remaining - n;
+           let out = Array.make n (pop ()) in
+           for k = 1 to n - 1 do
+             out.(k) <- pop ()
+           done;
+           Some out
+         end))

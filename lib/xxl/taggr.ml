@@ -41,6 +41,9 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
           (fun (a : Op.agg) -> (a.Op.out, Op.agg_out_dtype s a))
           aggs)
   in
+  (* the group reader: the argument read one tuple at a time, with a
+     one-tuple lookahead *)
+  let rd = ref (Cursor.reader arg) in
   let look = ref None in
   let group_key t = List.map (fun i -> t.(i)) group_idxs in
   let key_eq k1 k2 = List.for_all2 Value.equal k1 k2 in
@@ -51,12 +54,12 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
     | Some first ->
         let k = group_key first in
         let members = ref [ first ] in
-        look := Cursor.next arg;
+        look := Cursor.read !rd;
         let rec go () =
           match !look with
           | Some t when key_eq (group_key t) k ->
               members := t :: !members;
-              look := Cursor.next arg;
+              look := Cursor.read !rd;
               go ()
           | _ -> ()
         in
@@ -121,10 +124,11 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
   (* Each input group yields one output batch (its constant intervals);
      groups whose sweep produces nothing are skipped. *)
   Cursor.observed "taggr"
-    (Cursor.make_batched ~schema:out_schema
+    (Cursor.make ~schema:out_schema
        ~init:(fun () ->
          Cursor.init arg;
-         look := Cursor.next arg)
+         rd := Cursor.reader arg;
+         look := Cursor.read !rd)
        ~next_batch:(fun () ->
          let rec go () =
            match read_group () with

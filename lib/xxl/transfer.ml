@@ -60,7 +60,7 @@ let transfer_m (backend : Backend.t) ~(schema : Schema.t) (sql : Ast.query) :
     Cursor.t =
   let cur = ref None in
   Cursor.observed "transfer_m"
-    (Cursor.make_batched ~schema
+    (Cursor.make ~schema
        ~init:(fun () ->
          cur :=
            Some
@@ -68,7 +68,7 @@ let transfer_m (backend : Backend.t) ~(schema : Schema.t) (sql : Ast.query) :
                   Backend.execute_query backend sql)))
        ~next_batch:(fun () ->
          match !cur with
-         | None -> invalid_arg "TRANSFER^M: next before init"
+         | None -> invalid_arg "TRANSFER^M: pull before init"
          | Some c ->
              attributed backend ~rows:batch_rows (fun () ->
                  Backend.fetch_batch c)))
@@ -115,7 +115,7 @@ let transfer_d_all (backends : Backend.t list) ~(table : string)
   Cursor.observed "transfer_d"
     (Cursor.make ~schema
        ~init:(fun () -> load_all backends ~table schema arg)
-       ~next:(fun () -> None))
+       ~next_batch:(fun () -> None))
 
 (** `TRANSFER^D` to a single backend. *)
 let transfer_d (backend : Backend.t) ~(table : string) (arg : Cursor.t) :

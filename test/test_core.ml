@@ -524,38 +524,6 @@ let test_exec_plan_instrumentation () =
     (report.Middleware.exec.Exec_plan.out_tuples
     = Relation.cardinality report.Middleware.result)
 
-(* Batching is a pure execution-strategy change: the full pipeline must
-   return the identical relation for every workload query with batch
-   execution on and off, and the client-boundary accounting must agree. *)
-let test_batching_differential () =
-  let run batching =
-    let _db, mw = setup () in
-    Middleware.set_config mw
-      (Middleware.Config.with_batching batching (Middleware.config mw));
-    List.map
-      (fun (name, sql) ->
-        Tango_dbms.Client.reset_counters (Middleware.client mw);
-        let r = Middleware.query mw sql in
-        let client = Middleware.client mw in
-        ( name,
-          r.Middleware.result,
-          Tango_dbms.Client.roundtrips client,
-          Tango_dbms.Client.tuples_shipped client,
-          Tango_dbms.Client.bytes_shipped client ))
-      Queries.workload
-  in
-  let batched = run true and tuple = run false in
-  List.iter2
-    (fun (name, rb, rtb, tub, byb) (_, rt, rtt, tut, byt) ->
-      Alcotest.(check bool)
-        (name ^ ": batched result = tuple result")
-        true
-        (Relation.equal_list rb rt);
-      Alcotest.(check int) (name ^ ": roundtrips agree") rtt rtb;
-      Alcotest.(check int) (name ^ ": tuples shipped agree") tut tub;
-      Alcotest.(check int) (name ^ ": bytes shipped agree") byt byb)
-    batched tuple
-
 let () =
   Alcotest.run "tango_core"
     [
@@ -590,7 +558,6 @@ let () =
           Alcotest.test_case "COALESCE end to end" `Quick test_coalesce_through_middleware;
           Alcotest.test_case "alpha normalization" `Quick test_alpha_normalize;
           Alcotest.test_case "transfer sharing" `Quick test_transfer_sharing;
-          Alcotest.test_case "batching differential" `Quick test_batching_differential;
         ] );
       ( "properties",
         [

@@ -385,60 +385,57 @@ let test_client_bulk_load () =
   let r = Database.query db "SELECT A FROM LOADED WHERE A < 3" in
   Alcotest.(check int) "queryable" 3 (Relation.cardinality r)
 
-(* The two cursor-drain protocols must ship the same rows at the same
-   accounted cost: [fetch_batch] surfaces the prefetch buffer as an array
-   but refills through the same path as [fetch]. *)
-let test_fetch_batch_counters_agree () =
+(* Client accounting, pinned exactly: one round trip per prefetch batch,
+   every row once, and the serialized size of every row; the backend
+   meters wrapped around the same client see the same deltas. *)
+let test_client_accounting () =
   let db = make_db () in
-  Database.load_relation db "BIG"
-    (Relation.of_list pos_schema
-       (List.init 53 (fun i ->
-            Tuple.of_list
-              [ Value.Int i; Value.Str "x"; Value.Date i; Value.Date (i + 1) ])));
-  let sql = "SELECT PosID, EmpName, T1, T2 FROM BIG ORDER BY PosID" in
-  let run drain =
-    let client = Client.connect ~row_prefetch:7 ~roundtrip_spin:0 db in
-    let cur = Client.execute_query client sql in
-    let rows = drain cur in
-    ( rows,
-      Client.cursor_roundtrips cur,
-      Client.cursor_tuples cur,
-      Client.cursor_bytes cur )
+  let rows =
+    List.init 53 (fun i ->
+        Tuple.of_list [ Value.Int i; Value.Str "x"; Value.Date i; Value.Date (i + 1) ])
   in
-  let via_fetch cur =
-    let rec go acc =
-      match Client.fetch cur with Some t -> go (t :: acc) | None -> List.rev acc
-    in
-    go []
+  Database.load_relation db "BIG" (Relation.of_list pos_schema rows);
+  let client = Client.connect ~row_prefetch:7 ~roundtrip_spin:0 db in
+  let backend = Backend.of_client ~name:"accounting" client in
+  let cur =
+    Backend.execute_query backend
+      (Tango_sql.Parser.query "SELECT PosID, EmpName, T1, T2 FROM BIG ORDER BY PosID")
   in
-  let via_fetch_batch cur =
-    let rec go acc =
-      match Client.fetch_batch cur with
-      | Some b -> go (List.rev_append (Array.to_list b) acc)
-      | None -> List.rev acc
-    in
-    go []
+  let rec drain acc =
+    match Backend.fetch_batch cur with
+    | Some b -> drain (List.rev_append (Array.to_list b) acc)
+    | None -> List.rev acc
   in
-  (* interleaved: per-tuple pulls into a buffered batch and back *)
-  let mixed cur =
-    match Client.fetch cur with
-    | None -> []
-    | Some t0 -> t0 :: via_fetch_batch cur
+  let got = drain [] in
+  Alcotest.(check bool) "rows in order" true
+    (List.length got = 53 && List.for_all2 Tuple.equal rows got);
+  let wire_bytes =
+    List.fold_left
+      (fun acc t ->
+        let buf = Buffer.create 64 in
+        Tuple.serialize buf t;
+        acc + Buffer.length buf)
+      0 rows
   in
-  let rows_f, rt_f, tu_f, by_f = run via_fetch in
-  let rows_b, rt_b, tu_b, by_b = run via_fetch_batch in
-  let rows_m, rt_m, tu_m, by_m = run mixed in
-  let eq_rows a b = List.length a = List.length b && List.for_all2 Tuple.equal a b in
-  Alcotest.(check bool) "batch rows = tuple rows" true (eq_rows rows_f rows_b);
-  Alcotest.(check bool) "mixed rows = tuple rows" true (eq_rows rows_f rows_m);
-  Alcotest.(check int) "roundtrips agree" rt_f rt_b;
-  Alcotest.(check int) "tuples agree" tu_f tu_b;
-  Alcotest.(check int) "bytes agree" by_f by_b;
-  Alcotest.(check int) "mixed roundtrips agree" rt_f rt_m;
-  Alcotest.(check int) "mixed tuples agree" tu_f tu_m;
-  Alcotest.(check int) "mixed bytes agree" by_f by_m;
-  (* 53 rows at prefetch 7 -> 8 refills under either protocol *)
-  Alcotest.(check int) "expected roundtrips" 8 rt_f
+  Alcotest.(check int) "roundtrips" 8 (Client.roundtrips client);
+  Alcotest.(check int) "tuples" 53 (Client.tuples_shipped client);
+  Alcotest.(check int) "bytes" wire_bytes (Client.bytes_shipped client);
+  Alcotest.(check int) "backend roundtrips" 8 (Backend.roundtrips backend);
+  Alcotest.(check int) "backend tuples" 53 (Backend.tuples_shipped backend);
+  Alcotest.(check int) "backend bytes" wire_bytes (Backend.bytes_shipped backend)
+
+(* A prefetch below 1 is clamped at connect exactly as by
+   [set_row_prefetch]: one row per round trip. *)
+let test_prefetch_clamped () =
+  List.iter
+    (fun prefetch ->
+      let client = Client.connect ~row_prefetch:prefetch ~roundtrip_spin:0 (make_db ()) in
+      let r =
+        Client.fetch_all (Client.execute_query client "SELECT PosID FROM POSITION")
+      in
+      Alcotest.(check int) "rows" 3 (Relation.cardinality r);
+      Alcotest.(check int) "one round trip per row" 3 (Client.roundtrips client))
+    [ 0; -4 ]
 
 let test_schema_generation () =
   let db = make_db () in
@@ -547,8 +544,8 @@ let () =
         [
           Alcotest.test_case "cursor transfer" `Quick test_client_transfer;
           Alcotest.test_case "bulk load" `Quick test_client_bulk_load;
-          Alcotest.test_case "fetch/fetch_batch counters agree" `Quick
-            test_fetch_batch_counters_agree;
+          Alcotest.test_case "accounting pinned" `Quick test_client_accounting;
+          Alcotest.test_case "prefetch clamped at connect" `Quick test_prefetch_clamped;
           Alcotest.test_case "schema generation" `Quick test_schema_generation;
         ] );
       ( "properties",

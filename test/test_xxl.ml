@@ -156,35 +156,6 @@ let test_tjoin_vs_reference () =
   Alcotest.(check bool) "tjoin matches reference" true
     (Relation.equal_multiset ref_out out)
 
-let test_nested_loop_variants () =
-  let pred = Ast.Binop (Ast.Eq, col ~q:"A" "K", col ~q:"B" "K") in
-  let qual alias = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples sample) in
-  let merge =
-    Cursor.to_relation
-      (Joins.temporal_merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
-         ~pred:(Ast.Lit (Value.Bool true))
-         (sorted_cursor [ "A.K" ] (qual "A"))
-         (sorted_cursor [ "B.K" ] (qual "B")))
-  in
-  let nl =
-    Cursor.to_relation
-      (Joins.temporal_nested_loop_join ~pred
-         (Cursor.of_relation (qual "A"))
-         (Cursor.of_relation (qual "B")))
-  in
-  Alcotest.(check bool) "nl tjoin = merge tjoin" true (Relation.equal_multiset merge nl);
-  let j_m =
-    Cursor.to_relation
-      (Joins.merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
-         (sorted_cursor [ "A.K" ] (qual "A"))
-         (sorted_cursor [ "B.K" ] (qual "B")))
-  in
-  let j_nl =
-    Cursor.to_relation
-      (Joins.nested_loop_join ~pred (Cursor.of_relation (qual "A")) (Cursor.of_relation (qual "B")))
-  in
-  Alcotest.(check bool) "nl join = merge join" true (Relation.equal_multiset j_m j_nl)
-
 (* ---- temporal aggregation ---- *)
 
 let taggr_via_xxl ~group_by ~aggs r =
@@ -357,130 +328,114 @@ let test_coalesce_vs_reference () =
   Alcotest.(check bool) "coalesce matches" true
     (Relation.equal_multiset ref_out out)
 
-(* ---- batch protocol ---- *)
+(* ---- batch boundaries ---- *)
 
-(* Drain a cursor through each pull protocol explicitly (bypassing
-   [to_relation], which is itself batch-based). *)
-let drain_via_next c =
-  Cursor.init c;
-  let rec go acc =
-    match Cursor.next c with Some t -> go (t :: acc) | None -> List.rev acc
-  in
-  Relation.of_list (Cursor.schema c) (go [])
-
-let drain_via_batches c =
-  Cursor.init c;
-  let rec go acc =
-    match Cursor.next_batch c with
-    | Some b -> go (List.rev_append (Array.to_list b) acc)
-    | None -> List.rev acc
-  in
-  Relation.of_list (Cursor.schema c) (go [])
+(* A source emitting one tuple per batch, so a batch boundary falls
+   between every two tuples. *)
+let singletons (r : Relation.t) : Cursor.t =
+  let ts = Relation.tuples r in
+  let pos = ref 0 in
+  Cursor.make ~schema:(Relation.schema r)
+    ~init:(fun () -> pos := 0)
+    ~next_batch:(fun () ->
+      if !pos >= Array.length ts then None
+      else begin
+        let t = ts.(!pos) in
+        incr pos;
+        Some [| t |]
+      end)
 
 (* Every operator must yield the identical relation (same order) whether
-   pulled tuple-at-a-time, batch-at-a-time, or through the degradation
-   wrapper that forces the classic protocol at every level. *)
-let check_differential name (mk : unit -> Cursor.t) =
-  let tuple = drain_via_next (mk ()) in
-  let batch = drain_via_batches (mk ()) in
-  let degraded = drain_via_batches (Cursor.tuple_at_a_time (mk ())) in
-  Alcotest.(check bool) (name ^ ": batch = tuple") true
-    (Relation.equal_list tuple batch);
-  Alcotest.(check bool) (name ^ ": degraded = tuple") true
-    (Relation.equal_list tuple degraded)
+   its sources emit one tuple per batch or the whole relation as one. *)
+let check_differential name (mk : (Relation.t -> Cursor.t) -> Cursor.t) =
+  Alcotest.(check bool) (name ^ ": singleton batches = whole batch") true
+    (Relation.equal_list
+       (Cursor.to_relation (mk Cursor.of_relation))
+       (Cursor.to_relation (mk singletons)))
+
+(* Value-equivalent runs whose periods meet or overlap, so coalesced
+   periods span several input tuples. *)
+let spans =
+  rel_of
+    [ (1, 1.0, 1, 5); (1, 1.0, 5, 9); (1, 1.0, 7, 12); (1, 1.0, 20, 25);
+      (1, 2.0, 2, 4); (2, 1.0, 3, 6); (2, 1.0, 6, 8); (2, 1.0, 6, 8) ]
 
 let test_batch_differential () =
-  let qual alias = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples sample) in
-  check_differential "of_relation" (fun () -> Cursor.of_relation sample);
-  check_differential "filter" (fun () ->
-      Basic_ops.filter
-        (Ast.Binop (Ast.Gt, col "V", Ast.Lit (Value.Float 2.0)))
-        (Cursor.of_relation sample));
-  check_differential "project" (fun () ->
+  let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
+  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
+  check_differential "filter" (fun src ->
+      Basic_ops.filter (Ast.Binop (Ast.Gt, col "V", Ast.Lit (Value.Float 2.0))) (src sample));
+  check_differential "project" (fun src ->
       Basic_ops.project
         [ (col "K", "K"); (Ast.Binop (Ast.Mul, col "V", Ast.Lit (Value.Int 2)), "V2") ]
-        (Cursor.of_relation sample));
-  check_differential "sort" (fun () ->
-      Sort.sort ~run_size:2 [ Order.asc "K"; Order.desc "T1" ]
-        (Cursor.of_relation sample));
-  check_differential "taggr" (fun () ->
+        (src sample));
+  check_differential "sort" (fun src ->
+      Sort.sort ~run_size:2 [ Order.asc "K"; Order.desc "T1" ] (src big));
+  check_differential "taggr" (fun src ->
       Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
-        (sorted_cursor [ "K"; "T1" ] sample));
-  check_differential "merge_join" (fun () ->
+        (src (sorted [ "K"; "T1" ] big)));
+  check_differential "merge_join" (fun src ->
       Joins.merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
-        (sorted_cursor [ "A.K" ] (qual "A"))
-        (sorted_cursor [ "B.K" ] (qual "B")));
-  check_differential "tjoin" (fun () ->
+        (src (sorted [ "A.K" ] (qual "A" spans)))
+        (src (sorted [ "B.K" ] (qual "B" sample))));
+  check_differential "tjoin" (fun src ->
       Joins.temporal_merge_join ~pred:(Ast.Lit (Value.Bool true))
         ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
-        (sorted_cursor [ "A.K" ] (qual "A"))
-        (sorted_cursor [ "B.K" ] (qual "B")));
-  check_differential "dup_elim" (fun () ->
-      Dup_elim.dup_elim (sorted_cursor [ "K"; "V"; "T1"; "T2" ] sample));
-  check_differential "coalesce" (fun () ->
-      Dup_elim.coalesce (sorted_cursor [ "K"; "V"; "T1" ] sample));
-  check_differential "difference" (fun () ->
-      Dup_elim.difference
-        (Cursor.of_relation sample)
-        (Cursor.of_relation (rel_of [ (1, 10.0, 2, 20) ])))
+        (src (sorted [ "A.K" ] (qual "A" sample)))
+        (src (sorted [ "B.K" ] (qual "B" spans))));
+  check_differential "dup_elim" (fun src ->
+      Dup_elim.dup_elim (src (sorted [ "K"; "V"; "T1"; "T2" ] spans)));
+  check_differential "coalesce" (fun src ->
+      Dup_elim.coalesce (src (sorted [ "K"; "V"; "T1" ] spans)));
+  check_differential "difference" (fun src ->
+      Dup_elim.difference (src spans) (src (rel_of [ (2, 1.0, 6, 8); (1, 1.0, 5, 9) ])));
+  check_differential "gather concat" (fun src ->
+      Gather.merge ~schema:schema_kab [ src sample; src spans ]);
+  check_differential "gather k-way" (fun src ->
+      let order = Order.of_attrs [ "K"; "T1" ] in
+      Gather.merge ~order ~schema:schema_kab
+        [ src (Relation.sort order sample); src (Relation.sort order spans) ])
 
-let test_batch_interleave () =
-  (* A per-tuple pull must serve from (and advance past) the buffered
-     batch remainder, so the protocols interleave without loss or
-     duplication. *)
-  let c = Cursor.of_relation sample in
-  Cursor.init c;
-  let first = Option.get (Cursor.next c) in
-  let rest =
-    let rec go acc =
-      match Cursor.next_batch c with
-      | Some b -> go (List.rev_append (Array.to_list b) acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  let all = Relation.of_list schema_kab (first :: rest) in
-  Alcotest.(check bool) "interleaved pull sees every tuple once" true
-    (Relation.equal_list sample all)
+(* Reading tuple by tuple must see exactly the tuples of the batches. *)
+let test_reader_matches_batches () =
+  let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 600, 0.0, 1, 2))) in
+  let mk src = Sort.sort ~run_size:64 [ Order.asc "K" ] (src big) in
+  List.iter
+    (fun src ->
+      let c = mk src in
+      Cursor.init c;
+      let rd = Cursor.reader c in
+      let rec go acc =
+        match Cursor.read rd with Some t -> go (t :: acc) | None -> List.rev acc
+      in
+      let read = Relation.of_list schema_kab (go []) in
+      Alcotest.(check bool) "reader = batches" true
+        (Relation.equal_list (Cursor.to_relation (mk src)) read))
+    [ Cursor.of_relation; singletons ]
 
-let test_tuple_at_a_time_degrades () =
-  (* 600 tuples: the native of_relation batch path hands them out as one
-     array, while the degradation wrapper reassembles them through the
-     per-tuple shim in default_batch_size chunks. *)
-  let big = rel_of (List.init 600 (fun i -> (i, 0.0, 1, 2))) in
-  let batch_sizes c =
-    Cursor.init c;
-    let rec go acc =
-      match Cursor.next_batch c with
-      | Some b -> go (Array.length b :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  let native = batch_sizes (Cursor.of_relation big) in
-  let degraded = batch_sizes (Cursor.tuple_at_a_time (Cursor.of_relation big)) in
-  Alcotest.(check (list int)) "native: one whole-relation batch" [ 600 ] native;
-  Alcotest.(check int) "degraded: total preserved" 600
-    (List.fold_left ( + ) 0 degraded);
-  Alcotest.(check bool) "degraded: shim-sized batches" true
-    (List.for_all (fun n -> n > 0 && n <= Cursor.default_batch_size) degraded);
-  Alcotest.(check bool) "degraded: more than one batch" true
-    (List.length degraded > 1)
-
-(* property: batch pulls = tuple pulls through a filter+sort pipeline on
-   random relations (batch boundaries land arbitrarily) *)
-let prop_batch_equals_tuple =
-  QCheck.Test.make ~name:"batch protocol = tuple protocol" ~count:100
+(* property: singleton batches = whole batch through filter, sort and
+   taggr on random relations *)
+let prop_singletons_equal_whole =
+  QCheck.Test.make ~name:"singleton batches = whole batch" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 0 600) (QCheck.make row_gen))
     (fun rows ->
       let r = rel_of rows in
-      let mk () =
+      let pred = Ast.Binop (Ast.Gt, col "T1", Ast.Lit (Value.Date 5)) in
+      let sorting src =
         Sort.sort ~run_size:16 [ Order.asc "K"; Order.asc "T1" ]
-          (Basic_ops.filter
-             (Ast.Binop (Ast.Gt, col "T1", Ast.Lit (Value.Date 5)))
-             (Cursor.of_relation r))
+          (Basic_ops.filter pred (src r))
       in
-      Relation.equal_list (drain_via_next (mk ())) (drain_via_batches (mk ())))
+      let aggregating src =
+        Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
+          (Basic_ops.filter pred (src (Relation.sort (Order.of_attrs [ "K"; "T1" ]) r)))
+      in
+      List.for_all
+        (fun mk ->
+          Relation.equal_list
+            (Cursor.to_relation (mk Cursor.of_relation))
+            (Cursor.to_relation (mk singletons)))
+        [ sorting; aggregating ])
 
 (* ---- transfers ---- *)
 
@@ -504,7 +459,7 @@ let test_transfer_d_roundtrip () =
   let backend = Tango_dbms.Backend.of_client client in
   let td = Transfer.transfer_d backend ~table:"TMP1" (Cursor.of_relation sample) in
   Cursor.init td;
-  Alcotest.(check bool) "empty cursor" true (Cursor.next td = None);
+  Alcotest.(check bool) "empty cursor" true (Cursor.next_batch td = None);
   Alcotest.(check int) "loaded" 5 (Tango_dbms.Database.table_cardinality db "TMP1");
   (* Round trip back out. *)
   let sql = Parser.query "SELECT K, V, T1, T2 FROM TMP1" in
@@ -517,7 +472,10 @@ let () =
   Alcotest.run "tango_xxl"
     [
       ( "cursor",
-        [ Alcotest.test_case "of_relation" `Quick test_cursor_of_relation ] );
+        [
+          Alcotest.test_case "of_relation" `Quick test_cursor_of_relation;
+          Alcotest.test_case "reader = batches" `Quick test_reader_matches_batches;
+        ] );
       ( "basic",
         [
           Alcotest.test_case "filter" `Quick test_filter;
@@ -534,7 +492,6 @@ let () =
           Alcotest.test_case "merge join vs reference" `Quick test_merge_join_vs_reference;
           Alcotest.test_case "residual predicate" `Quick test_merge_join_residual_pred;
           Alcotest.test_case "tjoin vs reference" `Quick test_tjoin_vs_reference;
-          Alcotest.test_case "nested loop variants" `Quick test_nested_loop_variants;
         ] );
       ( "taggr",
         [
@@ -552,9 +509,6 @@ let () =
       ( "batching",
         [
           Alcotest.test_case "operator differential" `Quick test_batch_differential;
-          Alcotest.test_case "protocol interleave" `Quick test_batch_interleave;
-          Alcotest.test_case "tuple_at_a_time degrades" `Quick
-            test_tuple_at_a_time_degrades;
         ] );
       ( "transfers",
         [
@@ -566,6 +520,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_taggr_matches_reference;
           QCheck_alcotest.to_alcotest prop_merge_join_matches_reference;
           QCheck_alcotest.to_alcotest prop_tjoin_matches_reference;
-          QCheck_alcotest.to_alcotest prop_batch_equals_tuple;
+          QCheck_alcotest.to_alcotest prop_singletons_equal_whole;
         ] );
     ]
