@@ -633,9 +633,6 @@ let adapt ctx =
         ("mean_q_cost_perturbed", jfloat perturbed);
         ("mean_q_cost_adapted", jfloat adapted);
         ("adapted_improves", Tango_obs.Json.Bool improved);
-        ( "slow_queries",
-          Tango_obs.Json.Int
-            (Tango_obs.Counter.value Tango_profile.Sentinel.slow_queries) );
         ( "plan_regressions",
           Tango_obs.Json.Int
             (Tango_obs.Counter.value Tango_profile.Sentinel.plan_regressions) );

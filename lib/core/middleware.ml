@@ -40,12 +40,10 @@ module Config = struct
     tracing : bool;
     profiling : bool;
     adaptive_costs : bool;
-    slow_query_threshold_us : float;
     verify_plans : verify_mode;
     plan_cache : bool;
     plan_cache_capacity : int;
     auto_parameterize : bool;
-    param_buckets : int;
     replan_q_error : float;
     telemetry : bool;
   }
@@ -63,12 +61,10 @@ module Config = struct
       tracing = false;
       profiling = false;
       adaptive_costs = false;
-      slow_query_threshold_us = 0.0;
       verify_plans = Verify_off;
       plan_cache = false;
       plan_cache_capacity = 128;
       auto_parameterize = true;
-      param_buckets = 8;
       replan_q_error = 0.0;
       telemetry = true;
     }
@@ -93,9 +89,6 @@ module Config = struct
     (* adaptation consumes profiling records, so it implies them *)
     { c with adaptive_costs = b; profiling = b || c.profiling }
 
-  let with_slow_query_threshold us c =
-    { c with slow_query_threshold_us = us; profiling = (us > 0.0) || c.profiling }
-
   let with_verify_plans m c = { c with verify_plans = m }
 
   let with_plan_cache ?capacity b c =
@@ -107,7 +100,6 @@ module Config = struct
     }
 
   let with_auto_parameterize b c = { c with auto_parameterize = b }
-  let with_param_buckets n c = { c with param_buckets = max 1 n }
 
   let with_replan_q_error q c =
     (* the guard judges plans by their measured q-errors, so it needs the
@@ -183,16 +175,6 @@ type phase_resources = {
   mw_exec_alloc_bytes : int;  (** execute alloc − transfer alloc, clamped *)
 }
 
-let no_resources =
-  {
-    parse_res = Tango_obs.Runtime.zero;
-    optimize_res = Tango_obs.Runtime.zero;
-    translate_res = Tango_obs.Runtime.zero;
-    execute_res = Tango_obs.Runtime.zero;
-    transfer_alloc_bytes = 0;
-    mw_exec_alloc_bytes = 0;
-  }
-
 (* Where one pipeline run's wall time went, phase by phase.  The first
    four are measured directly; [transfer_us]/[gather_wait_us] are the
    per-backend attribution totals, and [mw_exec_us] is the remainder of
@@ -209,22 +191,8 @@ type phases = {
   res : phase_resources;  (** per-phase GC/allocation attribution *)
 }
 
-let no_phases =
-  {
-    parse_us = 0.0;
-    optimize_us = 0.0;
-    translate_us = 0.0;
-    execute_us = 0.0;
-    transfer_us = 0.0;
-    gather_wait_us = 0.0;
-    mw_exec_us = 0.0;
-    res = no_resources;
-  }
-
-let make_phases ?(parse_us = 0.0) ?(optimize_us = 0.0)
-    ?(parse_res = Tango_obs.Runtime.zero) ?(optimize_res = Tango_obs.Runtime.zero)
-    ?(translate_res = Tango_obs.Runtime.zero)
-    ?(execute_res = Tango_obs.Runtime.zero) ~translate_us ~execute_us
+let make_phases ~parse_us ~optimize_us ~parse_res ~optimize_res ~translate_res
+    ~execute_res ~translate_us ~execute_us
     (backends : (string * backend_breakdown) list) : phases =
   let t = Tango_xxl.Attribution.totals backends in
   {
@@ -274,15 +242,8 @@ type query_event = {
   sql : string option;  (** the temporal SQL text, for {!query} *)
   started_us : float;  (** wall clock ({!Tango_obs.now_us}) at entry *)
   elapsed_us : float;  (** total pipeline wall time, parse to result *)
-  cache_hit : bool;  (** answered from the plan cache (no parse/optimize) *)
-  cache_class : string;
-      (** ["template-hit"] | ["exact-hit"] | ["miss"]; [""] when the run
-          was not a cache-eligible query *)
   report : report option;  (** [None] when the pipeline raised *)
   error : string option;  (** the exception text when the pipeline raised *)
-  backends : (string * backend_breakdown) list;
-      (** the report's per-backend attribution; [[]] when the pipeline
-          raised *)
   resources : Tango_obs.Runtime.delta;
       (** whole-pipeline GC/allocation delta on the serving domain
           (zero when telemetry is off) *)
@@ -295,7 +256,6 @@ type t = {
   mutable plan_cache : cache_entry Tango_cache.Plan_cache.t;
   mutable config : Config.t;
   mutable last_trace : Tango_obs.Trace.span option;
-  mutable last_analysis : Tango_profile.Analyze.report option;
   mutable last_diagnostics : Tango_verify.Diag.t list;
   mutable query_observer : (query_event -> unit) option;
   profile : Tango_profile.Feedback.t;
@@ -317,7 +277,6 @@ let connect_topology ?(config = Config.default) (topology : Topology.t) : t =
         ~capacity:config.Config.plan_cache_capacity ();
     config;
     last_trace = None;
-    last_analysis = None;
     last_diagnostics = [];
     query_observer = None;
     profile = Tango_profile.Feedback.create ();
@@ -359,7 +318,6 @@ let factors t = t.factors
 let backend_factors t = t.backend_factors
 let config t = t.config
 let last_trace t = t.last_trace
-let last_analysis t = t.last_analysis
 let last_diagnostics t = t.last_diagnostics
 let profile_store t = t.profile
 let sentinel t = t.sentinel
@@ -499,12 +457,22 @@ let verify_final t ~(required_order : Order.t) (physical : Physical.plan) :
         ~required:{ Physical.loc = Op.Mw; order = required_order }
         physical
 
-let log_diagnostics diags =
+(* Log a verification's errors and keep its findings for
+   {!last_diagnostics}. *)
+let record_diagnostics t diags =
   List.iter
     (fun d ->
       if Tango_verify.Diag.is_error d then
         Log.warn (fun m -> m "verify: %s" (Tango_verify.Diag.to_string d)))
-    diags
+    diags;
+  t.last_diagnostics <- diags
+
+(* Partition pruning: drop the shards a plan's period predicates
+   exclude. *)
+let prune t (plan : Physical.plan) : Physical.plan =
+  match partition_layout t with
+  | Some layout -> Physical.prune_scatter layout plan
+  | None -> plan
 
 (** Optimize an initial algebra plan (which must already carry its top
     [T^M]).  When the session's [verify_plans] mode is on, the final plan
@@ -522,41 +490,20 @@ let optimize t ?(required_order : Order.t = []) ?binding (initial : Op.t) :
       (fun g ~rule m c -> Tango_verify.Gate.observer g ~rule m c)
       gate
   in
-  let partition = partition_layout t in
   let r =
     Search.optimize ~factors:t.factors ~stats_env:(stats_env ?binding t)
       ~required_order
-      ~max_elements:t.config.Config.max_memo_elements ?rule_observer ?partition
-      ~shard_factors:(shard_factors t) initial
+      ~max_elements:t.config.Config.max_memo_elements ?rule_observer
+      ?partition:(partition_layout t) ~shard_factors:(shard_factors t) initial
   in
-  (* partition pruning: drop shards the query's period predicates exclude *)
-  let r =
-    match (partition, r.Search.plan) with
-    | Some layout, Some plan ->
-        { r with Search.plan = Some (Physical.prune_scatter layout plan) }
-    | _ -> r
-  in
-  let diags =
-    (match gate with Some g -> Tango_verify.Gate.diagnostics g | None -> [])
+  let r = { r with Search.plan = Option.map (prune t) r.Search.plan } in
+  record_diagnostics t
+    ((match gate with Some g -> Tango_verify.Gate.diagnostics g | None -> [])
     @
     match r.Search.plan with
     | Some physical -> verify_final t ~required_order physical
-    | None -> []
-  in
-  log_diagnostics diags;
-  t.last_diagnostics <- diags;
+    | None -> []);
   r
-
-(** Cost a fixed plan without exploring alternatives. *)
-let cost_plan t ?(required_order : Order.t = []) (plan : Op.t) :
-    Physical.plan option =
-  let partition = partition_layout t in
-  Search.cost_plan ~factors:t.factors ~stats_env:(stats_env t) ~required_order
-    ?partition ~shard_factors:(shard_factors t) plan
-  |> Option.map (fun p ->
-         match partition with
-         | Some layout -> Physical.prune_scatter layout p
-         | None -> p)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                             *)
@@ -576,6 +523,15 @@ let gc_point enabled = if enabled then Some (Tango_obs.Runtime.point ()) else No
 let gc_delta = function
   | Some p -> Tango_obs.Runtime.delta_since p
   | None -> Tango_obs.Runtime.zero
+
+(* Run [f] as one measured pipeline phase under the trace span [name]:
+   its result, wall time (µs) and GC delta. *)
+let phase t name f =
+  let t0 = mono_us () in
+  let g = gc_point (telemetry_on t) in
+  let x = Tango_obs.Trace.span name f in
+  let res = gc_delta g in
+  (x, mono_us () -. t0, res)
 
 (* Process-wide allocation/GC accounting, fed once per top-level run.
    Dotted names render as [tango_alloc_*] / [tango_gc_*] families. *)
@@ -633,25 +589,9 @@ let observed t ~kind ?sql (f : unit -> report) : report =
       let emit report error =
         let resources = gc_delta g0 in
         if telemetry_on t then account_resources report resources;
-        let cache_hit, cache_class =
-          match report with
-          | Some { cache = Some c; _ } -> (c.cache_hit, c.cache_class)
-          | _ -> (false, "")
-        in
         let ev =
-          {
-            kind;
-            sql;
-            started_us;
-            elapsed_us = mono_us () -. m0;
-            cache_hit;
-            cache_class;
-            report;
-            error;
-            backends =
-              (match report with Some r -> r.backends | None -> []);
-            resources;
-          }
+          { kind; sql; started_us; elapsed_us = mono_us () -. m0; report;
+            error; resources }
         in
         try notify ev with _ -> ()
       in
@@ -664,8 +604,7 @@ let observed t ~kind ?sql (f : unit -> report) : report =
           raise e)
 
 (* Run a top-level pipeline entry under a fresh trace when the session asks
-   for tracing.  Nested entries (e.g. [query] calling [run_plan]) see an
-   already-active trace and only contribute a span. *)
+   for tracing (an already-active trace only gains a span). *)
 let with_query_trace t name (f : unit -> report) : report =
   if not t.config.Config.tracing then begin
     t.last_trace <- None;
@@ -727,32 +666,27 @@ let apply_feedback t (root : Exec_plan.node) =
   Factors.blend ~alpha:t.config.Config.feedback_alpha t.factors observed;
   Log.debug (fun m -> m "feedback: %a" Factors.pp t.factors)
 
-(** Execute a chosen physical plan; returns the result, measured times,
-    the translate phase time, the per-backend latency attribution, and
-    the translate/execute GC deltas.  Temp tables created by
-    `TRANSFER^D` steps are dropped afterwards. *)
-let execute_physical_full t (physical : Physical.plan) :
-    Relation.t
-    * Exec_plan.node
-    * float
-    * float
-    * (string * backend_breakdown) list
-    * Tango_obs.Runtime.delta
-    * Tango_obs.Runtime.delta =
-  let telemetry = telemetry_on t in
-  let tr0 = mono_us () in
-  let g_tr = gc_point telemetry in
-  let exec, temp_tables =
-    Tango_obs.Trace.span "translate" (fun () ->
-        Exec_plan.of_physical (database t) physical)
+(* One execution's measurements. *)
+type execution = {
+  result : Relation.t;
+  exec : Exec_plan.node;  (* with per-algorithm measured times *)
+  translate_us : float;
+  translate_res : Tango_obs.Runtime.delta;
+  execute_us : float;
+  execute_res : Tango_obs.Runtime.delta;
+  backends : (string * backend_breakdown) list;
+}
+
+(* Execute a chosen physical plan: translate it, pull its cursor tree to
+   a relation under a per-backend attribution collector, and drop the
+   temp tables its `TRANSFER^D` steps created. *)
+let execute_physical_full t (physical : Physical.plan) : execution =
+  let (exec, temp_tables), translate_us, translate_res =
+    phase t "translate" (fun () -> Exec_plan.of_physical (database t) physical)
   in
-  let translate_res = gc_delta g_tr in
-  let translate_us = mono_us () -. tr0 in
   let collector = Tango_xxl.Attribution.create () in
-  let g_ex = gc_point telemetry in
-  let t0 = mono_us () in
-  let result =
-    Tango_obs.Trace.span "execute" (fun () ->
+  let result, execute_us, execute_res =
+    phase t "execute" (fun () ->
         Fun.protect
           ~finally:(fun () ->
             (* temp tables were replicated to every backend *)
@@ -779,23 +713,16 @@ let execute_physical_full t (physical : Physical.plan) :
                 Tango_obs.Trace.graft (Exec_plan.to_trace exec);
                 r)))
   in
-  let elapsed = mono_us () -. t0 in
-  let execute_res = gc_delta g_ex in
   if t.config.Config.feedback then apply_feedback t exec;
-  ( result,
-    exec,
-    elapsed,
-    translate_us,
-    Tango_xxl.Attribution.breakdown collector,
-    translate_res,
-    execute_res )
-
-let execute_physical t (physical : Physical.plan) :
-    Relation.t * Exec_plan.node * float =
-  let result, exec, elapsed, _translate_us, _backends, _tres, _eres =
-    execute_physical_full t physical
-  in
-  (result, exec, elapsed)
+  {
+    result;
+    exec;
+    translate_us;
+    translate_res;
+    execute_us;
+    execute_res;
+    backends = Tango_xxl.Attribution.breakdown collector;
+  }
 
 (* The profiling hook (after execution): pair the chosen physical plan
    with the measured operator trace, fold the per-operator est-vs-actual
@@ -807,10 +734,7 @@ let execute_physical t (physical : Physical.plan) :
 let profile_execution t ~(query_fingerprint : string)
     (physical : Physical.plan) (exec : Exec_plan.node) ~execute_us :
     Tango_profile.Analyze.report option =
-  if not t.config.Config.profiling then begin
-    t.last_analysis <- None;
-    None
-  end
+  if not t.config.Config.profiling then None
   else begin
     let analysis =
       Tango_profile.Analyze.analyze ~stats_env:(stats_env t)
@@ -830,81 +754,21 @@ let profile_execution t ~(query_fingerprint : string)
       (Tango_profile.Sentinel.observe t.sentinel
          ~fingerprint:query_fingerprint
          ~signature:(Physical.signature physical)
-         ~slow_threshold_us:t.config.Config.slow_query_threshold_us
-         ~elapsed_us:execute_us ());
-    t.last_analysis <- Some analysis;
+         ~elapsed_us:execute_us);
     Some analysis
   end
 
-(* The shared optimize-then-execute body; the caller owns the trace.
-   [parse_us] is the parse phase time when the caller parsed SQL;
-   [parse_res] its GC delta. *)
-let run_plan_body t ?(parse_us = 0.0)
-    ?(parse_res = Tango_obs.Runtime.zero) ?(required_order : Order.t = [])
-    (initial : Op.t) : report =
-  let g_opt = gc_point (telemetry_on t) in
-  let r =
-    Tango_obs.Trace.span "optimize" (fun () ->
-        let r = optimize t ~required_order initial in
-        Tango_obs.Trace.attr "classes" (Tango_obs.Trace.Int r.Search.classes);
-        Tango_obs.Trace.attr "elements" (Tango_obs.Trace.Int r.Search.elements);
-        r)
-  in
-  let optimize_res = gc_delta g_opt in
-  match r.Search.plan with
-  | None -> raise (No_plan "optimizer found no feasible plan")
-  | Some physical ->
-      Log.debug (fun m ->
-          m "optimized in %.1f ms (%d classes, %d elements): %s est=%.0fus"
-            (r.Search.time_us /. 1000.0) r.Search.classes r.Search.elements
-            (Physical.signature physical) physical.Physical.total_cost);
-      let result, exec, execute_us, translate_us, backends, translate_res,
-          execute_res =
-        execute_physical_full t physical
-      in
-      Log.info (fun m ->
-          m "executed %s: %d tuples in %.1f ms (estimated %.1f ms)"
-            (Physical.algorithm_name physical.Physical.algorithm)
-            (Relation.cardinality result) (execute_us /. 1000.0)
-            (physical.Physical.total_cost /. 1000.0));
-      let analysis =
-        profile_execution t
-          ~query_fingerprint:(Physical.op_fingerprint initial)
-          physical exec ~execute_us
-      in
-      {
-        result;
-        physical;
-        exec;
-        optimize_us = r.Search.time_us;
-        execute_us;
-        classes = r.Search.classes;
-        elements = r.Search.elements;
-        estimated_cost_us = physical.Physical.total_cost;
-        trace = None;
-        analysis;
-        diagnostics = t.last_diagnostics;
-        cache = None;
-        phases =
-          make_phases ~parse_us ~optimize_us:r.Search.time_us ~parse_res
-            ~optimize_res ~translate_res ~execute_res ~translate_us
-            ~execute_us backends;
-        backends;
-      }
+(* ------------------------------------------------------------------ *)
+(* Plan cache: lookup, templates, binding, sensitivity buckets           *)
+(* ------------------------------------------------------------------ *)
 
-(** Optimize and execute an initial algebra plan. *)
-let run_plan t ?required_order (initial : Op.t) : report =
-  observed t ~kind:"run_plan" (fun () ->
-      with_query_trace t "middleware.run_plan" (fun () ->
-          run_plan_body t ?required_order initial))
-
-(* Plan-cache lookup for {!query}.  A hit whose entry was planned under an
-   older DBMS schema generation means DDL/ANALYZE happened behind our
-   back: flush everything and report a miss. *)
-let cache_find ?kind t (sql : string) : cache_entry option =
+(* Plan-cache lookup.  A hit whose entry was planned under an older DBMS
+   schema generation means DDL/ANALYZE happened behind our back: flush
+   everything and report a miss. *)
+let cache_find ~kind t (sql : string) : cache_entry option =
   if not t.config.Config.plan_cache then None
   else
-    match Tango_cache.Plan_cache.find ?kind t.plan_cache ~sql with
+    match Tango_cache.Plan_cache.find ~kind t.plan_cache ~sql with
     | Some entry
       when entry.cached_generation
            <> Database.schema_generation (database t) ->
@@ -933,44 +797,6 @@ let cache_report_now t ~cls : cache_report option =
         cache_replans = s.Tango_cache.Plan_cache.replans;
         cache_entries = Tango_cache.Plan_cache.length t.plan_cache;
       }
-
-(* Execute an already-chosen plan under a cache entry's metadata — the
-   common tail of both hit paths (no parse or optimize phases). *)
-let finish_hit t ~(entry : cache_entry) ~(physical : Physical.plan) ~cls :
-    report =
-  Tango_obs.Trace.attr "cache" (Tango_obs.Trace.Str cls);
-  Log.debug (fun m -> m "plan cache %s" cls);
-  t.last_diagnostics <- entry.cached_diagnostics;
-  let result, exec, execute_us, translate_us, backends, translate_res,
-      execute_res =
-    execute_physical_full t physical
-  in
-  let analysis =
-    profile_execution t ~query_fingerprint:entry.cached_fp physical exec
-      ~execute_us
-  in
-  {
-    result;
-    physical;
-    exec;
-    optimize_us = 0.0;
-    execute_us;
-    classes = entry.cached_classes;
-    elements = entry.cached_elements;
-    estimated_cost_us = physical.Physical.total_cost;
-    trace = None;
-    analysis;
-    diagnostics = entry.cached_diagnostics;
-    cache = cache_report_now t ~cls;
-    phases =
-      make_phases ~translate_res ~execute_res ~translate_us ~execute_us
-        backends;
-    backends;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Parameterized queries: templates, binding, sensitivity buckets        *)
-(* ------------------------------------------------------------------ *)
 
 (* The parameterized comparison slots of a template's initial plan: for
    each selection conjunct [attr op $n], the statistics of the selection's
@@ -1004,14 +830,16 @@ let param_slots t (initial : Op.t) :
   walk initial;
   List.rev !slots
 
+(* Selectivity regions per parameterized slot. *)
+let region_buckets = 8
+
 (* Selectivity-region key of a binding: each slot's value is placed in
    its column's distribution (the estimated fraction of tuples below it,
-   quantized to [param_buckets] buckets), so bindings with similar
+   quantized to [region_buckets] buckets), so bindings with similar
    selectivity share a bucket — and a region plan.  Strings hash to a
    bucket directly; an unbindable slot contributes ["x"]. *)
-let bucket_of t (slots : (Rel_stats.t * string * Ast.binop * int) list)
+let bucket_of (slots : (Rel_stats.t * string * Ast.binop * int) list)
     (values : Value.t array) : string =
-  let nb = max 1 t.config.Config.param_buckets in
   String.concat "_"
     (List.map
        (fun (s, attr, _op, n) ->
@@ -1020,14 +848,15 @@ let bucket_of t (slots : (Rel_stats.t * string * Ast.binop * int) list)
            match values.(n - 1) with
            | Value.Null -> "x"
            | Value.Str _ as v ->
-               Printf.sprintf "s%d" (Hashtbl.hash v mod nb)
+               Printf.sprintf "s%d" (Hashtbl.hash v mod region_buckets)
            | v ->
                let frac =
                  Selectivity.conjunct_selectivity s
                    (Ast.Binop (Ast.Le, Ast.Col (None, attr), Ast.Lit v))
                in
                string_of_int
-                 (min (nb - 1) (max 0 (int_of_float (frac *. float_of_int nb)))))
+                 (min (region_buckets - 1)
+                    (max 0 (int_of_float (frac *. float_of_int region_buckets)))))
        slots)
 
 (* Instantiate a plan template under a binding: substitute literals for
@@ -1036,10 +865,7 @@ let bucket_of t (slots : (Rel_stats.t * string * Ast.binop * int) list)
    and the bound values may exclude shards. *)
 let instantiate_for t (values : Value.t array) (template : Physical.plan) :
     Physical.plan =
-  let p = Physical.instantiate values template in
-  match partition_layout t with
-  | Some layout -> Physical.prune_scatter layout p
-  | None -> p
+  prune t (Physical.instantiate values template)
 
 (* The parameter-sensitivity guard.  After a template hit executed the
    generic plan, compare its measured cardinality q-error against the
@@ -1083,128 +909,231 @@ let maybe_replan t ~(template : string) ~(entry : cache_entry)
           | None -> ()))
   | _ -> ()
 
-(* The template pipeline: look the parameterized text up as a template
-   entry, pick the bucket's region plan (or the generic one), instantiate
-   under the binding and execute.  On a miss, parse + optimize the
-   *template* (parameters unresolved — generic estimates), cache it, then
-   instantiate and execute. *)
-let query_template_body t ~(template : string) ~(values : Value.t array) :
-    report =
-  match cache_find ~kind:Tango_cache.Plan_cache.Template t template with
-  | Some entry ->
-      let bucket = bucket_of t entry.cached_slots values in
-      let template_plan =
-        match List.assoc_opt bucket entry.cached_buckets with
-        | Some region_plan -> region_plan
-        | None -> entry.cached_physical
-      in
-      let physical = instantiate_for t values template_plan in
-      let report = finish_hit t ~entry ~physical ~cls:"template-hit" in
-      maybe_replan t ~template ~entry ~bucket ~values report.analysis;
-      report
-  | None -> (
-      let p0 = mono_us () in
-      let g_p = gc_point (telemetry_on t) in
-      let initial, required_order =
-        Tango_obs.Trace.span "parse" (fun () ->
-            Tango_tsql.Compile.initial_plan_and_order
-              ~lookup:(schema_lookup t) template)
-      in
-      let parse_res = gc_delta g_p in
-      let parse_us = mono_us () -. p0 in
-      let g_opt = gc_point (telemetry_on t) in
-      let r =
-        Tango_obs.Trace.span "optimize" (fun () ->
-            let r = optimize t ~required_order initial in
-            Tango_obs.Trace.attr "classes"
-              (Tango_obs.Trace.Int r.Search.classes);
-            Tango_obs.Trace.attr "elements"
-              (Tango_obs.Trace.Int r.Search.elements);
-            r)
-      in
-      let optimize_res = gc_delta g_opt in
-      match r.Search.plan with
-      | None -> raise (No_plan "optimizer found no feasible plan")
-      | Some template_plan ->
-          let fp = Physical.op_fingerprint initial in
-          if t.config.Config.plan_cache then
-            Tango_cache.Plan_cache.add t.plan_cache ~sql:template
-              {
-                cached_physical = template_plan;
-                cached_required_order = required_order;
-                cached_classes = r.Search.classes;
-                cached_elements = r.Search.elements;
-                cached_diagnostics = t.last_diagnostics;
-                cached_generation = Database.schema_generation (database t);
-                cached_topology_gen = Topology.generation t.topology;
-                cached_fp = fp;
-                cached_template = Some initial;
-                cached_slots = param_slots t initial;
-                cached_buckets = [];
-              };
-          let physical = instantiate_for t values template_plan in
-          let result, exec, execute_us, translate_us, backends,
-              translate_res, execute_res =
-            execute_physical_full t physical
-          in
-          let analysis =
-            profile_execution t ~query_fingerprint:fp physical exec
-              ~execute_us
-          in
-          {
-            result;
-            physical;
-            exec;
-            optimize_us = r.Search.time_us;
-            execute_us;
-            classes = r.Search.classes;
-            elements = r.Search.elements;
-            estimated_cost_us = physical.Physical.total_cost;
-            trace = None;
-            analysis;
-            diagnostics = t.last_diagnostics;
-            cache = cache_report_now t ~cls:"miss";
-            phases =
-              make_phases ~parse_us ~optimize_us:r.Search.time_us ~parse_res
-                ~optimize_res ~translate_res ~execute_res ~translate_us
-                ~execute_us backends;
-            backends;
-          })
+(* ------------------------------------------------------------------ *)
+(* The pipeline                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(* The exact pipeline — full text (literals included) as the cache key. *)
-let query_exact_body t (sql : string) : report =
-  match cache_find ~kind:Tango_cache.Plan_cache.Exact t sql with
-  | Some entry ->
-      finish_hit t ~entry ~physical:entry.cached_physical ~cls:"exact-hit"
-  | None ->
-      let p0 = mono_us () in
-      let g_p = gc_point (telemetry_on t) in
-      let initial, required_order =
-        Tango_obs.Trace.span "parse" (fun () ->
+(* What a top-level run starts from.  [Text] is cache-keyed on the full
+   SQL text and [Bound] on a parameterized text (a template) plus its
+   binding; [Plan] is an initial logical plan to optimize and [Fixed] a
+   plan tree to cost as written — neither touches the plan cache. *)
+type entry =
+  | Text of string
+  | Bound of string * Value.t array
+  | Plan of Op.t * Order.t
+  | Fixed of Op.t * Order.t
+
+(* The plan stage's product: the physical plan to execute and how it was
+   obtained. *)
+type planned = {
+  plan : Physical.plan;
+  fingerprint : string;  (* of the query, for the sentinel *)
+  memo_classes : int;
+  memo_elements : int;
+  parse_us : float;
+  parse_res : Tango_obs.Runtime.delta;
+  optimize_us : float;
+  optimize_res : Tango_obs.Runtime.delta;
+  cls : string option;  (* cache class, for the SQL entries *)
+  guard : Tango_profile.Analyze.report option -> unit;
+      (* the sensitivity guard, run on the execution's analysis *)
+}
+
+(* Stage 1: with the plan cache and [auto_parameterize] on, fold a text's
+   constant literals into bind variables, so literal-varying repetitions
+   of one query shape share a template entry. *)
+let resolve t (entry : entry) : entry =
+  match entry with
+  | Text sql
+    when t.config.Config.plan_cache && t.config.Config.auto_parameterize -> (
+      match Parameterize.extract sql with
+      | Some { Parameterize.template; values } ->
+          Bound (template, Array.of_list values)
+      | None -> entry)
+  | _ -> entry
+
+(* Stage 2 on a plan-cache hit: the entry's plan — for a template, the
+   binding's bucket plan (or the generic one) instantiated under it —
+   with the metadata recorded when it was optimized.  No parse or
+   optimize runs. *)
+let cached_plan t (entry : entry) : planned option =
+  let hit (e : cache_entry) ~cls ?(guard = ignore) plan =
+    Tango_obs.Trace.attr "cache" (Tango_obs.Trace.Str cls);
+    Log.debug (fun m -> m "plan cache %s" cls);
+    t.last_diagnostics <- e.cached_diagnostics;
+    {
+      plan;
+      fingerprint = e.cached_fp;
+      memo_classes = e.cached_classes;
+      memo_elements = e.cached_elements;
+      parse_us = 0.0;
+      parse_res = Tango_obs.Runtime.zero;
+      optimize_us = 0.0;
+      optimize_res = Tango_obs.Runtime.zero;
+      cls = Some cls;
+      guard;
+    }
+  in
+  match entry with
+  | Text sql ->
+      cache_find ~kind:Tango_cache.Plan_cache.Exact t sql
+      |> Option.map (fun e -> hit e ~cls:"exact-hit" e.cached_physical)
+  | Bound (template, values) ->
+      cache_find ~kind:Tango_cache.Plan_cache.Template t template
+      |> Option.map (fun e ->
+             let bucket = bucket_of e.cached_slots values in
+             let plan =
+               Option.value ~default:e.cached_physical
+                 (List.assoc_opt bucket e.cached_buckets)
+             in
+             hit e ~cls:"template-hit"
+               ~guard:(maybe_replan t ~template ~entry:e ~bucket ~values)
+               (instantiate_for t values plan))
+  | Plan _ | Fixed _ -> None
+
+(* Stage 2 otherwise: parse the SQL (if any) and optimize it once — a
+   fixed tree is only costed — then insert the cache entry {e before}
+   execution, so a cost-refit flush during execution removes it. *)
+let fresh_plan t (entry : entry) : planned =
+  let (initial, required_order), parse_us, parse_res =
+    match entry with
+    | Text sql | Bound (sql, _) ->
+        phase t "parse" (fun () ->
             Tango_tsql.Compile.initial_plan_and_order
               ~lookup:(schema_lookup t) sql)
+    | Plan (op, order) | Fixed (op, order) ->
+        ((op, order), 0.0, Tango_obs.Runtime.zero)
+  in
+  let r, optimize_res =
+    match entry with
+    | Fixed _ ->
+        let plan =
+          match
+            Search.cost_plan ~factors:t.factors ~stats_env:(stats_env t)
+              ~required_order ?partition:(partition_layout t)
+              ~shard_factors:(shard_factors t) initial
+          with
+          | None -> raise (No_plan "plan tree is not executable as written")
+          | Some plan -> prune t plan
+        in
+        record_diagnostics t (verify_final t ~required_order plan);
+        ( { Search.plan = Some plan; classes = 0; elements = 0;
+            considered = 0; time_us = 0.0 },
+          Tango_obs.Runtime.zero )
+    | Text _ | Bound _ | Plan _ ->
+        let r, _, res =
+          phase t "optimize" (fun () ->
+              let r = optimize t ~required_order initial in
+              Tango_obs.Trace.attr "classes"
+                (Tango_obs.Trace.Int r.Search.classes);
+              Tango_obs.Trace.attr "elements"
+                (Tango_obs.Trace.Int r.Search.elements);
+              r)
+        in
+        (r, res)
+  in
+  match r.Search.plan with
+  | None -> raise (No_plan "optimizer found no feasible plan")
+  | Some plan ->
+      Log.debug (fun m ->
+          m "optimized in %.1f ms (%d classes, %d elements): %s est=%.0fus"
+            (r.Search.time_us /. 1000.0) r.Search.classes r.Search.elements
+            (Physical.signature plan) plan.Physical.total_cost);
+      let fingerprint = Physical.op_fingerprint initial in
+      let cache sql ~template =
+        if t.config.Config.plan_cache then
+          Tango_cache.Plan_cache.add t.plan_cache ~sql
+            {
+              cached_physical = plan;
+              cached_required_order = required_order;
+              cached_classes = r.Search.classes;
+              cached_elements = r.Search.elements;
+              cached_diagnostics = t.last_diagnostics;
+              cached_generation = Database.schema_generation (database t);
+              cached_topology_gen = Topology.generation t.topology;
+              cached_fp = fingerprint;
+              cached_template = (if template then Some initial else None);
+              cached_slots = (if template then param_slots t initial else []);
+              cached_buckets = [];
+            }
       in
-      let parse_res = gc_delta g_p in
-      let parse_us = mono_us () -. p0 in
-      let report =
-        run_plan_body t ~parse_us ~parse_res ~required_order initial
+      let plan, cls =
+        match entry with
+        | Text sql ->
+            cache sql ~template:false;
+            (plan, Some "miss")
+        | Bound (sql, values) ->
+            cache sql ~template:true;
+            (instantiate_for t values plan, Some "miss")
+        | Plan _ | Fixed _ -> (plan, None)
       in
-      if t.config.Config.plan_cache then
-        Tango_cache.Plan_cache.add t.plan_cache ~sql
-          {
-            cached_physical = report.physical;
-            cached_required_order = required_order;
-            cached_classes = report.classes;
-            cached_elements = report.elements;
-            cached_diagnostics = report.diagnostics;
-            cached_generation = Database.schema_generation (database t);
-            cached_topology_gen = Topology.generation t.topology;
-            cached_fp = Physical.op_fingerprint initial;
-            cached_template = None;
-            cached_slots = [];
-            cached_buckets = [];
-          };
-      { report with cache = cache_report_now t ~cls:"miss" }
+      {
+        plan;
+        fingerprint;
+        memo_classes = r.Search.classes;
+        memo_elements = r.Search.elements;
+        parse_us;
+        parse_res;
+        optimize_us = r.Search.time_us;
+        optimize_res;
+        cls;
+        guard = ignore;
+      }
+
+(* One top-level run: resolve, plan, execute, profile, report, and — for
+   a template hit — the sensitivity guard, under one observer event and
+   one trace rooted at ["middleware." ^ kind]. *)
+let run t (entry : entry) : report =
+  let kind, sql =
+    match entry with
+    | Text sql | Bound (sql, _) -> ("query", Some sql)
+    | Plan _ -> ("run_plan", None)
+    | Fixed _ -> ("run_fixed", None)
+  in
+  Option.iter (fun sql -> Log.debug (fun m -> m "query: %s" sql)) sql;
+  observed t ~kind ?sql (fun () ->
+      with_query_trace t ("middleware." ^ kind) (fun () ->
+          let entry = resolve t entry in
+          let p =
+            match cached_plan t entry with
+            | Some p -> p
+            | None -> fresh_plan t entry
+          in
+          let x = execute_physical_full t p.plan in
+          Log.info (fun m ->
+              m "executed %s: %d tuples in %.1f ms (estimated %.1f ms)"
+                (Physical.algorithm_name p.plan.Physical.algorithm)
+                (Relation.cardinality x.result) (x.execute_us /. 1000.0)
+                (p.plan.Physical.total_cost /. 1000.0));
+          let analysis =
+            profile_execution t ~query_fingerprint:p.fingerprint p.plan x.exec
+              ~execute_us:x.execute_us
+          in
+          let report =
+            {
+              result = x.result;
+              physical = p.plan;
+              exec = x.exec;
+              optimize_us = p.optimize_us;
+              execute_us = x.execute_us;
+              classes = p.memo_classes;
+              elements = p.memo_elements;
+              estimated_cost_us = p.plan.Physical.total_cost;
+              trace = None;
+              analysis;
+              diagnostics = t.last_diagnostics;
+              cache = Option.bind p.cls (fun cls -> cache_report_now t ~cls);
+              phases =
+                make_phases ~parse_us:p.parse_us ~optimize_us:p.optimize_us
+                  ~parse_res:p.parse_res ~optimize_res:p.optimize_res
+                  ~translate_res:x.translate_res ~execute_res:x.execute_res
+                  ~translate_us:x.translate_us ~execute_us:x.execute_us
+                  x.backends;
+              backends = x.backends;
+            }
+          in
+          p.guard analysis;
+          report))
 
 (** The full pipeline: temporal SQL in, relation out.  With the session's
     [plan_cache] on, a re-submitted query text skips parse and optimize
@@ -1212,20 +1141,7 @@ let query_exact_body t (sql : string) : report =
     [auto_parameterize] additionally on, constant literals are folded
     into bind variables first, so literal-varying repetitions of one
     query shape share a single template entry. *)
-let query t (sql : string) : report =
-  Log.debug (fun m -> m "query: %s" sql);
-  observed t ~kind:"query" ~sql (fun () ->
-      with_query_trace t "middleware.query" (fun () ->
-          let auto =
-            if t.config.Config.plan_cache && t.config.Config.auto_parameterize
-            then Parameterize.extract sql
-            else None
-          in
-          match auto with
-          | Some { Parameterize.template; values } ->
-              query_template_body t ~template
-                ~values:(Array.of_list values)
-          | None -> query_exact_body t sql))
+let query t (sql : string) : report = run t (Text sql)
 
 (** The parameterized pipeline: SQL carrying bind variables ([?] or
     [$n]) plus the values to bind, positionally.  The text is the cache
@@ -1233,51 +1149,15 @@ let query t (sql : string) : report =
     entry; the plan is instantiated under the binding at execution
     time. *)
 let query_params t (sql : string) (values : Value.t list) : report =
-  Log.debug (fun m ->
-      m "query (%d params): %s" (List.length values) sql);
   match values with
   | [] -> query t sql
-  | values ->
-      observed t ~kind:"query" ~sql (fun () ->
-          with_query_trace t "middleware.query" (fun () ->
-              query_template_body t ~template:sql
-                ~values:(Array.of_list values)))
+  | values -> run t (Bound (sql, Array.of_list values))
+
+(** Optimize and execute an initial algebra plan. *)
+let run_plan t ?(required_order : Order.t = []) (initial : Op.t) : report =
+  run t (Plan (initial, required_order))
 
 (** Execute a {e fixed} plan tree (used by the experiments to time the
     paper's hand-enumerated plan alternatives). *)
 let run_fixed t ?(required_order : Order.t = []) (plan_tree : Op.t) : report =
-  observed t ~kind:"run_fixed" (fun () ->
-      with_query_trace t "middleware.run_fixed" (fun () ->
-      match cost_plan t ~required_order plan_tree with
-      | None -> raise (No_plan "plan tree is not executable as written")
-      | Some physical ->
-          let diags = verify_final t ~required_order physical in
-          log_diagnostics diags;
-          t.last_diagnostics <- diags;
-          let result, exec, execute_us, translate_us, backends, translate_res,
-              execute_res =
-            execute_physical_full t physical
-          in
-          let analysis =
-            profile_execution t
-              ~query_fingerprint:(Physical.op_fingerprint plan_tree) physical
-              exec ~execute_us
-          in
-          {
-            result;
-            physical;
-            exec;
-            optimize_us = 0.0;
-            execute_us;
-            classes = 0;
-            elements = 0;
-            estimated_cost_us = physical.Physical.total_cost;
-            trace = None;
-            analysis;
-            diagnostics = t.last_diagnostics;
-            cache = None;
-            phases =
-              make_phases ~translate_res ~execute_res ~translate_us
-                ~execute_us backends;
-            backends;
-          }))
+  run t (Fixed (plan_tree, required_order))

@@ -51,9 +51,6 @@ module Config : sig
     adaptive_costs : bool;
         (** close the loop: refit cost factors when the feedback store
             shows sustained misestimation (implies [profiling]) *)
-    slow_query_threshold_us : float;
-        (** log executions at least this slow (0 = disabled; implies
-            [profiling] when positive) *)
     verify_plans : verify_mode;
         (** statically verify plans; findings surface in
             {!report.diagnostics} / {!last_diagnostics} *)
@@ -67,16 +64,14 @@ module Config : sig
             literal-varying repetitions of one query shape share a single
             {e template} entry (on by default; moot while [plan_cache] is
             off) *)
-    param_buckets : int;
-        (** selectivity-bucket count of the parameter-sensitivity guard:
-            bound values are placed in their column's distribution and
-            quantized to this many regions (default 8) *)
     replan_q_error : float;
         (** parameter-sensitivity guard threshold: when a template hit's
             measured cardinality q-error reaches it, the template is
             re-optimized with the bound values and the result stored as
             that selectivity bucket's region plan (0 = guard off;
-            a positive value implies [profiling]) *)
+            a positive value implies [profiling]).  Bound values are
+            placed in their column's distribution and quantized to eight
+            buckets. *)
     telemetry : bool;
         (** capture GC/allocation deltas per pipeline phase and per query
             ({!Tango_obs.Runtime}) and feed the [tango_alloc_*] /
@@ -101,10 +96,6 @@ module Config : sig
   val with_adaptive_costs : bool -> t -> t
   (** Enabling adaptation also enables [profiling]. *)
 
-  val with_slow_query_threshold : float -> t -> t
-  (** Threshold in microseconds; a positive value also enables
-      [profiling]. *)
-
   val with_verify_plans : verify_mode -> t -> t
 
   val with_plan_cache : ?capacity:int -> bool -> t -> t
@@ -114,10 +105,6 @@ module Config : sig
   val with_auto_parameterize : bool -> t -> t
   (** Auto-parameterization of literal constants (on by default; only
       takes effect while [plan_cache] is on). *)
-
-  val with_param_buckets : int -> t -> t
-  (** Selectivity-bucket count of the sensitivity guard (clamped to
-      at least 1). *)
 
   val with_replan_q_error : float -> t -> t
   (** Sensitivity-guard q-error threshold; a positive value also enables
@@ -185,10 +172,6 @@ val last_trace : t -> Tango_obs.Trace.span option
 (** The trace of the most recent {!query} / {!run_plan} / {!run_fixed}
     call; [None] unless the configuration has [tracing] set. *)
 
-val last_analysis : t -> Tango_profile.Analyze.report option
-(** The EXPLAIN-ANALYZE report of the most recent execution; [None]
-    unless the configuration has [profiling] set. *)
-
 val last_diagnostics : t -> Tango_verify.Diag.t list
 (** Findings of the most recent plan verification ({!optimize} or
     {!run_fixed}); [[]] unless the configuration has [verify_plans] on. *)
@@ -198,7 +181,7 @@ val profile_store : t -> Tango_profile.Feedback.t
     accumulated across profiled executions. *)
 
 val sentinel : t -> Tango_profile.Sentinel.t
-(** The session's plan-regression sentinel and slow-query log. *)
+(** The session's plan-regression sentinel. *)
 
 val calibrate : ?sizes:Tango_cost.Calibrate.probe_sizes -> t -> unit
 (** Run cost-factor calibration against every connected backend; each
@@ -244,10 +227,6 @@ val optimize :
     [Verify_per_rule], every rule application — is verified; findings are
     in {!last_diagnostics}.  [binding] makes parameterized predicates
     estimate under the given values instead of generic defaults. *)
-
-val cost_plan :
-  t -> ?required_order:Order.t -> Op.t -> Tango_volcano.Physical.plan option
-(** Cost a fixed plan tree without exploring alternatives. *)
 
 (** {1 Execution} *)
 
@@ -298,8 +277,6 @@ type phase_resources = {
           [execute − transfer], clamped at zero *)
 }
 
-val no_resources : phase_resources
-
 (** Phase breakdown of one pipeline run.  The phases are designed to be
     {e conservative}: [parse + optimize + translate + mw_exec + transfer
     + gather_wait] approximates the pipeline wall time, because
@@ -317,9 +294,6 @@ type phases = {
           clamped at zero *)
   res : phase_resources;  (** per-phase GC/allocation attribution *)
 }
-
-val no_phases : phases
-(** All-zero phases (used for synthesized or failed reports). *)
 
 type report = {
   result : Relation.t;
@@ -364,18 +338,10 @@ type query_event = {
   started_us : float;  (** wall clock ({!Tango_obs.now_us}) at entry *)
   elapsed_us : float;
       (** total pipeline duration, parse to result (monotonic clock) *)
-  cache_hit : bool;
-      (** answered from the plan cache — no parse or optimize ran (so a
-          zero [optimize_us] means "skipped", not "instantaneous") *)
-  cache_class : string;
-      (** ["template-hit"] | ["exact-hit"] | ["miss"]; [""] when the run
-          was not a cache-eligible query *)
-  report : report option;  (** [None] when the pipeline raised *)
+  report : report option;
+      (** [None] when the pipeline raised; its [cache] says whether the
+          plan cache answered *)
   error : string option;  (** the exception text when the pipeline raised *)
-  backends : (string * backend_breakdown) list;
-      (** the report's per-backend attribution ([[]] when the pipeline
-          raised), duplicated here so observers need not destructure the
-          report *)
   resources : Tango_obs.Runtime.delta;
       (** whole-pipeline GC/allocation delta on the serving domain
           (zero when the configuration's [telemetry] is off) *)
@@ -388,11 +354,6 @@ val set_query_observer : t -> (query_event -> unit) option -> unit
     exception is re-raised).  One observer per session; exceptions the
     observer itself raises are swallowed — monitoring must never break
     the query path. *)
-
-val execute_physical :
-  t -> Tango_volcano.Physical.plan -> Relation.t * Exec_plan.node * float
-(** Execute a chosen physical plan; returns result, instrumented exec plan,
-    and elapsed microseconds.  Temp tables are dropped afterwards. *)
 
 val run_plan : t -> ?required_order:Order.t -> Op.t -> report
 (** Optimize and execute an initial algebra plan. *)

@@ -162,8 +162,8 @@ let record_of_event ?(seq = 0) ?(kept = Sampled)
         ev.Middleware.resources.Tango_obs.Runtime.promoted_words;
       backends = [];
       trace = None;
-      cache_hit = ev.Middleware.cache_hit;
-      cache_class = ev.Middleware.cache_class;
+      cache_hit = false;
+      cache_class = "";
       rows = 0;
       mw_operators = 0;
       transfers = 0;
@@ -219,6 +219,14 @@ let record_of_event ?(seq = 0) ?(kept = Sampled)
           r.Middleware.phases.Middleware.res.Middleware.mw_exec_alloc_bytes;
         backends = r.Middleware.backends;
         trace = r.Middleware.trace;
+        cache_hit =
+          Option.fold ~none:false
+            ~some:(fun c -> c.Middleware.cache_hit)
+            r.Middleware.cache;
+        cache_class =
+          Option.fold ~none:""
+            ~some:(fun c -> c.Middleware.cache_class)
+            r.Middleware.cache;
         rows = Tango_rel.Relation.cardinality r.Middleware.result;
         mw_operators;
         transfers;

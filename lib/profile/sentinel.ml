@@ -1,11 +1,10 @@
-(** Plan-regression sentinel: best-plan table per query fingerprint,
-    ratio-triggered regression flags, absolute-threshold slow-query log. *)
+(** Plan-regression sentinel: best-plan table per query fingerprint and
+    ratio-triggered regression flags. *)
 
 module Json = Tango_obs.Json
 module Dsync = Tango_obs.Dsync
 
 type event =
-  | Slow of { elapsed_us : float; threshold_us : float }
   | Regression of {
       elapsed_us : float;
       best_us : float;
@@ -43,7 +42,6 @@ let create ?(regression_ratio = 1.5) ?(max_log = 64) () : t =
     max_log;
   }
 
-let slow_queries = Tango_obs.Counter.make "profile.slow_queries"
 let plan_regressions = Tango_obs.Counter.make "profile.plan_regressions"
 
 let log_src = Logs.Src.create "tango.sentinel" ~doc:"TANGO plan sentinel"
@@ -59,55 +57,43 @@ let push (t : t) (e : entry) =
   end
 [@@tango.unguarded "internal helper, only called under t.lock"]
 
-let observe (t : t) ~fingerprint ~signature ?(slow_threshold_us = 0.0)
-    ~elapsed_us () : event list =
-  (* table and log updates happen under the lock; counters are atomic
-     and the Logs calls run after release, so a slow reporter never
+let observe (t : t) ~fingerprint ~signature ~elapsed_us : event list =
+  (* table and log updates happen under the lock; the counter is atomic
+     and the Logs call runs after release, so a slow reporter never
      extends the critical section *)
-  let events, log_fns =
+  let fired =
     Dsync.protect t.lock (fun () ->
         t.seq <- t.seq + 1;
-        let events = ref [] and log_fns = ref [] in
-        let fire counter ev log_fn =
-          Tango_obs.Counter.incr counter;
-          push t
-            { query_fingerprint = fingerprint; signature; elapsed_us;
-              event = ev; seq = t.seq };
-          log_fns := log_fn :: !log_fns;
-          events := ev :: !events
+        let fired =
+          match Hashtbl.find_opt t.best fingerprint with
+          | Some (best_sig, best_us)
+            when best_sig <> signature
+                 && elapsed_us > t.regression_ratio *. best_us ->
+              let ev =
+                Regression
+                  { elapsed_us; best_us; best_signature = best_sig;
+                    chosen_signature = signature }
+              in
+              push t
+                { query_fingerprint = fingerprint; signature; elapsed_us;
+                  event = ev; seq = t.seq };
+              [ ev ]
+          | _ -> []
         in
-        if slow_threshold_us > 0.0 && elapsed_us >= slow_threshold_us then
-          fire slow_queries
-            (Slow { elapsed_us; threshold_us = slow_threshold_us })
-            (fun () ->
-              Log.warn (fun m ->
-                  m "slow query %s: %.1f ms (threshold %.1f ms) plan %s"
-                    fingerprint
-                    (elapsed_us /. 1000.0)
-                    (slow_threshold_us /. 1000.0)
-                    signature));
-        (match Hashtbl.find_opt t.best fingerprint with
-        | Some (best_sig, best_us)
-          when best_sig <> signature
-               && elapsed_us > t.regression_ratio *. best_us ->
-            fire plan_regressions
-              (Regression
-                 { elapsed_us; best_us; best_signature = best_sig;
-                   chosen_signature = signature })
-              (fun () ->
-                Log.warn (fun m ->
-                    m "plan regression for %s: %.1f ms vs best %.1f ms; \
-                       chose %s over %s"
-                      fingerprint (elapsed_us /. 1000.0) (best_us /. 1000.0)
-                      signature best_sig))
-        | _ -> ());
         (match Hashtbl.find_opt t.best fingerprint with
         | Some (_, best_us) when elapsed_us >= best_us -> ()
         | _ -> Hashtbl.replace t.best fingerprint (signature, elapsed_us));
-        (List.rev !events, List.rev !log_fns))
+        fired)
   in
-  List.iter (fun f -> f ()) log_fns;
-  events
+  List.iter
+    (fun (Regression { best_us; best_signature; _ }) ->
+      Tango_obs.Counter.incr plan_regressions;
+      Log.warn (fun m ->
+          m "plan regression for %s: %.1f ms vs best %.1f ms; chose %s over %s"
+            fingerprint (elapsed_us /. 1000.0) (best_us /. 1000.0) signature
+            best_signature))
+    fired;
+  fired
 
 let best (t : t) fp =
   Dsync.protect t.lock (fun () -> Hashtbl.find_opt t.best fp)
@@ -115,13 +101,6 @@ let best (t : t) fp =
 let log (t : t) = Dsync.protect t.lock (fun () -> t.entries)
 
 let event_to_json = function
-  | Slow { elapsed_us; threshold_us } ->
-      Json.Obj
-        [
-          ("kind", Json.String "slow_query");
-          ("elapsed_us", Json.Float elapsed_us);
-          ("threshold_us", Json.Float threshold_us);
-        ]
   | Regression { elapsed_us; best_us; best_signature; chosen_signature } ->
       Json.Obj
         [

@@ -1,14 +1,12 @@
-(** Plan-regression sentinel and slow-query log.
+(** Plan-regression sentinel.
 
     Remembers the best observed plan (signature + latency) per query
     fingerprint.  When a later execution of the same query picks a
     {e different} plan and runs slower than the best by more than a
     configurable ratio, that is flagged as a plan regression — e.g. an
-    adaptive recalibration that made things worse.  Executions past an
-    absolute latency threshold are logged as slow queries. *)
+    adaptive recalibration that made things worse. *)
 
 type event =
-  | Slow of { elapsed_us : float; threshold_us : float }
   | Regression of {
       elapsed_us : float;
       best_us : float;
@@ -31,9 +29,6 @@ val create : ?regression_ratio:float -> ?max_log:int -> unit -> t
     [ratio *. best] is a regression.  [max_log] (default 64) bounds the
     event log, newest kept. *)
 
-val slow_queries : Tango_obs.Counter.t
-(** ["profile.slow_queries"] *)
-
 val plan_regressions : Tango_obs.Counter.t
 (** ["profile.plan_regressions"] *)
 
@@ -41,14 +36,11 @@ val observe :
   t ->
   fingerprint:string ->
   signature:string ->
-  ?slow_threshold_us:float ->
   elapsed_us:float ->
-  unit ->
   event list
 (** Record one execution of the query identified by [fingerprint], whose
-    chosen plan renders as [signature].  Fires [Slow] when
-    [slow_threshold_us > 0.] and the execution is at least that slow;
-    fires [Regression] per the ratio rule.  Also advances the best-plan
+    chosen plan renders as [signature].  Fires [Regression] per the
+    ratio rule.  Also advances the best-plan
     table.  Returned events are already counted and logged. *)
 
 val best : t -> string -> (string * float) option

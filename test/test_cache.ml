@@ -312,6 +312,39 @@ let test_invalidation_on_factor_change () =
   let r = Middleware.query mw Queries.q1_sql in
   Alcotest.(check bool) "post-adoption submission misses" false (cache_hit r)
 
+(* A cost refit flushes the cache, and the plan chosen under the
+   pre-refit factors must not come back: the exact entry is inserted
+   before execution, so the flush during that execution removes it. *)
+let test_refit_flush_drops_exact_entry () =
+  let _db, mw = setup () in
+  Middleware.set_config mw
+    Middleware.Config.(
+      Middleware.config mw |> with_auto_parameterize false
+      |> with_adaptive_costs true);
+  (* grossly overpriced middleware factors: the first few executions
+     misestimate enough to trigger a refit *)
+  let f = Tango_cost.Factors.copy (Middleware.factors mw) in
+  f.Tango_cost.Factors.p_tm <- f.Tango_cost.Factors.p_tm *. 1000.0;
+  f.Tango_cost.Factors.p_sortm <- f.Tango_cost.Factors.p_sortm *. 1000.0;
+  f.Tango_cost.Factors.p_taggm1 <- f.Tango_cost.Factors.p_taggm1 *. 1000.0;
+  Middleware.adopt_factors mw f;
+  let rec until_refit i =
+    if i > 30 then Alcotest.fail "no cost refit after 30 queries"
+    else
+      let sql = Queries.q2_sql ~period_end:(Printf.sprintf "19%02d-01-01" (70 + i)) in
+      let before = Tango_obs.Counter.value Tango_profile.Adapt.refits in
+      let r = Middleware.query mw sql in
+      if Tango_obs.Counter.value Tango_profile.Adapt.refits > before then (sql, r)
+      else until_refit (i + 1)
+  in
+  let sql, r = until_refit 0 in
+  (match r.Middleware.cache with
+  | Some c ->
+      Alcotest.(check int) "refit flushed every entry" 0 c.Middleware.cache_entries
+  | None -> Alcotest.fail "no cache report on a plan_cache session");
+  Alcotest.(check string) "the refit query's text re-plans" "miss"
+    (cache_class (Middleware.query mw sql))
+
 let test_invalidation_on_stats_refresh () =
   let _db, mw = setup () in
   ignore (Middleware.query mw Queries.q1_sql);
@@ -391,6 +424,8 @@ let () =
           Alcotest.test_case "invalidation on DDL" `Quick test_invalidation_on_ddl;
           Alcotest.test_case "invalidation on factor change" `Quick
             test_invalidation_on_factor_change;
+          Alcotest.test_case "refit flush drops the exact entry" `Quick
+            test_refit_flush_drops_exact_entry;
           Alcotest.test_case "invalidation on stats refresh" `Quick
             test_invalidation_on_stats_refresh;
           Alcotest.test_case "capacity eviction" `Quick test_session_capacity_eviction;

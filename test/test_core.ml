@@ -524,6 +524,148 @@ let test_exec_plan_instrumentation () =
     (report.Middleware.exec.Exec_plan.out_tuples
     = Relation.cardinality report.Middleware.result)
 
+(* ---- entry points: what each public entry reports ---- *)
+
+(* A traced plan-cache session with an observer collecting events. *)
+let observed_session ~auto =
+  let db = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db;
+  let config =
+    Middleware.Config.(
+      default |> with_roundtrip_spin 0 |> with_tracing true
+      |> with_plan_cache true |> with_auto_parameterize auto)
+  in
+  let mw = Middleware.connect ~config db in
+  let events = ref [] in
+  Middleware.set_query_observer mw (Some (fun ev -> events := ev :: !events));
+  (mw, events)
+
+(* The single event [f] emitted. *)
+let only_event events f =
+  events := [];
+  let x = f () in
+  match !events with
+  | [ ev ] -> (x, ev)
+  | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
+
+(* Pin one entry's event, cache report, optimize phase and trace shape.
+   [parsed]/[optimized] say whether those phases ran; [counts] is the
+   expected memo (classes, elements), when known. *)
+let check_entry name ~kind ~cls ~parsed ~optimized ?counts
+    ((r : Middleware.report), (ev : Middleware.query_event)) =
+  let say s = name ^ ": " ^ s in
+  Alcotest.(check string) (say "event kind") kind ev.Middleware.kind;
+  Alcotest.(check bool) (say "event carries the report") true
+    (match ev.Middleware.report with Some r' -> r' == r | None -> false);
+  Alcotest.(check bool) (say "no error") true (ev.Middleware.error = None);
+  Alcotest.(check (option string)) (say "cache class") cls
+    (Option.map
+       (fun (c : Middleware.cache_report) -> c.Middleware.cache_class)
+       r.Middleware.cache);
+  Alcotest.(check bool) (say "optimize_us zero iff skipped") (not optimized)
+    (r.Middleware.optimize_us = 0.0);
+  Option.iter
+    (fun (c, e) ->
+      Alcotest.(check int) (say "classes") c r.Middleware.classes;
+      Alcotest.(check int) (say "elements") e r.Middleware.elements)
+    counts;
+  let root =
+    match r.Middleware.trace with
+    | Some s -> s
+    | None -> Alcotest.fail (say "no trace")
+  in
+  Alcotest.(check string) (say "root span") ("middleware." ^ kind)
+    root.Tango_obs.Trace.name;
+  Alcotest.(check bool) (say "parse span") parsed
+    (Tango_obs.Trace.find "parse" root <> None);
+  Alcotest.(check bool) (say "optimize span") optimized
+    (Tango_obs.Trace.find "optimize" root <> None);
+  Alcotest.(check bool) (say "execute span") true
+    (Tango_obs.Trace.find "execute" root <> None)
+
+let test_entry_points () =
+  (* exact-keyed texts: Query 1 has no literal to parameterize *)
+  let mw, events = observed_session ~auto:false in
+  let miss, ev = only_event events (fun () -> Middleware.query mw Queries.q1_sql) in
+  check_entry "exact miss" ~kind:"query" ~cls:(Some "miss") ~parsed:true
+    ~optimized:true (miss, ev);
+  Alcotest.(check (option string)) "event sql" (Some Queries.q1_sql)
+    ev.Middleware.sql;
+  Alcotest.(check bool) "miss explored the memo" true (miss.Middleware.classes > 0);
+  let counts = (miss.Middleware.classes, miss.Middleware.elements) in
+  check_entry "exact hit" ~kind:"query" ~cls:(Some "exact-hit") ~parsed:false
+    ~optimized:false ~counts
+    (only_event events (fun () -> Middleware.query mw Queries.q1_sql));
+  (* run_plan optimizes but never parses or touches the cache *)
+  let initial, required_order =
+    Tango_tsql.Compile.initial_plan_and_order
+      ~lookup:(Middleware.schema_lookup mw) Queries.q1_sql
+  in
+  check_entry "run_plan" ~kind:"run_plan" ~cls:None ~parsed:false
+    ~optimized:true ~counts
+    (only_event events (fun () ->
+         Middleware.run_plan mw ~required_order initial));
+  (* run_fixed neither parses nor optimizes; its memo counts are 0 *)
+  check_entry "run_fixed" ~kind:"run_fixed" ~cls:None ~parsed:false
+    ~optimized:false ~counts:(0, 0)
+    (only_event events (fun () ->
+         Middleware.run_fixed mw ~required_order:Queries.q1_order
+           (Queries.q1_plan1 ~position:"POSITION" ())));
+  (* templates: literal-varying Query 2 texts share one entry *)
+  let mw, events = observed_session ~auto:true in
+  let tmiss, ev =
+    only_event events (fun () ->
+        Middleware.query mw (Queries.q2_sql ~period_end:"1996-01-01"))
+  in
+  check_entry "template miss" ~kind:"query" ~cls:(Some "miss") ~parsed:true
+    ~optimized:true (tmiss, ev);
+  check_entry "template hit" ~kind:"query" ~cls:(Some "template-hit")
+    ~parsed:false ~optimized:false
+    ~counts:(tmiss.Middleware.classes, tmiss.Middleware.elements)
+    (only_event events (fun () ->
+         Middleware.query mw (Queries.q2_sql ~period_end:"1997-01-01")));
+  (* explicit bind variables take the template path too *)
+  let sql = "VALIDTIME SELECT PosID, PayRate FROM POSITION WHERE PayRate > $1" in
+  let pmiss, ev =
+    only_event events (fun () -> Middleware.query_params mw sql [ Value.Int 10 ])
+  in
+  check_entry "query_params miss" ~kind:"query" ~cls:(Some "miss")
+    ~parsed:true ~optimized:true (pmiss, ev);
+  Alcotest.(check (option string)) "params event sql" (Some sql)
+    ev.Middleware.sql;
+  check_entry "query_params hit" ~kind:"query" ~cls:(Some "template-hit")
+    ~parsed:false ~optimized:false
+    ~counts:(pmiss.Middleware.classes, pmiss.Middleware.elements)
+    (only_event events (fun () ->
+         Middleware.query_params mw sql [ Value.Int 25 ]))
+
+(* A failing entry emits one event with the error and no report, then
+   re-raises. *)
+let test_entry_point_failures () =
+  let mw, events = observed_session ~auto:true in
+  let check_failure name kind ~expected f =
+    events := [];
+    (match f () with
+    | (_ : Middleware.report) -> Alcotest.failf "%s: expected a failure" name
+    | exception e ->
+        Alcotest.(check bool) (name ^ ": re-raised " ^ Printexc.to_string e)
+          true (expected e));
+    match !events with
+    | [ ev ] ->
+        Alcotest.(check string) (name ^ ": kind") kind ev.Middleware.kind;
+        Alcotest.(check bool) (name ^ ": error") true (ev.Middleware.error <> None);
+        Alcotest.(check bool) (name ^ ": no report") true
+          (ev.Middleware.report = None)
+    | evs -> Alcotest.failf "%s: expected one event, got %d" name (List.length evs)
+  in
+  check_failure "unparsable query" "query" ~expected:(fun _ -> true) (fun () ->
+      Middleware.query mw "VALIDTIME SELEKT nothing FROM");
+  (* a bare scan leaves its result in the DBMS: no T^M, no plan *)
+  let scan = Op.scan "POSITION" (Middleware.schema_lookup mw "POSITION") in
+  check_failure "non-executable fixed tree" "run_fixed"
+    ~expected:(function Middleware.No_plan _ -> true | _ -> false)
+    (fun () -> Middleware.run_fixed mw scan)
+
 let () =
   Alcotest.run "tango_core"
     [
@@ -558,6 +700,13 @@ let () =
           Alcotest.test_case "COALESCE end to end" `Quick test_coalesce_through_middleware;
           Alcotest.test_case "alpha normalization" `Quick test_alpha_normalize;
           Alcotest.test_case "transfer sharing" `Quick test_transfer_sharing;
+        ] );
+      ( "entry points",
+        [
+          Alcotest.test_case "events, cache classes and spans" `Quick
+            test_entry_points;
+          Alcotest.test_case "failures emit one event" `Quick
+            test_entry_point_failures;
         ] );
       ( "properties",
         [

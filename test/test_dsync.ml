@@ -268,11 +268,8 @@ let event () : Middleware.query_event =
     sql = Some "SELECT 1";
     started_us = 0.0;
     elapsed_us = 100.0;
-    cache_class = "";
-    cache_hit = false;
     report = None;
     error = None;
-    backends = [];
     resources = Tango_obs.Runtime.zero;
   }
 

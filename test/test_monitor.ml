@@ -330,8 +330,7 @@ let test_chrome_backend_lanes () =
 
 let event ?(kind = "query") ?sql ?(started_us = 0.0) ?(elapsed_us = 100.0)
     ?error () : Middleware.query_event =
-  { Middleware.kind; sql; started_us; elapsed_us; cache_hit = false; cache_class = "";
-    report = None; error; backends = [];
+  { Middleware.kind; sql; started_us; elapsed_us; report = None; error;
     resources = Tango_obs.Runtime.zero }
 
 let seqs log = List.map (fun r -> r.Event_log.seq) (Event_log.recent log)

@@ -64,44 +64,26 @@ let test_fingerprint_distinguishes_shapes () =
 
 (* ---------------- sentinel ---------------- *)
 
-let test_sentinel_slow_query () =
-  let s = Sentinel.create () in
-  let events =
-    Sentinel.observe s ~fingerprint:"q1" ~signature:"planA"
-      ~slow_threshold_us:1000.0 ~elapsed_us:500.0 ()
-  in
-  Alcotest.(check int) "fast run not flagged" 0 (List.length events);
-  let events =
-    Sentinel.observe s ~fingerprint:"q1" ~signature:"planA"
-      ~slow_threshold_us:1000.0 ~elapsed_us:5000.0 ()
-  in
-  (match events with
-  | [ Sentinel.Slow { elapsed_us; threshold_us } ] ->
-      Alcotest.(check (float 1e-9)) "elapsed" 5000.0 elapsed_us;
-      Alcotest.(check (float 1e-9)) "threshold" 1000.0 threshold_us
-  | _ -> Alcotest.fail "expected one Slow event");
-  Alcotest.(check int) "logged" 1 (List.length (Sentinel.log s))
-
 let test_sentinel_regression () =
   let s = Sentinel.create ~regression_ratio:1.5 () in
   (* establish a best plan *)
   ignore
-    (Sentinel.observe s ~fingerprint:"q" ~signature:"planA" ~elapsed_us:100.0 ());
+    (Sentinel.observe s ~fingerprint:"q" ~signature:"planA" ~elapsed_us:100.0);
   Alcotest.(check bool) "best recorded" true
     (Sentinel.best s "q" = Some ("planA", 100.0));
   (* same plan slower: variance, not a regression *)
   let ev =
-    Sentinel.observe s ~fingerprint:"q" ~signature:"planA" ~elapsed_us:400.0 ()
+    Sentinel.observe s ~fingerprint:"q" ~signature:"planA" ~elapsed_us:400.0
   in
   Alcotest.(check int) "same plan never regresses" 0 (List.length ev);
   (* different plan, under the ratio: fine *)
   let ev =
-    Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:140.0 ()
+    Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:140.0
   in
   Alcotest.(check int) "within ratio" 0 (List.length ev);
   (* different plan, past the ratio: regression *)
   let ev =
-    Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:400.0 ()
+    Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:400.0
   in
   (match ev with
   | [ Sentinel.Regression { best_signature; chosen_signature; best_us; _ } ] ->
@@ -111,13 +93,13 @@ let test_sentinel_regression () =
   | _ -> Alcotest.fail "expected one Regression event");
   (* a faster run improves the best *)
   ignore
-    (Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:50.0 ());
+    (Sentinel.observe s ~fingerprint:"q" ~signature:"planB" ~elapsed_us:50.0);
   Alcotest.(check bool) "best advanced" true
     (Sentinel.best s "q" = Some ("planB", 50.0));
   (* separate queries do not interact *)
   let ev =
     Sentinel.observe s ~fingerprint:"other" ~signature:"planZ"
-      ~elapsed_us:9999.0 ()
+      ~elapsed_us:9999.0
   in
   Alcotest.(check int) "fresh query never regresses" 0 (List.length ev)
 
@@ -268,7 +250,6 @@ let () =
         ] );
       ( "sentinel",
         [
-          Alcotest.test_case "slow query" `Quick test_sentinel_slow_query;
           Alcotest.test_case "plan regression" `Quick test_sentinel_regression;
         ] );
       ( "feedback",
