@@ -13,7 +13,6 @@
      overhead  middleware optimization time vs execution time
      prefetch  row-prefetch sweep for TRANSFER^M (Section 3.2 remark)
      calib     cost-model quality: default vs calibrated factors
-     feedback  cost-factor adaptation across repeated queries
      adapt     est-vs-actual profiling + adaptive recalibration (JSON trajectory)
      obs       per-query traces + global metrics, exported as JSON
      throughput  repeated workload, plan cache on vs off (qps)
@@ -449,7 +448,7 @@ let prefetch ctx =
       let tree = Op.to_mw (Op.scan "POSITION" Uis.position_schema) in
       let r = Middleware.run_fixed mw tree in
       Fmt.pr "%12d  %10.1f  %10d@." pf (ms r)
-        (Tango_dbms.Client.roundtrips (Middleware.client mw)))
+        (Tango_dbms.Backend.roundtrips (Middleware.primary mw)))
     [ 1; 2; 5; 10; 25; 50; 100; 250 ];
   Fmt.pr "@."
 
@@ -502,25 +501,6 @@ let calib ctx =
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
-(* feedback: adaptation (A3)                                            *)
-(* ------------------------------------------------------------------ *)
-
-let feedback ctx =
-  Fmt.pr "== Ablation: feedback adaptation of cost factors ==@.";
-  Fmt.pr "(repeated queries refine the transfer factor toward its measured value)@.";
-  header [ "round"; "p_tm_before"; "p_tm_after" ];
-  let _db, mw = session ctx [ ("POSITION", ctx.full_position) ] in
-  Middleware.set_config mw
-    Middleware.Config.(with_feedback true (Middleware.config mw));
-  for round = 1 to 5 do
-    let before = (Middleware.factors mw).Tango_cost.Factors.p_tm in
-    ignore (Middleware.query mw Queries.q1_sql);
-    let after = (Middleware.factors mw).Tango_cost.Factors.p_tm in
-    Fmt.pr "%5d  %11.4f  %11.4f@." round before after
-  done;
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
 (* sharing: the paper's sec-7 single-T^M refinement (A4)                *)
 (* ------------------------------------------------------------------ *)
 
@@ -534,14 +514,14 @@ let sharing ctx =
       let tree = Queries.q3_plan2 ~position:"POSITION" ~start_bound () in
       Middleware.set_config mw
     Middleware.Config.(with_transfer_sharing false (Middleware.config mw));
-      Tango_dbms.Client.reset_counters (Middleware.client mw);
+      Tango_dbms.Backend.reset_meters (Middleware.primary mw);
       let t_un = ms (Middleware.run_fixed mw ~required_order:Queries.q3_order tree) in
-      let rt_un = Tango_dbms.Client.roundtrips (Middleware.client mw) in
+      let rt_un = Tango_dbms.Backend.roundtrips (Middleware.primary mw) in
       Middleware.set_config mw
     Middleware.Config.(with_transfer_sharing true (Middleware.config mw));
-      Tango_dbms.Client.reset_counters (Middleware.client mw);
+      Tango_dbms.Backend.reset_meters (Middleware.primary mw);
       let t_sh = ms (Middleware.run_fixed mw ~required_order:Queries.q3_order tree) in
-      let rt_sh = Tango_dbms.Client.roundtrips (Middleware.client mw) in
+      let rt_sh = Tango_dbms.Backend.roundtrips (Middleware.primary mw) in
       Fmt.pr "%s  %10.1f  %10.1f  %12d  %12d@." start_bound t_un t_sh rt_un rt_sh)
     [ "1990-01-01"; "1996-01-01"; "2000-01-01" ];
   Fmt.pr "@."
@@ -1036,7 +1016,6 @@ let sharding ctx =
               ("queries", Tango_obs.Json.List queries);
             ]
         in
-        if n > 1 then Tango_dbms.Topology.close (Middleware.topology mw);
         doc)
       shard_counts
   in
@@ -1063,7 +1042,6 @@ let sharding ctx =
     (List.length idle) (List.length backends)
     (if pruned then "pruning reduces tuples shipped"
      else "NO PRUNING OBSERVED");
-  Tango_dbms.Topology.close (Middleware.topology mwn);
   bench_payload :=
     Some
       (Tango_obs.Json.Obj
@@ -1210,7 +1188,6 @@ let tail ctx =
     dominant_phase;
   Fmt.pr "# conservation: phases/wall mean %.3f, backends/execute mean %.3f@.@."
     (mean phase_ratios) (mean backend_ratios);
-  Tango_dbms.Topology.close topo;
   bench_payload :=
     Some
       (Tango_obs.Json.Obj
@@ -1448,7 +1425,7 @@ let micro ctx =
 let experiments =
   [ ("fig8", fig8); ("fig10", fig10); ("fig11a", fig11a); ("fig11b", fig11b);
     ("sel", sel); ("choice", choice); ("memo", memo); ("overhead", overhead);
-    ("prefetch", prefetch); ("calib", calib); ("feedback", feedback);
+    ("prefetch", prefetch); ("calib", calib);
     ("sharing", sharing); ("adapt", adapt); ("obs", obs);
     ("baseline", baseline); ("throughput", throughput);
     ("param-cache", param_cache);

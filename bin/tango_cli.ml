@@ -307,7 +307,7 @@ let shards_arg =
 
 let prefetch_arg =
   Arg.(value & opt (some int) None
-       & info [ "row-prefetch" ] ~docv:"N" ~doc:"Client row-prefetch setting.")
+       & info [ "row-prefetch" ] ~docv:"N" ~doc:"Rows shipped per DBMS round trip.")
 
 let no_hist_arg =
   Arg.(value & flag

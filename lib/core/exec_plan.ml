@@ -24,7 +24,7 @@ type node = {
   mutable out_bytes : float;
   mutable out_tuples : int;
   mutable page_reads : int;  (** inclusive: DBMS pages read while running *)
-  mutable roundtrips : int;  (** inclusive: client round trips while running *)
+  mutable roundtrips : int;  (** inclusive: boundary round trips while running *)
 }
 
 and kind =
@@ -295,9 +295,9 @@ let run_ctx ?(share_transfers = true) topology =
   { topology; share_transfers; fetched = Hashtbl.create 4 }
 
 (* Global counters snapshotted around each node's init/next_batch to
-   attribute inclusive page reads and client round trips to operators
+   attribute inclusive page reads and boundary round trips to operators
    (same inclusive convention as [elapsed_us]).  These are the storage
-   and client layers' own counters, shared by name. *)
+   layer's and the backends' own counters, shared by name. *)
 let c_page_reads = Tango_obs.Counter.make "storage.page_reads"
 let c_roundtrips = Tango_obs.Counter.make "client.roundtrips"
 

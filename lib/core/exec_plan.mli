@@ -20,7 +20,7 @@ type node = {
   mutable out_bytes : float;
   mutable out_tuples : int;
   mutable page_reads : int;  (** inclusive: DBMS pages read while running *)
-  mutable roundtrips : int;  (** inclusive: client round trips while running *)
+  mutable roundtrips : int;  (** inclusive: boundary round trips while running *)
 }
 
 and kind =
@@ -87,7 +87,7 @@ val to_cursor : Tango_dbms.Topology.t -> node -> Tango_xxl.Cursor.t
 val to_trace : node -> Tango_obs.Trace.span
 (** Convert an executed (measured) plan into a span subtree — one span per
     operator with wall time, tuples/bytes produced, and inclusive page
-    reads / client round trips — ready to graft into a query trace. *)
+    reads / boundary round trips — ready to graft into a query trace. *)
 
 val kind_name : node -> string
 val children : node -> node list

@@ -1,6 +1,6 @@
 (** TANGO — the temporal middleware session (paper Figure 1).
 
-    A session owns a client connection to the conventional DBMS and drives
+    A session owns a backend connection to the conventional DBMS and drives
     the full pipeline:
 
     + parse temporal SQL into the initial plan (all processing in the DBMS,
@@ -12,7 +12,7 @@
     + translate DBMS-resident parts to SQL and execute the plan through the
       iterator engine — {!Exec_plan};
     + optionally adapt cost factors from measured per-algorithm times
-      (the paper's performance-feedback loop). *)
+      (the paper's performance-feedback loop) — {!Tango_profile.Adapt}. *)
 
 open Tango_rel
 open Tango_algebra
@@ -33,8 +33,6 @@ module Config = struct
     roundtrip_spin : int;
     selectivity_mode : Selectivity.mode;
     histograms : bool;
-    feedback : bool;
-    feedback_alpha : float;
     max_memo_elements : int;
     share_transfers : bool;
     tracing : bool;
@@ -50,12 +48,10 @@ module Config = struct
 
   let default =
     {
-      row_prefetch = Client.default_row_prefetch;
-      roundtrip_spin = Client.default_roundtrip_spin;
+      row_prefetch = Backend.default_row_prefetch;
+      roundtrip_spin = Backend.default_roundtrip_spin;
       selectivity_mode = Selectivity.Temporal;
       histograms = true;
-      feedback = false;
-      feedback_alpha = 0.3;
       max_memo_elements = 5_000;
       share_transfers = true;
       tracing = false;
@@ -73,12 +69,6 @@ module Config = struct
   let with_roundtrip_spin n c = { c with roundtrip_spin = n }
   let with_selectivity_mode m c = { c with selectivity_mode = m }
   let with_histograms b c = { c with histograms = b }
-  let with_feedback ?alpha b c =
-    {
-      c with
-      feedback = b;
-      feedback_alpha = Option.value ~default:c.feedback_alpha alpha;
-    }
   let with_max_memo_elements n c = { c with max_memo_elements = n }
   let with_transfer_sharing b c = { c with share_transfers = b }
   let with_tracing b c = { c with tracing = b }
@@ -303,16 +293,7 @@ let connect ?(config = Config.default) ?row_prefetch ?roundtrip_spin
 let topology t = t.topology
 let primary t = Topology.primary t.topology
 
-let client t =
-  match Backend.client (primary t) with
-  | Some c -> c
-  | None -> invalid_arg "Middleware.client: primary backend is not in-process"
-
-let database t =
-  match Backend.database (primary t) with
-  | Some db -> db
-  | None ->
-      invalid_arg "Middleware.database: primary backend is not in-process"
+let database t = Option.get (Backend.database (primary t))
 
 let factors t = t.factors
 let backend_factors t = t.backend_factors
@@ -359,13 +340,10 @@ let calibrate ?sizes t =
   let prim = primary t in
   List.iter
     (fun b ->
-      match Backend.client b with
-      | None -> ()  (* nothing to microbenchmark against *)
-      | Some c ->
-          let measured = Calibrate.run ?sizes c in
-          Tango_profile.Backend_factors.set t.backend_factors (Backend.name b)
-            measured;
-          if b == prim then Factors.blend ~alpha:1.0 t.factors measured)
+      let measured = Calibrate.run ?sizes b in
+      Tango_profile.Backend_factors.set t.backend_factors (Backend.name b)
+        measured;
+      if b == prim then Factors.blend ~alpha:1.0 t.factors measured)
     (Topology.backends t.topology);
   invalidate_plan_cache t ~reason:"calibrate"
 
@@ -623,49 +601,6 @@ let with_query_trace t name (f : unit -> report) : report =
         raise e
   end
 
-(* Feedback: turn measured per-node times into factor observations and
-   blend them in.  Dividing TRANSFER^M time between the transfer and the
-   DBMS work below it is not possible from out here (the paper calls this
-   an "interesting challenge"), so the whole time is attributed to the
-   transfer factor. *)
-let apply_feedback t (root : Exec_plan.node) =
-  let observed = Factors.copy t.factors in
-  let sum_children n =
-    List.fold_left
-      (fun acc (c : Exec_plan.node) -> acc +. c.Exec_plan.elapsed_us)
-      0.0 (Exec_plan.children n)
-  in
-  let in_bytes n =
-    match Exec_plan.children n with
-    | [] -> n.Exec_plan.out_bytes
-    | cs ->
-        List.fold_left
-          (fun acc (c : Exec_plan.node) -> acc +. c.Exec_plan.out_bytes)
-          0.0 cs
-  in
-  Exec_plan.iter
-    (fun n ->
-      let own = Float.max 0.0 (n.Exec_plan.elapsed_us -. sum_children n) in
-      let ib = Float.max 1.0 (in_bytes n) in
-      let ob = Float.max 1.0 n.Exec_plan.out_bytes in
-      match n.Exec_plan.kind with
-      | Exec_plan.Transfer_m _ | Exec_plan.Scatter _ ->
-          observed.Factors.p_tm <- own /. ob
-      | Exec_plan.Sort _ ->
-          observed.Factors.p_sortm <-
-            own /. (ib *. Formulas.sort_levels ~size:ib)
-      | Exec_plan.Filter _ -> observed.Factors.p_sem <- own /. ib
-      | Exec_plan.Project _ -> observed.Factors.p_pm <- own /. ib
-      | Exec_plan.Taggr _ -> observed.Factors.p_taggm1 <- own /. ib
-      | Exec_plan.Merge_join _ -> observed.Factors.p_mjm1 <- own /. ib
-      | Exec_plan.Tjoin _ -> observed.Factors.p_tjm1 <- own /. ib
-      | Exec_plan.Sort_noop _ | Exec_plan.Dupelim _ | Exec_plan.Coalesce _
-      | Exec_plan.Difference _ ->
-          ())
-    root;
-  Factors.blend ~alpha:t.config.Config.feedback_alpha t.factors observed;
-  Log.debug (fun m -> m "feedback: %a" Factors.pp t.factors)
-
 (* One execution's measurements. *)
 type execution = {
   result : Relation.t;
@@ -713,7 +648,6 @@ let execute_physical_full t (physical : Physical.plan) : execution =
                 Tango_obs.Trace.graft (Exec_plan.to_trace exec);
                 r)))
   in
-  if t.config.Config.feedback then apply_feedback t exec;
   {
     result;
     exec;

@@ -1,6 +1,6 @@
 (** TANGO — the temporal middleware session (paper Figure 1).
 
-    A session owns a client connection to the conventional DBMS and drives
+    A session owns a backend connection to the conventional DBMS and drives
     the full pipeline: parse temporal SQL into the initial plan, collect
     statistics, optimize (transformation rules + cost-based physical
     search), translate DBMS-resident parts to SQL, execute through the
@@ -31,13 +31,11 @@ module Config : sig
             ({!Tango_verify.Gate}) — a debug mode *)
 
   type t = {
-    row_prefetch : int;  (** client rows fetched per round trip *)
+    row_prefetch : int;  (** rows fetched per boundary round trip *)
     roundtrip_spin : int;  (** simulated per-round-trip latency spin *)
     selectivity_mode : Tango_stats.Selectivity.mode;
         (** [Temporal] (default) or [Naive] — the §3.3 comparison toggle *)
     histograms : bool;  (** collect histograms during ANALYZE *)
-    feedback : bool;  (** adapt cost factors from measured times *)
-    feedback_alpha : float;  (** blending weight for feedback *)
     max_memo_elements : int;  (** optimizer memo growth bound *)
     share_transfers : bool;
         (** fetch alpha-equivalent `TRANSFER^M` statements once per query
@@ -85,9 +83,6 @@ module Config : sig
   val with_selectivity_mode : Tango_stats.Selectivity.mode -> t -> t
   val with_histograms : bool -> t -> t
 
-  val with_feedback : ?alpha:float -> bool -> t -> t
-  (** [alpha] additionally overrides the blending weight. *)
-
   val with_max_memo_elements : int -> t -> t
   val with_transfer_sharing : bool -> t -> t
   val with_tracing : bool -> t -> t
@@ -120,7 +115,7 @@ type t
 
 val log_src : Logs.src
 (** The middleware's log source ([tango.middleware]); set its level to see
-    chosen plans, execution times and feedback updates. *)
+    chosen plans, execution times and cost-factor refits. *)
 
 val connect :
   ?config:Config.t ->
@@ -141,13 +136,8 @@ val connect_topology : ?config:Config.t -> Tango_dbms.Topology.t -> t
 val topology : t -> Tango_dbms.Topology.t
 val primary : t -> Tango_dbms.Backend.t
 
-val client : t -> Tango_dbms.Client.t
-(** The primary backend's in-process client; raises [Invalid_argument] if
-    the primary backend is not in-process. *)
-
 val database : t -> Tango_dbms.Database.t
-(** The primary backend's in-process database; raises [Invalid_argument]
-    if the primary backend is not in-process. *)
+(** The primary backend's database. *)
 
 val factors : t -> Tango_cost.Factors.t
 (** The session's (mutable) cost factors. *)
@@ -250,8 +240,9 @@ type cache_report = {
 }
 
 type backend_breakdown = Tango_xxl.Attribution.breakdown = {
-  rows : int;  (** tuples that crossed this backend's client boundary *)
-  bytes : int;  (** their marshalled volume *)
+  rows : int;  (** tuples that crossed this backend's boundary (its
+      {!Tango_dbms.Backend.tuples_shipped} delta) *)
+  bytes : int;  (** their wire bytes ({!Tango_dbms.Backend.bytes_shipped}) *)
   us : float;  (** transfer time: time inside boundary calls *)
   wait_us : float;
       (** gather-wait time: how long the merge sat blocked on this
@@ -322,7 +313,7 @@ type report = {
   phases : phases;  (** per-phase latency breakdown of this run *)
   backends : (string * backend_breakdown) list;
       (** per-backend attribution, in first-touch order; [[]] when the
-          plan never crossed a client boundary *)
+          plan never crossed a backend boundary *)
 }
 
 exception No_plan of string

@@ -2,7 +2,7 @@
 
     Like Du et al. [4], the middleware deduces cost factors by running a
     small set of designed probe queries against the actual substrate (its
-    own algorithms, and the DBMS through the client boundary) and fitting
+    own algorithms, and the DBMS through the backend boundary) and fitting
     the formula coefficients to measured times.  Probes use synthetic
     relations so calibration is independent of user data.
 
@@ -117,10 +117,10 @@ let refit ?(min_samples = 3) ~(base : Factors.t) (obs : observation list) :
   in
   (f, List.sort compare refitted)
 
-(** Run calibration against [client]'s database.  Returns fresh factors;
+(** Run calibration against [backend]'s database.  Returns fresh factors;
     does not modify any existing ones. *)
-let run ?(sizes = default_sizes) (client : Client.t) : Factors.t =
-  let db = Client.database client in
+let run ?(sizes = default_sizes) (backend : Backend.t) : Factors.t =
+  let db = Option.get (Backend.database backend) in
   let f = Factors.default () in
   let r_small = probe_relation ~n:sizes.small ~keys:max_int in
   let r_large = probe_relation ~n:sizes.large ~keys:max_int in
@@ -150,10 +150,12 @@ let run ?(sizes = default_sizes) (client : Client.t) : Factors.t =
       let fetch_time name =
         fst
           (time_us (fun () ->
-               ignore
-                 (Client.fetch_all
-                    (Client.execute_query client
-                       (Printf.sprintf "SELECT K, V, T1, T2 FROM %s" name)))))
+               let cur =
+                 Backend.execute_query backend
+                   (Parser.query
+                      (Printf.sprintf "SELECT K, V, T1, T2 FROM %s" name))
+               in
+               while Backend.fetch_batch cur <> None do () done))
       in
       let t_tm = slope (s_small, fetch_time "CAL_SMALL") (s_large, fetch_time "CAL_LARGE") in
       f.p_tm <- Float.max 1e-6 (t_tm -. f.p_scan);
@@ -162,7 +164,7 @@ let run ?(sizes = default_sizes) (client : Client.t) : Factors.t =
         let t, () =
           time_us (fun () ->
               ignore
-                (Client.bulk_load client ~table:"CAL_TD" probe_schema
+                (Backend.bulk_load backend ~table:"CAL_TD" probe_schema
                    (Array.to_seq (Relation.tuples r))))
         in
         Database.drop_table db "CAL_TD";

@@ -13,8 +13,8 @@ type probe_sizes = { small : int; large : int }
 
 val default_sizes : probe_sizes
 
-val run : ?sizes:probe_sizes -> Client.t -> Factors.t
-(** Calibrate against the client's database; returns fresh factors and
+val run : ?sizes:probe_sizes -> Backend.t -> Factors.t
+(** Calibrate against the backend's database; returns fresh factors and
     leaves no tables behind. *)
 
 (** {2 Refitting from observed executions}

@@ -1,193 +1,159 @@
-(** Backend: the packed DBMS-under-the-middleware abstraction.  See the
-    interface for the contract. *)
+(** The middleware⇄DBMS boundary over one in-process database.  See the
+    interface for the marshalling and metering contract. *)
 
 open Tango_rel
 open Tango_sql
 
-module type S = sig
-  type conn
-  type cursor
-
-  val kind : string
-  val execute_query : conn -> Ast.query -> cursor
-  val cursor_schema : cursor -> Schema.t
-  val fetch_batch : cursor -> Tuple.t array option
-  val execute_update : conn -> string -> int
-  val bulk_load : conn -> table:string -> Schema.t -> Tuple.t Seq.t -> string
-  val drop_table : conn -> string -> unit
-  val table_exists : conn -> string -> bool
-  val table_schema : conn -> string -> Schema.t
-
-  val analyze :
-    conn -> ?histograms:[ `All | `Cols of string list | `None ] -> string -> unit
-
-  val schema_generation : conn -> int
-  val counters : conn -> int * int * int
-  val close : conn -> unit
-end
-
-(* Per-backend meters: session totals plus process-wide mirrors (the
-   [backend.<name>.*] names the Prometheus endpoint renders).  Counters are
-   find-or-create by name, so two backends with the same name share the
-   process-wide mirrors — sessions should pick distinct shard names. *)
-type meters = {
-  mutable m_roundtrips : int;
-  mutable m_tuples : int;
-  mutable m_bytes : int;
-  c_roundtrips : Tango_obs.Counter.t;
+type t = {
+  name : string;
+  db : Database.t;
+  mutable row_prefetch : int;  (** tuples shipped per round trip *)
+  mutable roundtrip_spin : int;  (** latency stand-in: spin iterations *)
+  mutable roundtrips : int;
+  mutable tuples_shipped : int;
+  mutable bytes_shipped : int;  (** wire bytes *)
+  c_roundtrips : Tango_obs.Counter.t;  (** [backend.<name>.*] mirrors *)
   c_tuples : Tango_obs.Counter.t;
   c_bytes : Tango_obs.Counter.t;
 }
 
-(* The pack is a record of closures over the implementation's connection —
-   the existential: [conn]/[cursor] never escape. *)
-type cursor = {
-  cur_schema : Schema.t;
-  cur_fetch_batch : unit -> Tuple.t array option;
-}
+(* process-wide totals over every backend (see Tango_obs) *)
+let c_roundtrips = Tango_obs.Counter.make "client.roundtrips"
+let c_tuples_shipped = Tango_obs.Counter.make "client.tuples_shipped"
+let c_bytes_shipped = Tango_obs.Counter.make "client.bytes_shipped"
+let c_queries = Tango_obs.Counter.make "client.queries"
+let c_bulk_loads = Tango_obs.Counter.make "client.bulk_loads"
 
-type t = {
-  name : string;
-  kind_ : string;
-  client_opt : Client.t option;
-  meters : meters;
-  f_counters : unit -> int * int * int;
-  f_query : Ast.query -> cursor;
-  f_update : string -> int;
-  f_bulk_load : table:string -> Schema.t -> Tuple.t Seq.t -> string;
-  f_drop_table : string -> unit;
-  f_table_exists : string -> bool;
-  f_table_schema : string -> Schema.t;
-  f_analyze :
-    histograms:[ `All | `Cols of string list | `None ] option -> string -> unit;
-  f_generation : unit -> int;
-  f_close : unit -> unit;
-}
+let default_row_prefetch = 10 (* Oracle JDBC's historical default *)
+let default_roundtrip_spin = 20_000
 
-let make_meters name =
-  let c tail = Tango_obs.Counter.make (Printf.sprintf "backend.%s.%s" name tail) in
-  { m_roundtrips = 0; m_tuples = 0; m_bytes = 0;
-    c_roundtrips = c "roundtrips"; c_tuples = c "tuples_shipped";
-    c_bytes = c "bytes_shipped" }
+(* Every round trip ships at least one row. *)
+let clamp_prefetch n = max 1 n
 
-(* Account the boundary work [f] caused, by diffing the implementation's
-   connection counters around the call.  All crossings — queries, fetches,
-   bulk loads — flow through the same meter. *)
-let metered meters counters f =
-  let r0, t0, y0 = counters () in
-  let finish () =
-    let r1, t1, y1 = counters () in
-    let dr = r1 - r0 and dt = t1 - t0 and dy = y1 - y0 in
-    if dr <> 0 then begin
-      meters.m_roundtrips <- meters.m_roundtrips + dr;
-      Tango_obs.Counter.add meters.c_roundtrips dr
-    end;
-    if dt <> 0 then begin
-      meters.m_tuples <- meters.m_tuples + dt;
-      Tango_obs.Counter.add meters.c_tuples dt
-    end;
-    if dy <> 0 then begin
-      meters.m_bytes <- meters.m_bytes + dy;
-      Tango_obs.Counter.add meters.c_bytes dy
-    end
+let in_process ?(name = "db") ?(row_prefetch = default_row_prefetch)
+    ?(roundtrip_spin = default_roundtrip_spin) db =
+  let c tail =
+    Tango_obs.Counter.make (Printf.sprintf "backend.%s.%s" name tail)
   in
-  match f () with
-  | v -> finish (); v
-  | exception e -> finish (); raise e
-
-let make (type c) (module M : S with type conn = c) (conn : c) ~name ?client ()
-    : t =
-  let meters = make_meters name in
-  let counters () = M.counters conn in
-  let m f = metered meters counters f in
   {
     name;
-    kind_ = M.kind;
-    client_opt = client;
-    meters;
-    f_counters = counters;
-    f_query =
-      (fun q ->
-        let cur = m (fun () -> M.execute_query conn q) in
-        {
-          cur_schema = M.cursor_schema cur;
-          cur_fetch_batch = (fun () -> m (fun () -> M.fetch_batch cur));
-        });
-    f_update = (fun sql -> m (fun () -> M.execute_update conn sql));
-    f_bulk_load =
-      (fun ~table schema seq ->
-        m (fun () -> M.bulk_load conn ~table schema seq));
-    f_drop_table = (fun tbl -> M.drop_table conn tbl);
-    f_table_exists = (fun tbl -> M.table_exists conn tbl);
-    f_table_schema = (fun tbl -> M.table_schema conn tbl);
-    f_analyze = (fun ~histograms tbl -> M.analyze conn ?histograms tbl);
-    f_generation = (fun () -> M.schema_generation conn);
-    f_close = (fun () -> M.close conn);
+    db;
+    row_prefetch = clamp_prefetch row_prefetch;
+    roundtrip_spin = max 0 roundtrip_spin;
+    roundtrips = 0;
+    tuples_shipped = 0;
+    bytes_shipped = 0;
+    c_roundtrips = c "roundtrips";
+    c_tuples = c "tuples_shipped";
+    c_bytes = c "bytes_shipped";
   }
 
-module In_process : S with type conn = Client.t = struct
-  type conn = Client.t
-  type cursor = Client.cursor
-
-  let kind = "in_process"
-  let execute_query = Client.execute_query_ast
-  let cursor_schema = Client.cursor_schema
-  let fetch_batch = Client.fetch_batch
-  let execute_update = Client.execute_update
-  let bulk_load = Client.bulk_load
-
-  let drop_table c table =
-    if Database.table_exists (Client.database c) table then
-      Database.drop_table (Client.database c) table
-
-  let table_exists c table = Database.table_exists (Client.database c) table
-  let table_schema c table = Database.table_schema (Client.database c) table
-
-  let analyze c ?histograms table =
-    ignore (Database.analyze (Client.database c) ?histograms table)
-
-  let schema_generation c = Database.schema_generation (Client.database c)
-
-  let counters c =
-    (Client.roundtrips c, Client.tuples_shipped c, Client.bytes_shipped c)
-
-  let close _ = ()
-end
-
-let of_client ?(name = "db") client =
-  make (module In_process) client ~name ~client ()
-
-let in_process ?(name = "db") ?row_prefetch ?roundtrip_spin db =
-  of_client ~name (Client.connect ?row_prefetch ?roundtrip_spin db)
-
 let name b = b.name
-let kind b = b.kind_
-let client b = b.client_opt
-let database b = Option.map Client.database b.client_opt
+let database b = Some b.db
+let set_row_prefetch b n = b.row_prefetch <- clamp_prefetch n
+let set_roundtrip_spin b n = b.roundtrip_spin <- max 0 n
 
-let execute_query b q = b.f_query q
-let cursor_schema cur = cur.cur_schema
-let fetch_batch cur = cur.cur_fetch_batch ()
-let execute_update b sql = b.f_update sql
-let bulk_load b ~table schema seq = b.f_bulk_load ~table schema seq
-let drop_table b table = b.f_drop_table table
-let table_exists b table = b.f_table_exists table
-let table_schema b table = b.f_table_schema table
-let analyze b ?histograms table = b.f_analyze ~histograms table
-let schema_generation b = b.f_generation ()
-let close b = b.f_close ()
-
-let set_row_prefetch b n =
-  Option.iter (fun c -> Client.set_row_prefetch c n) b.client_opt
-
-let set_roundtrip_spin b n =
-  Option.iter (fun c -> Client.set_roundtrip_spin c n) b.client_opt
-
-let roundtrips b = b.meters.m_roundtrips
-let tuples_shipped b = b.meters.m_tuples
-let bytes_shipped b = b.meters.m_bytes
+let roundtrips b = b.roundtrips
+let tuples_shipped b = b.tuples_shipped
+let bytes_shipped b = b.bytes_shipped
 
 let reset_meters b =
-  b.meters.m_roundtrips <- 0;
-  b.meters.m_tuples <- 0;
-  b.meters.m_bytes <- 0
+  b.roundtrips <- 0;
+  b.tuples_shipped <- 0;
+  b.bytes_shipped <- 0
+
+(* The latency stand-in: a data-dependent spin the compiler cannot remove. *)
+let spin b =
+  let acc = ref 0 in
+  for i = 1 to b.roundtrip_spin do
+    acc := (!acc + i) land 0xFFFF
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+(* The one ship path: one round trip carries [batch] through a wire buffer
+   (serialize + parse) and is metered once. *)
+let ship b (batch : Tuple.t list) : Tuple.t list =
+  spin b;
+  let buf = Buffer.create 4096 in
+  List.iter (Tuple.serialize buf) batch;
+  let wire = Buffer.contents buf in
+  let pos = ref 0 in
+  let parsed =
+    List.map
+      (fun _ ->
+        let t, p = Tuple.deserialize wire !pos in
+        pos := p;
+        t)
+      batch
+  in
+  let tuples = List.length parsed and bytes = String.length wire in
+  b.roundtrips <- b.roundtrips + 1;
+  b.tuples_shipped <- b.tuples_shipped + tuples;
+  b.bytes_shipped <- b.bytes_shipped + bytes;
+  Tango_obs.Counter.incr b.c_roundtrips;
+  Tango_obs.Counter.add b.c_tuples tuples;
+  Tango_obs.Counter.add b.c_bytes bytes;
+  Tango_obs.Counter.incr c_roundtrips;
+  Tango_obs.Counter.add c_tuples_shipped tuples;
+  Tango_obs.Counter.add c_bytes_shipped bytes;
+  parsed
+
+type cursor = {
+  backend : t;
+  mutable pending : Tuple.t list;  (** rows not yet shipped *)
+}
+
+(* Like a JDBC statement: the (already computed) result streams to the
+   middleware as the cursor is advanced. *)
+let execute_query b (q : Ast.query) : cursor =
+  Tango_obs.Counter.incr c_queries;
+  {
+    backend = b;
+    pending = Array.to_list (Relation.tuples (Database.query_ast b.db q));
+  }
+
+let fetch_batch (cur : cursor) : Tuple.t array option =
+  match cur.pending with
+  | [] -> None
+  | pending ->
+      let rec take k = function
+        | x :: rest when k > 0 ->
+            let taken, rem = take (k - 1) rest in
+            (x :: taken, rem)
+        | rest -> ([], rest)
+      in
+      let batch, rest = take cur.backend.row_prefetch pending in
+      cur.pending <- rest;
+      Some (Array.of_list (ship cur.backend batch))
+
+(* Stream the tuples into a fresh table in prefetch-sized batches, writing
+   them straight into fresh pages. *)
+let bulk_load b ~table (schema : Schema.t) (tuples : Tuple.t Seq.t) : string =
+  Tango_obs.Counter.incr c_bulk_loads;
+  Database.create_table b.db table (Schema.unqualify schema);
+  let cat_table = Catalog.find (Database.catalog b.db) table in
+  let batch = ref [] in
+  let batch_len = ref 0 in
+  let flush () =
+    if !batch_len > 0 then begin
+      List.iter
+        (fun t ->
+          ignore (Tango_storage.Heap_file.append cat_table.Catalog.file t))
+        (ship b (List.rev !batch));
+      batch := [];
+      batch_len := 0
+    end
+  in
+  Seq.iter
+    (fun t ->
+      batch := t :: !batch;
+      incr batch_len;
+      if !batch_len >= b.row_prefetch then flush ())
+    tuples;
+  flush ();
+  table
+
+let drop_table b table =
+  if Database.table_exists b.db table then Database.drop_table b.db table
+
+let table_exists b table = Database.table_exists b.db table

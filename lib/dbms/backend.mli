@@ -1,123 +1,85 @@
-(** The backend abstraction: everything the middleware needs from a DBMS
-    under the temporal layer, factored out of {!Client} so that several
-    backends — each holding a partition of the data — can sit behind one
-    middleware session (see {!Topology}).
+(** The middleware⇄DBMS boundary — the JDBC stand-in — over one in-process
+    {!Database}.
 
-    Implementations provide the module type {!S}; {!make} packs an
-    implementation together with an open connection into the first-class
-    handle {!t} the rest of the system works with.  The handle meters every
-    boundary crossing into per-backend [backend.<name>.*] counters of
-    {!Tango_obs} (visible on [/metrics]), next to the process-wide
-    [client.*] totals.
+    Every tuple crossing this boundary pays real marshalling work: it is
+    serialized into a wire buffer and parsed back on the other side.
+    Fetches and bulk loads are batched by a row-prefetch setting (the paper
+    notes Oracle JDBC's row prefetch affects `TRANSFER^M`), and each round
+    trip additionally costs a configurable CPU spin standing in for network
+    latency, so small prefetch values hurt, as they do over a real wire.
 
-    A backend's {e cost-factor handle} is its {!name}: the profile layer
-    keys per-backend calibrated cost factors by it, so shards behind
-    different (simulated) latencies calibrate independently. *)
+    Several backends — each holding a partition of the data — can sit
+    behind one middleware session (see {!Topology}).  A backend's
+    {e cost-factor handle} is its {!name}: the profile layer keys
+    per-backend calibrated cost factors by it, so shards behind different
+    (simulated) latencies calibrate independently.
+
+    {b Meter.}  Each shipped batch is counted once: into the backend's own
+    totals ({!roundtrips}, {!tuples_shipped}, {!bytes_shipped}), into the
+    per-backend [backend.<name>.*] counters of {!Tango_obs}, and into the
+    process-wide [client.*] totals over all backends (both visible on
+    [/metrics]).  Counters are find-or-create by name, so two backends
+    with the same name share their [backend.<name>.*] counters — sessions
+    should pick distinct shard names. *)
 
 open Tango_rel
 open Tango_sql
 
-(** What a backend implementation must provide.  [conn] is an open
-    connection; [cursor] a server-side result being drained. *)
-module type S = sig
-  type conn
-  type cursor
-
-  val kind : string
-  (** Implementation family name (e.g. ["in_process"]). *)
-
-  val execute_query : conn -> Ast.query -> cursor
-  val cursor_schema : cursor -> Schema.t
-  val fetch_batch : cursor -> Tuple.t array option
-  (** The only way to drain a cursor: [None] at exhaustion, never an
-      empty array. *)
-
-  val execute_update : conn -> string -> int
-
-  val bulk_load : conn -> table:string -> Schema.t -> Tuple.t Seq.t -> string
-  (** Direct-path load into a fresh table; returns the table name. *)
-
-  val drop_table : conn -> string -> unit
-  val table_exists : conn -> string -> bool
-  val table_schema : conn -> string -> Schema.t
-
-  val analyze :
-    conn -> ?histograms:[ `All | `Cols of string list | `None ] -> string -> unit
-
-  val schema_generation : conn -> int
-  (** Monotone DDL/ANALYZE generation (see {!Database.schema_generation}). *)
-
-  val counters : conn -> int * int * int
-  (** [(roundtrips, tuples_shipped, bytes_shipped)] since connect — the
-      meter {!make} diffs around each operation. *)
-
-  val close : conn -> unit
-end
-
 type t
-(** A packed backend: an implementation of {!S} plus its connection. *)
 
-type cursor
-(** A metered cursor on some backend. *)
+val default_row_prefetch : int
+(** 10 — Oracle JDBC's historical default. *)
 
-val make :
-  (module S with type conn = 'c) -> 'c -> name:string -> ?client:Client.t ->
-  unit -> t
-(** Pack connection [conn] of implementation [m] as backend [name].
-    [client] is the in-process escape hatch (see {!client}). *)
+val default_roundtrip_spin : int
 
 val in_process :
   ?name:string -> ?row_prefetch:int -> ?roundtrip_spin:int -> Database.t -> t
-(** The first (and reference) implementation: an in-process
-    {!Tango_dbms} reached through the marshalling {!Client} boundary.
-    Default [name] is ["db"]. *)
-
-val of_client : ?name:string -> Client.t -> t
-(** Wrap an already-open in-process client. *)
+(** Connect to [db] as backend [name] (default ["db"]).  [row_prefetch] is
+    clamped to at least 1, as by {!set_row_prefetch}. *)
 
 val name : t -> string
 (** The backend's name — also its cost-factor handle. *)
 
-val kind : t -> string
-
-val client : t -> Client.t option
-(** The underlying in-process client, when the backend is in-process.
-    Calibration ({!Tango_cost}-level microbenchmarks) and the workload
-    loaders need the raw boundary; remote implementations return [None]. *)
-
 val database : t -> Database.t option
-(** The in-process database behind {!client}, when available. *)
-
-(** {1 Operations} — each is metered into the backend's counters. *)
-
-val execute_query : t -> Ast.query -> cursor
-val cursor_schema : cursor -> Schema.t
-val fetch_batch : cursor -> Tuple.t array option
-val execute_update : t -> string -> int
-val bulk_load : t -> table:string -> Schema.t -> Tuple.t Seq.t -> string
-val drop_table : t -> string -> unit
-val table_exists : t -> string -> bool
-val table_schema : t -> string -> Schema.t
-
-val analyze :
-  t -> ?histograms:[ `All | `Cols of string list | `None ] -> string -> unit
-
-val schema_generation : t -> int
-val close : t -> unit
+(** The database behind the boundary; always [Some]. *)
 
 val set_row_prefetch : t -> int -> unit
-(** In-process only; a no-op on other implementations. *)
+(** Tuples shipped per round trip, clamped to at least 1. *)
 
 val set_roundtrip_spin : t -> int -> unit
-(** In-process only; a no-op on other implementations. *)
+(** Spin iterations per round trip (the latency stand-in), at least 0. *)
 
-(** {1 Per-backend meters}
+(** {1 Operations} *)
 
-    Totals since {!make}; also mirrored to the process-wide
-    [backend.<name>.roundtrips]/[...tuples_shipped]/[...bytes_shipped]
-    counters of {!Tango_obs}. *)
+(** A server-side cursor being drained by the middleware; rows stream to
+    the middleware in prefetch-sized batches as the cursor advances. *)
+type cursor
+
+val execute_query : t -> Ast.query -> cursor
+
+val fetch_batch : cursor -> Tuple.t array option
+(** The next prefetch batch, shipped over the wire in one round trip
+    ([None] at exhaustion, never an empty array). *)
+
+val bulk_load : t -> table:string -> Schema.t -> Tuple.t Seq.t -> string
+(** Direct-path bulk load — the SQL*Loader analogue used by `TRANSFER^D`:
+    creates [table] (schema unqualified) and streams tuples to the server
+    in prefetch-sized batches, one round trip each.  Returns the table
+    name. *)
+
+val drop_table : t -> string -> unit
+(** Drop [table] if it exists. *)
+
+val table_exists : t -> string -> bool
+
+(** {1 Meter}
+
+    Totals since {!in_process} or the last {!reset_meters}. *)
 
 val roundtrips : t -> int
 val tuples_shipped : t -> int
+
 val bytes_shipped : t -> int
+(** Wire bytes marshalled across the boundary. *)
+
 val reset_meters : t -> unit

@@ -2,7 +2,7 @@
 
     Accepts SQL text (or pre-parsed statements), maintains the catalog, and
     exposes ANALYZE and index DDL.  The middleware accesses it only through
-    this module and {!Client}, mirroring the paper's JDBC boundary. *)
+    this module and {!Backend}, mirroring the paper's JDBC boundary. *)
 
 open Tango_rel
 open Tango_sql

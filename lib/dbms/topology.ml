@@ -55,5 +55,3 @@ let quantile_bounds values n =
           hi = (if i = n - 1 then None else cut (i + 1));
         })
   end
-
-let close t = List.iter Backend.close (backends t)

@@ -63,6 +63,3 @@ val quantile_bounds : int array -> int -> bounds list
     splitting the (unsorted) chronon sample [values] at its quantiles, so
     skewed data still partitions evenly.  First bound is open below, last
     open above. *)
-
-val close : t -> unit
-(** Close every backend. *)

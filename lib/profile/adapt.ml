@@ -43,7 +43,7 @@ let maybe_refit ?(params = default_params) (store : Feedback.t)
           | Some v -> ignore (Factors.set_by_name factors name v)
           | None -> ())
         refitted;
-      Feedback.clear_window store;
+      Feedback.clear_factors store refitted;
       Tango_obs.Counter.incr refits;
       Log.info (fun m ->
           m "adaptive recalibration: refitted %s; factors now %a"

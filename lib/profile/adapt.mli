@@ -25,5 +25,6 @@ val maybe_refit :
 (** Check the store's per-factor q-error aggregates; when any factor
     crosses the threshold with enough samples, refit every such factor
     from the store's observation window, install the new coefficients
-    into [factors] (in place), clear the window, and return the refitted
-    names.  [None] when no adaptation was warranted. *)
+    into [factors] (in place), clear the refitted factors' evidence (every
+    other factor keeps its own), and return the refitted names.  [None]
+    when no adaptation was warranted. *)

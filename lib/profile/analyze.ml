@@ -98,7 +98,7 @@ let observation_of ~(factors : Factors.t) (p : Physical.plan) ~in_bytes
   | Physical.Transfer_m_algo | Physical.Scatter_gather_m ->
       (* the whole time — wire plus the DBMS statement below it — goes to
          the transfer factor; splitting it is the paper's "interesting
-         challenge", and [Middleware.apply_feedback] makes the same call *)
+         challenge" *)
       obs "p_tm" out_bytes self_us
   | Physical.Sort_m ->
       obs "p_sortm" (in_bytes *. Formulas.sort_levels ~size:in_bytes) self_us

@@ -155,13 +155,16 @@ let factor_q (t : t) : (string * (int * float)) list =
 let observations (t : t) =
   Dsync.protect t.lock (fun () -> List.rev t.observations)
 
-let clear_window (t : t) =
+let clear_factors (t : t) names =
   Dsync.protect t.lock (fun () ->
-      t.observations <- [];
-      t.n_obs <- 0;
-      t.queries <- 0;
-      Hashtbl.reset t.frags;
-      Hashtbl.reset t.factors)
+      List.iter (Hashtbl.remove t.factors) names;
+      t.observations <-
+        List.filter
+          (fun (o : Calibrate.observation) ->
+            not (List.mem o.Calibrate.factor names))
+          t.observations;
+      t.n_obs <- List.length t.observations;
+      t.queries <- 0)
 
 let stats_to_json (s : stats) : Json.t =
   Json.Obj

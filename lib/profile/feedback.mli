@@ -31,7 +31,7 @@ val record : t -> Analyze.report -> unit
 (** Fold one analyzed execution into the store. *)
 
 val queries : t -> int
-(** Executions recorded since creation (or the last {!clear_window}). *)
+(** Executions recorded since creation (or the last {!clear_factors}). *)
 
 val find : t -> string -> stats option
 (** Aggregate statistics for one fragment fingerprint. *)
@@ -47,8 +47,9 @@ val factor_q : t -> (string * (int * float)) list
 val observations : t -> Calibrate.observation list
 (** The current refit window, oldest first. *)
 
-val clear_window : t -> unit
-(** Drop the refit observations and q-error aggregates (called after a
-    refit so the next adaptation needs fresh evidence). *)
+val clear_factors : t -> string list -> unit
+(** Drop the named factors' q-error aggregates and refit observations and
+    restart the {!queries} count — called after a refit, so a refitted
+    factor needs fresh evidence while every other factor keeps its own. *)
 
 val to_json : t -> Tango_obs.Json.t

@@ -16,7 +16,7 @@
 
 type breakdown = {
   rows : int;  (** tuples that crossed the boundary (both directions) *)
-  bytes : int;  (** bytes that crossed the boundary *)
+  bytes : int;  (** wire bytes that crossed the boundary *)
   us : float;  (** transfer time: time inside backend calls *)
   wait_us : float;
       (** gather-merge blocked time on this shard beyond [us] *)
@@ -35,8 +35,8 @@ val with_collector : t -> (unit -> 'a) -> 'a
     keep their own ledger). *)
 
 val active : unit -> bool
-(** Is a collector installed?  Lets callers skip byte-size accounting
-    when nobody is listening. *)
+(** Is a collector installed?  Lets callers skip the clock and meter
+    reads when nobody is listening. *)
 
 val transfer :
   backend:string -> rows:int -> bytes:int -> us:float -> alloc_bytes:int -> unit

@@ -1,9 +1,9 @@
 (** The transfer algorithms, `TRANSFER^M` and `TRANSFER^D` (paper
     Section 3.2), over the {!Tango_dbms.Backend} abstraction.
 
-    `TRANSFER^M` issues a SELECT to one backend through the client boundary
-    and streams the result tuples into the middleware (paying marshalling
-    and round-trip costs per {!Tango_dbms.Client}).  Under a sharded
+    `TRANSFER^M` issues a SELECT to one backend and streams the result
+    tuples into the middleware, paying the marshalling and round-trip costs
+    of the {!Tango_dbms.Backend} boundary.  Under a sharded
     topology, one `TRANSFER^M` per shard feeds a {!Gather} merge.
 
     `TRANSFER^D` creates a uniquely-named table and bulk-loads its whole
@@ -19,40 +19,33 @@ open Tango_rel
 open Tango_sql
 open Tango_dbms
 
-(* Time one boundary call against [backend]'s attribution lane; [rows]
-   extracts the crossing volume from the result.  Byte accounting only
-   runs when a collector is listening. *)
-let attributed backend ~rows f =
-  if not (Attribution.active ()) then f ()
+(* Calls nest: a streamed `TRANSFER^D` pulls its argument, possibly a
+   `TRANSFER^M` on the same backend, from inside the bulk load.  Only the
+   outermost call on a domain records, so nothing is counted twice. *)
+let depth = Domain.DLS.new_key (fun () -> ref 0)
+
+(* Time one boundary call against [backend]'s attribution lane; the rows
+   and bytes recorded are the backend meter's delta across the call. *)
+let attributed backend f =
+  let d = Domain.DLS.get depth in
+  if !d > 0 || not (Attribution.active ()) then f ()
   else begin
-    let name = Backend.name backend in
     let t0 = Tango_obs.mono_us () in
     let g0 = Tango_obs.Runtime.point () in
-    let finish r =
-      (* allocation delta first, before the byte-size fold below
-         allocates on our own account *)
+    let rows0 = Backend.tuples_shipped backend in
+    let bytes0 = Backend.bytes_shipped backend in
+    let finish () =
+      decr d;
       let alloc_bytes = (Tango_obs.Runtime.delta_since g0).alloc_bytes in
-      let us = Tango_obs.mono_us () -. t0 in
-      let tuples = rows r in
-      let bytes =
-        Array.fold_left (fun acc t -> acc + Tuple.byte_size t) 0 tuples
-      in
-      Attribution.transfer ~backend:name ~rows:(Array.length tuples) ~bytes ~us
+      Attribution.transfer ~backend:(Backend.name backend)
+        ~rows:(Backend.tuples_shipped backend - rows0)
+        ~bytes:(Backend.bytes_shipped backend - bytes0)
+        ~us:(Tango_obs.mono_us () -. t0)
         ~alloc_bytes
     in
-    match f () with
-    | r ->
-        finish r;
-        r
-    | exception e ->
-        Attribution.transfer ~backend:name ~rows:0 ~bytes:0
-          ~us:(Tango_obs.mono_us () -. t0)
-          ~alloc_bytes:(Tango_obs.Runtime.delta_since g0).alloc_bytes;
-        raise e
+    incr d;
+    Fun.protect ~finally:finish f
   end
-
-let no_rows _ = [||]
-let batch_rows = function Some b -> b | None -> [||]
 
 (** `TRANSFER^M`.  [schema] is the expected output schema (from the algebra);
     the SQL's column order must match. *)
@@ -64,14 +57,13 @@ let transfer_m (backend : Backend.t) ~(schema : Schema.t) (sql : Ast.query) :
        ~init:(fun () ->
          cur :=
            Some
-             (attributed backend ~rows:no_rows (fun () ->
+             (attributed backend (fun () ->
                   Backend.execute_query backend sql)))
        ~next_batch:(fun () ->
          match !cur with
          | None -> invalid_arg "TRANSFER^M: pull before init"
          | Some c ->
-             attributed backend ~rows:batch_rows (fun () ->
-                 Backend.fetch_batch c)))
+             attributed backend (fun () -> Backend.fetch_batch c)))
 
 (* Load [arg]'s batches into [table] on every backend.  A single backend
    streams batch-at-a-time; with replicas the input is drained once and
@@ -87,11 +79,8 @@ let load_all (backends : Backend.t list) ~table schema (arg : Cursor.t) =
       in
       let seq = Seq.concat_map Array.to_seq batches in
       (* the streamed load interleaves middleware pulls with the backend
-         write, so the whole call counts as boundary time; rows were
-         already counted crossing into the temp table by the meters *)
-      ignore
-        (attributed b ~rows:no_rows (fun () ->
-             Backend.bulk_load b ~table schema seq))
+         write, so the whole call counts as boundary time *)
+      ignore (attributed b (fun () -> Backend.bulk_load b ~table schema seq))
   | bs ->
       let rec drain acc =
         match Cursor.next_batch arg with
@@ -102,7 +91,7 @@ let load_all (backends : Backend.t list) ~table schema (arg : Cursor.t) =
       List.iter
         (fun b ->
           ignore
-            (attributed b ~rows:(fun _ -> tuples) (fun () ->
+            (attributed b (fun () ->
                  Backend.bulk_load b ~table schema (Array.to_seq tuples))))
         bs
 

@@ -1,7 +1,7 @@
 (* End-to-end integration tests for the TANGO middleware: full pipeline
    (temporal SQL -> optimize -> split -> SQL + middleware algorithms ->
-   result), consistency of all hand-built experiment plans, and the
-   feedback loop. *)
+   result), consistency of all hand-built experiment plans, and
+   calibration. *)
 
 open Tango_rel
 open Tango_algebra
@@ -151,15 +151,6 @@ let test_temp_tables_dropped () =
   in
   Alcotest.(check (list string)) "no temp tables remain" [] leftovers
 
-let test_feedback_adapts () =
-  let _db, mw = setup () in
-  Middleware.set_config mw
-    Middleware.Config.(with_feedback true (Middleware.config mw));
-  let before = (Middleware.factors mw).Tango_cost.Factors.p_tm in
-  ignore (Middleware.query mw Queries.q1_sql);
-  let after = (Middleware.factors mw).Tango_cost.Factors.p_tm in
-  Alcotest.(check bool) "p_tm adapted" true (before <> after)
-
 let test_calibration_produces_sane_factors () =
   let _db, mw = setup () in
   Middleware.calibrate ~sizes:{ Tango_cost.Calibrate.small = 200; large = 800 } mw;
@@ -182,7 +173,7 @@ let test_config_round_trip () =
       |> with_roundtrip_spin 0
       |> with_selectivity_mode Tango_stats.Selectivity.Naive
       |> with_histograms false
-      |> with_feedback ~alpha:0.5 true
+      |> with_plan_cache ~capacity:64 true
       |> with_max_memo_elements 1_000
       |> with_transfer_sharing false
       |> with_tracing true)
@@ -190,20 +181,29 @@ let test_config_round_trip () =
   let mw = Middleware.connect ~config db in
   (* the config rides through connect unchanged... *)
   Alcotest.(check bool) "config round-trips" true (Middleware.config mw = config);
-  (* ...and the client boundary picked up the connection fields *)
-  Alcotest.(check int) "row prefetch applied" 25
-    (Tango_dbms.Client.row_prefetch (Middleware.client mw));
+  (* ...and the backend picked up the connection fields: 25 rows per
+     round trip *)
+  let backend = Middleware.primary mw in
+  let rows = Tango_dbms.Database.table_cardinality db "POSITION" in
+  Tango_dbms.Backend.reset_meters backend;
+  let cur =
+    Tango_dbms.Backend.execute_query backend
+      (Tango_sql.Parser.query "SELECT PosID FROM POSITION")
+  in
+  while Tango_dbms.Backend.fetch_batch cur <> None do () done;
+  Alcotest.(check int) "row prefetch applied" ((rows + 24) / 25)
+    (Tango_dbms.Backend.roundtrips backend);
   (* explicit connect args override config fields *)
   let mw2 = Middleware.connect ~config ~row_prefetch:7 db in
   Alcotest.(check int) "explicit arg wins" 7
     (Middleware.config mw2).Middleware.Config.row_prefetch;
   (* deprecated setters are shims over the immutable config *)
   Middleware.set_config mw
-    Middleware.Config.(with_feedback false (Middleware.config mw));
+    Middleware.Config.(with_plan_cache false (Middleware.config mw));
   Alcotest.(check bool) "setter updates config" false
-    (Middleware.config mw).Middleware.Config.feedback;
-  Alcotest.(check (float 1e-9)) "other fields untouched" 0.5
-    (Middleware.config mw).Middleware.Config.feedback_alpha;
+    (Middleware.config mw).Middleware.Config.plan_cache;
+  Alcotest.(check int) "other fields untouched" 64
+    (Middleware.config mw).Middleware.Config.plan_cache_capacity;
   (* a traced query works under this config and reports a trace *)
   let r = Middleware.query mw Queries.q1_sql in
   Alcotest.(check bool) "trace collected" true (r.Middleware.trace <> None)
@@ -374,14 +374,14 @@ let test_transfer_sharing () =
   let tree = Queries.q3_plan2 ~position:"POSITION" ~start_bound:"1997-01-01" () in
   Middleware.set_config mw
     Middleware.Config.(with_transfer_sharing false (Middleware.config mw));
-  Tango_dbms.Client.reset_counters (Middleware.client mw);
+  Tango_dbms.Backend.reset_meters (Middleware.primary mw);
   let unshared = Middleware.run_fixed mw ~required_order:Queries.q3_order tree in
-  let rt_unshared = Tango_dbms.Client.roundtrips (Middleware.client mw) in
+  let rt_unshared = Tango_dbms.Backend.roundtrips (Middleware.primary mw) in
   Middleware.set_config mw
     Middleware.Config.(with_transfer_sharing true (Middleware.config mw));
-  Tango_dbms.Client.reset_counters (Middleware.client mw);
+  Tango_dbms.Backend.reset_meters (Middleware.primary mw);
   let shared = Middleware.run_fixed mw ~required_order:Queries.q3_order tree in
-  let rt_shared = Tango_dbms.Client.roundtrips (Middleware.client mw) in
+  let rt_shared = Tango_dbms.Backend.roundtrips (Middleware.primary mw) in
   Alcotest.(check bool) "same result" true
     (Relation.equal_multiset unshared.Middleware.result shared.Middleware.result);
   Alcotest.(check bool)
@@ -688,7 +688,6 @@ let () =
       ( "housekeeping",
         [
           Alcotest.test_case "temp tables dropped" `Quick test_temp_tables_dropped;
-          Alcotest.test_case "feedback adapts factors" `Quick test_feedback_adapts;
           Alcotest.test_case "calibration sane" `Quick test_calibration_produces_sane_factors;
           Alcotest.test_case "config round trip" `Quick test_config_round_trip;
           Alcotest.test_case "histogram toggle" `Quick test_histogram_toggle;

@@ -78,8 +78,8 @@ let calibrated =
   lazy
     (let db = Tango_dbms.Database.create () in
      (* default round-trip latency: transfers must cost real work *)
-     let client = Tango_dbms.Client.connect db in
-     Calibrate.run ~sizes:{ Calibrate.small = 300; large = 1200 } client)
+     let backend = Tango_dbms.Backend.in_process db in
+     Calibrate.run ~sizes:{ Calibrate.small = 300; large = 1200 } backend)
 
 let test_calibration_all_positive () =
   let f = Lazy.force calibrated in
@@ -106,8 +106,8 @@ let test_calibration_asymmetries () =
 
 let test_calibration_cleans_up () =
   let db = Tango_dbms.Database.create () in
-  let client = Tango_dbms.Client.connect ~roundtrip_spin:0 db in
-  ignore (Calibrate.run ~sizes:{ Calibrate.small = 200; large = 500 } client);
+  let backend = Tango_dbms.Backend.in_process ~roundtrip_spin:0 db in
+  ignore (Calibrate.run ~sizes:{ Calibrate.small = 200; large = 500 } backend);
   Alcotest.(check (list string)) "no leftover tables" []
     (Tango_dbms.Catalog.table_names (Tango_dbms.Database.catalog db))
 

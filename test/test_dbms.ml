@@ -1,6 +1,6 @@
 (* Tests for the simulated DBMS: DDL/DML, the SQL executor (selection,
    projection, joins, grouping, subqueries, unions), ANALYZE statistics,
-   and the client transfer boundary. *)
+   and the backend transfer boundary. *)
 
 open Tango_rel
 open Tango_dbms
@@ -364,30 +364,43 @@ let test_analyze_stats () =
   let c = Option.get (Stat.column_stats st "T1") in
   Alcotest.(check bool) "no histogram" true (c.Stat.histogram = None)
 
+let query_backend b sql = Backend.execute_query b (Tango_sql.Parser.query sql)
+
+let drain cur =
+  let rec go acc =
+    match Backend.fetch_batch cur with
+    | Some b -> go (List.rev_append (Array.to_list b) acc)
+    | None -> List.rev acc
+  in
+  go []
+
 let test_client_transfer () =
-  let db = make_db () in
-  let client = Client.connect ~row_prefetch:2 ~roundtrip_spin:0 db in
-  let cur = Client.execute_query client "SELECT PosID, EmpName FROM POSITION ORDER BY PosID" in
-  let r = Client.fetch_all cur in
-  Alcotest.(check int) "all rows" 3 (Relation.cardinality r);
-  Alcotest.(check int) "tuples shipped" 3 (Client.tuples_shipped client);
+  let backend = Backend.in_process ~row_prefetch:2 ~roundtrip_spin:0 (make_db ()) in
+  let rows =
+    drain (query_backend backend "SELECT PosID, EmpName FROM POSITION ORDER BY PosID")
+  in
+  Alcotest.(check int) "all rows" 3 (List.length rows);
+  Alcotest.(check int) "tuples shipped" 3 (Backend.tuples_shipped backend);
   (* 3 rows at prefetch 2 -> 2 round trips *)
-  Alcotest.(check int) "round trips" 2 (Client.roundtrips client)
+  Alcotest.(check int) "round trips" 2 (Backend.roundtrips backend)
 
 let test_client_bulk_load () =
   let db = make_db () in
-  let client = Client.connect ~roundtrip_spin:0 db in
+  let backend = Backend.in_process ~roundtrip_spin:0 db in
   let schema = Schema.make [ ("A", Value.TInt) ] in
   let tuples = List.to_seq (List.init 25 (fun i -> Tuple.of_list [ Value.Int i ])) in
-  let name = Client.bulk_load client ~table:"LOADED" schema tuples in
+  let name = Backend.bulk_load backend ~table:"LOADED" schema tuples in
   Alcotest.(check string) "table name" "LOADED" name;
   Alcotest.(check int) "loaded rows" 25 (Database.table_cardinality db "LOADED");
+  (* 25 rows at the default prefetch of 10 -> 3 round trips *)
+  Alcotest.(check int) "round trips" 3 (Backend.roundtrips backend);
   let r = Database.query db "SELECT A FROM LOADED WHERE A < 3" in
-  Alcotest.(check int) "queryable" 3 (Relation.cardinality r)
+  Alcotest.(check int) "queryable" 3 (Relation.cardinality r);
+  Backend.drop_table backend "LOADED";
+  Alcotest.(check bool) "dropped" false (Backend.table_exists backend "LOADED")
 
-(* Client accounting, pinned exactly: one round trip per prefetch batch,
-   every row once, and the serialized size of every row; the backend
-   meters wrapped around the same client see the same deltas. *)
+(* Boundary accounting, pinned exactly: one round trip per prefetch batch,
+   every row once, and the serialized size of every row. *)
 let test_client_accounting () =
   let db = make_db () in
   let rows =
@@ -395,18 +408,12 @@ let test_client_accounting () =
         Tuple.of_list [ Value.Int i; Value.Str "x"; Value.Date i; Value.Date (i + 1) ])
   in
   Database.load_relation db "BIG" (Relation.of_list pos_schema rows);
-  let client = Client.connect ~row_prefetch:7 ~roundtrip_spin:0 db in
-  let backend = Backend.of_client ~name:"accounting" client in
-  let cur =
-    Backend.execute_query backend
-      (Tango_sql.Parser.query "SELECT PosID, EmpName, T1, T2 FROM BIG ORDER BY PosID")
+  let backend =
+    Backend.in_process ~name:"accounting" ~row_prefetch:7 ~roundtrip_spin:0 db
   in
-  let rec drain acc =
-    match Backend.fetch_batch cur with
-    | Some b -> drain (List.rev_append (Array.to_list b) acc)
-    | None -> List.rev acc
+  let got =
+    drain (query_backend backend "SELECT PosID, EmpName, T1, T2 FROM BIG ORDER BY PosID")
   in
-  let got = drain [] in
   Alcotest.(check bool) "rows in order" true
     (List.length got = 53 && List.for_all2 Tuple.equal rows got);
   let wire_bytes =
@@ -417,24 +424,29 @@ let test_client_accounting () =
         acc + Buffer.length buf)
       0 rows
   in
-  Alcotest.(check int) "roundtrips" 8 (Client.roundtrips client);
-  Alcotest.(check int) "tuples" 53 (Client.tuples_shipped client);
-  Alcotest.(check int) "bytes" wire_bytes (Client.bytes_shipped client);
-  Alcotest.(check int) "backend roundtrips" 8 (Backend.roundtrips backend);
-  Alcotest.(check int) "backend tuples" 53 (Backend.tuples_shipped backend);
-  Alcotest.(check int) "backend bytes" wire_bytes (Backend.bytes_shipped backend)
+  Alcotest.(check int) "roundtrips" 8 (Backend.roundtrips backend);
+  Alcotest.(check int) "tuples" 53 (Backend.tuples_shipped backend);
+  Alcotest.(check int) "bytes" wire_bytes (Backend.bytes_shipped backend);
+  Backend.reset_meters backend;
+  Alcotest.(check int) "reset" 0
+    (Backend.roundtrips backend + Backend.tuples_shipped backend
+    + Backend.bytes_shipped backend)
 
 (* A prefetch below 1 is clamped at connect exactly as by
    [set_row_prefetch]: one row per round trip. *)
 let test_prefetch_clamped () =
   List.iter
     (fun prefetch ->
-      let client = Client.connect ~row_prefetch:prefetch ~roundtrip_spin:0 (make_db ()) in
-      let r =
-        Client.fetch_all (Client.execute_query client "SELECT PosID FROM POSITION")
+      let backend =
+        Backend.in_process ~row_prefetch:prefetch ~roundtrip_spin:0 (make_db ())
       in
-      Alcotest.(check int) "rows" 3 (Relation.cardinality r);
-      Alcotest.(check int) "one round trip per row" 3 (Client.roundtrips client))
+      let rows = drain (query_backend backend "SELECT PosID FROM POSITION") in
+      Alcotest.(check int) "rows" 3 (List.length rows);
+      Alcotest.(check int) "one round trip per row" 3 (Backend.roundtrips backend);
+      Backend.reset_meters backend;
+      Backend.set_row_prefetch backend prefetch;
+      ignore (drain (query_backend backend "SELECT PosID FROM POSITION"));
+      Alcotest.(check int) "setter clamps alike" 3 (Backend.roundtrips backend))
     [ 0; -4 ]
 
 let test_schema_generation () =

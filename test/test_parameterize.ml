@@ -149,9 +149,6 @@ let prop_template_equals_literal =
       let c3 = counters tmpl in
       let rr = Middleware.query tmpl sql in
       let dr = delta c3 (counters tmpl) in
-      let close mw = Topology.close (Middleware.topology mw) in
-      close plain;
-      close tmpl;
       let rows_agree r =
         Relation.equal_multiset rp.Middleware.result r.Middleware.result
       in

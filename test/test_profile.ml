@@ -234,6 +234,71 @@ let test_adapt_noop_when_accurate () =
   Alcotest.(check bool) "no refit on empty evidence" true
     (Adapt.maybe_refit store ~factors = None)
 
+(* A refit clears only the refitted factor's evidence.  One synthetic
+   query runs three SORT^M (p_sortm reaches [min_samples] and refits) and
+   two badly misestimated TRANSFER^M (p_tm is one sample short): p_tm must
+   keep its two samples and refit after one more. *)
+let test_refit_keeps_other_factors () =
+  let store = Feedback.create () in
+  let factors = Tango_cost.Factors.default () in
+  let record operator q =
+    {
+      Analyze.operator;
+      depth = 0;
+      fingerprint = operator;
+      est_rows = 1.0;
+      act_rows = 1;
+      est_bytes = 1.0;
+      act_bytes = 1.0;
+      est_us = 1.0;
+      act_us = q;
+      est_self_us = 1.0;
+      act_self_us = q;
+      est_pages = 0.0;
+      act_pages = 0;
+      est_roundtrips = 0.0;
+      act_roundtrips = 0;
+      q_rows = 1.0;
+      q_cost = q;
+      q_self = q;
+    }
+  in
+  let obs factor = { Tango_cost.Calibrate.factor; x = 100.0; elapsed_us = 1000.0 } in
+  let query records factor_names =
+    Feedback.record store
+      {
+        Analyze.records;
+        fingerprint = "q";
+        mean_q_rows = 1.0;
+        mean_q_cost = 1.0;
+        max_q_rows = 1.0;
+        max_q_cost = 1.0;
+        total_est_us = 1.0;
+        total_act_us = 1.0;
+        observations = List.map obs factor_names;
+      }
+  in
+  query
+    [ record "SORT^M" 10.0; record "SORT^M" 10.0; record "SORT^M" 10.0;
+      record "TRANSFER^M" 30.0; record "TRANSFER^M" 30.0 ]
+    [ "p_sortm"; "p_sortm"; "p_sortm"; "p_tm"; "p_tm" ];
+  Alcotest.(check (option (list string))) "p_sortm refits" (Some [ "p_sortm" ])
+    (Adapt.maybe_refit store ~factors);
+  let factor_q = Feedback.factor_q store in
+  Alcotest.(check (option int)) "p_tm keeps its two samples" (Some 2)
+    (Option.map fst (List.assoc_opt "p_tm" factor_q));
+  Alcotest.(check (option int)) "p_sortm evidence cleared" None
+    (Option.map fst (List.assoc_opt "p_sortm" factor_q));
+  Alcotest.(check (list string)) "only p_tm observations remain"
+    [ "p_tm"; "p_tm" ]
+    (List.map
+       (fun (o : Tango_cost.Calibrate.observation) -> o.Tango_cost.Calibrate.factor)
+       (Feedback.observations store));
+  query [ record "TRANSFER^M" 30.0 ] [ "p_tm" ];
+  Alcotest.(check (option (list string))) "p_tm refits on its third sample"
+    (Some [ "p_tm" ])
+    (Adapt.maybe_refit store ~factors)
+
 let () =
   Alcotest.run "profile"
     [
@@ -264,5 +329,7 @@ let () =
             test_adaptive_refit_triggers;
           Alcotest.test_case "no-op when accurate" `Quick
             test_adapt_noop_when_accurate;
+          Alcotest.test_case "refit keeps other factors' evidence" `Quick
+            test_refit_keeps_other_factors;
         ] );
     ]

@@ -54,8 +54,7 @@ let test_differential_workload () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: %d-shard result sorted" name shards)
             true (sorted_by rn "PosID"))
-        Queries.workload;
-      Topology.close (Middleware.topology mwn))
+        Queries.workload)
     [ 2; 3 ]
 
 (* ---- the optimizer actually scatters, and verification passes ---- *)
@@ -90,8 +89,7 @@ let test_scatter_plan_verifies () =
             false
             (Tango_verify.Diag.is_error d))
         report.Middleware.diagnostics)
-    Queries.workload;
-  Topology.close (Middleware.topology mwn)
+    Queries.workload
 
 (* ---- partition pruning from period predicates ---- *)
 
@@ -157,8 +155,7 @@ let test_pruning_reduces_shards_and_shipping () =
           (Backend.name b ^ " shipped nothing")
           0
           (Backend.tuples_shipped b))
-    backends;
-  Topology.close (Middleware.topology mwn)
+    backends
 
 (* ---- counter agreement: sum of per-backend tuples = single total ---- *)
 
@@ -192,8 +189,38 @@ let test_counter_agreement () =
     (Backend.tuples_shipped b1) total_n;
   Alcotest.(check bool)
     "every shard shipped something" true
-    (List.for_all (fun b -> Backend.tuples_shipped b > 0) backends);
-  Topology.close (Middleware.topology mwn)
+    (List.for_all (fun b -> Backend.tuples_shipped b > 0) backends)
+
+(* ---- attribution equals the meters ---- *)
+
+(* The rows and bytes a query's attribution records for a backend are
+   exactly what that backend's meter counted.  Query 2's plan 1 loads a
+   middleware aggregate back with TRANSFER^D (streamed on one backend,
+   replicated on two) and reads the join out with TRANSFER^M. *)
+let test_attribution_matches_meters () =
+  List.iter
+    (fun mw ->
+      let backends = Topology.backends (Middleware.topology mw) in
+      List.iter Backend.reset_meters backends;
+      let r =
+        Middleware.run_fixed mw ~required_order:Queries.q2_order
+          (Queries.q2_plan1 ~position:"POSITION" ~period_end:"1997-01-01" ())
+      in
+      let shards = List.length backends in
+      List.iter
+        (fun b ->
+          let name = Printf.sprintf "%d backends, %s" shards (Backend.name b) in
+          let rows, bytes =
+            match List.assoc_opt (Backend.name b) r.Middleware.backends with
+            | Some a -> (a.Middleware.rows, a.Middleware.bytes)
+            | None -> (0, 0)
+          in
+          Alcotest.(check bool) (name ^ " shipped") true
+            (Backend.tuples_shipped b > 0);
+          Alcotest.(check int) (name ^ " rows") (Backend.tuples_shipped b) rows;
+          Alcotest.(check int) (name ^ " bytes") (Backend.bytes_shipped b) bytes)
+        backends)
+    [ single (); sharded 2 ]
 
 (* ---- plan cache keys on the topology generation ---- *)
 
@@ -216,8 +243,7 @@ let test_cache_invalidation_on_topology_change () =
   let stats = Middleware.plan_cache_stats mwn in
   Alcotest.(check bool)
     "invalidation recorded" true
-    (stats.Tango_cache.Plan_cache.invalidations > 0);
-  Topology.close (Middleware.topology mwn)
+    (stats.Tango_cache.Plan_cache.invalidations > 0)
 
 (* ---- property: random partition bounds never change results ---- *)
 
@@ -293,9 +319,7 @@ let prop_random_bounds =
         (Middleware.run_fixed mw ~required_order:order p).Middleware.result
       in
       let agree p = Relation.equal_multiset (run mw1 p) (run mwn p) in
-      let ok = agree (plan None) && agree (plan (Some sel)) in
-      Topology.close topo;
-      ok)
+      agree (plan None) && agree (plan (Some sel)))
 
 let () =
   Alcotest.run "tango_sharding"
@@ -313,7 +337,11 @@ let () =
             test_pruning_reduces_shards_and_shipping;
         ] );
       ( "counters",
-        [ Alcotest.test_case "per-backend sums agree" `Quick test_counter_agreement ] );
+        [
+          Alcotest.test_case "per-backend sums agree" `Quick test_counter_agreement;
+          Alcotest.test_case "attribution equals the meters" `Quick
+            test_attribution_matches_meters;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "topology generation invalidates" `Quick

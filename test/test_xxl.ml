@@ -442,21 +442,17 @@ let prop_singletons_equal_whole =
 let test_transfer_m () =
   let db = Tango_dbms.Database.create () in
   Tango_dbms.Database.load_relation db "R" sample;
-  let client = Tango_dbms.Client.connect ~roundtrip_spin:0 db in
-  let backend = Tango_dbms.Backend.of_client client in
+  let backend = Tango_dbms.Backend.in_process ~roundtrip_spin:0 db in
   let sql = Parser.query "SELECT K, V, T1, T2 FROM R ORDER BY K" in
   let out =
     Cursor.to_relation (Transfer.transfer_m backend ~schema:schema_kab sql)
   in
   Alcotest.(check int) "all rows" 5 (Relation.cardinality out);
-  Alcotest.(check int) "shipped" 5 (Tango_dbms.Client.tuples_shipped client);
-  Alcotest.(check int) "backend meter agrees" 5
-    (Tango_dbms.Backend.tuples_shipped backend)
+  Alcotest.(check int) "shipped" 5 (Tango_dbms.Backend.tuples_shipped backend)
 
 let test_transfer_d_roundtrip () =
   let db = Tango_dbms.Database.create () in
-  let client = Tango_dbms.Client.connect ~roundtrip_spin:0 db in
-  let backend = Tango_dbms.Backend.of_client client in
+  let backend = Tango_dbms.Backend.in_process ~roundtrip_spin:0 db in
   let td = Transfer.transfer_d backend ~table:"TMP1" (Cursor.of_relation sample) in
   Cursor.init td;
   Alcotest.(check bool) "empty cursor" true (Cursor.next_batch td = None);
