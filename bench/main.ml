@@ -1096,69 +1096,55 @@ let tail ctx =
   for _ = 1 to reps do
     List.iter (fun (_, sql) -> ignore (Middleware.query mw sql)) Queries.workload
   done;
-  let records =
-    List.filter
-      (fun (r : Event_log.record) -> r.Event_log.error = None)
+  let runs =
+    List.filter_map
+      (fun (r : Event_log.record) ->
+        let ev = r.Event_log.event in
+        Option.map
+          (fun run -> (ev.Middleware.elapsed_us, run))
+          ev.Middleware.run)
       (Event_log.recent log)
   in
   (* conservation: phases vs wall time, backends vs execute *)
-  let phase_sum (r : Event_log.record) =
-    r.Event_log.parse_us +. r.Event_log.optimize_us +. r.Event_log.translate_us
-    +. r.Event_log.mw_exec_us +. r.Event_log.transfer_us
-    +. r.Event_log.gather_wait_us
-  in
-  let backend_sum (r : Event_log.record) =
-    List.fold_left
-      (fun acc (_, (b : Middleware.backend_breakdown)) ->
-        acc +. b.Middleware.us +. b.Middleware.wait_us)
-      0.0 r.Event_log.backends
-  in
-  let ratios f sel =
+  let ratios f =
     List.filter_map
-      (fun r -> match sel r with d when d > 0.0 -> Some (f r /. d) | _ -> None)
-      records
+      (fun (elapsed_us, run) ->
+        match f elapsed_us run (Middleware.breakdown run) with
+        | num, den when den > 0.0 -> Some (num /. den)
+        | _ -> None)
+      runs
+  in
+  let boundary (b : Middleware.breakdown) =
+    b.Middleware.transfer_us +. b.Middleware.gather_wait_us
+  in
+  let phase_ratios =
+    ratios (fun elapsed_us r b ->
+        ( r.Middleware.parse_us +. r.Middleware.optimize_us
+          +. r.Middleware.translate_us +. b.Middleware.mw_exec_us
+          +. boundary b,
+          elapsed_us ))
+  in
+  let backend_ratios =
+    ratios (fun _ r b -> (boundary b, r.Middleware.execute_us))
   in
   let mean = function
     | [] -> 0.0
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  let phase_ratios = ratios phase_sum (fun r -> r.Event_log.total_us) in
-  let backend_ratios =
-    ratios backend_sum (fun (r : Event_log.record) -> r.Event_log.execute_us)
-  in
   (* per-backend totals over the whole run *)
   header [ "backend"; "transfer[ms]"; "wait[ms]"; "rows"; "bytes" ];
-  let lanes : (string, Middleware.backend_breakdown) Hashtbl.t =
-    Hashtbl.create 4
-  in
+  let lanes = Hashtbl.create 4 in
   List.iter
-    (fun (r : Event_log.record) ->
+    (fun (_, (run : int Middleware.run)) ->
       List.iter
-        (fun (name, (b : Middleware.backend_breakdown)) ->
-          let prev =
-            Option.value
-              (Hashtbl.find_opt lanes name)
-              ~default:
-                {
-                  Middleware.rows = 0;
-                  bytes = 0;
-                  us = 0.0;
-                  wait_us = 0.0;
-                  alloc_bytes = 0;
-                }
-          in
+        (fun ((name, _) as lane) ->
           Hashtbl.replace lanes name
-            {
-              Middleware.rows = prev.Middleware.rows + b.Middleware.rows;
-              bytes = prev.Middleware.bytes + b.Middleware.bytes;
-              us = prev.Middleware.us +. b.Middleware.us;
-              wait_us = prev.Middleware.wait_us +. b.Middleware.wait_us;
-              alloc_bytes = prev.Middleware.alloc_bytes + b.Middleware.alloc_bytes;
-            })
-        r.Event_log.backends)
-    records;
+            (lane :: Option.value ~default:[] (Hashtbl.find_opt lanes name)))
+        run.Middleware.backends)
+    runs;
   Hashtbl.iter
-    (fun name (b : Middleware.backend_breakdown) ->
+    (fun name bs ->
+      let b = Tango_xxl.Attribution.totals bs in
       Fmt.pr "%-8s %12.1f %9.1f %6d %8d@." name
         (b.Middleware.us /. 1000.0)
         (b.Middleware.wait_us /. 1000.0)
@@ -1196,7 +1182,7 @@ let tail ctx =
            ( "spins",
              Tango_obs.Json.List
                (List.map (fun s -> Tango_obs.Json.Int s) spins) );
-           ("queries", Tango_obs.Json.Int (List.length records));
+           ("queries", Tango_obs.Json.Int (List.length runs));
            ("dominant_backend", Tango_obs.Json.String dominant_name);
            ("dominant_share", Tango_obs.Json.Float dominant_share);
            ("dominant_phase", Tango_obs.Json.String dominant_phase);

@@ -128,17 +128,10 @@ type cache_entry = {
 }
 
 (* Plan-cache outcome attached to a report (only for {!query} with the
-   cache enabled). *)
+   cache enabled); the session totals are {!plan_cache_stats}. *)
 type cache_report = {
   cache_hit : bool;  (** this query was answered from the cache *)
   cache_class : string;  (** ["template-hit"] | ["exact-hit"] | ["miss"] *)
-  cache_hits : int;  (** session totals since connect *)
-  cache_template_hits : int;
-  cache_exact_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_replans : int;  (** sensitivity-guard re-optimizations *)
-  cache_entries : int;  (** entries resident after this query *)
 }
 
 (* Per-backend latency attribution, as collected by the transfer/gather
@@ -151,68 +144,15 @@ type backend_breakdown = Tango_xxl.Attribution.breakdown = {
   alloc_bytes : int;
 }
 
-(* Where one run's allocation went, mirroring the wall-time breakdown:
-   the four measured phases carry full GC deltas; the transfer share is
-   the Σ of per-backend boundary allocation, and [mw_exec_alloc_bytes]
-   is the remainder of the execute delta — allocation by
-   middleware-resident operators. *)
-type phase_resources = {
-  parse_res : Tango_obs.Runtime.delta;
-  optimize_res : Tango_obs.Runtime.delta;
-  translate_res : Tango_obs.Runtime.delta;
-  execute_res : Tango_obs.Runtime.delta;
-  transfer_alloc_bytes : int;  (** Σ backend boundary allocation *)
-  mw_exec_alloc_bytes : int;  (** execute alloc − transfer alloc, clamped *)
-}
-
-(* Where one pipeline run's wall time went, phase by phase.  The first
-   four are measured directly; [transfer_us]/[gather_wait_us] are the
-   per-backend attribution totals, and [mw_exec_us] is the remainder of
-   [execute_us] — middleware-resident operator work.  parse + optimize +
-   translate + mw-exec + transfer + gather-wait ≈ pipeline wall time. *)
-type phases = {
-  parse_us : float;
-  optimize_us : float;
-  translate_us : float;
-  execute_us : float;  (** whole execution (= the last three summands) *)
-  transfer_us : float;  (** Σ backend transfer time *)
-  gather_wait_us : float;  (** Σ gather-merge blocked time *)
-  mw_exec_us : float;  (** execute − transfer − gather-wait, clamped *)
-  res : phase_resources;  (** per-phase GC/allocation attribution *)
-}
-
-let make_phases ~parse_us ~optimize_us ~parse_res ~optimize_res ~translate_res
-    ~execute_res ~translate_us ~execute_us
-    (backends : (string * backend_breakdown) list) : phases =
-  let t = Tango_xxl.Attribution.totals backends in
-  {
-    parse_us;
-    optimize_us;
-    translate_us;
-    execute_us;
-    transfer_us = t.us;
-    gather_wait_us = t.wait_us;
-    mw_exec_us = Float.max 0.0 (execute_us -. t.us -. t.wait_us);
-    res =
-      {
-        parse_res;
-        optimize_res;
-        translate_res;
-        execute_res;
-        transfer_alloc_bytes = t.alloc_bytes;
-        mw_exec_alloc_bytes =
-          max 0 (execute_res.Tango_obs.Runtime.alloc_bytes - t.alloc_bytes);
-      };
-  }
-
-(* The execution report, defined ahead of the session type so pipeline
-   events (which carry one) can be observed through a session field. *)
-type report = {
-  result : Relation.t;
+(* The per-query record: each phase's wall time and allocation, measured
+   once, beside the plan and what it executed.  Everything else a
+   consumer reports is derived from it by {!breakdown}.  ['result] is the
+   result relation in a {!report} and its cardinality in an observed
+   {!query_event}, so monitoring never holds on to a relation. *)
+type 'result run = {
+  result : 'result;
   physical : Physical.plan;
   exec : Exec_plan.node;
-  optimize_us : float;
-  execute_us : float;
   classes : int;
   elements : int;
   estimated_cost_us : float;
@@ -220,10 +160,80 @@ type report = {
   analysis : Tango_profile.Analyze.report option;
   diagnostics : Tango_verify.Diag.t list;
   cache : cache_report option;
-  phases : phases;
+  parse_us : float;
+  optimize_us : float;
+  translate_us : float;
+  execute_us : float;
+  parse_alloc_bytes : int;
+  optimize_alloc_bytes : int;
+  translate_alloc_bytes : int;
+  execute_alloc_bytes : int;
   backends : (string * backend_breakdown) list;
       (** per-backend latency attribution, first-touched first *)
 }
+
+type report = Relation.t run
+
+(* What a run's record implies, computed only by {!breakdown}. *)
+type breakdown = {
+  transfer_us : float;  (** Σ backend transfer time *)
+  gather_wait_us : float;  (** Σ gather-merge blocked time *)
+  mw_exec_us : float;  (** execute − transfer − gather-wait, clamped *)
+  transfer_alloc_bytes : int;  (** Σ backend boundary allocation *)
+  mw_exec_alloc_bytes : int;  (** execute alloc − transfer alloc, clamped *)
+  mw_operators : int;
+  transfers : int;
+  tm_rows : int;
+  td_rows : int;
+  q_rows : float option;
+  q_cost : float option;
+  verify_errors : int;
+  verify_warnings : int;
+}
+
+(* The boundary totals come from the per-backend lanes and the
+   middleware share is the rest of the execute phase, so parse +
+   optimize + translate + mw-exec + transfer + gather-wait ≈ the run's
+   wall time.  The transfer counts walk the executed tree: rows entering
+   across TRANSFER^M, and rows materialized back into the DBMS across
+   TRANSFER^D (transfer dependencies). *)
+let breakdown (r : _ run) : breakdown =
+  let t = Tango_xxl.Attribution.totals r.backends in
+  let mw_operators = ref 0
+  and transfers = ref 0
+  and tm_rows = ref 0
+  and td_rows = ref 0 in
+  Exec_plan.iter
+    (fun n ->
+      incr mw_operators;
+      match n.Exec_plan.kind with
+      | Exec_plan.Transfer_m { deps; _ } | Exec_plan.Scatter { deps; _ } ->
+          incr transfers;
+          tm_rows := !tm_rows + n.Exec_plan.out_tuples;
+          List.iter
+            (fun (d : Exec_plan.dep) ->
+              td_rows := !td_rows + d.Exec_plan.source.Exec_plan.out_tuples)
+            deps
+      | _ -> ())
+    r.exec;
+  let verify_errors = Tango_verify.Diag.count_errors r.diagnostics in
+  {
+    transfer_us = t.us;
+    gather_wait_us = t.wait_us;
+    mw_exec_us = Float.max 0.0 (r.execute_us -. t.us -. t.wait_us);
+    transfer_alloc_bytes = t.alloc_bytes;
+    mw_exec_alloc_bytes = max 0 (r.execute_alloc_bytes - t.alloc_bytes);
+    mw_operators = !mw_operators;
+    transfers = !transfers;
+    tm_rows = !tm_rows;
+    td_rows = !td_rows;
+    q_rows =
+      Option.map (fun a -> a.Tango_profile.Analyze.mean_q_rows) r.analysis;
+    q_cost =
+      Option.map (fun a -> a.Tango_profile.Analyze.mean_q_cost) r.analysis;
+    verify_errors;
+    verify_warnings = List.length r.diagnostics - verify_errors;
+  }
 
 (* One top-level pipeline run ({!query} / {!run_plan} / {!run_fixed}),
    successful or not — the feed for monitoring (event logs, SLO engines). *)
@@ -232,9 +242,11 @@ type query_event = {
   sql : string option;  (** the temporal SQL text, for {!query} *)
   started_us : float;  (** wall clock ({!Tango_obs.now_us}) at entry *)
   elapsed_us : float;  (** total pipeline wall time, parse to result *)
-  report : report option;  (** [None] when the pipeline raised *)
+  run : int run option;
+      (** the run's record, its result cut to the row count; [None] when
+          the pipeline raised *)
   error : string option;  (** the exception text when the pipeline raised *)
-  resources : Tango_obs.Runtime.delta;
+  gc : Tango_obs.Runtime.delta;
       (** whole-pipeline GC/allocation delta on the serving domain
           (zero when telemetry is off) *)
 }
@@ -317,6 +329,13 @@ let set_config t (c : Config.t) =
     Hashtbl.reset t.stats_cache;
     invalidate_plan_cache t ~reason:"config-histograms"
   end;
+  (* cached plans and their findings were chosen under these settings *)
+  if c.Config.selectivity_mode <> t.config.Config.selectivity_mode then
+    invalidate_plan_cache t ~reason:"config-selectivity-mode";
+  if c.Config.max_memo_elements <> t.config.Config.max_memo_elements then
+    invalidate_plan_cache t ~reason:"config-max-memo-elements";
+  if c.Config.verify_plans <> t.config.Config.verify_plans then
+    invalidate_plan_cache t ~reason:"config-verify-plans";
   if c.Config.plan_cache_capacity <> t.config.Config.plan_cache_capacity then
     t.plan_cache <-
       Tango_cache.Plan_cache.create ~capacity:c.Config.plan_cache_capacity ();
@@ -343,14 +362,14 @@ let calibrate ?sizes t =
       let measured = Calibrate.run ?sizes b in
       Tango_profile.Backend_factors.set t.backend_factors (Backend.name b)
         measured;
-      if b == prim then Factors.blend ~alpha:1.0 t.factors measured)
+      if b == prim then Factors.assign t.factors measured)
     (Topology.backends t.topology);
   invalidate_plan_cache t ~reason:"calibrate"
 
 (** Adopt previously calibrated factors (e.g. shared across sessions against
     the same DBMS installation). *)
 let adopt_factors t (f : Factors.t) =
-  Factors.blend ~alpha:1.0 t.factors f;
+  Factors.assign t.factors f;
   invalidate_plan_cache t ~reason:"adopt-factors"
 
 (** Invalidate cached statistics (after loads or ANALYZE); cached plans
@@ -503,13 +522,13 @@ let gc_delta = function
   | None -> Tango_obs.Runtime.zero
 
 (* Run [f] as one measured pipeline phase under the trace span [name]:
-   its result, wall time (µs) and GC delta. *)
+   its result, wall time (µs) and allocated bytes. *)
 let phase t name f =
   let t0 = mono_us () in
   let g = gc_point (telemetry_on t) in
   let x = Tango_obs.Trace.span name f in
-  let res = gc_delta g in
-  (x, mono_us () -. t0, res)
+  let alloc = (gc_delta g).Tango_obs.Runtime.alloc_bytes in
+  (x, mono_us () -. t0, alloc)
 
 (* Process-wide allocation/GC accounting, fed once per top-level run.
    Dotted names render as [tango_alloc_*] / [tango_gc_*] families. *)
@@ -527,59 +546,55 @@ exception No_plan of string
 
 (* Feed the process-wide allocation/GC counters and the per-domain
    table with one completed run's resource usage. *)
-let account_resources report (res : Tango_obs.Runtime.delta) =
-  Tango_obs.Counter.add c_alloc_bytes res.Tango_obs.Runtime.alloc_bytes;
-  Tango_obs.Counter.add c_gc_minor res.Tango_obs.Runtime.minor_collections;
-  Tango_obs.Counter.add c_gc_major res.Tango_obs.Runtime.major_collections;
-  Tango_obs.Counter.add c_gc_promoted res.Tango_obs.Runtime.promoted_words;
-  (match report with
-  | None -> ()
-  | Some r ->
-      let p = r.phases.res in
-      Tango_obs.Counter.add c_alloc_parse
-        p.parse_res.Tango_obs.Runtime.alloc_bytes;
-      Tango_obs.Counter.add c_alloc_optimize
-        p.optimize_res.Tango_obs.Runtime.alloc_bytes;
-      Tango_obs.Counter.add c_alloc_translate
-        p.translate_res.Tango_obs.Runtime.alloc_bytes;
-      Tango_obs.Counter.add c_alloc_transfer p.transfer_alloc_bytes;
-      Tango_obs.Counter.add c_alloc_mw_exec p.mw_exec_alloc_bytes);
+let account_resources (run : _ run option) (gc : Tango_obs.Runtime.delta) =
+  Tango_obs.Counter.add c_alloc_bytes gc.Tango_obs.Runtime.alloc_bytes;
+  Tango_obs.Counter.add c_gc_minor gc.Tango_obs.Runtime.minor_collections;
+  Tango_obs.Counter.add c_gc_major gc.Tango_obs.Runtime.major_collections;
+  Tango_obs.Counter.add c_gc_promoted gc.Tango_obs.Runtime.promoted_words;
+  Option.iter
+    (fun r ->
+      let b = breakdown r in
+      Tango_obs.Counter.add c_alloc_parse r.parse_alloc_bytes;
+      Tango_obs.Counter.add c_alloc_optimize r.optimize_alloc_bytes;
+      Tango_obs.Counter.add c_alloc_translate r.translate_alloc_bytes;
+      Tango_obs.Counter.add c_alloc_transfer b.transfer_alloc_bytes;
+      Tango_obs.Counter.add c_alloc_mw_exec b.mw_exec_alloc_bytes)
+    run;
   Tango_obs.Runtime.touch ()
 
-(* Notify the session's query observer (if any) of one top-level pipeline
-   run.  Observer failures are swallowed: monitoring must never break the
-   query path.  With telemetry on, the whole-run GC delta is measured
-   and accounted here whether or not an observer is attached. *)
+(* Measure one top-level pipeline run, account its resources (with
+   telemetry on) and hand its event to the session's observer, if any.
+   Observer failures are swallowed: monitoring must never break the
+   query path. *)
 let observed t ~kind ?sql (f : unit -> report) : report =
-  let g0 = gc_point (telemetry_on t) in
-  match t.query_observer with
-  | None -> (
-      match f () with
-      | r ->
-          if telemetry_on t then account_resources (Some r) (gc_delta g0);
-          r
-      | exception e ->
-          if telemetry_on t then account_resources None (gc_delta g0);
-          raise e)
-  | Some notify ->
-      let started_us = now_us () in
-      let m0 = mono_us () in
-      let emit report error =
-        let resources = gc_delta g0 in
-        if telemetry_on t then account_resources report resources;
-        let ev =
-          { kind; sql; started_us; elapsed_us = mono_us () -. m0; report;
-            error; resources }
+  let telemetry = telemetry_on t in
+  let g0 = gc_point telemetry in
+  let started_us = now_us () in
+  let m0 = mono_us () in
+  let finish (report : report option) error =
+    let gc = gc_delta g0 in
+    if telemetry then account_resources report gc;
+    Option.iter
+      (fun notify ->
+        let run =
+          Option.map
+            (fun r -> { r with result = Relation.cardinality r.result })
+            report
         in
-        try notify ev with _ -> ()
-      in
-      (match f () with
-      | r ->
-          emit (Some r) None;
-          r
-      | exception e ->
-          emit None (Some (Printexc.to_string e));
-          raise e)
+        try
+          notify
+            { kind; sql; started_us; elapsed_us = mono_us () -. m0; run;
+              error; gc }
+        with _ -> ())
+      t.query_observer
+  in
+  match f () with
+  | r ->
+      finish (Some r) None;
+      r
+  | exception e ->
+      finish None (Some (Printexc.to_string e));
+      raise e
 
 (* Run a top-level pipeline entry under a fresh trace when the session asks
    for tracing (an already-active trace only gains a span). *)
@@ -606,9 +621,9 @@ type execution = {
   result : Relation.t;
   exec : Exec_plan.node;  (* with per-algorithm measured times *)
   translate_us : float;
-  translate_res : Tango_obs.Runtime.delta;
+  translate_alloc_bytes : int;
   execute_us : float;
-  execute_res : Tango_obs.Runtime.delta;
+  execute_alloc_bytes : int;
   backends : (string * backend_breakdown) list;
 }
 
@@ -616,11 +631,11 @@ type execution = {
    a relation under a per-backend attribution collector, and drop the
    temp tables its `TRANSFER^D` steps created. *)
 let execute_physical_full t (physical : Physical.plan) : execution =
-  let (exec, temp_tables), translate_us, translate_res =
+  let (exec, temp_tables), translate_us, translate_alloc_bytes =
     phase t "translate" (fun () -> Exec_plan.of_physical (database t) physical)
   in
   let collector = Tango_xxl.Attribution.create () in
-  let result, execute_us, execute_res =
+  let result, execute_us, execute_alloc_bytes =
     phase t "execute" (fun () ->
         Fun.protect
           ~finally:(fun () ->
@@ -652,9 +667,9 @@ let execute_physical_full t (physical : Physical.plan) : execution =
     result;
     exec;
     translate_us;
-    translate_res;
+    translate_alloc_bytes;
     execute_us;
-    execute_res;
+    execute_alloc_bytes;
     backends = Tango_xxl.Attribution.breakdown collector;
   }
 
@@ -714,23 +729,6 @@ let cache_find ~kind t (sql : string) : cache_entry option =
         invalidate_plan_cache t ~reason:"topology";
         None
     | found -> found
-
-let cache_report_now t ~cls : cache_report option =
-  if not t.config.Config.plan_cache then None
-  else
-    let s = plan_cache_stats t in
-    Some
-      {
-        cache_hit = not (String.equal cls "miss");
-        cache_class = cls;
-        cache_hits = s.Tango_cache.Plan_cache.hits;
-        cache_template_hits = s.Tango_cache.Plan_cache.template_hits;
-        cache_exact_hits = s.Tango_cache.Plan_cache.exact_hits;
-        cache_misses = s.Tango_cache.Plan_cache.misses;
-        cache_invalidations = s.Tango_cache.Plan_cache.invalidations;
-        cache_replans = s.Tango_cache.Plan_cache.replans;
-        cache_entries = Tango_cache.Plan_cache.length t.plan_cache;
-      }
 
 (* The parameterized comparison slots of a template's initial plan: for
    each selection conjunct [attr op $n], the statistics of the selection's
@@ -865,10 +863,10 @@ type planned = {
   memo_classes : int;
   memo_elements : int;
   parse_us : float;
-  parse_res : Tango_obs.Runtime.delta;
+  parse_alloc_bytes : int;
   optimize_us : float;
-  optimize_res : Tango_obs.Runtime.delta;
-  cls : string option;  (* cache class, for the SQL entries *)
+  optimize_alloc_bytes : int;
+  cache : cache_report option;  (* for the SQL entries, with the cache on *)
   guard : Tango_profile.Analyze.report option -> unit;
       (* the sensitivity guard, run on the execution's analysis *)
 }
@@ -901,10 +899,10 @@ let cached_plan t (entry : entry) : planned option =
       memo_classes = e.cached_classes;
       memo_elements = e.cached_elements;
       parse_us = 0.0;
-      parse_res = Tango_obs.Runtime.zero;
+      parse_alloc_bytes = 0;
       optimize_us = 0.0;
-      optimize_res = Tango_obs.Runtime.zero;
-      cls = Some cls;
+      optimize_alloc_bytes = 0;
+      cache = Some { cache_hit = true; cache_class = cls };
       guard;
     }
   in
@@ -929,16 +927,16 @@ let cached_plan t (entry : entry) : planned option =
    fixed tree is only costed — then insert the cache entry {e before}
    execution, so a cost-refit flush during execution removes it. *)
 let fresh_plan t (entry : entry) : planned =
-  let (initial, required_order), parse_us, parse_res =
+  let (initial, required_order), parse_us, parse_alloc_bytes =
     match entry with
     | Text sql | Bound (sql, _) ->
         phase t "parse" (fun () ->
             Tango_tsql.Compile.initial_plan_and_order
               ~lookup:(schema_lookup t) sql)
     | Plan (op, order) | Fixed (op, order) ->
-        ((op, order), 0.0, Tango_obs.Runtime.zero)
+        ((op, order), 0.0, 0)
   in
-  let r, optimize_res =
+  let r, optimize_alloc_bytes =
     match entry with
     | Fixed _ ->
         let plan =
@@ -953,9 +951,9 @@ let fresh_plan t (entry : entry) : planned =
         record_diagnostics t (verify_final t ~required_order plan);
         ( { Search.plan = Some plan; classes = 0; elements = 0;
             considered = 0; time_us = 0.0 },
-          Tango_obs.Runtime.zero )
+          0 )
     | Text _ | Bound _ | Plan _ ->
-        let r, _, res =
+        let r, _, alloc =
           phase t "optimize" (fun () ->
               let r = optimize t ~required_order initial in
               Tango_obs.Trace.attr "classes"
@@ -964,7 +962,7 @@ let fresh_plan t (entry : entry) : planned =
                 (Tango_obs.Trace.Int r.Search.elements);
               r)
         in
-        (r, res)
+        (r, alloc)
   in
   match r.Search.plan with
   | None -> raise (No_plan "optimizer found no feasible plan")
@@ -974,7 +972,7 @@ let fresh_plan t (entry : entry) : planned =
             (r.Search.time_us /. 1000.0) r.Search.classes r.Search.elements
             (Physical.signature plan) plan.Physical.total_cost);
       let fingerprint = Physical.op_fingerprint initial in
-      let cache sql ~template =
+      let add sql ~template =
         if t.config.Config.plan_cache then
           Tango_cache.Plan_cache.add t.plan_cache ~sql
             {
@@ -991,14 +989,19 @@ let fresh_plan t (entry : entry) : planned =
               cached_buckets = [];
             }
       in
-      let plan, cls =
+      let miss =
+        if t.config.Config.plan_cache then
+          Some { cache_hit = false; cache_class = "miss" }
+        else None
+      in
+      let plan, cache =
         match entry with
         | Text sql ->
-            cache sql ~template:false;
-            (plan, Some "miss")
+            add sql ~template:false;
+            (plan, miss)
         | Bound (sql, values) ->
-            cache sql ~template:true;
-            (instantiate_for t values plan, Some "miss")
+            add sql ~template:true;
+            (instantiate_for t values plan, miss)
         | Plan _ | Fixed _ -> (plan, None)
       in
       {
@@ -1007,10 +1010,10 @@ let fresh_plan t (entry : entry) : planned =
         memo_classes = r.Search.classes;
         memo_elements = r.Search.elements;
         parse_us;
-        parse_res;
+        parse_alloc_bytes;
         optimize_us = r.Search.time_us;
-        optimize_res;
-        cls;
+        optimize_alloc_bytes;
+        cache;
         guard = ignore;
       }
 
@@ -1048,21 +1051,21 @@ let run t (entry : entry) : report =
               result = x.result;
               physical = p.plan;
               exec = x.exec;
-              optimize_us = p.optimize_us;
-              execute_us = x.execute_us;
               classes = p.memo_classes;
               elements = p.memo_elements;
               estimated_cost_us = p.plan.Physical.total_cost;
               trace = None;
               analysis;
               diagnostics = t.last_diagnostics;
-              cache = Option.bind p.cls (fun cls -> cache_report_now t ~cls);
-              phases =
-                make_phases ~parse_us:p.parse_us ~optimize_us:p.optimize_us
-                  ~parse_res:p.parse_res ~optimize_res:p.optimize_res
-                  ~translate_res:x.translate_res ~execute_res:x.execute_res
-                  ~translate_us:x.translate_us ~execute_us:x.execute_us
-                  x.backends;
+              cache = p.cache;
+              parse_us = p.parse_us;
+              optimize_us = p.optimize_us;
+              translate_us = x.translate_us;
+              execute_us = x.execute_us;
+              parse_alloc_bytes = p.parse_alloc_bytes;
+              optimize_alloc_bytes = p.optimize_alloc_bytes;
+              translate_alloc_bytes = x.translate_alloc_bytes;
+              execute_alloc_bytes = x.execute_alloc_bytes;
               backends = x.backends;
             }
           in

@@ -44,14 +44,14 @@ module Config : sig
         (** collect a {!Tango_obs.Trace} for each pipeline run *)
     profiling : bool;
         (** EXPLAIN-ANALYZE every execution: per-operator estimated vs
-            actual records ({!report.analysis}) folded into the session's
+            actual records ({!run.analysis}) folded into the session's
             feedback store *)
     adaptive_costs : bool;
         (** close the loop: refit cost factors when the feedback store
             shows sustained misestimation (implies [profiling]) *)
     verify_plans : verify_mode;
         (** statically verify plans; findings surface in
-            {!report.diagnostics} / {!last_diagnostics} *)
+            {!run.diagnostics} / {!last_diagnostics} *)
     plan_cache : bool;
         (** cache optimized physical plans keyed by normalized query text;
             a re-submitted {!query} skips parse and optimize *)
@@ -155,8 +155,11 @@ val config : t -> Config.t
 
 val set_config : t -> Config.t -> unit
 (** Replace the session configuration; applies [row_prefetch] and
-    [roundtrip_spin] to every live backend and invalidates cached
-    statistics when the [histograms] flag changes. *)
+    [roundtrip_spin] to every live backend, invalidates cached
+    statistics when the [histograms] flag changes, and flushes the plan
+    cache when a setting that chooses plans or their findings changes
+    ([histograms], [selectivity_mode], [max_memo_elements],
+    [verify_plans]). *)
 
 val last_trace : t -> Tango_obs.Trace.span option
 (** The trace of the most recent {!query} / {!run_plan} / {!run_fixed}
@@ -221,7 +224,8 @@ val optimize :
 (** {1 Execution} *)
 
 (** Plan-cache outcome attached to a {!report} (present only for {!query}
-    runs with the configuration's [plan_cache] on). *)
+    runs with the configuration's [plan_cache] on).  The session totals
+    are {!plan_cache_stats}. *)
 type cache_report = {
   cache_hit : bool;  (** this query was answered from the cache *)
   cache_class : string;
@@ -229,14 +233,6 @@ type cache_report = {
           query (the plan was instantiated under the binding);
           ["exact-hit"] — the full text matched an exact entry;
           ["miss"] — parse + optimize ran *)
-  cache_hits : int;  (** session totals since connect *)
-  cache_template_hits : int;
-  cache_exact_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_replans : int;
-      (** parameter-sensitivity re-optimizations (region plans stored) *)
-  cache_entries : int;  (** entries resident after this query *)
 }
 
 type backend_breakdown = Tango_xxl.Attribution.breakdown = {
@@ -255,43 +251,18 @@ type backend_breakdown = Tango_xxl.Attribution.breakdown = {
     {!Tango_xxl.Attribution}).  Summing [us +. wait_us] over all
     backends gives the sharded execution's total boundary contribution. *)
 
-(** Per-phase GC/allocation attribution, mirroring the wall-time
-    breakdown (zero when the configuration's [telemetry] is off). *)
-type phase_resources = {
-  parse_res : Tango_obs.Runtime.delta;
-  optimize_res : Tango_obs.Runtime.delta;
-  translate_res : Tango_obs.Runtime.delta;
-  execute_res : Tango_obs.Runtime.delta;  (** contains the next two *)
-  transfer_alloc_bytes : int;  (** Σ backend boundary allocation *)
-  mw_exec_alloc_bytes : int;
-      (** middleware-side execution allocation:
-          [execute − transfer], clamped at zero *)
-}
+(** The per-query record of one pipeline run: every phase's wall time
+    and allocation, measured once, beside the plan and what it executed.
+    Every other per-query number is derived from it by {!breakdown}.
 
-(** Phase breakdown of one pipeline run.  The phases are designed to be
-    {e conservative}: [parse + optimize + translate + mw_exec + transfer
-    + gather_wait] approximates the pipeline wall time, because
-    [mw_exec_us] is derived as the execute-phase remainder after
-    subtracting boundary time. *)
-type phases = {
-  parse_us : float;
-  optimize_us : float;
-  translate_us : float;
-  execute_us : float;  (** whole execute phase (contains the next three) *)
-  transfer_us : float;  (** Σ backend transfer time *)
-  gather_wait_us : float;  (** Σ backend gather-wait time *)
-  mw_exec_us : float;
-      (** middleware-side execution: [execute - transfer - gather_wait],
-          clamped at zero *)
-  res : phase_resources;  (** per-phase GC/allocation attribution *)
-}
-
-type report = {
-  result : Relation.t;
+    ['result] is the result relation in a {!report} and its cardinality
+    in an observed {!query_event}, so a monitoring surface that keeps
+    events never holds on to a relation.  The allocation fields are zero
+    when the configuration's [telemetry] is off. *)
+type 'result run = {
+  result : 'result;
   physical : Tango_volcano.Physical.plan;  (** the chosen plan *)
   exec : Exec_plan.node;  (** with per-algorithm measured times *)
-  optimize_us : float;
-  execute_us : float;
   classes : int;  (** memo equivalence classes explored *)
   elements : int;  (** memo class elements explored *)
   estimated_cost_us : float;
@@ -310,11 +281,50 @@ type report = {
   cache : cache_report option;
       (** plan-cache outcome; [None] unless this was a {!query} run with
           [plan_cache] on *)
-  phases : phases;  (** per-phase latency breakdown of this run *)
+  parse_us : float;  (** 0 when parse was skipped (cache hit, plan entry) *)
+  optimize_us : float;  (** 0 when optimize was skipped *)
+  translate_us : float;
+  execute_us : float;
+      (** whole execution: transfer + gather-wait + middleware work *)
+  parse_alloc_bytes : int;
+  optimize_alloc_bytes : int;
+  translate_alloc_bytes : int;
+  execute_alloc_bytes : int;
   backends : (string * backend_breakdown) list;
       (** per-backend attribution, in first-touch order; [[]] when the
           plan never crossed a backend boundary *)
 }
+
+type report = Tango_rel.Relation.t run
+
+(** What a {!run} implies.  The phases are {e conservative}: [parse +
+    optimize + translate + mw_exec + transfer + gather_wait]
+    approximates the pipeline wall time, because [mw_exec_us] is the
+    execute-phase remainder after the boundary time. *)
+type breakdown = {
+  transfer_us : float;  (** Σ backend transfer time *)
+  gather_wait_us : float;  (** Σ backend gather-wait time *)
+  mw_exec_us : float;
+      (** middleware-side execution: [execute - transfer - gather_wait],
+          clamped at zero *)
+  transfer_alloc_bytes : int;  (** Σ backend boundary allocation *)
+  mw_exec_alloc_bytes : int;
+      (** middleware-side execution allocation: [execute − transfer],
+          clamped at zero *)
+  mw_operators : int;  (** middleware-resident operators executed *)
+  transfers : int;  (** [TRANSFER^M] statements issued *)
+  tm_rows : int;  (** rows shipped DBMS -> middleware across [T^M] *)
+  td_rows : int;  (** rows materialized middleware -> DBMS across [T^D] *)
+  q_rows : float option;  (** mean cardinality q-error, when profiling *)
+  q_cost : float option;  (** mean cost q-error, when profiling *)
+  verify_errors : int;  (** error-severity verification findings *)
+  verify_warnings : int;
+}
+
+val breakdown : _ run -> breakdown
+(** The one derivation of a run's per-query numbers; the event log, the
+    watchdog, the [tango_alloc_*] counters and the benchmarks all read
+    it. *)
 
 exception No_plan of string
 
@@ -329,11 +339,11 @@ type query_event = {
   started_us : float;  (** wall clock ({!Tango_obs.now_us}) at entry *)
   elapsed_us : float;
       (** total pipeline duration, parse to result (monotonic clock) *)
-  report : report option;
-      (** [None] when the pipeline raised; its [cache] says whether the
-          plan cache answered *)
+  run : int run option;
+      (** the run's record with its result cut to the row count; [None]
+          when the pipeline raised *)
   error : string option;  (** the exception text when the pipeline raised *)
-  resources : Tango_obs.Runtime.delta;
+  gc : Tango_obs.Runtime.delta;
       (** whole-pipeline GC/allocation delta on the serving domain
           (zero when the configuration's [telemetry] is off) *)
 }
@@ -341,7 +351,7 @@ type query_event = {
 val set_query_observer : t -> (query_event -> unit) option -> unit
 (** Install (or with [None] remove) a callback invoked after every
     {!query} / {!run_plan} / {!run_fixed}, including runs that raise (the
-    event then carries the exception text and no report, and the
+    event then carries the exception text and no run, and the
     exception is re-raised).  One observer per session; exceptions the
     observer itself raises are swallowed — monitoring must never break
     the query path. *)

@@ -111,27 +111,11 @@ let to_json (f : t) : Tango_obs.Json.t =
   Tango_obs.Json.Obj
     (List.map (fun (n, v) -> (n, Tango_obs.Json.Float v)) (to_assoc f))
 
-(** Blend measured factors into the current ones — used by the feedback
-    loop ([alpha] = weight of the new observation). *)
-let blend ~(alpha : float) (current : t) (observed : t) =
-  let mix a b = ((1.0 -. alpha) *. a) +. (alpha *. b) in
-  current.p_tm <- mix current.p_tm observed.p_tm;
-  current.p_td <- mix current.p_td observed.p_td;
-  current.p_sem <- mix current.p_sem observed.p_sem;
-  current.p_pm <- mix current.p_pm observed.p_pm;
-  current.p_sortm <- mix current.p_sortm observed.p_sortm;
-  current.p_mjm1 <- mix current.p_mjm1 observed.p_mjm1;
-  current.p_mjm2 <- mix current.p_mjm2 observed.p_mjm2;
-  current.p_tjm1 <- mix current.p_tjm1 observed.p_tjm1;
-  current.p_tjm2 <- mix current.p_tjm2 observed.p_tjm2;
-  current.p_taggm1 <- mix current.p_taggm1 observed.p_taggm1;
-  current.p_taggm2 <- mix current.p_taggm2 observed.p_taggm2;
-  current.p_scan <- mix current.p_scan observed.p_scan;
-  current.p_sortd <- mix current.p_sortd observed.p_sortd;
-  current.p_joind1 <- mix current.p_joind1 observed.p_joind1;
-  current.p_joind2 <- mix current.p_joind2 observed.p_joind2;
-  current.p_taggd1 <- mix current.p_taggd1 observed.p_taggd1;
-  current.p_taggd2 <- mix current.p_taggd2 observed.p_taggd2
+(** Overwrite every factor of [dst] with [src]'s — adopting a calibrated
+    set.  Goes through {!to_assoc}/{!set_by_name}, so no factor can be
+    left behind. *)
+let assign (dst : t) (src : t) =
+  List.iter (fun (name, v) -> ignore (set_by_name dst name v)) (to_assoc src)
 
 let pp ppf f =
   Fmt.pf ppf

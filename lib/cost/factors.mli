@@ -7,8 +7,8 @@
     middleware's feedback loop may adapt them after each query.
 
     Domain safety: a [t] is a plain mutable record with no internal
-    lock.  Refit and blend operate on a private {!copy} that is swapped
-    in whole; treat a shared [t] as read-only. *)
+    lock.  Refits fit on a private {!copy}; treat a shared [t] as
+    read-only. *)
 
 type t = {
   (* transfers *)
@@ -53,8 +53,8 @@ val set_by_name : t -> string -> float -> bool
 
 val to_json : t -> Tango_obs.Json.t
 
-val blend : alpha:float -> t -> t -> unit
-(** [blend ~alpha current observed] mixes measured factors into the
-    current ones in place ([alpha] = weight of the new observation). *)
+val assign : t -> t -> unit
+(** [assign dst src] overwrites every factor of [dst] with [src]'s, in
+    place — how a session adopts a calibrated factor set. *)
 
 val pp : Format.formatter -> t -> unit

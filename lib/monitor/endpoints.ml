@@ -156,17 +156,17 @@ let query_by_seq t seq =
           let fields =
             match record with Tango_obs.Json.Obj fs -> fs | j -> [ ("record", j) ]
           in
-          let lanes =
-            List.map
-              (fun (name, (b : Middleware.backend_breakdown)) ->
-                (name, b.Middleware.us, b.Middleware.wait_us))
-              r.Event_log.backends
-          in
           let trace =
-            match r.Event_log.trace with
-            | Some span ->
+            match r.Event_log.event.Middleware.run with
+            | Some { Middleware.trace = Some span; backends; _ } ->
+                let lanes =
+                  List.map
+                    (fun (name, (b : Middleware.backend_breakdown)) ->
+                      (name, b.Middleware.us, b.Middleware.wait_us))
+                    backends
+                in
                 [ ("trace", Chrome_trace.to_json ~backends:lanes span) ]
-            | None -> []
+            | _ -> []
           in
           json_response (Tango_obs.Json.Obj (fields @ trace)))
 
@@ -309,28 +309,11 @@ let run_query t (req : Http.request) =
   | Ok (sql, params) -> (
     match Middleware.query_params t.mw sql params with
     | report ->
-        let open Tango_obs.Json in
         json_response
-          (Obj
-             [
-               ( "rows",
-                 Int (Tango_rel.Relation.cardinality report.Middleware.result)
-               );
-               ("optimize_us", Float report.Middleware.optimize_us);
-               ("execute_us", Float report.Middleware.execute_us);
-               ( "fingerprint",
-                 String
-                   (Tango_volcano.Physical.fingerprint
-                      report.Middleware.physical) );
-               ( "plan",
-                 String
-                   (Tango_volcano.Physical.signature report.Middleware.physical)
-               );
-               ( "cache",
-                 match report.Middleware.cache with
-                 | Some c -> String c.Middleware.cache_class
-                 | None -> Null );
-             ])
+          (Tango_obs.Json.Obj
+             (Event_log.run_json
+                ~rows:(Tango_rel.Relation.cardinality report.Middleware.result)
+                (Some report)))
     | exception e -> (
         match query_failure e with
         | Some msg -> error_response 400 msg

@@ -31,47 +31,12 @@ let query_us = Tango_obs.Histogram.make "monitor.query_us"
 
 type keep_reason = Sampled | Slow | Failed | Tail
 
+(* A kept event is stored as observed: the derived numbers are computed
+   when it is rendered, not when it arrives. *)
 type record = {
   seq : int;
-  at_us : float;
-  kind : string;
-  sql : string option;
-  fingerprint : string option;
-  signature : string option;
-  total_us : float;
-  parse_us : float;
-  optimize_us : float;
-  translate_us : float;
-  execute_us : float;
-  mw_exec_us : float;
-  transfer_us : float;
-  gather_wait_us : float;
-  (* per-phase allocation deltas (bytes), plus the whole-run GC counts *)
-  parse_alloc_bytes : int;
-  optimize_alloc_bytes : int;
-  translate_alloc_bytes : int;
-  transfer_alloc_bytes : int;
-  mw_exec_alloc_bytes : int;
-  alloc_bytes : int;
-  minor_collections : int;
-  major_collections : int;
-  promoted_words : int;
-  backends : (string * Middleware.backend_breakdown) list;
-  trace : Tango_obs.Trace.span option;
-  cache_hit : bool;
-  cache_class : string;  (** "template-hit" | "exact-hit" | "miss" | "" *)
-  rows : int;
-  mw_operators : int;
-  transfers : int;
-  tm_rows : int;
-  td_rows : int;
-  roundtrips : int;
-  q_rows : float option;
-  q_cost : float option;
-  verify_errors : int;
-  verify_warnings : int;
-  error : string option;
   kept : keep_reason;
+  event : Middleware.query_event;
 }
 
 type t = {
@@ -105,144 +70,6 @@ let create ?(capacity = 256) ?(sample_every = 1) ?(slow_keep_us = 0.0) () =
 let capacity t = t.capacity
 let seen t = Dsync.protect t.lock (fun () -> t.seen)
 let kept t = Dsync.protect t.lock (fun () -> t.kept)
-
-(* Walk the executed operator tree for the transfer-boundary numbers:
-   rows entering the middleware across TRANSFER^M, rows materialized back
-   into the DBMS across TRANSFER^D (transfer dependencies), and the
-   middleware-resident operator count. *)
-let exec_shape (exec : Exec_plan.node) =
-  let mw_operators = ref 0
-  and transfers = ref 0
-  and tm_rows = ref 0
-  and td_rows = ref 0 in
-  Exec_plan.iter
-    (fun n ->
-      incr mw_operators;
-      match n.Exec_plan.kind with
-      | Exec_plan.Transfer_m { deps; _ } | Exec_plan.Scatter { deps; _ } ->
-          incr transfers;
-          tm_rows := !tm_rows + n.Exec_plan.out_tuples;
-          List.iter
-            (fun (d : Exec_plan.dep) ->
-              td_rows := !td_rows + d.Exec_plan.source.Exec_plan.out_tuples)
-            deps
-      | _ -> ())
-    exec;
-  (!mw_operators, !transfers, !tm_rows, !td_rows)
-
-let record_of_event ?(seq = 0) ?(kept = Sampled)
-    (ev : Middleware.query_event) : record =
-  let empty =
-    {
-      seq;
-      at_us = ev.Middleware.started_us;
-      kind = ev.Middleware.kind;
-      sql = ev.Middleware.sql;
-      fingerprint = None;
-      signature = None;
-      total_us = ev.Middleware.elapsed_us;
-      parse_us = 0.0;
-      optimize_us = 0.0;
-      translate_us = 0.0;
-      execute_us = 0.0;
-      mw_exec_us = 0.0;
-      transfer_us = 0.0;
-      gather_wait_us = 0.0;
-      parse_alloc_bytes = 0;
-      optimize_alloc_bytes = 0;
-      translate_alloc_bytes = 0;
-      transfer_alloc_bytes = 0;
-      mw_exec_alloc_bytes = 0;
-      alloc_bytes = ev.Middleware.resources.Tango_obs.Runtime.alloc_bytes;
-      minor_collections =
-        ev.Middleware.resources.Tango_obs.Runtime.minor_collections;
-      major_collections =
-        ev.Middleware.resources.Tango_obs.Runtime.major_collections;
-      promoted_words =
-        ev.Middleware.resources.Tango_obs.Runtime.promoted_words;
-      backends = [];
-      trace = None;
-      cache_hit = false;
-      cache_class = "";
-      rows = 0;
-      mw_operators = 0;
-      transfers = 0;
-      tm_rows = 0;
-      td_rows = 0;
-      roundtrips = 0;
-      q_rows = None;
-      q_cost = None;
-      verify_errors = 0;
-      verify_warnings = 0;
-      error = ev.Middleware.error;
-      kept;
-    }
-  in
-  match ev.Middleware.report with
-  | None -> empty
-  | Some r ->
-      let mw_operators, transfers, tm_rows, td_rows =
-        exec_shape r.Middleware.exec
-      in
-      let q_rows, q_cost =
-        match r.Middleware.analysis with
-        | Some a ->
-            ( Some a.Tango_profile.Analyze.mean_q_rows,
-              Some a.Tango_profile.Analyze.mean_q_cost )
-        | None -> (None, None)
-      in
-      {
-        empty with
-        fingerprint =
-          Some (Tango_volcano.Physical.fingerprint r.Middleware.physical);
-        signature =
-          Some (Tango_volcano.Physical.signature r.Middleware.physical);
-        parse_us = r.Middleware.phases.Middleware.parse_us;
-        optimize_us = r.Middleware.optimize_us;
-        translate_us = r.Middleware.phases.Middleware.translate_us;
-        execute_us = r.Middleware.execute_us;
-        mw_exec_us = r.Middleware.phases.Middleware.mw_exec_us;
-        transfer_us = r.Middleware.phases.Middleware.transfer_us;
-        gather_wait_us = r.Middleware.phases.Middleware.gather_wait_us;
-        parse_alloc_bytes =
-          r.Middleware.phases.Middleware.res.Middleware.parse_res
-            .Tango_obs.Runtime.alloc_bytes;
-        optimize_alloc_bytes =
-          r.Middleware.phases.Middleware.res.Middleware.optimize_res
-            .Tango_obs.Runtime.alloc_bytes;
-        translate_alloc_bytes =
-          r.Middleware.phases.Middleware.res.Middleware.translate_res
-            .Tango_obs.Runtime.alloc_bytes;
-        transfer_alloc_bytes =
-          r.Middleware.phases.Middleware.res.Middleware.transfer_alloc_bytes;
-        mw_exec_alloc_bytes =
-          r.Middleware.phases.Middleware.res.Middleware.mw_exec_alloc_bytes;
-        backends = r.Middleware.backends;
-        trace = r.Middleware.trace;
-        cache_hit =
-          Option.fold ~none:false
-            ~some:(fun c -> c.Middleware.cache_hit)
-            r.Middleware.cache;
-        cache_class =
-          Option.fold ~none:""
-            ~some:(fun c -> c.Middleware.cache_class)
-            r.Middleware.cache;
-        rows = Tango_rel.Relation.cardinality r.Middleware.result;
-        mw_operators;
-        transfers;
-        tm_rows;
-        td_rows;
-        roundtrips = r.Middleware.exec.Exec_plan.roundtrips;
-        q_rows;
-        q_cost;
-        verify_errors = Tango_verify.Diag.count_errors r.Middleware.diagnostics;
-        verify_warnings =
-          List.length
-            (List.filter
-               (fun d -> not (Tango_verify.Diag.is_error d))
-               r.Middleware.diagnostics);
-        kept;
-      }
 
 (* An observation only counts as "tail" once the latency histogram has a
    meaningful shape, and only when it lands {e strictly above} the bucket
@@ -289,7 +116,7 @@ let observe t (ev : Middleware.query_event) : unit =
           | None -> None
           | Some _ ->
               let trace_id =
-                match ev.Middleware.report with
+                match ev.Middleware.run with
                 | Some r ->
                     Tango_volcano.Physical.fingerprint r.Middleware.physical
                 | None -> ev.Middleware.kind
@@ -307,8 +134,7 @@ let observe t (ev : Middleware.query_event) : unit =
           ev.Middleware.elapsed_us;
         (match decision with
         | Some kept ->
-            let r = record_of_event ~seq:t.seen ~kept ev in
-            t.ring.(t.next) <- Some r;
+            t.ring.(t.next) <- Some { seq = t.seen; kept; event = ev };
             t.next <- (t.next + 1) mod t.capacity;
             if t.stored < t.capacity then t.stored <- t.stored + 1;
             t.kept <- t.kept + 1
@@ -367,60 +193,98 @@ let backends_to_json (backends : (string * Middleware.backend_breakdown) list)
              ] ))
        backends)
 
+(* [f x] for [Some x]; [none] for a failed run's missing record. *)
+let field o none f = Option.fold ~none ~some:f o
+
+(* The summary [POST /query] answers with, rendered from one run (or
+   its absence, for a failed run) so the response and the event log
+   cannot disagree. *)
+let run_json ~rows (run : _ Middleware.run option) :
+    (string * Tango_obs.Json.t) list =
+  let open Tango_obs.Json in
+  let field none f = field run none f in
+  [
+    ("rows", Int rows);
+    ("optimize_us", Float (field 0.0 (fun r -> r.Middleware.optimize_us)));
+    ("execute_us", Float (field 0.0 (fun r -> r.Middleware.execute_us)));
+    ( "fingerprint",
+      field Null (fun r ->
+          String (Tango_volcano.Physical.fingerprint r.Middleware.physical)) );
+    ( "plan",
+      field Null (fun r ->
+          String (Tango_volcano.Physical.signature r.Middleware.physical)) );
+    ( "cache",
+      match Option.bind run (fun r -> r.Middleware.cache) with
+      | Some c -> String c.Middleware.cache_class
+      | None -> Null );
+  ]
+
 let record_to_json (r : record) : Tango_obs.Json.t =
   let open Tango_obs.Json in
+  let ev = r.event in
+  let run = ev.Middleware.run in
+  let b = Option.map Middleware.breakdown run in
   let opt_str = function Some s -> String s | None -> Null in
   let opt_float = function Some f -> Float f | None -> Null in
+  let run_us f = Float (field run 0.0 f) and run_int f = Int (field run 0 f) in
+  let b_us f = Float (field b 0.0 f) and b_int f = Int (field b 0 f) in
+  let cache = Option.bind run (fun r -> r.Middleware.cache) in
+  let gc = ev.Middleware.gc in
   Obj
-    [
-      ("seq", Int r.seq);
-      ("at_us", Float r.at_us);
-      ("kind", String r.kind);
-      ("sql", opt_str r.sql);
-      ("fingerprint", opt_str r.fingerprint);
-      ("plan", opt_str r.signature);
-      ("total_us", Float r.total_us);
-      ( "phases",
-        Obj
-          [
-            ("parse_us", Float r.parse_us);
-            ("optimize_us", Float r.optimize_us);
-            ("translate_us", Float r.translate_us);
-            ("mw_exec_us", Float r.mw_exec_us);
-            ("transfer_us", Float r.transfer_us);
-            ("gather_wait_us", Float r.gather_wait_us);
-            ("parse_alloc_bytes", Int r.parse_alloc_bytes);
-            ("optimize_alloc_bytes", Int r.optimize_alloc_bytes);
-            ("translate_alloc_bytes", Int r.translate_alloc_bytes);
-            ("transfer_alloc_bytes", Int r.transfer_alloc_bytes);
-            ("mw_exec_alloc_bytes", Int r.mw_exec_alloc_bytes);
-          ] );
-      ( "gc",
-        Obj
-          [
-            ("alloc_bytes", Int r.alloc_bytes);
-            ("minor_collections", Int r.minor_collections);
-            ("major_collections", Int r.major_collections);
-            ("promoted_words", Int r.promoted_words);
-          ] );
-      ("optimize_us", Float r.optimize_us);
-      ("execute_us", Float r.execute_us);
-      ("backends", backends_to_json r.backends);
-      ("cache_hit", Bool r.cache_hit);
-      ("cache_class", String r.cache_class);
-      ("rows", Int r.rows);
-      ("mw_operators", Int r.mw_operators);
-      ("transfers", Int r.transfers);
-      ("tm_rows", Int r.tm_rows);
-      ("td_rows", Int r.td_rows);
-      ("roundtrips", Int r.roundtrips);
-      ("q_rows", opt_float r.q_rows);
-      ("q_cost", opt_float r.q_cost);
-      ("verify_errors", Int r.verify_errors);
-      ("verify_warnings", Int r.verify_warnings);
-      ("error", opt_str r.error);
-      ("kept", String (keep_reason_name r.kept));
-    ]
+    ([
+       ("seq", Int r.seq);
+       ("at_us", Float ev.Middleware.started_us);
+       ("kind", String ev.Middleware.kind);
+       ("sql", opt_str ev.Middleware.sql);
+       ("total_us", Float ev.Middleware.elapsed_us);
+       ( "phases",
+         Obj
+           [
+             ("parse_us", run_us (fun r -> r.Middleware.parse_us));
+             ("optimize_us", run_us (fun r -> r.Middleware.optimize_us));
+             ("translate_us", run_us (fun r -> r.Middleware.translate_us));
+             ("mw_exec_us", b_us (fun b -> b.Middleware.mw_exec_us));
+             ("transfer_us", b_us (fun b -> b.Middleware.transfer_us));
+             ("gather_wait_us", b_us (fun b -> b.Middleware.gather_wait_us));
+             ( "parse_alloc_bytes",
+               run_int (fun r -> r.Middleware.parse_alloc_bytes) );
+             ( "optimize_alloc_bytes",
+               run_int (fun r -> r.Middleware.optimize_alloc_bytes) );
+             ( "translate_alloc_bytes",
+               run_int (fun r -> r.Middleware.translate_alloc_bytes) );
+             ( "transfer_alloc_bytes",
+               b_int (fun b -> b.Middleware.transfer_alloc_bytes) );
+             ( "mw_exec_alloc_bytes",
+               b_int (fun b -> b.Middleware.mw_exec_alloc_bytes) );
+           ] );
+       ( "gc",
+         Obj
+           [
+             ("alloc_bytes", Int gc.Tango_obs.Runtime.alloc_bytes);
+             ("minor_collections", Int gc.Tango_obs.Runtime.minor_collections);
+             ("major_collections", Int gc.Tango_obs.Runtime.major_collections);
+             ("promoted_words", Int gc.Tango_obs.Runtime.promoted_words);
+           ] );
+       ( "backends",
+         backends_to_json (field run [] (fun r -> r.Middleware.backends)) );
+       ( "cache_hit",
+         Bool (field cache false (fun c -> c.Middleware.cache_hit)) );
+       ( "cache_class",
+         String (field cache "" (fun c -> c.Middleware.cache_class)) );
+       ("mw_operators", b_int (fun b -> b.Middleware.mw_operators));
+       ("transfers", b_int (fun b -> b.Middleware.transfers));
+       ("tm_rows", b_int (fun b -> b.Middleware.tm_rows));
+       ("td_rows", b_int (fun b -> b.Middleware.td_rows));
+       ( "roundtrips",
+         run_int (fun r -> r.Middleware.exec.Exec_plan.roundtrips) );
+       ("q_rows", opt_float (Option.bind b (fun b -> b.Middleware.q_rows)));
+       ("q_cost", opt_float (Option.bind b (fun b -> b.Middleware.q_cost)));
+       ("verify_errors", b_int (fun b -> b.Middleware.verify_errors));
+       ("verify_warnings", b_int (fun b -> b.Middleware.verify_warnings));
+       ("error", opt_str ev.Middleware.error);
+       ("kept", String (keep_reason_name r.kept));
+     ]
+    @ run_json ~rows:(field run 0 (fun r -> r.Middleware.result)) run)
 
 let to_json ?n t : Tango_obs.Json.t =
   Tango_obs.Json.List (List.map record_to_json (recent ?n t))

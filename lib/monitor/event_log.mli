@@ -31,52 +31,10 @@ type keep_reason =
 
 type record = {
   seq : int;  (** arrival ordinal (0-based, counts dropped events too) *)
-  at_us : float;  (** wall clock at pipeline entry *)
-  kind : string;  (** ["query"] | ["run_plan"] | ["run_fixed"] *)
-  sql : string option;
-  fingerprint : string option;  (** whole-plan fingerprint *)
-  signature : string option;  (** one-line plan summary *)
-  total_us : float;  (** end-to-end pipeline wall time *)
-  parse_us : float;
-  optimize_us : float;
-  translate_us : float;
-  execute_us : float;
-  mw_exec_us : float;
-      (** middleware-side execution: execute minus boundary time *)
-  transfer_us : float;  (** Σ per-backend transfer time *)
-  gather_wait_us : float;  (** Σ per-backend gather-wait time *)
-  parse_alloc_bytes : int;  (** per-phase allocation deltas … *)
-  optimize_alloc_bytes : int;
-  translate_alloc_bytes : int;
-  transfer_alloc_bytes : int;  (** … Σ backend boundary allocation *)
-  mw_exec_alloc_bytes : int;  (** … execute minus boundary allocation *)
-  alloc_bytes : int;  (** whole-run allocation (serving domain) *)
-  minor_collections : int;  (** whole-run GC counts … *)
-  major_collections : int;
-  promoted_words : int;
-  backends : (string * Tango_core.Middleware.backend_breakdown) list;
-      (** per-backend latency attribution, first-touch order *)
-  trace : Tango_obs.Trace.span option;
-      (** the run's trace when tracing was on — the [/queries/<seq>]
-          drill-down grafts it into a Chrome trace with backend lanes *)
-  cache_hit : bool;
-      (** answered from the plan cache — parse/optimize were skipped, so
-          a zero [optimize_us] means "skipped", not "instantaneous" *)
-  cache_class : string;
-      (** ["template-hit"] | ["exact-hit"] | ["miss"]; [""] when the run
-          was not a cache-eligible query *)
-  rows : int;  (** result cardinality *)
-  mw_operators : int;  (** middleware-resident operators executed *)
-  transfers : int;  (** [TRANSFER^M] statements issued *)
-  tm_rows : int;  (** rows shipped DBMS -> middleware across [T^M] *)
-  td_rows : int;  (** rows materialized middleware -> DBMS across [T^D] *)
-  roundtrips : int;  (** client round trips (inclusive, whole plan) *)
-  q_rows : float option;  (** mean cardinality q-error, when profiling *)
-  q_cost : float option;  (** mean cost q-error, when profiling *)
-  verify_errors : int;  (** error-severity verification findings *)
-  verify_warnings : int;
-  error : string option;  (** exception text when the pipeline raised *)
   kept : keep_reason;
+  event : Tango_core.Middleware.query_event;
+      (** the pipeline's event as observed; its per-query numbers are
+          derived ({!Tango_core.Middleware.breakdown}) when rendered *)
 }
 
 type t
@@ -97,15 +55,6 @@ val seen : t -> int
 val kept : t -> int
 (** Records admitted so far (>= stored: eviction does not decrement). *)
 
-val record_of_event :
-  ?seq:int ->
-  ?kept:keep_reason ->
-  Tango_core.Middleware.query_event ->
-  record
-(** Pure conversion: derives the transfer-boundary numbers from the
-    executed operator tree, q-errors from the profiling analysis, and
-    finding counts from the verification diagnostics. *)
-
 val observe : t -> Tango_core.Middleware.query_event -> unit
 (** Feed one pipeline event: updates the aggregate metrics, applies
     admission, and appends the record when kept.  Kept observations
@@ -122,7 +71,18 @@ val recent : ?n:int -> t -> record list
 (** Up to [n] (default: all stored) most recent records, newest first. *)
 
 val keep_reason_name : keep_reason -> string
+
+val run_json :
+  rows:int -> _ Tango_core.Middleware.run option -> (string * Tango_obs.Json.t) list
+(** The run summary — [rows], [optimize_us], [execute_us], [fingerprint],
+    [plan], [cache] (the cache class or [null]) — that both a record and
+    the [POST /query] response render; nulls and zeros for a failed
+    run. *)
+
 val record_to_json : record -> Tango_obs.Json.t
+(** The record in full: the run summary, the phase breakdown and
+    per-phase allocation, whole-run GC counts, per-backend attribution,
+    transfer counts, q-errors and verification finding counts. *)
 
 val to_json : ?n:int -> t -> Tango_obs.Json.t
 (** JSON array of {!recent}, newest first. *)

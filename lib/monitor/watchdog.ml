@@ -27,6 +27,7 @@ type verdict = {
 }
 
 module Dsync = Tango_obs.Dsync
+module Middleware = Tango_core.Middleware
 
 type t = {
   q_error_warn : float;
@@ -63,24 +64,22 @@ let create ?(q_error_warn = 2.0) ?(hit_rate_drop = 0.2)
 (* Tail attribution                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let elapsed_us (r : Event_log.record) =
+  r.Event_log.event.Middleware.elapsed_us
+
 (* Records at or above the [tail_fraction] latency quantile of what the
    ring currently holds (always at least the slowest record). *)
 let tail_records t (records : Event_log.record list) =
   match records with
   | [] -> []
   | _ ->
-      let totals =
-        List.sort compare
-          (List.map (fun (r : Event_log.record) -> r.Event_log.total_us) records)
-      in
+      let totals = List.sort compare (List.map elapsed_us records) in
       let n = List.length totals in
       let cut =
         List.nth totals
           (min (n - 1) (int_of_float (t.tail_fraction *. float_of_int n)))
       in
-      List.filter
-        (fun (r : Event_log.record) -> r.Event_log.total_us >= cut)
-        records
+      List.filter (fun r -> elapsed_us r >= cut) records
 
 let argmax = function
   | [] -> None
@@ -96,33 +95,34 @@ let argmax = function
 (* Which backend the tail spends its boundary time on: argmax over
    Σ (transfer + gather-wait) per backend, as a share of the tail's
    whole boundary time. *)
-let dominant_backend tail =
+let dominant_backend (runs : int Middleware.run list) =
   let sums : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
-    (fun (r : Event_log.record) ->
+    (fun (r : int Middleware.run) ->
       List.iter
-        (fun (name, (b : Tango_core.Middleware.backend_breakdown)) ->
+        (fun (name, (b : Middleware.backend_breakdown)) ->
           if not (Hashtbl.mem sums name) then order := name :: !order;
           Hashtbl.replace sums name
             (Option.value ~default:0.0 (Hashtbl.find_opt sums name)
-            +. b.Tango_core.Middleware.us +. b.Tango_core.Middleware.wait_us))
-        r.Event_log.backends)
-    tail;
+            +. b.Middleware.us +. b.Middleware.wait_us))
+        r.Middleware.backends)
+    runs;
   argmax
     (List.rev_map (fun name -> (name, Hashtbl.find sums name)) !order)
 
 (* Which pipeline phase the tail spends its wall time in. *)
-let dominant_phase (tail : Event_log.record list) =
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 tail in
+let dominant_phase (runs : int Middleware.run list) =
+  let phases = List.map (fun r -> (r, Middleware.breakdown r)) runs in
+  let sum f = List.fold_left (fun acc (r, b) -> acc +. f r b) 0.0 phases in
   argmax
     [
-      ("parse", sum (fun r -> r.Event_log.parse_us));
-      ("optimize", sum (fun r -> r.Event_log.optimize_us));
-      ("translate", sum (fun r -> r.Event_log.translate_us));
-      ("mw-exec", sum (fun r -> r.Event_log.mw_exec_us));
-      ("transfer", sum (fun r -> r.Event_log.transfer_us));
-      ("gather-wait", sum (fun r -> r.Event_log.gather_wait_us));
+      ("parse", sum (fun r _ -> r.Middleware.parse_us));
+      ("optimize", sum (fun r _ -> r.Middleware.optimize_us));
+      ("translate", sum (fun r _ -> r.Middleware.translate_us));
+      ("mw-exec", sum (fun _ b -> b.Middleware.mw_exec_us));
+      ("transfer", sum (fun _ b -> b.Middleware.transfer_us));
+      ("gather-wait", sum (fun _ b -> b.Middleware.gather_wait_us));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -318,6 +318,11 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
     ]
   in
   let tail = tail_records t (Event_log.recent log) in
+  let runs =
+    List.filter_map
+      (fun (r : Event_log.record) -> r.Event_log.event.Middleware.run)
+      tail
+  in
   let state =
     if slo_verdict.Slo.state <> Slo.Ok then slo_verdict.Slo.state
     else if List.exists (fun s -> s.firing) signals then Slo.Warning
@@ -326,8 +331,8 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
   {
     state;
     signals;
-    dominant_backend = dominant_backend tail;
-    dominant_phase = dominant_phase tail;
+    dominant_backend = dominant_backend runs;
+    dominant_phase = dominant_phase runs;
     tail_records = List.length tail;
   }
 

@@ -38,19 +38,18 @@ let array_filter p (b : Tuple.t array) : Tuple.t array option =
 let filter (pred : Ast.expr) (arg : Cursor.t) : Cursor.t =
   let schema = Cursor.schema arg in
   let p = Scalar.compile_pred schema pred in
-  Cursor.observed "filter"
-    (Cursor.make ~schema
-       ~init:(fun () -> Cursor.init arg)
-       ~next_batch:(fun () ->
-         let rec go () =
-           match Cursor.next_batch arg with
-           | None -> None
-           | Some b -> (
-               match array_filter p b with
-               | None -> go ()
-               | some -> some)
-         in
-         go ()))
+  Cursor.make ~schema
+    ~init:(fun () -> Cursor.init arg)
+    ~next_batch:(fun () ->
+      let rec go () =
+        match Cursor.next_batch arg with
+        | None -> None
+        | Some b -> (
+            match array_filter p b with
+            | None -> go ()
+            | some -> some)
+      in
+      go ())
 
 (** `PROJECT^M`: generalized projection (expressions with output names). *)
 let project (items : (Ast.expr * string) list) (arg : Cursor.t) : Cursor.t =
@@ -61,13 +60,12 @@ let project (items : (Ast.expr * string) list) (arg : Cursor.t) : Cursor.t =
   in
   let fns = Array.of_list (List.map (fun (e, _) -> Scalar.compile in_schema e) items) in
   let eval t = Array.map (fun f -> f t) fns in
-  Cursor.observed "project"
-    (Cursor.make ~schema:out_schema
-       ~init:(fun () -> Cursor.init arg)
-       ~next_batch:(fun () ->
-         match Cursor.next_batch arg with
-         | None -> None
-         | Some b -> Some (Array.map eval b)))
+  Cursor.make ~schema:out_schema
+    ~init:(fun () -> Cursor.init arg)
+    ~next_batch:(fun () ->
+      match Cursor.next_batch arg with
+      | None -> None
+      | Some b -> Some (Array.map eval b))
 
 (** Projection onto named attributes. *)
 let project_attrs names (arg : Cursor.t) : Cursor.t =

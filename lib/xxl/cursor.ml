@@ -89,72 +89,3 @@ let rec read r =
         r.buf <- b;
         r.pos <- 0;
         read r
-
-(** Wrap a cursor with per-algorithm observability (see {!Tango_obs}).
-
-    Counters [xxl.<name>.opens] / [.tuples] / [.closes] are always live
-    (a close is the first exhausted pull).  When a trace is being
-    collected, [init] time and the summed pull time until exhaustion are
-    additionally recorded in the [xxl.<name>.init_us] / [.drain_us] /
-    [.tuples_per_open] histograms; with tracing off, the only overhead is
-    one branch and one counter add per batch. *)
-let observed (name : string) (c : t) : t =
-  let pre = "xxl." ^ name in
-  let c_opens = Tango_obs.Counter.make (pre ^ ".opens") in
-  let c_tuples = Tango_obs.Counter.make (pre ^ ".tuples") in
-  let c_closes = Tango_obs.Counter.make (pre ^ ".closes") in
-  let h_init = Tango_obs.Histogram.make (pre ^ ".init_us") in
-  let h_drain = Tango_obs.Histogram.make (pre ^ ".drain_us") in
-  let h_out = Tango_obs.Histogram.make (pre ^ ".tuples_per_open") in
-  let produced = ref 0 in
-  let spent = ref 0.0 in
-  let exhausted = ref false in
-  let on_close () =
-    if not !exhausted then begin
-      exhausted := true;
-      Tango_obs.Counter.incr c_closes
-    end
-  in
-  let on_close_traced () =
-    if not !exhausted then begin
-      exhausted := true;
-      Tango_obs.Counter.incr c_closes;
-      Tango_obs.Histogram.observe h_drain !spent;
-      Tango_obs.Histogram.observe h_out (float_of_int !produced)
-    end
-  in
-  {
-    schema = c.schema;
-    init =
-      (fun () ->
-        Tango_obs.Counter.incr c_opens;
-        produced := 0;
-        spent := 0.0;
-        exhausted := false;
-        if Tango_obs.Trace.active () then begin
-          let t0 = Tango_obs.mono_us () in
-          c.init ();
-          Tango_obs.Histogram.observe h_init (Tango_obs.mono_us () -. t0)
-        end
-        else c.init ());
-    next_batch =
-      (fun () ->
-        if Tango_obs.Trace.active () then begin
-          let t0 = Tango_obs.mono_us () in
-          let r = c.next_batch () in
-          spent := !spent +. (Tango_obs.mono_us () -. t0);
-          (match r with
-          | Some b ->
-              produced := !produced + Array.length b;
-              Tango_obs.Counter.add c_tuples (Array.length b)
-          | None -> on_close_traced ());
-          r
-        end
-        else begin
-          let r = c.next_batch () in
-          (match r with
-          | Some b -> Tango_obs.Counter.add c_tuples (Array.length b)
-          | None -> on_close ());
-          r
-        end);
-  }

@@ -54,11 +54,3 @@ val reader : t -> reader
 
 val read : reader -> Tuple.t option
 (** The next tuple, pulling the next batch when the buffer is spent. *)
-
-val observed : string -> t -> t
-(** [observed name c] wraps [c] with per-algorithm observability under
-    the [xxl.<name>.*] metric names: opens/tuples/closes counters are
-    always live (a batch costs one counter add); init/drain timing
-    histograms are recorded only while a {!Tango_obs.Trace} is being
-    collected.  Every middleware algorithm constructor applies this to
-    its result. *)

@@ -21,31 +21,30 @@ open Tango_algebra
 let dup_elim (arg : Cursor.t) : Cursor.t =
   let schema = Cursor.schema arg in
   let last = ref None in
-  Cursor.observed "dupelim"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Cursor.init arg;
-         last := None)
-       ~next_batch:(fun () ->
-         let rec go () =
-           match Cursor.next_batch arg with
-           | None -> None
-           | Some b ->
-               let out = ref [] in
-               let n = ref 0 in
-               Array.iter
-                 (fun t ->
-                   match !last with
-                   | Some prev when Tuple.equal prev t -> ()
-                   | _ ->
-                       last := Some t;
-                       out := t :: !out;
-                       incr n)
-                 b;
-               if !n = 0 then go ()
-               else Some (Array.of_list (List.rev !out))
-         in
-         go ()))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Cursor.init arg;
+      last := None)
+    ~next_batch:(fun () ->
+      let rec go () =
+        match Cursor.next_batch arg with
+        | None -> None
+        | Some b ->
+            let out = ref [] in
+            let n = ref 0 in
+            Array.iter
+              (fun t ->
+                match !last with
+                | Some prev when Tuple.equal prev t -> ()
+                | _ ->
+                    last := Some t;
+                    out := t :: !out;
+                    incr n)
+              b;
+            if !n = 0 then go ()
+            else Some (Array.of_list (List.rev !out))
+      in
+      go ())
 
 (** Multiset difference: left minus right, one occurrence removed per right
     tuple; order of the left input is preserved.  The right side is
@@ -61,27 +60,26 @@ let difference (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         false
     | _ -> true
   in
-  Cursor.observed "difference"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Cursor.init left;
-         Hashtbl.reset budget;
-         Cursor.iter
-           (fun t ->
-             let k = Array.to_list t in
-             Hashtbl.replace budget k
-               (1 + Option.value ~default:0 (Hashtbl.find_opt budget k)))
-           right)
-       ~next_batch:(fun () ->
-         let rec go () =
-           match Cursor.next_batch left with
-           | None -> None
-           | Some b -> (
-               match Basic_ops.array_filter survives b with
-               | None -> go ()
-               | some -> some)
-         in
-         go ()))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Cursor.init left;
+      Hashtbl.reset budget;
+      Cursor.iter
+        (fun t ->
+          let k = Array.to_list t in
+          Hashtbl.replace budget k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt budget k)))
+        right)
+    ~next_batch:(fun () ->
+      let rec go () =
+        match Cursor.next_batch left with
+        | None -> None
+        | Some b -> (
+            match Basic_ops.array_filter survives b with
+            | None -> go ()
+            | some -> some)
+      in
+      go ())
 
 (** Coalesce value-equivalent tuples; input must be sorted on the non-period
     attributes, then [T1]. *)
@@ -121,21 +119,20 @@ let coalesce (arg : Cursor.t) : Cursor.t =
         pending := Some (Array.copy t);
         out
   in
-  Cursor.observed "coalesce"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Cursor.init arg;
-         pending := None)
-       ~next_batch:(fun () ->
-         let rec go () =
-           match Cursor.next_batch arg with
-           | None ->
-               let last = Option.map (fun p -> [| p |]) !pending in
-               pending := None;
-               last
-           | Some b -> (
-               match Array.fold_left step [] b with
-               | [] -> go ()
-               | out -> Some (Array.of_list (List.rev out)))
-         in
-         go ()))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Cursor.init arg;
+      pending := None)
+    ~next_batch:(fun () ->
+      let rec go () =
+        match Cursor.next_batch arg with
+        | None ->
+            let last = Option.map (fun p -> [| p |]) !pending in
+            pending := None;
+            last
+        | Some b -> (
+            match Array.fold_left step [] b with
+            | [] -> go ()
+            | out -> Some (Array.of_list (List.rev out)))
+      in
+      go ())

@@ -37,28 +37,27 @@ let concat ?names ~schema (sources : Cursor.t list) : Cursor.t =
   let sources = Array.of_list sources in
   let n = Array.length sources in
   let at = ref 0 in
-  Cursor.observed "gather"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Array.iteri
-           (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
-           sources;
-         at := 0)
-       ~next_batch:(fun () ->
-         let rec pull () =
-           if !at >= n then None
-           else
-             let i = !at in
-             match
-               waited (source_name names i) (fun () ->
-                   Cursor.next_batch sources.(i))
-             with
-             | Some b -> Some b
-             | None ->
-                 incr at;
-                 pull ()
-         in
-         pull ()))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Array.iteri
+        (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
+        sources;
+      at := 0)
+    ~next_batch:(fun () ->
+      let rec pull () =
+        if !at >= n then None
+        else
+          let i = !at in
+          match
+            waited (source_name names i) (fun () ->
+                Cursor.next_batch sources.(i))
+          with
+          | Some b -> Some b
+          | None ->
+              incr at;
+              pull ()
+      in
+      pull ())
 
 (* K-way merge: one batch buffer per source, refilled on exhaustion; each
    output batch repeatedly takes the least head (ties to the lowest source
@@ -100,30 +99,29 @@ let kway ?names ~order ~schema (sources : Cursor.t array) : Cursor.t =
         pos.(i) <- pos.(i) + 1;
         Some t
   in
-  Cursor.observed "gather"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Array.iteri
-           (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
-           sources;
-         Array.fill bufs 0 n [||];
-         Array.fill pos 0 n 0;
-         Array.fill done_ 0 n false)
-       ~next_batch:(fun () ->
-         match next_tuple () with
-         | None -> None
-         | Some first ->
-             let out = ref [ first ] in
-             let count = ref 1 in
-             let continue = ref true in
-             while !continue && !count < Cursor.default_batch_size do
-               match next_tuple () with
-               | None -> continue := false
-               | Some t ->
-                   out := t :: !out;
-                   incr count
-             done;
-             Some (Array.of_list (List.rev !out))))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Array.iteri
+        (fun i c -> waited (source_name names i) (fun () -> Cursor.init c))
+        sources;
+      Array.fill bufs 0 n [||];
+      Array.fill pos 0 n 0;
+      Array.fill done_ 0 n false)
+    ~next_batch:(fun () ->
+      match next_tuple () with
+      | None -> None
+      | Some first ->
+          let out = ref [ first ] in
+          let count = ref 1 in
+          let continue = ref true in
+          while !continue && !count < Cursor.default_batch_size do
+            match next_tuple () with
+            | None -> continue := false
+            | Some t ->
+                out := t :: !out;
+                incr count
+          done;
+          Some (Array.of_list (List.rev !out)))
 
 let merge ?(order = []) ?names ~schema (sources : Cursor.t list) : Cursor.t =
   let names = Option.map Array.of_list names in

@@ -108,11 +108,10 @@ let merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true)) ~left_keys
     ~right_keys left right : Cursor.t =
   let out_schema = Schema.concat (Cursor.schema left) (Cursor.schema right) in
   let p = Scalar.compile_pred out_schema pred in
-  Cursor.observed "merge_join"
-    (merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
-       ~emit:(fun lt rt ->
-         let t = Tuple.concat lt rt in
-         if p t then Some t else None))
+  merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
+    ~emit:(fun lt rt ->
+      let t = Tuple.concat lt rt in
+      if p t then Some t else None)
 
 (** `TJOIN^M`: temporal equi-join (overlap implicit) of inputs sorted on the
     join keys. *)
@@ -159,6 +158,5 @@ let temporal_merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
     end
     else None
   in
-  Cursor.observed "tjoin"
-    (merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
-       ~emit)
+  merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
+    ~emit

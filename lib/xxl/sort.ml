@@ -123,19 +123,18 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
         end)
       !runs
   in
-  Cursor.observed "sort"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         Cursor.init arg;
-         build_runs ())
-       ~next_batch:(fun () ->
-         if !remaining = 0 then None
-         else begin
-           let n = min !remaining Cursor.default_batch_size in
-           remaining := !remaining - n;
-           let out = Array.make n (pop ()) in
-           for k = 1 to n - 1 do
-             out.(k) <- pop ()
-           done;
-           Some out
-         end))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      Cursor.init arg;
+      build_runs ())
+    ~next_batch:(fun () ->
+      if !remaining = 0 then None
+      else begin
+        let n = min !remaining Cursor.default_batch_size in
+        remaining := !remaining - n;
+        let out = Array.make n (pop ()) in
+        for k = 1 to n - 1 do
+          out.(k) <- pop ()
+        done;
+        Some out
+      end)

@@ -123,19 +123,18 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
   in
   (* Each input group yields one output batch (its constant intervals);
      groups whose sweep produces nothing are skipped. *)
-  Cursor.observed "taggr"
-    (Cursor.make ~schema:out_schema
-       ~init:(fun () ->
-         Cursor.init arg;
-         rd := Cursor.reader arg;
-         look := Cursor.read !rd)
-       ~next_batch:(fun () ->
-         let rec go () =
-           match read_group () with
-           | None -> None
-           | Some (key, members) -> (
-               match process_group key members with
-               | [] -> go ()
-               | out -> Some (Array.of_list out))
-         in
-         go ()))
+  Cursor.make ~schema:out_schema
+    ~init:(fun () ->
+      Cursor.init arg;
+      rd := Cursor.reader arg;
+      look := Cursor.read !rd)
+    ~next_batch:(fun () ->
+      let rec go () =
+        match read_group () with
+        | None -> None
+        | Some (key, members) -> (
+            match process_group key members with
+            | [] -> go ()
+            | out -> Some (Array.of_list out))
+      in
+      go ())

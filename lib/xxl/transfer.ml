@@ -52,18 +52,17 @@ let attributed backend f =
 let transfer_m (backend : Backend.t) ~(schema : Schema.t) (sql : Ast.query) :
     Cursor.t =
   let cur = ref None in
-  Cursor.observed "transfer_m"
-    (Cursor.make ~schema
-       ~init:(fun () ->
-         cur :=
-           Some
-             (attributed backend (fun () ->
-                  Backend.execute_query backend sql)))
-       ~next_batch:(fun () ->
-         match !cur with
-         | None -> invalid_arg "TRANSFER^M: pull before init"
-         | Some c ->
-             attributed backend (fun () -> Backend.fetch_batch c)))
+  Cursor.make ~schema
+    ~init:(fun () ->
+      cur :=
+        Some
+          (attributed backend (fun () ->
+               Backend.execute_query backend sql)))
+    ~next_batch:(fun () ->
+      match !cur with
+      | None -> invalid_arg "TRANSFER^M: pull before init"
+      | Some c ->
+          attributed backend (fun () -> Backend.fetch_batch c))
 
 (* Load [arg]'s batches into [table] on every backend.  A single backend
    streams batch-at-a-time; with replicas the input is drained once and
@@ -101,10 +100,9 @@ let load_all (backends : Backend.t list) ~table schema (arg : Cursor.t) =
 let transfer_d_all (backends : Backend.t list) ~(table : string)
     (arg : Cursor.t) : Cursor.t =
   let schema = Cursor.schema arg in
-  Cursor.observed "transfer_d"
-    (Cursor.make ~schema
-       ~init:(fun () -> load_all backends ~table schema arg)
-       ~next_batch:(fun () -> None))
+  Cursor.make ~schema
+    ~init:(fun () -> load_all backends ~table schema arg)
+    ~next_batch:(fun () -> None)
 
 (** `TRANSFER^D` to a single backend. *)
 let transfer_d (backend : Backend.t) ~(table : string) (arg : Cursor.t) :

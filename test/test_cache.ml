@@ -114,7 +114,7 @@ let setup () =
   let mw = Middleware.connect ~config db in
   (db, mw)
 
-let cache_hit (r : Middleware.report) =
+let cache_hit (r : _ Middleware.run) =
   match r.Middleware.cache with
   | Some c -> c.Middleware.cache_hit
   | None -> Alcotest.fail "no cache report on a plan_cache session"
@@ -132,7 +132,7 @@ let test_hit_on_resubmission () =
   let s = Middleware.plan_cache_stats mw in
   Alcotest.(check int) "one hit" 1 s.Plan_cache.hits
 
-let cache_class (r : Middleware.report) =
+let cache_class (r : _ Middleware.run) =
   match r.Middleware.cache with
   | Some c -> c.Middleware.cache_class
   | None -> Alcotest.fail "no cache report on a plan_cache session"
@@ -259,6 +259,12 @@ let test_sensitivity_guard_replans_per_region () =
     (Relation.equal_multiset (Middleware.query mw2 early).Middleware.result
        r5.Middleware.result)
 
+(* The run an event-log record holds. *)
+let logged_run (r : Tango_monitor.Event_log.record) =
+  match r.Tango_monitor.Event_log.event.Middleware.run with
+  | Some run -> run
+  | None -> Alcotest.fail "record of a failed run"
+
 let test_event_log_records_cache_class () =
   let _db, mw = setup () in
   let log = Tango_monitor.Event_log.create () in
@@ -267,17 +273,13 @@ let test_event_log_records_cache_class () =
   ignore (Middleware.query mw (Queries.q2_sql ~period_end:"1997-01-01"));
   ignore (Middleware.query mw Queries.q1_sql);
   ignore (Middleware.query mw Queries.q1_sql);
-  match Tango_monitor.Event_log.recent log with
+  match List.map logged_run (Tango_monitor.Event_log.recent log) with
   | [ d; c; b; a ] ->
       (* newest first *)
-      Alcotest.(check string) "template miss" "miss"
-        a.Tango_monitor.Event_log.cache_class;
-      Alcotest.(check string) "template hit" "template-hit"
-        b.Tango_monitor.Event_log.cache_class;
-      Alcotest.(check string) "exact miss" "miss"
-        c.Tango_monitor.Event_log.cache_class;
-      Alcotest.(check string) "exact hit" "exact-hit"
-        d.Tango_monitor.Event_log.cache_class
+      Alcotest.(check string) "template miss" "miss" (cache_class a);
+      Alcotest.(check string) "template hit" "template-hit" (cache_class b);
+      Alcotest.(check string) "exact miss" "miss" (cache_class c);
+      Alcotest.(check string) "exact hit" "exact-hit" (cache_class d)
   | rs -> Alcotest.failf "expected 4 records, got %d" (List.length rs)
 
 let test_invalidation_on_analyze () =
@@ -333,17 +335,47 @@ let test_refit_flush_drops_exact_entry () =
     else
       let sql = Queries.q2_sql ~period_end:(Printf.sprintf "19%02d-01-01" (70 + i)) in
       let before = Tango_obs.Counter.value Tango_profile.Adapt.refits in
-      let r = Middleware.query mw sql in
-      if Tango_obs.Counter.value Tango_profile.Adapt.refits > before then (sql, r)
+      ignore (Middleware.query mw sql);
+      if Tango_obs.Counter.value Tango_profile.Adapt.refits > before then sql
       else until_refit (i + 1)
   in
-  let sql, r = until_refit 0 in
-  (match r.Middleware.cache with
-  | Some c ->
-      Alcotest.(check int) "refit flushed every entry" 0 c.Middleware.cache_entries
-  | None -> Alcotest.fail "no cache report on a plan_cache session");
+  let sql = until_refit 0 in
+  Alcotest.(check (option string)) "the refit flushed the cache"
+    (Some "cost-refit")
+    (Middleware.plan_cache_stats mw).Plan_cache.last_invalidation;
   Alcotest.(check string) "the refit query's text re-plans" "miss"
     (cache_class (Middleware.query mw sql))
+
+(* Settings that choose plans or their findings flush the cache: the next
+   submission re-plans under the new value, and switching verification
+   on verifies afresh instead of serving the unverified plan's (empty)
+   findings.  The query compares a FLOAT column with a string, which
+   verification reports as a warning. *)
+let test_config_change_flushes () =
+  let _db, mw = setup () in
+  Middleware.set_config mw
+    Middleware.Config.(Middleware.config mw |> with_auto_parameterize false);
+  let sql = "VALIDTIME SELECT PosID FROM POSITION WHERE PayRate > 'abc'" in
+  let resubmit_after name change =
+    ignore (Middleware.query mw sql);
+    Alcotest.(check string) (name ^ ": cached before") "exact-hit"
+      (cache_class (Middleware.query mw sql));
+    Middleware.set_config mw (change (Middleware.config mw));
+    let r = Middleware.query mw sql in
+    Alcotest.(check string) (name ^ ": next query misses") "miss"
+      (cache_class r);
+    r
+  in
+  ignore
+    (resubmit_after "selectivity mode"
+       (Middleware.Config.with_selectivity_mode Tango_stats.Selectivity.Naive));
+  ignore
+    (resubmit_after "memo bound" (Middleware.Config.with_max_memo_elements 2_000));
+  let r =
+    resubmit_after "verification"
+      (Middleware.Config.with_verify_plans Middleware.Config.Verify_final)
+  in
+  Alcotest.(check bool) "fresh findings" true (r.Middleware.diagnostics <> [])
 
 let test_invalidation_on_stats_refresh () =
   let _db, mw = setup () in
@@ -381,17 +413,15 @@ let test_event_log_distinguishes_hits () =
   Middleware.set_query_observer mw (Some (Tango_monitor.Event_log.observe log));
   ignore (Middleware.query mw Queries.q1_sql);
   ignore (Middleware.query mw Queries.q1_sql);
-  match Tango_monitor.Event_log.recent log with
+  match List.map logged_run (Tango_monitor.Event_log.recent log) with
   | [ hit; miss ] ->
       (* newest first *)
-      Alcotest.(check bool) "miss recorded as such" false
-        miss.Tango_monitor.Event_log.cache_hit;
-      Alcotest.(check bool) "hit recorded as such" true
-        hit.Tango_monitor.Event_log.cache_hit;
+      Alcotest.(check bool) "miss recorded as such" false (cache_hit miss);
+      Alcotest.(check bool) "hit recorded as such" true (cache_hit hit);
       Alcotest.(check bool) "miss has an optimize phase" true
-        (miss.Tango_monitor.Event_log.optimize_us > 0.0);
+        (miss.Middleware.optimize_us > 0.0);
       Alcotest.(check (float 0.0)) "hit skipped optimize" 0.0
-        hit.Tango_monitor.Event_log.optimize_us
+        hit.Middleware.optimize_us
   | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
 
 let () =
@@ -422,6 +452,8 @@ let () =
             test_event_log_records_cache_class;
           Alcotest.test_case "invalidation on ANALYZE" `Quick test_invalidation_on_analyze;
           Alcotest.test_case "invalidation on DDL" `Quick test_invalidation_on_ddl;
+          Alcotest.test_case "config change flushes" `Quick
+            test_config_change_flushes;
           Alcotest.test_case "invalidation on factor change" `Quick
             test_invalidation_on_factor_change;
           Alcotest.test_case "refit flush drops the exact entry" `Quick

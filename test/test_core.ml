@@ -555,8 +555,12 @@ let check_entry name ~kind ~cls ~parsed ~optimized ?counts
     ((r : Middleware.report), (ev : Middleware.query_event)) =
   let say s = name ^ ": " ^ s in
   Alcotest.(check string) (say "event kind") kind ev.Middleware.kind;
-  Alcotest.(check bool) (say "event carries the report") true
-    (match ev.Middleware.report with Some r' -> r' == r | None -> false);
+  Alcotest.(check bool) (say "event carries the run") true
+    (match ev.Middleware.run with
+    | Some r' ->
+        r'.Middleware.exec == r.Middleware.exec
+        && r'.Middleware.result = Relation.cardinality r.Middleware.result
+    | None -> false);
   Alcotest.(check bool) (say "no error") true (ev.Middleware.error = None);
   Alcotest.(check (option string)) (say "cache class") cls
     (Option.map
@@ -654,8 +658,8 @@ let test_entry_point_failures () =
     | [ ev ] ->
         Alcotest.(check string) (name ^ ": kind") kind ev.Middleware.kind;
         Alcotest.(check bool) (name ^ ": error") true (ev.Middleware.error <> None);
-        Alcotest.(check bool) (name ^ ": no report") true
-          (ev.Middleware.report = None)
+        Alcotest.(check bool) (name ^ ": no run") true
+          (ev.Middleware.run = None)
     | evs -> Alcotest.failf "%s: expected one event, got %d" name (List.length evs)
   in
   check_failure "unparsable query" "query" ~expected:(fun _ -> true) (fun () ->

@@ -1,5 +1,5 @@
 (* Tests for the cost model: factors, the Figure-6 formulas, calibration
-   against a live substrate, and feedback blending. *)
+   against a live substrate, and factor adoption. *)
 
 open Tango_rel
 open Tango_sql
@@ -55,16 +55,19 @@ let test_index_join_cheaper () =
   let indexed = Formulas.index_join_d f ~outer_size:1e4 ~out_size:2e4 in
   Alcotest.(check bool) "indexed wins on big inner" true (indexed < generic)
 
-let test_blend () =
-  let current = Factors.default () in
-  let observed = Factors.default () in
-  observed.Factors.p_tm <- 10.0;
-  let before = current.Factors.p_tm in
-  Factors.blend ~alpha:0.5 current observed;
-  Alcotest.(check (float 1e-9)) "halfway" ((before +. 10.0) /. 2.0)
-    current.Factors.p_tm;
-  Factors.blend ~alpha:1.0 current observed;
-  Alcotest.(check (float 1e-9)) "full adoption" 10.0 current.Factors.p_tm
+(* Adopting a calibrated set must carry every factor into the session
+   globals: a set that differs from the defaults in every field leaves
+   the session's factors equal to it. *)
+let test_adopt_every_factor () =
+  let mw = Tango_core.Middleware.connect (Tango_dbms.Database.create ()) in
+  let calibrated = Factors.default () in
+  List.iter
+    (fun (name, v) -> ignore (Factors.set_by_name calibrated name (v *. 3.0)))
+    (Factors.to_assoc calibrated);
+  Tango_core.Middleware.adopt_factors mw calibrated;
+  Alcotest.(check (list (pair string (float 0.0)))) "every factor adopted"
+    (Factors.to_assoc calibrated)
+    (Factors.to_assoc (Tango_core.Middleware.factors mw))
 
 let test_copy_independent () =
   let a = Factors.default () in
@@ -125,7 +128,7 @@ let () =
         ] );
       ( "factors",
         [
-          Alcotest.test_case "blend" `Quick test_blend;
+          Alcotest.test_case "adopt every factor" `Quick test_adopt_every_factor;
           Alcotest.test_case "copy" `Quick test_copy_independent;
         ] );
       ( "calibration",

@@ -268,9 +268,9 @@ let event () : Middleware.query_event =
     sql = Some "SELECT 1";
     started_us = 0.0;
     elapsed_us = 100.0;
-    report = None;
+    run = None;
     error = None;
-    resources = Tango_obs.Runtime.zero;
+    gc = Tango_obs.Runtime.zero;
   }
 
 let test_event_log_stress () =

@@ -330,8 +330,8 @@ let test_chrome_backend_lanes () =
 
 let event ?(kind = "query") ?sql ?(started_us = 0.0) ?(elapsed_us = 100.0)
     ?error () : Middleware.query_event =
-  { Middleware.kind; sql; started_us; elapsed_us; report = None; error;
-    resources = Tango_obs.Runtime.zero }
+  { Middleware.kind; sql; started_us; elapsed_us; run = None; error;
+    gc = Tango_obs.Runtime.zero }
 
 let seqs log = List.map (fun r -> r.Event_log.seq) (Event_log.recent log)
 
@@ -372,7 +372,7 @@ let test_event_log_overrides () =
     (reasons = [ Event_log.Failed; Event_log.Slow; Event_log.Sampled ]);
   let failed = List.hd (Event_log.recent ~n:1 log) in
   Alcotest.(check (option string)) "error text" (Some "boom")
-    failed.Event_log.error
+    failed.Event_log.event.Middleware.error
 
 let test_event_log_metrics () =
   Counter.reset Event_log.queries_total;
@@ -643,38 +643,50 @@ let test_sharded_attribution_conservation () =
     ignore (Middleware.query mw sql)
   done;
   Middleware.set_query_observer mw None;
-  let records = Event_log.recent log in
-  Alcotest.(check int) "every run kept" 12 (List.length records);
-  let phase_sum (r : Event_log.record) =
-    r.Event_log.parse_us +. r.Event_log.optimize_us
-    +. r.Event_log.translate_us +. r.Event_log.mw_exec_us
-    +. r.Event_log.transfer_us +. r.Event_log.gather_wait_us
+  let events =
+    List.map (fun (r : Event_log.record) -> r.Event_log.event)
+      (Event_log.recent log)
+  in
+  Alcotest.(check int) "every run kept" 12 (List.length events);
+  let run_of (ev : Middleware.query_event) =
+    match ev.Middleware.run with
+    | Some r -> r
+    | None -> Alcotest.fail "record of a failed run"
+  in
+  let phase_sum ev =
+    let r = run_of ev in
+    let b = Middleware.breakdown r in
+    r.Middleware.parse_us +. r.Middleware.optimize_us
+    +. r.Middleware.translate_us +. b.Middleware.mw_exec_us
+    +. b.Middleware.transfer_us +. b.Middleware.gather_wait_us
   in
   List.iter
-    (fun (r : Event_log.record) ->
+    (fun ev ->
+      let r = run_of ev in
+      let b = Middleware.breakdown r in
       (* POSITION is range-partitioned, so the scan crosses both shards *)
       Alcotest.(check bool) "touches both shards" true
-        (List.mem_assoc "shard0" r.Event_log.backends
-        && List.mem_assoc "shard1" r.Event_log.backends);
+        (List.mem_assoc "shard0" r.Middleware.backends
+        && List.mem_assoc "shard1" r.Middleware.backends);
       (* the roll-up phases are exactly the per-backend sums *)
       let sum f =
-        List.fold_left (fun acc (_, b) -> acc +. f b) 0.0 r.Event_log.backends
+        List.fold_left (fun acc (_, l) -> acc +. f l) 0.0 r.Middleware.backends
       in
       Alcotest.(check (float 1e-6)) "transfer rolls up"
-        r.Event_log.transfer_us
-        (sum (fun (b : Middleware.backend_breakdown) -> b.Middleware.us));
+        b.Middleware.transfer_us
+        (sum (fun (l : Middleware.backend_breakdown) -> l.Middleware.us));
       Alcotest.(check (float 1e-6)) "gather-wait rolls up"
-        r.Event_log.gather_wait_us
-        (sum (fun (b : Middleware.backend_breakdown) -> b.Middleware.wait_us)))
-    records;
+        b.Middleware.gather_wait_us
+        (sum (fun (l : Middleware.backend_breakdown) -> l.Middleware.wait_us)))
+    events;
   (* conservation: the six phases partition the wall time — mw-exec is
      derived as the remainder of execute, so the sum only falls short by
      pipeline overhead outside the measured spans *)
-  let sums = List.fold_left (fun acc r -> acc +. phase_sum r) 0.0 records in
+  let sums = List.fold_left (fun acc ev -> acc +. phase_sum ev) 0.0 events in
   let walls =
     List.fold_left
-      (fun acc (r : Event_log.record) -> acc +. r.Event_log.total_us)
-      0.0 records
+      (fun acc (ev : Middleware.query_event) -> acc +. ev.Middleware.elapsed_us)
+      0.0 events
   in
   let ratio = sums /. walls in
   Alcotest.(check bool)
@@ -933,7 +945,7 @@ let test_endpoints_end_to_end () =
   (* /queries/<seq> drill-down: full record, phases, grafted trace *)
   let kept_record =
     List.find
-      (fun (r : Event_log.record) -> r.Event_log.error = None)
+      (fun (r : Event_log.record) -> r.Event_log.event.Middleware.error = None)
       (Event_log.recent (Endpoints.event_log ep))
   in
   let drill =
@@ -975,6 +987,74 @@ let test_endpoints_end_to_end () =
   check_infix "chrome envelope" "traceEvents" (get ep "/trace").Http.body;
   Alcotest.(check int) "unknown path" 404 (get ep "/nope").Http.status;
   Alcotest.(check int) "wrong method" 405 (post ep "/metrics" "").Http.status
+
+(* The two HTTP renderings of one traced 2-shard query — the [POST
+   /query] response and the [GET /queries/<seq>] drill-down — agree with
+   the query's record (the report with its result cut to the row count)
+   on rows, optimize_us, execute_us, fingerprint and cache class. *)
+let test_http_renderings_agree () =
+  Histogram.reset Event_log.query_us;
+  let topo =
+    Uis.load_sharded ~scale:0.003 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()
+  in
+  let config =
+    Middleware.Config.(default |> with_tracing true |> with_plan_cache true)
+  in
+  let ep = Endpoints.create (Middleware.connect_topology ~config topo) in
+  let posted =
+    post ep "/query"
+      "VALIDTIME SELECT PosID, COUNT(*) AS CNT FROM POSITION GROUP BY PosID"
+  in
+  Alcotest.(check int) "query ok" 200 posted.Http.status;
+  let seq, run =
+    match Event_log.recent ~n:1 (Endpoints.event_log ep) with
+    | [ { Event_log.seq; event = { Middleware.run = Some run; _ }; _ } ] ->
+        (seq, run)
+    | _ -> Alcotest.fail "the query left no record"
+  in
+  Alcotest.(check bool) "ran over both shards" true
+    (List.length run.Middleware.backends = 2 && run.Middleware.trace <> None);
+  let drill = get ep (Printf.sprintf "/queries/%d" seq) in
+  Alcotest.(check int) "drill-down ok" 200 drill.Http.status;
+  let fields what body =
+    match Json.parse body with
+    | Ok (Json.Obj fs) -> (what, fs)
+    | _ -> Alcotest.failf "%s: not a JSON object" what
+  in
+  let number = function
+    | Json.Int i -> float_of_int i
+    | Json.Float f -> f
+    | _ -> Float.nan
+  in
+  let cache_class =
+    match run.Middleware.cache with
+    | Some c -> c.Middleware.cache_class
+    | None -> Alcotest.fail "no cache outcome"
+  in
+  List.iter
+    (fun (what, fs) ->
+      let say s = what ^ ": " ^ s in
+      let field k =
+        match List.assoc_opt k fs with
+        | Some v -> v
+        | None -> Alcotest.failf "%s has no %S" what k
+      in
+      Alcotest.(check bool) (say "rows") true
+        (field "rows" = Json.Int run.Middleware.result);
+      Alcotest.(check (float 0.0)) (say "optimize_us")
+        run.Middleware.optimize_us (number (field "optimize_us"));
+      Alcotest.(check (float 0.0)) (say "execute_us")
+        run.Middleware.execute_us (number (field "execute_us"));
+      Alcotest.(check bool) (say "fingerprint") true
+        (field "fingerprint"
+        = Json.String (Tango_volcano.Physical.fingerprint run.Middleware.physical));
+      Alcotest.(check bool) (say "cache class") true
+        (field "cache" = Json.String cache_class))
+    [
+      fields "POST /query" posted.Http.body;
+      fields "GET /queries/<seq>" drill.Http.body;
+    ];
+  Histogram.reset Event_log.query_us
 
 let test_endpoints_slo_degrades () =
   (* a synthetic 1us latency objective: every real query is "slow", so
@@ -1065,5 +1145,7 @@ let () =
             test_endpoints_end_to_end;
           Alcotest.test_case "slo degrades under slow traffic" `Quick
             test_endpoints_slo_degrades;
+          Alcotest.test_case "http renderings agree" `Quick
+            test_http_renderings_agree;
         ] );
     ]

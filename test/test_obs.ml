@@ -230,7 +230,7 @@ let test_middleware_trace () =
 let test_middleware_metrics () =
   let before = Registry.snapshot () in
   let mw = traced_session () in
-  ignore (Middleware.query mw Queries.q1_sql);
+  let r = Middleware.query mw Queries.q1_sql in
   let d = Registry.diff (Registry.snapshot ()) before in
   Alcotest.(check bool) "client round trips counted" true
     (Registry.counter_value d "client.roundtrips" > 0);
@@ -242,8 +242,8 @@ let test_middleware_metrics () =
     (Registry.counter_value d "volcano.rules_fired" > 0);
   Alcotest.(check bool) "volcano plans considered" true
     (Registry.counter_value d "volcano.plans_considered" > 0);
-  Alcotest.(check bool) "xxl transfer opens counted" true
-    (Registry.counter_value d "xxl.transfer_m.opens" > 0)
+  Alcotest.(check bool) "executed transfer nodes counted tuples" true
+    ((Middleware.breakdown r).Middleware.tm_rows > 0)
 
 let test_tracing_off_no_trace () =
   let db = Tango_dbms.Database.create () in
