@@ -639,7 +639,11 @@ let execute_physical_full t (physical : Physical.plan) : execution =
     phase t "execute" (fun () ->
         Fun.protect
           ~finally:(fun () ->
-            (* temp tables were replicated to every backend *)
+            (* end statements whose consumer stopped early (a merge join
+               leaves its other input unread), so no stream outlives the
+               query or reads a dropped table; temp tables were
+               replicated to every backend *)
+            List.iter Backend.close_cursors (Topology.backends t.topology);
             List.iter
               (fun tbl ->
                 List.iter

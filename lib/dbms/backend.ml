@@ -15,6 +15,16 @@ type t = {
   c_roundtrips : Tango_obs.Counter.t;  (** [backend.<name>.*] mirrors *)
   c_tuples : Tango_obs.Counter.t;
   c_bytes : Tango_obs.Counter.t;
+  wire : Buffer.t;  (** the outgoing side of every round trip, reused *)
+  mutable landing : Bytes.t;  (** the receiving side, reused *)
+  mutable open_cursors : cursor list;  (** statements not yet ended *)
+}
+
+and cursor = {
+  backend : t;
+  mutable stream : Executor.stream option;  (** [None] once ended *)
+  mutable pending : Tuple.t array;  (** the executor's current batch *)
+  mutable next : int;  (** its first row not yet shipped *)
 }
 
 (* process-wide totals over every backend (see Tango_obs) *)
@@ -46,6 +56,9 @@ let in_process ?(name = "db") ?(row_prefetch = default_row_prefetch)
     c_roundtrips = c "roundtrips";
     c_tuples = c "tuples_shipped";
     c_bytes = c "bytes_shipped";
+    wire = Buffer.create 4096;
+    landing = Bytes.create 4096;
+    open_cursors = [];
   }
 
 let name b = b.name
@@ -70,64 +83,83 @@ let spin b =
   done;
   ignore (Sys.opaque_identity !acc)
 
-(* The one ship path: one round trip carries [batch] through a wire buffer
-   (serialize + parse) and is metered once. *)
-let ship b (batch : Tuple.t list) : Tuple.t list =
+(* The one ship path: one round trip carries the [n] tuples serialized
+   in [b.wire] to the other side, where they are parsed straight into the
+   batch array, and is metered once. *)
+let ship b n : Tuple.t array =
   spin b;
-  let buf = Buffer.create 4096 in
-  List.iter (Tuple.serialize buf) batch;
-  let wire = Buffer.contents buf in
-  let pos = ref 0 in
-  let parsed =
-    List.map
-      (fun _ ->
-        let t, p = Tuple.deserialize wire !pos in
-        pos := p;
-        t)
-      batch
-  in
-  let tuples = List.length parsed and bytes = String.length wire in
+  let bytes = Buffer.length b.wire in
+  if Bytes.length b.landing < bytes then
+    b.landing <- Bytes.create (max bytes (2 * Bytes.length b.landing));
+  Buffer.blit b.wire 0 b.landing 0 bytes;
+  let r = Value.reader (Bytes.unsafe_to_string b.landing) 0 in
+  let parsed = Array.init n (fun _ -> Tuple.read r) in
   b.roundtrips <- b.roundtrips + 1;
-  b.tuples_shipped <- b.tuples_shipped + tuples;
+  b.tuples_shipped <- b.tuples_shipped + n;
   b.bytes_shipped <- b.bytes_shipped + bytes;
   Tango_obs.Counter.incr b.c_roundtrips;
-  Tango_obs.Counter.add b.c_tuples tuples;
+  Tango_obs.Counter.add b.c_tuples n;
   Tango_obs.Counter.add b.c_bytes bytes;
   Tango_obs.Counter.incr c_roundtrips;
-  Tango_obs.Counter.add c_tuples_shipped tuples;
+  Tango_obs.Counter.add c_tuples_shipped n;
   Tango_obs.Counter.add c_bytes_shipped bytes;
   parsed
 
-type cursor = {
-  backend : t;
-  mutable pending : Tuple.t list;  (** rows not yet shipped *)
-}
-
-(* Like a JDBC statement: the (already computed) result streams to the
-   middleware as the cursor is advanced. *)
+(* Like a JDBC statement: the server compiles it now and executes it as
+   the cursor is advanced, one executor batch at a time. *)
 let execute_query b (q : Ast.query) : cursor =
   Tango_obs.Counter.incr c_queries;
-  {
-    backend = b;
-    pending = Array.to_list (Relation.tuples (Database.query_ast b.db q));
-  }
+  let cur =
+    { backend = b; stream = Some (Database.open_query b.db q); pending = [||]; next = 0 }
+  in
+  b.open_cursors <- cur :: b.open_cursors;
+  cur
 
+(* End the statement and drop everything it holds. *)
+let release (cur : cursor) =
+  match cur.stream with
+  | None -> ()
+  | Some s ->
+      Executor.close s;
+      cur.stream <- None;
+      cur.pending <- [||];
+      let b = cur.backend in
+      b.open_cursors <- List.filter (fun c -> c != cur) b.open_cursors
+
+let close_cursors b = List.iter release b.open_cursors
+
+(* Serialize exactly [row_prefetch] rows (fewer only at exhaustion),
+   pulling executor batches as needed; an exhausted statement is released
+   before its last batch ships. *)
 let fetch_batch (cur : cursor) : Tuple.t array option =
-  match cur.pending with
-  | [] -> None
-  | pending ->
-      let rec take k = function
-        | x :: rest when k > 0 ->
-            let taken, rem = take (k - 1) rest in
-            (x :: taken, rem)
-        | rest -> ([], rest)
-      in
-      let batch, rest = take cur.backend.row_prefetch pending in
-      cur.pending <- rest;
-      Some (Array.of_list (ship cur.backend batch))
+  let b = cur.backend in
+  Buffer.clear b.wire;
+  let rec fill n =
+    if n = b.row_prefetch then n
+    else if cur.next < Array.length cur.pending then begin
+      Tuple.serialize b.wire cur.pending.(cur.next);
+      cur.next <- cur.next + 1;
+      fill (n + 1)
+    end
+    else
+      match cur.stream with
+      | None -> n
+      | Some s -> (
+          match Executor.next_batch s with
+          | Some batch ->
+              cur.pending <- batch;
+              cur.next <- 0;
+              fill n
+          | None ->
+              release cur;
+              n)
+  in
+  match fill 0 with 0 -> None | n -> Some (ship b n)
 
 (* Stream the tuples into a fresh table in prefetch-sized batches, writing
-   them straight into fresh pages. *)
+   them straight into fresh pages.  A batch is collected before it is
+   serialized: pulling [tuples] may run a cursor on this same backend,
+   which reuses the wire buffer. *)
 let bulk_load b ~table (schema : Schema.t) (tuples : Tuple.t Seq.t) : string =
   Tango_obs.Counter.incr c_bulk_loads;
   Database.create_table b.db table (Schema.unqualify schema);
@@ -136,10 +168,12 @@ let bulk_load b ~table (schema : Schema.t) (tuples : Tuple.t Seq.t) : string =
   let batch_len = ref 0 in
   let flush () =
     if !batch_len > 0 then begin
-      List.iter
+      Buffer.clear b.wire;
+      List.iter (Tuple.serialize b.wire) (List.rev !batch);
+      Array.iter
         (fun t ->
           ignore (Tango_storage.Heap_file.append cat_table.Catalog.file t))
-        (ship b (List.rev !batch));
+        (ship b !batch_len);
       batch := [];
       batch_len := 0
     end

@@ -51,15 +51,29 @@ val set_roundtrip_spin : t -> int -> unit
 
 (** {1 Operations} *)
 
-(** A server-side cursor being drained by the middleware; rows stream to
-    the middleware in prefetch-sized batches as the cursor advances. *)
+(** A server-side cursor being drained by the middleware.  The statement
+    is compiled when it opens and executed as the cursor advances: each
+    fetch pulls the executor's batches (one page at a time for scans)
+    until it has [row_prefetch] rows, so nothing is computed ahead of the
+    consumer except what a pipeline breaker (sort, grouping, merge-join
+    input) must materialize. *)
 type cursor
 
 val execute_query : t -> Ast.query -> cursor
+(** Open a statement; raises {!Executor.Sql_error} if it does not
+    compile. *)
 
 val fetch_batch : cursor -> Tuple.t array option
-(** The next prefetch batch, shipped over the wire in one round trip
-    ([None] at exhaustion, never an empty array). *)
+(** The next batch of exactly [row_prefetch] rows (fewer only for the
+    last), shipped over the wire in one round trip: serialized through
+    the backend's reused wire buffer and parsed straight into the
+    returned array.  [None] at exhaustion, never an empty array; the
+    cursor releases the statement when it finds it exhausted. *)
+
+val close_cursors : t -> unit
+(** End every statement still open on this backend — one whose consumer
+    stopped early — releasing what it holds.  The middleware calls this
+    when a query ends, before dropping its temp tables. *)
 
 val bulk_load : t -> table:string -> Schema.t -> Tuple.t Seq.t -> string
 (** Direct-path bulk load — the SQL*Loader analogue used by `TRANSFER^D`:

@@ -99,6 +99,9 @@ let query db sql : Relation.t =
 let query_ast db q : Relation.t =
   Executor.run_query ~settings:db.settings db.catalog q
 
+let open_query db q : Executor.stream =
+  Executor.open_query ~settings:db.settings db.catalog q
+
 (** Create a table directly from a schema (bypassing SQL DDL). *)
 let create_table db name schema =
   ignore (Catalog.add db.catalog name schema);

@@ -35,6 +35,10 @@ val query : t -> string -> Relation.t
 (** Run a SELECT; raises {!Executor.Sql_error} on DDL. *)
 
 val query_ast : t -> Ast.query -> Relation.t
+(** Run a SELECT to the end: {!open_query} drained into a relation. *)
+
+val open_query : t -> Ast.query -> Executor.stream
+(** Open a SELECT as a stream of row batches (see {!Executor}). *)
 
 val create_table : t -> string -> Schema.t -> unit
 val drop_table : t -> string -> unit

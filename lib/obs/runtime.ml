@@ -5,12 +5,13 @@
     or an allocation storm becomes attributable to
     parse/optimize/translate/execute instead of being smeared into wall
     time.  Allocated bytes follow the classic identity:
-    [(minor + major - promoted) words × word size], read through
-    [Gc.allocated_bytes] rather than [Gc.quick_stat]: on OCaml 5 the
-    [quick_stat] word counters only advance at collection boundaries,
-    so a small phase (parse of a short statement) between two minor
-    collections would price as zero, while [Gc.allocated_bytes] reads
-    the live young-generation pointer and is exact.
+    [(minor + major - promoted) words × word size], with the minor
+    words read by [Gc.minor_words], which reads the live young-generation
+    pointer and is exact.  On OCaml 5.1 the minor words of
+    [Gc.quick_stat], of [Gc.counters] and hence of [Gc.allocated_bytes]
+    only advance at minor collections, so a phase between two of them
+    would price as (nearly) zero and the next phase to cross a collection
+    would be charged up to a whole minor heap it did not allocate.
 
     The module also keeps a per-domain cumulative table ([touch] /
     [domains]) feeding the [tango_gc_domain_*] gauges, and a process
@@ -41,11 +42,18 @@ type point = {
   pt_promoted : float;
 }
 
+(* Bytes allocated on this domain so far, exact between collections:
+   [Gc.counters]' major and promoted words only change when something is
+   allocated in, or promoted to, the major heap, which they count at
+   once. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 let point () =
   let s = Gc.quick_stat () in
   {
-    (* exact even between collections (reads the young pointer) *)
-    pt_alloc_bytes = Gc.allocated_bytes ();
+    pt_alloc_bytes = allocated ();
     pt_minor = s.Gc.minor_collections;
     pt_major = s.Gc.major_collections;
     pt_promoted = s.Gc.promoted_words;
@@ -67,6 +75,11 @@ let measure f =
   let p = point () in
   let r = f () in
   (r, delta_since p)
+
+type mark = float
+
+let mark () = allocated ()
+let allocated_since m = max 0 (int_of_float (allocated () -. m))
 
 (* --- per-domain cumulative table ------------------------------------- *)
 

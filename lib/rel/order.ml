@@ -40,24 +40,13 @@ let rec is_prefix (a : t) (b : t) =
     [actual]. *)
 let satisfies ~actual ~required = is_prefix required actual
 
-(** Comparator over tuples for this order under the given schema. *)
+(** Comparator over tuples for this order under the given schema.  Key
+    positions and directions are resolved once; a comparison allocates
+    nothing. *)
 let comparator (o : t) schema : Tuple.t -> Tuple.t -> int =
-  let keys =
-    List.map
-      (fun k ->
-        let idx = Schema.index schema k.attr in
-        (idx, k.dir))
-      o
-  in
-  fun a b ->
-    let rec go = function
-      | [] -> 0
-      | (idx, dir) :: rest -> (
-          let c = Value.compare a.(idx) b.(idx) in
-          let c = match dir with Asc -> c | Desc -> -c in
-          match c with 0 -> go rest | c -> c)
-    in
-    go keys
+  let idx = Array.of_list (List.map (fun k -> Schema.index schema k.attr) o) in
+  let asc = Array.of_list (List.map (fun k -> k.dir = Asc) o) in
+  Tuple.compare_on idx asc
 
 let pp_key ppf k =
   Fmt.pf ppf "%s%s" k.attr (match k.dir with Asc -> "" | Desc -> " DESC")

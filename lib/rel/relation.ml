@@ -49,9 +49,31 @@ let sort order_ r =
   Array.stable_sort cmp tuples;
   { r with tuples; order = order_ }
 
+(* [pred] runs once per tuple; when it keeps everything the input array
+   itself is returned. *)
+let filter_tuples pred (ts : Tuple.t array) : Tuple.t array =
+  let n = Array.length ts in
+  let keep = Array.map pred ts in
+  let kept = Array.fold_left (fun k b -> if b then k + 1 else k) 0 keep in
+  if kept = n then ts
+  else if kept = 0 then [||]
+  else begin
+    let out = Array.make kept ts.(0) in
+    let j = ref 0 in
+    Array.iteri
+      (fun i t ->
+        if keep.(i) then begin
+          out.(!j) <- t;
+          incr j
+        end)
+      ts;
+    out
+  end
+
+(* Filtering preserves order. *)
 let filter pred r =
-  (* Filtering preserves order. *)
-  { r with tuples = Array.of_seq (Seq.filter pred (Array.to_seq r.tuples)) }
+  let tuples = filter_tuples pred r.tuples in
+  if tuples == r.tuples then r else { r with tuples }
 
 let project names r =
   let schema' = Schema.project r.schema names in

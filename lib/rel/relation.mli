@@ -34,7 +34,12 @@ val sort : Order.t -> t -> t
 (** Stable sort; records the resulting order property. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
-(** Order-preserving. *)
+(** Order-preserving; returns the relation itself when nothing is
+    dropped. *)
+
+val filter_tuples : (Tuple.t -> bool) -> Tuple.t array -> Tuple.t array
+(** Order-preserving, one predicate call per tuple; returns the input
+    array itself when nothing is dropped. *)
 
 val project : string list -> t -> t
 

@@ -30,6 +30,16 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+let rec compare_from (idx : int array) (asc : bool array) (a : t) (b : t) i =
+  if i = Array.length idx then 0
+  else
+    let k = idx.(i) in
+    match Value.compare a.(k) b.(k) with
+    | 0 -> compare_from idx asc a b (i + 1)
+    | c -> if asc.(i) then c else -c
+
+let compare_on idx asc a b = compare_from idx asc a b 0
+
 (** Total tuple size in bytes, the per-tuple contribution to [size(r)]. *)
 let byte_size (t : t) =
   Array.fold_left (fun acc v -> acc + Value.byte_size v) 0 t
@@ -46,20 +56,24 @@ let serialize buf (t : t) =
   Buffer.add_int32_le buf (Int32.of_int (Array.length t));
   Array.iter (Value.serialize buf) t
 
-let deserialize s pos : t * int =
-  let n = Int32.to_int (String.get_int32_le s pos) in
-  let pos = ref (pos + 4) in
-  let t =
-    Array.init n (fun _ ->
-        let v, p = Value.deserialize s !pos in
-        pos := p;
-        v)
-  in
-  (t, !pos)
+(* Parsed into a pre-sized array: one allocation per tuple besides its
+   values. *)
+let read (r : Value.reader) : t =
+  let n = Int32.to_int (String.get_int32_le r.src r.pos) in
+  r.pos <- r.pos + 4;
+  if n = 0 then [||]
+  else begin
+    let t = Array.make n Value.Null in
+    for i = 0 to n - 1 do
+      t.(i) <- Value.read r
+    done;
+    t
+  end
+[@@tango.unguarded "advances a reader the caller owns; one parse per reader"]
 
 (** Round-trip through bytes: the "marshalling work" performed for every
     tuple that crosses the middleware/DBMS boundary. *)
 let marshal_roundtrip (t : t) : t =
   let buf = Buffer.create 64 in
   serialize buf t;
-  fst (deserialize (Buffer.contents buf) 0)
+  read (Value.reader (Buffer.contents buf) 0)

@@ -20,6 +20,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val compare_on : int array -> bool array -> t -> t -> int
+(** [compare_on idx asc a b]: lexicographic by {!Value.compare} on
+    positions [idx], ascending where [asc] holds, descending elsewhere.
+    Allocates nothing. *)
+
 val byte_size : t -> int
 (** Total bytes, the per-tuple contribution to [size(r)]. *)
 
@@ -27,7 +32,9 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val serialize : Buffer.t -> t -> unit
-val deserialize : string -> int -> t * int
+
+val read : Value.reader -> t
+(** Parse the tuple at the reader's position and advance past it. *)
 
 val marshal_roundtrip : t -> t
 (** Serialize to a wire buffer and parse back — the marshalling work paid

@@ -183,19 +183,34 @@ let serialize buf = function
       Buffer.add_char buf '\005';
       write_int64 buf d
 
-(** [deserialize s pos] reads one value starting at [pos]; returns the value
-    and the position after it. *)
-let deserialize s pos =
-  let tag = s.[pos] in
-  let read_int64 p = Int64.to_int (String.get_int64_le s p) in
-  match tag with
-  | '\000' -> (Null, pos + 1)
-  | '\001' -> (Bool (s.[pos + 1] = '\001'), pos + 2)
-  | '\002' -> (Int (read_int64 (pos + 1)), pos + 9)
+(** A read position in a serialized byte string; {!read} advances it. *)
+type reader = { src : string; mutable pos : int }
+
+let reader src pos = { src; pos }
+
+let int64_at s p = Int64.to_int (String.get_int64_le s p)
+
+(** [read r] parses the value at [r.pos] and moves [r.pos] past it. *)
+let read r =
+  let s = r.src and pos = r.pos in
+  match s.[pos] with
+  | '\000' ->
+      r.pos <- pos + 1;
+      Null
+  | '\001' ->
+      r.pos <- pos + 2;
+      Bool (s.[pos + 1] = '\001')
+  | '\002' ->
+      r.pos <- pos + 9;
+      Int (int64_at s (pos + 1))
   | '\003' ->
-      (Float (Int64.float_of_bits (String.get_int64_le s (pos + 1))), pos + 9)
+      r.pos <- pos + 9;
+      Float (Int64.float_of_bits (String.get_int64_le s (pos + 1)))
   | '\004' ->
-      let len = read_int64 (pos + 1) in
-      (Str (String.sub s (pos + 9) len), pos + 9 + len)
-  | '\005' -> (Date (read_int64 (pos + 1)), pos + 9)
-  | c -> invalid_arg (Printf.sprintf "Value.deserialize: bad tag %C" c)
+      let len = int64_at s (pos + 1) in
+      r.pos <- pos + 9 + len;
+      Str (String.sub s (pos + 9) len)
+  | '\005' ->
+      r.pos <- pos + 9;
+      Date (int64_at s (pos + 1))
+  | c -> invalid_arg (Printf.sprintf "Value.read: bad tag %C" c)

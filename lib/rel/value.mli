@@ -76,6 +76,11 @@ val to_string : t -> string
 
 val serialize : Buffer.t -> t -> unit
 
-val deserialize : string -> int -> t * int
-(** [deserialize s pos] reads one value at [pos]; returns it and the
-    position after it. *)
+type reader = { src : string; mutable pos : int }
+(** A read position in a serialized byte string. *)
+
+val reader : string -> int -> reader
+(** [reader s pos] reads [s] from [pos]. *)
+
+val read : reader -> t
+(** Parse the value at the reader's position and advance past it. *)

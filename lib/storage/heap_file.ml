@@ -98,20 +98,35 @@ let fetch f (r : rid) =
   Io_stats.record_tuples_read f.stats 1;
   Page.get p r.slot
 
-(** Full scan as a sequence; each page is charged once, each tuple is
-    deserialized. *)
-let scan f : Tuple.t Seq.t =
-  let rec pages i () =
-    if i >= f.page_count then Seq.Nil
+(** Full scan, one page per pull: each page is charged once and its
+    tuples deserialized; [None] after the last page.  The page count is
+    read per pull, so pages appended mid-scan are seen. *)
+let scan_pages f : unit -> Tuple.t array option =
+  let next = ref 0 in
+  let rec pull () =
+    if !next >= f.page_count then None
     else begin
-      let p = read_page f i in
+      let p = read_page f !next in
+      incr next;
       Io_stats.record_tuples_read f.stats (Page.tuple_count p);
-      Seq.append (Page.to_seq p) (pages (i + 1)) ()
+      match Page.tuples p with [||] -> pull () | ts -> Some ts
     end
   in
-  pages 0
+  pull
 
-let iter fn f = Seq.iter fn (scan f)
+let scan f : Tuple.t Seq.t =
+  Seq.concat_map Array.to_seq (Seq.of_dispenser (scan_pages f))
+
+let iter fn f =
+  let pull = scan_pages f in
+  let rec go () =
+    match pull () with
+    | None -> ()
+    | Some ts ->
+        Array.iter fn ts;
+        go ()
+  in
+  go ()
 
 (** Drop this file's pages from the shared buffer pool (table drop). *)
 let invalidate f =
@@ -126,4 +141,4 @@ let of_relation ?page_capacity ?pool ~stats (r : Relation.t) =
   f
 
 let to_relation f =
-  Relation.of_list f.schema (List.of_seq (scan f))
+  Relation.make f.schema (Array.of_seq (scan f))

@@ -29,6 +29,11 @@ val read_page : t -> int -> Page.t
 val fetch : t -> rid -> Tuple.t
 (** Fetch a single tuple (one page read). *)
 
+val scan_pages : t -> unit -> Tuple.t array option
+(** [scan_pages f] starts a full scan pulled one page at a time: each
+    pull charges one page and returns its tuples (never an empty array),
+    [None] after the last page. *)
+
 val scan : t -> Tuple.t Seq.t
 (** Full scan; each page charged once, each tuple deserialized. *)
 

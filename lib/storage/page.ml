@@ -50,19 +50,25 @@ let append p (t : Tuple.t) =
     true
   end
 
+(* Pages are never compacted, so slot [i] starts where slot [i - 1]
+   ends: one reader walks the whole page. *)
+let reader p = Value.reader (Bytes.unsafe_to_string p.data) 0
+
 (** [get p i]: deserialize the [i]-th tuple. *)
 let get p i =
   if i < 0 || i >= p.count then invalid_arg "Page.get: slot out of range";
-  let s = Bytes.unsafe_to_string p.data in
-  fst (Tuple.deserialize s p.slots.(i))
+  let r = reader p in
+  r.Value.pos <- p.slots.(i);
+  Tuple.read r
+
+(** Every tuple, in slot order. *)
+let tuples p =
+  let r = reader p in
+  Array.init p.count (fun _ -> Tuple.read r)
 
 (** Iterate tuples in slot order. *)
 let iter f p =
-  let s = Bytes.unsafe_to_string p.data in
-  for i = 0 to p.count - 1 do
-    f (fst (Tuple.deserialize s p.slots.(i)))
+  let r = reader p in
+  for _ = 1 to p.count do
+    f (Tuple.read r)
   done
-
-let to_seq p =
-  let s = Bytes.unsafe_to_string p.data in
-  Seq.init p.count (fun i -> fst (Tuple.deserialize s p.slots.(i)))

@@ -23,5 +23,7 @@ val append : t -> Tuple.t -> bool
 val get : t -> int -> Tuple.t
 (** Deserialize one slot; raises [Invalid_argument] when out of range. *)
 
+val tuples : t -> Tuple.t array
+(** Deserialize every slot, in order. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
-val to_seq : t -> Tuple.t Seq.t

@@ -8,31 +8,13 @@ open Tango_rel
 open Tango_sql
 open Tango_algebra
 
-(* Filter an array through [p], preserving order; [None] when nothing
-   survives (so the caller can pull the next input batch). *)
-let array_filter p (b : Tuple.t array) : Tuple.t array option =
-  let n = Array.length b in
-  let kept = ref 0 in
-  let keep = Array.make n false in
-  for i = 0 to n - 1 do
-    if p b.(i) then begin
-      keep.(i) <- true;
-      incr kept
-    end
-  done;
-  if !kept = 0 then None
-  else if !kept = n then Some b
-  else begin
-    let out = Array.make !kept b.(0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if keep.(i) then begin
-        out.(!j) <- b.(i);
-        incr j
-      end
-    done;
-    Some out
-  end
+let rec next_kept p (c : Cursor.t) =
+  match Cursor.next_batch c with
+  | None -> None
+  | Some b -> (
+      match Relation.filter_tuples p b with
+      | [||] -> next_kept p c
+      | kept -> Some kept)
 
 (** `FILTER^M`: selection in the middleware (paper Section 3.3). *)
 let filter (pred : Ast.expr) (arg : Cursor.t) : Cursor.t =
@@ -40,16 +22,7 @@ let filter (pred : Ast.expr) (arg : Cursor.t) : Cursor.t =
   let p = Scalar.compile_pred schema pred in
   Cursor.make ~schema
     ~init:(fun () -> Cursor.init arg)
-    ~next_batch:(fun () ->
-      let rec go () =
-        match Cursor.next_batch arg with
-        | None -> None
-        | Some b -> (
-            match array_filter p b with
-            | None -> go ()
-            | some -> some)
-      in
-      go ())
+    ~next_batch:(fun () -> next_kept p arg)
 
 (** `PROJECT^M`: generalized projection (expressions with output names). *)
 let project (items : (Ast.expr * string) list) (arg : Cursor.t) : Cursor.t =

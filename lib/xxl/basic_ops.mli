@@ -4,10 +4,10 @@
 open Tango_rel
 open Tango_sql
 
-val array_filter : (Tuple.t -> bool) -> Tuple.t array -> Tuple.t array option
-(** Order-preserving filter over one batch; [None] when nothing survives
-    (so callers pull the next input batch).  Shared by the batch paths of
-    `FILTER^M` and `DIFFERENCE^M`. *)
+val next_kept : (Tuple.t -> bool) -> Cursor.t -> Tuple.t array option
+(** Pull batches until one has a tuple satisfying the predicate; return
+    that batch's survivors in order ([None] at exhaustion).  Shared by
+    the batch paths of `FILTER^M` and `DIFFERENCE^M`. *)
 
 val filter : Ast.expr -> Cursor.t -> Cursor.t
 (** `FILTER^M` (paper §3.3). *)

@@ -70,16 +70,7 @@ let difference (left : Cursor.t) (right : Cursor.t) : Cursor.t =
           Hashtbl.replace budget k
             (1 + Option.value ~default:0 (Hashtbl.find_opt budget k)))
         right)
-    ~next_batch:(fun () ->
-      let rec go () =
-        match Cursor.next_batch left with
-        | None -> None
-        | Some b -> (
-            match Basic_ops.array_filter survives b with
-            | None -> go ()
-            | some -> some)
-      in
-      go ())
+    ~next_batch:(fun () -> Basic_ops.next_kept survives left)
 
 (** Coalesce value-equivalent tuples; input must be sorted on the non-period
     attributes, then [T1]. *)

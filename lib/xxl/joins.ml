@@ -13,18 +13,22 @@ open Tango_temporal
 
 type side_state = {
   cursor : Cursor.t;
-  key : Tuple.t -> Tuple.t;  (* extract join key *)
+  keys : int array;  (* join key positions *)
   mutable reader : Cursor.reader;
   mutable look : Tuple.t option;  (* one-tuple lookahead *)
 }
 
-let make_side cursor key_idxs =
-  {
-    cursor;
-    key = (fun t -> Array.of_list (List.map (fun i -> t.(i)) key_idxs));
-    reader = Cursor.reader cursor;
-    look = None;
-  }
+(* Compare [a]'s key at positions [ka] with [b]'s at [kb] in place,
+   lexicographically; allocates nothing. *)
+let rec compare_keys (a : Tuple.t) ka (b : Tuple.t) kb i =
+  if i = Array.length ka then 0
+  else
+    match Value.compare a.(ka.(i)) b.(kb.(i)) with
+    | 0 -> compare_keys a ka b kb (i + 1)
+    | c -> c
+
+let make_side cursor keys =
+  { cursor; keys; reader = Cursor.reader cursor; look = None }
 
 let side_init s =
   Cursor.init s.cursor;
@@ -34,26 +38,27 @@ let side_init s =
 let side_peek s = s.look
 let side_advance s = s.look <- Cursor.read s.reader
 
-(* Read the full run of tuples whose key equals the current lookahead's. *)
+(* Read the full run of tuples whose key equals the current lookahead's;
+   the run's first tuple stands for its key. *)
 let side_read_group s =
   match s.look with
   | None -> None
   | Some first ->
-      let k = s.key first in
       let group = ref [ first ] in
       side_advance s;
       let rec go () =
         match s.look with
-        | Some t when Tuple.compare (s.key t) k = 0 ->
+        | Some t when compare_keys t s.keys first s.keys 0 = 0 ->
             group := t :: !group;
             side_advance s;
             go ()
         | _ -> ()
       in
       go ();
-      Some (k, List.rev !group)
+      Some (first, Array.of_list (List.rev !group))
 
-let key_indexes schema attrs = List.map (Schema.index schema) attrs
+let key_indexes schema attrs =
+  Array.of_list (List.map (Schema.index schema) attrs)
 
 (* Shared sort-merge skeleton: [emit lt rt] produces an output tuple option
    for a key-matched pair.  Native batch producer: each left tuple whose key
@@ -62,20 +67,22 @@ let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
     Cursor.t =
   let ls = make_side left (key_indexes (Cursor.schema left) left_keys) in
   let rs = make_side right (key_indexes (Cursor.schema right) right_keys) in
-  let right_group : (Tuple.t * Tuple.t list) option ref = ref None in
+  (* the buffered right group: its first tuple and all its tuples *)
+  let right_group : (Tuple.t * Tuple.t array) option ref = ref None in
+  (* right tuple's key vs the left tuple's *)
+  let vs_left rt lt = compare_keys rt rs.keys lt ls.keys 0 in
   let rec fill () =
     match side_peek ls with
     | None -> None
     | Some lt -> (
-        let lk = ls.key lt in
         (* Drop right groups/tuples with keys before the left key, then
-           buffer the next right group (whose key is >= lk). *)
+           buffer the next right group (whose key is >= the left key). *)
         let rec catch_up () =
           match !right_group with
-          | Some (gk, _) when Tuple.compare gk lk >= 0 -> ()
+          | Some (first, _) when vs_left first lt >= 0 -> ()
           | _ -> (
               match side_peek rs with
-              | Some rt when Tuple.compare (rs.key rt) lk < 0 ->
+              | Some rt when vs_left rt lt < 0 ->
                   side_advance rs;
                   catch_up ()
               | Some _ ->
@@ -85,11 +92,23 @@ let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
         in
         catch_up ();
         match !right_group with
-        | Some (gk, group) when Tuple.compare gk lk = 0 -> (
+        | Some (first, group) when vs_left first lt = 0 -> (
             side_advance ls;
-            match List.filter_map (fun rt -> emit lt rt) group with
-            | [] -> fill ()
-            | out -> Some (Array.of_list out))
+            (* surviving pairs, filled in group order *)
+            let out = Array.make (Array.length group) [||] in
+            let n = ref 0 in
+            Array.iter
+              (fun rt ->
+                match emit lt rt with
+                | Some t ->
+                    out.(!n) <- t;
+                    incr n
+                | None -> ())
+              group;
+            match !n with
+            | 0 -> fill ()
+            | n when n = Array.length out -> Some out
+            | n -> Some (Array.sub out 0 n))
         | _ ->
             side_advance ls;
             fill ())
@@ -100,6 +119,8 @@ let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
       side_init rs;
       right_group := None)
     ~next_batch:fill
+
+let is_true = function Ast.Lit (Tango_rel.Value.Bool true) -> true | _ -> false
 
 (** `MERGEJOIN^M`: equi-join of inputs sorted on [left_keys]/[right_keys];
     [pred] is an optional residual predicate over the concatenated schema.
@@ -141,20 +162,27 @@ let temporal_merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
       (fun (a : Schema.attribute) -> Schema.index s a.name)
       (Op.non_period_attrs s)
   in
-  let kl = keep_idx sl and kr = keep_idx sr in
+  let kl = Array.of_list (keep_idx sl) and kr = Array.of_list (keep_idx sr) in
+  let nl = Array.length kl and nr = Array.length kr in
+  (* without a residual predicate the concatenated pair is never built *)
+  let check = if is_true pred then fun _ _ -> true else fun lt rt -> p (Tuple.concat lt rt) in
   let emit lt rt =
     let a1 = Chronon.of_value lt.(l1)
     and a2 = Chronon.of_value lt.(l2)
     and b1 = Chronon.of_value rt.(r1)
     and b2 = Chronon.of_value rt.(r2) in
     let t1 = max a1 b1 and t2 = min a2 b2 in
-    if t1 < t2 && p (Tuple.concat lt rt) then begin
-      let vals =
-        List.map (fun i -> lt.(i)) kl
-        @ List.map (fun i -> rt.(i)) kr
-        @ [ Tango_rel.Value.Date t1; Tango_rel.Value.Date t2 ]
-      in
-      Some (Tuple.of_list vals)
+    if t1 < t2 && check lt rt then begin
+      let out = Array.make (nl + nr + 2) Tango_rel.Value.Null in
+      for i = 0 to nl - 1 do
+        out.(i) <- lt.(kl.(i))
+      done;
+      for i = 0 to nr - 1 do
+        out.(nl + i) <- rt.(kr.(i))
+      done;
+      out.(nl + nr) <- Tango_rel.Value.Date t1;
+      out.(nl + nr + 1) <- Tango_rel.Value.Date t2;
+      Some out
     end
     else None
   in

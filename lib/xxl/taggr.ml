@@ -45,39 +45,46 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
      one-tuple lookahead *)
   let rd = ref (Cursor.reader arg) in
   let look = ref None in
-  let group_key t = List.map (fun i -> t.(i)) group_idxs in
-  let key_eq k1 k2 = List.for_all2 Value.equal k1 k2 in
+  let group_idxs = Array.of_list group_idxs in
+  let ng = Array.length group_idxs in
+  (* same group as [first]: grouping values compared in place *)
+  let rec same_group (t : Tuple.t) (first : Tuple.t) i =
+    i = ng
+    || Value.equal t.(group_idxs.(i)) first.(group_idxs.(i))
+       && same_group t first (i + 1)
+  in
   (* Read all tuples of the next group (argument is sorted on G). *)
   let read_group () =
     match !look with
     | None -> None
     | Some first ->
-        let k = group_key first in
         let members = ref [ first ] in
         look := Cursor.read !rd;
         let rec go () =
           match !look with
-          | Some t when key_eq (group_key t) k ->
+          | Some t when same_group t first 0 ->
               members := t :: !members;
               look := Cursor.read !rd;
               go ()
           | _ -> ()
         in
         go ();
-        Some (k, Array.of_list (List.rev !members))
+        Some (Array.of_list (List.rev !members))
   in
+  let specs = Array.of_list agg_specs in
+  let na = Array.length specs in
   (* Sweep one group: produce its output tuples in (T1) order. *)
-  let process_group key (members : Tuple.t array) : Tuple.t list =
+  let process_group (members : Tuple.t array) : Tuple.t list =
     let n = Array.length members in
+    let first = members.(0) in
     (* First copy: already sorted on T1 (argument order).  Second copy:
        sorted internally on T2 — the algorithm's "second sorting". *)
     let ends = Array.copy members in
     Array.sort (fun a b -> Value.compare a.(t2_idx) b.(t2_idx)) ends;
     let states =
-      List.map
-        (fun (a, idx, arg_dtype) ->
-          (Agg_state.create a.Op.fn ~arg_dtype, idx))
-        agg_specs
+      Array.map
+        (fun ((a : Op.agg), _, arg_dtype) -> Agg_state.create a.Op.fn ~arg_dtype)
+        specs
     in
     let value_of t = function Some i -> t.(i) | None -> Value.Null in
     let active = ref 0 in
@@ -92,27 +99,33 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
         else Value.to_int ends.(!j).(t2_idx)
       in
       if !started && !active > 0 && !prev < next_point then begin
-        let tuple =
-          Array.of_list
-            (key
-            @ [ Value.Date !prev; Value.Date next_point ]
-            @ List.map (fun (st, _) -> Agg_state.value st) states)
-        in
+        (* grouping values, the constant interval, then the aggregates *)
+        let tuple = Array.make (ng + 2 + na) Value.Null in
+        for g = 0 to ng - 1 do
+          tuple.(g) <- first.(group_idxs.(g))
+        done;
+        tuple.(ng) <- Value.Date !prev;
+        tuple.(ng + 1) <- Value.Date next_point;
+        for k = 0 to na - 1 do
+          tuple.(ng + 2 + k) <- Agg_state.value states.(k)
+        done;
         out := tuple :: !out
       end;
       (* Add tuples starting at this point... *)
       while !i < n && Value.to_int members.(!i).(t1_idx) = next_point do
-        List.iter
-          (fun (st, idx) -> Agg_state.add st (value_of members.(!i) idx))
-          states;
+        for k = 0 to na - 1 do
+          let _, idx, _ = specs.(k) in
+          Agg_state.add states.(k) (value_of members.(!i) idx)
+        done;
         incr active;
         incr i
       done;
       (* ...and retire tuples ending here. *)
       while !j < n && Value.to_int ends.(!j).(t2_idx) = next_point do
-        List.iter
-          (fun (st, idx) -> Agg_state.remove st (value_of ends.(!j) idx))
-          states;
+        for k = 0 to na - 1 do
+          let _, idx, _ = specs.(k) in
+          Agg_state.remove states.(k) (value_of ends.(!j) idx)
+        done;
         decr active;
         incr j
       done;
@@ -132,8 +145,8 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
       let rec go () =
         match read_group () with
         | None -> None
-        | Some (key, members) -> (
-            match process_group key members with
+        | Some members -> (
+            match process_group members with
             | [] -> go ()
             | out -> Some (Array.of_list out))
       in

@@ -31,12 +31,12 @@ let attributed backend f =
   if !d > 0 || not (Attribution.active ()) then f ()
   else begin
     let t0 = Tango_obs.mono_us () in
-    let g0 = Tango_obs.Runtime.point () in
+    let m0 = Tango_obs.Runtime.mark () in
     let rows0 = Backend.tuples_shipped backend in
     let bytes0 = Backend.bytes_shipped backend in
     let finish () =
       decr d;
-      let alloc_bytes = (Tango_obs.Runtime.delta_since g0).alloc_bytes in
+      let alloc_bytes = Tango_obs.Runtime.allocated_since m0 in
       Attribution.transfer ~backend:(Backend.name backend)
         ~rows:(Backend.tuples_shipped backend - rows0)
         ~bytes:(Backend.bytes_shipped backend - bytes0)

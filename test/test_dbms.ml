@@ -483,6 +483,234 @@ let test_sql_errors () =
   Alcotest.(check bool) "union arity" true
     (fails "SELECT PosID FROM POSITION UNION SELECT PosID, T1 FROM POSITION")
 
+(* ---------------- streaming differential ---------------- *)
+
+(* T spans several pages: 600 rows whose IDs are a permutation of 0..599
+   (index order differs from scan order); GRP = position / 50, so rows
+   with one GRP sit together and a GRP filter rejects whole pages.  D
+   holds 20 keys, multiples of 5, in scrambled order. *)
+let stream_n = 600
+let s_id i = i * 37 mod stream_n
+let s_grp i = i / 50
+let s_name i = "n" ^ string_of_int (i mod 17)
+let d_keys = List.init 20 (fun j -> j * 7 mod 20 * 5)
+
+let stream_db () =
+  let db = Database.create () in
+  Database.load_relation db "T"
+    (Relation.of_list
+       (Schema.make
+          [ ("ID", Value.TInt); ("GRP", Value.TInt); ("NAME", Value.TStr);
+            ("T1", Value.TDate); ("T2", Value.TDate) ])
+       (List.init stream_n (fun i ->
+            Tuple.of_list
+              [ Value.Int (s_id i); Value.Int (s_grp i); Value.Str (s_name i);
+                Value.Date i; Value.Date (i + 10 + (i mod 7)) ])));
+  Database.create_index db "T" "ID";
+  Database.load_relation db "D"
+    (Relation.of_list
+       (Schema.make [ ("K", Value.TInt); ("LABEL", Value.TStr) ])
+       (List.map
+          (fun k -> Tuple.of_list [ Value.Int k; Value.Str ("d" ^ string_of_int k) ])
+          d_keys));
+  db
+
+(* positions of T in scan order *)
+let positions = List.init stream_n Fun.id
+let where p = List.filter p positions
+let by_id ps = List.sort (fun a b -> compare (s_id a) (s_id b)) ps
+let int_row xs = List.map (fun x -> Value.Int x) xs
+let pos_of_id = Array.make stream_n 0
+let () = List.iter (fun i -> pos_of_id.(s_id i) <- i) positions
+
+(* (name, SQL, join method, expected rows written out here) *)
+let stream_shapes : (string * string * Executor.join_method * Value.t list list) list =
+  let open Value in
+  let max_id g = List.fold_left max 0 (List.map s_id (where (fun i -> s_grp i = g))) in
+  let min_id g = List.fold_left min max_int (List.map s_id (where (fun i -> s_grp i = g))) in
+  [
+    ( "full scan", "SELECT ID, GRP, NAME FROM T", Executor.Auto,
+      List.map (fun i -> [ Int (s_id i); Int (s_grp i); Str (s_name i) ]) positions );
+    ( "index point", "SELECT ID, NAME FROM T WHERE ID = 42", Executor.Auto,
+      [ [ Int 42; Str (s_name pos_of_id.(42)) ] ] );
+    ( "index range", "SELECT ID, GRP FROM T WHERE ID < 100", Executor.Auto,
+      List.map (fun i -> int_row [ s_id i; s_grp i ]) (by_id (where (fun i -> s_id i < 100))) );
+    ( "index range (lower bound)", "SELECT ID FROM T WHERE 550 <= ID", Executor.Auto,
+      List.map (fun i -> int_row [ s_id i ]) (by_id (where (fun i -> s_id i >= 550))) );
+    ( "filter rejecting whole pages", "SELECT ID FROM T WHERE GRP = 8", Executor.Auto,
+      List.map (fun i -> int_row [ s_id i ]) (where (fun i -> s_grp i = 8)) );
+    ( "nested derived chain (Q3 shape)",
+      "SELECT q2.A AS A, q2.B AS B FROM (SELECT q1.X__ID AS A, q1.X__NAME AS B, \
+       q1.X__GRP AS C FROM (SELECT X.GRP AS X__GRP, X.ID AS X__ID, X.NAME AS \
+       X__NAME FROM T X WHERE X.GRP < 3) q1) q2",
+      Executor.Auto,
+      List.map (fun i -> [ Int (s_id i); Str (s_name i) ]) (where (fun i -> s_grp i < 3)) );
+    ( "derived chain over a join (Q4 shape)",
+      "SELECT q2.L AS L, q2.I AS I FROM (SELECT q1.X__ID AS I, q1.D__LABEL AS L \
+       FROM (SELECT D.K AS D__K, D.LABEL AS D__LABEL, X.ID AS X__ID, X.NAME AS \
+       X__NAME FROM D, T X WHERE X.ID = D.K) q1) q2",
+      Executor.Auto,
+      (* index nested loop: D in scan order, each probing T *)
+      List.map (fun k -> [ Str ("d" ^ string_of_int k); Int k ]) d_keys );
+    ( "merge join", "SELECT D.K, X.NAME FROM D, T X WHERE X.ID = D.K",
+      Executor.Force_sort_merge,
+      List.map
+        (fun k -> [ Int k; Str (s_name pos_of_id.(k)) ])
+        (List.sort Int.compare d_keys) );
+    ( "nested-loop join", "SELECT D.K, X.ID FROM D, T X WHERE X.ID < D.K AND D.K < 15",
+      Executor.Auto,
+      List.concat_map
+        (fun k ->
+          if k >= 15 then []
+          else List.map (fun i -> int_row [ k; s_id i ]) (where (fun i -> s_id i < k)))
+        d_keys );
+    ( "group by", "SELECT GRP, COUNT(*) AS N, MIN(ID) AS M FROM T GROUP BY GRP ORDER BY GRP",
+      Executor.Auto,
+      List.init 12 (fun g -> int_row [ g; 50; min_id g ]) );
+    ( "distinct", "SELECT DISTINCT NAME FROM T", Executor.Auto,
+      List.map (fun n -> [ Str n ]) (List.sort_uniq String.compare (List.map s_name positions)) );
+    ( "order by output columns", "SELECT NAME, ID FROM T WHERE GRP < 2 ORDER BY NAME DESC, ID",
+      Executor.Auto,
+      List.map
+        (fun i -> [ Str (s_name i); Int (s_id i) ])
+        (List.stable_sort
+           (fun a b ->
+             match String.compare (s_name b) (s_name a) with
+             | 0 -> Int.compare (s_id a) (s_id b)
+             | c -> c)
+           (where (fun i -> s_grp i < 2))) );
+    ( "order by an input column", "SELECT NAME FROM T WHERE GRP = 1 ORDER BY ID",
+      Executor.Auto,
+      List.map (fun i -> [ Str (s_name i) ]) (by_id (where (fun i -> s_grp i = 1))) );
+    ( "union", "SELECT GRP FROM T WHERE GRP < 3 UNION SELECT K FROM D WHERE K < 12",
+      Executor.Auto, List.map (fun x -> int_row [ x ]) [ 0; 1; 2; 5; 10 ] );
+    ( "union all", "SELECT ID FROM T WHERE GRP = 0 UNION ALL SELECT K FROM D",
+      Executor.Auto,
+      List.map (fun i -> int_row [ s_id i ]) (where (fun i -> s_grp i = 0))
+      @ List.map (fun k -> int_row [ k ]) d_keys );
+    ( "scalar subquery",
+      "SELECT X.ID AS ID, (SELECT MAX(Y.ID) FROM T Y WHERE Y.GRP = X.GRP) AS M \
+       FROM T X WHERE X.GRP = 2",
+      Executor.Auto,
+      List.map (fun i -> int_row [ s_id i; max_id 2 ]) (where (fun i -> s_grp i = 2)) );
+    ( "in subquery", "SELECT ID FROM T WHERE ID IN (SELECT K FROM D)", Executor.Auto,
+      List.map (fun i -> int_row [ s_id i ]) (where (fun i -> List.mem (s_id i) d_keys)) );
+    ("empty index range", "SELECT ID FROM T WHERE ID < 0", Executor.Auto, []);
+    ("empty full scan", "SELECT ID FROM T WHERE GRP = 99", Executor.Auto, []);
+  ]
+
+let wire_size t =
+  let buf = Buffer.create 64 in
+  Tuple.serialize buf t;
+  Buffer.length buf
+
+(* Every shape, drained through the backend at several prefetch sizes:
+   the rows and their order are the expected ones, every round trip but
+   the last carries exactly [prefetch] rows, there are ceil(n/prefetch)
+   round trips, and the metered bytes are the serialized size of the
+   rows (the wire format the meter has always counted). *)
+let test_streaming_differential () =
+  let db = stream_db () in
+  List.iter
+    (fun (name, sql, jm, expected) ->
+      let expected = List.map Tuple.of_list expected in
+      let n = List.length expected in
+      let same got = List.length got = n && List.for_all2 Tuple.equal expected got in
+      Database.set_join_method db jm;
+      Alcotest.(check bool) (name ^ ": materialized rows") true
+        (same (Relation.to_list (Database.query db sql)));
+      List.iter
+        (fun prefetch ->
+          let label = Printf.sprintf "%s @%d" name prefetch in
+          let b = Backend.in_process ~row_prefetch:prefetch ~roundtrip_spin:0 db in
+          let cur = query_backend b sql in
+          let rec batches acc =
+            match Backend.fetch_batch cur with
+            | Some batch -> batches (batch :: acc)
+            | None -> List.rev acc
+          in
+          let got = batches [] in
+          Alcotest.(check bool) (label ^ ": rows and order") true
+            (same (List.concat_map Array.to_list got));
+          Alcotest.(check int) (label ^ ": round trips")
+            ((n + prefetch - 1) / prefetch) (Backend.roundtrips b);
+          Alcotest.(check bool) (label ^ ": full batches, none empty") true
+            (List.for_all (fun bt -> Array.length bt > 0) got
+            && List.for_all
+                 (fun bt -> Array.length bt = prefetch)
+                 (List.filteri (fun i _ -> i < List.length got - 1) got));
+          Alcotest.(check int) (label ^ ": tuples") n (Backend.tuples_shipped b);
+          Alcotest.(check int) (label ^ ": bytes")
+            (List.fold_left (fun acc t -> acc + wire_size t) 0 expected)
+            (Backend.bytes_shipped b);
+          Alcotest.(check bool) (label ^ ": stays exhausted") true
+            (Backend.fetch_batch cur = None))
+        [ 1; 7; 10; 1000 ])
+    stream_shapes;
+  Database.set_join_method db Executor.Auto
+
+(* The ship path allocates at most 1,000 bytes per tuple for a 4-column
+   table (about 46 wire bytes per tuple): scan, serialize, parse and the
+   batch arrays, with no per-statement copy of the result.  Allocation is
+   read by [Runtime.measure]: [Gc.minor_words] (exact between
+   collections) plus the major-heap words of [Gc.counters]. *)
+let test_ship_path_allocation () =
+  let db = Database.create () in
+  let rows = 1000 in
+  Database.load_relation db "WIDE"
+    (Relation.of_list pos_schema
+       (List.init rows (fun i ->
+            Tuple.of_list
+              [ Value.Int i; Value.Str ("emp" ^ string_of_int (i mod 97));
+                Value.Date (9000 + i); Value.Date (9100 + i) ])));
+  let backend = Backend.in_process ~row_prefetch:10 ~roundtrip_spin:0 db in
+  let drain_all () =
+    let cur = query_backend backend "SELECT PosID, EmpName, T1, T2 FROM WIDE" in
+    let rec go n = match Backend.fetch_batch cur with Some b -> go (n + Array.length b) | None -> n in
+    go 0
+  in
+  ignore (drain_all ());
+  Backend.reset_meters backend;
+  let shipped, d = Tango_obs.Runtime.measure drain_all in
+  let per_tuple = float_of_int d.Tango_obs.Runtime.alloc_bytes /. float_of_int rows in
+  Alcotest.(check int) "every row" rows shipped;
+  Alcotest.(check int) "100 round trips at prefetch 10" 100 (Backend.roundtrips backend);
+  if per_tuple > 1000.0 then
+    Alcotest.failf "ship path allocates %.0f B per tuple (budget 1000)" per_tuple
+
+(* One [dbms.query] span per statement — ended at exhaustion, or by
+   [close_cursors] when the consumer stops early — and the statement and
+   row counters bumped once per statement and once per row. *)
+let test_streaming_observability () =
+  let module Trace = Tango_obs.Trace in
+  let db = stream_db () in
+  let b = Backend.in_process ~row_prefetch:10 ~roundtrip_spin:0 db in
+  let counter name = Tango_obs.Counter.value (Tango_obs.Counter.make name) in
+  let q0 = counter "dbms.queries" and r0 = counter "dbms.rows_returned" in
+  Trace.start ();
+  Trace.span "root" (fun () ->
+      ignore (drain (query_backend b "SELECT ID FROM T WHERE GRP < 4"));
+      let early = query_backend b "SELECT ID, NAME FROM T" in
+      ignore (Backend.fetch_batch early);
+      (* ended once, however often it is closed *)
+      Backend.close_cursors b;
+      Backend.close_cursors b;
+      Alcotest.(check bool) "closed cursor yields nothing" true
+        (Backend.fetch_batch early = None));
+  let root = Option.get (Trace.finish ()) in
+  let spans =
+    List.rev
+      (Trace.fold (fun acc s -> if s.Trace.name = "dbms.query" then s :: acc else acc) [] root)
+  in
+  Alcotest.(check int) "one span per statement" 2 (List.length spans);
+  let rows = List.map (fun s -> Option.get (Trace.attr_int s "rows")) spans in
+  Alcotest.(check int) "exhausted statement: every row" 200 (List.hd rows);
+  Alcotest.(check bool) "stopped statement: rows pulled so far" true
+    (List.nth rows 1 >= 10 && List.nth rows 1 < stream_n);
+  Alcotest.(check int) "statements counted once" 2 (counter "dbms.queries" - q0);
+  Alcotest.(check int) "rows counted per row" (200 + List.nth rows 1)
+    (counter "dbms.rows_returned" - r0)
+
 (* Property: executor selection agrees with a reference filter over a random
    relation, for random range predicates. *)
 let prop_selection_agrees =
@@ -559,6 +787,13 @@ let () =
           Alcotest.test_case "accounting pinned" `Quick test_client_accounting;
           Alcotest.test_case "prefetch clamped at connect" `Quick test_prefetch_clamped;
           Alcotest.test_case "schema generation" `Quick test_schema_generation;
+        ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "differential over shapes and prefetch" `Quick
+            test_streaming_differential;
+          Alcotest.test_case "ship path allocation" `Quick test_ship_path_allocation;
+          Alcotest.test_case "spans and counters" `Quick test_streaming_observability;
         ] );
       ( "properties",
         [

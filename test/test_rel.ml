@@ -42,7 +42,7 @@ let test_value_serialize_roundtrip () =
     (fun v ->
       let buf = Buffer.create 16 in
       Value.serialize buf v;
-      let v', _ = Value.deserialize (Buffer.contents buf) 0 in
+      let v' = Value.read (Value.reader (Buffer.contents buf) 0) in
       Alcotest.(check bool) (Value.to_string v) true (Value.equal v v')
       (* Null = Null under Value.equal *))
     vs
@@ -91,7 +91,15 @@ let test_tuple_basics () =
 
 let test_tuple_marshal () =
   let t' = Tuple.marshal_roundtrip t1 in
-  Alcotest.(check bool) "roundtrip" true (Tuple.equal t1 t')
+  Alcotest.(check bool) "roundtrip" true (Tuple.equal t1 t');
+  (* one reader walks consecutive tuples, ending exactly past the last *)
+  let buf = Buffer.create 64 in
+  let ts = [ t1; Tuple.of_list []; Tuple.of_list [ Value.Null; Value.Str "" ] ] in
+  List.iter (Tuple.serialize buf) ts;
+  let r = Value.reader (Buffer.contents buf) 0 in
+  let back = List.map (fun _ -> Tuple.read r) ts in
+  Alcotest.(check bool) "consecutive" true (List.for_all2 Tuple.equal ts back);
+  Alcotest.(check int) "end position" (Buffer.length buf) r.Value.pos
 
 (* ------------- Order / Relation ------------- *)
 
@@ -128,6 +136,16 @@ let test_relation_filter_project () =
       sample
   in
   Alcotest.(check int) "filter count" 2 (Relation.cardinality f);
+  Alcotest.(check bool) "order kept" true
+    (Relation.equal_list f
+       (Relation.of_list s_pos [ (Relation.tuples sample).(1); (Relation.tuples sample).(2) ]));
+  (* nothing dropped: the relation itself, no copy *)
+  Alcotest.(check bool) "keep-all shares" true (Relation.filter (fun _ -> true) sample == sample);
+  Alcotest.(check int) "drop-all" 0
+    (Relation.cardinality (Relation.filter (fun _ -> false) sample));
+  let calls = ref 0 in
+  ignore (Relation.filter (fun _ -> incr calls; true) sample);
+  Alcotest.(check int) "one call per tuple" 3 !calls;
   let p = Relation.project [ "PosID"; "T1" ] sample in
   Alcotest.(check int) "project arity" 2 (Schema.arity (Relation.schema p))
 
@@ -225,8 +243,9 @@ let prop_value_roundtrip =
     arbitrary_value (fun v ->
       let buf = Buffer.create 16 in
       Value.serialize buf v;
-      let v', pos = Value.deserialize (Buffer.contents buf) 0 in
-      Value.equal v v' && pos = Buffer.length buf)
+      let r = Value.reader (Buffer.contents buf) 0 in
+      let v' = Value.read r in
+      Value.equal v v' && r.Value.pos = Buffer.length buf)
 
 let prop_compare_total_order =
   QCheck.Test.make ~name:"value compare is antisymmetric/transitive-ish"

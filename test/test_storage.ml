@@ -12,7 +12,18 @@ let test_page_append_get () =
   Alcotest.(check bool) "append 2" true (Page.append p (tup 2 "b"));
   Alcotest.(check int) "count" 2 (Page.tuple_count p);
   Alcotest.(check bool) "get 0" true (Tuple.equal (Page.get p 0) (tup 1 "a"));
-  Alcotest.(check bool) "get 1" true (Tuple.equal (Page.get p 1) (tup 2 "b"))
+  Alcotest.(check bool) "get 1" true (Tuple.equal (Page.get p 1) (tup 2 "b"));
+  let all = Page.tuples p in
+  Alcotest.(check bool) "tuples in slot order" true
+    (Array.length all = 2 && Tuple.equal all.(0) (tup 1 "a")
+    && Tuple.equal all.(1) (tup 2 "b"));
+  let seen = ref [] in
+  Page.iter (fun t -> seen := t :: !seen) p;
+  Alcotest.(check bool) "iter in slot order" true
+    (List.for_all2 Tuple.equal (List.rev !seen) (Array.to_list all));
+  Alcotest.check_raises "slot out of range"
+    (Invalid_argument "Page.get: slot out of range") (fun () ->
+      ignore (Page.get p 2))
 
 let test_page_overflow () =
   let p = Page.create ~capacity:64 () in
@@ -46,7 +57,27 @@ let test_heap_file_blocks () =
   ignore (List.of_seq (Heap_file.scan f));
   let d = Io_stats.diff stats before in
   Alcotest.(check int) "page reads = blocks" (Heap_file.block_count f) d.Io_stats.page_reads;
-  Alcotest.(check int) "tuples read" 100 d.Io_stats.tuples_read
+  Alcotest.(check int) "tuples read" 100 d.Io_stats.tuples_read;
+  (* page-at-a-time: one pull per block, each a non-empty page, charged
+     as it is pulled *)
+  let before = Io_stats.copy stats in
+  let pull = Heap_file.scan_pages f in
+  let first = Option.get (pull ()) in
+  Alcotest.(check int) "one page charged" 1
+    (Io_stats.diff stats before).Io_stats.page_reads;
+  let rec rest acc =
+    match pull () with None -> List.rev acc | Some b -> rest (b :: acc)
+  in
+  let batches = first :: rest [] in
+  Alcotest.(check int) "one batch per block" (Heap_file.block_count f)
+    (List.length batches);
+  Alcotest.(check bool) "no empty batch" true
+    (List.for_all (fun b -> Array.length b > 0) batches);
+  Alcotest.(check bool) "same tuples as scan" true
+    (List.for_all2 Tuple.equal
+       (List.concat_map Array.to_list batches)
+       (List.of_seq (Heap_file.scan f)));
+  Alcotest.(check bool) "stays exhausted" true (pull () = None)
 
 let test_heap_file_fetch () =
   let stats = Io_stats.create () in
