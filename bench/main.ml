@@ -1197,23 +1197,25 @@ let tail ctx =
 (* telemetry: what does observing cost?                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The observability stack must not become the workload.  Re-submit the
-   repeated workload under increasing instrumentation — everything off,
-   GC/alloc attribution only, lock-contention profiling only, tracing
-   only, then the full serve-path stack (attribution + contention +
-   tracing + the event-log/SLO observer) — and report each variant's qps
-   and its overhead relative to all-off.  Each variant takes the best of
-   [passes] timed passes (the gate must measure instrumentation cost,
-   not scheduler noise).  The payload carries [overhead_full] and the
-   [overhead_ok] verdict the CI telemetry job gates on (< 10%). *)
+(* The observability stack must not become the workload.  GC/allocation
+   attribution and lock-contention profiling are always on, so every
+   variant carries them; what stays optional is tracing and the serve
+   path's event-log/SLO observer.  Each variant — base, tracing, and full
+   (tracing + observer) — gets its own warmed session, and the variants'
+   timed rounds are interleaved, the order rotating every round, so host
+   speed drift lands on all of them alike.  A variant's overhead is the
+   median over rounds of its per-round slowdown against base's round; the
+   payload carries [overhead_full] and the [overhead_ok] verdict the CI
+   telemetry job gates on (< 10%). *)
 let telemetry ctx =
-  Fmt.pr "== Telemetry self-overhead: workload qps vs instrumentation ==@.";
-  Fmt.pr "(one untimed warm round, then best of 3 passes of %s timed rounds@."
-    (if ctx.quick then "5" else "10");
-  Fmt.pr " over Queries 1-4 per variant; overhead relative to all-off)@.";
+  let rounds = if ctx.quick then 40 else 100 in
+  Fmt.pr
+    "== Telemetry self-overhead: workload qps vs optional instrumentation ==@.";
+  Fmt.pr
+    "(one untimed warm round per variant, then %d interleaved timed rounds@."
+    rounds;
+  Fmt.pr " of Queries 1-4; overhead: median per-round slowdown against base)@.";
   header [ "variant"; "qps"; "total[ms]"; "overhead" ];
-  let rounds = if ctx.quick then 5 else 10 in
-  let passes = 3 in
   let position = position_prefix ctx 400 in
   let employee =
     let tuples = Relation.tuples ctx.full_employee in
@@ -1221,88 +1223,83 @@ let telemetry ctx =
       (Relation.schema ctx.full_employee)
       (Array.sub tuples 0 (min 200 (Array.length tuples)))
   in
-  (* Each variant names the subset of the stack it turns on. *)
+  let run_round mw =
+    List.iter (fun (_, sql) -> ignore (Middleware.query mw sql)) Queries.workload
+  in
+  (* Each variant names the optional layers it turns on. *)
   let variants =
-    [
-      ("all-off", (false, false, false, false));
-      ("gc-attribution", (true, false, false, false));
-      ("contention", (false, true, false, false));
-      ("tracing", (false, false, true, false));
-      ("full", (true, true, true, true));
-    ]
+    Array.of_list
+      (List.map
+         (fun (name, tracing, observer) ->
+           let _db, mw =
+             session ctx [ ("POSITION", position); ("EMPLOYEE", employee) ]
+           in
+           (* spin 0 for the same reason as the throughput experiment: the
+              simulated network latency is identical across variants and
+              only dilutes the effect under measurement *)
+           Middleware.set_config mw
+             Middleware.Config.(
+               Middleware.config mw |> with_roundtrip_spin 0
+               |> with_tracing tracing);
+           if observer then ignore (Tango_monitor.Endpoints.create mw);
+           (* warm round: plan cache + statistics, so the timed rounds
+              measure each variant's steady state *)
+           run_round mw;
+           (name, tracing, observer, mw))
+         [
+           ("base", false, false);
+           ("tracing", true, false);
+           ("full", true, true);
+         ])
   in
-  let run_variant (name, (gc, contention, tracing, observer)) =
-    let _db, mw =
-      session ctx [ ("POSITION", position); ("EMPLOYEE", employee) ]
-    in
-    (* spin 0 for the same reason as the throughput experiment: the
-       simulated network latency is identical across variants and only
-       dilutes the effect under measurement *)
-    Middleware.set_config mw
-      Middleware.Config.(
-        Middleware.config mw |> with_roundtrip_spin 0 |> with_telemetry gc
-        |> with_tracing tracing);
-    Tango_obs.Dsync.Profile.set_enabled contention;
-    let endpoints =
-      if observer then Some (Tango_monitor.Endpoints.create mw) else None
-    in
-    if not observer then Middleware.set_query_observer mw None;
-    ignore endpoints;
-    (* warm round: plan cache + statistics, so the timed passes measure
-       the steady state of each variant *)
-    List.iter (fun (_, sql) -> ignore (Middleware.query mw sql))
-      Queries.workload;
-    let queries = rounds * List.length Queries.workload in
-    let best_qps = ref 0.0 in
-    for _ = 1 to passes do
+  let n = Array.length variants in
+  let round_us = Array.make_matrix n rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    for k = 0 to n - 1 do
+      let i = (r + k) mod n in
+      let _, _, _, mw = variants.(i) in
       let t0 = Tango_obs.mono_us () in
-      for _ = 1 to rounds do
-        List.iter (fun (_, sql) -> ignore (Middleware.query mw sql))
-          Queries.workload
-      done;
-      let wall_s = (Tango_obs.mono_us () -. t0) /. 1e6 in
-      let qps = float_of_int queries /. wall_s in
-      if qps > !best_qps then best_qps := qps
-    done;
-    (name, (gc, contention, tracing, observer), queries, !best_qps)
+      run_round mw;
+      round_us.(i).(r) <- Tango_obs.mono_us () -. t0
+    done
+  done;
+  let median xs =
+    let a = Array.copy xs in
+    Array.sort Float.compare a;
+    let m = Array.length a in
+    if m mod 2 = 1 then a.(m / 2) else (a.((m / 2) - 1) +. a.(m / 2)) /. 2.0
   in
-  let results = List.map run_variant variants in
-  (* contention profiling is on by default in the serve path; leave the
-     process the way we found it *)
-  Tango_obs.Dsync.Profile.set_enabled true;
-  let qps_of name =
-    match List.find_opt (fun (n, _, _, _) -> String.equal n name) results with
-    | Some (_, _, _, qps) -> qps
-    | None -> nan
+  let overhead i =
+    Stdlib.max 0.0
+      (median
+         (Array.init rounds (fun r ->
+              1.0 -. (round_us.(0).(r) /. round_us.(i).(r)))))
   in
-  let off = qps_of "all-off" in
-  let overhead qps = Stdlib.max 0.0 ((off -. qps) /. off) in
-  let variant_json (name, (gc, contention, tracing, observer), queries, qps) =
-    Fmt.pr "%-16s %9.1f %10.1f %9.1f%%@." name qps
-      (1000.0 *. float_of_int queries /. qps)
-      (100.0 *. overhead qps);
+  let queries = rounds * List.length Queries.workload in
+  let variant_json i (name, tracing, observer, _) =
+    let total_us = Array.fold_left ( +. ) 0.0 round_us.(i) in
+    let qps = float_of_int queries /. (total_us /. 1e6) in
+    Fmt.pr "%-16s %9.1f %10.1f %9.1f%%@." name qps (total_us /. 1000.0)
+      (100.0 *. overhead i);
     Tango_obs.Json.Obj
       [
         ("variant", Tango_obs.Json.String name);
-        ("gc_attribution", Tango_obs.Json.Bool gc);
-        ("contention_profiling", Tango_obs.Json.Bool contention);
         ("tracing", Tango_obs.Json.Bool tracing);
         ("observer", Tango_obs.Json.Bool observer);
         ("queries", Tango_obs.Json.Int queries);
         ("qps", Tango_obs.Json.Float qps);
-        ("overhead", Tango_obs.Json.Float (overhead qps));
+        ("overhead", Tango_obs.Json.Float (overhead i));
       ]
   in
-  let variant_docs = List.map variant_json results in
+  let variant_docs = Array.to_list (Array.mapi variant_json variants) in
   let budget = 0.10 in
-  let overhead_full = overhead (qps_of "full") in
+  let overhead_full = overhead (n - 1) in
   let overhead_ok = overhead_full < budget in
   let doc =
     Tango_obs.Json.Obj
       [
         ("experiment", Tango_obs.Json.String "telemetry");
         ("rounds", Tango_obs.Json.Int rounds);
-        ("passes", Tango_obs.Json.Int passes);
         ("variants", Tango_obs.Json.List variant_docs);
         ("overhead_full", Tango_obs.Json.Float overhead_full);
         ("overhead_budget", Tango_obs.Json.Float budget);
@@ -1311,7 +1308,7 @@ let telemetry ctx =
   in
   bench_payload := Some doc;
   Fmt.pr "%s@." (Tango_obs.Json.to_string doc);
-  Fmt.pr "# full observability overhead: %.1f%% of all-off qps (budget %.0f%%)%s@.@."
+  Fmt.pr "# tracing + observer overhead: %.1f%% of base qps (budget %.0f%%)%s@.@."
     (100.0 *. overhead_full) (100.0 *. budget)
     (if overhead_ok then "" else "  (OVER BUDGET)")
 

@@ -73,7 +73,6 @@ let unbuildable fmt = Format.kasprintf (fun s -> raise (Unbuildable s)) fmt
 
 type build_ctx = {
   mutable temp_names : (Op.t * string) list;  (* To_db op -> temp table *)
-  mutable counter : int;
   db : Database.t;
 }
 
@@ -96,14 +95,6 @@ let mk kind schema =
     roundtrips = 0;
   }
 
-(* Collect the TRANSFER^D plan nodes inside a DBMS-resident physical
-   subtree (stopping at them — anything below belongs to the middleware
-   pipeline feeding the temp table). *)
-let rec collect_tds (plan : Physical.plan) : Physical.plan list =
-  match plan.Physical.algorithm with
-  | Physical.Transfer_d_algo -> [ plan ]
-  | _ -> List.concat_map collect_tds plan.Physical.children
-
 (** Build an execution-ready plan from a middleware-resident physical
     plan. *)
 let rec build ctx (plan : Physical.plan) : node =
@@ -111,7 +102,7 @@ let rec build ctx (plan : Physical.plan) : node =
   (* Translate a DBMS subtree to SQL; its TRANSFER^D leaves become
      dependencies executed first. *)
   let translate_db_child (db_child : Physical.plan) =
-    let tds = collect_tds db_child in
+    let tds = Physical.collect_tds db_child in
     let deps =
       List.map
         (fun (td : Physical.plan) ->
@@ -191,8 +182,7 @@ let rec build ctx (plan : Physical.plan) : node =
 
 (** Entry point: [of_physical db plan] for a middleware-resident root. *)
 let of_physical (db : Database.t) (plan : Physical.plan) : node * string list =
-  let ctx = { temp_names = []; counter = 0; db } in
-  ignore ctx.counter;
+  let ctx = { temp_names = []; db } in
   let node = build ctx plan in
   (node, List.map snd ctx.temp_names)
 
@@ -428,10 +418,6 @@ and run_dep ctx dep =
       (with_schema sanitized source)
   in
   Cursor.init td
-
-(** Instantiate as an instrumented cursor (transfer sharing on). *)
-let to_cursor (topology : Topology.t) (n : node) : Cursor.t =
-  build_cursor (run_ctx topology) n
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                        *)

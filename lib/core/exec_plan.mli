@@ -81,9 +81,6 @@ val run_ctx : ?share_transfers:bool -> Tango_dbms.Topology.t -> run_ctx
 
 val build_cursor : run_ctx -> node -> Tango_xxl.Cursor.t
 
-val to_cursor : Tango_dbms.Topology.t -> node -> Tango_xxl.Cursor.t
-(** [build_cursor] with a fresh context (sharing on). *)
-
 val to_trace : node -> Tango_obs.Trace.span
 (** Convert an executed (measured) plan into a span subtree — one span per
     operator with wall time, tuples/bytes produced, and inclusive page

@@ -33,17 +33,14 @@ module Config = struct
     roundtrip_spin : int;
     selectivity_mode : Selectivity.mode;
     histograms : bool;
-    max_memo_elements : int;
     share_transfers : bool;
     tracing : bool;
     profiling : bool;
     adaptive_costs : bool;
     verify_plans : verify_mode;
     plan_cache : bool;
-    plan_cache_capacity : int;
     auto_parameterize : bool;
     replan_q_error : float;
-    telemetry : bool;
   }
 
   let default =
@@ -52,24 +49,20 @@ module Config = struct
       roundtrip_spin = Backend.default_roundtrip_spin;
       selectivity_mode = Selectivity.Temporal;
       histograms = true;
-      max_memo_elements = 5_000;
       share_transfers = true;
       tracing = false;
       profiling = false;
       adaptive_costs = false;
       verify_plans = Verify_off;
       plan_cache = false;
-      plan_cache_capacity = 128;
       auto_parameterize = true;
       replan_q_error = 0.0;
-      telemetry = true;
     }
 
   let with_row_prefetch n c = { c with row_prefetch = n }
   let with_roundtrip_spin n c = { c with roundtrip_spin = n }
   let with_selectivity_mode m c = { c with selectivity_mode = m }
   let with_histograms b c = { c with histograms = b }
-  let with_max_memo_elements n c = { c with max_memo_elements = n }
   let with_transfer_sharing b c = { c with share_transfers = b }
   let with_tracing b c = { c with tracing = b }
 
@@ -81,13 +74,7 @@ module Config = struct
 
   let with_verify_plans m c = { c with verify_plans = m }
 
-  let with_plan_cache ?capacity b c =
-    {
-      c with
-      plan_cache = b;
-      plan_cache_capacity =
-        Option.value ~default:c.plan_cache_capacity capacity;
-    }
+  let with_plan_cache b c = { c with plan_cache = b }
 
   let with_auto_parameterize b c = { c with auto_parameterize = b }
 
@@ -95,8 +82,6 @@ module Config = struct
     (* the guard judges plans by their measured q-errors, so it needs the
        per-execution analysis *)
     { c with replan_q_error = q; profiling = (q > 0.0) || c.profiling }
-
-  let with_telemetry b c = { c with telemetry = b }
 end
 
 module Ast = Tango_sql.Ast
@@ -247,15 +232,14 @@ type query_event = {
           the pipeline raised *)
   error : string option;  (** the exception text when the pipeline raised *)
   gc : Tango_obs.Runtime.delta;
-      (** whole-pipeline GC/allocation delta on the serving domain
-          (zero when telemetry is off) *)
+      (** whole-pipeline GC/allocation delta on the serving domain *)
 }
 
 type t = {
   topology : Topology.t;
   factors : Factors.t;
   backend_factors : Tango_profile.Backend_factors.t;
-  mutable plan_cache : cache_entry Tango_cache.Plan_cache.t;
+  plan_cache : cache_entry Tango_cache.Plan_cache.t;
   mutable config : Config.t;
   mutable last_trace : Tango_obs.Trace.span option;
   mutable last_diagnostics : Tango_verify.Diag.t list;
@@ -274,9 +258,7 @@ let connect_topology ?(config = Config.default) (topology : Topology.t) : t =
     factors;
     backend_factors =
       Tango_profile.Backend_factors.create ~base:(fun () -> factors);
-    plan_cache =
-      Tango_cache.Plan_cache.create
-        ~capacity:config.Config.plan_cache_capacity ();
+    plan_cache = Tango_cache.Plan_cache.create ();
     config;
     last_trace = None;
     last_diagnostics = [];
@@ -313,7 +295,6 @@ let config t = t.config
 let last_trace t = t.last_trace
 let last_diagnostics t = t.last_diagnostics
 let profile_store t = t.profile
-let sentinel t = t.sentinel
 let set_query_observer t obs = t.query_observer <- obs
 
 (* Plan-cache helpers.  Any change that can alter which plan is best for a
@@ -332,13 +313,8 @@ let set_config t (c : Config.t) =
   (* cached plans and their findings were chosen under these settings *)
   if c.Config.selectivity_mode <> t.config.Config.selectivity_mode then
     invalidate_plan_cache t ~reason:"config-selectivity-mode";
-  if c.Config.max_memo_elements <> t.config.Config.max_memo_elements then
-    invalidate_plan_cache t ~reason:"config-max-memo-elements";
   if c.Config.verify_plans <> t.config.Config.verify_plans then
     invalidate_plan_cache t ~reason:"config-verify-plans";
-  if c.Config.plan_cache_capacity <> t.config.Config.plan_cache_capacity then
-    t.plan_cache <-
-      Tango_cache.Plan_cache.create ~capacity:c.Config.plan_cache_capacity ();
   (* row_prefetch / roundtrip_spin do apply to the live backends — but
      only when changed: backends of a sharded topology may carry their own
      per-shard settings the session config knows nothing about *)
@@ -489,9 +465,8 @@ let optimize t ?(required_order : Order.t = []) ?binding (initial : Op.t) :
   in
   let r =
     Search.optimize ~factors:t.factors ~stats_env:(stats_env ?binding t)
-      ~required_order
-      ~max_elements:t.config.Config.max_memo_elements ?rule_observer
-      ?partition:(partition_layout t) ~shard_factors:(shard_factors t) initial
+      ~required_order ?rule_observer ?partition:(partition_layout t)
+      ~shard_factors:(shard_factors t) initial
   in
   let r = { r with Search.plan = Option.map (prune t) r.Search.plan } in
   record_diagnostics t
@@ -512,22 +487,15 @@ let now_us () = Tango_obs.now_us ()
    kept only for the [started_us] timestamp observers export. *)
 let mono_us () = Tango_obs.mono_us ()
 
-let telemetry_on t = t.config.Config.telemetry
-
-(* GC capture around a phase, gated so telemetry-off pays one branch. *)
-let gc_point enabled = if enabled then Some (Tango_obs.Runtime.point ()) else None
-
-let gc_delta = function
-  | Some p -> Tango_obs.Runtime.delta_since p
-  | None -> Tango_obs.Runtime.zero
-
 (* Run [f] as one measured pipeline phase under the trace span [name]:
    its result, wall time (µs) and allocated bytes. *)
-let phase t name f =
+let phase name f =
   let t0 = mono_us () in
-  let g = gc_point (telemetry_on t) in
+  let g = Tango_obs.Runtime.point () in
   let x = Tango_obs.Trace.span name f in
-  let alloc = (gc_delta g).Tango_obs.Runtime.alloc_bytes in
+  let alloc =
+    (Tango_obs.Runtime.delta_since g).Tango_obs.Runtime.alloc_bytes
+  in
   (x, mono_us () -. t0, alloc)
 
 (* Process-wide allocation/GC accounting, fed once per top-level run.
@@ -562,18 +530,17 @@ let account_resources (run : _ run option) (gc : Tango_obs.Runtime.delta) =
     run;
   Tango_obs.Runtime.touch ()
 
-(* Measure one top-level pipeline run, account its resources (with
-   telemetry on) and hand its event to the session's observer, if any.
+(* Measure one top-level pipeline run, account its resources and hand
+   its event to the session's observer, if any.
    Observer failures are swallowed: monitoring must never break the
    query path. *)
 let observed t ~kind ?sql (f : unit -> report) : report =
-  let telemetry = telemetry_on t in
-  let g0 = gc_point telemetry in
+  let g0 = Tango_obs.Runtime.point () in
   let started_us = now_us () in
   let m0 = mono_us () in
   let finish (report : report option) error =
-    let gc = gc_delta g0 in
-    if telemetry then account_resources report gc;
+    let gc = Tango_obs.Runtime.delta_since g0 in
+    account_resources report gc;
     Option.iter
       (fun notify ->
         let run =
@@ -632,11 +599,11 @@ type execution = {
    temp tables its `TRANSFER^D` steps created. *)
 let execute_physical_full t (physical : Physical.plan) : execution =
   let (exec, temp_tables), translate_us, translate_alloc_bytes =
-    phase t "translate" (fun () -> Exec_plan.of_physical (database t) physical)
+    phase "translate" (fun () -> Exec_plan.of_physical (database t) physical)
   in
   let collector = Tango_xxl.Attribution.create () in
   let result, execute_us, execute_alloc_bytes =
-    phase t "execute" (fun () ->
+    phase "execute" (fun () ->
         Fun.protect
           ~finally:(fun () ->
             (* end statements whose consumer stopped early (a merge join
@@ -934,7 +901,7 @@ let fresh_plan t (entry : entry) : planned =
   let (initial, required_order), parse_us, parse_alloc_bytes =
     match entry with
     | Text sql | Bound (sql, _) ->
-        phase t "parse" (fun () ->
+        phase "parse" (fun () ->
             Tango_tsql.Compile.initial_plan_and_order
               ~lookup:(schema_lookup t) sql)
     | Plan (op, order) | Fixed (op, order) ->
@@ -958,7 +925,7 @@ let fresh_plan t (entry : entry) : planned =
           0 )
     | Text _ | Bound _ | Plan _ ->
         let r, _, alloc =
-          phase t "optimize" (fun () ->
+          phase "optimize" (fun () ->
               let r = optimize t ~required_order initial in
               Tango_obs.Trace.attr "classes"
                 (Tango_obs.Trace.Int r.Search.classes);

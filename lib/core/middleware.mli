@@ -36,7 +36,6 @@ module Config : sig
     selectivity_mode : Tango_stats.Selectivity.mode;
         (** [Temporal] (default) or [Naive] — the §3.3 comparison toggle *)
     histograms : bool;  (** collect histograms during ANALYZE *)
-    max_memo_elements : int;  (** optimizer memo growth bound *)
     share_transfers : bool;
         (** fetch alpha-equivalent `TRANSFER^M` statements once per query
             (the paper's §7 "issue only one T^M" refinement) *)
@@ -55,7 +54,6 @@ module Config : sig
     plan_cache : bool;
         (** cache optimized physical plans keyed by normalized query text;
             a re-submitted {!query} skips parse and optimize *)
-    plan_cache_capacity : int;  (** LRU capacity of the plan cache *)
     auto_parameterize : bool;
         (** with [plan_cache] on, fold an incoming query's constant
             literals into bind variables before the cache lookup, so
@@ -70,10 +68,6 @@ module Config : sig
             a positive value implies [profiling]).  Bound values are
             placed in their column's distribution and quantized to eight
             buckets. *)
-    telemetry : bool;
-        (** capture GC/allocation deltas per pipeline phase and per query
-            ({!Tango_obs.Runtime}) and feed the [tango_alloc_*] /
-            [tango_gc_*] counter families (on by default) *)
   }
 
   val default : t
@@ -83,7 +77,6 @@ module Config : sig
   val with_selectivity_mode : Tango_stats.Selectivity.mode -> t -> t
   val with_histograms : bool -> t -> t
 
-  val with_max_memo_elements : int -> t -> t
   val with_transfer_sharing : bool -> t -> t
   val with_tracing : bool -> t -> t
   val with_profiling : bool -> t -> t
@@ -93,9 +86,8 @@ module Config : sig
 
   val with_verify_plans : verify_mode -> t -> t
 
-  val with_plan_cache : ?capacity:int -> bool -> t -> t
-  (** Enable/disable the plan cache; [capacity] additionally overrides
-      the LRU capacity (default 128 entries). *)
+  val with_plan_cache : bool -> t -> t
+  (** Enable/disable the plan cache (an LRU of 128 entries). *)
 
   val with_auto_parameterize : bool -> t -> t
   (** Auto-parameterization of literal constants (on by default; only
@@ -104,11 +96,6 @@ module Config : sig
   val with_replan_q_error : float -> t -> t
   (** Sensitivity-guard q-error threshold; a positive value also enables
       [profiling] (the guard judges plans by measured q-errors). *)
-
-  val with_telemetry : bool -> t -> t
-  (** GC/allocation attribution (on by default); unset to skip every
-      [Gc.quick_stat] capture — used by the [telemetry] benchmark to
-      price the observability stack itself. *)
 end
 
 type t
@@ -158,8 +145,7 @@ val set_config : t -> Config.t -> unit
     [roundtrip_spin] to every live backend, invalidates cached
     statistics when the [histograms] flag changes, and flushes the plan
     cache when a setting that chooses plans or their findings changes
-    ([histograms], [selectivity_mode], [max_memo_elements],
-    [verify_plans]). *)
+    ([histograms], [selectivity_mode], [verify_plans]). *)
 
 val last_trace : t -> Tango_obs.Trace.span option
 (** The trace of the most recent {!query} / {!run_plan} / {!run_fixed}
@@ -172,9 +158,6 @@ val last_diagnostics : t -> Tango_verify.Diag.t list
 val profile_store : t -> Tango_profile.Feedback.t
 (** The session's feedback store: per-fragment misestimation statistics
     accumulated across profiled executions. *)
-
-val sentinel : t -> Tango_profile.Sentinel.t
-(** The session's plan-regression sentinel. *)
 
 val calibrate : ?sizes:Tango_cost.Calibrate.probe_sizes -> t -> unit
 (** Run cost-factor calibration against every connected backend; each
@@ -257,8 +240,7 @@ type backend_breakdown = Tango_xxl.Attribution.breakdown = {
 
     ['result] is the result relation in a {!report} and its cardinality
     in an observed {!query_event}, so a monitoring surface that keeps
-    events never holds on to a relation.  The allocation fields are zero
-    when the configuration's [telemetry] is off. *)
+    events never holds on to a relation. *)
 type 'result run = {
   result : 'result;
   physical : Tango_volcano.Physical.plan;  (** the chosen plan *)
@@ -344,8 +326,7 @@ type query_event = {
           when the pipeline raised *)
   error : string option;  (** the exception text when the pipeline raised *)
   gc : Tango_obs.Runtime.delta;
-      (** whole-pipeline GC/allocation delta on the serving domain
-          (zero when the configuration's [telemetry] is off) *)
+      (** whole-pipeline GC/allocation delta on the serving domain *)
 }
 
 val set_query_observer : t -> (query_event -> unit) option -> unit

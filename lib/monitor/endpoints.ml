@@ -32,16 +32,13 @@ type t = {
 let topology_generation t =
   Tango_dbms.Topology.generation (Middleware.topology t.mw)
 
-let create ?log ?slo ?watchdog mw =
+let create ?log ?slo mw =
   let log = match log with Some l -> l | None -> Event_log.create () in
   let slo = match slo with Some s -> s | None -> Slo.create () in
   let watchdog =
-    match watchdog with
-    | Some w -> w
-    | None ->
-        Watchdog.create
-          ~generation:(Tango_dbms.Topology.generation (Middleware.topology mw))
-          ()
+    Watchdog.create
+      ~generation:(Tango_dbms.Topology.generation (Middleware.topology mw))
+      ()
   in
   Middleware.set_query_observer mw
     (Some
@@ -215,7 +212,6 @@ let contention () =
   json_response
     (Obj
        [
-         ("enabled", Bool (P.enabled ()));
          ("total_wait_us", Float total_wait);
          ("locks", List (List.map lock_json ranked));
        ])

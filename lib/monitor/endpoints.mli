@@ -4,12 +4,7 @@
 
 type t
 
-val create :
-  ?log:Event_log.t ->
-  ?slo:Slo.t ->
-  ?watchdog:Watchdog.t ->
-  Tango_core.Middleware.t ->
-  t
+val create : ?log:Event_log.t -> ?slo:Slo.t -> Tango_core.Middleware.t -> t
 (** Installs a query observer on the session
     ({!Tango_core.Middleware.set_query_observer}) feeding the event log
     and the SLO tracker; defaults: [Event_log.create ()],

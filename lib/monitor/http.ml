@@ -37,6 +37,9 @@ let reason_phrase = function
 
 let max_body_bytes = 1 lsl 20
 let max_line_bytes = 16 * 1024
+let max_headers = 100
+
+exception Bad_request of string
 
 (* ------------------------------------------------------------------ *)
 (* Percent decoding                                                     *)
@@ -125,7 +128,8 @@ let refill r =
 [@@tango.unguarded "connection-local reader cursor; one domain per connection"]
 
 (** A line up to ['\n'], with the ['\n'] (and a preceding ['\r'])
-    stripped; [None] at EOF before any byte. *)
+    stripped; [None] at EOF before any byte.  Raises {!Bad_request} when
+    the line runs past [max_line_bytes]. *)
 let read_line r : string option =
   let b = Buffer.create 128 in
   let rec go () =
@@ -134,9 +138,11 @@ let read_line r : string option =
       let c = Bytes.get r.buf r.pos in
       r.pos <- r.pos + 1;
       if c = '\n' then Some ()
+      else if Buffer.length b >= max_line_bytes then
+        raise (Bad_request "line too long")
       else begin
         Buffer.add_char b c;
-        if Buffer.length b > max_line_bytes then Some () else go ()
+        go ()
       end
     end
   in
@@ -167,8 +173,6 @@ let read_exact r n : string option =
 (* Request parsing / response writing                                   *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad_request of string
-
 let parse_request r : request option =
   match read_line r with
   | None -> None (* client closed without sending anything *)
@@ -177,9 +181,11 @@ let parse_request r : request option =
       | [ meth; target; version ]
         when version = "HTTP/1.1" || version = "HTTP/1.0" ->
           let headers = ref [] in
-          let rec read_headers () =
+          let rec read_headers n =
             match read_line r with
             | None | Some "" -> ()
+            | Some _ when n >= max_headers ->
+                raise (Bad_request "too many headers")
             | Some h ->
                 (match String.index_opt h ':' with
                 | Some i ->
@@ -190,16 +196,15 @@ let parse_request r : request option =
                     in
                     headers := (k, v) :: !headers
                 | None -> () (* tolerate malformed header lines *));
-                read_headers ()
+                read_headers (n + 1)
           in
-          read_headers ();
+          read_headers 0;
           let headers = List.rev !headers in
           let body =
             match List.assoc_opt "content-length" headers with
             | None -> ""
             | Some v -> (
                 match int_of_string_opt (String.trim v) with
-                | None | Some _ when false -> ""
                 | Some n when n < 0 || n > max_body_bytes ->
                     raise (Bad_request "content-length out of bounds")
                 | Some n -> (

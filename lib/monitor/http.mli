@@ -32,7 +32,8 @@ val parse_query : string -> (string * string) list
 val handle_connection : Unix.file_descr -> (request -> response) -> unit
 (** Serve exactly one request from an open socket: parse, run the
     handler, write the response.  Handler exceptions become a 500,
-    malformed requests a 400, and a connection closed before any byte is
+    malformed requests a 400 — among them a line over 16 KiB or more
+    than 100 header lines — and a connection closed before any byte is
     ignored.  The caller closes the socket. *)
 
 val listen : ?host:string -> port:int -> unit -> Unix.file_descr

@@ -59,15 +59,17 @@ type t = {
   objective : objective;
   lock : Dsync.lock;  (** guards [samples] *)
   samples : sample Queue.t;  (** oldest first, pruned to the long window *)
-  max_samples : int;
 }
 
-let create ?(objective = default_objective) ?(max_samples = 8192) () =
+(* Bounds the sample memory beyond the long window's pruning. *)
+let max_samples = 8192
+
+let create ?(objective = default_objective) () =
   if objective.latency_goal >= 1.0 || objective.error_goal >= 1.0 then
     invalid_arg "Slo.create: goals must leave a nonzero error budget";
   if objective.short_window_us > objective.long_window_us then
     invalid_arg "Slo.create: short window exceeds long window";
-  { objective; lock = Dsync.named_lock "monitor.slo"; samples = Queue.create (); max_samples }
+  { objective; lock = Dsync.named_lock "monitor.slo"; samples = Queue.create () }
 
 let objective t = t.objective
 
@@ -80,7 +82,7 @@ let prune t ~now_us =
   do
     ignore (Queue.pop t.samples)
   done;
-  while Queue.length t.samples > t.max_samples do
+  while Queue.length t.samples > max_samples do
     ignore (Queue.pop t.samples)
   done
 [@@tango.unguarded "internal helper, only called under t.lock"]

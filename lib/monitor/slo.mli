@@ -32,9 +32,9 @@ val state_rank : state -> int
 
 type t
 
-val create : ?objective:objective -> ?max_samples:int -> unit -> t
-(** [max_samples] (default 8192) additionally bounds the sample memory;
-    beyond it the oldest samples are dropped early.  Raises
+val create : ?objective:objective -> unit -> t
+(** At most 8192 samples are kept; beyond that the oldest are dropped
+    early.  Raises
     [Invalid_argument] when a goal leaves no error budget or the short
     window exceeds the long one. *)
 

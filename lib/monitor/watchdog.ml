@@ -29,12 +29,26 @@ type verdict = {
 module Dsync = Tango_obs.Dsync
 module Middleware = Tango_core.Middleware
 
+(* Worst per-cost-factor mean q-error above which [q_error] fires. *)
+let q_error_warn = 2.0
+
+(* A hit-rate fall larger than this since the previous check fires
+   [cache_hit_rate]. *)
+let hit_rate_drop = 0.2
+
+(* The tail analysis covers records at or above this latency quantile of
+   the event-log ring. *)
+let tail_fraction = 0.9
+
+(* Lock wait accumulated since the previous check, as a share of the wall
+   time between checks, above which [lock_contention] fires. *)
+let contention_warn = 0.25
+
+(* Region plans on one plan-cache entry at which
+   [parameter_sensitive_plan] fires. *)
+let replan_warn = 2
+
 type t = {
-  q_error_warn : float;
-  hit_rate_drop : float;
-  tail_fraction : float;
-  contention_warn : float;
-  replan_warn : int;
   lock : Dsync.lock;  (* guards the cross-evaluation trend fields *)
   mutable last_generation : int;
   mutable last_hit_rate : float option;
@@ -42,17 +56,8 @@ type t = {
   mutable last_check_mono_us : float option;
 }
 
-let create ?(q_error_warn = 2.0) ?(hit_rate_drop = 0.2)
-    ?(tail_fraction = 0.9) ?(contention_warn = 0.25) ?(replan_warn = 2)
-    ~generation () =
-  if not (tail_fraction >= 0.0 && tail_fraction < 1.0) then
-    invalid_arg "Watchdog.create: tail_fraction must be in [0, 1)";
+let create ~generation () =
   {
-    q_error_warn;
-    hit_rate_drop;
-    tail_fraction;
-    contention_warn;
-    replan_warn;
     lock = Dsync.named_lock "monitor.watchdog";
     last_generation = generation;
     last_hit_rate = None;
@@ -69,7 +74,7 @@ let elapsed_us (r : Event_log.record) =
 
 (* Records at or above the [tail_fraction] latency quantile of what the
    ring currently holds (always at least the slowest record). *)
-let tail_records t (records : Event_log.record list) =
+let tail_records (records : Event_log.record list) =
   match records with
   | [] -> []
   | _ ->
@@ -77,7 +82,7 @@ let tail_records t (records : Event_log.record list) =
       let n = List.length totals in
       let cut =
         List.nth totals
-          (min (n - 1) (int_of_float (t.tail_fraction *. float_of_int n)))
+          (min (n - 1) (int_of_float (tail_fraction *. float_of_int n)))
       in
       List.filter (fun r -> elapsed_us r >= cut) records
 
@@ -142,7 +147,7 @@ let slo_signal (v : Slo.verdict) =
 
 (* Worst per-cost-factor mean q-error in the feedback store: sustained
    misestimation means the optimizer is likely picking wrong plans. *)
-let q_error_signal t feedback =
+let q_error_signal feedback =
   match feedback with
   | None -> { name = "q_error"; firing = false; detail = "no profiling" }
   | Some fb -> (
@@ -161,7 +166,7 @@ let q_error_signal t feedback =
       | Some (factor, samples, q) ->
           {
             name = "q_error";
-            firing = q > t.q_error_warn;
+            firing = q > q_error_warn;
             detail =
               Printf.sprintf "worst factor %s mean_q=%.2f over %d samples"
                 factor q samples;
@@ -187,7 +192,7 @@ let cache_signal t cache =
               p)
         in
         match previous with
-        | Some prev when prev -. rate > t.hit_rate_drop ->
+        | Some prev when prev -. rate > hit_rate_drop ->
             {
               name = "cache_hit_rate";
               firing = true;
@@ -209,7 +214,7 @@ let cache_signal t cache =
    is a parameter-sensitive plan: no one generic plan serves its whole
    binding space, so its latency depends on which selectivity region the
    workload hits.  Evidence for "the same statement is sometimes slow". *)
-let replan_signal t cache =
+let replan_signal cache =
   match cache with
   | None ->
       {
@@ -220,7 +225,7 @@ let replan_signal t cache =
   | Some (s : Tango_cache.Plan_cache.stats) ->
       {
         name = "parameter_sensitive_plan";
-        firing = s.Tango_cache.Plan_cache.max_replans >= t.replan_warn;
+        firing = s.Tango_cache.Plan_cache.max_replans >= replan_warn;
         detail =
           Printf.sprintf
             "%d replans total; worst entry holds %d region plans"
@@ -290,7 +295,7 @@ let contention_signal t =
       in
       {
         name = "lock_contention";
-        firing = share > t.contention_warn;
+        firing = share > contention_warn;
         detail =
           Printf.sprintf "wait/wall %.3f since last check%s" share
             (match top with
@@ -310,14 +315,14 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
   let signals =
     [
       slo_signal slo_verdict;
-      q_error_signal t feedback;
+      q_error_signal feedback;
       cache_signal t cache;
-      replan_signal t cache;
+      replan_signal cache;
       topology_signal t ~generation;
       contention_signal t;
     ]
   in
-  let tail = tail_records t (Event_log.recent log) in
+  let tail = tail_records (Event_log.recent log) in
   let runs =
     List.filter_map
       (fun (r : Event_log.record) -> r.Event_log.event.Middleware.run)

@@ -31,28 +31,18 @@ type verdict = {
 
 type t
 
-val create :
-  ?q_error_warn:float ->
-  ?hit_rate_drop:float ->
-  ?tail_fraction:float ->
-  ?contention_warn:float ->
-  ?replan_warn:int ->
-  generation:int ->
-  unit ->
-  t
-(** Stateful tracker.  [q_error_warn] (default 2.0): worst
-    per-cost-factor mean q-error above this fires [q_error].
-    [hit_rate_drop] (default 0.2): a hit-rate fall of more than this
-    since the previous {!evaluate} fires [cache_hit_rate].
-    [tail_fraction] (default 0.9, must be in [0, 1)): the tail analysis
-    covers records at or above this latency quantile of the event-log
-    ring.  [contention_warn] (default 0.25): lock wait accumulated
-    since the previous check, divided by the wall time between checks,
-    above this fires [lock_contention] (the first check only primes the
-    baseline).  [replan_warn] (default 2): a single plan-cache entry
-    holding at least this many sensitivity-guard region plans fires
+val create : generation:int -> unit -> t
+(** Stateful tracker; [generation] seeds the topology baseline.  The
+    thresholds are fixed: a worst per-cost-factor mean q-error above 2.0
+    fires [q_error]; a hit-rate fall of more than 0.2 since the previous
+    {!evaluate} fires [cache_hit_rate]; the tail analysis covers records
+    at or above the 0.9 latency quantile of the event-log ring; lock
+    wait accumulated since the previous check, divided by the wall time
+    between checks, above 0.25 fires [lock_contention] (the first check
+    only primes the baseline); a single plan-cache entry holding at
+    least 2 sensitivity-guard region plans fires
     [parameter_sensitive_plan] — that statement's best plan depends on
-    its bound values.  [generation] seeds the topology baseline. *)
+    its bound values. *)
 
 val evaluate :
   t ->

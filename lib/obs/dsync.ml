@@ -108,13 +108,6 @@ module Profile = struct
             Hashtbl.replace registry name s;
             s)
 
-  (* Global switch, read once per profiled [protect].  Off turns a
-     named lock back into a plain [Mutex.protect] — the telemetry bench
-     flips this to price the profiler itself. *)
-  let enabled_flag = Atomic.make true
-  let set_enabled b = Atomic.set enabled_flag b
-  let enabled () = Atomic.get enabled_flag
-
   let ns_of_us us = int_of_float (us *. 1_000.0)
 
   let record s ~contended ~wait_us ~hold_us =
@@ -185,8 +178,8 @@ let lock () = { mutex = Mutex.create (); stats = None }
 let named_lock name = { mutex = Mutex.create (); stats = Some (Profile.stats_for name) }
 
 (* The guard implementation itself.  [Mutex.protect] covers anonymous
-   and profiling-off locks (exception-safe on OCaml >= 5.1).  The
-   profiled path needs the raw operations the linter normally forbids:
+   locks (exception-safe on OCaml >= 5.1).  The profiled path needs the
+   raw operations the linter normally forbids:
    [try_lock] distinguishes a contended acquire from a free one without
    paying two clock reads on the uncontended path, and the explicit
    [lock]/[unlock] pair brackets the hold-time measurement.  Release is
@@ -195,27 +188,24 @@ let protect l f =
   match l.stats with
   | None -> Mutex.protect l.mutex f
   | Some s ->
-      if not (Atomic.get Profile.enabled_flag) then Mutex.protect l.mutex f
-      else begin
-        let contended, wait_us =
-          if Mutex.try_lock l.mutex then (false, 0.0)
-          else begin
-            let t0 = Clock.mono_us () in
-            Mutex.lock l.mutex;
-            (true, Clock.mono_us () -. t0)
-          end
-        in
-        let h0 = Clock.mono_us () in
-        Fun.protect
-          ~finally:(fun () ->
-            let hold_us = Clock.mono_us () -. h0 in
-            Mutex.unlock l.mutex;
-            (* Record after release so bookkeeping never extends the
-               critical section other domains are waiting on. *)
-            Profile.record s ~contended ~wait_us ~hold_us)
-          f
-      end
+      let contended, wait_us =
+        if Mutex.try_lock l.mutex then (false, 0.0)
+        else begin
+          let t0 = Clock.mono_us () in
+          Mutex.lock l.mutex;
+          (true, Clock.mono_us () -. t0)
+        end
+      in
+      let h0 = Clock.mono_us () in
+      Fun.protect
+        ~finally:(fun () ->
+          let hold_us = Clock.mono_us () -. h0 in
+          Mutex.unlock l.mutex;
+          (* Record after release so bookkeeping never extends the
+             critical section other domains are waiting on. *)
+          Profile.record s ~contended ~wait_us ~hold_us)
+        f
 [@@tango.unguarded
   "the guard implementation: try_lock/lock/unlock bracket the wait- and \
    hold-time measurements, with release guaranteed on all paths by \
-   Fun.protect (and by Mutex.protect on the unprofiled branches)"]
+   Fun.protect (and by Mutex.protect on the anonymous-lock branch)"]

@@ -75,12 +75,6 @@ module Profile : sig
             [(infinity, acquires)] *)
   }
 
-  val set_enabled : bool -> unit
-  (** Toggle profiling globally (default on).  Off, a named lock costs
-      the same as an anonymous one. *)
-
-  val enabled : unit -> bool
-
   val snapshot : unit -> snapshot list
   (** All registered lock families, sorted by name. *)
 

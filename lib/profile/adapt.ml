@@ -4,9 +4,10 @@
 
 open Tango_cost
 
-type params = { q_threshold : float; min_samples : int }
+let q_threshold = 1.5
 
-let default_params = { q_threshold = 1.5; min_samples = 3 }
+(* Observations a factor needs before it is refitted. *)
+let min_samples = 3
 
 let refits = Tango_obs.Counter.make "profile.cost_refits"
 
@@ -14,12 +15,12 @@ let log_src = Logs.Src.create "tango.profile" ~doc:"TANGO profiling & adaptation
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let maybe_refit ?(params = default_params) (store : Feedback.t)
-    ~(factors : Factors.t) : string list option =
+let maybe_refit (store : Feedback.t) ~(factors : Factors.t) :
+    string list option =
   let triggered =
     List.filter_map
       (fun (factor, (samples, mean_q)) ->
-        if samples >= params.min_samples && mean_q >= params.q_threshold then
+        if samples >= min_samples && mean_q >= q_threshold then
           Some factor
         else None)
       (Feedback.factor_q store)
@@ -32,9 +33,7 @@ let maybe_refit ?(params = default_params) (store : Feedback.t)
           List.mem o.Calibrate.factor triggered)
         (Feedback.observations store)
     in
-    let fitted, refitted =
-      Calibrate.refit ~min_samples:params.min_samples ~base:factors obs
-    in
+    let fitted, refitted = Calibrate.refit ~min_samples ~base:factors obs in
     if refitted = [] then None
     else begin
       List.iter

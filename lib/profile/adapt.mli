@@ -8,20 +8,14 @@
 
 open Tango_cost
 
-type params = {
-  q_threshold : float;
-      (** refit a factor once its operators' mean cost q-error crosses
-          this (>= 1; default 1.5) *)
-  min_samples : int;  (** observations required before refitting (default 3) *)
-}
-
-val default_params : params
+val q_threshold : float
+(** A factor is refitted once its operators' mean cost q-error reaches
+    this (1.5), over at least three observations. *)
 
 val refits : Tango_obs.Counter.t
 (** ["profile.cost_refits"]: recalibrations performed. *)
 
-val maybe_refit :
-  ?params:params -> Feedback.t -> factors:Factors.t -> string list option
+val maybe_refit : Feedback.t -> factors:Factors.t -> string list option
 (** Check the store's per-factor q-error aggregates; when any factor
     crosses the threshold with enough samples, refit every such factor
     from the store's observation window, install the new coefficients

@@ -58,11 +58,6 @@ type report = {
 (* Pairing the plan with the trace                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec collect_tds (p : Physical.plan) : Physical.plan list =
-  match p.Physical.algorithm with
-  | Physical.Transfer_d_algo -> [ p ]
-  | _ -> List.concat_map collect_tds p.Physical.children
-
 (* The children a plan node has in the executed pipeline (and hence in
    the trace): TRANSFER^M's children are the middleware sources of its
    TRANSFER^D dependencies; everything else is structural. *)
@@ -72,7 +67,7 @@ let paired_children (p : Physical.plan) : Physical.plan list =
       List.filter_map
         (fun (td : Physical.plan) ->
           match td.Physical.children with [ mw ] -> Some mw | _ -> None)
-        (collect_tds db_child)
+        (Physical.collect_tds db_child)
   | (Physical.Transfer_m_algo | Physical.Scatter_gather_m), _ -> []
   | _ -> p.Physical.children
 

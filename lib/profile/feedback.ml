@@ -35,18 +35,19 @@ type t = {
   factors : (string, agg) Hashtbl.t;  (* cost factor -> aggregate *)
   mutable observations : Calibrate.observation list;  (* newest first *)
   mutable n_obs : int;
-  max_observations : int;
   mutable queries : int;
 }
 
-let create ?(max_observations = 1024) () : t =
+(* Bounds the refit window; the oldest observations are dropped first. *)
+let max_observations = 1024
+
+let create () : t =
   {
     lock = Dsync.named_lock "profile.feedback";
     frags = Hashtbl.create 64;
     factors = Hashtbl.create 16;
     observations = [];
     n_obs = 0;
-    max_observations;
     queries = 0;
   }
 
@@ -111,11 +112,11 @@ let record (t : t) (report : Analyze.report) =
       t.observations <-
         List.rev_append report.Analyze.observations t.observations;
       t.n_obs <- t.n_obs + List.length report.Analyze.observations;
-      if t.n_obs > t.max_observations then begin
+      if t.n_obs > max_observations then begin
         (* drop the oldest (tail of the newest-first list) *)
         t.observations <-
-          List.filteri (fun i _ -> i < t.max_observations) t.observations;
-        t.n_obs <- t.max_observations
+          List.filteri (fun i _ -> i < max_observations) t.observations;
+        t.n_obs <- max_observations
       end)
 
 let queries t = Dsync.protect t.lock (fun () -> t.queries)

@@ -23,9 +23,8 @@ type stats = {
 
 type t
 
-val create : ?max_observations:int -> unit -> t
-(** [max_observations] (default 1024) bounds the refit window; the oldest
-    observations are dropped first. *)
+val create : unit -> t
+(** The refit window holds the newest 1024 observations. *)
 
 val record : t -> Analyze.report -> unit
 (** Fold one analyzed execution into the store. *)

@@ -3,7 +3,7 @@
     Remembers the best observed plan (signature + latency) per query
     fingerprint.  When a later execution of the same query picks a
     {e different} plan and runs slower than the best by more than a
-    configurable ratio, that is flagged as a plan regression — e.g. an
+    fixed ratio, that is flagged as a plan regression — e.g. an
     adaptive recalibration that made things worse. *)
 
 type event =
@@ -14,20 +14,10 @@ type event =
       chosen_signature : string;
     }
 
-type entry = {
-  query_fingerprint : string;
-  signature : string;  (** one-line summary of the executed plan *)
-  elapsed_us : float;
-  event : event;
-  seq : int;  (** execution ordinal at which the event fired *)
-}
-
 type t
 
-val create : ?regression_ratio:float -> ?max_log:int -> unit -> t
-(** [regression_ratio] (default 1.5): a changed plan slower than
-    [ratio *. best] is a regression.  [max_log] (default 64) bounds the
-    event log, newest kept. *)
+val create : unit -> t
+(** A changed plan slower than 1.5 times the best is a regression. *)
 
 val plan_regressions : Tango_obs.Counter.t
 (** ["profile.plan_regressions"] *)
@@ -46,8 +36,3 @@ val observe :
 val best : t -> string -> (string * float) option
 (** Best observed (plan signature, latency in us) for a query
     fingerprint. *)
-
-val log : t -> entry list
-(** Flagged events, newest first. *)
-
-val to_json : t -> Tango_obs.Json.t

@@ -785,6 +785,11 @@ let rec signature (plan : plan) : string =
 let fingerprint (plan : plan) : string =
   digest (signature plan ^ "|" ^ canon_op plan.op)
 
+let rec collect_tds (plan : plan) : plan list =
+  match plan.algorithm with
+  | Transfer_d_algo -> [ plan ]
+  | _ -> List.concat_map collect_tds plan.children
+
 (* ------------------------------------------------------------------ *)
 (* Partition-aware refinement and checking                              *)
 (* ------------------------------------------------------------------ *)

@@ -98,6 +98,11 @@ val to_string : plan -> string
 val signature : plan -> string
 (** One-line summary of the plan's algorithms. *)
 
+val collect_tds : plan -> plan list
+(** The [TRANSFER^D] nodes inside a DBMS-resident subtree, left to right,
+    stopping at each: what lies below one feeds its temp table from the
+    middleware. *)
+
 (** {2 Fingerprints}
 
     Canonical identities for the profiling feedback store and the plan

@@ -796,6 +796,8 @@ let c_probes = Tango_obs.Counter.make "volcano.rule_probes"
 
 type observer = rule:string -> Memo.t -> int -> unit
 
+let max_elements = 5_000
+
 (** Apply rules to fixpoint (bounded by [max_elements]), semi-naively.
 
     A rule reads only its element, stored class properties, and the
@@ -807,8 +809,7 @@ type observer = rule:string -> Memo.t -> int -> unit
     one, as a rule adding to a class that is also its own child does.  The
     rules that fire, their order, and the final memo are those of sweeping
     every element in every pass. *)
-let saturate ?(rules = all) ?(max_elements = 5_000) ?observer (m : Memo.t) :
-    unit =
+let saturate ?(rules = all) ?observer (m : Memo.t) : unit =
   (* element id -> clock value after its last sweep, when nothing that
      sweep read changed during it *)
   let quiet : (int, int) Hashtbl.t = Hashtbl.create 256 in

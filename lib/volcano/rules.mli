@@ -42,9 +42,12 @@ type observer = rule:string -> Memo.t -> int -> unit
     with the (canonical) class the rule changed — the hook behind the
     per-rule plan-verification gate ({!Tango_verify.Gate}). *)
 
-val saturate :
-  ?rules:rule list -> ?max_elements:int -> ?observer:observer -> Memo.t -> unit
-(** Apply rules to fixpoint, bounded by [max_elements] (default 5000).
+val max_elements : int
+(** The memo growth bound (5,000 class elements): saturation stops
+    sweeping once the memo holds this many. *)
+
+val saturate : ?rules:rule list -> ?observer:observer -> Memo.t -> unit
+(** Apply rules to fixpoint, bounded by {!max_elements}.
     An element is swept through the rules again only when one of its child
     classes changed since its last sweep; the rules that fire, in order,
     are those of re-sweeping every element on every pass.  Each sweep

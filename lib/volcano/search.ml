@@ -24,18 +24,17 @@ type result = {
     @param factors calibrated cost factors
     @param stats_env base-statistics environment (see {!Derive.env})
     @param required_order final order the client asked for (default none)
-    @param max_elements memo growth bound
     @param partition partition layout of a sharded topology
     @param shard_factors per-backend cost factors (by backend name) *)
 let optimize ~(factors : Factors.t) ~(stats_env : Derive.env)
-    ?(required_order : Order.t = []) ?max_elements ?rules ?rule_observer
-    ?partition ?shard_factors (initial : Op.t) : result =
+    ?(required_order : Order.t = []) ?rule_observer ?partition ?shard_factors
+    (initial : Op.t) : result =
   let t0 = Tango_obs.mono_us () in
   Op.validate initial;
   let memo = Memo.create () in
   let root = Memo.insert_op memo initial in
   Tango_obs.Trace.span "optimize.saturate" (fun () ->
-      Rules.saturate ?max_elements ?rules ?observer:rule_observer memo;
+      Rules.saturate ?observer:rule_observer memo;
       Tango_obs.Trace.attr "classes"
         (Tango_obs.Trace.Int (Memo.class_count memo));
       Tango_obs.Trace.attr "elements"

@@ -20,8 +20,6 @@ val optimize :
   factors:Tango_cost.Factors.t ->
   stats_env:Tango_stats.Derive.env ->
   ?required_order:Order.t ->
-  ?max_elements:int ->
-  ?rules:Rules.rule list ->
   ?rule_observer:Rules.observer ->
   ?partition:Partition.layout ->
   ?shard_factors:(string -> Tango_cost.Factors.t) ->

@@ -369,8 +369,6 @@ let test_config_change_flushes () =
   ignore
     (resubmit_after "selectivity mode"
        (Middleware.Config.with_selectivity_mode Tango_stats.Selectivity.Naive));
-  ignore
-    (resubmit_after "memo bound" (Middleware.Config.with_max_memo_elements 2_000));
   let r =
     resubmit_after "verification"
       (Middleware.Config.with_verify_plans Middleware.Config.Verify_final)
@@ -383,19 +381,6 @@ let test_invalidation_on_stats_refresh () =
   Middleware.refresh_statistics mw;
   let r = Middleware.query mw Queries.q1_sql in
   Alcotest.(check bool) "post-refresh submission misses" false (cache_hit r)
-
-let test_session_capacity_eviction () =
-  let _db, mw = setup () in
-  Middleware.set_config mw
-    (Middleware.Config.with_plan_cache ~capacity:2 true (Middleware.config mw));
-  ignore (Middleware.query mw Queries.q1_sql);
-  ignore (Middleware.query mw (Queries.q2_sql ~period_end:"1996-01-01"));
-  ignore (Middleware.query mw (Queries.q3_sql ~start_bound:"1996-01-01"));
-  (* q1 was the least recently used of the three *)
-  let r = Middleware.query mw Queries.q1_sql in
-  Alcotest.(check bool) "evicted at capacity" false (cache_hit r);
-  Alcotest.(check bool) "evictions counted" true
-    ((Middleware.plan_cache_stats mw).Plan_cache.evictions > 0)
 
 let test_disabled_cache_reports_nothing () =
   let db = Tango_dbms.Database.create () in
@@ -460,7 +445,6 @@ let () =
             test_refit_flush_drops_exact_entry;
           Alcotest.test_case "invalidation on stats refresh" `Quick
             test_invalidation_on_stats_refresh;
-          Alcotest.test_case "capacity eviction" `Quick test_session_capacity_eviction;
           Alcotest.test_case "disabled reports nothing" `Quick
             test_disabled_cache_reports_nothing;
           Alcotest.test_case "event log distinguishes hits" `Quick

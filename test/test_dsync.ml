@@ -140,21 +140,6 @@ let test_profile_contention_stress () =
             s.Dsync.Profile.contended total
       | [] -> Alcotest.fail "no wait buckets")
 
-(* With profiling off, protect must still guard but record nothing. *)
-let test_profile_disabled () =
-  let lock = Dsync.named_lock "test.disabled" in
-  Dsync.Profile.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Dsync.Profile.set_enabled true)
-    (fun () ->
-      Alcotest.(check int) "protect still works" 7
-        (Dsync.protect lock (fun () -> 7));
-      match find_snapshot "test.disabled" with
-      | None -> ()
-      | Some s ->
-          Alcotest.(check int) "nothing recorded while disabled" 0
-            s.Dsync.Profile.acquires)
-
 (* ---------------- counters and histograms ---------------- *)
 
 let test_counter_conservation () =
@@ -314,8 +299,6 @@ let () =
             test_profile_uncontended;
           Alcotest.test_case "contention stress (4 domains)" `Quick
             test_profile_contention_stress;
-          Alcotest.test_case "disabled profiling records nothing" `Quick
-            test_profile_disabled;
         ] );
       ( "stress",
         [

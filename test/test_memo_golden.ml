@@ -241,7 +241,7 @@ let test_element_props () =
     (fun (name, mw, sql) ->
       let m = Memo.create () in
       ignore (Memo.insert_op m (initial mw sql));
-      Rules.saturate ~max_elements:(Middleware.config mw).Middleware.Config.max_memo_elements m;
+      Rules.saturate m;
       Alcotest.(check int)
         (name ^ ": same memo as the search")
         (List.assoc name expected).classes (Memo.class_count m);
@@ -281,8 +281,6 @@ let equivalence_corpus =
      @ List.init 102 (fun i ->
            (Printf.sprintf "adhoc%03d" i, one, shapes.(i mod 3) st)))
 
-let max_elements mw = (Middleware.config mw).Middleware.Config.max_memo_elements
-
 let fresh_memo mw sql =
   let m = Memo.create () in
   let root = Memo.insert_op m (initial mw sql) in
@@ -291,7 +289,8 @@ let fresh_memo mw sql =
 (* The reference saturation: every rule on every element of every class,
    pass after pass, until a pass fires nothing.  Returns the rules fired
    and the element sweeps made. *)
-let naive_saturate ~max_elements m =
+let naive_saturate m =
+  let max_elements = Rules.max_elements in
   let fired = ref 0 and sweeps = ref 0 in
   let changed = ref true in
   while !changed && Memo.element_count m < max_elements do
@@ -325,13 +324,12 @@ let test_incremental_saturation () =
   let naive_sweeps = ref 0 and probes_made = ref 0 in
   List.iter
     (fun (name, mw, sql) ->
-      let max_elements = max_elements mw in
       let reference, _ = fresh_memo mw sql in
-      let want_fired, sweeps = naive_saturate ~max_elements reference in
+      let want_fired, sweeps = naive_saturate reference in
       let m, _ = fresh_memo mw sql in
       let f0 = Tango_obs.Counter.value fired in
       let p0 = Tango_obs.Counter.value probes in
-      Rules.saturate ~max_elements m;
+      Rules.saturate m;
       naive_sweeps := !naive_sweeps + sweeps;
       probes_made := !probes_made + Tango_obs.Counter.value probes - p0;
       let shape m = (Memo.class_count m, Memo.element_count m, Memo.classes m) in
@@ -371,7 +369,7 @@ let test_class_stats () =
   List.iter
     (fun (name, mw, sql) ->
       let m, root = fresh_memo mw sql in
-      Rules.saturate ~max_elements:(max_elements mw) m;
+      Rules.saturate m;
       let stats_env = Middleware.stats_env mw in
       let p =
         Physical.create ?partition:(Middleware.partition_layout mw) ~memo:m

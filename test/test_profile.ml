@@ -65,7 +65,7 @@ let test_fingerprint_distinguishes_shapes () =
 (* ---------------- sentinel ---------------- *)
 
 let test_sentinel_regression () =
-  let s = Sentinel.create ~regression_ratio:1.5 () in
+  let s = Sentinel.create () in
   (* establish a best plan *)
   ignore
     (Sentinel.observe s ~fingerprint:"q" ~signature:"planA" ~elapsed_us:100.0);
@@ -199,7 +199,7 @@ let test_adaptive_refit_triggers () =
   (match List.assoc_opt "p_tm" (Feedback.factor_q (Middleware.profile_store mw)) with
   | Some (_, q) ->
       Alcotest.(check bool) "p_tm misestimate above the refit threshold" true
-        (q >= Adapt.default_params.Adapt.q_threshold)
+        (q >= Adapt.q_threshold)
   | None -> Alcotest.fail "no p_tm evidence");
   for _ = 2 to 4 do
     ignore (Middleware.query mw Queries.q1_sql)
