@@ -19,7 +19,9 @@
     - derived tables read more than once per statement are materialized
       once (memoized), while correlated scalar subqueries are re-evaluated
       per outer row — which is precisely why temporal aggregation expressed
-      in SQL is slow (paper Section 3.4). *)
+      in SQL is slow (paper Section 3.4);
+    - a statement decodes and carries only the columns it uses (see
+      "Column pruning" below). *)
 
 open Tango_rel
 open Tango_sql
@@ -204,9 +206,14 @@ let truthy = function Value.Bool b -> b | Value.Null -> false | _ -> true
 let rec all_true (fs : value_fn list) env =
   match fs with [] -> true | f :: rest -> truthy (f env) && all_true rest env
 
+(* A predicate's result, without allocating: the two constants. *)
+let v_true = Value.Bool true
+let v_false = Value.Bool false
+let bool b = if b then v_true else v_false
+
 (* SQL comparison: any NULL operand yields false. *)
 let compare_op op a b =
-  if Value.is_null a || Value.is_null b then Value.Bool false
+  if Value.is_null a || Value.is_null b then v_false
   else
     let c = Value.compare a b in
     let r =
@@ -219,7 +226,7 @@ let compare_op op a b =
       | Ast.Ge -> c >= 0
       | _ -> assert false
     in
-    Value.Bool r
+    bool r
 
 (* Infer the static type of an expression; used to build output schemas. *)
 let rec infer_dtype infer_query schemas (e : Ast.expr) : Value.dtype =
@@ -258,6 +265,226 @@ let rec infer_dtype infer_query schemas (e : Ast.expr) : Value.dtype =
       match Schema.attributes schema with
       | a :: _ -> a.Schema.dtype
       | [] -> sql_error "scalar subquery with empty select list")
+
+(* ------------------------------------------------------------------ *)
+(* Column pruning                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A statement builds only the columns it uses.  Before compilation, each
+   derived table's SELECT list is cut to the names its enclosing SELECTs
+   reference ({!narrow_derived}); at compilation, each base-table FROM item
+   decodes only the fields its SELECT references (a keep-mask, {!keep}),
+   the rest reading as [Null] in their usual positions.  Pages, rows and
+   index lookups are those of the unpruned statement. *)
+
+(* The columns a SELECT references outside its FROM clause, each as
+   (qualifier, base name): every column when its list has a [*]. *)
+type refs = All_cols | Cols of (string option * string) list
+
+(* A reference split the way [resolve] reads it: at the last dot of its
+   full name. *)
+let split_ref q c =
+  match q with
+  | Some _ when not (String.contains c '.') -> (q, c)
+  | _ -> (
+      let n = qualified q c in
+      match String.rindex_opt n '.' with
+      | None -> (None, n)
+      | Some i -> (Some (String.sub n 0 i), String.sub n (i + 1) (String.length n - i - 1)))
+
+(* Every column reference in an expression, recursing into subqueries
+   whole: a subquery reaches enclosing FROM items by correlation. *)
+let rec expr_refs acc (e : Ast.expr) =
+  match e with
+  | Lit _ | Param _ -> acc
+  | Col (q, c) -> split_ref q c :: acc
+  | Binop (_, a, b) -> expr_refs (expr_refs acc a) b
+  | Not a | Is_null a | Is_not_null a -> expr_refs acc a
+  | Between (a, lo, hi) -> expr_refs (expr_refs (expr_refs acc a) lo) hi
+  | Greatest es | Least es -> List.fold_left expr_refs acc es
+  | Agg (_, a) -> Option.fold ~none:acc ~some:(expr_refs acc) a
+  | Scalar_subquery q | Exists q -> query_refs acc q
+  | In_subquery (a, q) -> query_refs (expr_refs acc a) q
+
+and query_refs acc = function
+  | Ast.Select s ->
+      List.fold_left
+        (fun acc -> function Ast.Table _ -> acc | Ast.Derived (q, _) -> query_refs acc q)
+        (select_refs acc s.items s) s.from
+  | Ast.Union (a, b) | Ast.Union_all (a, b) -> query_refs (query_refs acc a) b
+
+(* Outside the FROM clause, with [items] as the SELECT list. *)
+and select_refs acc items (s : Ast.select) =
+  let opt acc = Option.fold ~none:acc ~some:(expr_refs acc) in
+  let acc =
+    List.fold_left
+      (fun acc -> function Ast.Star -> acc | Ast.Expr (e, _) -> expr_refs acc e)
+      acc items
+  in
+  let acc = List.fold_left expr_refs (opt (opt acc s.where) s.having) s.group_by in
+  List.fold_left (fun acc (e, _) -> expr_refs acc e) acc s.order_by
+
+let has_star items = List.exists (function Ast.Star -> true | Ast.Expr _ -> false) items
+
+let refs_of items (s : Ast.select) =
+  if has_star items then All_cols else Cols (select_refs [] items s)
+
+(* Do [refs] reach column [name] of a FROM item qualified [qual]? *)
+let refers refs ~qual name =
+  match refs with
+  | All_cols -> true
+  | Cols cs ->
+      List.exists
+        (fun (q, c) ->
+          String.equal c name
+          && match q with None -> true | Some q -> String.equal q qual)
+        cs
+
+(* The keep-mask of a base-table FROM item: its SELECT's references. *)
+let keep refs ~qual (table : Catalog.table) =
+  Array.map
+    (fun a -> refers refs ~qual (Schema.base_name a.Schema.name))
+    (Tango_storage.Heap_file.schema table.file)
+
+(* A SELECT is grouped when it has GROUP BY or an aggregate in its list or
+   HAVING. *)
+let grouped (s : Ast.select) =
+  s.group_by <> []
+  || List.exists
+       (function Ast.Expr (e, _) -> Ast.contains_agg e | Ast.Star -> false)
+       s.items
+  || match s.having with Some h -> Ast.contains_agg h | None -> false
+
+(* The name SELECT item [i] gets in the output schema. *)
+let item_name i (e : Ast.expr) alias =
+  match (alias, e) with
+  | Some a, _ -> a
+  | None, Col (_, c) -> c
+  | None, Agg (f, _) -> Ast.aggfun_name f
+  | None, _ -> "COL" ^ string_of_int (i + 1)
+
+(* The items of derived SELECT [s] that the names in [need] (unqualified)
+   reach, or that its own ORDER BY may name, each aliased to the name it
+   had in the full list; at least one.  DISTINCT, a global aggregate and [*] keep their
+   list whole: cutting them would change the rows. *)
+let kept_items need (s : Ast.select) =
+  if need = All_cols || s.distinct || has_star s.items || (s.group_by = [] && grouped s)
+  then s.items
+  else
+    let order = Cols (List.fold_left (fun acc (e, _) -> expr_refs acc e) [] s.order_by) in
+    let named =
+      List.mapi
+        (fun i -> function
+          | Ast.Expr (e, a) -> (item_name i e a, e) | Ast.Star -> assert false)
+        s.items
+    in
+    let kept =
+      List.filter
+        (fun (n, _) -> refers need ~qual:"" n || refers order ~qual:"" n)
+        named
+    in
+    let kept =
+      if kept = [] then List.filteri (fun i _ -> i = 0) named else kept
+    in
+    if List.length kept = List.length named then s.items
+    else List.map (fun (n, e) -> Ast.Expr (e, Some n)) kept
+
+let rec map_subqueries f (e : Ast.expr) : Ast.expr =
+  let m = map_subqueries f in
+  match e with
+  | Lit _ | Param _ | Col _ -> e
+  | Binop (op, a, b) -> Binop (op, m a, m b)
+  | Not a -> Not (m a)
+  | Is_null a -> Is_null (m a)
+  | Is_not_null a -> Is_not_null (m a)
+  | Between (a, lo, hi) -> Between (m a, m lo, m hi)
+  | Greatest es -> Greatest (List.map m es)
+  | Least es -> Least (List.map m es)
+  | Agg (g, a) -> Agg (g, Option.map m a)
+  | Scalar_subquery q -> Scalar_subquery (f q)
+  | In_subquery (a, q) -> In_subquery (m a, f q)
+  | Exists q -> Exists (f q)
+
+(* Narrow every derived table's SELECT list to the names its enclosing
+   SELECTs reference.  A derived query that occurs several times gets the
+   union of its occurrences' needs, so its copies stay equal and still
+   materialize once.  One rewriting walk records each derived query's
+   needs as it goes; it repeats until a walk adds none, so the last walk
+   rewrote every copy with the complete union.  Within a walk every copy
+   of a derived query becomes one shared rewritten query: the memo of
+   materialized derived tables is probed per outer row from a correlated
+   subquery, and a physically equal key compares in constant time. *)
+let narrow_derived (q : Ast.query) : Ast.query =
+  let needs : (Ast.query, refs) Hashtbl.t = Hashtbl.create 8 in
+  let rewritten : (Ast.query, Ast.query) Hashtbl.t = Hashtbl.create 8 in
+  let grew = ref false in
+  let add dq (n : refs) =
+    match (Hashtbl.find_opt needs dq, n) with
+    | Some All_cols, _ -> ()
+    | None, _ | Some (Cols _), All_cols ->
+        Hashtbl.replace needs dq n;
+        grew := true
+    | Some (Cols old), Cols ns -> (
+        match List.filter (fun r -> not (List.mem r old)) ns with
+        | [] -> ()
+        | fresh ->
+            Hashtbl.replace needs dq (Cols (List.sort_uniq compare fresh @ old));
+            grew := true)
+  in
+  let rec query = function
+    | Ast.Select s -> Ast.Select (select s.items s)
+    | Ast.Union (a, b) -> Ast.Union (query a, query b)
+    | Ast.Union_all (a, b) -> Ast.Union_all (query a, query b)
+  and select items (s : Ast.select) : Ast.select =
+    let refs = refs_of items s in
+    let from_item = function
+      | Ast.Table _ as t -> t
+      | Ast.Derived (dq, alias) ->
+          (* the names that may reach this derived table, unqualified *)
+          add dq
+            (match refs with
+            | All_cols -> All_cols
+            | Cols cs ->
+                Cols
+                  (List.filter_map
+                     (fun (q, c) ->
+                       match q with
+                       | Some q when not (String.equal q alias) -> None
+                       | _ -> Some (None, c))
+                     cs));
+          Ast.Derived (derived dq, alias)
+    in
+    let e = map_subqueries query in
+    {
+      s with
+      items = List.map (function Ast.Star -> Ast.Star | Ast.Expr (x, a) -> Ast.Expr (e x, a)) items;
+      from = List.map from_item s.from;
+      where = Option.map e s.where;
+      group_by = List.map e s.group_by;
+      having = Option.map e s.having;
+      order_by = List.map (fun (x, asc) -> (e x, asc)) s.order_by;
+    }
+  and derived dq =
+    match Hashtbl.find_opt rewritten dq with
+    | Some r -> r
+    | None ->
+        let r =
+          match dq with
+          | Ast.Select ds ->
+              let need = Option.value (Hashtbl.find_opt needs dq) ~default:(Cols []) in
+              Ast.Select (select (kept_items need ds) ds)
+          | _ -> query dq
+        in
+        Hashtbl.replace rewritten dq r;
+        r
+  in
+  let rec walk () =
+    grew := false;
+    Hashtbl.reset rewritten;
+    let q' = query q in
+    if !grew then walk () else q'
+  in
+  walk ()
 
 (* ------------------------------------------------------------------ *)
 (* Query compilation (mutually recursive with expressions)              *)
@@ -307,10 +534,10 @@ and compile_expr ctx (schemas : Schema.t list) (e : Ast.expr) : value_fn =
       | None -> sql_error "unknown column %s" (qualified q c))
   | Binop (Ast.And, a, b) ->
       let fa = recur a and fb = recur b in
-      fun rows -> Value.Bool (truthy (fa rows) && truthy (fb rows))
+      fun rows -> bool (truthy (fa rows) && truthy (fb rows))
   | Binop (Ast.Or, a, b) ->
       let fa = recur a and fb = recur b in
-      fun rows -> Value.Bool (truthy (fa rows) || truthy (fb rows))
+      fun rows -> bool (truthy (fa rows) || truthy (fb rows))
   | Binop (((Add | Sub | Mul | Div) as op), a, b) ->
       let fa = recur a and fb = recur b in
       let f =
@@ -327,18 +554,18 @@ and compile_expr ctx (schemas : Schema.t list) (e : Ast.expr) : value_fn =
       fun rows -> compare_op op (fa rows) (fb rows)
   | Not a ->
       let fa = recur a in
-      fun rows -> Value.Bool (not (truthy (fa rows)))
+      fun rows -> bool (not (truthy (fa rows)))
   | Is_null a ->
       let fa = recur a in
-      fun rows -> Value.Bool (Value.is_null (fa rows))
+      fun rows -> bool (Value.is_null (fa rows))
   | Is_not_null a ->
       let fa = recur a in
-      fun rows -> Value.Bool (not (Value.is_null (fa rows)))
+      fun rows -> bool (not (Value.is_null (fa rows)))
   | Between (a, lo, hi) ->
       let fa = recur a and flo = recur lo and fhi = recur hi in
       fun rows ->
         let v = fa rows in
-        Value.Bool
+        bool
           (truthy (compare_op Ast.Ge v (flo rows))
           && truthy (compare_op Ast.Le v (fhi rows)))
   | Greatest es ->
@@ -376,7 +603,7 @@ and compile_expr ctx (schemas : Schema.t list) (e : Ast.expr) : value_fn =
           | None -> found
           | Some b -> go (found || Array.exists (fun t -> Value.equal t.(0) v) b)
         in
-        Value.Bool (go false)
+        bool (go false)
   | Exists q ->
       let _, fq = compile_query ctx schemas q in
       fun rows ->
@@ -384,31 +611,35 @@ and compile_expr ctx (schemas : Schema.t list) (e : Ast.expr) : value_fn =
         let rec go found =
           match p () with None -> found | Some _ -> go true
         in
-        Value.Bool (go false)
+        bool (go false)
 
 (* ---------------- FROM-item access paths ---------------- *)
 
-(* A compiled FROM item: its (qualified) schema and a producer.  A derived
-   table streams when [stream] holds (it is the only FROM item of a SELECT
-   run once per statement) and its query occurs once in the statement;
-   otherwise it is materialized once and memoized.  Derived tables cannot
-   be correlated in this subset, so memoizing per statement is safe
-   (Oracle-style view materialization). *)
-and compile_table_ref ctx outer ~stream (tref : Ast.table_ref) :
-    Schema.t * (Tuple.t list -> producer) =
+(* A compiled FROM item: its (qualified) schema, a producer and, for a
+   base table, the table with its keep-mask (the columns [refs] reach).  A
+   derived table streams when [stream] holds (it is the only FROM item of
+   a SELECT run once per statement) and its query occurs once in the
+   statement; otherwise it is materialized once and memoized.  Derived
+   tables cannot be correlated in this subset, so memoizing per statement
+   is safe (Oracle-style view materialization). *)
+and compile_table_ref ctx outer ~stream ~refs (tref : Ast.table_ref) :
+    Schema.t * (Tuple.t list -> producer) * (Catalog.table * bool array) option =
   match tref with
   | Ast.Table (name, alias) ->
       let table = Catalog.find ctx.catalog name in
       let qual = Option.value alias ~default:name in
       let schema = Schema.qualify qual (Tango_storage.Heap_file.schema table.file) in
-      (schema, fun _rows -> Tango_storage.Heap_file.scan_pages table.file)
+      let keep = keep refs ~qual table in
+      ( schema,
+        (fun _rows -> Tango_storage.Heap_file.scan_pages table.file ~keep),
+        Some (table, keep) )
   | Ast.Derived (q, alias) ->
       let sub_schema, fq = compile_query ctx outer q in
       let schema = Schema.qualify alias (Schema.unqualify sub_schema) in
       let uses = Option.value ~default:0 (Hashtbl.find_opt ctx.derived_uses q) in
       Hashtbl.replace ctx.derived_uses q (uses + 1);
       ( schema,
-        fun rows ->
+        (fun rows ->
           if stream && Hashtbl.find ctx.derived_uses q = 1 then fq rows
           else
             deferred (fun () ->
@@ -417,13 +648,14 @@ and compile_table_ref ctx outer ~stream (tref : Ast.table_ref) :
                 | None ->
                     let r = drain (fq rows) in
                     Hashtbl.replace ctx.derived_cache q r;
-                    of_array r) )
+                    of_array r)),
+        None )
 
 (* Try to use an index for a base-table FROM item given single-table
    conjuncts of the form <col> op <literal>.  Returns the index access
    (rows fetched by rid and re-checked against every conjunct, in batches)
    or [None] when no conjunct can drive an index. *)
-and index_access ctx (table : Catalog.table) schema outer cands :
+and index_access ctx (table : Catalog.table) ~keep schema outer cands :
     (Tuple.t list -> producer) option =
   let open Ast in
   let literal_bound e col_side =
@@ -482,28 +714,31 @@ and index_access ctx (table : Catalog.table) schema outer cands :
         (fun rows ->
           deferred (fun () ->
               let rids =
-                ref
-                  (match op with
-                  | Eq -> Tango_storage.Ordered_index.lookup idx v
-                  | Lt | Le -> Tango_storage.Ordered_index.range idx ~hi:v ()
-                  | Gt | Ge -> Tango_storage.Ordered_index.range idx ~lo:v ()
-                  | _ -> [])
+                match op with
+                | Eq -> Tango_storage.Ordered_index.lookup idx v
+                | Lt | Le -> Tango_storage.Ordered_index.range idx ~hi:v ()
+                | Gt | Ge -> Tango_storage.Ordered_index.range idx ~lo:v ()
+                | _ -> [||]
               in
-              (* fetch up to [batch_rows] rids per pull *)
-              let rec take k acc =
-                match !rids with
-                | rid :: rest when k < batch_rows ->
-                    rids := rest;
-                    let t = Tango_storage.Heap_file.fetch table.file rid in
-                    take (k + 1) (if all_true checks (t :: rows) then t :: acc else acc)
-                | _ -> acc
-              in
+              (* fetch up to [batch_rows] rids per pull, the kept rows
+                 collected in one reused array *)
+              let kept = Array.make batch_rows [||] and next = ref 0 in
               let rec pull () =
-                if !rids = [] then None
-                else
-                  match take 0 [] with
-                  | [] -> pull ()
-                  | kept -> Some (Array.of_list (List.rev kept))
+                let start = !next in
+                if start >= Array.length rids then None
+                else begin
+                  let stop = min (Array.length rids) (start + batch_rows) in
+                  next := stop;
+                  let n = ref 0 in
+                  for k = start to stop - 1 do
+                    let t = Tango_storage.Heap_file.fetch table.file ~keep rids.(k) in
+                    if all_true checks (t :: rows) then begin
+                      kept.(!n) <- t;
+                      incr n
+                    end
+                  done;
+                  if !n = 0 then pull () else Some (Array.sub kept 0 !n)
+                end
               in
               pull))
 
@@ -564,7 +799,9 @@ and compile_select ctx (outer : Schema.t list) (s : Ast.select) :
   (* 1. FROM items; a lone one streams when this SELECT runs once per
      statement (it is not inside a subquery expression) *)
   let stream = outer = [] && List.length s.from = 1 in
-  let items = List.map (compile_table_ref ctx outer ~stream) s.from in
+  let refs = refs_of s.items s in
+  let compiled_from = List.map (compile_table_ref ctx outer ~stream ~refs) s.from in
+  let items = List.map (fun (schema, produce, _) -> (schema, produce)) compiled_from in
   let from_schemas = List.map fst items in
   let combined_schema =
     List.fold_left Schema.concat (Schema.make []) from_schemas
@@ -604,32 +841,28 @@ and compile_select ctx (outer : Schema.t list) (s : Ast.select) :
   in
   let sources =
     List.map2
-      (fun (tref, (schema, produce)) (table_conjuncts, fs) ->
+      (fun (schema, produce, base) (table_conjuncts, fs) ->
         let filtered_source =
           match fs with
           | [] -> produce
           | fs -> fun rows -> filtered (fun t -> all_true fs (t :: rows)) (produce rows)
         in
-        match tref with
-        | Ast.Table (name, _) -> (
-            let table = Catalog.find ctx.catalog name in
-            match index_access ctx table schema outer table_conjuncts with
+        match base with
+        | Some (table, keep) -> (
+            match index_access ctx table ~keep schema outer table_conjuncts with
             | Some access -> access
             | None -> filtered_source)
-        | Ast.Derived _ -> filtered_source)
-      (List.combine s.from items)
+        | None -> filtered_source)
+      compiled_from
       (List.combine single_table item_filters)
   in
   (* Base-table info per FROM item, for index nested-loop joins: the
-     catalog table plus its single-table filters, re-applied after an
-     index probe. *)
+     catalog table and keep-mask plus its single-table filters, re-applied
+     after an index probe. *)
   let base_infos =
     List.map2
-      (fun tref fs ->
-        match tref with
-        | Ast.Table (name, _) -> Some (Catalog.find ctx.catalog name, fs)
-        | Ast.Derived _ -> None)
-      s.from item_filters
+      (fun (_, _, base) fs -> Option.map (fun (table, keep) -> (table, keep, fs)) base)
+      compiled_from item_filters
   in
   (* Join conjuncts: touch the combined schema but not a single item, and no
      subqueries.  With a single FROM item there is no join stage, so
@@ -687,23 +920,23 @@ and compile_select ctx (outer : Schema.t list) (s : Ast.select) :
        RBO choice) instead of materializing it. *)
     let probe =
       match (equi, base_info) with
-      | Some (_, i1, i2), Some (table, residual) -> (
+      | Some (_, i1, i2), Some (table, keep, residual) -> (
           let attr = Schema.base_name (Schema.name_at sch i2) in
           match Catalog.index_on table attr with
-          | Some idx -> Some (i1, idx, table, residual)
+          | Some idx -> Some (i1, idx, table, keep, residual)
           | None -> None)
       | _ -> None
     in
     let step rows (left : producer) : producer =
       match (ctx.settings.join_method, equi, probe) with
-      | (Auto | Force_nested_loop), _, Some (i1, idx, (table : Catalog.table), residual) ->
+      | (Auto | Force_nested_loop), _, Some (i1, idx, (table : Catalog.table), keep, residual) ->
           flat_map
             (fun push (at : Tuple.t) ->
               let key = at.(i1) in
               if not (Value.is_null key) then
-                List.iter
+                Array.iter
                   (fun rid ->
-                    let bt = Tango_storage.Heap_file.fetch table.file rid in
+                    let bt = Tango_storage.Heap_file.fetch table.file ~keep rid in
                     if all_true residual (bt :: rows) then begin
                       let t = Tuple.concat at bt in
                       if all_true other_checks (t :: rows) then push t
@@ -744,13 +977,7 @@ and compile_select ctx (outer : Schema.t list) (s : Ast.select) :
       filtered (fun t -> all_true top_filters (t :: rows)) (join_all rows)
   in
   (* 5. projection/grouping *)
-  let grouped =
-    s.group_by <> []
-    || List.exists
-         (function Expr (e, _) -> Ast.contains_agg e | Star -> false)
-         s.items
-    || (match s.having with Some h -> Ast.contains_agg h | None -> false)
-  in
+  let grouped = grouped s in
   let expand_items () =
     (* Expand Star into explicit column items. *)
     List.concat_map
@@ -763,13 +990,6 @@ and compile_select ctx (outer : Schema.t list) (s : Ast.select) :
       s.items
   in
   let items_expanded = expand_items () in
-  let item_name i (e : Ast.expr) alias =
-    match (alias, e) with
-    | Some a, _ -> a
-    | None, Col (_, c) -> c
-    | None, Agg (f, _) -> Ast.aggfun_name f
-    | None, _ -> "COL" ^ string_of_int (i + 1)
-  in
   let out_schema =
     Schema.make
       (List.mapi
@@ -917,7 +1137,7 @@ and compile_grouped ctx outer (s : Ast.select) combined_schema items
           apply_binop op va vb
     | Not a ->
         let fa = compile_agg_expr a in
-        fun members rows -> Value.Bool (not (truthy (fa members rows)))
+        fun members rows -> bool (not (truthy (fa members rows)))
     | _ when not (Ast.contains_agg e) ->
         let f = compile_expr ctx schemas e in
         fun members rows ->
@@ -931,8 +1151,8 @@ and compile_grouped ctx outer (s : Ast.select) combined_schema items
     | Sub -> Value.sub va vb
     | Mul -> Value.mul va vb
     | Div -> Value.div va vb
-    | And -> Value.Bool (truthy va && truthy vb)
-    | Or -> Value.Bool (truthy va || truthy vb)
+    | And -> bool (truthy va && truthy vb)
+    | Or -> bool (truthy va || truthy vb)
     | (Eq | Neq | Lt | Le | Gt | Ge) as op -> compare_op op va vb
   and reduce_agg f vs =
     match (f, vs) with
@@ -1047,7 +1267,7 @@ let open_query ?(settings = default_settings ()) catalog (q : Ast.query) :
   let traced = Tango_obs.Trace.active () in
   let t0 = if traced then Tango_obs.mono_us () else 0.0 in
   let since_open () = if traced then Tango_obs.mono_us () -. t0 else 0.0 in
-  match compile_query (make_ctx settings catalog) [] q with
+  match compile_query (make_ctx settings catalog) [] (narrow_derived q) with
   | exception e ->
       if traced then end_span ~elapsed_us:(since_open ()) ~rows:0;
       raise e

@@ -13,7 +13,16 @@
     - a derived table read more than once per statement materializes once
       (memoized), while correlated scalar subqueries re-evaluate per outer
       row — which is precisely why temporal aggregation expressed in SQL is
-      slow. *)
+      slow;
+    - a statement builds only the columns it uses: each derived table's
+      SELECT list is narrowed to the names its enclosing SELECTs reference
+      (the union over every occurrence of a derived query, so its copies
+      still materialize once; DISTINCT, UNION, a global aggregate and [*]
+      keep their lists), and every base-table access path — full scan,
+      index range and point scans, index nested-loop probes — decodes only
+      the stored fields its SELECT references.  A skipped field reads as
+      [Null] in its usual position.  Pages read, tuples read, index lookups
+      and result rows are those of the unpruned statement. *)
 
 open Tango_rel
 open Tango_sql

@@ -71,6 +71,21 @@ let read (r : Value.reader) : t =
   end
 [@@tango.unguarded "advances a reader the caller owns; one parse per reader"]
 
+(* Fields outside [keep] are skipped, not built: they stay [Null], so every
+   position still means what the schema says. *)
+let read_cols (keep : bool array) (r : Value.reader) : t =
+  let n = Int32.to_int (String.get_int32_le r.src r.pos) in
+  r.pos <- r.pos + 4;
+  if n = 0 then [||]
+  else begin
+    let t = Array.make n Value.Null in
+    for i = 0 to n - 1 do
+      if keep.(i) then t.(i) <- Value.read r else Value.skip r
+    done;
+    t
+  end
+[@@tango.unguarded "advances a reader the caller owns; one parse per reader"]
+
 (** Round-trip through bytes: the "marshalling work" performed for every
     tuple that crosses the middleware/DBMS boundary. *)
 let marshal_roundtrip (t : t) : t =

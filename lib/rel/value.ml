@@ -214,3 +214,13 @@ let read r =
       r.pos <- pos + 9;
       Date (int64_at s (pos + 1))
   | c -> invalid_arg (Printf.sprintf "Value.read: bad tag %C" c)
+
+(** [skip r] moves [r.pos] past the value there without building it. *)
+let skip r =
+  let s = r.src and pos = r.pos in
+  match s.[pos] with
+  | '\000' -> r.pos <- pos + 1
+  | '\001' -> r.pos <- pos + 2
+  | '\002' | '\003' | '\005' -> r.pos <- pos + 9
+  | '\004' -> r.pos <- pos + 9 + int64_at s (pos + 1)
+  | c -> invalid_arg (Printf.sprintf "Value.skip: bad tag %C" c)

@@ -84,3 +84,7 @@ val reader : string -> int -> reader
 
 val read : reader -> t
 (** Parse the value at the reader's position and advance past it. *)
+
+val skip : reader -> unit
+(** Advance past the value at the reader's position without building it
+    (reads only its tag and, for strings, its length). *)

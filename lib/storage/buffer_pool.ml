@@ -86,22 +86,29 @@ let evict_lru p =
     resident), [false] on a miss (page is now resident, after evicting the
     LRU page if the pool was full). *)
 let touch p key =
-  match Hashtbl.find_opt p.table key with
-  | Some n ->
+  match p.head with
+  | Some h when h.key.file_id = key.file_id && h.key.page_no = key.page_no ->
+      (* already the most recently used: a hit with nothing to relink *)
       p.hits <- p.hits + 1;
       Tango_obs.Counter.incr c_hits;
-      unlink p n;
-      push_front p n;
       true
-  | None ->
-      p.misses <- p.misses + 1;
-      Tango_obs.Counter.incr c_misses;
-      if p.resident >= p.capacity then evict_lru p;
-      let n = { key; prev = None; next = None } in
-      Hashtbl.replace p.table key n;
-      push_front p n;
-      p.resident <- p.resident + 1;
-      false
+  | _ -> (
+      match Hashtbl.find_opt p.table key with
+      | Some n ->
+          p.hits <- p.hits + 1;
+          Tango_obs.Counter.incr c_hits;
+          unlink p n;
+          push_front p n;
+          true
+      | None ->
+          p.misses <- p.misses + 1;
+          Tango_obs.Counter.incr c_misses;
+          if p.resident >= p.capacity then evict_lru p;
+          let n = { key; prev = None; next = None } in
+          Hashtbl.replace p.table key n;
+          push_front p n;
+          p.resident <- p.resident + 1;
+          false)
 
 (** Drop every page of a file (table drop / truncation). *)
 let invalidate_file p file_id =

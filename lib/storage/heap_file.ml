@@ -18,6 +18,8 @@ type t = {
   mutable byte_count : int;
   stats : Io_stats.t;
   pool : Buffer_pool.t option;
+  all_columns : bool array;  (** the keep-mask that decodes every field *)
+  scratch : Buffer.t;  (** the tuple being appended, serialized once *)
 }
 
 let next_file_id = ref 0
@@ -34,9 +36,12 @@ let create ?(page_capacity = Page.default_size) ?pool ~stats schema =
     byte_count = 0;
     stats;
     pool;
+    all_columns = Array.make (Schema.arity schema) true;
+    scratch = Buffer.create 256;
   }
 
 let schema f = f.schema
+let all_columns f = f.all_columns
 let block_count f = f.page_count
 let tuple_count f = f.tuple_count
 let byte_count f = f.byte_count
@@ -61,15 +66,19 @@ let add_page f =
   Io_stats.record_page_write f.stats;
   p
 
-(** Append a tuple, allocating a fresh page when the last one is full. *)
+(** Append a tuple, allocating a fresh page when the last one is full.
+    The tuple is serialized once, into the file's scratch buffer, and its
+    bytes copied into whichever page takes it. *)
 let append f (t : Tuple.t) : rid =
+  Buffer.clear f.scratch;
+  Tuple.serialize f.scratch t;
   let page =
     if f.page_count = 0 then add_page f else f.pages.(f.page_count - 1)
   in
-  let page = if Page.append page t then page
+  let page = if Page.append page f.scratch then page
     else begin
       let p = add_page f in
-      if not (Page.append p t) then
+      if not (Page.append p f.scratch) then
         invalid_arg "Heap_file.append: tuple larger than page";
       p
     end
@@ -92,16 +101,18 @@ let read_page f i =
   | None -> Io_stats.record_page_read f.stats);
   f.pages.(i)
 
-(** Fetch a single tuple by rid (pays one page read). *)
-let fetch f (r : rid) =
+(** Fetch a single tuple by rid (pays one page read), building the fields
+    [keep] selects. *)
+let fetch f ~keep (r : rid) =
   let p = read_page f r.page in
   Io_stats.record_tuples_read f.stats 1;
-  Page.get p r.slot
+  Page.get p ~keep r.slot
 
 (** Full scan, one page per pull: each page is charged once and its
-    tuples deserialized; [None] after the last page.  The page count is
-    read per pull, so pages appended mid-scan are seen. *)
-let scan_pages f : unit -> Tuple.t array option =
+    tuples deserialized (the fields [keep] selects); [None] after the last
+    page.  The page count is read per pull, so pages appended mid-scan are
+    seen. *)
+let scan_pages f ~keep : unit -> Tuple.t array option =
   let next = ref 0 in
   let rec pull () =
     if !next >= f.page_count then None
@@ -109,16 +120,17 @@ let scan_pages f : unit -> Tuple.t array option =
       let p = read_page f !next in
       incr next;
       Io_stats.record_tuples_read f.stats (Page.tuple_count p);
-      match Page.tuples p with [||] -> pull () | ts -> Some ts
+      match Page.tuples p ~keep with [||] -> pull () | ts -> Some ts
     end
   in
   pull
 
 let scan f : Tuple.t Seq.t =
-  Seq.concat_map Array.to_seq (Seq.of_dispenser (scan_pages f))
+  Seq.concat_map Array.to_seq
+    (Seq.of_dispenser (scan_pages f ~keep:f.all_columns))
 
 let iter fn f =
-  let pull = scan_pages f in
+  let pull = scan_pages f ~keep:f.all_columns in
   let rec go () =
     match pull () with
     | None -> ()

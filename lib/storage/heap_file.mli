@@ -14,6 +14,10 @@ val create :
   ?page_capacity:int -> ?pool:Buffer_pool.t -> stats:Io_stats.t -> Schema.t -> t
 
 val schema : t -> Schema.t
+
+val all_columns : t -> bool array
+(** The keep-mask selecting every field of the file's schema. *)
+
 val file_id : t -> int
 val block_count : t -> int
 val tuple_count : t -> int
@@ -21,18 +25,20 @@ val byte_count : t -> int
 val avg_tuple_size : t -> float
 
 val append : t -> Tuple.t -> rid
-(** Append, allocating a fresh page when the last one is full. *)
+(** Append, allocating a fresh page when the last one is full.  The tuple
+    is serialized once, into a buffer the file reuses. *)
 
 val read_page : t -> int -> Page.t
 (** Charges one page read (unless resident in the pool). *)
 
-val fetch : t -> rid -> Tuple.t
-(** Fetch a single tuple (one page read). *)
+val fetch : t -> keep:bool array -> rid -> Tuple.t
+(** Fetch a single tuple (one page read).  Only the fields [keep] selects
+    are built; the others read as [Null] ({!Tuple.read_cols}). *)
 
-val scan_pages : t -> unit -> Tuple.t array option
-(** [scan_pages f] starts a full scan pulled one page at a time: each
-    pull charges one page and returns its tuples (never an empty array),
-    [None] after the last page. *)
+val scan_pages : t -> keep:bool array -> unit -> Tuple.t array option
+(** [scan_pages f ~keep] starts a full scan pulled one page at a time:
+    each pull charges one page and returns its tuples (never an empty
+    array), built as in {!fetch}; [None] after the last page. *)
 
 val scan : t -> Tuple.t Seq.t
 (** Full scan; each page charged once, each tuple deserialized. *)

@@ -24,12 +24,13 @@ type t = {
 let build ?(clustered = false) ~stats file attr =
   let schema = Heap_file.schema file in
   let attr_index = Schema.index schema attr in
+  let keep = Array.init (Schema.arity schema) (fun i -> i = attr_index) in
   let entries = ref [] in
   let n = ref 0 in
   for page = 0 to Heap_file.block_count file - 1 do
     let p = Heap_file.read_page file page in
     for slot = 0 to Page.tuple_count p - 1 do
-      let t = Page.get p slot in
+      let t = Page.get p ~keep slot in
       entries := { key = t.(attr_index); rid = { Heap_file.page; slot } } :: !entries;
       incr n
     done
@@ -62,12 +63,14 @@ let upper_bound i v =
   done;
   !lo
 
+(* The rids of entries [start, stop). *)
+let rids i start stop =
+  Array.init (max 0 (stop - start)) (fun k -> i.entries.(start + k).rid)
+
 (** Rids with key = [v]. *)
 let lookup i v =
   Io_stats.record_index_lookup i.stats;
-  let lo = lower_bound i v and hi = upper_bound i v in
-  Array.to_list (Array.sub i.entries lo (hi - lo))
-  |> List.map (fun e -> e.rid)
+  rids i (lower_bound i v) (upper_bound i v)
 
 (** Rids with [lo <= key <= hi]; [None] bounds are open. *)
 let range i ?lo ?hi () =
@@ -76,8 +79,7 @@ let range i ?lo ?hi () =
   let stop =
     match hi with None -> Array.length i.entries | Some v -> upper_bound i v
   in
-  Array.to_list (Array.sub i.entries start (max 0 (stop - start)))
-  |> List.map (fun e -> e.rid)
+  rids i start stop
 
 (** Count of keys in the closed range without fetching tuples (index-only). *)
 let range_count i ?lo ?hi () =

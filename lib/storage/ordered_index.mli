@@ -15,11 +15,11 @@ val attr : t -> string
 val clustered : t -> bool
 val entry_count : t -> int
 
-val lookup : t -> Value.t -> Heap_file.rid list
-(** Rids with key equal to the argument. *)
+val lookup : t -> Value.t -> Heap_file.rid array
+(** Rids with key equal to the argument, in key order. *)
 
-val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> Heap_file.rid list
-(** Rids with [lo <= key <= hi]; omitted bounds are open. *)
+val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> Heap_file.rid array
+(** Rids with [lo <= key <= hi], in key order; omitted bounds are open. *)
 
 val range_count : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int
 (** Count of keys in the closed range without fetching tuples. *)

@@ -31,18 +31,17 @@ let ensure_slots p =
     p.slots <- slots
   end
 
-(** [append p t]: store tuple [t]; returns [false] when the page is full.  A
-    tuple larger than an entire page is rejected with [Invalid_argument]. *)
-let append p (t : Tuple.t) =
-  let buf = Buffer.create 64 in
-  Tuple.serialize buf t;
-  let s = Buffer.contents buf in
-  let len = String.length s in
+(** [append p buf]: store the one serialized tuple held in [buf] (its
+    whole contents, by {!Tuple.serialize}); returns [false] when the page
+    is full.  A tuple larger than an entire page is rejected with
+    [Invalid_argument]. *)
+let append p buf =
+  let len = Buffer.length buf in
   if len > p.capacity then
     invalid_arg "Page.append: tuple larger than page";
   if p.used + len > p.capacity then false
   else begin
-    Bytes.blit_string s 0 p.data p.used len;
+    Buffer.blit buf 0 p.data p.used len;
     ensure_slots p;
     p.slots.(p.count) <- p.used;
     p.used <- p.used + len;
@@ -54,21 +53,15 @@ let append p (t : Tuple.t) =
    ends: one reader walks the whole page. *)
 let reader p = Value.reader (Bytes.unsafe_to_string p.data) 0
 
-(** [get p i]: deserialize the [i]-th tuple. *)
-let get p i =
+(** [get p ~keep i]: deserialize the [i]-th tuple, building the fields
+    [keep] selects. *)
+let get p ~keep i =
   if i < 0 || i >= p.count then invalid_arg "Page.get: slot out of range";
   let r = reader p in
   r.Value.pos <- p.slots.(i);
-  Tuple.read r
+  Tuple.read_cols keep r
 
 (** Every tuple, in slot order. *)
-let tuples p =
+let tuples p ~keep =
   let r = reader p in
-  Array.init p.count (fun _ -> Tuple.read r)
-
-(** Iterate tuples in slot order. *)
-let iter f p =
-  let r = reader p in
-  for _ = 1 to p.count do
-    f (Tuple.read r)
-  done
+  Array.init p.count (fun _ -> Tuple.read_cols keep r)

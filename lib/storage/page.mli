@@ -16,14 +16,16 @@ val tuple_count : t -> int
 val bytes_used : t -> int
 val capacity : t -> int
 
-val append : t -> Tuple.t -> bool
-(** [false] when the page is full.  Raises [Invalid_argument] for a tuple
-    larger than an entire page. *)
+val append : t -> Buffer.t -> bool
+(** Store the one tuple serialized in the buffer (its whole contents, by
+    {!Tuple.serialize}), copying its bytes into the page; [false] when the
+    page is full.  Raises [Invalid_argument] for a tuple larger than an
+    entire page. *)
 
-val get : t -> int -> Tuple.t
-(** Deserialize one slot; raises [Invalid_argument] when out of range. *)
+val get : t -> keep:bool array -> int -> Tuple.t
+(** Deserialize one slot, building only the fields [keep] selects (the
+    others read as [Null], {!Tuple.read_cols}); raises [Invalid_argument]
+    when out of range. *)
 
-val tuples : t -> Tuple.t array
-(** Deserialize every slot, in order. *)
-
-val iter : (Tuple.t -> unit) -> t -> unit
+val tuples : t -> keep:bool array -> Tuple.t array
+(** Deserialize every slot, in order, as {!get} does. *)

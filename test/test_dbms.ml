@@ -711,6 +711,172 @@ let test_streaming_observability () =
   Alcotest.(check int) "rows counted per row" (200 + List.nth rows 1)
     (counter "dbms.rows_returned" - r0)
 
+(* ---------------- column pruning ---------------- *)
+
+(* Shapes where narrowing a derived table or skipping a stored column
+   could go wrong, on the streaming tables: each with its rows written
+   out here. *)
+let pruning_shapes : (string * string * Executor.join_method * Value.t list list) list =
+  let open Value in
+  let grp0 = where (fun i -> s_grp i = 0) in
+  [
+    ( "three-level pass-through (Q4 shape)",
+      "SELECT q2.L AS L, q2.I AS I FROM (SELECT q1.X__ID AS I, q1.D__LABEL AS L \
+       FROM (SELECT D.K AS D__K, D.LABEL AS D__LABEL, X.ID AS X__ID, X.GRP AS \
+       X__GRP, X.NAME AS X__NAME, X.T1 AS X__T1, X.T2 AS X__T2 FROM D, T X \
+       WHERE X.ID = D.K) q1) q2 ORDER BY q2.I",
+      Executor.Auto,
+      List.map (fun k -> [ Str ("d" ^ string_of_int k); Int k ]) (List.sort Int.compare d_keys) );
+    ( "derived query in FROM and in a correlated subquery",
+      "SELECT a.ID AS ID, (SELECT MIN(b.T2) FROM (SELECT X.ID AS ID, X.GRP AS GRP, \
+       X.NAME AS NAME, X.T1 AS T1, X.T2 AS T2 FROM T X WHERE X.GRP < 2) b WHERE \
+       b.GRP = a.GRP AND b.T1 > a.T1) AS NXT FROM (SELECT X.ID AS ID, X.GRP AS \
+       GRP, X.NAME AS NAME, X.T1 AS T1, X.T2 AS T2 FROM T X WHERE X.GRP < 2) a \
+       WHERE a.GRP = 1",
+      Executor.Auto,
+      List.map
+        (fun i ->
+          let later = List.init (99 - i) (fun d -> i + 1 + d) in
+          [ Int (s_id i);
+            (match later with
+            | [] -> Null
+            | _ -> Date (List.fold_left min max_int (List.map (fun j -> j + 10 + (j mod 7)) later))) ])
+        (where (fun i -> s_grp i = 1)) );
+    ( "COUNT(*) over a derived table with no column used",
+      "SELECT COUNT(*) AS N FROM (SELECT ID, NAME FROM T WHERE GRP = 3) d",
+      Executor.Auto, [ [ Int 50 ] ] );
+    ( "DISTINCT derived table keeps its list",
+      "SELECT d.G AS G FROM (SELECT DISTINCT GRP AS G, NAME AS N FROM T WHERE GRP < 2) d",
+      Executor.Auto,
+      List.init 34 (fun k -> [ Int (k / 17) ]) );
+    ( "GROUP BY derived table narrows",
+      "SELECT g.G AS G FROM (SELECT GRP AS G, COUNT(*) AS C, MAX(NAME) AS M FROM T \
+       GROUP BY GRP) g",
+      Executor.Auto, List.init 12 (fun g -> [ Int g ]) );
+    ( "global aggregate derived table keeps its list",
+      "SELECT COUNT(*) AS N FROM (SELECT ID AS I, COUNT(*) AS C FROM T) g",
+      Executor.Auto, [ [ Int 1 ] ] );
+    ( "UNION derived table keeps its list",
+      "SELECT u.A AS A FROM (SELECT GRP AS A, ID AS B FROM T WHERE GRP < 2 UNION \
+       SELECT K, K FROM D WHERE K < 12) u",
+      Executor.Auto,
+      List.map
+        (fun (a, _) -> [ Int a ])
+        (List.sort_uniq Stdlib.compare
+           (List.map (fun i -> (s_grp i, s_id i)) (where (fun i -> s_grp i < 2))
+           @ List.filter_map (fun k -> if k < 12 then Some (k, k) else None) d_keys)) );
+    ( "correlated subquery reads an outer base column",
+      "SELECT X.ID AS ID, (SELECT COUNT(*) FROM D WHERE D.K < X.T1) AS C FROM T X \
+       WHERE X.GRP = 0",
+      Executor.Auto,
+      List.map
+        (fun i -> int_row [ s_id i; List.length (List.filter (fun k -> k < i) d_keys) ])
+        grp0 );
+    ( "* at the top level", "SELECT * FROM T WHERE GRP = 4", Executor.Auto,
+      List.map
+        (fun i ->
+          [ Int (s_id i); Int (s_grp i); Str (s_name i); Date i; Date (i + 10 + (i mod 7)) ])
+        (where (fun i -> s_grp i = 4)) );
+    ( "* inside a derived table",
+      "SELECT d.NAME AS NAME FROM (SELECT * FROM T WHERE GRP = 5) d", Executor.Auto,
+      List.map (fun i -> [ Str (s_name i) ]) (where (fun i -> s_grp i = 5)) );
+    ( "* over a derived table",
+      "SELECT * FROM (SELECT ID, NAME, T1 FROM T WHERE GRP = 6) d", Executor.Auto,
+      List.map (fun i -> [ Int (s_id i); Str (s_name i); Date i ]) (where (fun i -> s_grp i = 6)) );
+    ( "self-join under two aliases",
+      "SELECT A.ID AS AI, B.ID AS BI, B.NAME AS BN FROM T A, T B WHERE A.ID = B.GRP \
+       AND A.GRP = 0 ORDER BY AI, BI",
+      Executor.Auto,
+      List.concat_map
+        (fun a ->
+          List.map
+            (fun b -> [ Int (s_id a); Int (s_id b); Str (s_name b) ])
+            (by_id (where (fun b -> s_grp b = s_id a))))
+        (by_id grp0) );
+    ( "index range scan of an unselected key", "SELECT T2 FROM T WHERE ID >= 590",
+      Executor.Auto,
+      List.map (fun i -> [ Date (i + 10 + (i mod 7)) ]) (by_id (where (fun i -> s_id i >= 590))) );
+    ( "index nested-loop probe", "SELECT D.LABEL, X.T1 FROM D, T X WHERE X.ID = D.K",
+      Executor.Auto,
+      List.map (fun k -> [ Str ("d" ^ string_of_int k); Date pos_of_id.(k) ]) d_keys );
+  ]
+
+(* Every streaming shape and every pruning shape yields its rows, in
+   order, both materialized and through the backend. *)
+let test_pruning_differential () =
+  let db = stream_db () in
+  List.iter
+    (fun (name, sql, jm, expected) ->
+      let expected = List.map Tuple.of_list expected in
+      let same got =
+        List.length got = List.length expected && List.for_all2 Tuple.equal expected got
+      in
+      Database.set_join_method db jm;
+      Alcotest.(check bool) (name ^ ": materialized rows") true
+        (same (Relation.to_list (Database.query db sql)));
+      let b = Backend.in_process ~row_prefetch:7 ~roundtrip_spin:0 db in
+      Alcotest.(check bool) (name ^ ": shipped rows") true
+        (same (drain (query_backend b sql))))
+    (stream_shapes @ pruning_shapes);
+  Database.set_join_method db Executor.Auto
+
+(* The all-DBMS SQL of four paper plans at scale 0.02 reads exactly what
+   it read before pruning: the same pages, tuples and index lookups, and
+   returns the same number of rows.  Temporal aggregation reads one
+   derived query in its outer FROM and in a correlated subquery, each
+   needing different columns; narrowing each copy on its own would split
+   it into several memoized queries and read POSITION again for each
+   ([q2_plan6] would read 6,708 tuples, not 3,354). *)
+let test_pruning_paper_counts () =
+  let open Tango_workload in
+  let db = Database.create () in
+  Uis.load ~scale:0.02 db;
+  let io = Database.io_stats db in
+  let plans =
+    [ ("q1_plan3", Queries.q1_plan3 ~position:"POSITION" (), (2933, 0, 5031, 0));
+      ( "q2_plan6",
+        Queries.q2_plan6 ~position:"POSITION" ~period_end:"1996-01-01" (),
+        (2884, 0, 3354, 0) );
+      ( "q3_plan1",
+        Queries.q3_plan1 ~position:"POSITION" ~start_bound:"1996-01-01" (),
+        (1845, 0, 3354, 0) );
+      ( "q4_plan_dbms",
+        Queries.q4_plan_dbms ~position:"POSITION" ~employee:"EMPLOYEE" (),
+        (1677, 0, 3354, 1677) ) ]
+  in
+  List.iter
+    (fun (name, op, (rows, page_reads, tuples_read, index_lookups)) ->
+      let dbms_part = match op with Tango_algebra.Op.To_mw sub -> sub | op -> op in
+      let q = Tango_sqlgen.Translate.translate dbms_part in
+      let before = Tango_storage.Io_stats.copy io in
+      let r = Database.query_ast db q in
+      let d = Tango_storage.Io_stats.diff io before in
+      Alcotest.(check int) (name ^ ": rows") rows (Relation.cardinality r);
+      Alcotest.(check int) (name ^ ": page reads") page_reads d.Tango_storage.Io_stats.page_reads;
+      Alcotest.(check int) (name ^ ": tuples read") tuples_read d.Tango_storage.Io_stats.tuples_read;
+      Alcotest.(check int) (name ^ ": index lookups") index_lookups
+        d.Tango_storage.Io_stats.index_lookups)
+    plans
+
+(* A one-column read of the 31-column EMPLOYEE at scale 0.02 (999 rows)
+   builds one field per row, not 31: at most 500 bytes per row through the
+   executor, for a full scan and for an index range scan.  Decoding every
+   field costs over 1,300. *)
+let test_pruning_allocation () =
+  let db = Database.create () in
+  Tango_workload.Uis.load ~scale:0.02 db;
+  List.iter
+    (fun sql ->
+      let q = Tango_sql.Parser.query sql in
+      let run () = Relation.cardinality (Database.query_ast db q) in
+      ignore (run ());
+      let rows, d = Tango_obs.Runtime.measure run in
+      let per_row = float_of_int d.Tango_obs.Runtime.alloc_bytes /. float_of_int rows in
+      Alcotest.(check bool) (sql ^ ": most rows") true (rows > 900);
+      if per_row > 500.0 then
+        Alcotest.failf "%s allocates %.0f B per row (budget 500)" sql per_row)
+    [ "SELECT EmpID FROM EMPLOYEE"; "SELECT E.EmpID FROM EMPLOYEE E WHERE E.EmpID > 10" ]
+
 (* Property: executor selection agrees with a reference filter over a random
    relation, for random range predicates. *)
 let prop_selection_agrees =
@@ -794,6 +960,13 @@ let () =
             test_streaming_differential;
           Alcotest.test_case "ship path allocation" `Quick test_ship_path_allocation;
           Alcotest.test_case "spans and counters" `Quick test_streaming_observability;
+        ] );
+      ( "pruning",
+        [
+          Alcotest.test_case "differential over shapes" `Quick test_pruning_differential;
+          Alcotest.test_case "paper plans: storage counts pinned" `Quick
+            test_pruning_paper_counts;
+          Alcotest.test_case "allocation per row" `Quick test_pruning_allocation;
         ] );
       ( "properties",
         [

@@ -99,7 +99,27 @@ let test_tuple_marshal () =
   let r = Value.reader (Buffer.contents buf) 0 in
   let back = List.map (fun _ -> Tuple.read r) ts in
   Alcotest.(check bool) "consecutive" true (List.for_all2 Tuple.equal ts back);
-  Alcotest.(check int) "end position" (Buffer.length buf) r.Value.pos
+  Alcotest.(check int) "end position" (Buffer.length buf) r.Value.pos;
+  (* skipping fields of every type lands where a full read does, each
+     skipped field reading as NULL in its place *)
+  let every =
+    Tuple.of_list
+      [ Value.Null; Value.Bool true; v_int (-3); Value.Float 2.5; v_str "abc";
+        Value.Date 9; v_str "" ]
+  in
+  let buf = Buffer.create 64 in
+  Tuple.serialize buf every;
+  Tuple.serialize buf t1;
+  List.iter
+    (fun keep ->
+      let r = Value.reader (Buffer.contents buf) 0 in
+      let got = Tuple.read_cols keep r in
+      Alcotest.(check bool) "kept fields built, skipped ones NULL" true
+        (Tuple.equal got
+           (Array.mapi (fun i v -> if keep.(i) then v else Value.Null) every));
+      Alcotest.(check bool) "next tuple read from where the skip ended" true
+        (Tuple.equal (Tuple.read r) t1))
+    [ Array.make 7 false; Array.make 7 true; Array.init 7 (fun i -> i mod 2 = 0) ]
 
 (* ------------- Order / Relation ------------- *)
 

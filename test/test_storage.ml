@@ -6,34 +6,43 @@ open Tango_storage
 let schema = Schema.make [ ("ID", Value.TInt); ("Name", Value.TStr) ]
 let tup i name = Tuple.of_list [ Value.Int i; Value.Str name ]
 
+(* A page stores tuples already serialized. *)
+let serialized t =
+  let buf = Buffer.create 64 in
+  Tuple.serialize buf t;
+  buf
+
+let both = [| true; true |]
+
 let test_page_append_get () =
   let p = Page.create () in
-  Alcotest.(check bool) "append 1" true (Page.append p (tup 1 "a"));
-  Alcotest.(check bool) "append 2" true (Page.append p (tup 2 "b"));
+  Alcotest.(check bool) "append 1" true (Page.append p (serialized (tup 1 "a")));
+  Alcotest.(check bool) "append 2" true (Page.append p (serialized (tup 2 "b")));
   Alcotest.(check int) "count" 2 (Page.tuple_count p);
-  Alcotest.(check bool) "get 0" true (Tuple.equal (Page.get p 0) (tup 1 "a"));
-  Alcotest.(check bool) "get 1" true (Tuple.equal (Page.get p 1) (tup 2 "b"));
-  let all = Page.tuples p in
+  Alcotest.(check bool) "get 0" true (Tuple.equal (Page.get p ~keep:both 0) (tup 1 "a"));
+  Alcotest.(check bool) "get 1" true (Tuple.equal (Page.get p ~keep:both 1) (tup 2 "b"));
+  let all = Page.tuples p ~keep:both in
   Alcotest.(check bool) "tuples in slot order" true
     (Array.length all = 2 && Tuple.equal all.(0) (tup 1 "a")
     && Tuple.equal all.(1) (tup 2 "b"));
-  let seen = ref [] in
-  Page.iter (fun t -> seen := t :: !seen) p;
-  Alcotest.(check bool) "iter in slot order" true
-    (List.for_all2 Tuple.equal (List.rev !seen) (Array.to_list all));
+  Alcotest.(check bool) "a skipped field reads NULL in its place" true
+    (Tuple.equal (Page.get p ~keep:[| false; true |] 1) [| Value.Null; Value.Str "b" |]
+    && Tuple.equal (Page.tuples p ~keep:[| true; false |]).(0) [| Value.Int 1; Value.Null |]);
   Alcotest.check_raises "slot out of range"
     (Invalid_argument "Page.get: slot out of range") (fun () ->
-      ignore (Page.get p 2))
+      ignore (Page.get p ~keep:both 2))
 
 let test_page_overflow () =
   let p = Page.create ~capacity:64 () in
-  let rec fill i = if Page.append p (tup i "xxxxxxxx") then fill (i + 1) else i in
+  let rec fill i =
+    if Page.append p (serialized (tup i "xxxxxxxx")) then fill (i + 1) else i
+  in
   let n = fill 0 in
   Alcotest.(check bool) "page fills" true (n > 0);
   Alcotest.(check int) "count matches" n (Page.tuple_count p);
   Alcotest.check_raises "oversized tuple"
     (Invalid_argument "Page.append: tuple larger than page") (fun () ->
-      ignore (Page.append p (tup 1 (String.make 100 'x'))))
+      ignore (Page.append p (serialized (tup 1 (String.make 100 'x')))))
 
 let test_heap_file_roundtrip () =
   let stats = Io_stats.create () in
@@ -61,7 +70,7 @@ let test_heap_file_blocks () =
   (* page-at-a-time: one pull per block, each a non-empty page, charged
      as it is pulled *)
   let before = Io_stats.copy stats in
-  let pull = Heap_file.scan_pages f in
+  let pull = Heap_file.scan_pages f ~keep:(Heap_file.all_columns f) in
   let first = Option.get (pull ()) in
   Alcotest.(check int) "one page charged" 1
     (Io_stats.diff stats before).Io_stats.page_reads;
@@ -86,7 +95,7 @@ let test_heap_file_fetch () =
   List.iteri
     (fun i rid ->
       Alcotest.(check bool) "fetch" true
-        (Tuple.equal (Heap_file.fetch f rid) (tup i "x")))
+        (Tuple.equal (Heap_file.fetch f ~keep:(Heap_file.all_columns f) rid) (tup i "x")))
     rids
 
 let test_heap_file_avg_size () =
@@ -112,9 +121,9 @@ let make_indexed n =
 let test_index_lookup () =
   let f, idx, _ = make_indexed 100 in
   let rids = Ordered_index.lookup idx (Value.Int 7) in
-  List.iter
+  Array.iter
     (fun rid ->
-      let t = Heap_file.fetch f rid in
+      let t = Heap_file.fetch f ~keep:(Heap_file.all_columns f) rid in
       Alcotest.(check bool) "key matches" true (Value.equal t.(0) (Value.Int 7)))
     rids;
   (* Every tuple with ID=7 is found. *)
@@ -123,14 +132,14 @@ let test_index_lookup () =
       (fun acc t -> if Value.equal t.(0) (Value.Int 7) then acc + 1 else acc)
       0 (Heap_file.scan f)
   in
-  Alcotest.(check int) "all found" expected (List.length rids)
+  Alcotest.(check int) "all found" expected (Array.length rids)
 
 let test_index_range () =
   let f, idx, _ = make_indexed 100 in
   let rids = Ordered_index.range idx ~lo:(Value.Int 10) ~hi:(Value.Int 20) () in
-  List.iter
+  Array.iter
     (fun rid ->
-      let v = Value.to_int (Heap_file.fetch f rid).(0) in
+      let v = Value.to_int (Heap_file.fetch f ~keep:(Heap_file.all_columns f) rid).(0) in
       Alcotest.(check bool) "in range" true (v >= 10 && v <= 20))
     rids;
   let expected =
@@ -140,7 +149,7 @@ let test_index_range () =
         if v >= 10 && v <= 20 then acc + 1 else acc)
       0 (Heap_file.scan f)
   in
-  Alcotest.(check int) "range complete" expected (List.length rids);
+  Alcotest.(check int) "range complete" expected (Array.length rids);
   Alcotest.(check int) "range_count agrees" expected
     (Ordered_index.range_count idx ~lo:(Value.Int 10) ~hi:(Value.Int 20) ())
 
@@ -148,7 +157,7 @@ let test_index_open_ranges () =
   let _, idx, _ = make_indexed 50 in
   let all = Ordered_index.range idx () in
   Alcotest.(check int) "open range = all" (Ordered_index.entry_count idx)
-    (List.length all);
+    (Array.length all);
   let lo_only = Ordered_index.range_count idx ~lo:(Value.Int 0) () in
   Alcotest.(check int) "lo 0 = all" (Ordered_index.entry_count idx) lo_only
 
@@ -251,7 +260,7 @@ let prop_index_finds_all =
       let idx = Ordered_index.build ~stats f "ID" in
       let via_index =
         Ordered_index.range idx ~lo:(Value.Int lo) ~hi:(Value.Int hi) ()
-        |> List.length
+        |> Array.length
       in
       let via_scan =
         List.length (List.filter (fun k -> k >= lo && k <= hi) keys)
