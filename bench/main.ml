@@ -1198,9 +1198,8 @@ let tail ctx =
 (* ------------------------------------------------------------------ *)
 
 (* The observability stack must not become the workload.  GC/allocation
-   attribution and lock-contention profiling are always on, so every
-   variant carries them; what stays optional is tracing and the serve
-   path's event-log/SLO observer.  Each variant — base, tracing, and full
+   attribution is always on, so every variant carries it; what stays
+   optional is tracing and the serve path's event-log/SLO observer.  Each variant — base, tracing, and full
    (tracing + observer) — gets its own warmed session, and the variants'
    timed rounds are interleaved, the order rotating every round, so host
    speed drift lands on all of them alike.  A variant's overhead is the

@@ -701,7 +701,7 @@ let serve_cmd =
           (Tango_monitor.Http.bound_port sock);
         Fmt.pr
           "  GET /metrics /healthz /slo /queries?n=K /queries/SEQ \
-           /debug/watchdog /debug/contention /trace — POST /query@.";
+           /debug/watchdog /trace — POST /query@.";
         Fmt.pr "%!";
         Fun.protect
           ~finally:(fun () -> try Unix.close sock with _ -> ())
@@ -721,69 +721,11 @@ let serve_cmd =
           $ slo_latency_arg $ sample_every_arg $ log_capacity_arg
           $ slow_keep_arg $ max_requests_arg)
 
-(* ---------------- lint (domain-safety analyzer) ---------------- *)
-
-let lint_cmd =
-  let doc =
-    "Run the domain-safety lint over the compiled tree: inventory \
-     module-level mutable state, flag mutation sites not guarded by \
-     Mutex.protect/Dsync.protect, and check interface hygiene.  Exits \
-     nonzero when an error-severity finding is neither annotated with \
-     [\\@tango.unguarded] nor covered by the allow file."
-  in
-  let build_arg =
-    Arg.(value & opt string "_build/default"
-         & info [ "build" ] ~docv:"DIR"
-             ~doc:"Dune build context holding the .cmt files.")
-  in
-  let src_arg =
-    Arg.(value & opt string "."
-         & info [ "src" ] ~docv:"DIR"
-             ~doc:"Repository root (for hygiene checks and the allow file).")
-  in
-  let allow_arg =
-    Arg.(value & opt string "lint-allow"
-         & info [ "allow" ] ~docv:"FILE"
-             ~doc:"Allowlist path, relative to $(b,--src).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
-  in
-  let github_arg =
-    Arg.(value & flag
-         & info [ "github" ]
-             ~doc:"Also emit GitHub workflow-command annotations \
-                   (::error file=...) for failing findings.")
-  in
-  let verbose_arg =
-    Arg.(value & flag
-         & info [ "verbose"; "v" ]
-             ~doc:"Show every finding, including the Info-severity state \
-                   inventory and allowed findings.")
-  in
-  let f build src allow json github verbose =
-    let report =
-      Tango_lint.Lint.run
-        { Tango_lint.Lint.default_config with
-          Tango_lint.Lint.build_dir = build; src_dir = src; allow_file = allow }
-    in
-    if json then print_string (Tango_lint.Lint.to_json report ^ "\n")
-    else Tango_lint.Lint.render ~verbose Fmt.stdout report;
-    if github then
-      List.iter print_endline (Tango_lint.Lint.github_annotations report);
-    if Tango_lint.Lint.failing report = [] then 0 else 1
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const f $ build_arg $ src_arg $ allow_arg $ json_arg $ github_arg
-          $ verbose_arg)
-
 let main =
   let doc = "TANGO: adaptable temporal query middleware on a conventional DBMS" in
   (* [run] is the default subcommand: `tango --trace "SQL"` works. *)
   Cmd.group ~default:run_term
     (Cmd.info "tango" ~version:"1.0.0" ~doc)
-    [ run_cmd; explain_cmd; repl_cmd; tables_cmd; check_cmd; serve_cmd;
-      lint_cmd ]
+    [ run_cmd; explain_cmd; repl_cmd; tables_cmd; check_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -1,12 +1,9 @@
 (** Fingerprint-keyed LRU plan cache.  See the interface for semantics.
 
-    Domain safety: every operation on a cache instance — lookup, insert,
-    invalidation, replan notes, stats — runs inside the instance's
-    {!Tango_obs.Dsync} critical section, so one cache can be shared by a
-    multi-domain accept pool.  Key computation (normalize + hash) is pure
-    and happens outside the lock. *)
-
-module Dsync = Tango_obs.Dsync
+    Every operation on a cache instance — lookup, insert, invalidation,
+    replan notes, stats — runs under the instance's lock.  Key
+    computation (normalize + hash) is pure and happens outside the
+    lock. *)
 
 (* process-wide mirrors (aggregated across caches; see Tango_obs) *)
 let c_hits = Tango_obs.Counter.make "cache.hits"
@@ -76,7 +73,7 @@ type stats = {
 
 type 'a t = {
   capacity : int;
-  lock : Dsync.lock;  (** guards every mutable field below *)
+  lock : Mutex.t;  (** guards every mutable field below *)
   table : (string, 'a entry) Hashtbl.t;
   mutable tick : int;
   mutable hits : int;
@@ -93,7 +90,7 @@ type 'a t = {
 let create ?(capacity = 128) () =
   {
     capacity = max 1 capacity;
-    lock = Dsync.named_lock "cache.plan_cache";
+    lock = Mutex.create ();
     table = Hashtbl.create 64;
     tick = 0;
     hits = 0;
@@ -108,13 +105,13 @@ let create ?(capacity = 128) () =
   }
 
 let capacity c = c.capacity
-let length c = Dsync.protect c.lock (fun () -> Hashtbl.length c.table)
+let length c = Mutex.protect c.lock (fun () -> Hashtbl.length c.table)
 
 let find ?(kind = Exact) c ~sql =
   let normalized = normalize_sql sql in
   let key = key_of_sql sql in
   let result =
-    Dsync.protect c.lock (fun () ->
+    Mutex.protect c.lock (fun () ->
         match Hashtbl.find_opt c.table key with
         | Some entry when String.equal entry.normalized normalized ->
             c.tick <- c.tick + 1;
@@ -140,7 +137,7 @@ let add c ~sql value =
   let key = key_of_sql sql in
   let normalized = normalize_sql sql in
   let evicted =
-    Dsync.protect c.lock (fun () ->
+    Mutex.protect c.lock (fun () ->
         let evicted =
           if
             (not (Hashtbl.mem c.table key))
@@ -181,7 +178,7 @@ let add c ~sql value =
 let note_replan c ~sql =
   let normalized = normalize_sql sql in
   let key = key_of_sql sql in
-  Dsync.protect c.lock (fun () ->
+  Mutex.protect c.lock (fun () ->
       match Hashtbl.find_opt c.table key with
       | Some entry when String.equal entry.normalized normalized ->
           entry.replans <- entry.replans + 1;
@@ -192,14 +189,14 @@ let note_replan c ~sql =
   Tango_obs.Counter.incr c_replans
 
 let invalidate_all ?(reason = "invalidate") c =
-  Dsync.protect c.lock (fun () ->
+  Mutex.protect c.lock (fun () ->
       Hashtbl.reset c.table;
       c.invalidations <- c.invalidations + 1;
       c.last_invalidation <- Some reason);
   Tango_obs.Counter.incr c_invalidations
 
 let stats c =
-  Dsync.protect c.lock (fun () ->
+  Mutex.protect c.lock (fun () ->
       {
         hits = c.hits;
         template_hits = c.template_hits;

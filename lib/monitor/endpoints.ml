@@ -12,8 +12,6 @@
     - [GET /queries/<seq>] — one record in full: phase breakdown,
       per-backend attribution, and its Chrome trace with backend lanes;
     - [GET /debug/watchdog] — the {!Watchdog} drill-down verdict;
-    - [GET /debug/contention] — named-lock wait/hold profile, ranked by
-      wait share;
     - [GET /trace] — Chrome trace JSON of the last pipeline run;
     - [POST /query] — run the temporal SQL in the body, reply with a
       JSON result summary. *)
@@ -106,14 +104,12 @@ let metrics t (req : Http.request) =
         [
           ("ocaml", Sys.ocaml_version);
           ("git", Build_info.git_describe);
-          ("domains", string_of_int (Domain.recommended_domain_count ()));
         ]
       1.0
   in
-  let locks = Prometheus.lock_profile (Tango_obs.Dsync.Profile.snapshot ()) in
   let body =
     (Prometheus.render ~exemplars:openmetrics snapshot
-     :: locks :: uptime :: build_info
+     :: uptime :: build_info
      :: Prometheus.runtime_gauges ()
      :: gauges)
     @ (if openmetrics then [ Prometheus.eof ] else [])
@@ -177,45 +173,6 @@ let watchdog_verdict t =
   in
   json_response (Watchdog.verdict_to_json verdict)
 
-(* Named-lock contention profile, ranked by share of the total wait so
-   the hottest lock reads first.  Rates and means are derived here —
-   the profiler only keeps raw counters. *)
-let contention () =
-  let open Tango_obs.Json in
-  let module P = Tango_obs.Dsync.Profile in
-  let snaps = P.snapshot () in
-  let total_wait =
-    List.fold_left (fun acc (s : P.snapshot) -> acc +. s.P.wait_us) 0.0 snaps
-  in
-  let ranked =
-    List.sort
-      (fun (a : P.snapshot) (b : P.snapshot) -> compare b.P.wait_us a.P.wait_us)
-      snaps
-  in
-  let lock_json (s : P.snapshot) =
-    let fdiv num den = if den > 0 then num /. float_of_int den else 0.0 in
-    Obj
-      [
-        ("name", String s.P.lock_name);
-        ("acquires", Int s.P.acquires);
-        ("contended", Int s.P.contended);
-        ( "contention_rate",
-          Float (fdiv (float_of_int s.P.contended) s.P.acquires) );
-        ("wait_us", Float s.P.wait_us);
-        ("hold_us", Float s.P.hold_us);
-        ( "wait_share",
-          Float (if total_wait > 0.0 then s.P.wait_us /. total_wait else 0.0) );
-        ("mean_wait_us", Float (fdiv s.P.wait_us s.P.contended));
-        ("mean_hold_us", Float (fdiv s.P.hold_us s.P.acquires));
-      ]
-  in
-  json_response
-    (Obj
-       [
-         ("total_wait_us", Float total_wait);
-         ("locks", List (List.map lock_json ranked));
-       ])
-
 let healthz t (req : Http.request) =
   if List.mem_assoc "plain" req.Http.query then Http.response "ok\n"
   else
@@ -228,7 +185,6 @@ let healthz t (req : Http.request) =
            ("uptime_seconds", Float (uptime_seconds t));
            ("ocaml_version", String Sys.ocaml_version);
            ("git", String Build_info.git_describe);
-           ("domains", Int (Domain.recommended_domain_count ()));
            ("topology_generation", Int (Tango_dbms.Topology.generation topology));
            ("shards", Int (Tango_dbms.Topology.shard_count topology));
            ("queries_seen", Int (Event_log.seen t.log));
@@ -330,12 +286,11 @@ let handler t (req : Http.request) : Http.response =
       json_response (Slo.to_json t.slo ~now_us:(Tango_obs.now_us ()))
   | "GET", "/queries", _ -> queries t req
   | "GET", "/debug/watchdog", _ -> watchdog_verdict t
-  | "GET", "/debug/contention", _ -> contention ()
   | "GET", "/trace", _ -> trace t
   | "POST", "/query", _ -> run_query t req
   | ( _,
       ( "/healthz" | "/metrics" | "/slo" | "/queries" | "/debug/watchdog"
-      | "/debug/contention" | "/trace" | "/query" ),
+      | "/trace" | "/query" ),
       _ )
   | _, _, Some _ ->
       Http.response ~status:405 "method not allowed\n"

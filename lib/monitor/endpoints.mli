@@ -19,13 +19,11 @@ val handler : t -> Http.request -> Http.response
 (** Dispatch:
 
     - [GET /healthz] — liveness as JSON (status, uptime, build identity
-      — OCaml version, git describe, recommended domain count —
-      topology generation, shard count, queries seen); bare ["ok\n"]
-      under [?plain=1];
+      — OCaml version and git describe — topology generation, shard
+      count, queries seen); bare ["ok\n"] under [?plain=1];
     - [GET /metrics] — Prometheus exposition of the registry snapshot,
-      plus per-lock [tango_lock_*] contention families, SLO burn-rate
-      gauges, an uptime gauge, a [tango_build_info] gauge and the
-      [tango_gc_*] runtime gauges.  With an [Accept] header naming
+      plus SLO burn-rate gauges, an uptime gauge, a [tango_build_info]
+      gauge and the [tango_gc_*] runtime gauges.  With an [Accept] header naming
       [application/openmetrics-text] (or [?format=openmetrics]) the
       exposition switches to OpenMetrics: bucket samples carry
       exemplars and the body ends with [# EOF];
@@ -39,9 +37,6 @@ val handler : t -> Http.request -> Http.response
     - [GET /debug/watchdog] — the {!Watchdog} drill-down verdict:
       correlated signals plus the dominant backend and phase of the
       latency tail;
-    - [GET /debug/contention] — the named-lock profile as JSON, ranked
-      by share of the total wait: per lock, acquire/contended counts,
-      cumulative wait and hold time, and derived rates and means;
     - [GET /trace] — Chrome trace JSON of the last pipeline run (404
       when tracing is off or nothing ran yet);
     - [POST /query] — run the temporal SQL in the body; 200 with a JSON

@@ -14,13 +14,10 @@
     [monitor.query_us] latency histogram, which is what [/metrics]
     exports buckets from.
 
-    Domain safety: admission, ring writes and reads all run inside the
-    instance's {!Tango_obs.Dsync} critical section, so one log can be
-    fed from a multi-domain accept pool; sequence numbers are assigned
-    under the lock and stay unique. *)
+    Admission, ring writes and reads all run under the instance's lock;
+    sequence numbers are assigned under the lock and stay unique. *)
 
 open Tango_core
-module Dsync = Tango_obs.Dsync
 
 (* aggregate metrics, fed on every event *)
 let queries_total = Tango_obs.Counter.make "monitor.queries"
@@ -43,7 +40,7 @@ type t = {
   capacity : int;
   sample_every : int;
   slow_keep_us : float;
-  lock : Dsync.lock;  (** guards the ring and every mutable field *)
+  lock : Mutex.t;  (** guards the ring and every mutable field *)
   ring : record option array;
   mutable next : int;  (** write position *)
   mutable stored : int;
@@ -59,7 +56,7 @@ let create ?(capacity = 256) ?(sample_every = 1) ?(slow_keep_us = 0.0) () =
     capacity;
     sample_every;
     slow_keep_us;
-    lock = Dsync.named_lock "monitor.event_log";
+    lock = Mutex.create ();
     ring = Array.make capacity None;
     next = 0;
     stored = 0;
@@ -68,8 +65,8 @@ let create ?(capacity = 256) ?(sample_every = 1) ?(slow_keep_us = 0.0) () =
   }
 
 let capacity t = t.capacity
-let seen t = Dsync.protect t.lock (fun () -> t.seen)
-let kept t = Dsync.protect t.lock (fun () -> t.kept)
+let seen t = Mutex.protect t.lock (fun () -> t.seen)
+let kept t = Mutex.protect t.lock (fun () -> t.kept)
 
 (* An observation only counts as "tail" once the latency histogram has a
    meaningful shape, and only when it lands {e strictly above} the bucket
@@ -104,7 +101,7 @@ let observe t (ev : Middleware.query_event) : unit =
      ring never tears under concurrent observers.  The histogram guards
      itself (its own lock; no cycle — it never takes ours). *)
   let decision =
-    Dsync.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let decision =
           admission t ~tail:(is_tail ev.Middleware.elapsed_us) ev
         in
@@ -147,7 +144,7 @@ let observe t (ev : Middleware.query_event) : unit =
   | None -> Tango_obs.Counter.incr events_sampled_out
 
 let find t seq : record option =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let rec go i =
         if i >= t.stored then None
         else
@@ -159,7 +156,7 @@ let find t seq : record option =
       go 0)
 
 let recent ?n t : record list =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let n = match n with Some n -> min n t.stored | None -> t.stored in
       let out = ref [] in
       for i = 0 to n - 1 do

@@ -30,6 +30,7 @@ let reason_phrase = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 413 -> "Content Too Large"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
@@ -38,6 +39,10 @@ let reason_phrase = function
 let max_body_bytes = 1 lsl 20
 let max_line_bytes = 16 * 1024
 let max_headers = 100
+
+(* A client that connects and then stalls would otherwise hold the
+   sequential accept loop in [Unix.read] forever. *)
+let read_timeout_s = 2.0
 
 exception Bad_request of string
 
@@ -114,8 +119,7 @@ type reader = {
 
 let reader fd = { fd; buf = Bytes.create 8192; pos = 0; len = 0 }
 
-(* The reader is connection-local: one domain owns a connection for
-   its whole lifetime, so its cursor needs no lock. *)
+(* The reader is connection-local, so its cursor needs no lock. *)
 
 (* false at EOF *)
 let refill r =
@@ -125,7 +129,6 @@ let refill r =
     r.len <- Unix.read r.fd r.buf 0 (Bytes.length r.buf);
     r.len > 0
   end
-[@@tango.unguarded "connection-local reader cursor; one domain per connection"]
 
 (** A line up to ['\n'], with the ['\n'] (and a preceding ['\r'])
     stripped; [None] at EOF before any byte.  Raises {!Bad_request} when
@@ -152,7 +155,6 @@ let read_line r : string option =
       let s = Buffer.contents b in
       let n = String.length s in
       Some (if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s)
-[@@tango.unguarded "connection-local reader cursor; one domain per connection"]
 
 let read_exact r n : string option =
   let b = Buffer.create n in
@@ -167,7 +169,6 @@ let read_exact r n : string option =
     end
   in
   go n
-[@@tango.unguarded "connection-local reader cursor; one domain per connection"]
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing / response writing                                   *)
@@ -248,7 +249,8 @@ let request_histogram = lazy (Tango_obs.Histogram.make "monitor.http_us")
 
 (** Serve one connection: parse a single request, run the handler, write
     the response, leave the socket open for the caller to close.
-    Handler exceptions become a 500, malformed requests a 400. *)
+    Handler exceptions become a 500, malformed requests a 400, and a
+    read that hits the socket's receive timeout a 408. *)
 let handle_connection fd (handler : request -> response) : unit =
   let t0 = Tango_obs.mono_us () in
   let resp =
@@ -260,6 +262,8 @@ let handle_connection fd (handler : request -> response) : unit =
         | exception _ ->
             Some (response ~status:500 "internal server error\n"))
     | exception Bad_request m -> Some (response ~status:400 (m ^ "\n"))
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Some (response ~status:408 "request timeout\n")
     | exception _ -> Some (response ~status:400 "malformed request\n")
   in
   (match resp with
@@ -309,7 +313,10 @@ let accept_loop ?max_requests ?(should_stop = fun () -> false) sock
     match Unix.accept sock with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | fd, _peer ->
-        (try handle_connection fd handler with _ -> ());
+        (try
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s;
+           handle_connection fd handler
+         with _ -> ());
         (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
         (try Unix.close fd with _ -> ());
         incr served

@@ -33,7 +33,8 @@ val handle_connection : Unix.file_descr -> (request -> response) -> unit
 (** Serve exactly one request from an open socket: parse, run the
     handler, write the response.  Handler exceptions become a 500,
     malformed requests a 400 — among them a line over 16 KiB or more
-    than 100 header lines — and a connection closed before any byte is
+    than 100 header lines — a read that times out on the socket's
+    [SO_RCVTIMEO] a 408, and a connection closed before any byte is
     ignored.  The caller closes the socket. *)
 
 val listen : ?host:string -> port:int -> unit -> Unix.file_descr
@@ -54,7 +55,9 @@ val accept_loop :
     accept {e and} whenever a signal interrupts the blocking accept
     (EINTR), so a [Signal_handle] that sets a flag drains the in-flight
     request and then exits the loop — graceful shutdown without
-    threads.  Ignores [SIGPIPE]. *)
+    threads.  Each accepted socket gets a 2 s [SO_RCVTIMEO], so a client
+    that connects and sends nothing is answered 408 and cannot stall the
+    loop.  Ignores [SIGPIPE]. *)
 
 val serve :
   ?host:string ->

@@ -102,7 +102,6 @@ let backend_counter raw =
 let render_counter b ?namespace (name, value) =
   let m = metric_name ?namespace name in
   Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" m m value)
-[@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
 
 (* One labeled family per backend-counter tail:
    # TYPE tango_backend_roundtrips counter
@@ -125,7 +124,6 @@ let render_backend_counters b ?namespace groups =
                  value))
         groups)
     tails
-[@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
 
 (* OpenMetrics exemplar suffix: [ # {seq="…",trace_id="…"} value ts]
    with the timestamp in seconds. *)
@@ -154,63 +152,6 @@ let render_histogram b ?namespace ?(exemplars = false)
   Buffer.add_string b
     (Printf.sprintf "%s_sum %s\n" m (sample_value h.Registry.sum));
   Buffer.add_string b (Printf.sprintf "%s_count %d\n" m h.Registry.count)
-[@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
-
-(* Lock-contention families from the {!Dsync.Profile} registry, labeled
-   by lock name:
-   tango_lock_acquires{lock="cache.plan_cache"} 41
-   tango_lock_wait_us_bucket{lock="cache.plan_cache",le="1"} 3 … *)
-let render_lock_profile b ?namespace (locks : Dsync.Profile.snapshot list) =
-  if locks <> [] then begin
-    let counter name value_of =
-      let m = metric_name ?namespace ("lock_" ^ name) in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" m);
-      List.iter
-        (fun (l : Dsync.Profile.snapshot) ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %d\n" m
-               (labels_fragment [ ("lock", l.Dsync.Profile.lock_name) ])
-               (value_of l)))
-        locks
-    in
-    counter "acquires" (fun l -> l.Dsync.Profile.acquires);
-    counter "contended" (fun l -> l.Dsync.Profile.contended);
-    let histogram name buckets_of sum_of count_of =
-      let m = metric_name ?namespace ("lock_" ^ name) in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" m);
-      List.iter
-        (fun (l : Dsync.Profile.snapshot) ->
-          let lbl = ("lock", l.Dsync.Profile.lock_name) in
-          List.iter
-            (fun (bound, c) ->
-              Buffer.add_string b
-                (Printf.sprintf "%s_bucket%s %d\n" m
-                   (labels_fragment [ lbl; ("le", le_label bound) ])
-                   c))
-            (buckets_of l);
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum%s %s\n" m (labels_fragment [ lbl ])
-               (sample_value (sum_of l)));
-          Buffer.add_string b
-            (Printf.sprintf "%s_count%s %d\n" m (labels_fragment [ lbl ])
-               (count_of l)))
-        locks
-    in
-    histogram "wait_us"
-      (fun l -> l.Dsync.Profile.wait_buckets)
-      (fun l -> l.Dsync.Profile.wait_us)
-      (fun l -> l.Dsync.Profile.contended);
-    histogram "hold_us"
-      (fun l -> l.Dsync.Profile.hold_buckets)
-      (fun l -> l.Dsync.Profile.hold_us)
-      (fun l -> l.Dsync.Profile.acquires)
-  end
-[@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
-
-let lock_profile ?namespace locks =
-  let b = Buffer.create 1024 in
-  render_lock_profile b ?namespace locks;
-  Buffer.contents b
 
 (* Process-runtime gauges: heap shape plus one gauge set per domain
    that has published its counters (tango_gc_domain_*{domain="0"}). *)
@@ -245,7 +186,6 @@ let runtime_gauges ?namespace () =
     family "promoted_words" (fun d -> d.Runtime.d_promoted_words)
   end;
   Buffer.contents b
-[@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
 
 let render ?namespace ?(exemplars = false) (s : Registry.snapshot) =
   let b = Buffer.create 4096 in

@@ -33,13 +33,6 @@ val gauge :
 (** One complete gauge family ([# TYPE] line plus a single sample) —
     for values that are not registry counters, e.g. SLO burn rates. *)
 
-val lock_profile :
-  ?namespace:string -> Tango_obs.Dsync.Profile.snapshot list -> string
-(** Lock-contention families from a {!Tango_obs.Dsync.Profile} snapshot,
-    labeled by lock name: [tango_lock_acquires] / [tango_lock_contended]
-    counters and [tango_lock_wait_us] / [tango_lock_hold_us] histograms
-    (with per-lock [_sum]/[_count]).  Empty string for an empty list. *)
-
 val runtime_gauges : ?namespace:string -> unit -> string
 (** Process-runtime gauges: [tango_gc_heap_words] /
     [tango_gc_top_heap_words] / [tango_gc_compactions], plus

@@ -53,11 +53,9 @@ let state_rank = function Ok -> 0 | Warning -> 1 | Critical -> 2
 
 type sample = { at_us : float; slow : bool; failed : bool }
 
-module Dsync = Tango_obs.Dsync
-
 type t = {
   objective : objective;
-  lock : Dsync.lock;  (** guards [samples] *)
+  lock : Mutex.t;  (** guards [samples] *)
   samples : sample Queue.t;  (** oldest first, pruned to the long window *)
 }
 
@@ -69,7 +67,7 @@ let create ?(objective = default_objective) () =
     invalid_arg "Slo.create: goals must leave a nonzero error budget";
   if objective.short_window_us > objective.long_window_us then
     invalid_arg "Slo.create: short window exceeds long window";
-  { objective; lock = Dsync.named_lock "monitor.slo"; samples = Queue.create () }
+  { objective; lock = Mutex.create (); samples = Queue.create () }
 
 let objective t = t.objective
 
@@ -85,10 +83,9 @@ let prune t ~now_us =
   while Queue.length t.samples > max_samples do
     ignore (Queue.pop t.samples)
   done
-[@@tango.unguarded "internal helper, only called under t.lock"]
 
 let observe t ~now_us ~latency_us ~ok =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Queue.push
         {
           at_us = now_us;
@@ -130,7 +127,7 @@ type verdict = {
 
 let evaluate t ~now_us : verdict =
   let short, long =
-    Dsync.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         prune t ~now_us;
         let o = t.objective in
         ( window_stats t ~now_us ~width_us:o.short_window_us,

@@ -26,7 +26,6 @@ type verdict = {
   tail_records : int;
 }
 
-module Dsync = Tango_obs.Dsync
 module Middleware = Tango_core.Middleware
 
 (* Worst per-cost-factor mean q-error above which [q_error] fires. *)
@@ -40,29 +39,21 @@ let hit_rate_drop = 0.2
    the event-log ring. *)
 let tail_fraction = 0.9
 
-(* Lock wait accumulated since the previous check, as a share of the wall
-   time between checks, above which [lock_contention] fires. *)
-let contention_warn = 0.25
-
 (* Region plans on one plan-cache entry at which
    [parameter_sensitive_plan] fires. *)
 let replan_warn = 2
 
 type t = {
-  lock : Dsync.lock;  (* guards the cross-evaluation trend fields *)
+  lock : Mutex.t;  (* guards the cross-evaluation trend fields *)
   mutable last_generation : int;
   mutable last_hit_rate : float option;
-  mutable last_wait_us : float;
-  mutable last_check_mono_us : float option;
 }
 
 let create ~generation () =
   {
-    lock = Dsync.named_lock "monitor.watchdog";
+    lock = Mutex.create ();
     last_generation = generation;
     last_hit_rate = None;
-    last_wait_us = 0.0;
-    last_check_mono_us = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -186,7 +177,7 @@ let cache_signal t cache =
           float_of_int s.Tango_cache.Plan_cache.hits /. float_of_int total
         in
         let previous =
-          Dsync.protect t.lock (fun () ->
+          Mutex.protect t.lock (fun () ->
               let p = t.last_hit_rate in
               t.last_hit_rate <- Some rate;
               p)
@@ -235,7 +226,7 @@ let replan_signal cache =
 
 let topology_signal t ~generation =
   let previous =
-    Dsync.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let p = t.last_generation in
         t.last_generation <- generation;
         p)
@@ -255,57 +246,6 @@ let topology_signal t ~generation =
       detail = Printf.sprintf "generation %d" generation;
     }
 
-(* Lock wait accumulated since the previous check, as a share of the
-   wall time between checks (monotonic clock).  With several domains
-   the share can exceed 1.0 — it is wait-seconds per wall-second across
-   the process.  The first check only primes the baseline. *)
-let contention_signal t =
-  let snaps = Tango_obs.Dsync.Profile.snapshot () in
-  let total_wait =
-    List.fold_left
-      (fun acc (s : Tango_obs.Dsync.Profile.snapshot) ->
-        acc +. s.Tango_obs.Dsync.Profile.wait_us)
-      0.0 snaps
-  in
-  let now_mono = Tango_obs.mono_us () in
-  let previous =
-    Dsync.protect t.lock (fun () ->
-        let p = (t.last_wait_us, t.last_check_mono_us) in
-        t.last_wait_us <- total_wait;
-        t.last_check_mono_us <- Some now_mono;
-        p)
-  in
-  match previous with
-  | _, None ->
-      { name = "lock_contention"; firing = false; detail = "first check" }
-  | prev_wait, Some prev_mono ->
-      let dw = Float.max 0.0 (total_wait -. prev_wait) in
-      let dt = Float.max 1.0 (now_mono -. prev_mono) in
-      let share = dw /. dt in
-      let top =
-        List.fold_left
-          (fun acc (s : Tango_obs.Dsync.Profile.snapshot) ->
-            match acc with
-            | Some (b : Tango_obs.Dsync.Profile.snapshot)
-              when b.Tango_obs.Dsync.Profile.wait_us
-                   >= s.Tango_obs.Dsync.Profile.wait_us ->
-                acc
-            | _ -> Some s)
-          None snaps
-      in
-      {
-        name = "lock_contention";
-        firing = share > contention_warn;
-        detail =
-          Printf.sprintf "wait/wall %.3f since last check%s" share
-            (match top with
-            | Some l when l.Tango_obs.Dsync.Profile.wait_us > 0.0 ->
-                Printf.sprintf "; top lock %s (%.0fus cumulative wait)"
-                  l.Tango_obs.Dsync.Profile.lock_name
-                  l.Tango_obs.Dsync.Profile.wait_us
-            | _ -> "");
-      }
-
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -319,7 +259,6 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
       cache_signal t cache;
       replan_signal cache;
       topology_signal t ~generation;
-      contention_signal t;
     ]
   in
   let tail = tail_records (Event_log.recent log) in

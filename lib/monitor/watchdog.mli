@@ -7,8 +7,7 @@
 type signal = {
   name : string;
       (** ["slo_burn"] | ["q_error"] | ["cache_hit_rate"] |
-          ["parameter_sensitive_plan"] | ["topology_generation"] |
-          ["lock_contention"] *)
+          ["parameter_sensitive_plan"] | ["topology_generation"] *)
   firing : bool;
   detail : string;  (** human-readable evidence, firing or not *)
 }
@@ -36,13 +35,10 @@ val create : generation:int -> unit -> t
     thresholds are fixed: a worst per-cost-factor mean q-error above 2.0
     fires [q_error]; a hit-rate fall of more than 0.2 since the previous
     {!evaluate} fires [cache_hit_rate]; the tail analysis covers records
-    at or above the 0.9 latency quantile of the event-log ring; lock
-    wait accumulated since the previous check, divided by the wall time
-    between checks, above 0.25 fires [lock_contention] (the first check
-    only primes the baseline); a single plan-cache entry holding at
-    least 2 sensitivity-guard region plans fires
-    [parameter_sensitive_plan] — that statement's best plan depends on
-    its bound values. *)
+    at or above the 0.9 latency quantile of the event-log ring; a single
+    plan-cache entry holding at least 2 sensitivity-guard region plans
+    fires [parameter_sensitive_plan] — that statement's best plan
+    depends on its bound values. *)
 
 val evaluate :
   t ->

@@ -101,12 +101,10 @@ type slot = {
 
 let slots : (int, slot) Hashtbl.t = Hashtbl.create 8
 
-(* Named: the runtime-attribution table is itself a profiled serve-path
-   lock, taken once per domain at slot creation. *)
-let slots_lock = Dsync.named_lock "obs.runtime"
+let slots_lock = Mutex.create ()
 
 let slot_for id =
-  Dsync.protect slots_lock (fun () ->
+  Mutex.protect slots_lock (fun () ->
       match Hashtbl.find_opt slots id with
       | Some s -> s
       | None ->
@@ -136,7 +134,7 @@ let touch () =
   Atomic.set s.s_promoted (max 0 (int_of_float p.pt_promoted))
 
 let domains () =
-  Dsync.protect slots_lock (fun () ->
+  Mutex.protect slots_lock (fun () ->
       Hashtbl.fold
         (fun _ s acc ->
           {

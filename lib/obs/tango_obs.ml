@@ -7,8 +7,8 @@
 
     - {b counters} ({!Counter}): monotonic event counts (page reads,
       round trips, tuples shipped, rules fired).  Always live — an
-      increment is one atomic add on a domain-local shard — and
-      registered by name in a process-wide registry.
+      increment is one atomic add — and registered by name in a
+      process-wide registry.
     - {b histograms} ({!Histogram}): labeled value distributions
       (per-operator drain times, tuples per cursor open).  Same registry.
     - {b spans} ({!Trace}): a hierarchical timed trace of one query
@@ -17,11 +17,11 @@
       trace is active, [Trace.span] is a single branch and closure call,
       so instrumented code pays near-zero overhead.
 
-    Domain safety: counters are {!Dsync.Sharded} cells (lock-free
-    increments, folded at read time), histograms take a per-instance
-    {!Dsync} lock around their compound updates, the name registries are
-    guarded by one registry lock, and trace collection state lives in
-    domain-local storage — every domain collects its own trace.
+    Shared state: counters are one [int Atomic.t] each, histograms take a
+    per-instance [Mutex.t] around their compound updates, the name
+    registries are guarded by one registry lock, and trace collection
+    state lives in domain-local storage — every domain collects its own
+    trace.
 
     Everything is exported three ways: a rendered span tree
     ([Trace.render], the EXPLAIN-ANALYZE-style output of
@@ -30,7 +30,6 @@
     programmatic {!Registry.snapshot} API. *)
 
 module Clock = Clock
-module Dsync = Dsync
 module Runtime = Runtime
 
 let now_us () = Clock.wall_us ()
@@ -63,7 +62,6 @@ module Json = struct
             Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
         | c -> Buffer.add_char b c)
       s
-  [@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
 
   let rec emit b = function
     | Null -> Buffer.add_string b "null"
@@ -97,7 +95,6 @@ module Json = struct
             emit b v)
           kvs;
         Buffer.add_char b '}'
-  [@@tango.unguarded "renders into a call-local Buffer sink; never shared"]
 
   let to_string j =
     let b = Buffer.create 256 in
@@ -270,35 +267,35 @@ module Json = struct
 end
 
 (* One lock guards the find-or-create name registries of both counters
-   and histograms (creation is rare; reads fold atomics or take the
+   and histograms (creation is rare; reads load an atomic or take the
    per-instance lock, never this one). *)
-let registry_lock = Dsync.named_lock "obs.registry"
+let registry_lock = Mutex.create ()
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  type t = { name : string; cells : Dsync.Sharded.t }
+  type t = { name : string; cell : int Atomic.t }
 
   (* process-wide registry; [make] is find-or-create so independent
      modules referring to the same name share one counter *)
   let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 
   let make name =
-    Dsync.protect registry_lock (fun () ->
+    Mutex.protect registry_lock (fun () ->
         match Hashtbl.find_opt registry name with
         | Some c -> c
         | None ->
-            let c = { name; cells = Dsync.Sharded.create () } in
+            let c = { name; cell = Atomic.make 0 } in
             Hashtbl.replace registry name c;
             c)
 
   let name c = c.name
-  let incr c = Dsync.Sharded.incr c.cells
-  let add c n = Dsync.Sharded.add c.cells n
-  let value c = Dsync.Sharded.value c.cells
-  let reset c = Dsync.Sharded.reset c.cells
+  let incr c = Atomic.incr c.cell
+  let add c n = ignore (Atomic.fetch_and_add c.cell n)
+  let value c = Atomic.get c.cell
+  let reset c = Atomic.set c.cell 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +332,7 @@ module Histogram = struct
 
   type t = {
     name : string;
-    lock : Dsync.lock;  (** guards every mutable field below *)
+    lock : Mutex.t;  (** guards every mutable field below *)
     mutable count : int;
     mutable sum : float;
     mutable min : float;
@@ -352,16 +349,14 @@ module Histogram = struct
   let seed_of name = (Hashtbl.hash name lor 1) land 0x3FFFFFFF
 
   let make name =
-    Dsync.protect registry_lock (fun () ->
+    Mutex.protect registry_lock (fun () ->
         match Hashtbl.find_opt registry name with
         | Some h -> h
         | None ->
             let h =
               {
                 name;
-                (* every histogram's instance lock aggregates into one
-                   contention-profile family *)
-                lock = Dsync.named_lock "obs.histogram";
+                lock = Mutex.create ();
                 count = 0;
                 sum = 0.0;
                 min = infinity;
@@ -387,7 +382,7 @@ module Histogram = struct
     go 0
 
   let observe ?exemplar h v =
-    Dsync.protect h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         h.count <- h.count + 1;
         h.sum <- h.sum +. v;
         (let i = bucket_index v in
@@ -418,10 +413,10 @@ module Histogram = struct
 
   (* Compound reads copy under the instance lock so concurrent observes
      cannot tear them. *)
-  let bucket_counts h = Dsync.protect h.lock (fun () -> Array.copy h.buckets)
+  let bucket_counts h = Mutex.protect h.lock (fun () -> Array.copy h.buckets)
 
   let bucket_exemplars h =
-    Dsync.protect h.lock (fun () -> Array.copy h.exemplars)
+    Mutex.protect h.lock (fun () -> Array.copy h.exemplars)
 
   (* Unlocked bodies, shared by the public accessors (which take the
      lock) and {!snapshot_stats} (which computes everything under one
@@ -463,22 +458,22 @@ module Histogram = struct
 
   (** The exemplars present, as [(bucket upper bound, exemplar)] pairs in
       bound order; the overflow cell reports bound [infinity]. *)
-  let exemplar_list h = Dsync.protect h.lock (fun () -> exemplar_list_unlocked h)
+  let exemplar_list h = Mutex.protect h.lock (fun () -> exemplar_list_unlocked h)
 
   (** Cumulative (bound, count-of-observations <= bound) pairs over the
       fixed bounds, closed by [(infinity, count)] — the Prometheus
       [le=...] series. *)
   let cumulative_buckets h =
-    Dsync.protect h.lock (fun () -> cumulative_buckets_unlocked h)
+    Mutex.protect h.lock (fun () -> cumulative_buckets_unlocked h)
 
-  let quantile h q = Dsync.protect h.lock (fun () -> quantile_unlocked h q)
+  let quantile h q = Mutex.protect h.lock (fun () -> quantile_unlocked h q)
 
   (* Every statistic under one lock acquisition: the registry snapshot
      uses this so a histogram's stats are mutually consistent (count,
      sum, buckets and quantiles all describe the same instant — no torn
      snapshots under concurrent observes). *)
   let snapshot_stats h =
-    Dsync.protect h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         ( h.count,
           h.sum,
           (if h.count = 0 then 0.0 else h.min),
@@ -491,7 +486,7 @@ module Histogram = struct
           exemplar_list_unlocked h ))
 
   let reset h =
-    Dsync.protect h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         h.count <- 0;
         h.sum <- 0.0;
         h.min <- infinity;
@@ -534,10 +529,10 @@ module Registry = struct
        [make] may be resizing the tables), then read each instance
        through its own domain-safe accessors. *)
     let counter_list =
-      Dsync.protect registry_lock (fun () ->
+      Mutex.protect registry_lock (fun () ->
           Hashtbl.fold (fun name c acc -> (name, c) :: acc) Counter.registry [])
     and histogram_list =
-      Dsync.protect registry_lock (fun () ->
+      Mutex.protect registry_lock (fun () ->
           Hashtbl.fold
             (fun name h acc -> (name, h) :: acc)
             Histogram.registry [])
@@ -608,10 +603,10 @@ module Registry = struct
 
   let reset () =
     let counter_list =
-      Dsync.protect registry_lock (fun () ->
+      Mutex.protect registry_lock (fun () ->
           Hashtbl.fold (fun _ c acc -> c :: acc) Counter.registry [])
     and histogram_list =
-      Dsync.protect registry_lock (fun () ->
+      Mutex.protect registry_lock (fun () ->
           Hashtbl.fold (fun _ h acc -> h :: acc) Histogram.registry [])
     in
     List.iter Counter.reset counter_list;
@@ -837,6 +832,3 @@ module Trace = struct
     | Some (Float f) -> Some (int_of_float f)
     | _ -> None
 end
-[@@tango.unguarded
-  "trace state is domain-local: collection is DLS-rooted and span trees \
-   never cross domains"]

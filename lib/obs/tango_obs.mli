@@ -2,7 +2,7 @@
     middleware stack.
 
     - {!Counter}: monotonic event counts, registered by name in a
-      process-wide registry; an increment is a single integer store.
+      process-wide registry; an increment is a single atomic add.
     - {!Histogram}: labeled value distributions (count/sum/min/max/mean).
     - {!Trace}: a hierarchical timed trace of one query.  Collection is
       off by default; with no active trace, {!Trace.span} costs one
@@ -14,19 +14,13 @@
     Counter and histogram creation is {e find-or-create} by name, so
     independent modules naming the same metric share one instance.
 
-    Domain safety: counters are {!Dsync.Sharded} cells (lock-free
-    per-domain increments, folded at read time), histogram updates and
-    compound reads take a per-instance {!Dsync} lock, the name
+    Shared state: counters are one [int Atomic.t] each, histogram
+    updates and compound reads take a per-instance [Mutex.t], the name
     registries are guarded, and trace collection state is domain-local
     (each domain collects its own trace). *)
 
 module Clock = Clock
 (** Monotonic vs wall clocks — see {!Clock}. *)
-
-module Dsync = Dsync
-(** Domain-safety primitives (exception-safe critical sections,
-    domain-sharded counters, lock-contention profiling) — see
-    {!Dsync}. *)
 
 module Runtime = Runtime
 (** GC/allocation attribution: per-phase deltas, per-domain cumulative

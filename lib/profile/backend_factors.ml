@@ -7,33 +7,32 @@
     [Tango_dbms.Backend] — and falls back to the session's base factors
     for backends that have not calibrated yet.
 
-    Domain safety: the table is guarded by the instance's
-    {!Tango_obs.Dsync} lock ([base] is a read-only closure). *)
+    The table is guarded by the instance's lock ([base] is a read-only
+    closure). *)
 
 open Tango_cost
-module Dsync = Tango_obs.Dsync
 
 type t = {
   base : unit -> Factors.t;  (** fallback (the session's global factors) *)
-  lock : Dsync.lock;
+  lock : Mutex.t;
   tbl : (string, Factors.t) Hashtbl.t;
 }
 
-let create ~base = { base; lock = Dsync.named_lock "profile.backend_factors"; tbl = Hashtbl.create 8 }
+let create ~base = { base; lock = Mutex.create (); tbl = Hashtbl.create 8 }
 
 let set t name factors =
-  Dsync.protect t.lock (fun () -> Hashtbl.replace t.tbl name factors)
+  Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl name factors)
 
 let get t name =
-  match Dsync.protect t.lock (fun () -> Hashtbl.find_opt t.tbl name) with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl name) with
   | Some f -> f
   | None -> t.base ()
 
-let known t name = Dsync.protect t.lock (fun () -> Hashtbl.mem t.tbl name)
+let known t name = Mutex.protect t.lock (fun () -> Hashtbl.mem t.tbl name)
 
 let names t =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
   |> List.sort compare
 
-let clear t = Dsync.protect t.lock (fun () -> Hashtbl.reset t.tbl)
+let clear t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.tbl)

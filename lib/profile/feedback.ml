@@ -1,13 +1,11 @@
 (** The feedback store: per-fragment misestimation aggregates plus a
     bounded window of refit observations.  See the mli for the model.
 
-    Domain safety: the aggregate tables and the observation window are
-    guarded by the instance's {!Tango_obs.Dsync} lock, so profiling
-    reports can be folded in from a multi-domain accept pool. *)
+    The aggregate tables and the observation window are guarded by the
+    instance's lock. *)
 
 open Tango_cost
 module Json = Tango_obs.Json
-module Dsync = Tango_obs.Dsync
 
 type stats = {
   operator : string;
@@ -30,7 +28,7 @@ type agg = {
 }
 
 type t = {
-  lock : Dsync.lock;  (* guards the tables and every mutable field *)
+  lock : Mutex.t;  (* guards the tables and every mutable field *)
   frags : (string, agg) Hashtbl.t;  (* fragment fingerprint -> aggregate *)
   factors : (string, agg) Hashtbl.t;  (* cost factor -> aggregate *)
   mutable observations : Calibrate.observation list;  (* newest first *)
@@ -43,7 +41,7 @@ let max_observations = 1024
 
 let create () : t =
   {
-    lock = Dsync.named_lock "profile.feedback";
+    lock = Mutex.create ();
     frags = Hashtbl.create 64;
     factors = Hashtbl.create 16;
     observations = [];
@@ -81,8 +79,8 @@ let get_agg table key op_name =
       in
       Hashtbl.replace table key a;
       a
-[@@tango.unguarded "internal helper, only called under t.lock"]
 
+(* Only called with the owning store's lock held. *)
 let fold_record (a : agg) ~q_cost (r : Analyze.record) =
   a.executions <- a.executions + 1;
   a.sum_q_rows <- a.sum_q_rows +. r.Analyze.q_rows;
@@ -90,10 +88,9 @@ let fold_record (a : agg) ~q_cost (r : Analyze.record) =
   a.max_q_rows <- Float.max a.max_q_rows r.Analyze.q_rows;
   a.max_q_cost <- Float.max a.max_q_cost q_cost;
   a.sum_act_us <- a.sum_act_us +. r.Analyze.act_us
-[@@tango.unguarded "internal helper, only called under t.lock"]
 
 let record (t : t) (report : Analyze.report) =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.queries <- t.queries + 1;
       List.iter
         (fun (r : Analyze.record) ->
@@ -119,7 +116,7 @@ let record (t : t) (report : Analyze.report) =
         t.n_obs <- max_observations
       end)
 
-let queries t = Dsync.protect t.lock (fun () -> t.queries)
+let queries t = Mutex.protect t.lock (fun () -> t.queries)
 
 let stats_of (a : agg) : stats =
   let n = Float.max 1.0 (float_of_int a.executions) in
@@ -134,16 +131,16 @@ let stats_of (a : agg) : stats =
   }
 
 let find (t : t) fp =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Option.map stats_of (Hashtbl.find_opt t.frags fp))
 
 let fragments (t : t) : (string * stats) list =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun fp a acc -> (fp, stats_of a) :: acc) t.frags [])
   |> List.sort (fun (_, a) (_, b) -> compare b.mean_q_cost a.mean_q_cost)
 
 let factor_q (t : t) : (string * (int * float)) list =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold
         (fun f a acc ->
           ( f,
@@ -154,10 +151,10 @@ let factor_q (t : t) : (string * (int * float)) list =
   |> List.sort compare
 
 let observations (t : t) =
-  Dsync.protect t.lock (fun () -> List.rev t.observations)
+  Mutex.protect t.lock (fun () -> List.rev t.observations)
 
 let clear_factors (t : t) names =
-  Dsync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       List.iter (Hashtbl.remove t.factors) names;
       t.observations <-
         List.filter

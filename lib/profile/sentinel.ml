@@ -1,8 +1,6 @@
 (** Plan-regression sentinel: best-plan table per query fingerprint and
     ratio-triggered regression flags. *)
 
-module Dsync = Tango_obs.Dsync
-
 type event =
   | Regression of {
       elapsed_us : float;
@@ -12,7 +10,7 @@ type event =
     }
 
 type t = {
-  lock : Dsync.lock;  (* guards [best] *)
+  lock : Mutex.t;  (* guards [best] *)
   best : (string, string * float) Hashtbl.t;
       (* query fingerprint -> (plan signature, best latency us) *)
 }
@@ -22,7 +20,7 @@ type t = {
 let regression_ratio = 1.5
 
 let create () : t =
-  { lock = Dsync.named_lock "profile.sentinel"; best = Hashtbl.create 32 }
+  { lock = Mutex.create (); best = Hashtbl.create 32 }
 
 let plan_regressions = Tango_obs.Counter.make "profile.plan_regressions"
 
@@ -35,7 +33,7 @@ let observe (t : t) ~fingerprint ~signature ~elapsed_us : event list =
      Logs call runs after release, so a slow reporter never extends the
      critical section *)
   let fired =
-    Dsync.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let fired =
           match Hashtbl.find_opt t.best fingerprint with
           | Some (best_sig, best_us)
@@ -64,4 +62,4 @@ let observe (t : t) ~fingerprint ~signature ~elapsed_us : event list =
   fired
 
 let best (t : t) fp =
-  Dsync.protect t.lock (fun () -> Hashtbl.find_opt t.best fp)
+  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.best fp)

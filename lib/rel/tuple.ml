@@ -69,7 +69,6 @@ let read (r : Value.reader) : t =
     done;
     t
   end
-[@@tango.unguarded "advances a reader the caller owns; one parse per reader"]
 
 (* Fields outside [keep] are skipped, not built: they stay [Null], so every
    position still means what the schema says. *)
@@ -84,7 +83,6 @@ let read_cols (keep : bool array) (r : Value.reader) : t =
     done;
     t
   end
-[@@tango.unguarded "advances a reader the caller owns; one parse per reader"]
 
 (** Round-trip through bytes: the "marshalling work" performed for every
     tuple that crosses the middleware/DBMS boundary. *)

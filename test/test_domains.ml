@@ -1,6 +1,6 @@
-(* Multi-domain stress for the Dsync-guarded hot path: OCaml 5 domains
-   hammer the sharded counters, a histogram, the plan cache and the
-   event log at once; every assertion is an exact conservation law
+(* Multi-domain stress for the lock- and atomic-guarded shared state:
+   OCaml 5 domains hammer the counters, a histogram, the plan cache and
+   the event log at once; every assertion is an exact conservation law
    (nothing lost, nothing double-counted), and a concurrent reader
    checks that snapshots are internally consistent (never torn). *)
 
@@ -15,130 +15,6 @@ let iters = 5_000
 let spawn_all f =
   let ds = List.init domains (fun i -> Domain.spawn (fun () -> f i)) in
   List.iter Domain.join ds
-
-(* ---------------- Dsync primitives ---------------- *)
-
-let test_sharded_counter () =
-  let cells = Dsync.Sharded.create () in
-  spawn_all (fun _ ->
-      for _ = 1 to iters do
-        Dsync.Sharded.add cells 1
-      done);
-  Alcotest.(check int)
-    "every increment lands exactly once" (domains * iters)
-    (Dsync.Sharded.value cells)
-
-let test_protect_exclusion () =
-  (* a plain int mutated only under the lock: the lock must make the
-     read-modify-write atomic, or increments get lost *)
-  let lock = Dsync.lock () in
-  let n = ref 0 in
-  spawn_all (fun _ ->
-      for _ = 1 to iters do
-        Dsync.protect lock (fun () -> n := !n + 1)
-      done);
-  Alcotest.(check int) "mutual exclusion" (domains * iters) !n
-
-let test_protect_exception_safe () =
-  let lock = Dsync.lock () in
-  (try Dsync.protect lock (fun () -> failwith "boom") with Failure _ -> ());
-  (* lock must have been released on the exception path *)
-  Alcotest.(check int) "lock released after raise" 7
-    (Dsync.protect lock (fun () -> 7))
-
-(* ---------------- contention profiling ---------------- *)
-
-let find_snapshot name =
-  List.find_opt
-    (fun (s : Dsync.Profile.snapshot) -> String.equal s.Dsync.Profile.lock_name name)
-    (Dsync.Profile.snapshot ())
-
-(* A lock only one domain ever touches: the try_lock fast path always
-   wins, so the profile must show zero contended acquires and zero
-   accumulated wait — an idle lock must not look busy. *)
-let test_profile_uncontended () =
-  let lock = Dsync.named_lock "test.uncontended" in
-  for _ = 1 to 1_000 do
-    Dsync.protect lock (fun () -> ())
-  done;
-  match find_snapshot "test.uncontended" with
-  | None -> Alcotest.fail "no profile for test.uncontended"
-  | Some s ->
-      Alcotest.(check int) "every acquire counted" 1_000
-        s.Dsync.Profile.acquires;
-      Alcotest.(check int) "no contended acquires" 0 s.Dsync.Profile.contended;
-      Alcotest.(check (float 0.0)) "no wait recorded" 0.0
-        s.Dsync.Profile.wait_us;
-      (match List.rev s.Dsync.Profile.hold_buckets with
-      | (inf, total) :: _ ->
-          Alcotest.(check bool) "+inf hold bound" true (inf = infinity);
-          Alcotest.(check int) "hold histogram counts every acquire" 1_000
-            total
-      | [] -> Alcotest.fail "no hold buckets")
-
-(* Contention, made deterministic (the test box may have one core, so
-   short critical sections never overlap by luck): a holder takes the
-   lock and keeps it until a waiter has announced it is about to
-   acquire, plus a couple of milliseconds for the waiter's failed
-   try_lock to land — so the waiter's acquire MUST contend.  Then
-   domains hammer the same lock for the conservation bounds: acquires
-   conserve exactly, and the accumulated wait is physically bounded —
-   no lock can make a domain wait longer than the wall time, so
-   Σ wait <= wall x domains. *)
-let test_profile_contention_stress () =
-  let lock = Dsync.named_lock "test.contended" in
-  let holder_in = Atomic.make false in
-  let waiter_trying = Atomic.make false in
-  let t0 = Tango_obs.mono_us () in
-  let holder =
-    Domain.spawn (fun () ->
-        Dsync.protect lock (fun () ->
-            Atomic.set holder_in true;
-            while not (Atomic.get waiter_trying) do
-              Domain.cpu_relax ()
-            done;
-            (* hold through the waiter's try_lock attempt *)
-            let u0 = Tango_obs.mono_us () in
-            while Tango_obs.mono_us () -. u0 < 2_000.0 do
-              Domain.cpu_relax ()
-            done))
-  in
-  let waiter =
-    Domain.spawn (fun () ->
-        while not (Atomic.get holder_in) do
-          Domain.cpu_relax ()
-        done;
-        Atomic.set waiter_trying true;
-        Dsync.protect lock (fun () -> ()))
-  in
-  Domain.join holder;
-  Domain.join waiter;
-  let n = ref 0 in
-  let iters = 2_000 in
-  spawn_all (fun _ ->
-      for _ = 1 to iters do
-        Dsync.protect lock (fun () -> n := !n + 1)
-      done);
-  let wall_us = Tango_obs.mono_us () -. t0 in
-  Alcotest.(check int) "mutual exclusion held" (domains * iters) !n;
-  match find_snapshot "test.contended" with
-  | None -> Alcotest.fail "no profile for test.contended"
-  | Some s ->
-      Alcotest.(check int) "every acquire counted"
-        ((domains * iters) + 2)
-        s.Dsync.Profile.acquires;
-      Alcotest.(check bool) "some acquires contended" true
-        (s.Dsync.Profile.contended > 0);
-      Alcotest.(check bool) "wait accumulated on contention" true
-        (s.Dsync.Profile.wait_us > 0.0);
-      Alcotest.(check bool) "wait bounded by wall x domains" true
-        (s.Dsync.Profile.wait_us <= wall_us *. float_of_int domains);
-      (match List.rev s.Dsync.Profile.wait_buckets with
-      | (inf, total) :: _ ->
-          Alcotest.(check bool) "+inf wait bound" true (inf = infinity);
-          Alcotest.(check int) "wait histogram counts contended acquires"
-            s.Dsync.Profile.contended total
-      | [] -> Alcotest.fail "no wait buckets")
 
 (* ---------------- counters and histograms ---------------- *)
 
@@ -282,24 +158,8 @@ let test_event_log_stress () =
     seqs
 
 let () =
-  Alcotest.run "tango_dsync"
+  Alcotest.run "tango_domains"
     [
-      ( "primitives",
-        [
-          Alcotest.test_case "sharded counter conservation" `Quick
-            test_sharded_counter;
-          Alcotest.test_case "protect mutual exclusion" `Quick
-            test_protect_exclusion;
-          Alcotest.test_case "protect releases on raise" `Quick
-            test_protect_exception_safe;
-        ] );
-      ( "profile",
-        [
-          Alcotest.test_case "uncontended lock records zero waits" `Quick
-            test_profile_uncontended;
-          Alcotest.test_case "contention stress (4 domains)" `Quick
-            test_profile_contention_stress;
-        ] );
       ( "stress",
         [
           Alcotest.test_case "counter conservation (4 domains)" `Quick
