@@ -284,29 +284,32 @@ type run_ctx = {
 let run_ctx ?(share_transfers = true) topology =
   { topology; share_transfers; fetched = Hashtbl.create 4 }
 
-(* Global counters snapshotted around each node's init/next_batch to
-   attribute inclusive page reads and boundary round trips to operators
-   (same inclusive convention as [elapsed_us]).  These are the storage
-   layer's and the backends' own counters, shared by name. *)
+(* The storage layer's page-read counter and the run's backend meters,
+   snapshotted around each node's init/next_batch to attribute inclusive
+   page reads and boundary round trips to operators (same inclusive
+   convention as [elapsed_us]). *)
 let c_page_reads = Tango_obs.Counter.make "storage.page_reads"
-let c_roundtrips = Tango_obs.Counter.make "client.roundtrips"
 
-(* Wrap a cursor with per-node instrumentation (a batch costs one counter
+(* Wrap a cursor with per-node instrumentation (a batch costs one meter
    snapshot). *)
-let instrument (n : node) (c : Cursor.t) : Cursor.t =
+let instrument (ctx : run_ctx) (n : node) (c : Cursor.t) : Cursor.t =
   n.elapsed_us <- 0.0;
   n.out_bytes <- 0.0;
   n.out_tuples <- 0;
   n.page_reads <- 0;
   n.roundtrips <- 0;
-  (* Snapshot the global counters around [f] and attribute the deltas. *)
+  let backends = Topology.backends ctx.topology in
+  let roundtrips () =
+    List.fold_left (fun acc b -> acc + Backend.roundtrips b) 0 backends
+  in
+  (* Snapshot the meters around [f] and attribute the deltas. *)
   let measured f =
     let t0 = Tango_obs.mono_us () in
     let pr0 = Tango_obs.Counter.value c_page_reads in
-    let rt0 = Tango_obs.Counter.value c_roundtrips in
+    let rt0 = roundtrips () in
     let r = f () in
     n.page_reads <- n.page_reads + Tango_obs.Counter.value c_page_reads - pr0;
-    n.roundtrips <- n.roundtrips + Tango_obs.Counter.value c_roundtrips - rt0;
+    n.roundtrips <- n.roundtrips + roundtrips () - rt0;
     n.elapsed_us <- n.elapsed_us +. (Tango_obs.mono_us () -. t0);
     r
   in
@@ -367,7 +370,7 @@ let rec build_cursor (ctx : run_ctx) (n : node) : Cursor.t =
     | Difference (l, r) ->
         Dup_elim.difference (build_cursor ctx l) (build_cursor ctx r)
   in
-  instrument n c
+  instrument ctx n c
 
 and transfer_cursor ctx (n : node) ~sql ~deps ~shard_key (tm : Cursor.t) :
     Cursor.t =

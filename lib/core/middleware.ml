@@ -512,8 +512,8 @@ let c_alloc_mw_exec = Tango_obs.Counter.make "alloc.mw_exec_bytes"
 
 exception No_plan of string
 
-(* Feed the process-wide allocation/GC counters and the per-domain
-   table with one completed run's resource usage. *)
+(* Feed the process-wide allocation/GC counters with one completed run's
+   resource usage. *)
 let account_resources (run : _ run option) (gc : Tango_obs.Runtime.delta) =
   Tango_obs.Counter.add c_alloc_bytes gc.Tango_obs.Runtime.alloc_bytes;
   Tango_obs.Counter.add c_gc_minor gc.Tango_obs.Runtime.minor_collections;
@@ -527,8 +527,7 @@ let account_resources (run : _ run option) (gc : Tango_obs.Runtime.delta) =
       Tango_obs.Counter.add c_alloc_translate r.translate_alloc_bytes;
       Tango_obs.Counter.add c_alloc_transfer b.transfer_alloc_bytes;
       Tango_obs.Counter.add c_alloc_mw_exec b.mw_exec_alloc_bytes)
-    run;
-  Tango_obs.Runtime.touch ()
+    run
 
 (* Measure one top-level pipeline run, account its resources and hand
    its event to the session's observer, if any.

@@ -12,9 +12,8 @@ type t = {
   mutable roundtrips : int;
   mutable tuples_shipped : int;
   mutable bytes_shipped : int;  (** wire bytes *)
-  c_roundtrips : Tango_obs.Counter.t;  (** [backend.<name>.*] mirrors *)
-  c_tuples : Tango_obs.Counter.t;
-  c_bytes : Tango_obs.Counter.t;
+  mutable queries : int;  (** statements opened *)
+  mutable bulk_loads : int;
   wire : Buffer.t;  (** the outgoing side of every round trip, reused *)
   mutable landing : Bytes.t;  (** the receiving side, reused *)
   mutable open_cursors : cursor list;  (** statements not yet ended *)
@@ -27,13 +26,6 @@ and cursor = {
   mutable next : int;  (** its first row not yet shipped *)
 }
 
-(* process-wide totals over every backend (see Tango_obs) *)
-let c_roundtrips = Tango_obs.Counter.make "client.roundtrips"
-let c_tuples_shipped = Tango_obs.Counter.make "client.tuples_shipped"
-let c_bytes_shipped = Tango_obs.Counter.make "client.bytes_shipped"
-let c_queries = Tango_obs.Counter.make "client.queries"
-let c_bulk_loads = Tango_obs.Counter.make "client.bulk_loads"
-
 let default_row_prefetch = 10 (* Oracle JDBC's historical default *)
 let default_roundtrip_spin = 20_000
 
@@ -42,9 +34,6 @@ let clamp_prefetch n = max 1 n
 
 let in_process ?(name = "db") ?(row_prefetch = default_row_prefetch)
     ?(roundtrip_spin = default_roundtrip_spin) db =
-  let c tail =
-    Tango_obs.Counter.make (Printf.sprintf "backend.%s.%s" name tail)
-  in
   {
     name;
     db;
@@ -53,9 +42,8 @@ let in_process ?(name = "db") ?(row_prefetch = default_row_prefetch)
     roundtrips = 0;
     tuples_shipped = 0;
     bytes_shipped = 0;
-    c_roundtrips = c "roundtrips";
-    c_tuples = c "tuples_shipped";
-    c_bytes = c "bytes_shipped";
+    queries = 0;
+    bulk_loads = 0;
     wire = Buffer.create 4096;
     landing = Bytes.create 4096;
     open_cursors = [];
@@ -69,18 +57,30 @@ let set_roundtrip_spin b n = b.roundtrip_spin <- max 0 n
 let roundtrips b = b.roundtrips
 let tuples_shipped b = b.tuples_shipped
 let bytes_shipped b = b.bytes_shipped
+let queries b = b.queries
+let bulk_loads b = b.bulk_loads
 
 let reset_meters b =
   b.roundtrips <- 0;
   b.tuples_shipped <- 0;
-  b.bytes_shipped <- 0
+  b.bytes_shipped <- 0;
+  b.queries <- 0;
+  b.bulk_loads <- 0
 
-(* The latency stand-in: a data-dependent spin the compiler cannot remove. *)
+(* The latency stand-in: a data-dependent spin the compiler cannot remove.
+   Two steps per pass keep it bound by the [acc] dependency chain, not by
+   instruction fetch, whose speed depends on where the loop lands
+   relative to 64-byte lines (a one-step loop runs up to 1.7x slower when
+   it straddles one), so the simulated latency does not move with the
+   code layout of unrelated modules. *)
 let spin b =
+  let n = b.roundtrip_spin in
   let acc = ref 0 in
-  for i = 1 to b.roundtrip_spin do
-    acc := (!acc + i) land 0xFFFF
+  for k = 0 to (n / 2) - 1 do
+    let i = (2 * k) + 1 in
+    acc := (((!acc + i) land 0xFFFF) + i + 1) land 0xFFFF
   done;
+  if n land 1 = 1 then acc := (!acc + n) land 0xFFFF;
   ignore (Sys.opaque_identity !acc)
 
 (* The one ship path: one round trip carries the [n] tuples serialized
@@ -97,18 +97,12 @@ let ship b n : Tuple.t array =
   b.roundtrips <- b.roundtrips + 1;
   b.tuples_shipped <- b.tuples_shipped + n;
   b.bytes_shipped <- b.bytes_shipped + bytes;
-  Tango_obs.Counter.incr b.c_roundtrips;
-  Tango_obs.Counter.add b.c_tuples n;
-  Tango_obs.Counter.add b.c_bytes bytes;
-  Tango_obs.Counter.incr c_roundtrips;
-  Tango_obs.Counter.add c_tuples_shipped n;
-  Tango_obs.Counter.add c_bytes_shipped bytes;
   parsed
 
 (* Like a JDBC statement: the server compiles it now and executes it as
    the cursor is advanced, one executor batch at a time. *)
 let execute_query b (q : Ast.query) : cursor =
-  Tango_obs.Counter.incr c_queries;
+  b.queries <- b.queries + 1;
   let cur =
     { backend = b; stream = Some (Database.open_query b.db q); pending = [||]; next = 0 }
   in
@@ -161,7 +155,7 @@ let fetch_batch (cur : cursor) : Tuple.t array option =
    serialized: pulling [tuples] may run a cursor on this same backend,
    which reuses the wire buffer. *)
 let bulk_load b ~table (schema : Schema.t) (tuples : Tuple.t Seq.t) : string =
-  Tango_obs.Counter.incr c_bulk_loads;
+  b.bulk_loads <- b.bulk_loads + 1;
   Database.create_table b.db table (Schema.unqualify schema);
   let cat_table = Catalog.find (Database.catalog b.db) table in
   let batch = ref [] in

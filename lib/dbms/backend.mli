@@ -14,13 +14,12 @@
     per-backend calibrated cost factors by it, so shards behind different
     (simulated) latencies calibrate independently.
 
-    {b Meter.}  Each shipped batch is counted once: into the backend's own
-    totals ({!roundtrips}, {!tuples_shipped}, {!bytes_shipped}), into the
-    per-backend [backend.<name>.*] counters of {!Tango_obs}, and into the
-    process-wide [client.*] totals over all backends (both visible on
-    [/metrics]).  Counters are find-or-create by name, so two backends
-    with the same name share their [backend.<name>.*] counters — sessions
-    should pick distinct shard names. *)
+    {b Meter.}  Each shipped batch is counted once, into the backend's own
+    totals ({!roundtrips}, {!tuples_shipped}, {!bytes_shipped}); opened
+    statements and bulk loads count into {!queries} and {!bulk_loads}.
+    These fields are the only boundary meter: [/metrics] renders them
+    per backend, and process-wide totals are their sum over a
+    topology's backends. *)
 
 open Tango_rel
 open Tango_sql
@@ -95,5 +94,11 @@ val tuples_shipped : t -> int
 
 val bytes_shipped : t -> int
 (** Wire bytes marshalled across the boundary. *)
+
+val queries : t -> int
+(** Statements opened by {!execute_query}. *)
+
+val bulk_loads : t -> int
+(** Tables loaded by {!bulk_load}. *)
 
 val reset_meters : t -> unit

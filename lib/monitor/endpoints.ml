@@ -5,8 +5,8 @@
 
     - [GET /healthz] — liveness, as JSON (bare ["ok"] under [?plain=1]);
     - [GET /metrics] — Prometheus exposition of the full
-      {!Tango_obs.Registry} snapshot plus SLO gauges; OpenMetrics
-      exemplar mode under content negotiation;
+      {!Tango_obs.Registry} snapshot, the session's per-backend boundary
+      meters and SLO gauges;
     - [GET /slo] — burn-rate verdict as JSON;
     - [GET /queries?n=K] — the most recent sampled event-log records;
     - [GET /queries/<seq>] — one record in full: phase breakdown,
@@ -68,26 +68,9 @@ let json_response ?status j =
 let error_response status msg =
   json_response ~status (Tango_obs.Json.Obj [ ("error", Tango_obs.Json.String msg) ])
 
-(* OpenMetrics (exemplar) mode is negotiated: an [Accept] header naming
-   [application/openmetrics-text] (what a Prometheus server scraping
-   with exemplar support sends), or [?format=openmetrics] for humans
-   with curl. *)
-let wants_openmetrics (req : Http.request) =
-  (match List.assoc_opt "accept" req.Http.headers with
-  | Some accept ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      contains (String.lowercase_ascii accept) "application/openmetrics-text"
-  | None -> false)
-  || List.assoc_opt "format" req.Http.query = Some "openmetrics"
-
-let metrics t (req : Http.request) =
-  let openmetrics = wants_openmetrics req in
+(* One exposition format: a scraper asking for OpenMetrics gets 0.0.4
+   text under its own content type, which Prometheus accepts. *)
+let metrics t =
   let snapshot = Tango_obs.Registry.snapshot () in
   let verdict = Slo.evaluate t.slo ~now_us:(Tango_obs.now_us ()) in
   let gauges =
@@ -108,17 +91,13 @@ let metrics t (req : Http.request) =
       1.0
   in
   let body =
-    (Prometheus.render ~exemplars:openmetrics snapshot
-     :: uptime :: build_info
-     :: Prometheus.runtime_gauges ()
-     :: gauges)
-    @ (if openmetrics then [ Prometheus.eof ] else [])
+    Prometheus.render snapshot
+    :: Prometheus.backends (Tango_dbms.Topology.backends (Middleware.topology t.mw))
+    :: uptime :: build_info
+    :: Prometheus.runtime_gauges ()
+    :: gauges
   in
-  Http.response
-    ~content_type:
-      (if openmetrics then Prometheus.openmetrics_content_type
-       else Prometheus.content_type)
-    (String.concat "" body)
+  Http.response ~content_type:Prometheus.content_type (String.concat "" body)
 
 let queries t (req : Http.request) =
   let n =
@@ -281,7 +260,7 @@ let handler t (req : Http.request) : Http.response =
   match (req.Http.meth, req.Http.path, strip_prefix ~prefix:"/queries/" req.Http.path) with
   | "GET", _, Some seq -> query_by_seq t seq
   | "GET", "/healthz", _ -> healthz t req
-  | "GET", "/metrics", _ -> metrics t req
+  | "GET", "/metrics", _ -> metrics t
   | "GET", "/slo", _ ->
       json_response (Slo.to_json t.slo ~now_us:(Tango_obs.now_us ()))
   | "GET", "/queries", _ -> queries t req

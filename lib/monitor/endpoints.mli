@@ -21,12 +21,12 @@ val handler : t -> Http.request -> Http.response
     - [GET /healthz] — liveness as JSON (status, uptime, build identity
       — OCaml version and git describe — topology generation, shard
       count, queries seen); bare ["ok\n"] under [?plain=1];
-    - [GET /metrics] — Prometheus exposition of the registry snapshot,
-      plus SLO burn-rate gauges, an uptime gauge, a [tango_build_info]
-      gauge and the [tango_gc_*] runtime gauges.  With an [Accept] header naming
-      [application/openmetrics-text] (or [?format=openmetrics]) the
-      exposition switches to OpenMetrics: bucket samples carry
-      exemplars and the body ends with [# EOF];
+    - [GET /metrics] — Prometheus 0.0.4 exposition of the registry
+      snapshot, the [tango_backend_*{backend="…"}] meters of the
+      session topology's backends, SLO burn-rate gauges, an uptime
+      gauge, a [tango_build_info] gauge and the [tango_gc_*] heap
+      gauges.  Every scrape gets the 0.0.4 text format, whatever its
+      [Accept] header;
     - [GET /slo] — the burn-rate verdict as JSON;
     - [GET /queries?n=K] — up to [K] (default 20) most recent event-log
       records, newest first;

@@ -70,8 +70,9 @@ let kept t = Mutex.protect t.lock (fun () -> t.kept)
 
 (* An observation only counts as "tail" once the latency histogram has a
    meaningful shape, and only when it lands {e strictly above} the bucket
-   holding the current p99 — a whole latency band beyond the estimated
-   tail, so constant-latency workloads never trip it. *)
+   holding the current p99 — a whole latency band beyond the tail, so
+   constant-latency workloads never trip it.  Both sides are bucket
+   indices, read off the histogram's buckets without a sort. *)
 let tail_min_count = 32
 
 let is_tail elapsed_us =
@@ -105,30 +106,7 @@ let observe t (ev : Middleware.query_event) : unit =
         let decision =
           admission t ~tail:(is_tail ev.Middleware.elapsed_us) ev
         in
-        (* Exemplars are attached only to {e kept} observations, so a
-           bucket's exemplar always resolves to a record still
-           addressable by seq. *)
-        let exemplar =
-          match decision with
-          | None -> None
-          | Some _ ->
-              let trace_id =
-                match ev.Middleware.run with
-                | Some r ->
-                    Tango_volcano.Physical.fingerprint r.Middleware.physical
-                | None -> ev.Middleware.kind
-              in
-              Some
-                {
-                  Tango_obs.Histogram.ex_seq = t.seen;
-                  ex_trace_id = trace_id;
-                  ex_value = ev.Middleware.elapsed_us;
-                  ex_at_us =
-                    ev.Middleware.started_us +. ev.Middleware.elapsed_us;
-                }
-        in
-        Tango_obs.Histogram.observe ?exemplar query_us
-          ev.Middleware.elapsed_us;
+        Tango_obs.Histogram.observe query_us ev.Middleware.elapsed_us;
         (match decision with
         | Some kept ->
             t.ring.(t.next) <- Some { seq = t.seen; kept; event = ev };

@@ -27,7 +27,7 @@ type keep_reason =
   | Tail
       (** landed strictly above the latency bucket holding the current
           p99 (with at least 32 prior observations) — always kept, so
-          every exemplar-flagged tail query resolves to a record *)
+          the latency tail is always represented in the ring *)
 
 type record = {
   seq : int;  (** arrival ordinal (0-based, counts dropped events too) *)
@@ -57,10 +57,7 @@ val kept : t -> int
 
 val observe : t -> Tango_core.Middleware.query_event -> unit
 (** Feed one pipeline event: updates the aggregate metrics, applies
-    admission, and appends the record when kept.  Kept observations
-    carry a {!Tango_obs.Histogram.exemplar} (seq + plan fingerprint)
-    into [monitor.query_us], so an exemplar seen on [/metrics] always
-    resolves through {!find}.  The function to hand to
+    admission, and appends the record when kept.  The function to hand to
     {!Tango_core.Middleware.set_query_observer}. *)
 
 val find : t -> int -> record option

@@ -1,28 +1,24 @@
 (** Prometheus text-format (exposition format 0.0.4) rendering of
-    {!Tango_obs.Registry} snapshots: counters as [counter] families,
+    {!Tango_obs.Registry} snapshots — counters as [counter] families,
     histograms as [histogram] families with cumulative [le=...] buckets,
-    [_sum] and [_count]. *)
+    [_sum] and [_count] — and of the backends' boundary meters. *)
 
 val default_namespace : string
 (** ["tango"] — prepended to every metric name. *)
 
 val metric_name : ?namespace:string -> string -> string
 (** Legal Prometheus metric name for a dotted registry name:
-    [metric_name "client.roundtrips" = "tango_client_roundtrips"].
+    [metric_name "monitor.queries" = "tango_monitor_queries"].
     Characters outside [[a-zA-Z0-9_]] become underscores. *)
 
 val escape_label_value : string -> string
 (** Escape backslash, double quote and newline for use inside a
     Prometheus label value. *)
 
-val backend_counter : string -> (string * string) option
-(** [backend_counter "backend.<name>.<tail>"] is [Some (name, tail)];
-    [None] for any other shape.  Backend names may contain dots — the
-    tail is the segment after the last dot. *)
-
 val le_label : float -> string
-(** Bucket bound rendering: ["+Inf"] for [infinity], shortest decimal
-    otherwise. *)
+(** Bucket bound rendering: ["+Inf"] for [infinity], integral bounds
+    without a fraction or exponent, so every bound parses back to
+    exactly itself. *)
 
 val gauge :
   ?namespace:string ->
@@ -35,25 +31,17 @@ val gauge :
 
 val runtime_gauges : ?namespace:string -> unit -> string
 (** Process-runtime gauges: [tango_gc_heap_words] /
-    [tango_gc_top_heap_words] / [tango_gc_compactions], plus
-    [tango_gc_domain_*{domain="<id>"}] gauge families for every domain
-    that has published counters via {!Tango_obs.Runtime.touch}. *)
+    [tango_gc_top_heap_words] / [tango_gc_compactions]. *)
 
-val render :
-  ?namespace:string -> ?exemplars:bool -> Tango_obs.Registry.snapshot -> string
-(** The whole snapshot as exposition text: plain counters, then
-    per-backend counters folded into labeled [tango_backend_<tail>]
-    families, then histograms — each family preceded by its [# TYPE]
-    line.  With [exemplars:true] (default false) bucket samples carry
-    OpenMetrics exemplar syntax (a [#]-prefixed labelset, value and
-    timestamp after the sample); the caller appends {!eof} last. *)
+val backends : Tango_dbms.Backend.t list -> string
+(** The boundary meters of these backends as labeled counter families,
+    [tango_backend_{roundtrips,tuples_shipped,bytes_shipped,queries,
+    bulk_loads}{backend="<name>"}], one sample per backend, each read
+    from its {!Tango_dbms.Backend} accessor. *)
 
-val eof : string
-(** ["# EOF\n"] — the OpenMetrics exposition terminator; must be the
-    very last line, so the endpoint appends it after any extra gauges. *)
+val render : ?namespace:string -> Tango_obs.Registry.snapshot -> string
+(** The whole snapshot as exposition text: counters, then histograms —
+    each family preceded by its [# TYPE] line. *)
 
 val content_type : string
-(** The HTTP [Content-Type] for {!render} output (0.0.4 text format). *)
-
-val openmetrics_content_type : string
-(** The HTTP [Content-Type] for exemplar-mode {!render} output. *)
+(** The HTTP [Content-Type] for the exposition (0.0.4 text format). *)

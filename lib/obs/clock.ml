@@ -7,7 +7,7 @@
 
     [wall_us] is the wall clock: the source for {e timestamps} that
     must be interpretable outside the process (event-log [at_us],
-    exemplar [ex_at_us], SLO window edges). *)
+    SLO window edges). *)
 
 external mono_us : unit -> float = "tango_clock_monotonic_us"
 

@@ -7,5 +7,5 @@ val mono_us : unit -> float
 
 val wall_us : unit -> float
 (** Wall time in microseconds since the epoch.  Use only for
-    timestamps that leave the process (event-log [at_us], exemplar
-    [ex_at_us]). *)
+    timestamps that leave the process (event-log [at_us], SLO window
+    edges). *)

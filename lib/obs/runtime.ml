@@ -13,9 +13,8 @@
     would price as (nearly) zero and the next phase to cross a collection
     would be charged up to a whole minor heap it did not allocate.
 
-    The module also keeps a per-domain cumulative table ([touch] /
-    [domains]) feeding the [tango_gc_domain_*] gauges, and a process
-    heap snapshot ([heap]) for [tango_gc_heap_*]. *)
+    The module also takes the process heap snapshot ([heap]) behind the
+    [tango_gc_heap_*] gauges. *)
 
 type delta = {
   alloc_bytes : int;
@@ -80,73 +79,6 @@ type mark = float
 
 let mark () = allocated ()
 let allocated_since m = max 0 (int_of_float (allocated () -. m))
-
-(* --- per-domain cumulative table ------------------------------------- *)
-
-type domain_stats = {
-  domain : int;
-  d_alloc_bytes : int;
-  d_minor_collections : int;
-  d_major_collections : int;
-  d_promoted_words : int;
-}
-
-type slot = {
-  s_domain : int;
-  s_alloc_bytes : int Atomic.t;
-  s_minor : int Atomic.t;
-  s_major : int Atomic.t;
-  s_promoted : int Atomic.t;
-}
-
-let slots : (int, slot) Hashtbl.t = Hashtbl.create 8
-
-let slots_lock = Mutex.create ()
-
-let slot_for id =
-  Mutex.protect slots_lock (fun () ->
-      match Hashtbl.find_opt slots id with
-      | Some s -> s
-      | None ->
-          let s =
-            {
-              s_domain = id;
-              s_alloc_bytes = Atomic.make 0;
-              s_minor = Atomic.make 0;
-              s_major = Atomic.make 0;
-              s_promoted = Atomic.make 0;
-            }
-          in
-          Hashtbl.replace slots id s;
-          s)
-
-let slot_key = Domain.DLS.new_key (fun () -> slot_for (Domain.self () :> int))
-
-(* Publish the calling domain's cumulative counters.  Owner-written,
-   scraper-read: the writer is always the slot's own domain, readers
-   ([domains]) see whole [Atomic] values. *)
-let touch () =
-  let s = Domain.DLS.get slot_key in
-  let p = point () in
-  Atomic.set s.s_alloc_bytes (max 0 (int_of_float p.pt_alloc_bytes));
-  Atomic.set s.s_minor p.pt_minor;
-  Atomic.set s.s_major p.pt_major;
-  Atomic.set s.s_promoted (max 0 (int_of_float p.pt_promoted))
-
-let domains () =
-  Mutex.protect slots_lock (fun () ->
-      Hashtbl.fold
-        (fun _ s acc ->
-          {
-            domain = s.s_domain;
-            d_alloc_bytes = Atomic.get s.s_alloc_bytes;
-            d_minor_collections = Atomic.get s.s_minor;
-            d_major_collections = Atomic.get s.s_major;
-            d_promoted_words = Atomic.get s.s_promoted;
-          }
-          :: acc)
-        slots [])
-  |> List.sort (fun a b -> compare a.domain b.domain)
 
 (* --- process heap ----------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(** GC and allocation attribution: per-phase deltas, per-domain
-    cumulative counters, and process heap snapshots.
+(** GC and allocation attribution: per-phase deltas and process heap
+    snapshots.
 
     GC counters are domain-local in OCaml 5, so a {!measure} around a
     pipeline phase charges that phase with its own allocation and
@@ -42,23 +42,6 @@ val mark : unit -> mark
 val allocated_since : mark -> int
 (** Bytes allocated on this domain since the mark, as in
     {!delta.alloc_bytes} (clamped at zero). *)
-
-(** {1 Per-domain cumulative counters} *)
-
-type domain_stats = {
-  domain : int;
-  d_alloc_bytes : int;
-  d_minor_collections : int;
-  d_major_collections : int;
-  d_promoted_words : int;
-}
-
-val touch : unit -> unit
-(** Publish the calling domain's cumulative allocation/GC counters into
-    the per-domain table (call periodically, e.g. once per query). *)
-
-val domains : unit -> domain_stats list
-(** All domains that have {!touch}ed, sorted by domain id. *)
 
 (** {1 Process heap} *)
 

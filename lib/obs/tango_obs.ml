@@ -6,11 +6,10 @@
     those decisions observable.  Three primitives:
 
     - {b counters} ({!Counter}): monotonic event counts (page reads,
-      round trips, tuples shipped, rules fired).  Always live — an
-      increment is one atomic add — and registered by name in a
-      process-wide registry.
-    - {b histograms} ({!Histogram}): labeled value distributions
-      (per-operator drain times, tuples per cursor open).  Same registry.
+      DBMS statements, rules fired).  Always live — an increment is one
+      atomic add — and registered by name in a process-wide registry.
+    - {b histograms} ({!Histogram}): value distributions over fixed
+      buckets (query and request latencies).  Same registry.
     - {b spans} ({!Trace}): a hierarchical timed trace of one query
       (parse/optimize/translate/execute phases, with the executed operator
       tree grafted underneath).  Collection is {e off by default}: when no
@@ -303,32 +302,14 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Histogram = struct
-  (* Quantiles come from a fixed-size uniform sample maintained with
-     reservoir sampling (Vitter's algorithm R).  The replacement stream is
-     a private LCG seeded from the histogram name, so quantiles are
-     deterministic across runs — important for tests and for diffing
-     metric exports. *)
-  let reservoir_capacity = 512
-
   (* Fixed exponential bucket bounds shared by every histogram: 1, 2, 4,
      ... 2^23 (≈8.4e6).  With the usual microsecond observations that
      spans 1µs to ~8.4s at factor 2; one extra overflow cell catches the
      rest.  Fixed bounds make bucket counts additive — snapshots diff
-     elementwise and render directly as Prometheus cumulative buckets. *)
+     elementwise and render directly as Prometheus cumulative buckets —
+     and they are the only distribution state kept: quantiles are read
+     off them. *)
   let bucket_bounds = Array.init 24 (fun i -> float_of_int (1 lsl i))
-
-  (* Exemplar: a concrete observation pinned to the bucket it fell in,
-     carrying enough identity (query seq + trace/fingerprint id) to jump
-     from an anonymous histogram bucket to the exact query that produced
-     it.  Last-exemplar-per-bucket: each new exemplared observation
-     overwrites its bucket's cell, so a scrape always sees a recent
-     representative of every populated latency band. *)
-  type exemplar = {
-    ex_seq : int;  (** query sequence number (event-log key) *)
-    ex_trace_id : string;  (** fingerprint / trace identity *)
-    ex_value : float;  (** the observed value itself *)
-    ex_at_us : float;  (** wall-clock time of the observation, µs *)
-  }
 
   type t = {
     name : string;
@@ -338,15 +319,9 @@ module Histogram = struct
     mutable min : float;
     mutable max : float;
     buckets : int array;  (** per-bucket counts; last cell is overflow *)
-    exemplars : exemplar option array;  (** last exemplar per bucket *)
-    reservoir : float array;  (** first [filled] cells are the sample *)
-    mutable filled : int;
-    mutable rng : int;  (** LCG state for reservoir replacement *)
   }
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 32
-
-  let seed_of name = (Hashtbl.hash name lor 1) land 0x3FFFFFFF
 
   let make name =
     Mutex.protect registry_lock (fun () ->
@@ -362,10 +337,6 @@ module Histogram = struct
                 min = infinity;
                 max = neg_infinity;
                 buckets = Array.make (Array.length bucket_bounds + 1) 0;
-                exemplars = Array.make (Array.length bucket_bounds + 1) None;
-                reservoir = Array.make reservoir_capacity 0.0;
-                filled = 0;
-                rng = seed_of name;
               }
             in
             Hashtbl.replace registry name h;
@@ -381,28 +352,14 @@ module Histogram = struct
     let rec go i = if i >= n || v <= bucket_bounds.(i) then i else go (i + 1) in
     go 0
 
-  let observe ?exemplar h v =
+  let observe h v =
     Mutex.protect h.lock (fun () ->
         h.count <- h.count + 1;
         h.sum <- h.sum +. v;
-        (let i = bucket_index v in
-         h.buckets.(i) <- h.buckets.(i) + 1;
-         match exemplar with
-         | None -> ()
-         | Some ex -> h.exemplars.(i) <- Some ex);
+        let i = bucket_index v in
+        h.buckets.(i) <- h.buckets.(i) + 1;
         if v < h.min then h.min <- v;
-        if v > h.max then h.max <- v;
-        if h.filled < reservoir_capacity then begin
-          h.reservoir.(h.filled) <- v;
-          h.filled <- h.filled + 1
-        end
-        else begin
-          (* keep each of the [count] observations in the sample with
-             equal probability capacity/count (LCG replacement stream) *)
-          h.rng <- ((h.rng * 1103515245) + 12345) land 0x3FFFFFFF;
-          let j = (h.rng lsr 7) mod h.count in
-          if j < reservoir_capacity then h.reservoir.(j) <- v
-        end)
+        if v > h.max then h.max <- v)
 
   (* Single-word reads: atomic at the hardware level, no lock needed. *)
   let count h = h.count
@@ -415,25 +372,7 @@ module Histogram = struct
      cannot tear them. *)
   let bucket_counts h = Mutex.protect h.lock (fun () -> Array.copy h.buckets)
 
-  let bucket_exemplars h =
-    Mutex.protect h.lock (fun () -> Array.copy h.exemplars)
-
-  (* Unlocked bodies, shared by the public accessors (which take the
-     lock) and {!snapshot_stats} (which computes everything under one
-     acquisition).  Only called with [h.lock] held. *)
-
-  let exemplar_list_unlocked h =
-    let n = Array.length bucket_bounds in
-    let acc = ref [] in
-    for i = Array.length h.exemplars - 1 downto 0 do
-      match h.exemplars.(i) with
-      | None -> ()
-      | Some ex ->
-          let bound = if i >= n then infinity else bucket_bounds.(i) in
-          acc := (bound, ex) :: !acc
-    done;
-    !acc
-
+  (* Only called with [h.lock] held. *)
   let cumulative_buckets_unlocked h =
     let acc = ref 0 in
     let below =
@@ -446,44 +385,39 @@ module Histogram = struct
     in
     below @ [ (infinity, h.count) ]
 
-  let quantile_unlocked h q =
-    if h.filled = 0 then 0.0
-    else begin
-      let sample = Array.sub h.reservoir 0 h.filled in
-      Array.sort compare sample;
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      let idx = int_of_float ((q *. float_of_int (h.filled - 1)) +. 0.5) in
-      sample.(idx)
-    end
-
-  (** The exemplars present, as [(bucket upper bound, exemplar)] pairs in
-      bound order; the overflow cell reports bound [infinity]. *)
-  let exemplar_list h = Mutex.protect h.lock (fun () -> exemplar_list_unlocked h)
-
   (** Cumulative (bound, count-of-observations <= bound) pairs over the
       fixed bounds, closed by [(infinity, count)] — the Prometheus
       [le=...] series. *)
   let cumulative_buckets h =
     Mutex.protect h.lock (fun () -> cumulative_buckets_unlocked h)
 
-  let quantile h q = Mutex.protect h.lock (fun () -> quantile_unlocked h q)
+  (* The upper bound of the bucket holding the observation of rank
+     ⌈q·count⌉, clamped to [max]: exact about the bucket, no sort.  The
+     one quantile rule, shared by {!quantile} and the registry. *)
+  let quantile_of_buckets ~count ~max cumulative q =
+    if count <= 0 then 0.0
+    else
+      let q = Float.max 0.0 (Float.min 1.0 q) in
+      let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int count))) in
+      match List.find_opt (fun (_, c) -> c >= rank) cumulative with
+      | Some (bound, _) -> Float.min bound max
+      | None -> max
 
-  (* Every statistic under one lock acquisition: the registry snapshot
-     uses this so a histogram's stats are mutually consistent (count,
-     sum, buckets and quantiles all describe the same instant — no torn
-     snapshots under concurrent observes). *)
+  let quantile h q =
+    Mutex.protect h.lock (fun () ->
+        quantile_of_buckets ~count:h.count ~max:h.max
+          (cumulative_buckets_unlocked h) q)
+
+  (* count, sum, min, max and the cumulative buckets under one lock
+     acquisition, so a registry snapshot of one histogram describes one
+     instant (no torn snapshots under concurrent observes). *)
   let snapshot_stats h =
     Mutex.protect h.lock (fun () ->
         ( h.count,
           h.sum,
           (if h.count = 0 then 0.0 else h.min),
           (if h.count = 0 then 0.0 else h.max),
-          (if h.count = 0 then 0.0 else h.sum /. float_of_int h.count),
-          quantile_unlocked h 0.50,
-          quantile_unlocked h 0.95,
-          quantile_unlocked h 0.99,
-          cumulative_buckets_unlocked h,
-          exemplar_list_unlocked h ))
+          cumulative_buckets_unlocked h ))
 
   let reset h =
     Mutex.protect h.lock (fun () ->
@@ -491,10 +425,7 @@ module Histogram = struct
         h.sum <- 0.0;
         h.min <- infinity;
         h.max <- neg_infinity;
-        Array.fill h.buckets 0 (Array.length h.buckets) 0;
-        Array.fill h.exemplars 0 (Array.length h.exemplars) None;
-        h.filled <- 0;
-        h.rng <- seed_of h.name)
+        Array.fill h.buckets 0 (Array.length h.buckets) 0)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -508,21 +439,34 @@ module Registry = struct
     min : float;
     max : float;
     mean : float;
-    p50 : float;  (** reservoir-estimated quantiles *)
+    p50 : float;  (** bucket quantiles (see {!Histogram.quantile}) *)
     p95 : float;
     p99 : float;
     buckets : (float * int) list;
         (** cumulative [(upper bound, observations <= bound)] over
             {!Histogram.bucket_bounds}, closed by [(infinity, count)] *)
-    exemplars : (float * Histogram.exemplar) list;
-        (** [(bucket upper bound, last exemplar seen in that bucket)],
-            in bound order; overflow reports [infinity] *)
   }
 
   type snapshot = {
     counters : (string * int) list;  (** sorted by name *)
     histograms : (string * histogram_stats) list;  (** sorted by name *)
   }
+
+  (* Mean and quantiles follow from count, sum, max and the buckets —
+     for a snapshot and for a diff's delta alike. *)
+  let stats ~count ~sum ~min ~max buckets =
+    let q = Histogram.quantile_of_buckets ~count ~max buckets in
+    {
+      count;
+      sum;
+      min;
+      max;
+      mean = (if count = 0 then 0.0 else sum /. float_of_int count);
+      p50 = q 0.50;
+      p95 = q 0.95;
+      p99 = q 0.99;
+      buckets;
+    }
 
   let snapshot () : snapshot =
     (* Collect the instances under the registry lock (a concurrent
@@ -544,19 +488,8 @@ module Registry = struct
     let histograms =
       List.map
         (fun (name, h) ->
-          let ( count,
-                sum,
-                min,
-                max,
-                mean,
-                p50,
-                p95,
-                p99,
-                buckets,
-                exemplars ) =
-            Histogram.snapshot_stats h
-          in
-          (name, { count; sum; min; max; mean; p50; p95; p99; buckets; exemplars }))
+          let count, sum, min, max, buckets = Histogram.snapshot_stats h in
+          (name, stats ~count ~sum ~min ~max buckets))
         histogram_list
       |> List.sort compare
     in
@@ -566,31 +499,18 @@ module Registry = struct
     match List.assoc_opt name s.counters with Some v -> v | None -> 0
 
   (** [diff later earlier]: per-counter deltas, and per-histogram deltas
-      of the additive statistics — count, sum and the fixed-bound bucket
-      counts (with the mean recomputed from the deltas).  [min]/[max] and
-      the reservoir quantiles cannot be recovered for an interval from
-      aggregate state, so they are carried over from [later] verbatim. *)
+      of count, sum and the fixed-bound bucket counts, with the mean and
+      quantiles recomputed from the deltas.  [min]/[max] cannot be
+      recovered for an interval, so they are carried over from [later]. *)
   let diff (later : snapshot) (earlier : snapshot) : snapshot =
     let diff_hist name (l : histogram_stats) : histogram_stats =
       match List.assoc_opt name earlier.histograms with
       | None -> l
       | Some e ->
-          let count = l.count - e.count in
-          let sum = l.sum -. e.sum in
-          let buckets =
-            (* same fixed bounds on both sides; be defensive anyway *)
-            if List.length l.buckets = List.length e.buckets then
-              List.map2 (fun (b, lc) (_, ec) -> (b, lc - ec)) l.buckets
-                e.buckets
-            else l.buckets
-          in
-          {
-            l with
-            count;
-            sum;
-            buckets;
-            mean = (if count = 0 then 0.0 else sum /. float_of_int count);
-          }
+          stats ~count:(l.count - e.count) ~sum:(l.sum -. e.sum) ~min:l.min
+            ~max:l.max
+            (List.map2 (fun (b, lc) (_, ec) -> (b, lc - ec)) l.buckets
+               e.buckets)
     in
     {
       counters =
@@ -623,7 +543,7 @@ module Registry = struct
                (fun (n, (h : histogram_stats)) ->
                  ( n,
                    Json.Obj
-                     ([
+                     [
                        ("count", Json.Int h.count);
                        ("sum", Json.Float h.sum);
                        ("min", Json.Float h.min);
@@ -637,33 +557,11 @@ module Registry = struct
                            (List.map
                               (fun (bound, c) ->
                                 ( (if Float.is_finite bound then
-                                     Printf.sprintf "%g" bound
+                                     Printf.sprintf "%.0f" bound
                                    else "+Inf"),
                                   Json.Int c ))
                               h.buckets) );
-                     ]
-                     @
-                     (match h.exemplars with
-                     | [] -> []
-                     | exs ->
-                         [
-                           ( "exemplars",
-                             Json.Obj
-                               (List.map
-                                  (fun (bound, (ex : Histogram.exemplar)) ->
-                                    ( (if Float.is_finite bound then
-                                         Printf.sprintf "%g" bound
-                                       else "+Inf"),
-                                      Json.Obj
-                                        [
-                                          ("seq", Json.Int ex.ex_seq);
-                                          ( "trace_id",
-                                            Json.String ex.ex_trace_id );
-                                          ("value", Json.Float ex.ex_value);
-                                          ("at_us", Json.Float ex.ex_at_us);
-                                        ] ))
-                                  exs) );
-                         ])) ))
+                     ] ))
                s.histograms) );
       ]
 

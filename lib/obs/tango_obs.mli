@@ -3,7 +3,8 @@
 
     - {!Counter}: monotonic event counts, registered by name in a
       process-wide registry; an increment is a single atomic add.
-    - {!Histogram}: labeled value distributions (count/sum/min/max/mean).
+    - {!Histogram}: value distributions over fixed exponential buckets,
+      plus count/sum/min/max; quantiles are read off the buckets.
     - {!Trace}: a hierarchical timed trace of one query.  Collection is
       off by default; with no active trace, {!Trace.span} costs one
       branch, so instrumented code pays near-zero overhead when
@@ -23,12 +24,12 @@ module Clock = Clock
 (** Monotonic vs wall clocks — see {!Clock}. *)
 
 module Runtime = Runtime
-(** GC/allocation attribution: per-phase deltas, per-domain cumulative
-    counters, heap snapshots — see {!Runtime}. *)
+(** GC/allocation attribution: per-phase deltas and heap snapshots —
+    see {!Runtime}. *)
 
 val now_us : unit -> float
 (** Wall time in microseconds.  For {e timestamps} only (event-log
-    [at_us], exemplar [ex_at_us]); durations use {!mono_us}. *)
+    [at_us]); durations use {!mono_us}. *)
 
 val mono_us : unit -> float
 (** Monotonic time in microseconds (arbitrary origin) — the clock every
@@ -71,25 +72,11 @@ end
 module Histogram : sig
   type t
 
-  type exemplar = {
-    ex_seq : int;  (** query sequence number (event-log key) *)
-    ex_trace_id : string;  (** fingerprint / trace identity *)
-    ex_value : float;  (** the observed value itself *)
-    ex_at_us : float;  (** wall-clock time of the observation, µs *)
-  }
-  (** A concrete observation pinned to the bucket it fell in, carrying
-      enough identity to jump from an anonymous histogram bucket to the
-      exact query that produced it (OpenMetrics exemplars). *)
-
   val make : string -> t
   (** Find-or-create the histogram registered under this name. *)
 
   val name : t -> string
-
-  val observe : ?exemplar:exemplar -> t -> float -> unit
-  (** Record an observation; when [exemplar] is given it becomes the
-      bucket's exemplar (last-exemplar-per-bucket wins). *)
-
+  val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
 
@@ -115,24 +102,15 @@ module Histogram : sig
       {!bucket_bounds}, closed by [(infinity, count)] — the Prometheus
       [le=...] series. *)
 
-  val bucket_exemplars : t -> exemplar option array
-  (** Per-bucket last exemplar; one cell per {!bucket_bounds} entry plus
-      a final overflow cell. *)
-
-  val exemplar_list : t -> (float * exemplar) list
-  (** The exemplars present, as [(bucket upper bound, exemplar)] pairs in
-      bound order; the overflow cell reports bound [infinity]. *)
-
   val min_value : t -> float
   val max_value : t -> float
   val mean : t -> float
 
   val quantile : t -> float -> float
-  (** [quantile h q] for [q] in [0, 1]: estimated from a fixed-size
-      reservoir sample (512 values, Vitter's algorithm R with a
-      deterministic per-histogram replacement stream), so it is exact
-      until the reservoir overflows and an unbiased estimate afterwards.
-      0 when empty. *)
+  (** [quantile h q] for [q] in [0, 1]: the upper bound of the bucket
+      holding the observation of rank [⌈q·count⌉], clamped to
+      {!max_value}; 0 when empty.  Exact about the bucket, which is all
+      a latency-band comparison needs. *)
 
   val reset : t -> unit
 end
@@ -144,17 +122,12 @@ module Registry : sig
     min : float;
     max : float;
     mean : float;
-    p50 : float;  (** reservoir-estimated quantiles (see {!Histogram.quantile}) *)
+    p50 : float;  (** bucket quantiles (see {!Histogram.quantile}) *)
     p95 : float;
     p99 : float;
     buckets : (float * int) list;
         (** cumulative [(upper bound, observations <= bound)] over
             {!Histogram.bucket_bounds}, closed by [(infinity, count)] *)
-    exemplars : (float * Histogram.exemplar) list;
-        (** [(bucket upper bound, last exemplar seen in that bucket)],
-            in bound order; overflow reports [infinity].  Carried over
-            verbatim by {!diff} (they are point-in-time markers, not
-            additive state). *)
   }
 
   type snapshot = {
@@ -170,12 +143,12 @@ module Registry : sig
 
   val diff : snapshot -> snapshot -> snapshot
   (** [diff later earlier]: per-counter deltas, and per-histogram deltas
-      of the additive statistics — [count], [sum] and the fixed-bound
-      [buckets] (with [mean] recomputed from the deltas).  [min]/[max]
-      and the reservoir quantiles [p50]/[p95]/[p99] cannot be recovered
-      for an interval from aggregate state; they are carried over from
-      [later] verbatim and describe the whole lifetime, not the delta.
-      Histograms absent from [earlier] pass through unchanged. *)
+      of [count], [sum] and the fixed-bound [buckets], with [mean] and
+      [p50]/[p95]/[p99] recomputed from the deltas, so they describe the
+      interval.  [min]/[max] cannot be recovered for an interval from
+      aggregate state; they are carried over from [later] (quantiles
+      clamp to that lifetime [max]).  Histograms absent from [earlier]
+      pass through unchanged. *)
 
   val reset : unit -> unit
   (** Zero every registered counter and histogram. *)

@@ -68,13 +68,45 @@ let test_registry_diff_histograms () =
   Alcotest.(check int) "+Inf delta" 2
     (List.assoc infinity stats.Registry.buckets)
 
+let test_bucket_quantile () =
+  (* the quantile is the upper bound of the bucket holding the
+     observation of rank ceil(q*count), clamped to the max *)
+  let h = Histogram.make "test.monitor_bucket_quantile" in
+  Histogram.reset h;
+  Alcotest.(check (float 0.0)) "empty" 0.0 (Histogram.quantile h 0.5);
+  for _ = 1 to 99 do
+    Histogram.observe h 3.0
+  done;
+  Histogram.observe h 5000.0;
+  Alcotest.(check (float 0.0)) "p99 is the bucket of 3.0" 4.0
+    (Histogram.quantile h 0.99);
+  Alcotest.(check (float 0.0)) "p100 clamps to max" 5000.0
+    (Histogram.quantile h 1.0)
+
+let test_interval_quantiles () =
+  (* a diff's quantiles describe the interval, not the lifetime *)
+  let h = Histogram.make "test.monitor_interval_quantiles" in
+  Histogram.reset h;
+  for _ = 1 to 300 do
+    Histogram.observe h 10.0
+  done;
+  let before = Registry.snapshot () in
+  for _ = 1 to 100 do
+    Histogram.observe h 1000.0
+  done;
+  let d = Registry.diff (Registry.snapshot ()) before in
+  let stats = List.assoc "test.monitor_interval_quantiles" d.Registry.histograms in
+  Alcotest.(check int) "interval count" 100 stats.Registry.count;
+  Alcotest.(check (float 0.0)) "interval p50: the 1024 bound clamped to max"
+    1000.0 stats.Registry.p50
+
 (* ---------------- prometheus ---------------- *)
 
 let test_prometheus_golden () =
   (* a synthetic snapshot renders to exactly this exposition text *)
   let snapshot =
     {
-      Registry.counters = [ ("client.roundtrips", 42) ];
+      Registry.counters = [ ("monitor.queries", 42) ];
       histograms =
         [
           ( "query.us",
@@ -88,14 +120,13 @@ let test_prometheus_golden () =
               p95 = 7.0;
               p99 = 7.0;
               buckets = [ (1.0, 0); (2.0, 2); (infinity, 3) ];
-              exemplars = [];
             } );
         ];
     }
   in
   let expected =
-    "# TYPE tango_client_roundtrips counter\n\
-     tango_client_roundtrips 42\n\
+    "# TYPE tango_monitor_queries counter\n\
+     tango_monitor_queries 42\n\
      # TYPE tango_query_us histogram\n\
      tango_query_us_bucket{le=\"1\"} 0\n\
      tango_query_us_bucket{le=\"2\"} 2\n\
@@ -106,8 +137,8 @@ let test_prometheus_golden () =
   Alcotest.(check string) "golden" expected (Prometheus.render snapshot)
 
 let test_prometheus_names_and_gauges () =
-  Alcotest.(check string) "sanitized" "tango_client_round_trips_"
-    (Prometheus.metric_name "client.round-trips!");
+  Alcotest.(check string) "sanitized" "tango_monitor_round_trips_"
+    (Prometheus.metric_name "monitor.round-trips!");
   Alcotest.(check string) "custom namespace" "acme_x_y"
     (Prometheus.metric_name ~namespace:"acme" "x.y");
   Alcotest.(check string) "gauge family"
@@ -118,67 +149,50 @@ let test_prometheus_names_and_gauges () =
     (Prometheus.gauge ~name:"up" ~labels:[ ("job", "a\"b") ] 1.0);
   Alcotest.(check string) "+Inf bound" "+Inf" (Prometheus.le_label infinity)
 
-let test_prometheus_exemplars () =
-  (* OpenMetrics mode renders a bucket's exemplar after the sample; the
-     default 0.0.4 mode drops it; [# EOF] is the caller's terminator *)
-  let ex =
-    {
-      Histogram.ex_seq = 7;
-      ex_trace_id = "deadbeef";
-      ex_value = 1.5;
-      ex_at_us = 2_500_000.0;
-    }
+let test_prometheus_le_labels () =
+  (* every rendered bound parses back to exactly its bucket bound *)
+  let h = Histogram.make "test.monitor_le_labels" in
+  Histogram.reset h;
+  Histogram.observe h 3.0;
+  let text =
+    Prometheus.render
+      {
+        Registry.counters = [];
+        histograms =
+          [ List.find (fun (n, _) -> n = "test.monitor_le_labels")
+              (Registry.snapshot ()).Registry.histograms ];
+      }
   in
-  let snapshot =
-    {
-      Registry.counters = [];
-      histograms =
-        [
-          ( "query.us",
-            {
-              Registry.count = 3;
-              sum = 10.5;
-              min = 1.0;
-              max = 7.0;
-              mean = 3.5;
-              p50 = 2.5;
-              p95 = 7.0;
-              p99 = 7.0;
-              buckets = [ (1.0, 0); (2.0, 2); (infinity, 3) ];
-              exemplars = [ (2.0, ex) ];
-            } );
-        ];
-    }
+  let prefix = "tango_test_monitor_le_labels_bucket{le=\"" in
+  let labels =
+    List.filter_map
+      (fun line ->
+        let n = String.length prefix in
+        if String.length line > n && String.sub line 0 n = prefix then
+          let rest = String.sub line n (String.length line - n) in
+          Some (String.sub rest 0 (String.index rest '"'))
+        else None)
+      (String.split_on_char '\n' text)
   in
-  let expected =
-    "# TYPE tango_query_us histogram\n\
-     tango_query_us_bucket{le=\"1\"} 0\n\
-     tango_query_us_bucket{le=\"2\"} 2 # {seq=\"7\",trace_id=\"deadbeef\"} \
-     1.5 2.500000\n\
-     tango_query_us_bucket{le=\"+Inf\"} 3\n\
-     tango_query_us_sum 10.5\n\
-     tango_query_us_count 3\n"
-  in
-  Alcotest.(check string) "golden openmetrics" expected
-    (Prometheus.render ~exemplars:true snapshot);
-  Alcotest.(check bool) "plain mode drops exemplars" false
-    (is_infix ~affix:"# {seq=" (Prometheus.render snapshot));
-  Alcotest.(check string) "eof terminator" "# EOF\n" Prometheus.eof;
-  check_infix "negotiated content type" "application/openmetrics-text"
-    Prometheus.openmetrics_content_type
+  Alcotest.(check int) "one label per bound plus +Inf"
+    (Array.length Histogram.bucket_bounds + 1)
+    (List.length labels);
+  List.iteri
+    (fun i label ->
+      let bound =
+        if i < Array.length Histogram.bucket_bounds then
+          Histogram.bucket_bounds.(i)
+        else infinity
+      in
+      Alcotest.(check (float 0.0)) ("le=" ^ label) bound
+        (float_of_string label))
+    labels
 
 let test_prometheus_runtime_gauges () =
-  (* publish this domain's counters so the per-domain families appear *)
-  Tango_obs.Runtime.touch ();
   let text = Prometheus.runtime_gauges () in
   check_infix "heap words gauge" "# TYPE tango_gc_heap_words gauge" text;
   check_infix "top heap gauge" "tango_gc_top_heap_words" text;
-  check_infix "compactions gauge" "tango_gc_compactions" text;
-  check_infix "per-domain alloc family"
-    "# TYPE tango_gc_domain_alloc_bytes gauge" text;
-  check_infix "per-domain label" "tango_gc_domain_alloc_bytes{domain=\"" text;
-  check_infix "per-domain minor family" "tango_gc_domain_minor_collections"
-    text
+  check_infix "compactions gauge" "tango_gc_compactions" text
 
 (* ---------------- chrome trace ---------------- *)
 
@@ -367,7 +381,7 @@ let test_event_log_json () =
         (List.assoc "kept" kvs = Json.String "sampled")
   | _ -> Alcotest.fail "expected a one-record JSON array"
 
-let test_event_log_tail_exemplars () =
+let test_event_log_tail () =
   Histogram.reset Event_log.query_us;
   let log = Event_log.create ~sample_every:1000 () in
   (* 40 fast queries settle the histogram's idea of the p99... *)
@@ -382,17 +396,6 @@ let test_event_log_tail_exemplars () =
       Alcotest.(check bool) "tail reason" true
         (r.Event_log.kept = Event_log.Tail)
   | None -> Alcotest.fail "tail record not kept");
-  (* the exemplar on the tail bucket resolves back to that record *)
-  let exs = Histogram.exemplar_list Event_log.query_us in
-  let _, e = List.find (fun (_, e) -> e.Histogram.ex_value = 1.0e6) exs in
-  Alcotest.(check int) "exemplar seq" 40 e.Histogram.ex_seq;
-  Alcotest.(check string) "trace id falls back to kind" "query"
-    e.Histogram.ex_trace_id;
-  Alcotest.(check bool) "resolves through find" true
-    (Event_log.find log e.Histogram.ex_seq <> None);
-  (* dropped events never leave an exemplar: only seq 0 (sampled) and
-     the tail outlier were kept, so only their buckets carry one *)
-  Alcotest.(check int) "exemplars only for kept" 2 (List.length exs);
   Histogram.reset Event_log.query_us
 
 (* ---------------- slo ---------------- *)
@@ -898,6 +901,59 @@ let get_q ep path query headers =
   Endpoints.handler ep
     { Http.meth = "GET"; path; query; headers; body = "" }
 
+(* The labelled sample "NAME{backend="<name>"} <int>" of a family. *)
+let backend_sample body family backend =
+  counter_sample body
+    (Printf.sprintf "%s{backend=\"%s\"}" family
+       (Prometheus.escape_label_value backend))
+
+let test_endpoints_backend_exposition () =
+  (* every tango_backend_* sample is its backend's own meter, and the
+     root operator's round trips are the run's sum over the backends *)
+  let topo =
+    Uis.load_sharded ~scale:0.003 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()
+  in
+  let mw = Middleware.connect_topology topo in
+  let ep = Endpoints.create mw in
+  let backends = Tango_dbms.Topology.backends topo in
+  let total_roundtrips () =
+    List.fold_left (fun acc b -> acc + Tango_dbms.Backend.roundtrips b) 0
+      backends
+  in
+  List.iter
+    (fun (name, sql) ->
+      let rt0 = total_roundtrips () in
+      let resp = post ep "/query" sql in
+      Alcotest.(check int) (name ^ " ok") 200 resp.Http.status;
+      let root =
+        match (List.hd (Event_log.recent ~n:1 (Endpoints.event_log ep)))
+                .Event_log.event.Middleware.run with
+        | Some r -> r.Middleware.exec
+        | None -> Alcotest.fail (name ^ ": no run recorded")
+      in
+      Alcotest.(check int) (name ^ ": root round trips")
+        (total_roundtrips () - rt0) root.Exec_plan.roundtrips)
+    Queries.workload;
+  let body = (get ep "/metrics").Http.body in
+  List.iter
+    (fun b ->
+      let name = Tango_dbms.Backend.name b in
+      List.iter
+        (fun (family, meter) ->
+          Alcotest.(check (option int)) (family ^ " " ^ name)
+            (Some (meter b)) (backend_sample body family name))
+        Tango_dbms.Backend.
+          [
+            ("tango_backend_roundtrips", roundtrips);
+            ("tango_backend_tuples_shipped", tuples_shipped);
+            ("tango_backend_bytes_shipped", bytes_shipped);
+            ("tango_backend_queries", queries);
+            ("tango_backend_bulk_loads", bulk_loads);
+          ])
+    backends;
+  Alcotest.(check bool) "both shards shipped" true
+    (List.for_all (fun b -> Tango_dbms.Backend.tuples_shipped b > 0) backends)
+
 let test_endpoints_end_to_end () =
   Counter.reset Event_log.queries_total;
   Counter.reset Event_log.query_errors;
@@ -935,32 +991,22 @@ let test_endpoints_end_to_end () =
   check_infix "latency buckets"
     "tango_monitor_query_us_bucket{le=\"+Inf\"} 101" metrics.Http.body;
   check_infix "slo gauges" "tango_monitor_slo_state" metrics.Http.body;
-  check_infix "middleware counters too" "tango_client_roundtrips"
+  check_infix "boundary meters too" "tango_backend_roundtrips{backend=\""
     metrics.Http.body;
-  (* the telemetry families: build identity and GC/alloc attribution
-     (whole-run counters plus per-domain gauges) *)
+  (* the telemetry families: build identity and GC/alloc attribution *)
   check_infix "build info gauge" "tango_build_info{ocaml=" metrics.Http.body;
   check_infix "heap gauges" "tango_gc_heap_words" metrics.Http.body;
-  check_infix "per-domain gc gauges" "tango_gc_domain_alloc_bytes{domain="
-    metrics.Http.body;
   check_infix "allocation attribution counters" "tango_alloc_mw_exec_bytes"
     metrics.Http.body;
-  (* openmetrics negotiation: exemplars appear and # EOF closes the
-     exposition; both the Accept header and ?format=openmetrics work *)
+  (* one exposition format: an OpenMetrics Accept header still gets the
+     0.0.4 text, with no OpenMetrics terminator *)
   let om =
     get_q ep "/metrics" []
       [ ("accept", "application/openmetrics-text; version=1.0.0") ]
   in
-  Alcotest.(check string) "openmetrics content type"
-    Prometheus.openmetrics_content_type om.Http.content_type;
-  check_infix "exemplar syntax" "# {seq=\"" om.Http.body;
-  Alcotest.(check string) "eof is the last line" "# EOF\n"
-    (String.sub om.Http.body (String.length om.Http.body - 6) 6);
-  Alcotest.(check string) "format param negotiates too"
-    Prometheus.openmetrics_content_type
-    (get_q ep "/metrics" [ ("format", "openmetrics") ] []).Http.content_type;
-  Alcotest.(check string) "plain scrape unchanged" Prometheus.content_type
-    (get ep "/metrics").Http.content_type;
+  Alcotest.(check string) "0.0.4 content type whatever the Accept"
+    Prometheus.content_type om.Http.content_type;
+  Alcotest.(check bool) "no # EOF" false (is_infix ~affix:"# EOF" om.Http.body);
   (* /queries returns the sampled log, newest first *)
   let queries = get ep "/queries" in
   Alcotest.(check int) "queries ok" 200 queries.Http.status;
@@ -1105,6 +1151,9 @@ let () =
             test_histogram_buckets;
           Alcotest.test_case "registry diff of histograms" `Quick
             test_registry_diff_histograms;
+          Alcotest.test_case "bucket quantiles" `Quick test_bucket_quantile;
+          Alcotest.test_case "interval quantiles" `Quick
+            test_interval_quantiles;
         ] );
       ( "prometheus",
         [
@@ -1114,8 +1163,8 @@ let () =
             test_prometheus_names_and_gauges;
           Alcotest.test_case "runtime gauges" `Quick
             test_prometheus_runtime_gauges;
-          Alcotest.test_case "openmetrics exemplars" `Quick
-            test_prometheus_exemplars;
+          Alcotest.test_case "le labels parse back to their bounds" `Quick
+            test_prometheus_le_labels;
         ] );
       ( "chrome trace",
         [
@@ -1131,8 +1180,7 @@ let () =
             test_event_log_overrides;
           Alcotest.test_case "aggregate metrics" `Quick test_event_log_metrics;
           Alcotest.test_case "json" `Quick test_event_log_json;
-          Alcotest.test_case "tail keep and exemplars" `Quick
-            test_event_log_tail_exemplars;
+          Alcotest.test_case "tail keep" `Quick test_event_log_tail;
         ] );
       ( "slo",
         [
@@ -1165,6 +1213,8 @@ let () =
             test_endpoints_end_to_end;
           Alcotest.test_case "slo degrades under slow traffic" `Quick
             test_endpoints_slo_degrades;
+          Alcotest.test_case "per-backend exposition" `Quick
+            test_endpoints_backend_exposition;
           Alcotest.test_case "http renderings agree" `Quick
             test_http_renderings_agree;
         ] );
