@@ -8,7 +8,9 @@
     run during the transfer's [init].
 
     Execution is instrumented: every node records wall time and bytes
-    produced, which feeds the middleware's cost-factor adaptation. *)
+    produced, which feeds the middleware's cost-factor adaptation.  The
+    instrumentation costs a meter snapshot per batch and an int sum per
+    tuple, so it is cheap as long as producers fill their batches. *)
 
 open Tango_rel
 open Tango_sql
@@ -159,6 +161,19 @@ let rec build ctx (plan : Physical.plan) : node =
       | None -> unbuildable "middleware merge join without an equi key"
       | Some (ja1, ja2) ->
           let lk = [ ja1 ] and rk = [ ja2 ] in
+          (* The merge enforces the equality it keys on (NULL keys never
+             match), so only the other conjuncts remain to check. *)
+          let pred =
+            let rec drop = function
+              | [] -> []
+              | c :: cs ->
+                  if Rules.equi_pair sl sr c = Some (ja1, ja2) then cs
+                  else c :: drop cs
+            in
+            Option.value
+              (Ast.conj (drop (Ast.conjuncts pred)))
+              ~default:(Ast.Lit (Value.Bool true))
+          in
           let ln = build ctx l and rn = build ctx r in
           if temporal then
             mk (Tjoin { pred; left_keys = lk; right_keys = rk; left = ln; right = rn }) schema
@@ -290,8 +305,19 @@ let run_ctx ?(share_transfers = true) topology =
    convention as [elapsed_us]). *)
 let c_page_reads = Tango_obs.Counter.make "storage.page_reads"
 
-(* Wrap a cursor with per-node instrumentation (a batch costs one meter
-   snapshot). *)
+(* Bytes of a batch, summed into an int: the per-tuple part of a node's
+   accounting, kept free of closures and float boxing. *)
+let batch_bytes (b : Tuple.t array) =
+  let s = ref 0 in
+  for i = 0 to Array.length b - 1 do
+    s := !s + Tuple.byte_size b.(i)
+  done;
+  !s
+
+(* Wrap a cursor with per-node instrumentation.  Everything is paid once
+   per batch (a meter snapshot and one add per counter) except the byte
+   count, which reads every tuple of the batch; producers fill whole
+   batches, so that is once per {!Cursor.default_batch_size} tuples. *)
 let instrument (ctx : run_ctx) (n : node) (c : Cursor.t) : Cursor.t =
   n.elapsed_us <- 0.0;
   n.out_bytes <- 0.0;
@@ -313,17 +339,15 @@ let instrument (ctx : run_ctx) (n : node) (c : Cursor.t) : Cursor.t =
     n.elapsed_us <- n.elapsed_us +. (Tango_obs.mono_us () -. t0);
     r
   in
+  let init () = Cursor.init c and pull () = Cursor.next_batch c in
   Cursor.make ~schema:(Cursor.schema c)
-    ~init:(fun () -> measured (fun () -> Cursor.init c))
+    ~init:(fun () -> measured init)
     ~next_batch:(fun () ->
-      let r = measured (fun () -> Cursor.next_batch c) in
+      let r = measured pull in
       (match r with
       | Some b ->
           n.out_tuples <- n.out_tuples + Array.length b;
-          Array.iter
-            (fun t ->
-              n.out_bytes <- n.out_bytes +. float_of_int (Tuple.byte_size t))
-            b
+          n.out_bytes <- n.out_bytes +. float_of_int (batch_bytes b)
       | None -> ());
       r)
 

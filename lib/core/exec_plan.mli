@@ -7,7 +7,10 @@
     the paper's figure) and run during its [init].
 
     Execution is instrumented: every node records wall time, bytes and
-    tuples produced, feeding the middleware's cost-factor adaptation. *)
+    tuples produced, feeding the middleware's cost-factor adaptation.
+    The counts are exact on every run; the clock and meters are read
+    once per batch, and the bytes are an int sum over the batch's
+    tuples. *)
 
 open Tango_rel
 open Tango_sql
@@ -40,13 +43,15 @@ and kind =
   | Sort_noop of node
   | Merge_join of {
       pred : Ast.expr;
+          (** the residual: the join predicate without the key equality
+              the merge enforces *)
       left_keys : string list;
       right_keys : string list;
       left : node;
       right : node;
     }
   | Tjoin of {
-      pred : Ast.expr;
+      pred : Ast.expr;  (** the residual, as for [Merge_join] *)
       left_keys : string list;
       right_keys : string list;
       left : node;

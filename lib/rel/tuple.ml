@@ -42,7 +42,11 @@ let compare_on idx asc a b = compare_from idx asc a b 0
 
 (** Total tuple size in bytes, the per-tuple contribution to [size(r)]. *)
 let byte_size (t : t) =
-  Array.fold_left (fun acc v -> acc + Value.byte_size v) 0 t
+  let s = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    s := !s + Value.byte_size t.(i)
+  done;
+  !s
 
 let pp ppf (t : t) =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") Value.pp) (to_list t)

@@ -19,7 +19,9 @@ type t = {
   next_batch : unit -> Tuple.t array option;
 }
 
-(** Tuples per batch for producers that must pick a size. *)
+(** Tuples per batch for producers that must pick a size.  256 slots are
+    256 words, [Max_young_wosize]: the largest array the minor heap
+    allocates. *)
 let default_batch_size = 256
 
 let make ~schema ~init ~next_batch = { schema; init; next_batch }

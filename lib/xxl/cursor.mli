@@ -13,7 +13,11 @@ open Tango_rel
 type t
 
 val default_batch_size : int
-(** Tuples per batch for producers that must pick a size (256). *)
+(** Tuples per batch for producers that must pick a size (256).
+    [SORT^M], [TAGGR^M] and the merge joins fill every batch but the last
+    to exactly this size and never exceed it: a 256-slot array is
+    [Max_young_wosize] words, and a larger one is allocated on the major
+    heap. *)
 
 val make :
   schema:Schema.t ->

@@ -4,7 +4,8 @@
 
     The temporal join concatenates the non-period attributes of both inputs
     and appends the period intersection as unqualified [T1]/[T2], matching
-    {!Tango_algebra.Op.Temporal_join}'s schema. *)
+    {!Tango_algebra.Op.Temporal_join}'s schema.  NULL join keys never
+    match. *)
 
 open Tango_rel
 open Tango_sql
@@ -27,16 +28,27 @@ let rec compare_keys (a : Tuple.t) ka (b : Tuple.t) kb i =
     | 0 -> compare_keys a ka b kb (i + 1)
     | c -> c
 
+let rec has_null_key (t : Tuple.t) keys i =
+  i < Array.length keys
+  && (Value.is_null t.(keys.(i)) || has_null_key t keys (i + 1))
+
 let make_side cursor keys =
   { cursor; keys; reader = Cursor.reader cursor; look = None }
+
+(* The next tuple whose key holds no NULL: a NULL key equals nothing, so
+   such tuples never join and the merge never sees them. *)
+let rec read_keyed s =
+  match Cursor.read s.reader with
+  | Some t when has_null_key t s.keys 0 -> read_keyed s
+  | r -> r
 
 let side_init s =
   Cursor.init s.cursor;
   s.reader <- Cursor.reader s.cursor;
-  s.look <- Cursor.read s.reader
+  s.look <- read_keyed s
 
 let side_peek s = s.look
-let side_advance s = s.look <- Cursor.read s.reader
+let side_advance s = s.look <- read_keyed s
 
 (* Read the full run of tuples whose key equals the current lookahead's;
    the run's first tuple stands for its key. *)
@@ -60,20 +72,33 @@ let side_read_group s =
 let key_indexes schema attrs =
   Array.of_list (List.map (Schema.index schema) attrs)
 
-(* Shared sort-merge skeleton: [emit lt rt] produces an output tuple option
-   for a key-matched pair.  Native batch producer: each left tuple whose key
-   matches a buffered right group yields its surviving pairs as one batch. *)
+(* What [emit] returns for a key-matched pair that yields no output. *)
+let no_pair : Tuple.t = [||]
+
+(* Shared sort-merge skeleton: [emit lt rt] builds the output tuple of a
+   key-matched pair, or returns [no_pair].  Native batch producer: output
+   tuples are written straight into a batch of {!Cursor.default_batch_size}
+   slots, which is handed on only when full or when the left input is
+   exhausted; a left tuple's pairs with its right group may straddle two
+   batches. *)
 let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
     Cursor.t =
   let ls = make_side left (key_indexes (Cursor.schema left) left_keys) in
   let rs = make_side right (key_indexes (Cursor.schema right) right_keys) in
   (* the buffered right group: its first tuple and all its tuples *)
   let right_group : (Tuple.t * Tuple.t array) option ref = ref None in
+  (* the left tuple being paired with [right_group], and the index of its
+     next right partner; [pending_group] is empty when no pairing is open *)
+  let pending_left = ref no_pair in
+  let pending_group = ref [||] in
+  let pending_pos = ref 0 in
   (* right tuple's key vs the left tuple's *)
   let vs_left rt lt = compare_keys rt rs.keys lt ls.keys 0 in
-  let rec fill () =
+  (* Open the pairing of the next left tuple that matches a right group;
+     false once the left input is exhausted. *)
+  let rec open_next () =
     match side_peek ls with
-    | None -> None
+    | None -> false
     | Some lt -> (
         (* Drop right groups/tuples with keys before the left key, then
            buffer the next right group (whose key is >= the left key). *)
@@ -91,34 +116,48 @@ let merge_skeleton ~schema ~left ~right ~left_keys ~right_keys ~emit :
               | None -> right_group := None)
         in
         catch_up ();
+        side_advance ls;
         match !right_group with
-        | Some (first, group) when vs_left first lt = 0 -> (
-            side_advance ls;
-            (* surviving pairs, filled in group order *)
-            let out = Array.make (Array.length group) [||] in
-            let n = ref 0 in
-            Array.iter
-              (fun rt ->
-                match emit lt rt with
-                | Some t ->
-                    out.(!n) <- t;
-                    incr n
-                | None -> ())
-              group;
-            match !n with
-            | 0 -> fill ()
-            | n when n = Array.length out -> Some out
-            | n -> Some (Array.sub out 0 n))
-        | _ ->
-            side_advance ls;
-            fill ())
+        | Some (first, group) when vs_left first lt = 0 ->
+            pending_left := lt;
+            pending_group := group;
+            pending_pos := 0;
+            true
+        | _ -> open_next ())
+  in
+  let next_batch () =
+    let size = Cursor.default_batch_size in
+    let out = Array.make size no_pair in
+    let n = ref 0 in
+    let rec fill () =
+      let group = !pending_group in
+      if !pending_pos < Array.length group then begin
+        let lt = !pending_left in
+        while !n < size && !pending_pos < Array.length group do
+          let t = emit lt group.(!pending_pos) in
+          incr pending_pos;
+          if t != no_pair then begin
+            out.(!n) <- t;
+            incr n
+          end
+        done;
+        if !n < size then fill ()
+      end
+      else if open_next () then fill ()
+    in
+    fill ();
+    match !n with
+    | 0 -> None
+    | n when n = size -> Some out
+    | n -> Some (Array.sub out 0 n)
   in
   Cursor.make ~schema
     ~init:(fun () ->
       side_init ls;
       side_init rs;
-      right_group := None)
-    ~next_batch:fill
+      right_group := None;
+      pending_group := [||])
+    ~next_batch
 
 let is_true = function Ast.Lit (Tango_rel.Value.Bool true) -> true | _ -> false
 
@@ -128,11 +167,15 @@ let is_true = function Ast.Lit (Tango_rel.Value.Bool true) -> true | _ -> false
 let merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true)) ~left_keys
     ~right_keys left right : Cursor.t =
   let out_schema = Schema.concat (Cursor.schema left) (Cursor.schema right) in
-  let p = Scalar.compile_pred out_schema pred in
-  merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
-    ~emit:(fun lt rt ->
-      let t = Tuple.concat lt rt in
-      if p t then Some t else None)
+  let emit =
+    if is_true pred then Tuple.concat
+    else
+      let p = Scalar.compile_pred out_schema pred in
+      fun lt rt ->
+        let t = Tuple.concat lt rt in
+        if p t then t else no_pair
+  in
+  merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys ~emit
 
 (** `TJOIN^M`: temporal equi-join (overlap implicit) of inputs sorted on the
     join keys. *)
@@ -182,9 +225,9 @@ let temporal_merge_join ?(pred = Ast.Lit (Tango_rel.Value.Bool true))
       done;
       out.(nl + nr) <- Tango_rel.Value.Date t1;
       out.(nl + nr + 1) <- Tango_rel.Value.Date t2;
-      Some out
+      out
     end
-    else None
+    else no_pair
   in
   merge_skeleton ~schema:out_schema ~left ~right ~left_keys ~right_keys
     ~emit

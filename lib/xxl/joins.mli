@@ -4,7 +4,11 @@
 
     The temporal join concatenates the non-period attributes of both inputs
     and appends the period intersection as unqualified [T1]/[T2], matching
-    {!Tango_algebra.Op.Temporal_join}'s schema. *)
+    {!Tango_algebra.Op.Temporal_join}'s schema.
+
+    Tuples with a NULL join key never match (SQL's [=]).  Output tuples
+    are written straight into batches of {!Cursor.default_batch_size},
+    each handed on full except the last. *)
 
 open Tango_sql
 
@@ -16,7 +20,8 @@ val merge_join :
   Cursor.t ->
   Cursor.t
 (** Equi-join of inputs sorted on the key attributes; [pred] is a residual
-    predicate over the concatenated schema.  Output follows the left
+    predicate over the concatenated schema, checked on key-matched pairs
+    only (it need not repeat the key equality).  Output follows the left
     input's key order. *)
 
 val temporal_merge_join :

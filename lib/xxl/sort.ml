@@ -1,10 +1,11 @@
 (** `SORT^M`: external merge sort in the middleware.
 
     The input is consumed at [init] into sorted runs of at most [run_size]
-    tuples; each pull merges up to {!Cursor.default_batch_size} tuples
-    out of the runs through a binary heap.  With the default run size,
-    small and medium inputs sort in one in-memory run; large inputs
-    exercise the multi-run merge path (the "very large relations"
+    tuples.  With the default run size, small and medium inputs sort in
+    one in-memory run, which each pull hands out as the next slice of
+    {!Cursor.default_batch_size} tuples.  Larger inputs take the
+    multi-run path: each pull merges up to that many tuples out of the
+    runs through a binary heap (the "very large relations"
     enhancement the paper lists as future work).  The sort is stable, which
     the list-equivalence reasoning of the rule set relies on. *)
 
@@ -16,6 +17,7 @@ type run = { tuples : Tuple.t array; mutable pos : int }
 
 let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
     Cursor.t =
+  let run_size = max 1 run_size in
   let schema = Cursor.schema arg in
   let cmp = Order.comparator order schema in
   let runs : run list ref = ref [] in
@@ -80,48 +82,60 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
     end;
     t
   in
+  (* With a single run (the usual case) the sorted run itself is handed
+     out in slices, bypassing the heap. *)
+  let single : run option ref = ref None in
   let build_runs () =
     runs := [];
     remaining := 0;
-    let buf = ref [] in
-    let buf_len = ref 0 in
-    let flush () =
-      if !buf_len > 0 then begin
-        remaining := !remaining + !buf_len;
-        let arr = Array.of_list (List.rev !buf) in
-        Array.stable_sort cmp arr;
-        runs := { tuples = arr; pos = 0 } :: !runs;
-        buf := [];
-        buf_len := 0
-      end
+    (* Input batches since the last run was cut, newest first. *)
+    let pending = ref [] in
+    let pending_len = ref 0 in
+    let add_run arr =
+      Array.stable_sort cmp arr;
+      runs := { tuples = arr; pos = 0 } :: !runs
+    in
+    (* Cut every full run out of the pending batches; the rest stays
+       pending as one array.  Each run is allocated at its exact size. *)
+    let cut_runs () =
+      let all = Array.concat (List.rev !pending) in
+      let len = Array.length all in
+      let k = ref 0 in
+      while len - !k >= run_size do
+        add_run (Array.sub all !k run_size);
+        k := !k + run_size
+      done;
+      pending := (if !k < len then [ Array.sub all !k (len - !k) ] else []);
+      pending_len := len - !k
     in
     (* Runs are generated from batch pulls: one closure call per input
        batch rather than per tuple. *)
     let rec consume () =
       match Cursor.next_batch arg with
-      | None -> flush ()
+      | None -> ()
       | Some b ->
-          Array.iter
-            (fun t ->
-              buf := t :: !buf;
-              incr buf_len;
-              if !buf_len >= run_size then flush ())
-            b;
+          pending := b :: !pending;
+          pending_len := !pending_len + Array.length b;
+          remaining := !remaining + Array.length b;
+          if !pending_len >= run_size then cut_runs ();
           consume ()
     in
     consume ();
+    if !pending_len > 0 then add_run (Array.concat (List.rev !pending));
     (* Earlier runs get smaller indexes so ties resolve in input order
        (stability across runs). *)
     runs := List.rev !runs;
     heap := [||];
     heap_len := 0;
-    List.iteri
-      (fun i r ->
-        if Array.length r.tuples > 0 then begin
-          r.pos <- 1;
-          heap_push (r.tuples.(0), i, r)
-        end)
-      !runs
+    match !runs with
+    | [ r ] -> single := Some r
+    | rs ->
+        single := None;
+        List.iteri
+          (fun i r ->
+            r.pos <- 1;
+            heap_push (r.tuples.(0), i, r))
+          rs
   in
   Cursor.make ~schema
     ~init:(fun () ->
@@ -132,9 +146,15 @@ let sort ?(run_size = default_run_size) (order : Order.t) (arg : Cursor.t) :
       else begin
         let n = min !remaining Cursor.default_batch_size in
         remaining := !remaining - n;
-        let out = Array.make n (pop ()) in
-        for k = 1 to n - 1 do
-          out.(k) <- pop ()
-        done;
-        Some out
+        match !single with
+        | Some r ->
+            let out = Array.sub r.tuples r.pos n in
+            r.pos <- r.pos + n;
+            Some out
+        | None ->
+            let out = Array.make n (pop ()) in
+            for k = 1 to n - 1 do
+              out.(k) <- pop ()
+            done;
+            Some out
       end)

@@ -1,9 +1,11 @@
 (** `SORT^M`: stable external merge sort in the middleware.
 
     The input is consumed at [init] into sorted runs of at most [run_size]
-    tuples; each pull merges the next batch out of the runs through a
-    binary heap.  Stability is
-    relied on by the rule set's list-equivalence reasoning. *)
+    tuples.  A single run (the usual case with {!default_run_size}) is
+    handed out in slices of {!Cursor.default_batch_size}; several runs
+    are merged batch by batch through a binary heap.  Every batch but
+    the last is full.  Stability is relied on by the rule set's
+    list-equivalence reasoning. *)
 
 open Tango_rel
 

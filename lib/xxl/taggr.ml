@@ -53,53 +53,72 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
     || Value.equal t.(group_idxs.(i)) first.(group_idxs.(i))
        && same_group t first (i + 1)
   in
-  (* Read all tuples of the next group (argument is sorted on G). *)
+  (* Read all tuples of the next group (argument is sorted on G) into
+     [buf], a scratch array reused across groups; returns their number,
+     0 at the end of the input. *)
+  let buf = ref [||] in
   let read_group () =
     match !look with
-    | None -> None
+    | None -> 0
     | Some first ->
-        let members = ref [ first ] in
-        look := Cursor.read !rd;
-        let rec go () =
+        let n = ref 0 in
+        let rec go t =
+          if !n = Array.length !buf then begin
+            let bigger = Array.make (max 16 (2 * !n)) t in
+            Array.blit !buf 0 bigger 0 !n;
+            buf := bigger
+          end;
+          !buf.(!n) <- t;
+          incr n;
+          look := Cursor.read !rd;
           match !look with
-          | Some t when same_group t first 0 ->
-              members := t :: !members;
-              look := Cursor.read !rd;
-              go ()
+          | Some t when same_group t first 0 -> go t
           | _ -> ()
         in
-        go ();
-        Some (Array.of_list (List.rev !members))
+        go first;
+        !n
   in
   let specs = Array.of_list agg_specs in
   let na = Array.length specs in
-  (* Sweep one group: produce its output tuples in (T1) order. *)
-  let process_group (members : Tuple.t array) : Tuple.t list =
-    let n = Array.length members in
-    let first = members.(0) in
-    (* First copy: already sorted on T1 (argument order).  Second copy:
-       sorted internally on T2 — the algorithm's "second sorting". *)
-    let ends = Array.copy members in
-    Array.sort (fun a b -> Value.compare a.(t2_idx) b.(t2_idx)) ends;
-    let states =
+  let value_of t = function Some i -> t.(i) | None -> Value.Null in
+  (* The sweep of the current group, kept between pulls so that a group's
+     constant intervals may straddle two batches.  The group's first copy
+     is the first [len] slots of [buf], already sorted on T1 (argument
+     order); [ends] is the second, sorted internally on T2 — the
+     algorithm's "second sorting". *)
+  let ends = ref [||] in
+  let states = ref [||] in
+  let active = ref 0 in
+  let i = ref 0 (* next start event *) and j = ref 0 (* next end event *) in
+  let prev = ref 0 in
+  let started = ref false in
+  let start_group len =
+    ends := Array.sub !buf 0 len;
+    Array.sort (fun a b -> Value.compare a.(t2_idx) b.(t2_idx)) !ends;
+    states :=
       Array.map
         (fun ((a : Op.agg), _, arg_dtype) -> Agg_state.create a.Op.fn ~arg_dtype)
-        specs
+        specs;
+    active := 0;
+    i := 0;
+    j := 0;
+    prev := 0;
+    started := false
+  in
+  (* Advance the sweep by one event point, writing the constant interval
+     that ends there (if any) into [out] at [n]; returns the new fill. *)
+  let step out n =
+    let members = !buf and ends = !ends and states = !states in
+    let len = Array.length ends in
+    let next_point =
+      if !i < len then
+        min (Value.to_int members.(!i).(t1_idx)) (Value.to_int ends.(!j).(t2_idx))
+      else Value.to_int ends.(!j).(t2_idx)
     in
-    let value_of t = function Some i -> t.(i) | None -> Value.Null in
-    let active = ref 0 in
-    let out = ref [] in
-    let i = ref 0 (* next start event *) and j = ref 0 (* next end event *) in
-    let prev = ref 0 in
-    let started = ref false in
-    while !j < n do
-      let next_point =
-        if !i < n then
-          min (Value.to_int members.(!i).(t1_idx)) (Value.to_int ends.(!j).(t2_idx))
-        else Value.to_int ends.(!j).(t2_idx)
-      in
+    let n =
       if !started && !active > 0 && !prev < next_point then begin
         (* grouping values, the constant interval, then the aggregates *)
+        let first = members.(0) in
         let tuple = Array.make (ng + 2 + na) Value.Null in
         for g = 0 to ng - 1 do
           tuple.(g) <- first.(group_idxs.(g))
@@ -109,45 +128,58 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
         for k = 0 to na - 1 do
           tuple.(ng + 2 + k) <- Agg_state.value states.(k)
         done;
-        out := tuple :: !out
-      end;
-      (* Add tuples starting at this point... *)
-      while !i < n && Value.to_int members.(!i).(t1_idx) = next_point do
-        for k = 0 to na - 1 do
-          let _, idx, _ = specs.(k) in
-          Agg_state.add states.(k) (value_of members.(!i) idx)
-        done;
-        incr active;
-        incr i
+        out.(n) <- tuple;
+        n + 1
+      end
+      else n
+    in
+    (* Add tuples starting at this point... *)
+    while !i < len && Value.to_int members.(!i).(t1_idx) = next_point do
+      for k = 0 to na - 1 do
+        let _, idx, _ = specs.(k) in
+        Agg_state.add states.(k) (value_of members.(!i) idx)
       done;
-      (* ...and retire tuples ending here. *)
-      while !j < n && Value.to_int ends.(!j).(t2_idx) = next_point do
-        for k = 0 to na - 1 do
-          let _, idx, _ = specs.(k) in
-          Agg_state.remove states.(k) (value_of ends.(!j) idx)
-        done;
-        decr active;
-        incr j
-      done;
-      prev := next_point;
-      started := true
+      incr active;
+      incr i
     done;
-    List.rev !out
+    (* ...and retire tuples ending here. *)
+    while !j < len && Value.to_int ends.(!j).(t2_idx) = next_point do
+      for k = 0 to na - 1 do
+        let _, idx, _ = specs.(k) in
+        Agg_state.remove states.(k) (value_of ends.(!j) idx)
+      done;
+      decr active;
+      incr j
+    done;
+    prev := next_point;
+    started := true;
+    n
   in
-  (* Each input group yields one output batch (its constant intervals);
-     groups whose sweep produces nothing are skipped. *)
+  (* Output tuples are written straight into a batch of
+     {!Cursor.default_batch_size} slots, handed on when full or when the
+     input is exhausted. *)
+  let next_batch () =
+    let size = Cursor.default_batch_size in
+    let out = Array.make size [||] in
+    let rec fill n =
+      if n = size then n
+      else if !j < Array.length !ends then fill (step out n)
+      else
+        match read_group () with
+        | 0 -> n
+        | len ->
+            start_group len;
+            fill n
+    in
+    match fill 0 with
+    | 0 -> None
+    | n when n = size -> Some out
+    | n -> Some (Array.sub out 0 n)
+  in
   Cursor.make ~schema:out_schema
     ~init:(fun () ->
       Cursor.init arg;
       rd := Cursor.reader arg;
-      look := Cursor.read !rd)
-    ~next_batch:(fun () ->
-      let rec go () =
-        match read_group () with
-        | None -> None
-        | Some members -> (
-            match process_group members with
-            | [] -> go ()
-            | out -> Some (Array.of_list out))
-      in
-      go ())
+      look := Cursor.read !rd;
+      ends := [||])
+    ~next_batch

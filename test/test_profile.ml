@@ -299,6 +299,52 @@ let test_refit_keeps_other_factors () =
     (Some [ "p_tm" ])
     (Adapt.maybe_refit store ~factors)
 
+(* ---------------- per-node byte accounting ---------------- *)
+
+(* The root node's bytes are the result's, and a fully drained sort node
+   reports its child's bytes: the counts the analysis reads are exact. *)
+let test_exact_bytes () =
+  let config = Middleware.Config.(default |> with_profiling true |> with_roundtrip_spin 0) in
+  let sorts_checked = ref 0 in
+  let check mw label =
+    List.iter
+      (fun (name, sql) ->
+        let r = Middleware.query mw sql in
+        let name = Printf.sprintf "%s, %s" name label in
+        let result_bytes =
+          Array.fold_left
+            (fun acc t -> acc + Tuple.byte_size t)
+            0 (Relation.tuples r.Middleware.result)
+        in
+        Alcotest.(check int) (name ^ ": root bytes = result bytes") result_bytes
+          (int_of_float r.Middleware.exec.Tango_core.Exec_plan.out_bytes);
+        Exec_plan.iter
+          (fun (n : Exec_plan.node) ->
+            match (n.Exec_plan.kind, Exec_plan.children n) with
+            | (Exec_plan.Sort _ | Exec_plan.Sort_noop _), [ c ]
+              when n.Exec_plan.out_tuples = c.Exec_plan.out_tuples ->
+                incr sorts_checked;
+                Alcotest.(check (float 0.0))
+                  (Printf.sprintf "%s: %s bytes = its child's" name (Exec_plan.kind_name n))
+                  c.Exec_plan.out_bytes n.Exec_plan.out_bytes
+            | _ -> ())
+          r.Middleware.exec)
+      [
+        ("Query 1", Queries.q1_sql);
+        ("Query 2", Queries.q2_sql ~period_end:"1997-01-01");
+        ("Query 3", Queries.q3_sql ~start_bound:"1996-01-01");
+        ("Query 4", Queries.q4_sql);
+      ]
+  in
+  let db = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db;
+  check (Middleware.connect ~config db) "one shard";
+  check
+    (Middleware.connect_topology ~config
+       (Uis.load_sharded ~scale:0.005 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()))
+    "two shards";
+  Alcotest.(check bool) "some sort node checked" true (!sorts_checked > 0)
+
 let () =
   Alcotest.run "profile"
     [
@@ -332,4 +378,6 @@ let () =
           Alcotest.test_case "refit keeps other factors' evidence" `Quick
             test_refit_keeps_other_factors;
         ] );
+      ( "bytes",
+        [ Alcotest.test_case "exact per-node bytes" `Quick test_exact_bytes ] );
     ]

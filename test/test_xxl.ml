@@ -156,6 +156,50 @@ let test_tjoin_vs_reference () =
   Alcotest.(check bool) "tjoin matches reference" true
     (Relation.equal_multiset ref_out out)
 
+(* A NULL key equals nothing, not even another NULL: NULL-NULL and
+   NULL-value pairs must not join, whatever the residual predicate. *)
+let test_null_keys_never_match () =
+  let rel rows =
+    Relation.of_list schema_kab
+      (List.map
+         (fun (k, v, a, b) ->
+           Tuple.of_list
+             [ (match k with Some k -> Value.Int k | None -> Value.Null);
+               Value.Float v; Value.Date a; Value.Date b ])
+         rows)
+  in
+  let l =
+    rel [ (None, 1.0, 1, 9); (None, 2.0, 2, 8); (Some 1, 3.0, 1, 9); (Some 2, 4.0, 3, 7) ]
+  in
+  let r =
+    rel [ (None, 5.0, 1, 9); (Some 1, 6.0, 2, 5); (None, 7.0, 4, 6); (Some 3, 8.0, 1, 9) ]
+  in
+  let pred = Ast.Binop (Ast.Eq, col ~q:"A" "K", col ~q:"B" "K") in
+  let qual alias rel = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples rel) in
+  let reference mk =
+    Reference.eval
+      (lookup_of [ ("L", l); ("R", r) ])
+      (mk pred (Op.scan ~alias:"A" "L" schema_kab) (Op.scan ~alias:"B" "R" schema_kab))
+  in
+  let inputs () =
+    (sorted_cursor [ "A.K" ] (qual "A" l), sorted_cursor [ "B.K" ] (qual "B" r))
+  in
+  let ml, mr = inputs () in
+  let merged =
+    Cursor.to_relation (Joins.merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ] ml mr)
+  in
+  Alcotest.(check int) "merge join: only the 1-1 pair" 1 (Relation.cardinality merged);
+  Alcotest.(check bool) "merge join matches reference" true
+    (Relation.equal_multiset (reference Op.join) merged);
+  let tl, tr = inputs () in
+  let tjoined =
+    Cursor.to_relation
+      (Joins.temporal_merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ] tl tr)
+  in
+  Alcotest.(check int) "tjoin: only the 1-1 pair" 1 (Relation.cardinality tjoined);
+  Alcotest.(check bool) "tjoin matches reference" true
+    (Relation.equal_multiset (reference Op.temporal_join) tjoined)
+
 (* ---- temporal aggregation ---- *)
 
 let taggr_via_xxl ~group_by ~aggs r =
@@ -397,6 +441,55 @@ let test_batch_differential () =
       Gather.merge ~order ~schema:schema_kab
         [ src (Relation.sort order sample); src (Relation.sort order spans) ])
 
+(* Every batch is non-empty and at most [Cursor.default_batch_size]
+   tuples, and every batch but the last is full, whatever the batching
+   of the operator's sources. *)
+let test_batch_discipline () =
+  let size = Cursor.default_batch_size in
+  let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
+  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
+  (* two partners for every key of [big], overlapping every period *)
+  let partners = rel_of (List.init 14 (fun i -> (i mod 7, float_of_int i, i, 100))) in
+  let check name (mk : (Relation.t -> Cursor.t) -> Cursor.t) =
+    List.iter
+      (fun (src_name, src) ->
+        let c = mk src in
+        Cursor.init c;
+        let rec pull acc =
+          match Cursor.next_batch c with
+          | None -> List.rev acc
+          | Some b -> pull (Array.length b :: acc)
+        in
+        let lens = pull [] in
+        let name = Printf.sprintf "%s over %s" name src_name in
+        Alcotest.(check bool) (name ^ ": more than one batch") true
+          (List.length lens > 1);
+        List.iteri
+          (fun i len ->
+            Alcotest.(check bool) (name ^ ": batch within bounds") true
+              (len > 0 && len <= size);
+            if i < List.length lens - 1 then
+              Alcotest.(check int) (name ^ ": batch before the last is full") size len)
+          lens)
+      [ ("whole batch", Cursor.of_relation); ("singletons", singletons) ]
+  in
+  check "sort, one run" (fun src ->
+      Sort.sort [ Order.asc "K"; Order.desc "T1" ] (src big));
+  check "sort, runs of 2" (fun src ->
+      Sort.sort ~run_size:2 [ Order.asc "K"; Order.desc "T1" ] (src big));
+  check "taggr" (fun src ->
+      Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
+        (src (sorted [ "K"; "T1" ] big)));
+  check "merge_join" (fun src ->
+      Joins.merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+        (src (sorted [ "A.K" ] (qual "A" big)))
+        (src (sorted [ "B.K" ] (qual "B" partners))));
+  check "tjoin" (fun src ->
+      Joins.temporal_merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+        (src (sorted [ "A.K" ] (qual "A" big)))
+        (src (sorted [ "B.K" ] (qual "B" partners))))
+
 (* Reading tuple by tuple must see exactly the tuples of the batches. *)
 let test_reader_matches_batches () =
   let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 600, 0.0, 1, 2))) in
@@ -488,6 +581,7 @@ let () =
           Alcotest.test_case "merge join vs reference" `Quick test_merge_join_vs_reference;
           Alcotest.test_case "residual predicate" `Quick test_merge_join_residual_pred;
           Alcotest.test_case "tjoin vs reference" `Quick test_tjoin_vs_reference;
+          Alcotest.test_case "null keys never match" `Quick test_null_keys_never_match;
         ] );
       ( "taggr",
         [
@@ -505,6 +599,7 @@ let () =
       ( "batching",
         [
           Alcotest.test_case "operator differential" `Quick test_batch_differential;
+          Alcotest.test_case "batch discipline" `Quick test_batch_discipline;
         ] );
       ( "transfers",
         [
