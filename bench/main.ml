@@ -1220,8 +1220,10 @@ let telemetry ctx =
   Fmt.pr
     "(one untimed warm round per variant, then %d interleaved timed rounds@."
     rounds;
-  Fmt.pr " of Queries 1-4; overhead: median per-round slowdown against base)@.";
-  header [ "variant"; "qps"; "total[ms]"; "overhead" ];
+  Fmt.pr " of Queries 1-4; overhead: median per-round slowdown against base,@.";
+  Fmt.pr
+    " and the median paired extra time per query, with its quartiles)@.";
+  header [ "variant"; "qps"; "total[ms]"; "overhead"; "extra[us/query] (q1..q3)" ];
   let position = position_prefix ctx 400 in
   let employee =
     let tuples = Relation.tuples ctx.full_employee in
@@ -1269,24 +1271,37 @@ let telemetry ctx =
       round_us.(i).(r) <- Tango_obs.mono_us () -. t0
     done
   done;
-  let median xs =
+  (* the [q]-quantile, interpolating between the closest ranks *)
+  let quantile q xs =
     let a = Array.copy xs in
     Array.sort Float.compare a;
-    let m = Array.length a in
-    if m mod 2 = 1 then a.(m / 2) else (a.((m / 2) - 1) +. a.(m / 2)) /. 2.0
+    let pos = q *. float_of_int (Array.length a - 1) in
+    let lo = int_of_float pos in
+    let hi = min (lo + 1) (Array.length a - 1) in
+    a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
   in
+  let median = quantile 0.5 in
   let overhead i =
     Stdlib.max 0.0
       (median
          (Array.init rounds (fun r ->
               1.0 -. (round_us.(0).(r) /. round_us.(i).(r)))))
   in
-  let queries = rounds * List.length Queries.workload in
+  (* The ratio rises when the base gets faster with the tracing cost
+     unchanged; the absolute extra time per query tells the two apart. *)
+  let per_round = List.length Queries.workload in
+  let extra_us q i =
+    quantile q
+      (Array.init rounds (fun r ->
+           (round_us.(i).(r) -. round_us.(0).(r)) /. float_of_int per_round))
+  in
+  let queries = rounds * per_round in
   let variant_json i (name, tracing, observer, _) =
     let total_us = Array.fold_left ( +. ) 0.0 round_us.(i) in
     let qps = float_of_int queries /. (total_us /. 1e6) in
-    Fmt.pr "%-16s %9.1f %10.1f %9.1f%%@." name qps (total_us /. 1000.0)
-      (100.0 *. overhead i);
+    Fmt.pr "%-16s %9.1f %10.1f %9.1f%% %9.1f (%.1f..%.1f)@." name qps
+      (total_us /. 1000.0) (100.0 *. overhead i) (extra_us 0.5 i)
+      (extra_us 0.25 i) (extra_us 0.75 i);
     Tango_obs.Json.Obj
       [
         ("variant", Tango_obs.Json.String name);
@@ -1295,6 +1310,9 @@ let telemetry ctx =
         ("queries", Tango_obs.Json.Int queries);
         ("qps", Tango_obs.Json.Float qps);
         ("overhead", Tango_obs.Json.Float (overhead i));
+        ("extra_us_per_query", Tango_obs.Json.Float (extra_us 0.5 i));
+        ("extra_us_per_query_q1", Tango_obs.Json.Float (extra_us 0.25 i));
+        ("extra_us_per_query_q3", Tango_obs.Json.Float (extra_us 0.75 i));
       ]
   in
   let variant_docs = Array.to_list (Array.mapi variant_json variants) in

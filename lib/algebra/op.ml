@@ -70,9 +70,7 @@ let children = function
 (** Find the period attributes (base names [T1]/[T2]) of a schema. *)
 let period_attrs (s : Schema.t) : (string * string) option =
   let find base =
-    List.find_opt
-      (fun a -> String.equal (Schema.base_name a.Schema.name) base)
-      (Schema.attributes s)
+    Array.find_opt (fun a -> Schema.has_base_name a.Schema.name base) s
   in
   match (find "T1", find "T2") with
   | Some a1, Some a2 -> Some (a1.Schema.name, a2.Schema.name)
@@ -205,25 +203,26 @@ let rec location (op : t) : location =
 
 (** Validate a whole tree: schemas resolve, binary locations agree, and
     transfers alternate sensibly ([To_mw] takes a DBMS-resident argument,
-    [To_db] a middleware-resident one). *)
-let rec validate (op : t) : unit =
+    [To_db] a middleware-resident one).  Each check is one bottom-up pass
+    and the checks run in that order, so the first error reported is the
+    first unresolved schema in post-order, else the first mixed location
+    in post-order, else the first misplaced transfer in pre-order. *)
+let validate (op : t) : unit =
   ignore (schema op);
-  ignore (location op);
-  match op with
-  | Scan _ -> ()
-  | To_mw arg ->
-      if location arg <> Db then ill_formed "T^M over a middleware relation";
-      validate arg
-  | To_db arg ->
-      if location arg <> Mw then ill_formed "T^D over a DBMS relation";
-      validate arg
-  | Select { arg; _ } | Project { arg; _ } | Sort { arg; _ }
-  | Temporal_aggregate { arg; _ } | Dup_elim arg | Coalesce arg ->
-      validate arg
-  | Product { left; right } | Join { left; right; _ }
-  | Temporal_join { left; right; _ } | Difference { left; right } ->
-      validate left;
-      validate right
+  (* Locations bottom-up, each subtree also reporting its first misplaced
+     transfer in pre-order (raised only once every location resolved). *)
+  let rec go op : location * string option =
+    let args = List.map go (children op) in
+    let loc = location_step op (List.map fst args) in
+    let own =
+      match (op, args) with
+      | To_mw _, [ (Mw, _) ] -> Some "T^M over a middleware relation"
+      | To_db _, [ (Db, _) ] -> Some "T^D over a DBMS relation"
+      | _ -> None
+    in
+    (loc, match own with Some _ -> own | None -> List.find_map snd args)
+  in
+  match go op with _, Some msg -> raise (Ill_formed msg) | _, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Rebuilding                                                           *)
@@ -248,22 +247,20 @@ let with_children op args =
 
 let rec size (op : t) = 1 + List.fold_left (fun n c -> n + size c) 0 (children op)
 
-(** Rewrite every scalar expression in the tree with [f] (predicates and
-    projection items; grouping/aggregate/sort attributes are names, not
-    expressions, and pass through). *)
-let rec map_exprs f (op : t) : t =
-  let op =
-    match op with
-    | Select s -> Select { s with pred = f s.pred }
-    | Project p ->
-        Project { p with items = List.map (fun (e, n) -> (f e, n)) p.items }
-    | Join j -> Join { j with pred = f j.pred }
-    | Temporal_join j -> Temporal_join { j with pred = f j.pred }
-    | Scan _ | Sort _ | Product _ | Temporal_aggregate _ | Dup_elim _
-    | Coalesce _ | Difference _ | To_mw _ | To_db _ ->
-        op
-  in
-  with_children op (List.map (map_exprs f) (children op))
+(** Rewrite the top operator's own scalar expressions with [f] (predicates
+    and projection items; grouping/aggregate/sort attributes are names,
+    not expressions, and pass through), leaving its arguments as they
+    are. *)
+let map_own_exprs f (op : t) : t =
+  match op with
+  | Select s -> Select { s with pred = f s.pred }
+  | Project p ->
+      Project { p with items = List.map (fun (e, n) -> (f e, n)) p.items }
+  | Join j -> Join { j with pred = f j.pred }
+  | Temporal_join j -> Temporal_join { j with pred = f j.pred }
+  | Scan _ | Sort _ | Product _ | Temporal_aggregate _ | Dup_elim _
+  | Coalesce _ | Difference _ | To_mw _ | To_db _ ->
+      op
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                      *)

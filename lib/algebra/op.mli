@@ -82,10 +82,11 @@ val children : t -> t list
 val with_children : t -> t list -> t
 val size : t -> int
 
-val map_exprs : (Tango_sql.Ast.expr -> Tango_sql.Ast.expr) -> t -> t
-(** Rewrite every scalar expression in the tree with [f] (predicates
-    and projection items; grouping/aggregate/sort attributes are names,
-    not expressions, and pass through). *)
+val map_own_exprs : (Tango_sql.Ast.expr -> Tango_sql.Ast.expr) -> t -> t
+(** Rewrite the top operator's own scalar expressions with [f]
+    (predicates and projection items; grouping/aggregate/sort attributes
+    are names, not expressions, and pass through); its arguments are
+    kept. *)
 
 (** {1 Printing} *)
 

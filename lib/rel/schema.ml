@@ -23,23 +23,43 @@ let base_name name =
   | None -> name
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
 
+(* Whether [name] ends with [base] from offset [i] of [base] on, [base]
+   holding no dot there. *)
+let rec dotless_suffix name base i =
+  i = String.length base
+  || base.[i] <> '.'
+     && name.[String.length name - String.length base + i] = base.[i]
+     && dotless_suffix name base (i + 1)
+
+(** Whether [name]'s base name is [base], without building it. *)
+let has_base_name name base =
+  let n = String.length name and b = String.length base in
+  n >= b && dotless_suffix name base 0 && (n = b || name.[n - b - 1] = '.')
+
+(* The first position from [i] on whose attribute is named [name], -1 if
+   none. *)
+let rec exact_from (s : t) name i =
+  if i = Array.length s then -1
+  else if String.equal s.(i).name name then i
+  else exact_from s name (i + 1)
+
+(* The position of the only attribute from [i] on whose base name is
+   [name] ([found] the one met so far, -1 if none); raises [Not_found]
+   when there is none or more than one. *)
+let rec unique_base_from (s : t) name i found =
+  if i = Array.length s then if found < 0 then raise Not_found else found
+  else if has_base_name s.(i).name name then
+    if found >= 0 then raise Not_found (* ambiguous *)
+    else unique_base_from s name (i + 1) i
+  else unique_base_from s name (i + 1) found
+
 (** Index of attribute [name] in schema [s].  An exact match wins; otherwise
     an unqualified [name] matches a unique attribute with that base name.
     Raises [Not_found] when the attribute is missing or ambiguous. *)
 let index (s : t) name =
-  let exact = ref (-1) in
-  Array.iteri (fun i a -> if !exact < 0 && String.equal a.name name then exact := i) s;
-  if !exact >= 0 then !exact
-  else begin
-    let matches = ref [] in
-    Array.iteri
-      (fun i a -> if String.equal (base_name a.name) name then matches := i :: !matches)
-      s;
-    match !matches with
-    | [ i ] -> i
-    | [] -> raise Not_found
-    | _ -> raise Not_found (* ambiguous *)
-  end
+  match exact_from s name 0 with
+  | -1 -> unique_base_from s name 0 (-1)
+  | i -> i
 
 let index_opt s name = try Some (index s name) with Not_found -> None
 let mem s name = index_opt s name <> None

@@ -18,6 +18,10 @@ val name_at : t -> int -> string
 val base_name : string -> string
 (** Base name of a possibly qualified attribute ([A.PosID] → [PosID]). *)
 
+val has_base_name : string -> string -> bool
+(** [has_base_name name base]: whether [base_name name = base], computed
+    without allocating. *)
+
 val index : t -> string -> int
 (** Position of an attribute: an exact name match wins; otherwise an
     unqualified name matches a unique attribute with that base name.

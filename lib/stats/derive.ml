@@ -201,13 +201,19 @@ let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
       apply_selection s pred sel
   | Op.Project { items; _ } ->
       let s = arg () in
+      let index =
+        lazy (Name_index.make (fun (n, _) -> Some n) s.Rel_stats.cols)
+      in
       let cols =
         List.map
           (fun (expr, name) ->
             match expr with
             | Ast.Col _ -> (
-                match Rel_stats.find s (Option.get (Selectivity.col_name expr)) with
-                | Some c -> (name, c)
+                match
+                  Name_index.find (Lazy.force index)
+                    (Option.get (Selectivity.col_name expr))
+                with
+                | Some (_, c) -> (name, c)
                 | None -> (name, Rel_stats.col_default s.Rel_stats.card))
             | _ -> (name, Rel_stats.col_default s.Rel_stats.card))
           items
@@ -235,12 +241,11 @@ let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
       let card = join_cardinality l r pred *. temporal_overlap_factor l r in
       let keep (s : Rel_stats.t) side_schema =
         let attrs = Op.non_period_attrs side_schema in
-        List.filter
-          (fun (n, _) ->
-            List.exists
-              (fun (a : Schema.attribute) -> String.equal a.Schema.name n)
-              attrs)
-          s.Rel_stats.cols
+        let names = Hashtbl.create (List.length attrs) in
+        List.iter
+          (fun (a : Schema.attribute) -> Hashtbl.replace names a.Schema.name ())
+          attrs;
+        List.filter (fun (n, _) -> Hashtbl.mem names n) s.Rel_stats.cols
       in
       let sl = Lazy.force sl and sr = Lazy.force sr in
       let t_cols =

@@ -38,7 +38,9 @@ let find (s : t) name =
   match List.assoc_opt name s.cols with
   | Some c -> Some c
   | None ->
-      (* fall back to base-name matching, mirroring Schema.index *)
+      (* fall back to the unique column with the name's base name; unlike
+         Schema.index this also serves a qualified name ("A.PosID" finds a
+         unique "B.PosID").  Name_index resolves the same way. *)
       let base = Schema.base_name name in
       let matches =
         List.filter (fun (n, _) -> String.equal (Schema.base_name n) base) s.cols

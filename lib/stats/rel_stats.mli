@@ -29,7 +29,10 @@ val col_default : ?width:float -> float -> col
     cardinality. *)
 
 val find : t -> string -> col option
-(** Lookup with base-name fallback, mirroring {!Schema.index}. *)
+(** The column named exactly [name], else the unique column with [name]'s
+    base name.  Unlike {!Schema.index}, the fallback also serves a
+    qualified name: ["A.PosID"] finds a unique ["B.PosID"].
+    {!Tango_rel.Name_index} resolves the same way. *)
 
 val avg_tuple_size : t -> float
 

@@ -26,18 +26,26 @@ let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 let col_full q c = match q with None -> c | Some q -> q ^ "." ^ c
 
+(* The compiler builds its trees bottom-up and reads the schemas of the
+   growing parts: each operator travels with its schema, derived one
+   level from its arguments' and forced where the compiler reads it, so
+   each is derived once (and fails where [Op.schema] would). *)
+let with_schema (op : Op.t) (args : Schema.t Lazy.t list) =
+  (op, lazy (Op.schema_step op (List.map Lazy.force args)))
+
 (* ------------------------------------------------------------------ *)
 (* FROM sources                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Compile one FROM source to an operator exposing alias-qualified
    attributes. *)
-let rec compile_source ~lookup (tref : Ast.table_ref) : Op.t =
+let rec compile_source ~lookup (tref : Ast.table_ref) :
+    Op.t * Schema.t Lazy.t =
   match tref with
-  | Ast.Table (name, alias) -> Op.scan ?alias name (lookup name)
+  | Ast.Table (name, alias) -> with_schema (Op.scan ?alias name (lookup name)) []
   | Ast.Derived (q, alias) ->
-      let sub = compile_query ~lookup q in
-      let s = Op.schema sub in
+      let sub, sub_s = compile_query ~lookup q in
+      let s = Lazy.force sub_s in
       (* Re-qualify the derived table's outputs under its alias. *)
       let items =
         List.map
@@ -46,40 +54,40 @@ let rec compile_source ~lookup (tref : Ast.table_ref) : Op.t =
               alias ^ "." ^ Schema.base_name a.Schema.name ))
           (Schema.attributes s)
       in
-      Op.project items sub
+      with_schema (Op.project items sub) [ sub_s ]
 
 (* ------------------------------------------------------------------ *)
 (* SELECT blocks                                                         *)
 (* ------------------------------------------------------------------ *)
 
-and compile_query ~lookup (q : Ast.query) : Op.t =
+and compile_query ~lookup (q : Ast.query) : Op.t * Schema.t Lazy.t =
   match q with
   | Ast.Select s -> compile_select ~lookup s
   | Ast.Union _ | Ast.Union_all _ ->
       unsupported "UNION is not supported in temporal SQL"
 
-and compile_select ~lookup (s : Ast.select) : Op.t =
+and compile_select ~lookup (s : Ast.select) : Op.t * Schema.t Lazy.t =
   if s.Ast.having <> None then unsupported "HAVING is not supported";
   let sources = List.map (compile_source ~lookup) s.Ast.from in
   if sources = [] then unsupported "FROM is required";
   if s.Ast.validtime then
     List.iter
-      (fun src ->
-        if Op.period_attrs (Op.schema src) = None then
+      (fun (_, src_s) ->
+        if Op.period_attrs (Lazy.force src_s) = None then
           unsupported "VALIDTIME requires temporal sources (T1/T2)")
       sources;
   let conjuncts = match s.Ast.where with None -> [] | Some w -> Ast.conjuncts w in
   (* Push single-source conjuncts below the joins. *)
   let conjuncts, sources =
     List.fold_left_map
-      (fun remaining src ->
-        let schema = Op.schema src in
+      (fun remaining ((src, src_s) as source) ->
+        let schema = Lazy.force src_s in
         let mine, rest =
           List.partition (fun c -> Scalar.covers schema c) remaining
         in
         match Ast.conj mine with
-        | None -> (rest, src)
-        | Some p -> (rest, Op.select p src))
+        | None -> (rest, source)
+        | Some p -> (rest, with_schema (Op.select p src) [ src_s ]))
       conjuncts sources
   in
   (* Left-deep join tree; join predicates attach as they become
@@ -89,8 +97,10 @@ and compile_select ~lookup (s : Ast.select) : Op.t =
     | [ one ] -> (one, conjuncts)
     | first :: rest ->
         List.fold_left
-          (fun (acc, remaining) src ->
-            let joined_schema = Schema.concat (Op.schema acc) (Op.schema src) in
+          (fun ((acc, acc_s), remaining) (src, src_s) ->
+            let joined_schema =
+              Schema.concat (Lazy.force acc_s) (Lazy.force src_s)
+            in
             let applicable, rest =
               List.partition (fun c -> Scalar.covers joined_schema c) remaining
             in
@@ -103,12 +113,14 @@ and compile_select ~lookup (s : Ast.select) : Op.t =
               else if applicable = [] then Op.Product { left = acc; right = src }
               else Op.join pred acc src
             in
-            (j, rest))
+            (with_schema j [ acc_s; src_s ], rest))
           (first, conjuncts) rest
     | [] -> assert false
   in
   let tree =
-    match Ast.conj leftover with None -> tree | Some p -> Op.select p tree
+    match Ast.conj leftover with
+    | None -> tree
+    | Some p -> with_schema (Op.select p (fst tree)) [ snd tree ]
   in
   (* Aggregation? *)
   let has_agg =
@@ -127,15 +139,21 @@ and compile_select ~lookup (s : Ast.select) : Op.t =
   in
   (* DISTINCT denotes duplicate elimination; VALIDTIME COALESCE coalesces
      value-equivalent result tuples (both below the final sort). *)
-  let body = if s.Ast.distinct then Op.Dup_elim body else body in
-  let body = if s.Ast.coalesce then Op.Coalesce body else body in
+  let body =
+    if s.Ast.distinct then with_schema (Op.Dup_elim (fst body)) [ snd body ]
+    else body
+  in
+  let body =
+    if s.Ast.coalesce then with_schema (Op.Coalesce (fst body)) [ snd body ]
+    else body
+  in
   (* ORDER BY: keys resolve against the projected output; a qualified
      source name (A.PosID) that was projected away falls back to its base
      name when that is unambiguous in the output. *)
   match s.Ast.order_by with
   | [] -> body
   | keys ->
-      let body_schema = Op.schema body in
+      let body_schema = Lazy.force (snd body) in
       let resolve_key name =
         if Schema.mem body_schema name then name
         else begin
@@ -154,12 +172,12 @@ and compile_select ~lookup (s : Ast.select) : Op.t =
             | _ -> unsupported "ORDER BY must use columns")
           keys
       in
-      Op.sort order body
+      with_schema (Op.sort order (fst body)) [ snd body ]
 
-and project_items ~validtime items tree : Op.t =
-  let schema = Op.schema tree in
+and project_items ~validtime items (tree, tree_s) =
+  let schema = Lazy.force tree_s in
   match items with
-  | [ Ast.Star ] -> tree
+  | [ Ast.Star ] -> (tree, tree_s)
   | _ ->
       let explicit =
         List.concat_map
@@ -198,10 +216,10 @@ and project_items ~validtime items tree : Op.t =
           @ (if listed "T1" then [] else add "T1")
           @ if listed "T2" then [] else add "T2"
       in
-      Op.project explicit tree
+      with_schema (Op.project explicit tree) [ tree_s ]
 
-and compile_taggr (s : Ast.select) tree : Op.t =
-  let schema = Op.schema tree in
+and compile_taggr (s : Ast.select) (tree, tree_s) =
+  let schema = Lazy.force tree_s in
   let group_by =
     List.map
       (function
@@ -248,10 +266,12 @@ and compile_taggr (s : Ast.select) tree : Op.t =
             unsupported "grouped items must be columns or aggregates")
       ([], []) s.Ast.items
   in
-  let ag = Op.temporal_aggregate group_by aggs tree in
+  let ((ag, ag_s) as aggregate) =
+    with_schema (Op.temporal_aggregate group_by aggs tree) [ tree_s ]
+  in
   (* Natural ξᵀ output: groups, T1, T2, aggs.  Add a projection when the
      SELECT list reorders or renames. *)
-  let natural = Schema.names (Op.schema ag) in
+  let natural = Schema.names (Lazy.force ag_s) in
   let wanted =
     List.map (function `Agg o -> o | `Col (c, out) -> ignore c; out) out_names
   in
@@ -271,7 +291,7 @@ and compile_taggr (s : Ast.select) tree : Op.t =
     && List.for_all2
          (fun w n -> String.equal (Schema.base_name w) (Schema.base_name n))
          wanted_full natural
-  then ag
+  then aggregate
   else begin
     let items =
       List.map
@@ -292,7 +312,7 @@ and compile_taggr (s : Ast.select) tree : Op.t =
       then []
       else [ (Ast.Col (None, "T2"), "T2") ]
     in
-    Op.project items ag
+    with_schema (Op.project items ag) [ ag_s ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -301,7 +321,7 @@ and compile_taggr (s : Ast.select) tree : Op.t =
 
 (** Parse and compile temporal SQL to an algebra tree (no transfer). *)
 let compile ~(lookup : string -> Schema.t) (sql : string) : Op.t =
-  compile_query ~lookup (Parser.query sql)
+  fst (compile_query ~lookup (Parser.query sql))
 
 (** The initial query plan the optimizer receives: everything assigned to
     the DBMS, one [T^M] at the top. *)
@@ -329,5 +349,5 @@ let required_order (sql : string) : Order.t = order_of_query (Parser.query sql)
 (** {!initial_plan} and {!required_order} from a single parse. *)
 let initial_plan_and_order ~lookup (sql : string) : Op.t * Order.t =
   let q = Parser.query sql in
-  let plan = Op.to_mw (compile_query ~lookup q) in
+  let plan = Op.to_mw (fst (compile_query ~lookup q)) in
   (plan, order_of_query q)

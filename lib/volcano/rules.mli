@@ -30,7 +30,11 @@ val taggr_order : Schema.t -> string list -> Order.t
 
 val find_item_by :
   ('a -> string option) -> 'a list -> string -> 'a option
-(** Exact-then-unique-base-name item lookup, mirroring {!Schema.index}. *)
+(** The item whose key is exactly the name, else the unique item whose key
+    has the name's base name ([None] when ambiguous or missing).  Unlike
+    {!Schema.index}, the fallback also serves a qualified name: ["A.PosID"]
+    finds a unique ["B.PosID"].  {!Tango_rel.Name_index} resolves the same
+    way. *)
 
 type rule = { name : string; apply : Memo.t -> int -> Memo.node -> bool }
 (** [apply memo class element] returns whether the memo changed. *)

@@ -91,6 +91,99 @@ let test_locations () =
   Alcotest.(check bool) "td back to db" true (Op.location plan = Op.Db);
   Op.validate plan
 
+(* --- one-pass validation against the recursive definition --- *)
+
+(* The definition Op.validate replaced, kept as the reference: at every
+   node, re-derive the whole subtree's schema and location, then check the
+   node's own transfer and recurse. *)
+let rec validate_reference (op : Op.t) : unit =
+  ignore (Op.schema op);
+  ignore (Op.location op);
+  match op with
+  | Op.Scan _ -> ()
+  | Op.To_mw arg ->
+      if Op.location arg <> Op.Db then
+        Op.ill_formed "T^M over a middleware relation";
+      validate_reference arg
+  | Op.To_db arg ->
+      if Op.location arg <> Op.Mw then Op.ill_formed "T^D over a DBMS relation";
+      validate_reference arg
+  | Op.Select { arg; _ } | Op.Project { arg; _ } | Op.Sort { arg; _ }
+  | Op.Temporal_aggregate { arg; _ } | Op.Dup_elim arg | Op.Coalesce arg ->
+      validate_reference arg
+  | Op.Product { left; right } | Op.Join { left; right; _ }
+  | Op.Temporal_join { left; right; _ } | Op.Difference { left; right } ->
+      validate_reference left;
+      validate_reference right
+
+let outcome f op =
+  match f op with () -> "ok" | exception e -> Printexc.to_string e
+
+let same_verdict name op =
+  Alcotest.(check string) name (outcome validate_reference op) (outcome Op.validate op)
+
+let bad_pred = Ast.Binop (Ast.Eq, col "Nope", Ast.Lit (Value.Int 1))
+let true_pred = Ast.Lit (Value.Bool true)
+
+(* Each defect alone, then pairs of defects competing for the first
+   report. *)
+let test_validate_matches_reference () =
+  let unresolved = Op.select bad_pred (scan ()) in
+  let mixed = Op.join true_pred (scan ()) (Op.to_mw (scan ~alias:"B" ())) in
+  let tm_over_mw = Op.to_mw (Op.to_mw (scan ())) in
+  let td_over_db = Op.to_db (scan ()) in
+  let cases =
+    [
+      ("well-formed", Op.to_db (Op.select true_pred (Op.to_mw (scan ()))));
+      ("unresolved predicate", unresolved);
+      ("mixed binary locations", mixed);
+      ("T^M over a middleware argument", tm_over_mw);
+      ("T^D over a DBMS argument", td_over_db);
+      ("bad group attribute", Op.temporal_aggregate [ "Nope" ] [ Op.count_star "C" ] (scan ()));
+      ("unresolved below mixed", Op.join true_pred unresolved (Op.to_mw (scan ~alias:"B" ())));
+      ("mixed below unresolved", Op.select bad_pred mixed);
+      ("mixed left, unresolved right",
+       Op.Product { left = mixed; right = Op.select bad_pred (scan ~alias:"C" ()) });
+      ("T^M over MW below mixed", Op.join true_pred tm_over_mw (scan ~alias:"B" ()));
+      ("T^D over DB above T^M over MW", Op.to_db (Op.to_mw tm_over_mw));
+      ("T^M over MW above T^D over DB", Op.to_mw (Op.to_mw (Op.to_mw td_over_db)));
+      ("two transfer defects side by side",
+       Op.join true_pred (Op.to_db (Op.to_db (Op.to_mw (scan ()))))
+         (Op.to_db (Op.to_db (Op.to_mw (scan ~alias:"B" ())))));
+      ("transfer defect and unresolved predicate",
+       Op.to_mw (Op.select bad_pred (Op.to_mw (Op.to_mw (scan ())))));
+      ("transfer defect and mixed locations",
+       Op.join true_pred td_over_db (Op.to_mw (scan ~alias:"B" ())));
+    ]
+  in
+  List.iter (fun (name, op) -> same_verdict name op) cases
+
+(* Random trees over a small grammar whose every constructor can carry a
+   defect. *)
+let gen_tree =
+  let open QCheck.Gen in
+  let leaf = oneofl [ scan (); scan ~alias:"B" () ] in
+  sized_size (int_bound 6)
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun a -> Op.to_mw a) sub);
+               (2, map (fun a -> Op.to_db a) sub);
+               (1, map2 (fun p a -> Op.select p a) (oneofl [ true_pred; bad_pred ]) sub);
+               (1, map (fun a -> Op.temporal_aggregate [ "PosID" ] [ Op.count_star "C" ] a) sub);
+               (1, map2 (fun left right -> Op.Product { left; right }) sub sub);
+               (1, map2 (fun l r -> Op.join (col "PosID") l r) sub sub);
+             ]))
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"one-pass validate = recursive definition"
+    (QCheck.make ~print:Op.to_string gen_tree)
+    (fun op -> outcome validate_reference op = outcome Op.validate op)
+
 (* --- reference semantics --- *)
 
 let test_ref_select_project () =
@@ -312,6 +405,9 @@ let () =
           Alcotest.test_case "tjoin schema" `Quick test_tjoin_schema;
           Alcotest.test_case "ill-formed plans" `Quick test_ill_formed;
           Alcotest.test_case "locations" `Quick test_locations;
+          Alcotest.test_case "validate = recursive definition" `Quick
+            test_validate_matches_reference;
+          QCheck_alcotest.to_alcotest prop_validate_matches_reference;
         ] );
       ( "reference",
         [

@@ -66,6 +66,128 @@ let test_memo_union () =
   Alcotest.(check int) "find b" root (Memo.find m b);
   Alcotest.(check int) "merged elements" 2 (List.length (Memo.elements m root))
 
+(* The memo's congruence closure before it went incremental, kept as the
+   reference: elements stored as inserted and canonicalized on read, and
+   after every union a full rebuild of the dedup table that merges the
+   last collision a scan in class-id order meets. *)
+module Ref_memo = struct
+  type t = {
+    mutable parent : int array;
+    mutable elements : Memo.node list array;
+    table : (Memo.node, int) Hashtbl.t;
+    mutable count : int;
+  }
+
+  let create () =
+    { parent = Array.init 512 Fun.id; elements = Array.make 512 [];
+      table = Hashtbl.create 64; count = 0 }
+
+  let rec find m i = if m.parent.(i) = i then i else find m m.parent.(i)
+
+  let canon m (n : Memo.node) : Memo.node =
+    match n with
+    | Memo.N_scan _ -> n
+    | Memo.N_select s -> Memo.N_select { s with arg = find m s.arg }
+    | Memo.N_tm c -> Memo.N_tm (find m c)
+    | Memo.N_td c -> Memo.N_td (find m c)
+    | Memo.N_product { left; right } ->
+        Memo.N_product { left = find m left; right = find m right }
+    | _ -> invalid_arg "Ref_memo.canon"
+
+  let elements m c = List.map (canon m) m.elements.(find m c)
+
+  let rec union m a b =
+    let ra = find m a and rb = find m b in
+    if ra <> rb then begin
+      let root, other = if ra < rb then (ra, rb) else (rb, ra) in
+      m.parent.(other) <- root;
+      m.elements.(root) <- m.elements.(other) @ m.elements.(root);
+      m.elements.(other) <- [];
+      Hashtbl.reset m.table;
+      let pending = ref [] in
+      for i = 0 to m.count - 1 do
+        if find m i = i then
+          List.iter
+            (fun n ->
+              let cn = canon m n in
+              match Hashtbl.find_opt m.table cn with
+              | Some j when find m j <> i -> pending := (i, j) :: !pending
+              | Some _ -> ()
+              | None -> Hashtbl.replace m.table cn i)
+            m.elements.(i)
+      done;
+      match !pending with [] -> () | (a, b) :: _ -> union m a b
+    end
+
+  let insert m n =
+    let n = canon m n in
+    match Hashtbl.find_opt m.table n with
+    | Some c -> find m c
+    | None ->
+        let c = m.count in
+        m.count <- c + 1;
+        m.elements.(c) <- [ n ];
+        Hashtbl.replace m.table n c;
+        c
+
+  let add_to_class m c n =
+    let c = find m c and n = canon m n in
+    match Hashtbl.find_opt m.table n with
+    | Some c' when find m c' = c -> ()
+    | Some c' -> union m c c'
+    | None ->
+        m.elements.(c) <- n :: m.elements.(c);
+        Hashtbl.replace m.table n c
+end
+
+(* Random insertions, additions and unions over a few node shapes, so
+   that unions cascade; after every step both memos must agree on every
+   class's root and its elements, in order. *)
+let prop_memo_matches_reference =
+  let gen_ops =
+    QCheck.Gen.(list_size (int_range 10 80) (triple (int_bound 9) (int_bound 1000) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:300 ~name:"incremental congruence = full rebuild"
+    (QCheck.make gen_ops)
+    (fun ops ->
+      let m = Memo.create () and r = Ref_memo.create () in
+      let scan_schema = Schema.make [ ("K", Value.TInt) ] in
+      let node k x y : Memo.node =
+        match k mod 5 with
+        | 0 -> Memo.N_scan { table = "T" ^ string_of_int (x mod 3); alias = None; schema = scan_schema }
+        | 1 -> Memo.N_select { pred = Ast.Lit (Value.Bool (y mod 2 = 0)); arg = x }
+        | 2 -> Memo.N_tm x
+        | 3 -> Memo.N_td x
+        | _ -> Memo.N_product { left = x; right = y }
+      in
+      ignore (Memo.insert m (node 0 0 0));
+      ignore (Ref_memo.insert r (node 0 0 0));
+      List.for_all
+        (fun (op, x, y) ->
+          let n = r.Ref_memo.count in
+          let x = x mod n and y = y mod n in
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+              let nd = node (x + y) x y in
+              ignore (Memo.insert m nd);
+              ignore (Ref_memo.insert r nd)
+          | 4 | 5 | 6 | 7 ->
+              let nd = node (op + y) y x in
+              ignore (Memo.add_to_class m x nd);
+              Ref_memo.add_to_class r x nd
+          | _ ->
+              ignore (Memo.union m x y);
+              Ref_memo.union r x y);
+          let n = r.Ref_memo.count in
+          Memo.class_count m
+          = List.length (List.filter (fun i -> Ref_memo.find r i = i) (List.init n Fun.id))
+          && List.for_all
+               (fun i ->
+                 Memo.find m i = Ref_memo.find r i
+                 && Memo.elements m i = Ref_memo.elements r i)
+               (List.init n Fun.id))
+        ops)
+
 let test_memo_extract () =
   let m = Memo.create () in
   let op = Op.sort [ Order.asc "PosID" ] (Op.select (col "PosID") (scan ())) in
@@ -428,6 +550,48 @@ let test_memo_counts_reported () =
   Alcotest.(check bool) "elements >= classes" true (r.Search.elements >= r.Search.classes);
   Alcotest.(check bool) "time measured" true (r.Search.time_us >= 0.0)
 
+(* ---------- indexed name resolution ---------- *)
+
+(* Keys from a small pool: duplicates, one base name under several
+   qualifiers, qualified and unqualified spellings, and missing keys. *)
+let name_pool =
+  [ "PosID"; "A.PosID"; "B.PosID"; "T1"; "A.T1"; "EmpName"; "C.EmpName"; "X" ]
+
+let gen_lookup =
+  let open QCheck.Gen in
+  let key = frequency [ (6, map Option.some (oneofl name_pool)); (1, return None) ] in
+  pair (list_size (int_bound 12) key) (oneofl (name_pool @ [ "Y"; "D.PosID"; "D.X" ]))
+
+let print_lookup (keys, name) =
+  Printf.sprintf "[%s] %s"
+    (String.concat "; " (List.map (Option.value ~default:"-") keys))
+    name
+
+(* Items are (position, key) so that the found item's identity is
+   compared, not just its key. *)
+let prop_index_matches_linear =
+  QCheck.Test.make ~count:1000 ~name:"Name_index = linear lookups"
+    (QCheck.make ~print:print_lookup gen_lookup)
+    (fun (keys, name) ->
+      let items = List.mapi (fun i k -> (i, k)) keys in
+      let indexed = Name_index.find (Name_index.make snd items) name in
+      let linear = Rules.find_item_by snd items name in
+      (* Rel_stats columns have a key each *)
+      let cols =
+        List.filter_map
+          (fun (i, k) ->
+            Option.map
+              (fun k -> (k, { (Rel_stats.col_default 1.0) with Rel_stats.distinct = float_of_int i }))
+              k)
+          items
+      in
+      let col_indexed =
+        Option.map snd
+          (Name_index.find (Name_index.make (fun (n, _) -> Some n) cols) name)
+      in
+      let col_linear = Rel_stats.find { Rel_stats.card = 1.0; cols } name in
+      indexed = linear && col_indexed = col_linear)
+
 let () =
   Alcotest.run "tango_volcano"
     [
@@ -435,6 +599,7 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_memo_dedup;
           Alcotest.test_case "union" `Quick test_memo_union;
+          QCheck_alcotest.to_alcotest prop_memo_matches_reference;
           Alcotest.test_case "extract" `Quick test_memo_extract;
           Alcotest.test_case "location" `Quick test_memo_location;
         ] );
@@ -465,4 +630,5 @@ let () =
           Alcotest.test_case "fixed experiment trees cost" `Quick test_cost_plan_fixed_trees;
           Alcotest.test_case "counts reported" `Quick test_memo_counts_reported;
         ] );
+      ("lookups", [ QCheck_alcotest.to_alcotest prop_index_matches_linear ]);
     ]
