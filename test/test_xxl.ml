@@ -490,6 +490,55 @@ let test_batch_discipline () =
         (src (sorted [ "A.K" ] (qual "A" big)))
         (src (sorted [ "B.K" ] (qual "B" partners))))
 
+(* A singleton source whose first run fails (raises [Exit]) before its
+   tuple [after]; later runs read everything. *)
+let failing_once after (r : Relation.t) : Cursor.t =
+  let ts = Relation.tuples r in
+  let pos = ref 0 and failed = ref false in
+  Cursor.make ~schema:(Relation.schema r)
+    ~init:(fun () -> pos := 0)
+    ~next_batch:(fun () ->
+      if !pos >= Array.length ts then None
+      else if !pos = after && not !failed then begin
+        failed := true;
+        raise Exit
+      end
+      else begin
+        let t = ts.(!pos) in
+        incr pos;
+        Some [| t |]
+      end)
+
+(* A pull cut short by a failing input leaves nothing behind: after a
+   re-init the operator yields exactly what a clean run does. *)
+let test_reinit_after_failed_pull () =
+  let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
+  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
+  let partners = rel_of (List.init 14 (fun i -> (i mod 7, float_of_int i, i, 100))) in
+  let check name (mk : (Relation.t -> Cursor.t) -> Cursor.t) =
+    let c = mk (failing_once 300) in
+    Cursor.init c;
+    let rec pull () = match Cursor.next_batch c with None -> () | Some _ -> pull () in
+    (match pull () with
+    | () -> Alcotest.failf "%s: the failing input did not fail" name
+    | exception Exit -> ());
+    Alcotest.(check bool) (name ^ ": re-run = clean run") true
+      (Relation.equal_list (Cursor.to_relation c)
+         (Cursor.to_relation (mk Cursor.of_relation)))
+  in
+  check "taggr" (fun src ->
+      Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
+        (src (sorted [ "K"; "T1" ] big)));
+  check "merge_join" (fun src ->
+      Joins.merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+        (src (sorted [ "A.K" ] (qual "A" big)))
+        (src (sorted [ "B.K" ] (qual "B" partners))));
+  check "tjoin" (fun src ->
+      Joins.temporal_merge_join ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+        (src (sorted [ "A.K" ] (qual "A" big)))
+        (src (sorted [ "B.K" ] (qual "B" partners))))
+
 (* Reading tuple by tuple must see exactly the tuples of the batches. *)
 let test_reader_matches_batches () =
   let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 600, 0.0, 1, 2))) in
@@ -600,6 +649,8 @@ let () =
         [
           Alcotest.test_case "operator differential" `Quick test_batch_differential;
           Alcotest.test_case "batch discipline" `Quick test_batch_discipline;
+          Alcotest.test_case "re-init after a failed pull" `Quick
+            test_reinit_after_failed_pull;
         ] );
       ( "transfers",
         [
