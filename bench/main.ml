@@ -1162,7 +1162,7 @@ let tail ctx =
       ~now_us:(Tango_obs.now_us ()) ~slo:(Endpoints.slo endpoints) ~log
       ~feedback:(Middleware.profile_store mw)
       ~cache:(Middleware.plan_cache_stats mw)
-      ~generation:(Tango_dbms.Topology.generation topo) ()
+      ()
   in
   let dominant_name, dominant_share =
     match verdict.Watchdog.dominant_backend with

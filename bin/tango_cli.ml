@@ -25,82 +25,37 @@ open Cmdliner
 
 (* ---------------- database setup ---------------- *)
 
-let parse_typed_header line =
-  List.map
-    (fun cell ->
-      match String.split_on_char ':' cell with
-      | [ name; ty ] -> (String.trim name, Value.dtype_of_name (String.trim ty))
-      | _ -> failwith ("header cell must be Name:TYPE, got " ^ cell))
-    (String.split_on_char ',' line)
-
 let load_csv db spec =
   match String.index_opt spec '=' with
   | None -> failwith ("--csv expects NAME=FILE, got " ^ spec)
   | Some i ->
       let name = String.sub spec 0 i in
       let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-      let ic = open_in path in
-      let header = input_line ic in
-      close_in ic;
-      let schema = Schema.make (parse_typed_header header) in
-      (* re-read with plain names for the Csv module *)
-      let tmp = Filename.temp_file "tango" ".csv" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove tmp)
-        (fun () ->
-          let ic = open_in path and oc = open_out tmp in
-          ignore (input_line ic);
-          output_string oc (String.concat "," (Schema.names schema));
-          output_char oc '\n';
-          (try
-             while true do
-               output_string oc (input_line ic);
-               output_char oc '\n'
-             done
-           with End_of_file -> ());
-          close_in ic;
-          close_out oc;
-          let rel =
-            Csv.read_file schema tmp
-          in
-          (* ISO date cells: Csv parses TDate from ints; fix up strings *)
-          Tango_dbms.Database.load_relation db name rel);
+      Tango_dbms.Database.load_relation db name (Csv.read_file path);
       ignore (Tango_dbms.Database.analyze db name)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   if verbose then Logs.Src.set_level Middleware.log_src (Some Logs.Debug)
 
-let setup ~scale ~csvs ~shards ~prefetch ~no_histograms ~calibrate ~trace
-    ?(profiling = false) ?(plan_cache = false) () =
+let setup ~scale ~csvs ~shards ~calibrate ~trace ?(profiling = false)
+    ?(plan_cache = false) () =
   let config =
     Middleware.Config.default
-    |> Middleware.Config.with_histograms (not no_histograms)
     |> Middleware.Config.with_tracing trace
     |> Middleware.Config.with_profiling profiling
     |> Middleware.Config.with_plan_cache plan_cache
-    |> fun c ->
-    match prefetch with
-    | None -> c
-    | Some n -> Middleware.Config.with_row_prefetch n c
   in
   let mw =
     if shards > 1 then begin
       if scale <= 0.0 then
         failwith "--shards needs a generated workload (give --scale > 0)";
-      let topo =
-        Tango_workload.Uis.load_sharded ~scale
-          ~histograms:(if no_histograms then `None else `All)
-          ~shards ()
-      in
+      let topo = Tango_workload.Uis.load_sharded ~scale ~shards () in
       (* CSV tables are replicated to every backend, like EMPLOYEE *)
       List.iter
         (fun b ->
-          (match Tango_dbms.Backend.database b with
+          match Tango_dbms.Backend.database b with
           | Some db -> List.iter (load_csv db) csvs
-          | None -> ());
-          match prefetch with
-          | Some n -> Tango_dbms.Backend.set_row_prefetch b n
           | None -> ())
         (Tango_dbms.Topology.backends topo);
       Middleware.connect_topology ~config topo
@@ -305,14 +260,6 @@ let shards_arg =
                  start T1 at the data's quantiles; EMPLOYEE and CSV \
                  tables are replicated to every backend.")
 
-let prefetch_arg =
-  Arg.(value & opt (some int) None
-       & info [ "row-prefetch" ] ~docv:"N" ~doc:"Rows shipped per DBMS round trip.")
-
-let no_hist_arg =
-  Arg.(value & flag
-       & info [ "no-histograms" ] ~doc:"Collect statistics without histograms.")
-
 let calibrate_arg =
   Arg.(value & flag & info [ "calibrate" ] ~doc:"Calibrate cost factors before running.")
 
@@ -361,13 +308,13 @@ let plan_cache_arg =
                  for $(b,serve).")
 
 let run_term =
-  let f scale csvs shards prefetch no_histograms calibrate verbose trace
+  let f scale csvs shards calibrate verbose trace
       trace_out analyze plan_cache params json sql =
     catch_errors (fun () ->
         setup_logs verbose;
         let trace = trace || trace_out <> None in
         let mw =
-          setup ~scale ~csvs ~shards ~prefetch ~no_histograms ~calibrate
+          setup ~scale ~csvs ~shards ~calibrate
             ~trace ~profiling:analyze ~plan_cache ()
         in
         let params = List.map Tango_sql.Parameterize.value_of_string params in
@@ -384,8 +331,8 @@ let run_term =
                 close_out oc;
                 Fmt.pr "trace written to %s@." path))
   in
-  Term.(const f $ scale_arg $ csv_arg $ shards_arg $ prefetch_arg $ no_hist_arg
-        $ calibrate_arg $ verbose_arg $ trace_arg $ trace_out_arg
+  Term.(const f $ scale_arg $ csv_arg $ shards_arg $ calibrate_arg
+        $ verbose_arg $ trace_arg $ trace_out_arg
         $ analyze_arg $ plan_cache_arg $ param_arg $ json_arg $ sql_arg)
 
 let run_cmd =
@@ -398,26 +345,26 @@ let explain_cmd =
      execute it and annotate every operator with estimated vs actual \
      cardinality, time and q-error."
   in
-  let f scale csvs shards prefetch no_histograms calibrate analyze plan_cache
+  let f scale csvs shards calibrate analyze plan_cache
       json sql =
     catch_errors (fun () ->
         let mw =
-          setup ~scale ~csvs ~shards ~prefetch ~no_histograms ~calibrate
+          setup ~scale ~csvs ~shards ~calibrate
             ~trace:false ~profiling:analyze ~plan_cache ()
         in
         run_query ?json mw ~explain_only:true ~analyze ~verbose:false sql)
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const f $ scale_arg $ csv_arg $ shards_arg $ prefetch_arg
-          $ no_hist_arg $ calibrate_arg $ analyze_arg $ plan_cache_arg
+    Term.(const f $ scale_arg $ csv_arg $ shards_arg
+          $ calibrate_arg $ analyze_arg $ plan_cache_arg
           $ json_arg $ sql_arg)
 
 let repl_cmd =
   let doc = "Interactive session: one query per line; 'quit' exits." in
-  let f scale csvs shards prefetch no_histograms calibrate verbose trace
+  let f scale csvs shards calibrate verbose trace
       plan_cache =
     let mw =
-      setup ~scale ~csvs ~shards ~prefetch ~no_histograms ~calibrate ~trace
+      setup ~scale ~csvs ~shards ~calibrate ~trace
         ~plan_cache ()
     in
     Fmt.pr "tango> @?";
@@ -440,8 +387,8 @@ let repl_cmd =
     0
   in
   Cmd.v (Cmd.info "repl" ~doc)
-    Term.(const f $ scale_arg $ csv_arg $ shards_arg $ prefetch_arg
-          $ no_hist_arg $ calibrate_arg $ verbose_arg $ trace_arg
+    Term.(const f $ scale_arg $ csv_arg $ shards_arg
+          $ calibrate_arg $ verbose_arg $ trace_arg
           $ plan_cache_arg)
 
 (* ---------------- check (plan verification) ---------------- *)
@@ -520,8 +467,7 @@ let check_cmd =
           exit 2
     in
     let mw =
-      setup ~scale ~csvs ~shards ~prefetch:None ~no_histograms:false
-        ~calibrate:false ~trace:false ()
+      setup ~scale ~csvs ~shards ~calibrate:false ~trace:false ()
     in
     Middleware.set_config mw
       (Middleware.Config.with_verify_plans
@@ -578,8 +524,7 @@ let tables_cmd =
   let f scale csvs shards =
     catch_errors (fun () ->
         let mw =
-          setup ~scale ~csvs ~shards ~prefetch:None ~no_histograms:false
-            ~calibrate:false ~trace:false ()
+          setup ~scale ~csvs ~shards ~calibrate:false ~trace:false ()
         in
         let db = Middleware.database mw in
         List.iter
@@ -637,7 +582,7 @@ let serve_cmd =
      event log), /trace (Chrome trace JSON of the last run), and POST \
      /query to run temporal SQL from the request body."
   in
-  let f scale csvs shards prefetch no_histograms calibrate port host
+  let f scale csvs shards calibrate port host
       slo_latency_ms sample_every log_capacity slow_keep_ms max_requests =
     catch_errors (fun () ->
         (* Validate flags up front: a bad value should produce one clear
@@ -671,7 +616,7 @@ let serve_cmd =
         (* one session serves every request: the plan cache persists
            across POST /query submissions *)
         let mw =
-          setup ~scale ~csvs ~shards ~prefetch ~no_histograms ~calibrate
+          setup ~scale ~csvs ~shards ~calibrate
             ~trace:true ~profiling:true ~plan_cache:true ()
         in
         let log =
@@ -716,8 +661,8 @@ let serve_cmd =
           (Tango_obs.Registry.snapshot ()))
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const f $ scale_arg $ csv_arg $ shards_arg $ prefetch_arg
-          $ no_hist_arg $ calibrate_arg $ port_arg $ host_arg
+    Term.(const f $ scale_arg $ csv_arg $ shards_arg
+          $ calibrate_arg $ port_arg $ host_arg
           $ slo_latency_arg $ sample_every_arg $ log_capacity_arg
           $ slow_keep_arg $ max_requests_arg)
 

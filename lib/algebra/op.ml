@@ -76,8 +76,6 @@ let period_attrs (s : Schema.t) : (string * string) option =
   | Some a1, Some a2 -> Some (a1.Schema.name, a2.Schema.name)
   | _ -> None
 
-let is_temporal (s : Schema.t) = period_attrs s <> None
-
 let non_period_attrs (s : Schema.t) =
   match period_attrs s with
   | None -> Schema.attributes s
@@ -244,8 +242,6 @@ let with_children op args =
   | Temporal_join j, [ l; r ] -> Temporal_join { j with left = l; right = r }
   | Difference _, [ l; r ] -> Difference { left = l; right = r }
   | _ -> invalid_arg "Op.with_children: arity mismatch"
-
-let rec size (op : t) = 1 + List.fold_left (fun n c -> n + size c) 0 (children op)
 
 (** Rewrite the top operator's own scalar expressions with [f] (predicates
     and projection items; grouping/aggregate/sort attributes are names,

@@ -50,7 +50,6 @@ type t =
 val period_attrs : Schema.t -> (string * string) option
 (** The period attributes (base names [T1]/[T2]) of a schema, if present. *)
 
-val is_temporal : Schema.t -> bool
 val non_period_attrs : Schema.t -> Schema.attribute list
 val agg_out_dtype : Schema.t -> agg -> Value.dtype
 
@@ -80,7 +79,6 @@ val validate : t -> unit
 
 val children : t -> t list
 val with_children : t -> t list -> t
-val size : t -> int
 
 val map_own_exprs : (Tango_sql.Ast.expr -> Tango_sql.Ast.expr) -> t -> t
 (** Rewrite the top operator's own scalar expressions with [f]
@@ -91,7 +89,6 @@ val map_own_exprs : (Tango_sql.Ast.expr -> Tango_sql.Ast.expr) -> t -> t
 (** {1 Printing} *)
 
 val op_name : t -> string
-val pp : ?indent:int -> Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Constructors} *)

@@ -10,12 +10,3 @@ open Tango_rel
 val eval : (string -> Relation.t) -> Op.t -> Relation.t
 (** [eval lookup op] with [lookup] resolving base-table names.  The result
     schema is [Op.schema op]. *)
-
-val temporal_aggregate :
-  Schema.t -> string list -> Op.agg list -> Relation.t -> Relation.t
-(** Temporal aggregation over a materialized relation: per group, aggregate
-    the tuples covering each constant interval (paper §3.4, Figure 3(c)).
-    Output sorted by (grouping attributes, T1). *)
-
-val coalesce : Schema.t -> Relation.t -> Relation.t
-(** Merge periods of value-equivalent tuples that overlap or meet. *)

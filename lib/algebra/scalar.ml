@@ -92,9 +92,6 @@ let rec compile (schema : Schema.t) (e : Ast.expr) : Tuple.t -> Value.t =
   | Ast.Scalar_subquery _ | Ast.In_subquery _ | Ast.Exists _ ->
       unsupported "subquery in middleware expression"
 
-(** Evaluate once (compile-and-apply); for hot paths, [compile] first. *)
-let eval schema e t = compile schema e t
-
 (** Predicate view. *)
 let compile_pred schema e =
   let f = compile schema e in

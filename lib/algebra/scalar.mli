@@ -10,17 +10,9 @@ open Tango_sql
 
 exception Unsupported of string
 
-val truthy : Value.t -> bool
-(** SQL boolean view: [Null] is false, non-booleans are true. *)
-
-val compare_op : Ast.binop -> Value.t -> Value.t -> Value.t
-(** SQL comparison semantics: any [Null] operand yields false. *)
-
 val compile : Schema.t -> Ast.expr -> Tuple.t -> Value.t
 (** Resolve all column references against the schema once; returns an
     evaluator over tuples. *)
-
-val eval : Schema.t -> Ast.expr -> Tuple.t -> Value.t
 
 val compile_pred : Schema.t -> Ast.expr -> Tuple.t -> bool
 

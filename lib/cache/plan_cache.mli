@@ -36,16 +36,6 @@ val create : ?capacity:int -> unit -> 'a t
 
 val capacity : 'a t -> int
 
-val normalize_sql : string -> string
-(** Collapse runs of whitespace to single spaces, trim, and fold case —
-    except inside single-quoted literals, which are copied verbatim
-    (their spelling and whitespace are significant).  This is the text
-    the key is computed from, and what {!find} compares against to
-    guard hash collisions. *)
-
-val key_of_sql : string -> string
-(** 64-bit FNV-1a hash of the normalized SQL, as 16 hex digits. *)
-
 val find : ?kind:kind -> 'a t -> sql:string -> 'a option
 (** Look up the plan cached for [sql]; a hit refreshes its LRU position
     and is classified under [kind] (default [Exact]).  Collisions are

@@ -94,5 +94,4 @@ val to_trace : node -> Tango_obs.Trace.span
 val kind_name : node -> string
 val children : node -> node list
 val iter : (node -> unit) -> node -> unit
-val pp : ?indent:int -> Format.formatter -> node -> unit
 val to_string : node -> string

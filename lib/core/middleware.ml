@@ -59,7 +59,6 @@ module Config = struct
       replan_q_error = 0.0;
     }
 
-  let with_row_prefetch n c = { c with row_prefetch = n }
   let with_roundtrip_spin n c = { c with roundtrip_spin = n }
   let with_selectivity_mode m c = { c with selectivity_mode = m }
   let with_histograms b c = { c with histograms = b }
@@ -103,7 +102,6 @@ type cache_entry = {
   cached_elements : int;
   cached_diagnostics : Tango_verify.Diag.t list;
   cached_generation : int;  (* DBMS schema generation at plan time *)
-  cached_topology_gen : int;  (* topology generation at plan time *)
   cached_fp : string;  (* query fingerprint, for the sentinel *)
   cached_template : Op.t option;  (* initial plan with parameters intact *)
   cached_slots : (Rel_stats.t * string * Ast.binop * int) list;
@@ -290,7 +288,6 @@ let primary t = Topology.primary t.topology
 let database t = Option.get (Backend.database (primary t))
 
 let factors t = t.factors
-let backend_factors t = t.backend_factors
 let config t = t.config
 let last_trace t = t.last_trace
 let last_diagnostics t = t.last_diagnostics
@@ -402,7 +399,6 @@ let partition_layout t : Partition.layout option =
                   hi = Option.map float_of_int bounds.Topology.hi;
                 })
               (Topology.shards t.topology);
-          generation = Topology.generation t.topology;
         }
   | _ -> None
 
@@ -693,11 +689,6 @@ let cache_find ~kind t (sql : string) : cache_entry option =
            <> Database.schema_generation (database t) ->
         invalidate_plan_cache t ~reason:"ddl";
         None
-    | Some entry
-      when entry.cached_topology_gen <> Topology.generation t.topology ->
-        (* the plan baked in a shard layout that no longer exists *)
-        invalidate_plan_cache t ~reason:"topology";
-        None
     | found -> found
 
 (* The parameterized comparison slots of a template's initial plan: for
@@ -952,7 +943,6 @@ let fresh_plan t (entry : entry) : planned =
               cached_elements = r.Search.elements;
               cached_diagnostics = t.last_diagnostics;
               cached_generation = Database.schema_generation (database t);
-              cached_topology_gen = Topology.generation t.topology;
               cached_fp = fingerprint;
               cached_template = (if template then Some initial else None);
               cached_slots = (if template then param_slots t initial else []);

@@ -72,7 +72,6 @@ module Config : sig
 
   val default : t
 
-  val with_row_prefetch : int -> t -> t
   val with_roundtrip_spin : int -> t -> t
   val with_selectivity_mode : Tango_stats.Selectivity.mode -> t -> t
   val with_histograms : bool -> t -> t
@@ -129,10 +128,6 @@ val database : t -> Tango_dbms.Database.t
 val factors : t -> Tango_cost.Factors.t
 (** The session's (mutable) cost factors. *)
 
-val backend_factors : t -> Tango_profile.Backend_factors.t
-(** Per-backend calibrated cost factors, keyed by backend name; backends
-    that have not calibrated fall back to {!factors}. *)
-
 val partition_layout : t -> Tango_volcano.Partition.layout option
 (** The optimizer's view of the topology: shard names and numeric bounds
     on the partition column.  [None] for a single-DBMS session. *)
@@ -173,15 +168,6 @@ val refresh_statistics : t -> unit
 
 val plan_cache_stats : t -> Tango_cache.Plan_cache.stats
 (** Hit/miss/eviction/invalidation totals of the session's plan cache. *)
-
-val invalidate_plan_cache : t -> reason:string -> unit
-(** Explicitly flush the plan cache (a no-op when it is empty).  Called
-    internally on statistics refresh, calibration, factor adoption,
-    adaptive cost refits, and detected DDL. *)
-
-val base_stats : t -> qualifier:string -> string -> Tango_stats.Rel_stats.t
-(** The Statistics Collector hook: statistics for a base table under a
-    qualifier, cached per session. *)
 
 val stats_env : ?binding:Value.t array -> t -> Tango_stats.Derive.env
 (** The optimizer's statistics environment.  [binding] closes [Param n]

@@ -11,8 +11,6 @@ open Tango_dbms
 
 type probe_sizes = { small : int; large : int }
 
-val default_sizes : probe_sizes
-
 val run : ?sizes:probe_sizes -> Backend.t -> Factors.t
 (** Calibrate against the backend's database; returns fresh factors and
     leaves no tables behind. *)

@@ -41,11 +41,6 @@ type t = {
 val default : unit -> t
 val copy : t -> t
 
-val to_assoc : t -> (string * float) list
-(** All factors by field name — the stable keys used by the refit and
-    profiling machinery ({!Calibrate.refit}, [Tango_profile]) and by
-    JSON exports. *)
-
 val get_by_name : t -> string -> float option
 
 val set_by_name : t -> string -> float -> bool

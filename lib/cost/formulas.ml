@@ -63,7 +63,6 @@ let difference_m (f : Factors.t) ~left_size ~right_size =
 (* --- generic DBMS algorithms --- *)
 
 let scan_d (f : Factors.t) ~size = f.p_scan *. size
-let index_scan_d (f : Factors.t) ~fetched_size = f.p_isc *. fetched_size
 let select_d ~size = ignore size; 0.0
 let project_d ~size = ignore size; 0.0
 

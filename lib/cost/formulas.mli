@@ -8,8 +8,6 @@
 
 open Tango_sql
 
-val log2 : float -> float
-
 val sort_levels : size:float -> float
 (** Merge levels of an external sort over [size] bytes. *)
 
@@ -40,7 +38,6 @@ val coalesce_m : Factors.t -> size:float -> float
 val difference_m : Factors.t -> left_size:float -> right_size:float -> float
 
 val scan_d : Factors.t -> size:float -> float
-val index_scan_d : Factors.t -> fetched_size:float -> float
 val select_d : size:float -> float
 val project_d : size:float -> float
 val sort_d : Factors.t -> size:float -> float

@@ -3,8 +3,6 @@
     per-column min/max, distinct and null counts, optional equi-depth
     histograms; index availability and clustering. *)
 
-val default_buckets : int
-
 val run :
   ?histograms:[ `All | `Cols of string list | `None ] ->
   ?buckets:int ->

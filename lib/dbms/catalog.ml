@@ -39,8 +39,6 @@ let find c name =
   | Some t -> t
   | None -> raise (No_such_table name)
 
-let find_opt c name = Hashtbl.find_opt c.tables (key name)
-
 let add c name schema =
   if mem c name then raise (Table_exists name);
   let table =

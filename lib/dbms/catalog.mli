@@ -21,13 +21,10 @@ type t = {
 exception Table_exists of string
 exception No_such_table of string
 
-val default_pool_pages : int
-
 val create : ?pool_pages:int -> unit -> t
 
 val mem : t -> string -> bool
 val find : t -> string -> table
-val find_opt : t -> string -> table option
 
 val add : t -> string -> Schema.t -> table
 val drop : t -> string -> unit

@@ -40,8 +40,6 @@ let bump_generation db name =
 
 let catalog db = db.catalog
 let io_stats db = db.catalog.Catalog.io
-let buffer_pool db = db.catalog.Catalog.pool
-let settings db = db.settings
 
 (** Force/unforce a join method — the stand-in for Oracle hints used by the
     Query 4 experiment. *)

@@ -17,8 +17,6 @@ val create : ?pool_pages:int -> unit -> t
 
 val catalog : t -> Catalog.t
 val io_stats : t -> Tango_storage.Io_stats.t
-val buffer_pool : t -> Tango_storage.Buffer_pool.t
-val settings : t -> Executor.settings
 
 val set_join_method : t -> Executor.join_method -> unit
 (** Force a join method — the stand-in for Oracle hints (Query 4). *)
@@ -28,7 +26,6 @@ val schema_generation : t -> int
     and ANALYZE on non-temporary tables; `TANGO_TMP_*` transfer tables do
     not advance it.  Plan caches compare it to detect staleness. *)
 
-val execute_ast : t -> Ast.statement -> result
 val execute : t -> string -> result
 
 val query : t -> string -> Relation.t
@@ -45,9 +42,6 @@ val drop_table : t -> string -> unit
 val table_exists : t -> string -> bool
 val table_schema : t -> string -> Schema.t
 val table_cardinality : t -> string -> int
-
-val load : t -> string -> Relation.t -> unit
-(** Bulk-append into an existing table. *)
 
 val load_relation : t -> string -> Relation.t -> unit
 (** Create-and-load in one step (the schema is unqualified). *)

@@ -28,10 +28,6 @@ type table_stats = {
 let column_stats ts name =
   List.find_opt (fun c -> String.equal c.col name) ts.columns
 
-(** [size_bytes ts]: the [size(r)] statistic — cardinality × average tuple
-    size — that the cost formulas weigh. *)
-let size_bytes ts = float_of_int ts.cardinality *. ts.avg_tuple_size
-
 let pp_column ppf c =
   Fmt.pf ppf "%s: min=%a max=%a distinct=%d nulls=%d%s%s%s" c.col
     (Fmt.option ~none:(Fmt.any "-") Value.pp)

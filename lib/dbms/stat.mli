@@ -26,8 +26,4 @@ type table_stats = {
 
 val column_stats : table_stats -> string -> column_stats option
 
-val size_bytes : table_stats -> float
-(** The [size(r)] statistic: cardinality × average tuple size. *)
-
-val pp_column : Format.formatter -> column_stats -> unit
 val pp : Format.formatter -> table_stats -> unit

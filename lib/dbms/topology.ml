@@ -6,14 +6,13 @@ type bounds = { lo : int option; hi : int option }
 let unbounded = { lo = None; hi = None }
 
 type t = {
-  mutable shard_list : (Backend.t * bounds) list;
+  shard_list : (Backend.t * bounds) list;
   partitioned : (string * string) option;  (** (table, column) *)
-  mutable gen : int;
 }
 
 let create ?partitioned shards =
   if shards = [] then invalid_arg "Topology.create: no backends";
-  { shard_list = shards; partitioned; gen = 0 }
+  { shard_list = shards; partitioned }
 
 let single backend = create [ (backend, unbounded) ]
 
@@ -29,13 +28,6 @@ let find t name =
   List.find_map
     (fun (b, _) -> if Backend.name b = name then Some b else None)
     t.shard_list
-
-let generation t = t.gen
-let bump_generation t = t.gen <- t.gen + 1
-
-let add_shard t backend bounds =
-  t.shard_list <- t.shard_list @ [ (backend, bounds) ];
-  bump_generation t
 
 (* Quantile split points: sort the sample and cut at i·|v|/n.  Equal split
    values collapse (a shard may end up empty on pathological samples, which

@@ -9,16 +9,13 @@
     single-shard SQL statement sees a complete copy of everything except
     its slice of the partitioned table.
 
-    The {!generation} counter advances on any topology change
-    (adding a shard, re-sharding): optimized plans bake the partition
-    layout in, so the plan cache keys on it. *)
+    A topology is fixed at {!create}: optimized plans bake the partition
+    layout in, and no path changes it afterwards. *)
 
 type bounds = {
   lo : int option;  (** inclusive chronon lower bound; [None] = unbounded *)
   hi : int option;  (** exclusive chronon upper bound; [None] = unbounded *)
 }
-
-val unbounded : bounds
 
 type t
 
@@ -47,16 +44,6 @@ val partitioned_table : t -> (string * string) option
 
 val find : t -> string -> Backend.t option
 (** Backend by name. *)
-
-val generation : t -> int
-
-val bump_generation : t -> unit
-(** Record a topology change (re-sharding, bounds moved): cached plans
-    against this topology must not be reused. *)
-
-val add_shard : t -> Backend.t -> bounds -> unit
-(** Append a shard (the caller is responsible for having placed the data)
-    and advance {!generation}. *)
 
 val quantile_bounds : int array -> int -> bounds list
 (** [quantile_bounds values n]: [n] contiguous closed-open bounds

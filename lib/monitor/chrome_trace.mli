@@ -16,17 +16,6 @@ val events :
     microseconds, span attributes as [args].  [pid]/[tid] default to 1,
     [start_us] (the root timestamp) to 0. *)
 
-val backend_lanes :
-  ?pid:int ->
-  ?start_us:float ->
-  (string * float * float) list ->
-  Tango_obs.Json.t list
-(** One trace lane {e per backend}: [(name, transfer_us, wait_us)]
-    becomes a thread (tids 2, 3, ... — tid 1 is the pipeline) labeled
-    ["backend:<name>"] via a thread_name metadata event, holding a
-    ["transfer"] slice followed by a ["gather-wait"] slice.  Lane order
-    follows list order, so first-touch attribution order is preserved. *)
-
 val to_json :
   ?pid:int ->
   ?tid:int ->
@@ -34,8 +23,13 @@ val to_json :
   ?backends:(string * float * float) list ->
   Tango_obs.Trace.span ->
   Tango_obs.Json.t
-(** [{"traceEvents": [...], "displayTimeUnit": "ms"}]; [backends] (default
-    none) appends {!backend_lanes} after the span events. *)
+(** [{"traceEvents": [...], "displayTimeUnit": "ms"}].  [backends]
+    (default none) appends one trace lane per backend after the span
+    events: [(name, transfer_us, wait_us)] becomes a thread (tids 2, 3,
+    ... — tid 1 is the pipeline) labeled ["backend:<name>"] via a
+    thread_name metadata event, holding a ["transfer"] slice from
+    [start_us] followed by a ["gather-wait"] slice.  Lane order follows
+    list order, so first-touch attribution order is preserved. *)
 
 val to_string :
   ?pid:int ->

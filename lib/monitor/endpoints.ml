@@ -27,17 +27,10 @@ type t = {
   started_mono_us : float;  (* monotonic, for uptime arithmetic *)
 }
 
-let topology_generation t =
-  Tango_dbms.Topology.generation (Middleware.topology t.mw)
-
 let create ?log ?slo mw =
   let log = match log with Some l -> l | None -> Event_log.create () in
   let slo = match slo with Some s -> s | None -> Slo.create () in
-  let watchdog =
-    Watchdog.create
-      ~generation:(Tango_dbms.Topology.generation (Middleware.topology mw))
-      ()
-  in
+  let watchdog = Watchdog.create () in
   Middleware.set_query_observer mw
     (Some
        (fun (ev : Middleware.query_event) ->
@@ -57,7 +50,6 @@ let create ?log ?slo mw =
 
 let uptime_seconds t = (Tango_obs.mono_us () -. t.started_mono_us) /. 1e6
 
-let event_log t = t.log
 let slo t = t.slo
 let watchdog t = t.watchdog
 
@@ -148,7 +140,7 @@ let watchdog_verdict t =
       ~log:t.log
       ~feedback:(Middleware.profile_store t.mw)
       ~cache:(Middleware.plan_cache_stats t.mw)
-      ~generation:(topology_generation t) ()
+      ()
   in
   json_response (Watchdog.verdict_to_json verdict)
 
@@ -156,7 +148,6 @@ let healthz t (req : Http.request) =
   if List.mem_assoc "plain" req.Http.query then Http.response "ok\n"
   else
     let open Tango_obs.Json in
-    let topology = Middleware.topology t.mw in
     json_response
       (Obj
          [
@@ -164,8 +155,8 @@ let healthz t (req : Http.request) =
            ("uptime_seconds", Float (uptime_seconds t));
            ("ocaml_version", String Sys.ocaml_version);
            ("git", String Build_info.git_describe);
-           ("topology_generation", Int (Tango_dbms.Topology.generation topology));
-           ("shards", Int (Tango_dbms.Topology.shard_count topology));
+           ( "shards",
+             Int (Tango_dbms.Topology.shard_count (Middleware.topology t.mw)) );
            ("queries_seen", Int (Event_log.seen t.log));
          ])
 

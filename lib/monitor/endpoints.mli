@@ -8,10 +8,8 @@ val create : ?log:Event_log.t -> ?slo:Slo.t -> Tango_core.Middleware.t -> t
 (** Installs a query observer on the session
     ({!Tango_core.Middleware.set_query_observer}) feeding the event log
     and the SLO tracker; defaults: [Event_log.create ()],
-    [Slo.create ()], a {!Watchdog} baselined at the session topology's
-    current generation. *)
+    [Slo.create ()], a fresh {!Watchdog}. *)
 
-val event_log : t -> Event_log.t
 val slo : t -> Slo.t
 val watchdog : t -> Watchdog.t
 
@@ -19,8 +17,8 @@ val handler : t -> Http.request -> Http.response
 (** Dispatch:
 
     - [GET /healthz] — liveness as JSON (status, uptime, build identity
-      — OCaml version and git describe — topology generation, shard
-      count, queries seen); bare ["ok\n"] under [?plain=1];
+      — OCaml version and git describe — shard count, queries seen);
+      bare ["ok\n"] under [?plain=1];
     - [GET /metrics] — Prometheus 0.0.4 exposition of the registry
       snapshot, the [tango_backend_*{backend="…"}] meters of the
       session topology's backends, SLO burn-rate gauges, an uptime

@@ -64,7 +64,6 @@ let create ?(capacity = 256) ?(sample_every = 1) ?(slow_keep_us = 0.0) () =
     kept = 0;
   }
 
-let capacity t = t.capacity
 let seen t = Mutex.protect t.lock (fun () -> t.seen)
 let kept t = Mutex.protect t.lock (fun () -> t.kept)
 

@@ -1,23 +1,11 @@
 (** Per-query event log: a fixed-capacity ring buffer of structured
     records fed from the middleware pipeline, with deterministic
     head-based sampling and always-keep overrides for failures and slow
-    queries.  Every event (kept or not) also feeds the aggregate
-    [monitor.*] counters and the [monitor.query_us] latency histogram. *)
-
-val queries_total : Tango_obs.Counter.t
-(** ["monitor.queries"] — every observed pipeline run. *)
-
-val query_errors : Tango_obs.Counter.t
-(** ["monitor.query_errors"] — runs that raised. *)
-
-val events_kept : Tango_obs.Counter.t
-(** ["monitor.events_kept"] — records admitted to the ring. *)
-
-val events_sampled_out : Tango_obs.Counter.t
-(** ["monitor.events_sampled_out"] — records dropped by sampling. *)
-
-val query_us : Tango_obs.Histogram.t
-(** ["monitor.query_us"] — end-to-end pipeline latency, every run. *)
+    queries.  Every event (kept or not) also feeds the registry's
+    aggregate counters [monitor.queries] (every observed run),
+    [monitor.query_errors] (runs that raised), [monitor.events_kept]
+    and [monitor.events_sampled_out], and the [monitor.query_us]
+    end-to-end latency histogram. *)
 
 (** Why a record was admitted. *)
 type keep_reason =
@@ -47,8 +35,6 @@ val create :
     (default 0 = off) always keeps events at least this slow, regardless
     of sampling; failures are always kept. *)
 
-val capacity : t -> int
-
 val seen : t -> int
 (** Events offered so far, kept or not. *)
 
@@ -66,8 +52,6 @@ val find : t -> int -> record option
 
 val recent : ?n:int -> t -> record list
 (** Up to [n] (default: all stored) most recent records, newest first. *)
-
-val keep_reason_name : keep_reason -> string
 
 val run_json :
   rows:int -> _ Tango_core.Middleware.run option -> (string * Tango_obs.Json.t) list

@@ -321,10 +321,3 @@ let accept_loop ?max_requests ?(should_stop = fun () -> false) sock
         (try Unix.close fd with _ -> ());
         incr served
   done
-
-let serve ?host ~port ?max_requests ?should_stop
-    (handler : request -> response) : unit =
-  let sock = listen ?host ~port () in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with _ -> ())
-    (fun () -> accept_loop ?max_requests ?should_stop sock handler)

@@ -21,14 +21,6 @@ type response = { status : int; content_type : string; body : string }
 val response : ?status:int -> ?content_type:string -> string -> response
 (** Defaults: status 200, [text/plain; charset=utf-8]. *)
 
-val reason_phrase : int -> string
-
-val percent_decode : string -> string
-(** ['%xx'] escapes and ['+'] for space. *)
-
-val parse_query : string -> (string * string) list
-(** Decode a raw query string (["a=1&b=2"]). *)
-
 val handle_connection : Unix.file_descr -> (request -> response) -> unit
 (** Serve exactly one request from an open socket: parse, run the
     handler, write the response.  Handler exceptions become a 500,
@@ -58,12 +50,3 @@ val accept_loop :
     threads.  Each accepted socket gets a 2 s [SO_RCVTIMEO], so a client
     that connects and sends nothing is answered 408 and cannot stall the
     loop.  Ignores [SIGPIPE]. *)
-
-val serve :
-  ?host:string ->
-  port:int ->
-  ?max_requests:int ->
-  ?should_stop:(unit -> bool) ->
-  (request -> response) ->
-  unit
-(** {!listen} + {!accept_loop}, closing the listening socket on exit. *)

@@ -3,23 +3,6 @@
     histograms as [histogram] families with cumulative [le=...] buckets,
     [_sum] and [_count] — and of the backends' boundary meters. *)
 
-val default_namespace : string
-(** ["tango"] — prepended to every metric name. *)
-
-val metric_name : ?namespace:string -> string -> string
-(** Legal Prometheus metric name for a dotted registry name:
-    [metric_name "monitor.queries" = "tango_monitor_queries"].
-    Characters outside [[a-zA-Z0-9_]] become underscores. *)
-
-val escape_label_value : string -> string
-(** Escape backslash, double quote and newline for use inside a
-    Prometheus label value. *)
-
-val le_label : float -> string
-(** Bucket bound rendering: ["+Inf"] for [infinity], integral bounds
-    without a fraction or exponent, so every bound parses back to
-    exactly itself. *)
-
 val gauge :
   ?namespace:string ->
   name:string ->

@@ -69,8 +69,6 @@ let create ?(objective = default_objective) () =
     invalid_arg "Slo.create: short window exceeds long window";
   { objective; lock = Mutex.create (); samples = Queue.create () }
 
-let objective t = t.objective
-
 (* Only called with [t.lock] held. *)
 let prune t ~now_us =
   let horizon = now_us -. t.objective.long_window_us in

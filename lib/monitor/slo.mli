@@ -27,9 +27,6 @@ type state = Ok | Warning | Critical
 val state_name : state -> string
 (** ["ok"] / ["warning"] / ["critical"]. *)
 
-val state_rank : state -> int
-(** 0 / 1 / 2, monotone in severity. *)
-
 type t
 
 val create : ?objective:objective -> unit -> t
@@ -37,8 +34,6 @@ val create : ?objective:objective -> unit -> t
     early.  Raises
     [Invalid_argument] when a goal leaves no error budget or the short
     window exceeds the long one. *)
-
-val objective : t -> objective
 
 val observe : t -> now_us:float -> latency_us:float -> ok:bool -> unit
 (** Record one query: [latency_us] against the latency objective, [ok]
@@ -59,7 +54,6 @@ type verdict = {
 val evaluate : t -> now_us:float -> verdict
 (** Burn rates and alert state as of [now_us]; empty windows burn 0. *)
 
-val verdict_to_json : objective -> verdict -> Tango_obs.Json.t
 val to_json : t -> now_us:float -> Tango_obs.Json.t
 
 val prometheus_gauges : verdict -> (string * float) list

@@ -3,14 +3,14 @@
     A burning SLO says {e that} the service is slow, not {e why}.  The
     watchdog pulls the signals the middleware already tracks — burn
     state, cardinality/cost misestimation trend, plan-cache hit rate,
-    topology changes — next to a tail-record analysis of the event log
-    that names the dominant backend and the dominant pipeline phase, so
-    [/debug/watchdog] answers "who is burning my budget" in one fetch.
+    parameter-sensitive plans — next to a tail-record analysis of the
+    event log that names the dominant backend and the dominant pipeline
+    phase, so [/debug/watchdog] answers "who is burning my budget" in
+    one fetch.
 
     The tracker is stateful across evaluations: the cache-hit-rate
     signal compares against the rate seen at the {e previous} check
-    (a trend, not an absolute), and the topology signal fires when the
-    generation advanced since the previous check. *)
+    (a trend, not an absolute). *)
 
 type signal = {
   name : string;
@@ -44,17 +44,11 @@ let tail_fraction = 0.9
 let replan_warn = 2
 
 type t = {
-  lock : Mutex.t;  (* guards the cross-evaluation trend fields *)
-  mutable last_generation : int;
+  lock : Mutex.t;  (* guards the cross-evaluation trend *)
   mutable last_hit_rate : float option;
 }
 
-let create ~generation () =
-  {
-    lock = Mutex.create ();
-    last_generation = generation;
-    last_hit_rate = None;
-  }
+let create () = { lock = Mutex.create (); last_hit_rate = None }
 
 (* ------------------------------------------------------------------ *)
 (* Tail attribution                                                     *)
@@ -224,33 +218,11 @@ let replan_signal cache =
             s.Tango_cache.Plan_cache.max_replans;
       }
 
-let topology_signal t ~generation =
-  let previous =
-    Mutex.protect t.lock (fun () ->
-        let p = t.last_generation in
-        t.last_generation <- generation;
-        p)
-  in
-  if generation > previous then
-    {
-      name = "topology_generation";
-      firing = true;
-      detail =
-        Printf.sprintf "generation bumped %d -> %d since last check" previous
-          generation;
-    }
-  else
-    {
-      name = "topology_generation";
-      firing = false;
-      detail = Printf.sprintf "generation %d" generation;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
+let evaluate t ~now_us ~slo ~log ?feedback ?cache () : verdict =
   let slo_verdict = Slo.evaluate slo ~now_us in
   let signals =
     [
@@ -258,7 +230,6 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache ~generation () : verdict =
       q_error_signal feedback;
       cache_signal t cache;
       replan_signal cache;
-      topology_signal t ~generation;
     ]
   in
   let tail = tail_records (Event_log.recent log) in

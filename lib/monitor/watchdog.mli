@@ -1,13 +1,13 @@
 (** SLO drill-down: correlates burn-rate state with the signals that
     usually explain it — misestimation trend, plan-cache hit-rate drops,
-    topology-generation bumps — and names the dominant backend and
+    parameter-sensitive plans — and names the dominant backend and
     pipeline phase of the event log's latency tail.  Backs
     [GET /debug/watchdog]. *)
 
 type signal = {
   name : string;
       (** ["slo_burn"] | ["q_error"] | ["cache_hit_rate"] |
-          ["parameter_sensitive_plan"] | ["topology_generation"] *)
+          ["parameter_sensitive_plan"] *)
   firing : bool;
   detail : string;  (** human-readable evidence, firing or not *)
 }
@@ -30,9 +30,8 @@ type verdict = {
 
 type t
 
-val create : generation:int -> unit -> t
-(** Stateful tracker; [generation] seeds the topology baseline.  The
-    thresholds are fixed: a worst per-cost-factor mean q-error above 2.0
+val create : unit -> t
+(** Stateful tracker.  The thresholds are fixed: a worst per-cost-factor mean q-error above 2.0
     fires [q_error]; a hit-rate fall of more than 0.2 since the previous
     {!evaluate} fires [cache_hit_rate]; the tail analysis covers records
     at or above the 0.9 latency quantile of the event-log ring; a single
@@ -47,11 +46,9 @@ val evaluate :
   log:Event_log.t ->
   ?feedback:Tango_profile.Feedback.t ->
   ?cache:Tango_cache.Plan_cache.stats ->
-  generation:int ->
   unit ->
   verdict
-(** One check, advancing the tracker's baselines: the cache-hit-rate
-    signal compares against the rate at the previous call, and the
-    topology signal fires when [generation] advanced since then. *)
+(** One check, advancing the tracker's baseline: the cache-hit-rate
+    signal compares against the rate at the previous call. *)
 
 val verdict_to_json : verdict -> Tango_obs.Json.t

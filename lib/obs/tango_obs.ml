@@ -368,10 +368,6 @@ module Histogram = struct
   let max_value h = if h.count = 0 then 0.0 else h.max
   let mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
 
-  (* Compound reads copy under the instance lock so concurrent observes
-     cannot tear them. *)
-  let bucket_counts h = Mutex.protect h.lock (fun () -> Array.copy h.buckets)
-
   (* Only called with [h.lock] held. *)
   let cumulative_buckets_unlocked h =
     let acc = ref 0 in
@@ -384,12 +380,6 @@ module Histogram = struct
            bucket_bounds)
     in
     below @ [ (infinity, h.count) ]
-
-  (** Cumulative (bound, count-of-observations <= bound) pairs over the
-      fixed bounds, closed by [(infinity, count)] — the Prometheus
-      [le=...] series. *)
-  let cumulative_buckets h =
-    Mutex.protect h.lock (fun () -> cumulative_buckets_unlocked h)
 
   (* The upper bound of the bucket holding the observation of rank
      ⌈q·count⌉, clamped to [max]: exact about the bucket, no sort.  The
@@ -444,7 +434,7 @@ module Registry = struct
     p99 : float;
     buckets : (float * int) list;
         (** cumulative [(upper bound, observations <= bound)] over
-            {!Histogram.bucket_bounds}, closed by [(infinity, count)] *)
+            the fixed bucket bounds, closed by [(infinity, count)] *)
   }
 
   type snapshot = {

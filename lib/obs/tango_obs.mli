@@ -80,27 +80,15 @@ module Histogram : sig
   val count : t -> int
   val sum : t -> float
 
-  val bucket_bounds : float array
-  (** Fixed exponential bucket bounds shared by every histogram:
-      [1, 2, 4, ... 2^23] — with microsecond observations, 1µs to ~8.4s
-      at factor 2.  Fixed bounds keep bucket counts additive across
-      snapshots and directly renderable as Prometheus cumulative
-      buckets. *)
-
-  val bucket_counts : t -> int array
-  (** Per-bucket (non-cumulative) observation counts; one cell per
-      {!bucket_bounds} entry plus a final overflow cell. *)
-
   val bucket_index : float -> int
-  (** Index into {!bucket_bounds} (or the overflow cell,
-      [Array.length bucket_bounds]) that an observation of this value
-      falls in — lets callers compare observations by latency band
-      (e.g. "is this strictly above the band holding p99?"). *)
-
-  val cumulative_buckets : t -> (float * int) list
-  (** Cumulative [(upper bound, observations <= bound)] pairs over
-      {!bucket_bounds}, closed by [(infinity, count)] — the Prometheus
-      [le=...] series. *)
+  (** Index of the fixed exponential bucket bound ([1, 2, 4, ... 2^23]
+      — with microsecond observations, 1µs to ~8.4s at factor 2), or of
+      the overflow cell after the last bound, that an observation of
+      this value falls in — lets callers compare observations by
+      latency band (e.g. "is this strictly above the band holding
+      p99?").  Every histogram shares these bounds, so bucket counts
+      stay additive across snapshots and render directly as Prometheus
+      cumulative buckets. *)
 
   val min_value : t -> float
   val max_value : t -> float
@@ -126,8 +114,9 @@ module Registry : sig
     p95 : float;
     p99 : float;
     buckets : (float * int) list;
-        (** cumulative [(upper bound, observations <= bound)] over
-            {!Histogram.bucket_bounds}, closed by [(infinity, count)] *)
+        (** cumulative [(upper bound, observations <= bound)] over the
+            fixed bucket bounds (see {!Histogram.bucket_index}), closed
+            by [(infinity, count)] *)
   }
 
   type snapshot = {

@@ -241,39 +241,3 @@ let render ppf (r : report) =
     r.records
 
 let to_string r = Fmt.str "%a" render r
-
-let record_to_json (r : record) : Json.t =
-  Json.Obj
-    [
-      ("operator", Json.String r.operator);
-      ("depth", Json.Int r.depth);
-      ("fingerprint", Json.String r.fingerprint);
-      ("est_rows", Json.Float r.est_rows);
-      ("act_rows", Json.Int r.act_rows);
-      ("est_bytes", Json.Float r.est_bytes);
-      ("act_bytes", Json.Float r.act_bytes);
-      ("est_us", Json.Float r.est_us);
-      ("act_us", Json.Float r.act_us);
-      ("est_self_us", Json.Float r.est_self_us);
-      ("act_self_us", Json.Float r.act_self_us);
-      ("est_pages", Json.Float r.est_pages);
-      ("act_pages", Json.Int r.act_pages);
-      ("est_roundtrips", Json.Float r.est_roundtrips);
-      ("act_roundtrips", Json.Int r.act_roundtrips);
-      ("q_rows", Json.Float r.q_rows);
-      ("q_cost", Json.Float r.q_cost);
-      ("q_self", Json.Float r.q_self);
-    ]
-
-let to_json (r : report) : Json.t =
-  Json.Obj
-    [
-      ("fingerprint", Json.String r.fingerprint);
-      ("mean_q_rows", Json.Float r.mean_q_rows);
-      ("mean_q_cost", Json.Float r.mean_q_cost);
-      ("max_q_rows", Json.Float r.max_q_rows);
-      ("max_q_cost", Json.Float r.max_q_cost);
-      ("total_est_us", Json.Float r.total_est_us);
-      ("total_act_us", Json.Float r.total_act_us);
-      ("operators", Json.List (List.map record_to_json r.records));
-    ]

@@ -74,9 +74,4 @@ val analyze :
     (default 10) feeds the round-trip estimate; [page_size] (default
     4096) the page estimate. *)
 
-val render : Format.formatter -> report -> unit
-(** The annotated plan: one line per operator with estimated vs actual
-    rows, time, and q-errors, indented by plan depth. *)
-
 val to_string : report -> string
-val to_json : report -> Tango_obs.Json.t

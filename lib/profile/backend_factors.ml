@@ -27,12 +27,3 @@ let get t name =
   match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl name) with
   | Some f -> f
   | None -> t.base ()
-
-let known t name = Mutex.protect t.lock (fun () -> Hashtbl.mem t.tbl name)
-
-let names t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
-  |> List.sort compare
-
-let clear t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.tbl)

@@ -13,6 +13,3 @@ val create : base:(unit -> Factors.t) -> t
 
 val set : t -> string -> Factors.t -> unit
 val get : t -> string -> Factors.t
-val known : t -> string -> bool
-val names : t -> string list
-val clear : t -> unit

@@ -134,11 +134,6 @@ let find (t : t) fp =
   Mutex.protect t.lock (fun () ->
       Option.map stats_of (Hashtbl.find_opt t.frags fp))
 
-let fragments (t : t) : (string * stats) list =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun fp a acc -> (fp, stats_of a) :: acc) t.frags [])
-  |> List.sort (fun (_, a) (_, b) -> compare b.mean_q_cost a.mean_q_cost)
-
 let factor_q (t : t) : (string * (int * float)) list =
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold
@@ -163,33 +158,3 @@ let clear_factors (t : t) names =
           t.observations;
       t.n_obs <- List.length t.observations;
       t.queries <- 0)
-
-let stats_to_json (s : stats) : Json.t =
-  Json.Obj
-    [
-      ("operator", Json.String s.operator);
-      ("executions", Json.Int s.executions);
-      ("mean_q_rows", Json.Float s.mean_q_rows);
-      ("mean_q_cost", Json.Float s.mean_q_cost);
-      ("max_q_rows", Json.Float s.max_q_rows);
-      ("max_q_cost", Json.Float s.max_q_cost);
-      ("mean_act_us", Json.Float s.mean_act_us);
-    ]
-
-let to_json (t : t) : Json.t =
-  Json.Obj
-    [
-      ("queries", Json.Int t.queries);
-      ( "fragments",
-        Json.Obj
-          (List.map (fun (fp, s) -> (fp, stats_to_json s)) (fragments t)) );
-      ( "factor_q",
-        Json.Obj
-          (List.map
-             (fun (f, (n, q)) ->
-               ( f,
-                 Json.Obj
-                   [ ("samples", Json.Int n); ("mean_q_cost", Json.Float q) ]
-               ))
-             (factor_q t)) );
-    ]

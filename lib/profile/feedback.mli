@@ -35,9 +35,6 @@ val queries : t -> int
 val find : t -> string -> stats option
 (** Aggregate statistics for one fragment fingerprint. *)
 
-val fragments : t -> (string * stats) list
-(** All fragments, worst mean cost q-error first. *)
-
 val factor_q : t -> (string * (int * float)) list
 (** Per cost factor: (samples, mean self-cost q-error — {!Analyze.record}'s
     [q_self]) of the operators priced by that factor — the adaptation
@@ -50,5 +47,3 @@ val clear_factors : t -> string list -> unit
 (** Drop the named factors' q-error aggregates and refit observations and
     restart the {!queries} count — called after a refit, so a refitted
     factor needs fresh evidence while every other factor keeps its own. *)
-
-val to_json : t -> Tango_obs.Json.t

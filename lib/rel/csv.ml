@@ -1,26 +1,8 @@
-(** Minimal CSV import/export for relations, used by examples and the CLI.
+(** Minimal CSV import for relations, used by the CLI's [--csv].
 
     The dialect is deliberately simple: comma separator, double-quote
     escaping for fields containing commas/quotes/newlines, first line is the
-    header.  Values are written in a typed syntax and parsed back against a
-    schema. *)
-
-let escape_field s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if not needs_quoting then s
-  else begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
+    typed header. *)
 
 let split_line line =
   let fields = ref [] in
@@ -55,14 +37,6 @@ let split_line line =
   go 0 false;
   List.rev !fields
 
-let field_of_value = function
-  | Value.Null -> ""
-  | Value.Bool b -> string_of_bool b
-  | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%.17g" f
-  | Value.Str s -> s
-  | Value.Date d -> string_of_int d
-
 (* DATE cells parse as raw chronons by default; {!Tango_temporal.Chronon}
    installs a parser that also accepts ISO dates (1997-02-01). *)
 let date_parser : (string -> int) ref = ref int_of_string
@@ -79,22 +53,6 @@ let value_of_field dtype s =
     | Value.TStr -> Value.Str s
     | Value.TDate -> Value.Date (!date_parser s)
 
-let write_channel oc r =
-  output_string oc
-    (String.concat "," (List.map escape_field (Schema.names (Relation.schema r))));
-  output_char oc '\n';
-  Relation.iter
-    (fun t ->
-      output_string oc
-        (String.concat ","
-           (List.map (fun v -> escape_field (field_of_value v)) (Tuple.to_list t)));
-      output_char oc '\n')
-    r
-
-let write_file path r =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc r)
-
 let read_lines ic =
   let rec go acc =
     match input_line ic with
@@ -103,31 +61,33 @@ let read_lines ic =
   in
   go []
 
-(** [read_file schema path] parses a CSV whose header must list exactly the
-    schema's attribute names (order may differ). *)
-let read_file schema path =
+(* A header cell [Name:TYPE]. *)
+let typed_column cell =
+  match String.split_on_char ':' cell with
+  | [ name; ty ] -> (
+      try (String.trim name, Value.dtype_of_name (String.trim ty))
+      with Invalid_argument m -> failwith ("Csv.read_file: " ^ m))
+  | _ -> failwith ("Csv.read_file: header cell must be Name:TYPE, got " ^ cell)
+
+let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       match read_lines ic with
-      | [] -> Relation.of_list schema []
+      | [] -> failwith ("Csv.read_file: no header in " ^ path)
       | header :: rows ->
-          let cols = split_line header in
-          let positions =
-            List.map
-              (fun name ->
-                match List.find_index (String.equal name) cols with
-                | Some i -> i
-                | None -> failwith ("Csv.read_file: missing column " ^ name))
-              (Schema.names schema)
-          in
-          let parse_row line =
-            let fields = Array.of_list (split_line line) in
+          let schema = Schema.make (List.map typed_column (split_line header)) in
+          let parse_row n line =
+            let fields = split_line line in
+            if List.length fields <> Schema.arity schema then
+              failwith
+                (Printf.sprintf
+                   "Csv.read_file: %s line %d has %d fields, the header %d"
+                   path (n + 2) (List.length fields) (Schema.arity schema));
             Array.of_list
               (List.mapi
-                 (fun attr_i col_i ->
-                   value_of_field (Schema.dtype_at schema attr_i) fields.(col_i))
-                 positions)
+                 (fun i field -> value_of_field (Schema.dtype_at schema i) field)
+                 fields)
           in
-          Relation.of_list schema (List.map parse_row rows))
+          Relation.of_list schema (List.mapi parse_row rows))

@@ -1,16 +1,14 @@
-(** Minimal CSV import/export for relations (comma separator, double-quote
-    escaping, header line).  Values are written in a plain syntax and
-    parsed back against a schema. *)
+(** Minimal CSV import for relations (comma separator, double-quote
+    escaping, typed header line). *)
 
 val set_date_parser : (string -> int) -> unit
 (** Override how DATE cells parse (default: raw chronon integers).
     {!Tango_temporal.Chronon} installs a parser that also accepts ISO
     dates. *)
 
-val write_channel : out_channel -> Relation.t -> unit
-val write_file : string -> Relation.t -> unit
-
-val read_file : Schema.t -> string -> Relation.t
-(** Parse a CSV whose header lists exactly the schema's attribute names
-    (order may differ); empty cells become [Null].  Raises [Failure] on
-    missing columns. *)
+val read_file : string -> Relation.t
+(** Parse a CSV whose header is [Col:TYPE,Col:TYPE,...] with [TYPE] one
+    of INT, FLOAT, VARCHAR, DATE, BOOL ({!Value.dtype_of_name}); the
+    relation's schema is the header's columns in order.  Empty cells
+    become [Null].  Raises [Failure] on a malformed header or a row whose
+    field count differs from the header's. *)

@@ -1,28 +1,20 @@
 (** Attribute histograms, as maintained by conventional DBMSs and consumed by
     the middleware's selectivity estimation (paper Section 3.3).
 
-    Both kinds the paper mentions are supported:
-    - {e height-balanced} (equi-depth): every bucket holds the same number of
-      attribute values;
-    - {e width-balanced} (equi-width): every bucket spans the same value
-      range.
+    Histograms are {e height-balanced} (equi-depth): every bucket holds
+    the same number of attribute values.
 
-    Buckets are over the numeric view of values (ints, floats, dates).  For
-    bucket [i], [b1 i] and [b2 i] give its start and end values and [b_val i]
-    the number of attribute values that fall inside — exactly the paper's
-    [b1(i,H)], [b2(i,H)], [bVal(i,H)] accessor functions. *)
-
-type kind = Height_balanced | Width_balanced
+    Buckets are over the numeric view of values (ints, floats, dates).
+    Bucket [i] spans [lo, hi] (the paper's [b1(i,H)], [b2(i,H)]) and
+    [b_val i] is the number of attribute values that fall inside (the
+    paper's [bVal(i,H)]). *)
 
 type bucket = { lo : float; hi : float; count : int }
 
-type t = { kind : kind; buckets : bucket array; total : int }
+type t = { buckets : bucket array; total : int }
 
-let kind h = h.kind
 let bucket_count h = Array.length h.buckets
 let total h = h.total
-let b1 h i = h.buckets.(i).lo
-let b2 h i = h.buckets.(i).hi
 let b_val h i = h.buckets.(i).count
 
 (** [bucket_no h v]: index of the bucket containing value [v] — the paper's
@@ -62,7 +54,7 @@ let sorted_numeric values =
 let height_balanced ~buckets values =
   let xs = sorted_numeric values in
   let n = Array.length xs in
-  if n = 0 then { kind = Height_balanced; buckets = [||]; total = 0 }
+  if n = 0 then { buckets = [||]; total = 0 }
   else begin
     let nb = min buckets n in
     let bs =
@@ -72,39 +64,7 @@ let height_balanced ~buckets values =
           let hi = if stop >= n then xs.(n - 1) else xs.(stop) in
           { lo; hi; count = stop - start })
     in
-    { kind = Height_balanced; buckets = bs; total = n }
-  end
-
-(** Build a width-balanced histogram with [buckets] equal-width buckets. *)
-let width_balanced ~buckets values =
-  let xs = sorted_numeric values in
-  let n = Array.length xs in
-  if n = 0 then { kind = Width_balanced; buckets = [||]; total = 0 }
-  else begin
-    let lo = xs.(0) and hi = xs.(n - 1) in
-    if lo = hi then
-      { kind = Width_balanced; buckets = [| { lo; hi; count = n } |]; total = n }
-    else begin
-      let nb = max 1 buckets in
-      let width = (hi -. lo) /. float_of_int nb in
-      let counts = Array.make nb 0 in
-      Array.iter
-        (fun x ->
-          let i =
-            min (nb - 1) (int_of_float ((x -. lo) /. width))
-          in
-          counts.(i) <- counts.(i) + 1)
-        xs;
-      let bs =
-        Array.init nb (fun i ->
-            {
-              lo = lo +. (width *. float_of_int i);
-              hi = lo +. (width *. float_of_int (i + 1));
-              count = counts.(i);
-            })
-      in
-      { kind = Width_balanced; buckets = bs; total = n }
-    end
+    { buckets = bs; total = n }
   end
 
 (** Estimated number of values strictly below [v]: sum of the preceding
@@ -126,12 +86,3 @@ let count_below h v =
     in
     float_of_int !before +. (frac *. float_of_int b.count)
   end
-
-let pp ppf h =
-  Fmt.pf ppf "%s[%a]"
-    (match h.kind with
-    | Height_balanced -> "equi-depth"
-    | Width_balanced -> "equi-width")
-    (Fmt.array ~sep:(Fmt.any " ") (fun ppf b ->
-         Fmt.pf ppf "(%g..%g:%d)" b.lo b.hi b.count))
-    h.buckets

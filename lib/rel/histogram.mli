@@ -1,36 +1,20 @@
 (** Attribute histograms, as maintained by conventional DBMSs and consumed
     by the middleware's selectivity estimation (paper Section 3.3).
 
-    Buckets cover the numeric view of values; for bucket [i], [b1]/[b2]
-    give its bounds and [b_val] its value count — the paper's [b1(i,H)],
-    [b2(i,H)], [bVal(i,H)] accessors. *)
-
-type kind = Height_balanced | Width_balanced
+    Buckets cover the numeric view of values; for bucket [i], [b_val] is
+    its value count — the paper's [bVal(i,H)] accessor. *)
 
 type t
 
-val kind : t -> kind
 val bucket_count : t -> int
 val total : t -> int
 
-val b1 : t -> int -> float
-val b2 : t -> int -> float
 val b_val : t -> int -> int
-
-val bucket_no : t -> float -> int
-(** Bucket containing a value — the paper's [bNo(A,H)].  Values outside the
-    covered range clamp to the first/last bucket.  Raises
-    [Invalid_argument] on an empty histogram. *)
 
 val height_balanced : buckets:int -> Value.t array -> t
 (** Equi-depth histogram; nulls are excluded. *)
-
-val width_balanced : buckets:int -> Value.t array -> t
-(** Equi-width histogram; nulls are excluded. *)
 
 val count_below : t -> float -> float
 (** Estimated number of values strictly below the argument: full preceding
     buckets plus a uniform fraction of the containing bucket — the
     histogram branch of [StartBefore]/[EndBefore]. *)
-
-val pp : Format.formatter -> t -> unit

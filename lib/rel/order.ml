@@ -12,10 +12,6 @@ type key = { attr : string; dir : direction }
 type t = key list
 
 let asc attr = { attr; dir = Asc }
-let desc attr = { attr; dir = Desc }
-
-let of_attrs attrs = List.map asc attrs
-let attrs (o : t) = List.map (fun k -> k.attr) o
 
 let key_equal a b =
   (* Unqualified and qualified spellings of the same attribute compare

@@ -12,12 +12,6 @@ type t = key list
 (** The empty list means "no known order". *)
 
 val asc : string -> key
-val desc : string -> key
-val of_attrs : string list -> t
-val attrs : t -> string list
-
-val key_equal : key -> key -> bool
-(** Keys compare with base-name fallback, mirroring {!Schema.index}. *)
 
 val equal : t -> t -> bool
 
@@ -30,6 +24,4 @@ val satisfies : actual:t -> required:t -> bool
 
 val comparator : t -> Schema.t -> Tuple.t -> Tuple.t -> int
 
-val pp_key : Format.formatter -> key -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

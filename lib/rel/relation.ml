@@ -21,7 +21,6 @@ let schema r = r.schema
 let tuples r = r.tuples
 let order r = r.order
 let cardinality r = Array.length r.tuples
-let is_empty r = cardinality r = 0
 let to_list r = Array.to_list r.tuples
 
 (** Total size in bytes — the [size(r)] statistic of the cost formulas. *)
@@ -34,7 +33,6 @@ let avg_tuple_size r =
 
 let iter f r = Array.iter f r.tuples
 let fold f init r = Array.fold_left f init r.tuples
-let map_tuples f r = Array.map f r.tuples
 
 let column r name =
   let i = Schema.index r.schema name in
@@ -163,5 +161,3 @@ let pp ppf r =
               (fun i v -> pad (Value.to_string v) widths.(i))
               (Array.to_list t))))
     r.tuples
-
-let to_string r = Fmt.str "%a" pp r

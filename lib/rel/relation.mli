@@ -17,7 +17,6 @@ val schema : t -> Schema.t
 val tuples : t -> Tuple.t array
 val order : t -> Order.t
 val cardinality : t -> int
-val is_empty : t -> bool
 val to_list : t -> Tuple.t list
 
 val byte_size : t -> int
@@ -27,7 +26,6 @@ val avg_tuple_size : t -> float
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
-val map_tuples : (Tuple.t -> Tuple.t) -> t -> Tuple.t array
 val column : t -> string -> Value.t array
 
 val sort : Order.t -> t -> t
@@ -57,5 +55,3 @@ val max_value : t -> string -> Value.t option
 
 val pp : Format.formatter -> t -> unit
 (** Aligned tabular rendering. *)
-
-val to_string : t -> string

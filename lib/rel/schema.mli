@@ -52,5 +52,4 @@ val union_compatible : t -> t -> bool
 (** Same arity and types (names may differ) — the requirement of union and
     difference. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -5,7 +5,6 @@ type t = Value.t array
 let arity = Array.length
 let get (t : t) i = t.(i)
 let of_list = Array.of_list
-let to_list = Array.to_list
 
 (** Field access by name through a schema. *)
 let field schema (t : t) name = t.(Schema.index schema name)
@@ -47,11 +46,6 @@ let byte_size (t : t) =
     s := !s + Value.byte_size t.(i)
   done;
   !s
-
-let pp ppf (t : t) =
-  Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") Value.pp) (to_list t)
-
-let to_string t = Fmt.str "%a" pp t
 
 (* --- marshalling: a tuple serializes as a value-count header followed by
    each value; used by storage pages and the DBMS client boundary --- *)

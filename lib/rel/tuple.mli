@@ -5,7 +5,6 @@ type t = Value.t array
 val arity : t -> int
 val get : t -> int -> Value.t
 val of_list : Value.t list -> t
-val to_list : t -> Value.t list
 
 val field : Schema.t -> t -> string -> Value.t
 (** Field access by (possibly qualified) attribute name. *)
@@ -27,9 +26,6 @@ val compare_on : int array -> bool array -> t -> t -> int
 
 val byte_size : t -> int
 (** Total bytes, the per-tuple contribution to [size(r)]. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val serialize : Buffer.t -> t -> unit
 

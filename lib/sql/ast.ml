@@ -153,20 +153,6 @@ and map_params_query f = function
   | Union (a, b) -> Union (map_params_query f a, map_params_query f b)
   | Union_all (a, b) -> Union_all (map_params_query f a, map_params_query f b)
 
-(** Bind-variable indices appearing in an expression, in syntactic order
-    (duplicates kept; subqueries ignored, matching {!columns}). *)
-let rec params = function
-  | Lit _ | Col _ -> []
-  | Param n -> [ n ]
-  | Binop (_, a, b) -> params a @ params b
-  | Not e | Is_null e | Is_not_null e -> params e
-  | Between (a, b, c) -> params a @ params b @ params c
-  | Greatest es | Least es -> List.concat_map params es
-  | Agg (_, Some e) -> params e
-  | Agg (_, None) -> []
-  | Scalar_subquery _ | Exists _ -> []
-  | In_subquery (e, _) -> params e
-
 let rec contains_agg = function
   | Agg _ -> true
   | Lit _ | Param _ | Col _ | Scalar_subquery _ | Exists _ -> false

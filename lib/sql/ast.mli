@@ -104,12 +104,5 @@ val map_params : (int -> expr) -> expr -> expr
     to close a plan template over its bound values
     ([f n = Lit values.(n-1)]). *)
 
-val map_params_query : (int -> expr) -> query -> query
-(** {!map_params} over every expression of a query. *)
-
-val params : expr -> int list
-(** Bind-variable indices appearing in an expression, in syntactic
-    order (duplicates kept; subqueries ignored, matching {!columns}). *)
-
 val contains_agg : expr -> bool
 val contains_subquery : expr -> bool

@@ -13,9 +13,6 @@ type token =
 
 exception Lex_error of string
 
-val keywords : string list
-val is_keyword : string -> bool
-
 val tokenize : string -> token list
 (** Tokenize a statement; the result ends with {!EOF}.  Raises
     {!Lex_error} on malformed input (unterminated strings, stray

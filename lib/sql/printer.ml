@@ -130,21 +130,3 @@ and query_to_sql = function
                      expr_to_sql e ^ if asc then "" else " DESC")
                    os)));
       Buffer.contents buf
-
-let statement_to_sql = function
-  | Ast.Query q -> query_to_sql q
-  | Ast.Create_table (name, cols) ->
-      Printf.sprintf "CREATE TABLE %s (%s)" name
-        (String.concat ", "
-           (List.map
-              (fun c ->
-                c.Ast.col_name ^ " " ^ Value.dtype_name c.Ast.col_type)
-              cols))
-  | Ast.Drop_table name -> "DROP TABLE " ^ name
-  | Ast.Insert (name, rows) ->
-      Printf.sprintf "INSERT INTO %s VALUES %s" name
-        (String.concat ", "
-           (List.map
-              (fun row ->
-                "(" ^ String.concat ", " (List.map value_to_sql row) ^ ")")
-              rows))

@@ -2,7 +2,5 @@
     the DBMS (as TANGO shipped them over JDBC). *)
 
 val binop_name : Ast.binop -> string
-val value_to_sql : Tango_rel.Value.t -> string
 val expr_to_sql : Ast.expr -> string
 val query_to_sql : Ast.query -> string
-val statement_to_sql : Ast.statement -> string

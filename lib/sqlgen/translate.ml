@@ -421,5 +421,3 @@ let translate_with_schema ?(temp_name = fun _ -> "TANGO_TMP") (op : Op.t) :
     node its temp-table name. *)
 let translate ?temp_name (op : Op.t) : Ast.query =
   fst (translate_with_schema ?temp_name op)
-
-let to_sql ?temp_name op = Printer.query_to_sql (translate ?temp_name op)

@@ -15,9 +15,6 @@ open Tango_algebra
 
 exception Untranslatable of string
 
-val sql_name : string -> string
-(** SQL-safe column name for an algebra attribute. *)
-
 val temp_table_schema : Schema.t -> Schema.t
 (** Column names of the temp table a [T^D] creates for a middleware
     relation with this schema. *)
@@ -30,5 +27,3 @@ val translate : ?temp_name:(Op.t -> string) -> Op.t -> Ast.query
 val translate_with_schema :
   ?temp_name:(Op.t -> string) -> Op.t -> Ast.query * Schema.t
 (** {!translate}, and the subtree's output schema, [Op.schema op]. *)
-
-val to_sql : ?temp_name:(Op.t -> string) -> Op.t -> string

@@ -3,12 +3,7 @@
     middleware's {!Rel_stats.t} form, qualified the way the algebra's
     [Scan] qualifies its output schema. *)
 
-open Tango_rel
 open Tango_dbms
-
-val numeric_view : Value.t -> float option
-
-val of_table_stats : qualifier:string -> Stat.table_stats -> Rel_stats.t
 
 val collect :
   ?histograms:[ `All | `Cols of string list | `None ] ->

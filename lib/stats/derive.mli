@@ -2,7 +2,6 @@
     given base-relation statistics, estimate cardinality and column
     statistics for every operator's output. *)
 
-open Tango_sql
 open Tango_algebra
 
 open Tango_rel
@@ -23,17 +22,6 @@ val env :
   ?binding:Value.t array ->
   (qualifier:string -> string -> Rel_stats.t) ->
   env
-
-val strip_indexes : Rel_stats.t -> Rel_stats.t
-(** Clear index-availability flags — applied whenever an operator hides the
-    base table behind a derived/temp table. *)
-
-val apply_selection : Rel_stats.t -> Ast.expr -> float -> Rel_stats.t
-(** Scale cardinality/distincts by a selectivity and tighten min/max for
-    explicitly bounded attributes. *)
-
-val equi_pairs : Ast.expr -> (string * string) list
-val join_cardinality : Rel_stats.t -> Rel_stats.t -> Ast.expr -> float
 
 val temporal_overlap_factor : Rel_stats.t -> Rel_stats.t -> float
 (** Expected fraction of key-matched tuple pairs whose periods overlap,

@@ -25,11 +25,6 @@ type t = {
   cols : (string * col) list;  (** per output-schema attribute *)
 }
 
-let default_width = function
-  | Value.TBool -> 1.0
-  | Value.TInt | Value.TFloat | Value.TDate -> 8.0
-  | Value.TStr -> 16.0
-
 let col_default ?(width = 8.0) card =
   { distinct = card; min_v = None; max_v = None; histogram = None;
     avg_width = width; indexed = false }
@@ -113,12 +108,3 @@ let merge (parts : t list) : t =
               (n, { c with distinct = Float.min c.distinct merged.card }))
             merged.cols;
       }
-
-let pp ppf (s : t) =
-  Fmt.pf ppf "card=%.1f avg_size=%.1f [%a]" s.card (avg_tuple_size s)
-    (Fmt.list ~sep:(Fmt.any "; ") (fun ppf (n, c) ->
-         Fmt.pf ppf "%s: d=%.0f%s" n c.distinct
-           (match (c.min_v, c.max_v) with
-           | Some a, Some b -> Printf.sprintf " [%g..%g]" a b
-           | _ -> "")))
-    s.cols

@@ -22,8 +22,6 @@ type t = {
   cols : (string * col) list;  (** per output-schema attribute *)
 }
 
-val default_width : Value.dtype -> float
-
 val col_default : ?width:float -> float -> col
 (** Uninformative column statistics for a relation of the given
     cardinality. *)
@@ -52,5 +50,3 @@ val merge : t list -> t
     for the partition column, an overestimate elsewhere), widths average
     weighted by cardinality, and histograms are dropped.  Raises
     [Invalid_argument] on an empty list. *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,24 +13,12 @@ open Tango_sql
 
 type mode = Temporal | Naive
 
-val default_unknown : float
-(** Selectivity assumed for predicates nothing is known about. *)
-
 val start_before : Rel_stats.t -> float -> float
 (** Estimated tuples whose period starts before the chronon — the paper's
     [StartBefore(A, r)]. *)
 
-val end_before : Rel_stats.t -> float -> float
-(** The paper's [EndBefore(A, r)]. *)
-
-val overlaps_cardinality : Rel_stats.t -> a:float -> b:float -> float
-(** Estimated tuples whose period intersects [\[a, b)]. *)
-
 val timeslice_cardinality : Rel_stats.t -> a:float -> float
 (** Estimated tuples whose period contains chronon [a]. *)
-
-val lit_value : Ast.expr -> float option
-(** Numeric view of a literal operand, if any. *)
 
 val col_name : Ast.expr -> string option
 (** Qualified spelling of a column reference, if the expression is one. *)

@@ -43,15 +43,10 @@ let create ~capacity =
     evictions = 0;
   }
 
-let capacity p = p.capacity
 let resident p = p.resident
 let hits p = p.hits
 let misses p = p.misses
 let evictions p = p.evictions
-
-let hit_ratio p =
-  let total = p.hits + p.misses in
-  if total = 0 then 0.0 else float_of_int p.hits /. float_of_int total
 
 (* unlink a node from the recency list *)
 let unlink p n =
@@ -123,12 +118,3 @@ let invalidate_file p file_id =
       Hashtbl.remove p.table k;
       p.resident <- p.resident - 1)
     victims
-
-let reset_counters p =
-  p.hits <- 0;
-  p.misses <- 0;
-  p.evictions <- 0
-
-let pp ppf p =
-  Fmt.pf ppf "pool cap=%d resident=%d hits=%d misses=%d evictions=%d (%.0f%%)"
-    p.capacity p.resident p.hits p.misses p.evictions (100.0 *. hit_ratio p)

@@ -11,12 +11,10 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] on non-positive capacity. *)
 
-val capacity : t -> int
 val resident : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
-val hit_ratio : t -> float
 
 val touch : t -> key -> bool
 (** Record an access: [true] on a hit, [false] on a miss (the page becomes
@@ -24,6 +22,3 @@ val touch : t -> key -> bool
 
 val invalidate_file : t -> int -> unit
 (** Drop every page of a file (table drop). *)
-
-val reset_counters : t -> unit
-val pp : Format.formatter -> t -> unit

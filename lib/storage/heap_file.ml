@@ -41,10 +41,8 @@ let create ?(page_capacity = Page.default_size) ?pool ~stats schema =
   }
 
 let schema f = f.schema
-let all_columns f = f.all_columns
 let block_count f = f.page_count
 let tuple_count f = f.tuple_count
-let byte_count f = f.byte_count
 
 let avg_tuple_size f =
   if f.tuple_count = 0 then 0.0
@@ -88,8 +86,6 @@ let append f (t : Tuple.t) : rid =
   Io_stats.record_tuple_written f.stats;
   { page = f.page_count - 1; slot = Page.tuple_count page - 1 }
 
-let file_id f = f.id
-
 let read_page f i =
   if i < 0 || i >= f.page_count then invalid_arg "Heap_file.read_page";
   (* With a buffer pool, only misses pay a page read; a resident page costs
@@ -129,28 +125,11 @@ let scan f : Tuple.t Seq.t =
   Seq.concat_map Array.to_seq
     (Seq.of_dispenser (scan_pages f ~keep:f.all_columns))
 
-let iter fn f =
-  let pull = scan_pages f ~keep:f.all_columns in
-  let rec go () =
-    match pull () with
-    | None -> ()
-    | Some ts ->
-        Array.iter fn ts;
-        go ()
-  in
-  go ()
-
 (** Drop this file's pages from the shared buffer pool (table drop). *)
 let invalidate f =
   match f.pool with
   | Some pool -> Buffer_pool.invalidate_file pool f.id
   | None -> ()
-
-(** Load all tuples of a relation; returns the file. *)
-let of_relation ?page_capacity ?pool ~stats (r : Relation.t) =
-  let f = create ?page_capacity ?pool ~stats (Relation.schema r) in
-  Relation.iter (fun t -> ignore (append f t)) r;
-  f
 
 let to_relation f =
   Relation.make f.schema (Array.of_seq (scan f))

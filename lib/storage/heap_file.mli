@@ -15,13 +15,8 @@ val create :
 
 val schema : t -> Schema.t
 
-val all_columns : t -> bool array
-(** The keep-mask selecting every field of the file's schema. *)
-
-val file_id : t -> int
 val block_count : t -> int
 val tuple_count : t -> int
-val byte_count : t -> int
 val avg_tuple_size : t -> float
 
 val append : t -> Tuple.t -> rid
@@ -43,12 +38,7 @@ val scan_pages : t -> keep:bool array -> unit -> Tuple.t array option
 val scan : t -> Tuple.t Seq.t
 (** Full scan; each page charged once, each tuple deserialized. *)
 
-val iter : (Tuple.t -> unit) -> t -> unit
-
 val invalidate : t -> unit
 (** Drop this file's pages from the shared buffer pool (table drop). *)
-
-val of_relation :
-  ?page_capacity:int -> ?pool:Buffer_pool.t -> stats:Io_stats.t -> Relation.t -> t
 
 val to_relation : t -> Relation.t

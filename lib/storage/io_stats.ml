@@ -53,13 +53,6 @@ let create () =
     index_lookups = 0;
   }
 
-let reset s =
-  s.page_reads <- 0;
-  s.page_writes <- 0;
-  s.tuples_read <- 0;
-  s.tuples_written <- 0;
-  s.index_lookups <- 0
-
 let copy s =
   {
     page_reads = s.page_reads;
@@ -78,8 +71,3 @@ let diff a b =
     tuples_written = a.tuples_written - b.tuples_written;
     index_lookups = a.index_lookups - b.index_lookups;
   }
-
-let pp ppf s =
-  Fmt.pf ppf
-    "reads=%d writes=%d tuples_read=%d tuples_written=%d index_lookups=%d"
-    s.page_reads s.page_writes s.tuples_read s.tuples_written s.index_lookups

@@ -19,10 +19,7 @@ val record_page_write : t -> unit
 val record_tuples_read : t -> int -> unit
 val record_tuple_written : t -> unit
 val record_index_lookup : t -> unit
-val reset : t -> unit
 val copy : t -> t
 
 val diff : t -> t -> t
 (** [diff later earlier]: counter deltas between two snapshots. *)
-
-val pp : Format.formatter -> t -> unit

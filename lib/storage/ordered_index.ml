@@ -41,7 +41,6 @@ let build ?(clustered = false) ~stats file attr =
 
 let attr i = i.attr
 let clustered i = i.clustered
-let entry_count i = Array.length i.entries
 
 (* First position with key >= v (lower bound). *)
 let lower_bound i v =
@@ -80,12 +79,3 @@ let range i ?lo ?hi () =
     match hi with None -> Array.length i.entries | Some v -> upper_bound i v
   in
   rids i start stop
-
-(** Count of keys in the closed range without fetching tuples (index-only). *)
-let range_count i ?lo ?hi () =
-  Io_stats.record_index_lookup i.stats;
-  let start = match lo with None -> 0 | Some v -> lower_bound i v in
-  let stop =
-    match hi with None -> Array.length i.entries | Some v -> upper_bound i v
-  in
-  max 0 (stop - start)

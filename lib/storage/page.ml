@@ -21,8 +21,6 @@ let create ?(capacity = default_size) () =
   { capacity; data = Bytes.create capacity; used = 0; slots = Array.make 16 0; count = 0 }
 
 let tuple_count p = p.count
-let bytes_used p = p.used
-let capacity p = p.capacity
 
 let ensure_slots p =
   if p.count >= Array.length p.slots then begin

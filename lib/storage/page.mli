@@ -13,8 +13,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 val tuple_count : t -> int
-val bytes_used : t -> int
-val capacity : t -> int
 
 val append : t -> Buffer.t -> bool
 (** Store the one tuple serialized in the buffer (its whole contents, by

@@ -8,7 +8,6 @@
 type t = int
 
 let compare = Int.compare
-let equal = Int.equal
 
 (** [of_ymd ~y ~m ~d]: day number of a calendar date.  [m] is 1..12,
     [d] 1..31. *)
@@ -51,11 +50,6 @@ let pp ppf c = Fmt.string ppf (to_string c)
 
 (** The "beginning" and "forever" sentinels used for now-relative and
     open-ended data.  Kept well inside [int] range so arithmetic is safe. *)
-let min_chronon : t = of_ymd ~y:1 ~m:1 ~d:1
-let max_chronon : t = of_ymd ~y:9999 ~m:12 ~d:31
-
-let succ (c : t) : t = c + 1
-let pred (c : t) : t = c - 1
 
 (* Linking the temporal library upgrades Date rendering everywhere, and
    lets CSV DATE cells be ISO dates as well as raw chronons. *)
@@ -65,8 +59,6 @@ let () =
   Tango_rel.Csv.set_date_parser (fun s ->
       if String.contains s '-' && String.length s > 4 then of_string s
       else int_of_string s)
-
-let value (c : t) = Tango_rel.Value.Date c
 
 let of_value = function
   | Tango_rel.Value.Date d -> d

@@ -7,28 +7,14 @@
 type t = int
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val of_ymd : y:int -> m:int -> d:int -> t
-val to_ymd : t -> int * int * int
 
 val of_string : string -> t
 (** Parse ["YYYY-MM-DD"].  Raises [Invalid_argument] on malformed input. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-val min_chronon : t
-(** 0001-01-01, the "beginning" sentinel. *)
-
-val max_chronon : t
-(** 9999-12-31, the "forever" sentinel. *)
-
-val succ : t -> t
-val pred : t -> t
-
-val value : t -> Tango_rel.Value.t
-(** As a [Date] value. *)
 
 val of_value : Tango_rel.Value.t -> t
 (** From a [Date] (or [Int]) value; raises [Invalid_argument] otherwise. *)

@@ -44,17 +44,6 @@ let intersect a b =
 (** [adjacent a b]: periods meet without overlapping. *)
 let adjacent a b = a.t2 = b.t1 || b.t2 = a.t1
 
-(** [merge a b]: union of overlapping or adjacent periods. *)
-let merge a b =
-  if overlaps a b || adjacent a b then
-    Some { t1 = min a.t1 b.t1; t2 = max a.t2 b.t2 }
-  else None
-
-(** Allen-style relationships, useful for tests and predicates. *)
-let before a b = a.t2 <= b.t1
-let after a b = before b a
-let during a b = a.t1 >= b.t1 && a.t2 <= b.t2 && not (equal a b)
-
 let pp ppf p =
   Fmt.pf ppf "[%a, %a)" Chronon.pp p.t1 Chronon.pp p.t2
 

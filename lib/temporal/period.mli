@@ -7,16 +7,10 @@ type t
 val make : Chronon.t -> Chronon.t -> t
 (** Raises [Invalid_argument] when the period would be empty. *)
 
-val make_opt : Chronon.t -> Chronon.t -> t option
-
 val t1 : t -> Chronon.t
 val t2 : t -> Chronon.t
 
-val duration : t -> int
-(** Number of chronons covered. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val overlaps : t -> t -> bool
 (** [a.t1 < b.t2 && a.t2 > b.t1] — the temporal join predicate. *)
@@ -28,15 +22,6 @@ val intersect : t -> t -> t option
 (** Overlap of the two periods ([GREATEST]/[LEAST] of the bounds) — the
     result period of a temporal join. *)
 
-val adjacent : t -> t -> bool
-val merge : t -> t -> t option
-(** Union of overlapping or adjacent periods. *)
-
-val before : t -> t -> bool
-val after : t -> t -> bool
-val during : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val coalesce : t list -> t list

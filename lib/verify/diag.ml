@@ -19,7 +19,6 @@ let severity_name = function
 
 let is_error d = d.severity = Error
 let errors ds = List.filter is_error ds
-let has_errors ds = List.exists is_error ds
 
 let count_errors ds = List.length (errors ds)
 

@@ -22,13 +22,9 @@ val v :
   string -> t
 (** [v severity family ~path message] builds a diagnostic. *)
 
-val severity_name : severity -> string
 val is_error : t -> bool
-val errors : t list -> t list
-val has_errors : t list -> bool
 val count_errors : t list -> int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_json : t -> string

@@ -43,9 +43,6 @@ val create : unit -> t
 val find : t -> int -> int
 (** Canonical class id (union-find root). *)
 
-val canon : t -> node -> node
-(** Canonicalize a node's child class ids. *)
-
 val elements : t -> int -> node list
 (** Elements of a class, canonicalized. *)
 

@@ -11,7 +11,6 @@ type layout = {
   table : string;
   column : string;
   shards : shard list;
-  generation : int;
 }
 
 type interval = float option * float option

@@ -35,7 +35,6 @@ type layout = {
   table : string;  (** the partitioned table *)
   column : string;  (** partition column base name, e.g. ["T1"] *)
   shards : shard list;
-  generation : int;  (** topology generation the layout reflects *)
 }
 
 type interval = float option * float option
@@ -50,8 +49,6 @@ val interval_of_pred : column:string -> Tango_sql.Ast.expr -> interval
 (** Conservative interval implied by the predicate's top-level conjuncts
     that compare [column] (matched by base name) to a literal.  Anything
     unrecognized widens, never narrows. *)
-
-val overlaps : shard -> interval -> bool
 
 val restrict : shard list -> interval -> shard list
 

@@ -89,8 +89,6 @@ val class_stats : t -> int -> Tango_stats.Rel_stats.t option
     first element that does not lead back into a class being derived.
     [None] when the derivation fails or every element is cyclic. *)
 
-val class_size : t -> int -> float
-
 val best : t -> int -> req -> plan option
 (** Cheapest plan for the class under the requirement ([None] when
     infeasible).  Memoized; cyclic memo paths are treated as infeasible. *)

@@ -15,8 +15,6 @@ open Tango_algebra
 
 val q1_sql : string
 val q1_order : Order.key list
-val q1_taggr : Op.t -> Op.t
-val q1_sort_order : Order.key list
 
 val q1_plan1 : position:string -> unit -> Op.t
 (** Sort in the DBMS, temporal aggregation in the middleware. *)
@@ -34,16 +32,7 @@ val q1_plans : position:string -> unit -> (string * Op.t) list
 val q2_sql : period_end:string -> string
 val q2_order : Order.key list
 val q2_sel_b : period_end:string -> Ast.expr
-val q2_sel_a : period_end:string -> Ast.expr
-val q2_taggr : Op.t -> Op.t
-val q2_tjoin_pred : Ast.expr
-val q2_finalize : period_end:string -> Op.t -> Op.t
-val q2_agg_mw : position:string -> reduce:bool -> period_end:string -> Op.t
-val q2_b_db : position:string -> period_end:string -> Op.t
 val q2_plan1 : position:string -> period_end:string -> unit -> Op.t
-val q2_plan2 : position:string -> period_end:string -> unit -> Op.t
-val q2_plan3 : position:string -> period_end:string -> unit -> Op.t
-val q2_plan4 : position:string -> period_end:string -> unit -> Op.t
 val q2_plan5 : position:string -> period_end:string -> unit -> Op.t
 val q2_plan6 : position:string -> period_end:string -> unit -> Op.t
 
@@ -54,9 +43,6 @@ val q2_plans :
 
 val q3_sql : start_bound:string -> string
 val q3_order : Order.key list
-val q3_pred : Ast.expr
-val q3_project : Op.t -> Op.t
-val q3_sel : string -> position:string -> start_bound:string -> Op.t
 val q3_plan1 : position:string -> start_bound:string -> unit -> Op.t
 val q3_plan2 : position:string -> start_bound:string -> unit -> Op.t
 
@@ -67,9 +53,6 @@ val q3_plans :
 
 val q4_sql : string
 val q4_order : Order.key list
-val q4_pred : Ast.expr
-val q4_project : Op.t -> Op.t
-val q4_emp_slim : employee:string -> Op.t
 val q4_plan1 : position:string -> employee:string -> unit -> Op.t
 val q4_plan_dbms : position:string -> employee:string -> unit -> Op.t
 

@@ -158,11 +158,6 @@ let load ?(scale = 1.0) ?histograms (db : Tango_dbms.Database.t) : unit =
   Tango_dbms.Database.create_index db ~clustered:true "EMPLOYEE" "EmpID";
   Tango_dbms.Database.analyze_all db ?histograms ()
 
-(** Load one POSITION size variant under the given table name. *)
-let load_position_variant ?histograms db ~table ~n : unit =
-  Tango_dbms.Database.load_relation db table (position ~n ());
-  ignore (Tango_dbms.Database.analyze db ?histograms table)
-
 (* ------------------------------------------------------------------ *)
 (* Sharded setup                                                         *)
 (* ------------------------------------------------------------------ *)

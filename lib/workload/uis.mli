@@ -29,13 +29,6 @@ val load :
 (** Load a scaled UIS database (POSITION, EMPLOYEE with a clustered EmpID
     index) and ANALYZE everything. *)
 
-val load_position_variant :
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  Tango_dbms.Database.t ->
-  table:string ->
-  n:int ->
-  unit
-
 val load_sharded :
   ?scale:float ->
   ?histograms:[ `All | `Cols of string list | `None ] ->

@@ -5,8 +5,6 @@
 open Tango_rel
 open Tango_temporal
 
-val schema : Schema.t
-
 val generate : ?n:int -> ?duration:int -> unit -> Relation.t
 
 val actual_overlaps : Relation.t -> a:Chronon.t -> b:Chronon.t -> int

@@ -16,9 +16,6 @@
 
 open Tango_rel
 
-val all_attributes : Schema.t -> Order.t
-(** Ascending order on every attribute, in schema order. *)
-
 val taggr_input : Schema.t -> group_by:string list -> Order.t
 (** The (G₁..Gₙ, T1) order TAGGR^M requires of its argument (T1 resolved
     against the argument schema's period attributes). *)

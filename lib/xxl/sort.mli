@@ -9,6 +9,4 @@
 
 open Tango_rel
 
-val default_run_size : int
-
 val sort : ?run_size:int -> Order.t -> Cursor.t -> Cursor.t

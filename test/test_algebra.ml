@@ -199,7 +199,7 @@ let test_ref_select_project () =
     (Schema.names (Relation.schema r))
 
 let test_ref_sort () =
-  let op = Op.sort [ Order.desc "T1" ] (scan ()) in
+  let op = Op.sort [ { Order.attr = "T1"; dir = Order.Desc } ] (scan ()) in
   let r = eval op in
   let t1s = Array.to_list (Array.map Value.to_int (Relation.column r "T1")) in
   Alcotest.(check (list int)) "desc" [ 5; 5; 2 ] t1s

@@ -8,6 +8,17 @@ let obs factor x elapsed_us = { Calibrate.factor; x; elapsed_us }
 
 (* ---------------- fit_slope ---------------- *)
 
+(* Every factor by name, read off the public JSON export. *)
+let factor_assoc f =
+  match Factors.to_json f with
+  | Tango_obs.Json.Obj kv ->
+      List.map
+        (function
+          | n, Tango_obs.Json.Float v -> (n, v)
+          | n, _ -> Alcotest.fail ("non-float factor " ^ n))
+        kv
+  | _ -> Alcotest.fail "factors JSON is not an object"
+
 let test_fit_slope_exact () =
   (* t = 3.7 x, no noise: the least-squares slope is exactly 3.7 *)
   let pts = List.map (fun x -> (x, 3.7 *. x)) [ 10.0; 55.0; 200.0; 1234.0 ] in
@@ -116,7 +127,7 @@ let test_factor_names_roundtrip () =
         (name ^ " updated")
         true
         (Factors.get_by_name f name = Some (v +. 1.0)))
-    (Factors.to_assoc (Factors.default ()));
+    (factor_assoc (Factors.default ()));
   Alcotest.(check bool) "unknown name rejected" false
     (Factors.set_by_name f "p_bogus" 1.0)
 

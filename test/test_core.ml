@@ -168,8 +168,7 @@ let test_config_round_trip () =
   Uis.load ~scale:0.005 db;
   let config =
     Middleware.Config.(
-      default
-      |> with_row_prefetch 25
+      { default with row_prefetch = 25 }
       |> with_roundtrip_spin 0
       |> with_selectivity_mode Tango_stats.Selectivity.Naive
       |> with_histograms false

@@ -26,77 +26,8 @@ open Tango_volcano
 let scale = 0.005
 
 (* ------------------------------------------------------------------ *)
-(* Ad hoc query generator: three shapes with seeded structural variety *)
+(* Ad hoc queries: three shapes with seeded structural variety          *)
 (* ------------------------------------------------------------------ *)
-
-(* The members of [xs] selected by the bits of a seeded mask. *)
-let subset st xs =
-  let mask = Random.State.bits st in
-  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) xs
-
-let nonempty st xs = match subset st xs with [] -> [ List.hd xs ] | s -> s
-let lit st = string_of_int (5 + Random.State.int st 25)
-let pick st xs = List.nth xs (Random.State.int st (List.length xs))
-
-let date st =
-  let lo = Tango_temporal.Chronon.of_ymd ~y:1985 ~m:1 ~d:1 in
-  let hi = Tango_temporal.Chronon.of_ymd ~y:2001 ~m:1 ~d:1 in
-  Tango_temporal.Chronon.to_string (lo + Random.State.int st (hi - lo))
-
-let where = function [] -> "" | ps -> " AND " ^ String.concat " AND " ps
-let order_by st = if Random.State.bool st then " ORDER BY PosID" else ""
-
-let self_join st =
-  let items =
-    nonempty st
-      [ "A.EmpName AS E1"; "B.EmpName AS E2"; "A.Dept AS D1"; "B.Dept AS D2";
-        "A.PayRate AS R1"; "B.Status AS S2" ]
-  in
-  let preds =
-    subset st
-      [ "A.EmpID < B.EmpID"; "A.PayRate > " ^ lit st;
-        "B.T1 < DATE '" ^ date st ^ "'"; "A.Dept = 'CS'"; "B.PayRate < " ^ lit st ]
-  in
-  Printf.sprintf
-    "VALIDTIME SELECT A.PosID AS PosID, %s FROM POSITION A, POSITION B WHERE \
-     A.PosID = B.PosID%s%s"
-    (String.concat ", " items) (where preds) (order_by st)
-
-let group_join st =
-  let agg =
-    pick st [ "COUNT(*)"; "MAX(PayRate)"; "MIN(PayRate)"; "MAX(EmpID)"; "MIN(EmpID)" ]
-  in
-  let inner =
-    match
-      subset st
-        [ "PayRate > " ^ lit st; "T1 < DATE '" ^ date st ^ "'"; "Status = 'FT'" ]
-    with
-    | [] -> ""
-    | ps -> " WHERE " ^ String.concat " AND " ps
-  in
-  let items =
-    nonempty st [ "B.EmpName AS EmpName"; "B.Dept AS Dept"; "B.Status AS Status" ]
-  in
-  let outer = subset st [ "B.PayRate > " ^ lit st; "B.T2 > DATE '" ^ date st ^ "'" ] in
-  Printf.sprintf
-    "VALIDTIME SELECT A.PosID AS PosID, %s, A.V AS V FROM (VALIDTIME SELECT \
-     PosID, %s AS V FROM POSITION%s GROUP BY PosID) A, POSITION B WHERE \
-     A.PosID = B.PosID%s%s"
-    (String.concat ", " items) agg inner (where outer) (order_by st)
-
-let employee_join st =
-  let items =
-    nonempty st
-      [ "E.Name AS Name"; "E.Address AS Address"; "E.City AS City";
-        "E.Dept AS EDept"; "E.Salary AS Salary"; "P.PayRate AS PayRate" ]
-  in
-  let preds =
-    subset st [ "P.PayRate > " ^ lit st; "E.Grade < " ^ lit st; "P.Dept = 'MATH'" ]
-  in
-  Printf.sprintf
-    "SELECT P.PosID AS PosID, %s FROM POSITION P, EMPLOYEE E WHERE P.EmpID = \
-     E.EmpID%s%s"
-    (String.concat ", " items) (where preds) (order_by st)
 
 (* Ten queries of each shape, interleaved, from one seeded stream. *)
 let adhoc =
@@ -105,7 +36,8 @@ let adhoc =
     (fun i ->
       List.map
         (fun (shape, make) -> (Printf.sprintf "%s%02d" shape i, make st))
-        [ ("self", self_join); ("group", group_join); ("emp", employee_join) ])
+        Adhoc_queries.
+          [ ("self", self_join); ("group", group_join); ("emp", employee_join) ])
     (List.init 10 Fun.id)
 
 (* ------------------------------------------------------------------ *)
@@ -272,14 +204,13 @@ let equivalence_corpus =
        Middleware.connect_topology
          (Uis.load_sharded ~scale ~roundtrip_spins:[ 0; 0; 0 ] ~shards:3 ())
      in
-     let st = Random.State.make [| 13 |] in
-     let shapes = [| self_join; group_join; employee_join |] in
      List.concat_map
        (fun (tag, mw) ->
          List.map (fun (q, sql) -> (q ^ tag, mw, sql)) Queries.workload)
        [ ("/1", one); ("/2", two); ("/3", three) ]
-     @ List.init 102 (fun i ->
-           (Printf.sprintf "adhoc%03d" i, one, shapes.(i mod 3) st)))
+     @ List.map
+         (fun (q, sql) -> (q, one, sql))
+         (Adhoc_queries.seeded ~seed:13 102))
 
 let fresh_memo mw sql =
   let m = Memo.create () in

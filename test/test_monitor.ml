@@ -21,25 +21,28 @@ let check_infix what affix s =
 
 (* ---------------- obs: fixed histogram buckets ---------------- *)
 
+(* The registry snapshot's cumulative buckets of the histogram [name]. *)
+let snapshot_buckets name =
+  (List.assoc name (Registry.snapshot ()).Registry.histograms).Registry.buckets
+
 let test_histogram_buckets () =
   let h = Histogram.make "test.monitor_buckets" in
   Histogram.reset h;
   List.iter (Histogram.observe h) [ 0.5; 1.0; 3.0; 1000.0; 1e9 ];
-  (* non-cumulative cells: 0.5 and 1.0 land at bound 1, 3.0 at bound 4,
-     1000.0 at bound 1024, 1e9 overflows *)
-  let counts = Histogram.bucket_counts h in
-  Alcotest.(check int) "cells" (Array.length Histogram.bucket_bounds + 1)
-    (Array.length counts);
-  Alcotest.(check int) "le 1" 2 counts.(0);
-  Alcotest.(check int) "le 2" 0 counts.(1);
-  Alcotest.(check int) "le 4" 1 counts.(2);
-  Alcotest.(check int) "le 1024" 1 counts.(10);
-  Alcotest.(check int) "overflow" 1 counts.(Array.length counts - 1);
-  (* cumulative series is monotone and closed by (+Inf, count) *)
-  let cum = Histogram.cumulative_buckets h in
-  let last_bound, last_count = List.nth cum (List.length cum - 1) in
-  Alcotest.(check bool) "closed by +Inf" true (last_bound = infinity);
-  Alcotest.(check int) "total at +Inf" 5 last_count;
+  (* cumulative cells over the bounds 1, 2, 4, ... 2^23: 0.5 and 1.0 land
+     at bound 1, 3.0 at bound 4, 1000.0 at bound 1024, 1e9 overflows *)
+  let cum = snapshot_buckets "test.monitor_buckets" in
+  Alcotest.(check (list (float 0.0))) "bounds"
+    (List.init 24 (fun i -> float_of_int (1 lsl i)) @ [ infinity ])
+    (List.map fst cum);
+  let at i = snd (List.nth cum i) in
+  Alcotest.(check int) "le 1" 2 (at 0);
+  Alcotest.(check int) "le 2" 2 (at 1);
+  Alcotest.(check int) "le 4" 3 (at 2);
+  Alcotest.(check int) "le 1024" 4 (at 10);
+  Alcotest.(check int) "le 2^23" 4 (at 23);
+  (* closed by (+Inf, count), the overflow included *)
+  Alcotest.(check int) "total at +Inf" 5 (at 24);
   ignore
     (List.fold_left
        (fun prev (_, c) ->
@@ -137,17 +140,19 @@ let test_prometheus_golden () =
   Alcotest.(check string) "golden" expected (Prometheus.render snapshot)
 
 let test_prometheus_names_and_gauges () =
-  Alcotest.(check string) "sanitized" "tango_monitor_round_trips_"
-    (Prometheus.metric_name "monitor.round-trips!");
-  Alcotest.(check string) "custom namespace" "acme_x_y"
-    (Prometheus.metric_name ~namespace:"acme" "x.y");
+  let counter ?namespace name =
+    Prometheus.render ?namespace
+      { Registry.counters = [ (name, 1) ]; histograms = [] }
+  in
+  check_infix "sanitized" "\ntango_monitor_round_trips_ 1\n"
+    (counter "monitor.round-trips!");
+  check_infix "custom namespace" "\nacme_x_y 1\n" (counter ~namespace:"acme" "x.y");
   Alcotest.(check string) "gauge family"
     "# TYPE tango_monitor_slo_state gauge\ntango_monitor_slo_state 2\n"
     (Prometheus.gauge ~name:"monitor.slo_state" 2.0);
   Alcotest.(check string) "gauge labels"
     "# TYPE tango_up gauge\ntango_up{job=\"a\\\"b\"} 1\n"
-    (Prometheus.gauge ~name:"up" ~labels:[ ("job", "a\"b") ] 1.0);
-  Alcotest.(check string) "+Inf bound" "+Inf" (Prometheus.le_label infinity)
+    (Prometheus.gauge ~name:"up" ~labels:[ ("job", "a\"b") ] 1.0)
 
 let test_prometheus_le_labels () =
   (* every rendered bound parses back to exactly its bucket bound *)
@@ -174,19 +179,14 @@ let test_prometheus_le_labels () =
         else None)
       (String.split_on_char '\n' text)
   in
-  Alcotest.(check int) "one label per bound plus +Inf"
-    (Array.length Histogram.bucket_bounds + 1)
+  let bounds = List.map fst (snapshot_buckets "test.monitor_le_labels") in
+  Alcotest.(check int) "one label per bound plus +Inf" (List.length bounds)
     (List.length labels);
-  List.iteri
-    (fun i label ->
-      let bound =
-        if i < Array.length Histogram.bucket_bounds then
-          Histogram.bucket_bounds.(i)
-        else infinity
-      in
+  List.iter2
+    (fun bound label ->
       Alcotest.(check (float 0.0)) ("le=" ^ label) bound
         (float_of_string label))
-    labels
+    bounds labels
 
 let test_prometheus_runtime_gauges () =
   let text = Prometheus.runtime_gauges () in
@@ -266,9 +266,18 @@ let test_chrome_trace_json () =
    2, 3, ... followed by a transfer slice and a gather-wait slice laid
    back to back from the lane start *)
 let test_chrome_backend_lanes () =
+  let root = Trace.make ~elapsed_us:10.0 "root" in
   let events =
-    Chrome_trace.backend_lanes ~start_us:100.0
-      [ ("s0", 40.0, 10.0); ("s1", 5.0, 0.0) ]
+    match
+      Chrome_trace.to_json ~start_us:100.0
+        ~backends:[ ("s0", 40.0, 10.0); ("s1", 5.0, 0.0) ]
+        root
+    with
+    | Json.Obj kvs -> (
+        match List.assoc "traceEvents" kvs with
+        | Json.List (_span :: lanes) -> lanes
+        | _ -> Alcotest.fail "traceEvents is not a span-led list")
+    | _ -> Alcotest.fail "not an object"
   in
   Alcotest.(check int) "three events per backend" 6 (List.length events);
   let field name = function
@@ -295,18 +304,16 @@ let test_chrome_backend_lanes () =
     && field "ts" wait = Json.Float 140.0
     && field "dur" wait = Json.Float 10.0);
   Alcotest.(check bool) "second lane on tid 3" true
-    (field "tid" (List.nth events 3) = Json.Int 3);
-  (* lanes ride into the trace envelope after the span events *)
-  let root = Trace.make ~elapsed_us:10.0 "root" in
-  match Chrome_trace.to_json ~backends:[ ("s0", 4.0, 1.0) ] root with
-  | Json.Obj kvs -> (
-      match List.assoc "traceEvents" kvs with
-      | Json.List evs ->
-          Alcotest.(check int) "span + lane events" 4 (List.length evs)
-      | _ -> Alcotest.fail "traceEvents is not a list")
-  | _ -> Alcotest.fail "not an object"
+    (field "tid" (List.nth events 3) = Json.Int 3)
 
 (* ---------------- event log ---------------- *)
+
+(* The event log's registry metrics, found by name. *)
+let queries_total = Counter.make "monitor.queries"
+let query_errors = Counter.make "monitor.query_errors"
+let events_kept = Counter.make "monitor.events_kept"
+let events_sampled_out = Counter.make "monitor.events_sampled_out"
+let query_us = Histogram.make "monitor.query_us"
 
 let event ?(kind = "query") ?sql ?(started_us = 0.0) ?(elapsed_us = 100.0)
     ?error () : Middleware.query_event =
@@ -355,20 +362,20 @@ let test_event_log_overrides () =
     failed.Event_log.event.Middleware.error
 
 let test_event_log_metrics () =
-  Counter.reset Event_log.queries_total;
-  Counter.reset Event_log.query_errors;
-  Counter.reset Event_log.events_kept;
-  Counter.reset Event_log.events_sampled_out;
+  Counter.reset queries_total;
+  Counter.reset query_errors;
+  Counter.reset events_kept;
+  Counter.reset events_sampled_out;
   let log = Event_log.create ~sample_every:2 () in
   for _ = 1 to 4 do
     Event_log.observe log (event ())
   done;
   Event_log.observe log (event ~error:"x" ());
-  Alcotest.(check int) "queries" 5 (Counter.value Event_log.queries_total);
-  Alcotest.(check int) "errors" 1 (Counter.value Event_log.query_errors);
-  Alcotest.(check int) "kept" 3 (Counter.value Event_log.events_kept);
+  Alcotest.(check int) "queries" 5 (Counter.value queries_total);
+  Alcotest.(check int) "errors" 1 (Counter.value query_errors);
+  Alcotest.(check int) "kept" 3 (Counter.value events_kept);
   Alcotest.(check int) "sampled out" 2
-    (Counter.value Event_log.events_sampled_out)
+    (Counter.value events_sampled_out)
 
 let test_event_log_json () =
   let log = Event_log.create () in
@@ -382,7 +389,7 @@ let test_event_log_json () =
   | _ -> Alcotest.fail "expected a one-record JSON array"
 
 let test_event_log_tail () =
-  Histogram.reset Event_log.query_us;
+  Histogram.reset query_us;
   let log = Event_log.create ~sample_every:1000 () in
   (* 40 fast queries settle the histogram's idea of the p99... *)
   for _ = 1 to 40 do
@@ -396,7 +403,7 @@ let test_event_log_tail () =
       Alcotest.(check bool) "tail reason" true
         (r.Event_log.kept = Event_log.Tail)
   | None -> Alcotest.fail "tail record not kept");
-  Histogram.reset Event_log.query_us
+  Histogram.reset query_us
 
 (* ---------------- slo ---------------- *)
 
@@ -499,13 +506,13 @@ let signal (v : Watchdog.verdict) name =
 (* A single entry accumulating sensitivity-guard replans is flagged as a
    parameter-sensitive plan; scattered one-off replans are not. *)
 let test_watchdog_parameter_sensitivity () =
-  Histogram.reset Event_log.query_us;
+  Histogram.reset query_us;
   let slo = Slo.create ~objective:slo_objective () in
   Slo.observe slo ~now_us:0.0 ~latency_us:100.0 ~ok:true;
   let log = Event_log.create () in
   Event_log.observe log (event ~elapsed_us:100.0 ());
-  let wd = Watchdog.create ~generation:0 () in
-  let eval cache = Watchdog.evaluate wd ~now_us:1e6 ~slo ~log ~generation:0 ?cache () in
+  let wd = Watchdog.create () in
+  let eval cache = Watchdog.evaluate wd ~now_us:1e6 ~slo ~log ?cache () in
   let v = eval None in
   let s = signal v "parameter_sensitive_plan" in
   Alcotest.(check bool) "silent without a cache" false s.Watchdog.firing;
@@ -538,7 +545,7 @@ let test_watchdog_parameter_sensitivity () =
       .Watchdog.firing
 
 let test_watchdog_transitions () =
-  Histogram.reset Event_log.query_us;
+  Histogram.reset query_us;
   let now_us = 1e6 in
   let slo = Slo.create ~objective:slo_objective () in
   Slo.observe slo ~now_us:0.0 ~latency_us:100.0 ~ok:true;
@@ -549,44 +556,39 @@ let test_watchdog_transitions () =
     Event_log.observe log (event ~elapsed_us:100.0 ())
   done;
   Event_log.observe log (event ~elapsed_us:10_000.0 ());
-  let wd = Watchdog.create ~generation:5 () in
-  (* quiet: same generation, healthy slo, no cache or profiling wired *)
-  let v = Watchdog.evaluate wd ~now_us ~slo ~log ~generation:5 () in
+  let wd = Watchdog.create () in
+  (* quiet: healthy slo, no cache or profiling wired *)
+  let v = Watchdog.evaluate wd ~now_us ~slo ~log () in
   Alcotest.(check bool) "quiet" true (v.Watchdog.state = Slo.Ok);
   Alcotest.(check bool) "nothing firing" false
     (List.exists (fun (s : Watchdog.signal) -> s.Watchdog.firing)
        v.Watchdog.signals);
   Alcotest.(check int) "tail covers the outlier" 1 v.Watchdog.tail_records;
-  (* a topology bump fires once and lifts the state to warning... *)
-  let v = Watchdog.evaluate wd ~now_us ~slo ~log ~generation:6 () in
-  Alcotest.(check bool) "topology firing" true
-    (signal v "topology_generation").Watchdog.firing;
-  Alcotest.(check bool) "lifted to warning" true
-    (v.Watchdog.state = Slo.Warning);
-  (* ...and clears at the next check of the same generation *)
+  (* the first cache stats only set the baseline *)
   let v =
     Watchdog.evaluate wd ~now_us ~slo ~log
       ~cache:(cache_stats ~hits:90 ~misses:10 ())
-      ~generation:6 ()
+      ()
   in
-  Alcotest.(check bool) "topology cleared" false
-    (signal v "topology_generation").Watchdog.firing;
-  Alcotest.(check bool) "back to ok" true (v.Watchdog.state = Slo.Ok);
+  Alcotest.(check bool) "baseline quiet" false
+    (signal v "cache_hit_rate").Watchdog.firing;
+  Alcotest.(check bool) "still ok" true (v.Watchdog.state = Slo.Ok);
   (* the hit rate collapsing since the previous check fires the cache
      signal: 0.90 -> 0.45 against a 0.2 threshold *)
   let v =
     Watchdog.evaluate wd ~now_us ~slo ~log
       ~cache:(cache_stats ~hits:90 ~misses:110 ())
-      ~generation:6 ()
+      ()
   in
   Alcotest.(check bool) "cache firing" true
     (signal v "cache_hit_rate").Watchdog.firing;
-  Alcotest.(check bool) "warning again" true (v.Watchdog.state = Slo.Warning);
+  Alcotest.(check bool) "lifted to warning" true
+    (v.Watchdog.state = Slo.Warning);
   (* a steady rate clears it *)
   let v =
     Watchdog.evaluate wd ~now_us ~slo ~log
       ~cache:(cache_stats ~hits:90 ~misses:110 ())
-      ~generation:6 ()
+      ()
   in
   Alcotest.(check bool) "cache cleared" false
     (signal v "cache_hit_rate").Watchdog.firing;
@@ -595,12 +597,12 @@ let test_watchdog_transitions () =
   check_infix "json state" "\"state\":" s;
   check_infix "json signals" "\"signal\":\"slo_burn\"" s;
   check_infix "json tail" "\"tail_records\":" s;
-  Histogram.reset Event_log.query_us
+  Histogram.reset query_us
 
 (* ---------------- attribution over a sharded topology ---------------- *)
 
 let test_sharded_attribution_conservation () =
-  Histogram.reset Event_log.query_us;
+  Histogram.reset query_us;
   let topo =
     Uis.load_sharded ~scale:0.003 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()
   in
@@ -668,9 +670,8 @@ let test_sharded_attribution_conservation () =
   (* the watchdog's tail analysis names a backend and a phase *)
   let slo = Slo.create ~objective:slo_objective () in
   Slo.observe slo ~now_us:0.0 ~latency_us:100.0 ~ok:true;
-  let generation = Tango_dbms.Topology.generation topo in
-  let wd = Watchdog.create ~generation () in
-  let v = Watchdog.evaluate wd ~now_us:1e6 ~slo ~log ~generation () in
+  let wd = Watchdog.create () in
+  let v = Watchdog.evaluate wd ~now_us:1e6 ~slo ~log () in
   (match v.Watchdog.dominant_backend with
   | Some (name, share) ->
       Alcotest.(check bool) "dominant backend is a shard" true
@@ -681,7 +682,7 @@ let test_sharded_attribution_conservation () =
   Alcotest.(check bool) "dominant phase named" true
     (v.Watchdog.dominant_phase <> None);
   Alcotest.(check bool) "tail non-empty" true (v.Watchdog.tail_records >= 1);
-  Histogram.reset Event_log.query_us
+  Histogram.reset query_us
 
 (* ---------------- http ---------------- *)
 
@@ -904,8 +905,7 @@ let get_q ep path query headers =
 (* The labelled sample "NAME{backend="<name>"} <int>" of a family. *)
 let backend_sample body family backend =
   counter_sample body
-    (Printf.sprintf "%s{backend=\"%s\"}" family
-       (Prometheus.escape_label_value backend))
+    (Printf.sprintf "%s{backend=\"%s\"}" family backend)
 
 let test_endpoints_backend_exposition () =
   (* every tango_backend_* sample is its backend's own meter, and the
@@ -914,7 +914,8 @@ let test_endpoints_backend_exposition () =
     Uis.load_sharded ~scale:0.003 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()
   in
   let mw = Middleware.connect_topology topo in
-  let ep = Endpoints.create mw in
+  let log = Event_log.create () in
+  let ep = Endpoints.create ~log mw in
   let backends = Tango_dbms.Topology.backends topo in
   let total_roundtrips () =
     List.fold_left (fun acc b -> acc + Tango_dbms.Backend.roundtrips b) 0
@@ -926,7 +927,7 @@ let test_endpoints_backend_exposition () =
       let resp = post ep "/query" sql in
       Alcotest.(check int) (name ^ " ok") 200 resp.Http.status;
       let root =
-        match (List.hd (Event_log.recent ~n:1 (Endpoints.event_log ep)))
+        match (List.hd (Event_log.recent ~n:1 log))
                 .Event_log.event.Middleware.run with
         | Some r -> r.Middleware.exec
         | None -> Alcotest.fail (name ^ ": no run recorded")
@@ -955,12 +956,13 @@ let test_endpoints_backend_exposition () =
     (List.for_all (fun b -> Tango_dbms.Backend.tuples_shipped b > 0) backends)
 
 let test_endpoints_end_to_end () =
-  Counter.reset Event_log.queries_total;
-  Counter.reset Event_log.query_errors;
-  Histogram.reset Event_log.query_us;
-  let ep = make_endpoints ~log:(Event_log.create ~capacity:64 ()) () in
+  Counter.reset queries_total;
+  Counter.reset query_errors;
+  Histogram.reset query_us;
+  let log = Event_log.create ~capacity:64 () in
+  let ep = make_endpoints ~log () in
   Alcotest.(check int) "healthz" 200 (get ep "/healthz").Http.status;
-  check_infix "healthz json" "\"topology_generation\":"
+  check_infix "healthz json" "\"shards\":"
     (get ep "/healthz").Http.body;
   check_infix "healthz build identity" "\"ocaml_version\":"
     (get ep "/healthz").Http.body;
@@ -1013,12 +1015,12 @@ let test_endpoints_end_to_end () =
   check_infix "log has the statement" "VALIDTIME SELECT" queries.Http.body;
   check_infix "failures kept" "\"kept\":\"failed\"" queries.Http.body;
   Alcotest.(check int) "log saw every run" 101
-    (Event_log.seen (Endpoints.event_log ep));
+    (Event_log.seen log);
   (* /queries/<seq> drill-down: full record, phases, grafted trace *)
   let kept_record =
     List.find
       (fun (r : Event_log.record) -> r.Event_log.event.Middleware.error = None)
-      (Event_log.recent (Endpoints.event_log ep))
+      (Event_log.recent log)
   in
   let drill =
     get ep (Printf.sprintf "/queries/%d" kept_record.Event_log.seq)
@@ -1059,21 +1061,22 @@ let test_endpoints_end_to_end () =
    the query's record (the report with its result cut to the row count)
    on rows, optimize_us, execute_us, fingerprint and cache class. *)
 let test_http_renderings_agree () =
-  Histogram.reset Event_log.query_us;
+  Histogram.reset query_us;
   let topo =
     Uis.load_sharded ~scale:0.003 ~roundtrip_spins:[ 0; 0 ] ~shards:2 ()
   in
   let config =
     Middleware.Config.(default |> with_tracing true |> with_plan_cache true)
   in
-  let ep = Endpoints.create (Middleware.connect_topology ~config topo) in
+  let log = Event_log.create () in
+  let ep = Endpoints.create ~log (Middleware.connect_topology ~config topo) in
   let posted =
     post ep "/query"
       "VALIDTIME SELECT PosID, COUNT(*) AS CNT FROM POSITION GROUP BY PosID"
   in
   Alcotest.(check int) "query ok" 200 posted.Http.status;
   let seq, run =
-    match Event_log.recent ~n:1 (Endpoints.event_log ep) with
+    match Event_log.recent ~n:1 log with
     | [ { Event_log.seq; event = { Middleware.run = Some run; _ }; _ } ] ->
         (seq, run)
     | _ -> Alcotest.fail "the query left no record"
@@ -1120,7 +1123,7 @@ let test_http_renderings_agree () =
       fields "POST /query" posted.Http.body;
       fields "GET /queries/<seq>" drill.Http.body;
     ];
-  Histogram.reset Event_log.query_us
+  Histogram.reset query_us
 
 let test_endpoints_slo_degrades () =
   (* a synthetic 1us latency objective: every real query is "slow", so

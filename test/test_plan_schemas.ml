@@ -2,8 +2,8 @@
    its built children's, and SQL translation derives each DBMS node's once.
    Every schema a built plan holds must equal a test-local recursive
    derivation of the physical node's operator: on Queries 1-4 over one to
-   three shards, on 102 seeded ad hoc queries (the generator, shapes and
-   seed of test_memo_golden's wider corpus), and on template plans after
+   three shards, on 102 seeded ad hoc queries (Adhoc_queries, seed 13,
+   test_memo_golden's wider corpus), and on template plans after
    instantiation, where a bound value can retype a projected expression.
    Instantiation rebuilds each node once, over its children's rebuilt
    operators; every instantiated node must equal a recursive substitution
@@ -17,76 +17,6 @@ open Tango_volcano
 
 let scale = 0.005
 
-(* ---------- the ad hoc generator of test_memo_golden ---------- *)
-
-let subset st xs =
-  let mask = Random.State.bits st in
-  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) xs
-
-let nonempty st xs = match subset st xs with [] -> [ List.hd xs ] | s -> s
-let lit st = string_of_int (5 + Random.State.int st 25)
-let pick st xs = List.nth xs (Random.State.int st (List.length xs))
-
-let date st =
-  let lo = Tango_temporal.Chronon.of_ymd ~y:1985 ~m:1 ~d:1 in
-  let hi = Tango_temporal.Chronon.of_ymd ~y:2001 ~m:1 ~d:1 in
-  Tango_temporal.Chronon.to_string (lo + Random.State.int st (hi - lo))
-
-let where = function [] -> "" | ps -> " AND " ^ String.concat " AND " ps
-let order_by st = if Random.State.bool st then " ORDER BY PosID" else ""
-
-let self_join st =
-  let items =
-    nonempty st
-      [ "A.EmpName AS E1"; "B.EmpName AS E2"; "A.Dept AS D1"; "B.Dept AS D2";
-        "A.PayRate AS R1"; "B.Status AS S2" ]
-  in
-  let preds =
-    subset st
-      [ "A.EmpID < B.EmpID"; "A.PayRate > " ^ lit st;
-        "B.T1 < DATE '" ^ date st ^ "'"; "A.Dept = 'CS'"; "B.PayRate < " ^ lit st ]
-  in
-  Printf.sprintf
-    "VALIDTIME SELECT A.PosID AS PosID, %s FROM POSITION A, POSITION B WHERE \
-     A.PosID = B.PosID%s%s"
-    (String.concat ", " items) (where preds) (order_by st)
-
-let group_join st =
-  let agg =
-    pick st [ "COUNT(*)"; "MAX(PayRate)"; "MIN(PayRate)"; "MAX(EmpID)"; "MIN(EmpID)" ]
-  in
-  let inner =
-    match
-      subset st
-        [ "PayRate > " ^ lit st; "T1 < DATE '" ^ date st ^ "'"; "Status = 'FT'" ]
-    with
-    | [] -> ""
-    | ps -> " WHERE " ^ String.concat " AND " ps
-  in
-  let items =
-    nonempty st [ "B.EmpName AS EmpName"; "B.Dept AS Dept"; "B.Status AS Status" ]
-  in
-  let outer = subset st [ "B.PayRate > " ^ lit st; "B.T2 > DATE '" ^ date st ^ "'" ] in
-  Printf.sprintf
-    "VALIDTIME SELECT A.PosID AS PosID, %s, A.V AS V FROM (VALIDTIME SELECT \
-     PosID, %s AS V FROM POSITION%s GROUP BY PosID) A, POSITION B WHERE \
-     A.PosID = B.PosID%s%s"
-    (String.concat ", " items) agg inner (where outer) (order_by st)
-
-let employee_join st =
-  let items =
-    nonempty st
-      [ "E.Name AS Name"; "E.Address AS Address"; "E.City AS City";
-        "E.Dept AS EDept"; "E.Salary AS Salary"; "P.PayRate AS PayRate" ]
-  in
-  let preds =
-    subset st [ "P.PayRate > " ^ lit st; "E.Grade < " ^ lit st; "P.Dept = 'MATH'" ]
-  in
-  Printf.sprintf
-    "SELECT P.PosID AS PosID, %s FROM POSITION P, EMPLOYEE E WHERE P.EmpID = \
-     E.EmpID%s%s"
-    (String.concat ", " items) (where preds) (order_by st)
-
 (* ---------- the corpus ---------- *)
 
 let corpus =
@@ -98,13 +28,12 @@ let corpus =
        Middleware.connect_topology
          (Uis.load_sharded ~scale ~roundtrip_spins:(List.init n (fun _ -> 0)) ~shards:n ())
      in
-     let st = Random.State.make [| 13 |] in
-     let shapes = [| self_join; group_join; employee_join |] in
      List.concat_map
        (fun (tag, mw) -> List.map (fun (q, sql) -> (q ^ tag, mw, sql)) Queries.workload)
        [ ("/1", one); ("/2", sharded 2); ("/3", sharded 3) ]
-     @ List.init 102 (fun i ->
-           (Printf.sprintf "adhoc%03d" i, one, shapes.(i mod 3) st)))
+     @ List.map
+         (fun (q, sql) -> (q, one, sql))
+         (Adhoc_queries.seeded ~seed:13 102))
 
 (* The reference: schemas derived recursively, level by level. *)
 let rec schema_of (op : Op.t) : Schema.t =

@@ -219,12 +219,6 @@ let prop_print_parse_roundtrip =
       let q' = Parser.query (Printer.query_to_sql q) in
       q' = q)
 
-let test_statement_printer () =
-  let sql = "CREATE TABLE T (A INT, B DATE)" in
-  let printed = Printer.statement_to_sql (Parser.statement sql) in
-  Alcotest.(check bool) "create roundtrip" true
-    (Parser.statement printed = Parser.statement sql)
-
 let () =
   Alcotest.run "tango_sql"
     [
@@ -250,7 +244,6 @@ let () =
       ( "printer",
         [
           Alcotest.test_case "query roundtrips" `Quick test_printer_roundtrip;
-          Alcotest.test_case "statement roundtrip" `Quick test_statement_printer;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ] );

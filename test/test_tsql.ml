@@ -111,7 +111,7 @@ let test_order_by_direction () =
 let test_required_order () =
   let o = Tango_tsql.Compile.required_order "SELECT PosID FROM POSITION ORDER BY PosID, T1 DESC" in
   Alcotest.(check bool) "two keys" true
-    (Order.equal o [ Order.asc "PosID"; Order.desc "T1" ])
+    (Order.equal o [ Order.asc "PosID"; { Order.attr = "T1"; dir = Order.Desc } ])
 
 let test_unsupported () =
   let fails sql =

@@ -50,7 +50,7 @@ let test_project () =
     (Value.to_float (Relation.tuples out).(0).(1))
 
 let test_sort_matches_relation_sort () =
-  let order = [ Order.asc "K"; Order.desc "T1" ] in
+  let order = [ Order.asc "K"; { Order.attr = "T1"; dir = Order.Desc } ] in
   let out = Cursor.to_relation (Sort.sort order (Cursor.of_relation sample)) in
   let expected = Relation.sort order sample in
   Alcotest.(check bool) "sorted equal" true (Relation.equal_list expected out)
@@ -93,7 +93,7 @@ let lookup_of pairs name =
   | Some r -> r
   | None -> failwith ("unknown " ^ name)
 
-let sorted_cursor keys r = Sort.sort (Order.of_attrs keys) (Cursor.of_relation r)
+let sorted_cursor keys r = Sort.sort (List.map Order.asc keys) (Cursor.of_relation r)
 
 let test_merge_join_vs_reference () =
   let l = rel_of [ (1, 1.0, 1, 2); (2, 2.0, 1, 2); (2, 3.0, 1, 2); (4, 1.0, 1, 2) ] in
@@ -203,7 +203,7 @@ let test_null_keys_never_match () =
 (* ---- temporal aggregation ---- *)
 
 let taggr_via_xxl ~group_by ~aggs r =
-  let sorted = Sort.sort (Order.of_attrs (group_by @ [ "T1" ])) (Cursor.of_relation r) in
+  let sorted = Sort.sort (List.map Order.asc (group_by @ [ "T1" ])) (Cursor.of_relation r) in
   Cursor.to_relation (Taggr.taggr ~group_by ~aggs sorted)
 
 let taggr_via_reference ~group_by ~aggs r =
@@ -342,7 +342,7 @@ let test_dup_elim () =
   let out =
     Cursor.to_relation
       (Dup_elim.dup_elim
-         (Sort.sort (Order.of_attrs [ "K"; "V"; "T1"; "T2" ]) (Cursor.of_relation r)))
+         (Sort.sort (List.map Order.asc [ "K"; "V"; "T1"; "T2" ]) (Cursor.of_relation r)))
   in
   Alcotest.(check int) "two distinct" 2 (Relation.cardinality out)
 
@@ -367,7 +367,7 @@ let test_coalesce_vs_reference () =
   let out =
     Cursor.to_relation
       (Dup_elim.coalesce
-         (Sort.sort (Order.of_attrs [ "K"; "V"; "T1" ]) (Cursor.of_relation r)))
+         (Sort.sort (List.map Order.asc [ "K"; "V"; "T1" ]) (Cursor.of_relation r)))
   in
   Alcotest.(check bool) "coalesce matches" true
     (Relation.equal_multiset ref_out out)
@@ -406,7 +406,7 @@ let spans =
 
 let test_batch_differential () =
   let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
-  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let sorted keys r = Relation.sort (List.map Order.asc keys) r in
   let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
   check_differential "filter" (fun src ->
       Basic_ops.filter (Ast.Binop (Ast.Gt, col "V", Ast.Lit (Value.Float 2.0))) (src sample));
@@ -415,7 +415,9 @@ let test_batch_differential () =
         [ (col "K", "K"); (Ast.Binop (Ast.Mul, col "V", Ast.Lit (Value.Int 2)), "V2") ]
         (src sample));
   check_differential "sort" (fun src ->
-      Sort.sort ~run_size:2 [ Order.asc "K"; Order.desc "T1" ] (src big));
+      Sort.sort ~run_size:2
+        [ Order.asc "K"; { Order.attr = "T1"; dir = Order.Desc } ]
+        (src big));
   check_differential "taggr" (fun src ->
       Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
         (src (sorted [ "K"; "T1" ] big)));
@@ -437,7 +439,7 @@ let test_batch_differential () =
   check_differential "gather concat" (fun src ->
       Gather.merge ~schema:schema_kab [ src sample; src spans ]);
   check_differential "gather k-way" (fun src ->
-      let order = Order.of_attrs [ "K"; "T1" ] in
+      let order = List.map Order.asc [ "K"; "T1" ] in
       Gather.merge ~order ~schema:schema_kab
         [ src (Relation.sort order sample); src (Relation.sort order spans) ])
 
@@ -447,7 +449,7 @@ let test_batch_differential () =
 let test_batch_discipline () =
   let size = Cursor.default_batch_size in
   let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
-  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let sorted keys r = Relation.sort (List.map Order.asc keys) r in
   let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
   (* two partners for every key of [big], overlapping every period *)
   let partners = rel_of (List.init 14 (fun i -> (i mod 7, float_of_int i, i, 100))) in
@@ -475,9 +477,11 @@ let test_batch_discipline () =
       [ ("whole batch", Cursor.of_relation); ("singletons", singletons) ]
   in
   check "sort, one run" (fun src ->
-      Sort.sort [ Order.asc "K"; Order.desc "T1" ] (src big));
+      Sort.sort [ Order.asc "K"; { Order.attr = "T1"; dir = Order.Desc } ] (src big));
   check "sort, runs of 2" (fun src ->
-      Sort.sort ~run_size:2 [ Order.asc "K"; Order.desc "T1" ] (src big));
+      Sort.sort ~run_size:2
+        [ Order.asc "K"; { Order.attr = "T1"; dir = Order.Desc } ]
+        (src big));
   check "taggr" (fun src ->
       Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
         (src (sorted [ "K"; "T1" ] big)));
@@ -513,7 +517,7 @@ let failing_once after (r : Relation.t) : Cursor.t =
    re-init the operator yields exactly what a clean run does. *)
 let test_reinit_after_failed_pull () =
   let qual alias r = Relation.make (Schema.qualify alias schema_kab) (Relation.tuples r) in
-  let sorted keys r = Relation.sort (Order.of_attrs keys) r in
+  let sorted keys r = Relation.sort (List.map Order.asc keys) r in
   let big = rel_of (List.init 600 (fun i -> ((i * 37) mod 7, 0.0, i mod 50, 60))) in
   let partners = rel_of (List.init 14 (fun i -> (i mod 7, float_of_int i, i, 100))) in
   let check name (mk : (Relation.t -> Cursor.t) -> Cursor.t) =
@@ -570,7 +574,7 @@ let prop_singletons_equal_whole =
       in
       let aggregating src =
         Taggr.taggr ~group_by:[ "K" ] ~aggs:[ Op.count_star "CNT" ]
-          (Basic_ops.filter pred (src (Relation.sort (Order.of_attrs [ "K"; "T1" ]) r)))
+          (Basic_ops.filter pred (src (Relation.sort (List.map Order.asc [ "K"; "T1" ]) r)))
       in
       List.for_all
         (fun mk ->
