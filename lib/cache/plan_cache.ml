@@ -1,8 +1,8 @@
 (** Fingerprint-keyed LRU plan cache.  See the interface for semantics.
 
     Every operation on a cache instance — lookup, insert, invalidation,
-    replan notes, stats — runs under the instance's lock.  Key
-    computation (normalize + hash) is pure and happens outside the
+    stats — runs under the instance's lock.  Key computation (normalize
+    once, then hash the normalized text) is pure and happens outside the
     lock. *)
 
 (* process-wide mirrors (aggregated across caches; see Tango_obs) *)
@@ -12,7 +12,6 @@ let c_exact_hits = Tango_obs.Counter.make "cache.exact_hits"
 let c_misses = Tango_obs.Counter.make "cache.misses"
 let c_evictions = Tango_obs.Counter.make "cache.evictions"
 let c_invalidations = Tango_obs.Counter.make "cache.invalidations"
-let c_replans = Tango_obs.Counter.make "cache.replans"
 
 let normalize_sql (sql : string) : string =
   let buf = Buffer.create (String.length sql) in
@@ -39,9 +38,8 @@ let normalize_sql (sql : string) : string =
     sql;
   Buffer.contents buf
 
-(* 64-bit FNV-1a *)
-let key_of_sql (sql : string) : string =
-  let normalized = normalize_sql sql in
+(* 64-bit FNV-1a of a text {!normalize_sql} already normalized *)
+let key_of_normalized (normalized : string) : string =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c ->
@@ -56,7 +54,6 @@ type 'a entry = {
   normalized : string;  (* collision guard *)
   value : 'a;
   mutable last_used : int;  (* tick of the most recent find/add *)
-  mutable replans : int;  (* sensitivity-guard re-optimizations *)
 }
 
 type stats = {
@@ -66,8 +63,6 @@ type stats = {
   misses : int;
   evictions : int;
   invalidations : int;
-  replans : int;
-  max_replans : int;
   last_invalidation : string option;
 }
 
@@ -82,8 +77,6 @@ type 'a t = {
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
-  mutable replans : int;
-  mutable max_replans : int;
   mutable last_invalidation : string option;
 }
 
@@ -99,8 +92,6 @@ let create ?(capacity = 128) () =
     misses = 0;
     evictions = 0;
     invalidations = 0;
-    replans = 0;
-    max_replans = 0;
     last_invalidation = None;
   }
 
@@ -109,7 +100,7 @@ let length c = Mutex.protect c.lock (fun () -> Hashtbl.length c.table)
 
 let find ?(kind = Exact) c ~sql =
   let normalized = normalize_sql sql in
-  let key = key_of_sql sql in
+  let key = key_of_normalized normalized in
   let result =
     Mutex.protect c.lock (fun () ->
         match Hashtbl.find_opt c.table key with
@@ -134,8 +125,8 @@ let find ?(kind = Exact) c ~sql =
   result
 
 let add c ~sql value =
-  let key = key_of_sql sql in
   let normalized = normalize_sql sql in
+  let key = key_of_normalized normalized in
   let evicted =
     Mutex.protect c.lock (fun () ->
         let evicted =
@@ -161,32 +152,10 @@ let add c ~sql value =
           else false
         in
         c.tick <- c.tick + 1;
-        (* replacing an entry for the same statement (the sensitivity
-           guard refreshing its bucket table) keeps its replan count *)
-        let replans =
-          match Hashtbl.find_opt c.table key with
-          | Some prev when String.equal prev.normalized normalized ->
-              prev.replans
-          | _ -> 0
-        in
-        let entry = { normalized; value; last_used = c.tick; replans } in
-        Hashtbl.replace c.table key entry;
+        Hashtbl.replace c.table key { normalized; value; last_used = c.tick };
         evicted)
   in
   if evicted then Tango_obs.Counter.incr c_evictions
-
-let note_replan c ~sql =
-  let normalized = normalize_sql sql in
-  let key = key_of_sql sql in
-  Mutex.protect c.lock (fun () ->
-      match Hashtbl.find_opt c.table key with
-      | Some entry when String.equal entry.normalized normalized ->
-          entry.replans <- entry.replans + 1;
-          c.replans <- c.replans + 1;
-          if entry.replans > c.max_replans then
-            c.max_replans <- entry.replans
-      | _ -> ());
-  Tango_obs.Counter.incr c_replans
 
 let invalidate_all ?(reason = "invalidate") c =
   Mutex.protect c.lock (fun () ->
@@ -204,7 +173,5 @@ let stats c =
         misses = c.misses;
         evictions = c.evictions;
         invalidations = c.invalidations;
-        replans = c.replans;
-        max_replans = c.max_replans;
         last_invalidation = c.last_invalidation;
       })

@@ -45,12 +45,6 @@ val add : 'a t -> sql:string -> 'a -> unit
 (** Insert (or replace) the entry for [sql], evicting the least recently
     used entry when at capacity. *)
 
-val note_replan : 'a t -> sql:string -> unit
-(** Record that the sensitivity guard re-optimized under the entry for
-    [sql] (a parameter region the generic plan was bad for).  Feeds the
-    [replans]/[max_replans] stats the watchdog's parameter-sensitivity
-    signal reads.  No-op when the entry is gone. *)
-
 val invalidate_all : ?reason:string -> 'a t -> unit
 (** Drop every entry.  [reason] (e.g. ["analyze"], ["ddl"],
     ["cost-refit"]) is recorded for {!stats}. *)
@@ -65,10 +59,6 @@ type stats = {
   misses : int;
   evictions : int;
   invalidations : int;  (** number of {!invalidate_all} calls *)
-  replans : int;  (** {!note_replan} calls that found their entry *)
-  max_replans : int;
-      (** high-water replan count of any single entry — an entry
-          accumulating these is a parameter-sensitive plan *)
   last_invalidation : string option;  (** reason of the most recent one *)
 }
 

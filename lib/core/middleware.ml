@@ -40,7 +40,6 @@ module Config = struct
     verify_plans : verify_mode;
     plan_cache : bool;
     auto_parameterize : bool;
-    replan_q_error : float;
   }
 
   let default =
@@ -56,7 +55,6 @@ module Config = struct
       verify_plans = Verify_off;
       plan_cache = false;
       auto_parameterize = true;
-      replan_q_error = 0.0;
     }
 
   let with_roundtrip_spin n c = { c with roundtrip_spin = n }
@@ -76,38 +74,22 @@ module Config = struct
   let with_plan_cache b c = { c with plan_cache = b }
 
   let with_auto_parameterize b c = { c with auto_parameterize = b }
-
-  let with_replan_q_error q c =
-    (* the guard judges plans by their measured q-errors, so it needs the
-       per-execution analysis *)
-    { c with replan_q_error = q; profiling = (q > 0.0) || c.profiling }
 end
 
-module Ast = Tango_sql.Ast
 module Parameterize = Tango_sql.Parameterize
 
 (* What the plan cache stores for a query text: everything needed to skip
    parse + optimize on a hit.  Translation (Exec_plan.of_physical) still
-   runs per execution — temp-table names must be fresh.
-
-   Template entries (keyed on parameterized text) additionally carry the
-   initial logical plan (for sensitivity-guard re-optimization under a
-   binding), the parameterized comparison slots the guard buckets on, and
-   the per-bucket region plans it has accumulated.  Exact entries leave
-   all three empty. *)
+   runs per execution — temp-table names must be fresh.  A template
+   entry (keyed on parameterized text) holds the generic plan, which is
+   instantiated under each binding. *)
 type cache_entry = {
   cached_physical : Physical.plan;
-  cached_required_order : Order.t;
   cached_classes : int;
   cached_elements : int;
   cached_diagnostics : Tango_verify.Diag.t list;
   cached_generation : int;  (* DBMS schema generation at plan time *)
   cached_fp : string;  (* query fingerprint, for the sentinel *)
-  cached_template : Op.t option;  (* initial plan with parameters intact *)
-  cached_slots : (Rel_stats.t * string * Ast.binop * int) list;
-      (* (input stats, attr, op, $n) per parameterized comparison *)
-  cached_buckets : (string * Physical.plan) list;
-      (* selectivity-region plans the guard re-optimized; still templates *)
 }
 
 (* Plan-cache outcome attached to a report (only for {!query} with the
@@ -375,8 +357,8 @@ let base_stats t ~qualifier table : Rel_stats.t =
       Hashtbl.replace t.stats_cache (qualifier, table) s;
       s
 
-let stats_env ?binding t : Derive.env =
-  Derive.env ~mode:t.config.Config.selectivity_mode ?binding
+let stats_env t : Derive.env =
+  Derive.env ~mode:t.config.Config.selectivity_mode
     (fun ~qualifier table -> base_stats t ~qualifier table)
 
 let schema_lookup t name = Database.table_schema (database t) name
@@ -447,7 +429,7 @@ let prune t (plan : Physical.plan) : Physical.plan =
     [T^M]).  When the session's [verify_plans] mode is on, the final plan
     (and, per-rule, every saturation step) is verified; findings land in
     {!last_diagnostics}. *)
-let optimize t ?(required_order : Order.t = []) ?binding (initial : Op.t) :
+let optimize t ?(required_order : Order.t = []) (initial : Op.t) :
     Search.result =
   let gate =
     match t.config.Config.verify_plans with
@@ -460,7 +442,7 @@ let optimize t ?(required_order : Order.t = []) ?binding (initial : Op.t) :
       gate
   in
   let r =
-    Search.optimize ~factors:t.factors ~stats_env:(stats_env ?binding t)
+    Search.optimize ~factors:t.factors ~stats_env:(stats_env t)
       ~required_order ?rule_observer ?partition:(partition_layout t)
       ~shard_factors:(shard_factors t) initial
   in
@@ -674,7 +656,7 @@ let profile_execution t ~(query_fingerprint : string)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Plan cache: lookup, templates, binding, sensitivity buckets           *)
+(* Plan cache: lookup and template binding                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Plan-cache lookup.  A hit whose entry was planned under an older DBMS
@@ -691,67 +673,6 @@ let cache_find ~kind t (sql : string) : cache_entry option =
         None
     | found -> found
 
-(* The parameterized comparison slots of a template's initial plan: for
-   each selection conjunct [attr op $n], the statistics of the selection's
-   input (so bind-time bucketing sees the same distribution the optimizer
-   estimated against). *)
-let param_slots t (initial : Op.t) :
-    (Rel_stats.t * string * Ast.binop * int) list =
-  let env = stats_env t in
-  let slots = ref [] in
-  let seen = Hashtbl.create 4 in
-  let rec walk op =
-    (match op with
-    | Op.Select { pred; arg } -> (
-        match Selectivity.param_bounds pred with
-        | [] -> ()
-        | bounds ->
-            let s = try Some (Derive.derive env arg) with _ -> None in
-            Option.iter
-              (fun s ->
-                List.iter
-                  (fun (attr, bop, n) ->
-                    if not (Hashtbl.mem seen n) then begin
-                      Hashtbl.replace seen n ();
-                      slots := (s, attr, bop, n) :: !slots
-                    end)
-                  bounds)
-              s)
-    | _ -> ());
-    List.iter walk (Op.children op)
-  in
-  walk initial;
-  List.rev !slots
-
-(* Selectivity regions per parameterized slot. *)
-let region_buckets = 8
-
-(* Selectivity-region key of a binding: each slot's value is placed in
-   its column's distribution (the estimated fraction of tuples below it,
-   quantized to [region_buckets] buckets), so bindings with similar
-   selectivity share a bucket — and a region plan.  Strings hash to a
-   bucket directly; an unbindable slot contributes ["x"]. *)
-let bucket_of (slots : (Rel_stats.t * string * Ast.binop * int) list)
-    (values : Value.t array) : string =
-  String.concat "_"
-    (List.map
-       (fun (s, attr, _op, n) ->
-         if n < 1 || n > Array.length values then "x"
-         else
-           match values.(n - 1) with
-           | Value.Null -> "x"
-           | Value.Str _ as v ->
-               Printf.sprintf "s%d" (Hashtbl.hash v mod region_buckets)
-           | v ->
-               let frac =
-                 Selectivity.conjunct_selectivity s
-                   (Ast.Binop (Ast.Le, Ast.Col (None, attr), Ast.Lit v))
-               in
-               string_of_int
-                 (min (region_buckets - 1)
-                    (max 0 (int_of_float (frac *. float_of_int region_buckets)))))
-       slots)
-
 (* Instantiate a plan template under a binding: substitute literals for
    parameters, then re-run partition pruning — the template was planned
    with parameterized period predicates unresolved (every shard kept),
@@ -759,48 +680,6 @@ let bucket_of (slots : (Rel_stats.t * string * Ast.binop * int) list)
 let instantiate_for t (values : Value.t array) (template : Physical.plan) :
     Physical.plan =
   prune t (Physical.instantiate values template)
-
-(* The parameter-sensitivity guard.  After a template hit executed the
-   generic plan, compare its measured cardinality q-error against the
-   threshold; past it, re-optimize the template with the binding's values
-   closed in (value-specific selectivities) and store the result as this
-   bucket's region plan.  The judgment is made once per bucket — even a
-   region plan identical to the generic one is stored, recording "judged,
-   generic is fine here". *)
-let maybe_replan t ~(template : string) ~(entry : cache_entry)
-    ~(bucket : string) ~(values : Value.t array)
-    (analysis : Tango_profile.Analyze.report option) : unit =
-  let thr = t.config.Config.replan_q_error in
-  match analysis with
-  | Some a
-    when thr > 0.0
-         && a.Tango_profile.Analyze.max_q_rows >= thr
-         && (not (List.mem_assoc bucket entry.cached_buckets))
-         && t.config.Config.plan_cache -> (
-      match entry.cached_template with
-      | None -> ()
-      | Some initial -> (
-          Log.info (fun m ->
-              m "sensitivity guard: q_rows=%.1f >= %.1f, replanning bucket %s"
-                a.Tango_profile.Analyze.max_q_rows thr bucket);
-          let r =
-            optimize t ~required_order:entry.cached_required_order
-              ~binding:values initial
-          in
-          (* the replan's verification findings are its own; the serving
-             query keeps the template's *)
-          t.last_diagnostics <- entry.cached_diagnostics;
-          match r.Search.plan with
-          | Some region_plan ->
-              Tango_cache.Plan_cache.add t.plan_cache ~sql:template
-                {
-                  entry with
-                  cached_buckets =
-                    (bucket, region_plan) :: entry.cached_buckets;
-                };
-              Tango_cache.Plan_cache.note_replan t.plan_cache ~sql:template
-          | None -> ()))
-  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                          *)
@@ -828,8 +707,6 @@ type planned = {
   optimize_us : float;
   optimize_alloc_bytes : int;
   cache : cache_report option;  (* for the SQL entries, with the cache on *)
-  guard : Tango_profile.Analyze.report option -> unit;
-      (* the sensitivity guard, run on the execution's analysis *)
 }
 
 (* Stage 1: with the plan cache and [auto_parameterize] on, fold a text's
@@ -846,11 +723,10 @@ let resolve t (entry : entry) : entry =
   | _ -> entry
 
 (* Stage 2 on a plan-cache hit: the entry's plan — for a template, the
-   binding's bucket plan (or the generic one) instantiated under it —
-   with the metadata recorded when it was optimized.  No parse or
-   optimize runs. *)
+   generic plan instantiated under the binding — with the metadata
+   recorded when it was optimized.  No parse or optimize runs. *)
 let cached_plan t (entry : entry) : planned option =
-  let hit (e : cache_entry) ~cls ?(guard = ignore) plan =
+  let hit (e : cache_entry) ~cls plan =
     Tango_obs.Trace.attr "cache" (Tango_obs.Trace.Str cls);
     Log.debug (fun m -> m "plan cache %s" cls);
     t.last_diagnostics <- e.cached_diagnostics;
@@ -864,7 +740,6 @@ let cached_plan t (entry : entry) : planned option =
       optimize_us = 0.0;
       optimize_alloc_bytes = 0;
       cache = Some { cache_hit = true; cache_class = cls };
-      guard;
     }
   in
   match entry with
@@ -874,14 +749,8 @@ let cached_plan t (entry : entry) : planned option =
   | Bound (template, values) ->
       cache_find ~kind:Tango_cache.Plan_cache.Template t template
       |> Option.map (fun e ->
-             let bucket = bucket_of e.cached_slots values in
-             let plan =
-               Option.value ~default:e.cached_physical
-                 (List.assoc_opt bucket e.cached_buckets)
-             in
              hit e ~cls:"template-hit"
-               ~guard:(maybe_replan t ~template ~entry:e ~bucket ~values)
-               (instantiate_for t values plan))
+               (instantiate_for t values e.cached_physical))
   | Plan _ | Fixed _ -> None
 
 (* Stage 2 otherwise: parse the SQL (if any) and optimize it once — a
@@ -933,20 +802,16 @@ let fresh_plan t (entry : entry) : planned =
             (r.Search.time_us /. 1000.0) r.Search.classes r.Search.elements
             (Physical.signature plan) plan.Physical.total_cost);
       let fingerprint = Physical.op_fingerprint initial in
-      let add sql ~template =
+      let add sql =
         if t.config.Config.plan_cache then
           Tango_cache.Plan_cache.add t.plan_cache ~sql
             {
               cached_physical = plan;
-              cached_required_order = required_order;
               cached_classes = r.Search.classes;
               cached_elements = r.Search.elements;
               cached_diagnostics = t.last_diagnostics;
               cached_generation = Database.schema_generation (database t);
               cached_fp = fingerprint;
-              cached_template = (if template then Some initial else None);
-              cached_slots = (if template then param_slots t initial else []);
-              cached_buckets = [];
             }
       in
       let miss =
@@ -957,10 +822,10 @@ let fresh_plan t (entry : entry) : planned =
       let plan, cache =
         match entry with
         | Text sql ->
-            add sql ~template:false;
+            add sql;
             (plan, miss)
         | Bound (sql, values) ->
-            add sql ~template:true;
+            add sql;
             (instantiate_for t values plan, miss)
         | Plan _ | Fixed _ -> (plan, None)
       in
@@ -974,12 +839,10 @@ let fresh_plan t (entry : entry) : planned =
         optimize_us = r.Search.time_us;
         optimize_alloc_bytes;
         cache;
-        guard = ignore;
       }
 
-(* One top-level run: resolve, plan, execute, profile, report, and — for
-   a template hit — the sensitivity guard, under one observer event and
-   one trace rooted at ["middleware." ^ kind]. *)
+(* One top-level run: resolve, plan, execute, profile and report, under
+   one observer event and one trace rooted at ["middleware." ^ kind]. *)
 let run t (entry : entry) : report =
   let kind, sql =
     match entry with
@@ -1006,31 +869,27 @@ let run t (entry : entry) : report =
             profile_execution t ~query_fingerprint:p.fingerprint p.plan x.exec
               ~execute_us:x.execute_us
           in
-          let report =
-            {
-              result = x.result;
-              physical = p.plan;
-              exec = x.exec;
-              classes = p.memo_classes;
-              elements = p.memo_elements;
-              estimated_cost_us = p.plan.Physical.total_cost;
-              trace = None;
-              analysis;
-              diagnostics = t.last_diagnostics;
-              cache = p.cache;
-              parse_us = p.parse_us;
-              optimize_us = p.optimize_us;
-              translate_us = x.translate_us;
-              execute_us = x.execute_us;
-              parse_alloc_bytes = p.parse_alloc_bytes;
-              optimize_alloc_bytes = p.optimize_alloc_bytes;
-              translate_alloc_bytes = x.translate_alloc_bytes;
-              execute_alloc_bytes = x.execute_alloc_bytes;
-              backends = x.backends;
-            }
-          in
-          p.guard analysis;
-          report))
+          {
+            result = x.result;
+            physical = p.plan;
+            exec = x.exec;
+            classes = p.memo_classes;
+            elements = p.memo_elements;
+            estimated_cost_us = p.plan.Physical.total_cost;
+            trace = None;
+            analysis;
+            diagnostics = t.last_diagnostics;
+            cache = p.cache;
+            parse_us = p.parse_us;
+            optimize_us = p.optimize_us;
+            translate_us = x.translate_us;
+            execute_us = x.execute_us;
+            parse_alloc_bytes = p.parse_alloc_bytes;
+            optimize_alloc_bytes = p.optimize_alloc_bytes;
+            translate_alloc_bytes = x.translate_alloc_bytes;
+            execute_alloc_bytes = x.execute_alloc_bytes;
+            backends = x.backends;
+          }))
 
 (** The full pipeline: temporal SQL in, relation out.  With the session's
     [plan_cache] on, a re-submitted query text skips parse and optimize

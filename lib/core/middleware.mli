@@ -60,14 +60,6 @@ module Config : sig
             literal-varying repetitions of one query shape share a single
             {e template} entry (on by default; moot while [plan_cache] is
             off) *)
-    replan_q_error : float;
-        (** parameter-sensitivity guard threshold: when a template hit's
-            measured cardinality q-error reaches it, the template is
-            re-optimized with the bound values and the result stored as
-            that selectivity bucket's region plan (0 = guard off;
-            a positive value implies [profiling]).  Bound values are
-            placed in their column's distribution and quantized to eight
-            buckets. *)
   }
 
   val default : t
@@ -91,10 +83,6 @@ module Config : sig
   val with_auto_parameterize : bool -> t -> t
   (** Auto-parameterization of literal constants (on by default; only
       takes effect while [plan_cache] is on). *)
-
-  val with_replan_q_error : float -> t -> t
-  (** Sensitivity-guard q-error threshold; a positive value also enables
-      [profiling] (the guard judges plans by measured q-errors). *)
 end
 
 type t
@@ -169,10 +157,8 @@ val refresh_statistics : t -> unit
 val plan_cache_stats : t -> Tango_cache.Plan_cache.stats
 (** Hit/miss/eviction/invalidation totals of the session's plan cache. *)
 
-val stats_env : ?binding:Value.t array -> t -> Tango_stats.Derive.env
-(** The optimizer's statistics environment.  [binding] closes [Param n]
-    to its bound value before estimating — the sensitivity guard's
-    value-specific re-optimization. *)
+val stats_env : t -> Tango_stats.Derive.env
+(** The optimizer's statistics environment. *)
 
 val schema_lookup : t -> string -> Schema.t
 
@@ -181,14 +167,12 @@ val schema_lookup : t -> string -> Schema.t
 val optimize :
   t ->
   ?required_order:Order.t ->
-  ?binding:Value.t array ->
   Op.t ->
   Tango_volcano.Search.result
 (** Optimize an initial algebra plan (which must carry its top [T^M]).
     When [verify_plans] is on, the chosen plan — and with
     [Verify_per_rule], every rule application — is verified; findings are
-    in {!last_diagnostics}.  [binding] makes parameterized predicates
-    estimate under the given values instead of generic defaults. *)
+    in {!last_diagnostics}. *)
 
 (** {1 Execution} *)
 

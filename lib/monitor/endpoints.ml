@@ -23,7 +23,6 @@ type t = {
   log : Event_log.t;
   slo : Slo.t;
   watchdog : Watchdog.t;
-  started_us : float;  (* wall, for reporting when the server started *)
   started_mono_us : float;  (* monotonic, for uptime arithmetic *)
 }
 
@@ -44,7 +43,6 @@ let create ?log ?slo mw =
     log;
     slo;
     watchdog;
-    started_us = Tango_obs.now_us ();
     started_mono_us = Tango_obs.mono_us ();
   }
 

@@ -2,11 +2,10 @@
 
     A burning SLO says {e that} the service is slow, not {e why}.  The
     watchdog pulls the signals the middleware already tracks — burn
-    state, cardinality/cost misestimation trend, plan-cache hit rate,
-    parameter-sensitive plans — next to a tail-record analysis of the
-    event log that names the dominant backend and the dominant pipeline
-    phase, so [/debug/watchdog] answers "who is burning my budget" in
-    one fetch.
+    state, cardinality/cost misestimation trend, plan-cache hit rate —
+    next to a tail-record analysis of the event log that names the
+    dominant backend and the dominant pipeline phase, so
+    [/debug/watchdog] answers "who is burning my budget" in one fetch.
 
     The tracker is stateful across evaluations: the cache-hit-rate
     signal compares against the rate seen at the {e previous} check
@@ -38,10 +37,6 @@ let hit_rate_drop = 0.2
 (* The tail analysis covers records at or above this latency quantile of
    the event-log ring. *)
 let tail_fraction = 0.9
-
-(* Region plans on one plan-cache entry at which
-   [parameter_sensitive_plan] fires. *)
-let replan_warn = 2
 
 type t = {
   lock : Mutex.t;  (* guards the cross-evaluation trend *)
@@ -195,29 +190,6 @@ let cache_signal t cache =
             }
       end
 
-(* A single cache entry accumulating sensitivity-guard re-optimizations
-   is a parameter-sensitive plan: no one generic plan serves its whole
-   binding space, so its latency depends on which selectivity region the
-   workload hits.  Evidence for "the same statement is sometimes slow". *)
-let replan_signal cache =
-  match cache with
-  | None ->
-      {
-        name = "parameter_sensitive_plan";
-        firing = false;
-        detail = "no plan cache";
-      }
-  | Some (s : Tango_cache.Plan_cache.stats) ->
-      {
-        name = "parameter_sensitive_plan";
-        firing = s.Tango_cache.Plan_cache.max_replans >= replan_warn;
-        detail =
-          Printf.sprintf
-            "%d replans total; worst entry holds %d region plans"
-            s.Tango_cache.Plan_cache.replans
-            s.Tango_cache.Plan_cache.max_replans;
-      }
-
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -229,7 +201,6 @@ let evaluate t ~now_us ~slo ~log ?feedback ?cache () : verdict =
       slo_signal slo_verdict;
       q_error_signal feedback;
       cache_signal t cache;
-      replan_signal cache;
     ]
   in
   let tail = tail_records (Event_log.recent log) in

@@ -1,13 +1,11 @@
 (** SLO drill-down: correlates burn-rate state with the signals that
-    usually explain it — misestimation trend, plan-cache hit-rate drops,
-    parameter-sensitive plans — and names the dominant backend and
-    pipeline phase of the event log's latency tail.  Backs
-    [GET /debug/watchdog]. *)
+    usually explain it — misestimation trend and plan-cache hit-rate
+    drops — and names the dominant backend and pipeline phase of the
+    event log's latency tail.  Backs [GET /debug/watchdog]. *)
 
 type signal = {
   name : string;
-      (** ["slo_burn"] | ["q_error"] | ["cache_hit_rate"] |
-          ["parameter_sensitive_plan"] *)
+      (** ["slo_burn"] | ["q_error"] | ["cache_hit_rate"] *)
   firing : bool;
   detail : string;  (** human-readable evidence, firing or not *)
 }
@@ -31,13 +29,11 @@ type verdict = {
 type t
 
 val create : unit -> t
-(** Stateful tracker.  The thresholds are fixed: a worst per-cost-factor mean q-error above 2.0
-    fires [q_error]; a hit-rate fall of more than 0.2 since the previous
-    {!evaluate} fires [cache_hit_rate]; the tail analysis covers records
-    at or above the 0.9 latency quantile of the event-log ring; a single
-    plan-cache entry holding at least 2 sensitivity-guard region plans
-    fires [parameter_sensitive_plan] — that statement's best plan
-    depends on its bound values. *)
+(** Stateful tracker.  The thresholds are fixed: a worst per-cost-factor
+    mean q-error above 2.0 fires [q_error]; a hit-rate fall of more than
+    0.2 since the previous {!evaluate} fires [cache_hit_rate]; the tail
+    analysis covers records at or above the 0.9 latency quantile of the
+    event-log ring. *)
 
 val evaluate :
   t ->

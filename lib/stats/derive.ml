@@ -12,25 +12,9 @@ type env = {
   base : qualifier:string -> string -> Rel_stats.t;
       (** statistics for a base table under a qualifier *)
   mode : Selectivity.mode;  (** temporal or naive selection estimation *)
-  binding : Value.t array option;
-      (** bound parameter values: when present, [Param n] is closed to
-          [Lit binding.(n-1)] before estimating, so re-optimization for a
-          sensitivity bucket sees value-specific selectivities; when
-          absent, parameters keep their generic estimates *)
 }
 
-let env ?(mode = Selectivity.Temporal) ?binding base = { base; mode; binding }
-
-(* Close predicates over the bound values, when any. *)
-let close (e : env) (expr : Ast.expr) : Ast.expr =
-  match e.binding with
-  | None -> expr
-  | Some values ->
-      Ast.map_params
-        (fun n ->
-          if n >= 1 && n <= Array.length values then Ast.Lit values.(n - 1)
-          else Ast.Param n)
-        expr
+let env ?(mode = Selectivity.Temporal) base = { base; mode }
 
 let scale_col factor (c : Rel_stats.col) =
   {
@@ -196,7 +180,6 @@ let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
       e.base ~qualifier:(Option.value alias ~default:table) table
   | Op.Select { pred; _ } ->
       let s = arg () in
-      let pred = close e pred in
       let sel = Selectivity.selectivity ~mode:e.mode s pred in
       apply_selection s pred sel
   | Op.Project { items; _ } ->
@@ -229,7 +212,6 @@ let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
         }
   | Op.Join { pred; _ } ->
       let (l, _), (r, _) = args2 () in
-      let pred = close e pred in
       strip_indexes
         {
           Rel_stats.card = join_cardinality l r pred;
@@ -237,7 +219,6 @@ let step (e : env) (op : Op.t) (args : (Rel_stats.t * Schema.t Lazy.t) list)
         }
   | Op.Temporal_join { pred; _ } ->
       let (l, sl), (r, sr) = args2 () in
-      let pred = close e pred in
       let card = join_cardinality l r pred *. temporal_overlap_factor l r in
       let keep (s : Rel_stats.t) side_schema =
         let attrs = Op.non_period_attrs side_schema in

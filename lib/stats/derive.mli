@@ -10,16 +10,10 @@ type env = {
   base : qualifier:string -> string -> Rel_stats.t;
       (** statistics for a base table under a qualifier *)
   mode : Selectivity.mode;
-  binding : Value.t array option;
-      (** bound parameter values: when present, [Param n] is closed to
-          [Lit binding.(n-1)] before estimating, so re-optimization for
-          a sensitivity bucket sees value-specific selectivities; when
-          absent, parameters keep their generic estimates *)
 }
 
 val env :
   ?mode:Selectivity.mode ->
-  ?binding:Value.t array ->
   (qualifier:string -> string -> Rel_stats.t) ->
   env
 

@@ -99,27 +99,6 @@ let bound_of = function
 
 let is_param = function Ast.Param _ -> true | _ -> false
 
-(** Parameterized comparison conjuncts of [e], normalized to
-    [(attr, op, param_index)] with the column on the left.  These are the
-    slots a plan template's sensitivity guard buckets at bind time. *)
-let param_bounds (e : Ast.expr) : (string * Ast.binop * int) list =
-  let flip = function
-    | Ast.Lt -> Ast.Gt
-    | Ast.Le -> Ast.Ge
-    | Ast.Gt -> Ast.Lt
-    | Ast.Ge -> Ast.Le
-    | op -> op
-  in
-  List.filter_map
-    (function
-      | Ast.Binop (op, l, r) -> (
-          match (col_name l, r, l, col_name r) with
-          | Some c, Ast.Param n, _, _ -> Some (c, op, n)
-          | _, _, Ast.Param n, Some c -> Some (c, flip op, n)
-          | _ -> None)
-      | _ -> None)
-    (Ast.conjuncts e)
-
 let is_period_attr base e =
   match col_name e with
   | Some c -> String.equal (Schema.base_name c) base

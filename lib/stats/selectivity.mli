@@ -27,12 +27,6 @@ val bound_of : Ast.expr -> (string * Ast.binop * float) option
 (** Normalize a comparison conjunct to (attr, op, value) with the column on
     the left. *)
 
-val param_bounds : Ast.expr -> (string * Ast.binop * int) list
-(** Parameterized comparison conjuncts, normalized to
-    [(attr, op, param_index)] with the column on the left.  These are
-    the slots a plan template's sensitivity guard buckets at bind
-    time. *)
-
 val conjunct_selectivity : Rel_stats.t -> Ast.expr -> float
 (** Standard (non-temporal) selectivity of a single conjunct. *)
 

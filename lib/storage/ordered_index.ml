@@ -14,7 +14,6 @@ type entry = { key : Value.t; rid : Heap_file.rid }
 
 type t = {
   attr : string;
-  attr_index : int;
   clustered : bool;
   entries : entry array;
   stats : Io_stats.t;
@@ -37,7 +36,7 @@ let build ?(clustered = false) ~stats file attr =
   done;
   let entries = Array.of_list !entries in
   Array.sort (fun a b -> Value.compare a.key b.key) entries;
-  { attr; attr_index; clustered; entries; stats }
+  { attr; clustered; entries; stats }
 
 let attr i = i.attr
 let clustered i = i.clustered

@@ -11,7 +11,7 @@ let default_size = 8192
 
 type t = {
   capacity : int;
-  mutable data : Bytes.t;
+  data : Bytes.t;
   mutable used : int;  (** bytes written *)
   mutable slots : int array;  (** byte offset of each tuple *)
   mutable count : int;  (** number of tuples stored *)

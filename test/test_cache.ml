@@ -40,7 +40,7 @@ let test_keyword_case_insensitive () =
   Alcotest.(check (option int)) "literal-case change misses" None
     (Plan_cache.find c ~sql:"select 'ab' from t")
 
-let test_hit_kinds_and_replans () =
+let test_hit_kinds () =
   let c = Plan_cache.create () in
   Plan_cache.add c ~sql:"SELECT A FROM T WHERE A < $1" 1;
   ignore
@@ -50,20 +50,7 @@ let test_hit_kinds_and_replans () =
   let s = Plan_cache.stats c in
   Alcotest.(check int) "template hit classified" 1 s.Plan_cache.template_hits;
   Alcotest.(check int) "exact hit classified" 1 s.Plan_cache.exact_hits;
-  Alcotest.(check int) "total hits" 2 s.Plan_cache.hits;
-  (* replans accumulate on the entry and survive value replacement (the
-     guard re-adds the entry with an extended bucket table) *)
-  Plan_cache.note_replan c ~sql:"SELECT A FROM T WHERE A < $1";
-  Plan_cache.add c ~sql:"SELECT A FROM T WHERE A < $1" 2;
-  Plan_cache.note_replan c ~sql:"SELECT A FROM T WHERE A < $1";
-  let s = Plan_cache.stats c in
-  Alcotest.(check int) "replans counted" 2 s.Plan_cache.replans;
-  Alcotest.(check int) "entry high-water survives re-add" 2
-    s.Plan_cache.max_replans;
-  (* a note for an evicted/unknown statement is a no-op *)
-  Plan_cache.note_replan c ~sql:"SELECT B FROM T";
-  Alcotest.(check int) "unknown entry ignored" 2
-    (Plan_cache.stats c).Plan_cache.replans
+  Alcotest.(check int) "total hits" 2 s.Plan_cache.hits
 
 let test_find_add () =
   let c = Plan_cache.create ~capacity:4 () in
@@ -211,56 +198,6 @@ let test_query_params () =
   in
   Alcotest.(check bool) "? binding matches $1 binding" true
     (Relation.equal_multiset r1.Middleware.result r3.Middleware.result)
-
-(* The parameter-sensitivity guard: with a (deliberately hair-trigger)
-   q-error threshold, every first hit in a selectivity bucket re-optimizes
-   under the bound values and stores a region plan; later hits in that
-   bucket reuse it without another replan. *)
-let test_sensitivity_guard_replans_per_region () =
-  let _db, mw = setup () in
-  Middleware.set_config mw
-    (Middleware.Config.with_replan_q_error 1.0 (Middleware.config mw));
-  (* region A: a late period end selects almost every version *)
-  let late = Queries.q2_sql ~period_end:"1997-01-01" in
-  ignore (Middleware.query mw late);
-  (* first hit in region A executes the generic plan, then replans *)
-  let r2 = Middleware.query mw late in
-  Alcotest.(check string) "hit served from template" "template-hit"
-    (cache_class r2);
-  let s = Middleware.plan_cache_stats mw in
-  Alcotest.(check int) "one region judged" 1 s.Plan_cache.replans;
-  (* second hit in region A rides the stored region plan: no new replan *)
-  let r3 = Middleware.query mw late in
-  Alcotest.(check string) "still a template hit" "template-hit" (cache_class r3);
-  Alcotest.(check int) "region plan reused, not re-judged" 1
-    (Middleware.plan_cache_stats mw).Plan_cache.replans;
-  (* region B: an early period end selects almost nothing — lands in a
-     different selectivity bucket and is judged on its own *)
-  let early = Queries.q2_sql ~period_end:"1975-06-01" in
-  let r4 = Middleware.query mw early in
-  Alcotest.(check string) "other region is the same template" "template-hit"
-    (cache_class r4);
-  let s = Middleware.plan_cache_stats mw in
-  Alcotest.(check int) "second region judged separately" 2 s.Plan_cache.replans;
-  Alcotest.(check int) "both replans hit one entry" 2 s.Plan_cache.max_replans;
-  let r5 = Middleware.query mw early in
-  (* the guard picked per-region plans; the regions are extreme enough
-     that they differ *)
-  Alcotest.(check bool) "regions run different plans" true
-    (not
-       (String.equal
-          (Tango_volcano.Physical.signature r3.Middleware.physical)
-          (Tango_volcano.Physical.signature r5.Middleware.physical)));
-  (* and the region plans still answer their bindings correctly *)
-  let db2 = Tango_dbms.Database.create () in
-  Uis.load ~scale:0.005 db2;
-  let mw2 = Middleware.connect ~roundtrip_spin:0 db2 in
-  Alcotest.(check bool) "region plan (late) is correct" true
-    (Relation.equal_multiset (Middleware.query mw2 late).Middleware.result
-       r3.Middleware.result);
-  Alcotest.(check bool) "region plan (early) is correct" true
-    (Relation.equal_multiset (Middleware.query mw2 early).Middleware.result
-       r5.Middleware.result)
 
 (* The run an event-log record holds. *)
 let logged_run (r : Tango_monitor.Event_log.record) =
@@ -421,7 +358,7 @@ let () =
           Alcotest.test_case "literal-sensitive keys" `Quick test_key_literal_sensitive;
           Alcotest.test_case "keyword-case-insensitive keys" `Quick
             test_keyword_case_insensitive;
-          Alcotest.test_case "hit kinds and replans" `Quick test_hit_kinds_and_replans;
+          Alcotest.test_case "hit kinds" `Quick test_hit_kinds;
           Alcotest.test_case "find/add" `Quick test_find_add;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "invalidate all" `Quick test_invalidate_all;
@@ -434,8 +371,6 @@ let () =
           Alcotest.test_case "exact mode misses on literal change" `Quick
             test_exact_mode_misses_on_literal_change;
           Alcotest.test_case "explicit bind variables" `Quick test_query_params;
-          Alcotest.test_case "sensitivity guard replans per region" `Quick
-            test_sensitivity_guard_replans_per_region;
           Alcotest.test_case "event log records cache class" `Quick
             test_event_log_records_cache_class;
           Alcotest.test_case "invalidation on ANALYZE" `Quick test_invalidation_on_analyze;

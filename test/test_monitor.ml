@@ -486,7 +486,7 @@ let test_slo_json_and_gauges () =
 
 (* ---------------- watchdog ---------------- *)
 
-let cache_stats ?(replans = 0) ?(max_replans = 0) ~hits ~misses () =
+let cache_stats ~hits ~misses () =
   {
     Tango_cache.Plan_cache.hits;
     template_hits = 0;
@@ -494,55 +494,12 @@ let cache_stats ?(replans = 0) ?(max_replans = 0) ~hits ~misses () =
     misses;
     evictions = 0;
     invalidations = 0;
-    replans;
-    max_replans;
     last_invalidation = None;
   }
 
 let signal (v : Watchdog.verdict) name =
   List.find (fun (s : Watchdog.signal) -> s.Watchdog.name = name)
     v.Watchdog.signals
-
-(* A single entry accumulating sensitivity-guard replans is flagged as a
-   parameter-sensitive plan; scattered one-off replans are not. *)
-let test_watchdog_parameter_sensitivity () =
-  Histogram.reset query_us;
-  let slo = Slo.create ~objective:slo_objective () in
-  Slo.observe slo ~now_us:0.0 ~latency_us:100.0 ~ok:true;
-  let log = Event_log.create () in
-  Event_log.observe log (event ~elapsed_us:100.0 ());
-  let wd = Watchdog.create () in
-  let eval cache = Watchdog.evaluate wd ~now_us:1e6 ~slo ~log ?cache () in
-  let v = eval None in
-  let s = signal v "parameter_sensitive_plan" in
-  Alcotest.(check bool) "silent without a cache" false s.Watchdog.firing;
-  let v =
-    eval (Some (cache_stats ~hits:9 ~misses:1 ~replans:2 ~max_replans:1 ()))
-  in
-  Alcotest.(check bool) "one region plan per entry is normal" false
-    (signal v "parameter_sensitive_plan").Watchdog.firing;
-  let v =
-    eval (Some (cache_stats ~hits:9 ~misses:1 ~replans:3 ~max_replans:2 ()))
-  in
-  let s = signal v "parameter_sensitive_plan" in
-  Alcotest.(check bool) "an entry accumulating replans fires" true
-    s.Watchdog.firing;
-  Alcotest.(check bool) "detail carries the evidence" true
-    (s.Watchdog.detail = "3 replans total; worst entry holds 2 region plans");
-  Alcotest.(check bool) "firing signal raises the verdict" true
-    (v.Watchdog.state <> Slo.Ok);
-  (* the threshold is two region plans on one entry, however many
-     replans are scattered over the others *)
-  Alcotest.(check bool) "one region plan per entry, many entries" false
-    (signal
-       (eval (Some (cache_stats ~hits:9 ~misses:1 ~replans:50 ~max_replans:1 ())))
-       "parameter_sensitive_plan")
-      .Watchdog.firing;
-  Alcotest.(check bool) "exactly two region plans on one entry" true
-    (signal
-       (eval (Some (cache_stats ~hits:9 ~misses:1 ~replans:2 ~max_replans:2 ())))
-       "parameter_sensitive_plan")
-      .Watchdog.firing
 
 let test_watchdog_transitions () =
   Histogram.reset query_us;
@@ -1040,8 +997,6 @@ let test_endpoints_end_to_end () =
   Alcotest.(check int) "watchdog ok" 200 wd.Http.status;
   check_infix "watchdog state" "\"state\":" wd.Http.body;
   check_infix "watchdog signals" "\"signal\":\"slo_burn\"" wd.Http.body;
-  check_infix "watchdog names the sensitivity signal"
-    "\"signal\":\"parameter_sensitive_plan\"" wd.Http.body;
   check_infix "watchdog tail" "\"tail_records\":" wd.Http.body;
   (* the lock-contention profile is gone from both route arms *)
   Alcotest.(check int) "no contention endpoint" 404
@@ -1195,8 +1150,6 @@ let () =
         [
           Alcotest.test_case "signal transitions" `Quick
             test_watchdog_transitions;
-          Alcotest.test_case "parameter sensitivity signal" `Quick
-            test_watchdog_parameter_sensitivity;
           Alcotest.test_case "sharded attribution conservation" `Quick
             test_sharded_attribution_conservation;
         ] );

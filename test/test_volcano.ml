@@ -72,8 +72,8 @@ let test_memo_union () =
    last collision a scan in class-id order meets. *)
 module Ref_memo = struct
   type t = {
-    mutable parent : int array;
-    mutable elements : Memo.node list array;
+    parent : int array;
+    elements : Memo.node list array;
     table : (Memo.node, int) Hashtbl.t;
     mutable count : int;
   }
