@@ -677,9 +677,9 @@ let obs ctx =
 
 (* The regression baseline: every workload query warmed once, then timed
    over [runs] repetitions, with the per-run transfer counts read off the
-   session's backend meters and the DBMS statement count off a registry
-   snapshot diff.  The JSON lands in BENCH_baseline.json so successive CI
-   runs can be compared as artifacts. *)
+   session's backend meters and the DBMS statement count off the
+   [dbms.queries] counter.  The JSON lands in BENCH_baseline.json so
+   successive CI runs can be compared as artifacts. *)
 let baseline ctx =
   Fmt.pr "== Baseline: per-query times and transfer counters (JSON artifact) ==@.";
   header
@@ -691,17 +691,15 @@ let baseline ctx =
   let runs = if ctx.quick then 2 else 3 in
   let backends = Tango_dbms.Topology.backends (Middleware.topology mw) in
   let meter m = List.fold_left (fun acc b -> acc + m b) 0 backends in
+  let statements = Tango_obs.Counter.make "dbms.queries" in
   let entries =
     List.map
       (fun (name, sql) ->
         ignore (Middleware.query mw sql) (* warm caches and statistics *);
-        let before = Tango_obs.Registry.snapshot () in
-        let rt0 = meter Tango_dbms.Backend.roundtrips
+        let st0 = Tango_obs.Counter.value statements
+        and rt0 = meter Tango_dbms.Backend.roundtrips
         and tu0 = meter Tango_dbms.Backend.tuples_shipped in
         let reports = List.init runs (fun _ -> Middleware.query mw sql) in
-        let after = Tango_obs.Registry.snapshot () in
-        let delta = Tango_obs.Registry.diff after before in
-        let per_run n = Tango_obs.Registry.counter_value delta n / runs in
         let mean f =
           List.fold_left (fun acc r -> acc +. f r) 0.0 reports
           /. float_of_int runs
@@ -713,7 +711,7 @@ let baseline ctx =
         let tuples_shipped =
           (meter Tango_dbms.Backend.tuples_shipped - tu0) / runs
         in
-        let dbms_queries = per_run "dbms.queries" in
+        let dbms_queries = (Tango_obs.Counter.value statements - st0) / runs in
         Fmt.pr "%-8s %11.1f %11.1f %6d %10d %14d %12d@." name
           (optimize_us /. 1000.0) (execute_us /. 1000.0) rows roundtrips
           tuples_shipped dbms_queries;
@@ -1158,8 +1156,7 @@ let tail ctx =
         b.Middleware.rows b.Middleware.bytes)
     lanes;
   let verdict =
-    Watchdog.evaluate (Endpoints.watchdog endpoints)
-      ~now_us:(Tango_obs.now_us ()) ~slo:(Endpoints.slo endpoints) ~log
+    Watchdog.evaluate ~now_us:(Tango_obs.now_us ()) ~slo:(Endpoints.slo endpoints) ~log
       ~feedback:(Middleware.profile_store mw)
       ~cache:(Middleware.plan_cache_stats mw)
       ()

@@ -22,6 +22,7 @@
 open Tango_rel
 open Tango_core
 open Cmdliner
+module Json = Tango_obs.Json
 
 (* ---------------- database setup ---------------- *)
 
@@ -75,24 +76,8 @@ let setup ~scale ~csvs ~shards ~calibrate ~trace ?(profiling = false)
 
 (* ---------------- machine-readable output ---------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Every subcommand takes the same flag: bare [--json] prints the summary
-   to stdout, [--json FILE] writes it to FILE. *)
+(* [run], [explain] and [check] take the same flag: bare [--json] prints
+   the summary to stdout, [--json FILE] writes it to FILE. *)
 let json_arg =
   Arg.(value
        & opt ~vopt:(Some "-") (some string) None
@@ -100,7 +85,8 @@ let json_arg =
            ~doc:"Emit a machine-readable JSON summary to $(docv); omit \
                  $(docv) (or pass '-') for stdout.")
 
-let emit_json dest body =
+let emit_json dest doc =
+  let body = Json.to_string doc in
   match dest with
   | None -> ()
   | Some "-" ->
@@ -112,38 +98,37 @@ let emit_json dest body =
       output_char oc '\n';
       close_out oc
 
-(* Per-backend traffic, for sharded sessions: name, roundtrips, tuples. *)
-let backends_json mw =
-  String.concat ","
-    (List.map
-       (fun b ->
-         Printf.sprintf
-           "{\"name\":\"%s\",\"roundtrips\":%d,\"tuples_shipped\":%d,\
-            \"bytes_shipped\":%d}"
-           (json_escape (Tango_dbms.Backend.name b))
-           (Tango_dbms.Backend.roundtrips b)
-           (Tango_dbms.Backend.tuples_shipped b)
-           (Tango_dbms.Backend.bytes_shipped b))
-       (Tango_dbms.Topology.backends (Middleware.topology mw)))
-
+(* The run summary, with per-backend traffic (name, roundtrips, tuples,
+   bytes) for sharded sessions; [cache] is the class string, as in
+   [POST /query]. *)
 let report_json mw (report : Middleware.report) =
-  let cache =
-    match report.Middleware.cache with
-    | None -> "null"
-    | Some c ->
-        Printf.sprintf "{\"hit\":%b,\"class\":\"%s\"}" c.Middleware.cache_hit
-          (json_escape c.Middleware.cache_class)
+  let backend b =
+    Json.Obj
+      [
+        ("name", Json.String (Tango_dbms.Backend.name b));
+        ("roundtrips", Json.Int (Tango_dbms.Backend.roundtrips b));
+        ("tuples_shipped", Json.Int (Tango_dbms.Backend.tuples_shipped b));
+        ("bytes_shipped", Json.Int (Tango_dbms.Backend.bytes_shipped b));
+      ]
   in
-  Printf.sprintf
-    "{\"rows\":%d,\"optimize_us\":%.1f,\"execute_us\":%.1f,\
-     \"estimated_cost_us\":%.1f,\"classes\":%d,\"elements\":%d,\
-     \"plan\":\"%s\",\"cache\":%s,\"backends\":[%s]}"
-    (Relation.cardinality report.Middleware.result)
-    report.Middleware.optimize_us report.Middleware.execute_us
-    report.Middleware.estimated_cost_us report.Middleware.classes
-    report.Middleware.elements
-    (json_escape (Tango_volcano.Physical.signature report.Middleware.physical))
-    cache (backends_json mw)
+  Json.Obj
+    [
+      ("rows", Json.Int (Relation.cardinality report.Middleware.result));
+      ("optimize_us", Json.Float report.Middleware.optimize_us);
+      ("execute_us", Json.Float report.Middleware.execute_us);
+      ("estimated_cost_us", Json.Float report.Middleware.estimated_cost_us);
+      ("classes", Json.Int report.Middleware.classes);
+      ("elements", Json.Int report.Middleware.elements);
+      ( "plan",
+        Json.String (Tango_volcano.Physical.signature report.Middleware.physical) );
+      ( "cache",
+        match report.Middleware.cache with
+        | Some c -> Json.String c.Middleware.cache_class
+        | None -> Json.Null );
+      ( "backends",
+        Json.List
+          (List.map backend (Tango_dbms.Topology.backends (Middleware.topology mw))) );
+    ]
 
 (* ---------------- output ---------------- *)
 
@@ -164,67 +149,76 @@ let print_analysis (report : Middleware.report) =
       Fmt.pr "@.estimated vs actual:@.%s@?" (Tango_profile.Analyze.to_string a)
   | None -> ()
 
-let run_query ?json ?(params = []) mw ~explain_only ~analyze ~verbose sql =
-  if explain_only then begin
-    if analyze then begin
-      (* EXPLAIN ANALYZE: execute the query (profiling is on) and print
-         the annotated plan instead of the result rows *)
-      let report = Middleware.query_params mw sql params in
-      Fmt.pr "physical plan (estimated %.0f us, actual %.0f us):@.%s@."
-        report.Middleware.estimated_cost_us report.Middleware.execute_us
-        (Tango_volcano.Physical.to_string report.Middleware.physical);
-      print_analysis report;
-      emit_json json (report_json mw report)
-    end
-    else begin
-      let initial =
-        Tango_tsql.Compile.initial_plan ~lookup:(Middleware.schema_lookup mw)
-          sql
-      in
-      let order = Tango_tsql.Compile.required_order sql in
-      let res = Middleware.optimize mw ~required_order:order initial in
-      match res.Tango_volcano.Search.plan with
-      | None ->
-          Fmt.pr "no feasible plan@.";
-          emit_json json "{\"feasible\":false}"
-      | Some plan ->
-          Fmt.pr "physical plan (estimated %.0f us):@.%s@."
-            plan.Tango_volcano.Physical.total_cost
-            (Tango_volcano.Physical.to_string plan);
-          let exec, _ = Exec_plan.of_physical (Middleware.database mw) plan in
-          Fmt.pr "execution-ready plan:@.%s@." (Exec_plan.to_string exec);
-          Fmt.pr "%d classes, %d elements, optimized in %.1f ms@."
-            res.Tango_volcano.Search.classes res.Tango_volcano.Search.elements
-            (res.Tango_volcano.Search.time_us /. 1000.0);
-          emit_json json
-            (Printf.sprintf
-               "{\"feasible\":true,\"estimated_cost_us\":%.1f,\
-                \"optimize_us\":%.1f,\"classes\":%d,\"elements\":%d,\
-                \"plan\":\"%s\"}"
-               plan.Tango_volcano.Physical.total_cost
-               res.Tango_volcano.Search.time_us
-               res.Tango_volcano.Search.classes
-               res.Tango_volcano.Search.elements
-               (json_escape (Tango_volcano.Physical.signature plan)))
-    end
-  end
-  else begin
-    let report = Middleware.query_params mw sql params in
-    if verbose then begin
-      Fmt.pr "plan:@.%s@."
-        (Tango_volcano.Physical.to_string report.Middleware.physical);
-      Fmt.pr "optimization: %.1f ms (%d classes, %d elements)@."
-        (report.Middleware.optimize_us /. 1000.0)
-        report.Middleware.classes report.Middleware.elements
-    end;
-    print_result report.Middleware.result;
-    Fmt.pr "executed in %.1f ms@." (report.Middleware.execute_us /. 1000.0);
-    if analyze then print_analysis report;
-    (match report.Middleware.trace with
-    | Some span -> Fmt.pr "@.%s@?" (Tango_obs.Trace.to_string span)
-    | None -> ());
+(* Optimize [sql] and print the plan; with [analyze], also execute it
+   (profiling is on) and print the annotated plan instead of the rows. *)
+let explain_query ?json mw ~analyze sql =
+  if analyze then begin
+    let report = Middleware.query mw sql in
+    Fmt.pr "physical plan (estimated %.0f us, actual %.0f us):@.%s@."
+      report.Middleware.estimated_cost_us report.Middleware.execute_us
+      (Tango_volcano.Physical.to_string report.Middleware.physical);
+    print_analysis report;
     emit_json json (report_json mw report)
   end
+  else begin
+    let initial =
+      Tango_tsql.Compile.initial_plan ~lookup:(Middleware.schema_lookup mw) sql
+    in
+    let order = Tango_tsql.Compile.required_order sql in
+    let res = Middleware.optimize mw ~required_order:order initial in
+    match res.Tango_volcano.Search.plan with
+    | None ->
+        Fmt.pr "no feasible plan@.";
+        emit_json json (Json.Obj [ ("feasible", Json.Bool false) ])
+    | Some plan ->
+        Fmt.pr "physical plan (estimated %.0f us):@.%s@."
+          plan.Tango_volcano.Physical.total_cost
+          (Tango_volcano.Physical.to_string plan);
+        let exec, _ = Exec_plan.of_physical (Middleware.database mw) plan in
+        Fmt.pr "execution-ready plan:@.%s@." (Exec_plan.to_string exec);
+        Fmt.pr "%d classes, %d elements, optimized in %.1f ms@."
+          res.Tango_volcano.Search.classes res.Tango_volcano.Search.elements
+          (res.Tango_volcano.Search.time_us /. 1000.0);
+        emit_json json
+          (Json.Obj
+             [
+               ("feasible", Json.Bool true);
+               ("estimated_cost_us", Json.Float plan.Tango_volcano.Physical.total_cost);
+               ("optimize_us", Json.Float res.Tango_volcano.Search.time_us);
+               ("classes", Json.Int res.Tango_volcano.Search.classes);
+               ("elements", Json.Int res.Tango_volcano.Search.elements);
+               ("plan", Json.String (Tango_volcano.Physical.signature plan));
+             ])
+  end
+
+(* Run [sql], print its rows (and, as asked, the plan, the estimated vs
+   actual profile and the span tree); [trace_out] receives the run's
+   trace as Chrome trace-event JSON. *)
+let run_query ?json ?trace_out ?(params = []) mw ~analyze ~verbose sql =
+  let report = Middleware.query_params mw sql params in
+  if verbose then begin
+    Fmt.pr "plan:@.%s@."
+      (Tango_volcano.Physical.to_string report.Middleware.physical);
+    Fmt.pr "optimization: %.1f ms (%d classes, %d elements)@."
+      (report.Middleware.optimize_us /. 1000.0)
+      report.Middleware.classes report.Middleware.elements
+  end;
+  print_result report.Middleware.result;
+  Fmt.pr "executed in %.1f ms@." (report.Middleware.execute_us /. 1000.0);
+  if analyze then print_analysis report;
+  (match report.Middleware.trace with
+  | Some span -> Fmt.pr "@.%s@?" (Tango_obs.Trace.to_string span)
+  | None -> ());
+  emit_json json (report_json mw report);
+  match (trace_out, report.Middleware.trace) with
+  | None, _ -> ()
+  | Some _, None -> Fmt.epr "no trace collected@."
+  | Some path, Some span ->
+      let oc = open_out path in
+      output_string oc (Json.to_string (Tango_monitor.Chrome_trace.to_json span));
+      output_char oc '\n';
+      close_out oc;
+      Fmt.pr "trace written to %s@." path
 
 let catch_errors f =
   try
@@ -318,18 +312,7 @@ let run_term =
             ~trace ~profiling:analyze ~plan_cache ()
         in
         let params = List.map Tango_sql.Parameterize.value_of_string params in
-        run_query ?json ~params mw ~explain_only:false ~analyze ~verbose sql;
-        match trace_out with
-        | None -> ()
-        | Some path -> (
-            match Middleware.last_trace mw with
-            | None -> Fmt.epr "no trace collected@."
-            | Some span ->
-                let oc = open_out path in
-                output_string oc (Tango_monitor.Chrome_trace.to_string span);
-                output_char oc '\n';
-                close_out oc;
-                Fmt.pr "trace written to %s@." path))
+        run_query ?json ?trace_out ~params mw ~analyze ~verbose sql)
   in
   Term.(const f $ scale_arg $ csv_arg $ shards_arg $ calibrate_arg
         $ verbose_arg $ trace_arg $ trace_out_arg
@@ -352,7 +335,7 @@ let explain_cmd =
           setup ~scale ~csvs ~shards ~calibrate
             ~trace:false ~profiling:analyze ~plan_cache ()
         in
-        run_query ?json mw ~explain_only:true ~analyze ~verbose:false sql)
+        explain_query ?json mw ~analyze sql)
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(const f $ scale_arg $ csv_arg $ shards_arg
@@ -378,7 +361,7 @@ let repl_cmd =
          | sql ->
              ignore
                (catch_errors (fun () ->
-                    run_query mw ~explain_only:false ~analyze:false ~verbose sql));
+                    run_query mw ~analyze:false ~verbose sql));
              Fmt.pr "tango> @?";
              loop ()
        in
@@ -502,17 +485,16 @@ let check_cmd =
       !total_warnings
       (if !total_warnings = 1 then "" else "s");
     emit_json json
-      ("["
-      ^ String.concat ","
-          (List.map
-             (fun (name, diags) ->
-               Printf.sprintf
-                 "{\"query\":\"%s\",\"errors\":%d,\"diagnostics\":%s}"
-                 (json_escape name)
-                 (Diag.count_errors diags)
-                 (Diag.list_to_json diags))
-             results)
-      ^ "]");
+      (Json.List
+         (List.map
+            (fun (name, diags) ->
+              Json.Obj
+                [
+                  ("query", Json.String name);
+                  ("errors", Json.Int (Diag.count_errors diags));
+                  ("diagnostics", Json.List (List.map Diag.to_json diags));
+                ])
+            results));
     if !total_errors > 0 then 1 else 0
   in
   Cmd.v (Cmd.info "check" ~doc)
@@ -553,22 +535,11 @@ let slo_latency_arg =
        & info [ "slo-latency-ms" ] ~docv:"MS"
            ~doc:"Per-query latency objective in milliseconds.")
 
-let sample_every_arg =
-  Arg.(value & opt int 1
-       & info [ "sample-every" ] ~docv:"N"
-           ~doc:"Keep every $(docv)-th query in the event log (1 = all); \
-                 failures and slow queries are always kept.")
-
 let log_capacity_arg =
   Arg.(value & opt int 256
        & info [ "log-capacity" ] ~docv:"N"
-           ~doc:"Event-log ring capacity (oldest records evicted first).")
-
-let slow_keep_arg =
-  Arg.(value & opt float 0.0
-       & info [ "slow-keep-ms" ] ~docv:"MS"
-           ~doc:"Always keep queries at least this slow in the event log, \
-                 regardless of sampling (0 disables the override).")
+           ~doc:"Event-log ring capacity: every query is recorded, the \
+                 oldest evicted first.")
 
 let max_requests_arg =
   Arg.(value & opt (some int) None
@@ -577,13 +548,14 @@ let max_requests_arg =
 
 let serve_cmd =
   let doc =
-    "Serve the monitoring endpoint over HTTP: GET /metrics (Prometheus), \
-     /healthz, /slo (burn-rate verdict), /queries?n=K (sampled per-query \
-     event log), /trace (Chrome trace JSON of the last run), and POST \
+    "Serve the monitoring endpoint over HTTP: GET /metrics (Prometheus, \
+     SLO burn-rate gauges included), /healthz, /queries?n=K (the per-query \
+     event log), /queries/SEQ (one record in full, with its Chrome \
+     trace), /debug/watchdog (the SLO drill-down verdict), and POST \
      /query to run temporal SQL from the request body."
   in
   let f scale csvs shards calibrate port host
-      slo_latency_ms sample_every log_capacity slow_keep_ms max_requests =
+      slo_latency_ms log_capacity max_requests =
     catch_errors (fun () ->
         (* Validate flags up front: a bad value should produce one clear
            line, not an [Invalid_argument] backtrace from deep inside
@@ -595,10 +567,6 @@ let serve_cmd =
           failwith
             (Printf.sprintf "--log-capacity must be positive (got %d)"
                log_capacity);
-        if sample_every <= 0 then
-          failwith
-            (Printf.sprintf "--sample-every must be positive (got %d)"
-               sample_every);
         (match max_requests with
         | Some n when n <= 0 ->
             failwith
@@ -608,10 +576,6 @@ let serve_cmd =
           failwith
             (Printf.sprintf "--slo-latency-ms must be positive (got %g)"
                slo_latency_ms);
-        if slow_keep_ms < 0.0 then
-          failwith
-            (Printf.sprintf "--slow-keep-ms must be non-negative (got %g)"
-               slow_keep_ms);
         setup_logs false;
         (* one session serves every request: the plan cache persists
            across POST /query submissions *)
@@ -619,10 +583,7 @@ let serve_cmd =
           setup ~scale ~csvs ~shards ~calibrate
             ~trace:true ~profiling:true ~plan_cache:true ()
         in
-        let log =
-          Tango_monitor.Event_log.create ~capacity:log_capacity ~sample_every
-            ~slow_keep_us:(slow_keep_ms *. 1000.0) ()
-        in
+        let log = Tango_monitor.Event_log.create ~capacity:log_capacity () in
         let slo =
           Tango_monitor.Slo.create
             ~objective:
@@ -645,8 +606,8 @@ let serve_cmd =
         Fmt.pr "tango: serving monitoring endpoint on http://%s:%d@." host
           (Tango_monitor.Http.bound_port sock);
         Fmt.pr
-          "  GET /metrics /healthz /slo /queries?n=K /queries/SEQ \
-           /debug/watchdog /trace — POST /query@.";
+          "  GET /metrics /healthz /queries?n=K /queries/SEQ \
+           /debug/watchdog — POST /query@.";
         Fmt.pr "%!";
         Fun.protect
           ~finally:(fun () -> try Unix.close sock with _ -> ())
@@ -663,8 +624,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const f $ scale_arg $ csv_arg $ shards_arg
           $ calibrate_arg $ port_arg $ host_arg
-          $ slo_latency_arg $ sample_every_arg $ log_capacity_arg
-          $ slow_keep_arg $ max_requests_arg)
+          $ slo_latency_arg $ log_capacity_arg $ max_requests_arg)
 
 let main =
   let doc = "TANGO: adaptable temporal query middleware on a conventional DBMS" in

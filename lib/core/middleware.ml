@@ -95,7 +95,6 @@ type cache_entry = {
 (* Plan-cache outcome attached to a report (only for {!query} with the
    cache enabled); the session totals are {!plan_cache_stats}. *)
 type cache_report = {
-  cache_hit : bool;  (** this query was answered from the cache *)
   cache_class : string;  (** ["template-hit"] | ["exact-hit"] | ["miss"] *)
 }
 
@@ -221,7 +220,6 @@ type t = {
   backend_factors : Tango_profile.Backend_factors.t;
   plan_cache : cache_entry Tango_cache.Plan_cache.t;
   mutable config : Config.t;
-  mutable last_trace : Tango_obs.Trace.span option;
   mutable last_diagnostics : Tango_verify.Diag.t list;
   mutable query_observer : (query_event -> unit) option;
   profile : Tango_profile.Feedback.t;
@@ -240,7 +238,6 @@ let connect_topology ?(config = Config.default) (topology : Topology.t) : t =
       Tango_profile.Backend_factors.create ~base:(fun () -> factors);
     plan_cache = Tango_cache.Plan_cache.create ();
     config;
-    last_trace = None;
     last_diagnostics = [];
     query_observer = None;
     profile = Tango_profile.Feedback.create ();
@@ -271,7 +268,6 @@ let database t = Option.get (Backend.database (primary t))
 
 let factors t = t.factors
 let config t = t.config
-let last_trace t = t.last_trace
 let last_diagnostics t = t.last_diagnostics
 let profile_store t = t.profile
 let set_query_observer t obs = t.query_observer <- obs
@@ -543,18 +539,12 @@ let observed t ~kind ?sql (f : unit -> report) : report =
 (* Run a top-level pipeline entry under a fresh trace when the session asks
    for tracing (an already-active trace only gains a span). *)
 let with_query_trace t name (f : unit -> report) : report =
-  if not t.config.Config.tracing then begin
-    t.last_trace <- None;
-    f ()
-  end
+  if not t.config.Config.tracing then f ()
   else if Tango_obs.Trace.active () then Tango_obs.Trace.span name f
   else begin
     Tango_obs.Trace.start ();
     match Tango_obs.Trace.span name f with
-    | r ->
-        let tr = Tango_obs.Trace.finish () in
-        t.last_trace <- tr;
-        { r with trace = tr }
+    | r -> { r with trace = Tango_obs.Trace.finish () }
     | exception e ->
         ignore (Tango_obs.Trace.finish ());
         raise e
@@ -739,7 +729,7 @@ let cached_plan t (entry : entry) : planned option =
       parse_alloc_bytes = 0;
       optimize_us = 0.0;
       optimize_alloc_bytes = 0;
-      cache = Some { cache_hit = true; cache_class = cls };
+      cache = Some { cache_class = cls };
     }
   in
   match entry with
@@ -816,7 +806,7 @@ let fresh_plan t (entry : entry) : planned =
       in
       let miss =
         if t.config.Config.plan_cache then
-          Some { cache_hit = false; cache_class = "miss" }
+          Some { cache_class = "miss" }
         else None
       in
       let plan, cache =

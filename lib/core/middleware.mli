@@ -130,10 +130,6 @@ val set_config : t -> Config.t -> unit
     cache when a setting that chooses plans or their findings changes
     ([histograms], [selectivity_mode], [verify_plans]). *)
 
-val last_trace : t -> Tango_obs.Trace.span option
-(** The trace of the most recent {!query} / {!run_plan} / {!run_fixed}
-    call; [None] unless the configuration has [tracing] set. *)
-
 val last_diagnostics : t -> Tango_verify.Diag.t list
 (** Findings of the most recent plan verification ({!optimize} or
     {!run_fixed}); [[]] unless the configuration has [verify_plans] on. *)
@@ -180,7 +176,6 @@ val optimize :
     runs with the configuration's [plan_cache] on).  The session totals
     are {!plan_cache_stats}. *)
 type cache_report = {
-  cache_hit : bool;  (** this query was answered from the cache *)
   cache_class : string;
       (** ["template-hit"] — a parameterized template entry served this
           query (the plan was instantiated under the binding);

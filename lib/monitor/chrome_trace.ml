@@ -13,12 +13,17 @@
 
 open Tango_obs
 
+(* One process, and the pipeline on thread 1; backend lanes take
+   threads 2, 3, ... *)
+let pid = 1
+let pipeline_tid = 1
+
 let arg_value = function
   | Trace.Int i -> Json.Int i
   | Trace.Float f -> Json.Float f
   | Trace.Str s -> Json.String s
 
-let event ~pid ~tid ~ts (s : Trace.span) : Json.t =
+let event ~ts (s : Trace.span) : Json.t =
   Json.Obj
     ([
        ("name", Json.String s.Trace.name);
@@ -26,7 +31,7 @@ let event ~pid ~tid ~ts (s : Trace.span) : Json.t =
        ("ts", Json.Float ts);
        ("dur", Json.Float s.Trace.elapsed_us);
        ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
+       ("tid", Json.Int pipeline_tid);
      ]
     @
     match s.Trace.attrs with
@@ -34,11 +39,10 @@ let event ~pid ~tid ~ts (s : Trace.span) : Json.t =
     | attrs ->
         [ ("args", Json.Obj (List.map (fun (k, v) -> (k, arg_value v)) attrs)) ])
 
-let events ?(pid = 1) ?(tid = 1) ?(start_us = 0.0) (root : Trace.span) :
-    Json.t list =
+let events (root : Trace.span) : Json.t list =
   let acc = ref [] in
   let rec go ts (s : Trace.span) =
-    acc := event ~pid ~tid ~ts s :: !acc;
+    acc := event ~ts s :: !acc;
     ignore
       (List.fold_left
          (fun t (c : Trace.span) ->
@@ -46,11 +50,11 @@ let events ?(pid = 1) ?(tid = 1) ?(start_us = 0.0) (root : Trace.span) :
            t +. c.Trace.elapsed_us)
          ts s.Trace.children)
   in
-  go start_us root;
+  go 0.0 root;
   List.rev !acc
 
 (* "M"-phase metadata event naming a lane in the thread list. *)
-let thread_name_event ~pid ~tid name =
+let thread_name_event ~tid name =
   Json.Obj
     [
       ("name", Json.String "thread_name");
@@ -60,7 +64,7 @@ let thread_name_event ~pid ~tid name =
       ("args", Json.Obj [ ("name", Json.String name) ]);
     ]
 
-let lane_event ~pid ~tid ~name ~ts ~dur =
+let lane_event ~tid ~name ~ts ~dur =
   Json.Obj
     [
       ("name", Json.String name);
@@ -71,29 +75,22 @@ let lane_event ~pid ~tid ~name ~ts ~dur =
       ("tid", Json.Int tid);
     ]
 
-let backend_lanes ?(pid = 1) ?(start_us = 0.0)
-    (backends : (string * float * float) list) : Json.t list =
+let backend_lanes (backends : (string * float * float) list) : Json.t list =
   List.concat
     (List.mapi
        (fun i (name, transfer_us, wait_us) ->
-         let tid = 2 + i in
-         thread_name_event ~pid ~tid ("backend:" ^ name)
-         :: lane_event ~pid ~tid ~name:"transfer" ~ts:start_us ~dur:transfer_us
+         let tid = pipeline_tid + 1 + i in
+         thread_name_event ~tid ("backend:" ^ name)
+         :: lane_event ~tid ~name:"transfer" ~ts:0.0 ~dur:transfer_us
          :: [
-              lane_event ~pid ~tid ~name:"gather-wait"
-                ~ts:(start_us +. transfer_us) ~dur:wait_us;
+              lane_event ~tid ~name:"gather-wait" ~ts:transfer_us ~dur:wait_us;
             ])
        backends)
 
-let to_json ?pid ?tid ?start_us ?(backends = []) (root : Trace.span) : Json.t =
+let to_json ?(backends = []) (root : Trace.span) : Json.t =
   Json.Obj
     [
       ( "traceEvents",
-        Json.List
-          (events ?pid ?tid ?start_us root
-          @ backend_lanes ?pid ?start_us backends) );
+        Json.List (events root @ backend_lanes backends) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_string ?pid ?tid ?start_us ?backends root =
-  Json.to_string (to_json ?pid ?tid ?start_us ?backends root)

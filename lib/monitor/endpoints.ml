@@ -7,12 +7,10 @@
     - [GET /metrics] — Prometheus exposition of the full
       {!Tango_obs.Registry} snapshot, the session's per-backend boundary
       meters and SLO gauges;
-    - [GET /slo] — burn-rate verdict as JSON;
-    - [GET /queries?n=K] — the most recent sampled event-log records;
+    - [GET /queries?n=K] — the most recent event-log records;
     - [GET /queries/<seq>] — one record in full: phase breakdown,
       per-backend attribution, and its Chrome trace with backend lanes;
     - [GET /debug/watchdog] — the {!Watchdog} drill-down verdict;
-    - [GET /trace] — Chrome trace JSON of the last pipeline run;
     - [POST /query] — run the temporal SQL in the body, reply with a
       JSON result summary. *)
 
@@ -22,14 +20,12 @@ type t = {
   mw : Middleware.t;
   log : Event_log.t;
   slo : Slo.t;
-  watchdog : Watchdog.t;
   started_mono_us : float;  (* monotonic, for uptime arithmetic *)
 }
 
 let create ?log ?slo mw =
   let log = match log with Some l -> l | None -> Event_log.create () in
   let slo = match slo with Some s -> s | None -> Slo.create () in
-  let watchdog = Watchdog.create () in
   Middleware.set_query_observer mw
     (Some
        (fun (ev : Middleware.query_event) ->
@@ -38,18 +34,11 @@ let create ?log ?slo mw =
            ~now_us:(ev.Middleware.started_us +. ev.Middleware.elapsed_us)
            ~latency_us:ev.Middleware.elapsed_us
            ~ok:(ev.Middleware.error = None)));
-  {
-    mw;
-    log;
-    slo;
-    watchdog;
-    started_mono_us = Tango_obs.mono_us ();
-  }
+  { mw; log; slo; started_mono_us = Tango_obs.mono_us () }
 
 let uptime_seconds t = (Tango_obs.mono_us () -. t.started_mono_us) /. 1e6
 
 let slo t = t.slo
-let watchdog t = t.watchdog
 
 let json_response ?status j =
   Http.response ?status ~content_type:"application/json"
@@ -102,7 +91,7 @@ let queries t (req : Http.request) =
   | None -> error_response 400 "n must be a positive integer"
   | Some n -> json_response (Event_log.to_json ~n t.log)
 
-(* The drill-down: one kept record in full — phase breakdown,
+(* The drill-down: one record in full — phase breakdown,
    per-backend attribution, and (when the run was traced) its Chrome
    trace with one lane per backend. *)
 let query_by_seq t seq =
@@ -112,7 +101,7 @@ let query_by_seq t seq =
       match Event_log.find t.log seq with
       | None ->
           error_response 404
-            (Printf.sprintf "no record for seq %d (not kept, or evicted)" seq)
+            (Printf.sprintf "no record for seq %d (evicted, or not yet seen)" seq)
       | Some r ->
           let record = Event_log.record_to_json r in
           let fields =
@@ -134,7 +123,7 @@ let query_by_seq t seq =
 
 let watchdog_verdict t =
   let verdict =
-    Watchdog.evaluate t.watchdog ~now_us:(Tango_obs.now_us ()) ~slo:t.slo
+    Watchdog.evaluate ~now_us:(Tango_obs.now_us ()) ~slo:t.slo
       ~log:t.log
       ~feedback:(Middleware.profile_store t.mw)
       ~cache:(Middleware.plan_cache_stats t.mw)
@@ -157,13 +146,6 @@ let healthz t (req : Http.request) =
              Int (Tango_dbms.Topology.shard_count (Middleware.topology t.mw)) );
            ("queries_seen", Int (Event_log.seen t.log));
          ])
-
-let trace t =
-  match Middleware.last_trace t.mw with
-  | None -> error_response 404 "no trace collected (tracing off or no query yet)"
-  | Some span ->
-      Http.response ~content_type:"application/json"
-        (Chrome_trace.to_string span)
 
 (* Known pipeline failures become a 400 with the error text; anything
    else propagates to Http's 500 handler. *)
@@ -250,15 +232,11 @@ let handler t (req : Http.request) : Http.response =
   | "GET", _, Some seq -> query_by_seq t seq
   | "GET", "/healthz", _ -> healthz t req
   | "GET", "/metrics", _ -> metrics t
-  | "GET", "/slo", _ ->
-      json_response (Slo.to_json t.slo ~now_us:(Tango_obs.now_us ()))
   | "GET", "/queries", _ -> queries t req
   | "GET", "/debug/watchdog", _ -> watchdog_verdict t
-  | "GET", "/trace", _ -> trace t
   | "POST", "/query", _ -> run_query t req
   | ( _,
-      ( "/healthz" | "/metrics" | "/slo" | "/queries" | "/debug/watchdog"
-      | "/trace" | "/query" ),
+      ("/healthz" | "/metrics" | "/queries" | "/debug/watchdog" | "/query"),
       _ )
   | _, _, Some _ ->
       Http.response ~status:405 "method not allowed\n"

@@ -8,10 +8,9 @@ val create : ?log:Event_log.t -> ?slo:Slo.t -> Tango_core.Middleware.t -> t
 (** Installs a query observer on the session
     ({!Tango_core.Middleware.set_query_observer}) feeding the event log
     and the SLO tracker; defaults: [Event_log.create ()],
-    [Slo.create ()], a fresh {!Watchdog}. *)
+    [Slo.create ()]. *)
 
 val slo : t -> Slo.t
-val watchdog : t -> Watchdog.t
 
 val handler : t -> Http.request -> Http.response
 (** Dispatch:
@@ -25,18 +24,15 @@ val handler : t -> Http.request -> Http.response
       gauge, a [tango_build_info] gauge and the [tango_gc_*] heap
       gauges.  Every scrape gets the 0.0.4 text format, whatever its
       [Accept] header;
-    - [GET /slo] — the burn-rate verdict as JSON;
     - [GET /queries?n=K] — up to [K] (default 20) most recent event-log
       records, newest first;
-    - [GET /queries/<seq>] — the kept record with that seq in full —
+    - [GET /queries/<seq>] — the record with that seq in full —
       phase breakdown, per-backend attribution, and (when traced) its
-      Chrome trace with one lane per backend (404 when not kept or
-      evicted);
+      Chrome trace with one lane per backend (404 once evicted);
     - [GET /debug/watchdog] — the {!Watchdog} drill-down verdict:
-      correlated signals plus the dominant backend and phase of the
-      latency tail;
-    - [GET /trace] — Chrome trace JSON of the last pipeline run (404
-      when tracing is off or nothing ran yet);
+      correlated signals (the SLO burn state among them) plus the
+      dominant backend and phase of the latency tail.  Reading it
+      changes no state;
     - [POST /query] — run the temporal SQL in the body; 200 with a JSON
       summary (rows, times, plan fingerprint), or 400 with
       [{"error": ...}] on lex/parse/compile/execution failures.

@@ -2,123 +2,59 @@
     records fed from the middleware pipeline
     ({!Tango_core.Middleware.set_query_observer}).
 
-    Admission is {e head-based}: the keep/drop decision is made when the
-    event arrives, deterministically — every [sample_every]-th event is
-    kept (by arrival ordinal), and two overrides always keep an event
-    regardless of sampling: pipeline failures, and executions at least
-    [slow_keep_us] slow.  Once admitted, records evict oldest-first when
-    the ring is full.
+    Every observed event is stored; when the ring is full the oldest
+    record is evicted.  Every event also feeds the aggregate metrics
+    [monitor.queries], [monitor.query_errors] and the [monitor.query_us]
+    latency histogram, which is what [/metrics] exports buckets from.
 
-    Every event (kept or not) also feeds the always-on aggregate
-    metrics: [monitor.queries], [monitor.query_errors] and the
-    [monitor.query_us] latency histogram, which is what [/metrics]
-    exports buckets from.
-
-    Admission, ring writes and reads all run under the instance's lock;
-    sequence numbers are assigned under the lock and stay unique. *)
+    Ring writes and reads run under the instance's lock; sequence
+    numbers are assigned under the lock and stay unique. *)
 
 open Tango_core
 
 (* aggregate metrics, fed on every event *)
 let queries_total = Tango_obs.Counter.make "monitor.queries"
 let query_errors = Tango_obs.Counter.make "monitor.query_errors"
-let events_kept = Tango_obs.Counter.make "monitor.events_kept"
-let events_sampled_out = Tango_obs.Counter.make "monitor.events_sampled_out"
 let query_us = Tango_obs.Histogram.make "monitor.query_us"
 
-type keep_reason = Sampled | Slow | Failed | Tail
-
-(* A kept event is stored as observed: the derived numbers are computed
+(* An event is stored as observed: the derived numbers are computed
    when it is rendered, not when it arrives. *)
-type record = {
-  seq : int;
-  kept : keep_reason;
-  event : Middleware.query_event;
-}
+type record = { seq : int; event : Middleware.query_event }
 
 type t = {
   capacity : int;
-  sample_every : int;
-  slow_keep_us : float;
   lock : Mutex.t;  (** guards the ring and every mutable field *)
   ring : record option array;
   mutable next : int;  (** write position *)
   mutable stored : int;
-  mutable seen : int;  (** events offered, kept or not *)
-  mutable kept : int;
+  mutable seen : int;  (** events observed, evicted ones included *)
 }
 
-let create ?(capacity = 256) ?(sample_every = 1) ?(slow_keep_us = 0.0) () =
+let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Event_log.create: capacity must be > 0";
-  if sample_every <= 0 then
-    invalid_arg "Event_log.create: sample_every must be > 0";
   {
     capacity;
-    sample_every;
-    slow_keep_us;
     lock = Mutex.create ();
     ring = Array.make capacity None;
     next = 0;
     stored = 0;
     seen = 0;
-    kept = 0;
   }
 
 let seen t = Mutex.protect t.lock (fun () -> t.seen)
-let kept t = Mutex.protect t.lock (fun () -> t.kept)
-
-(* An observation only counts as "tail" once the latency histogram has a
-   meaningful shape, and only when it lands {e strictly above} the bucket
-   holding the current p99 — a whole latency band beyond the tail, so
-   constant-latency workloads never trip it.  Both sides are bucket
-   indices, read off the histogram's buckets without a sort. *)
-let tail_min_count = 32
-
-let is_tail elapsed_us =
-  Tango_obs.Histogram.count query_us >= tail_min_count
-  && Tango_obs.Histogram.bucket_index elapsed_us
-     > Tango_obs.Histogram.bucket_index
-         (Tango_obs.Histogram.quantile query_us 0.99)
-
-(* Head-based admission: failures, slow queries and tail outliers always
-   keep; the rest keep every [sample_every]-th arrival (by 0-based
-   ordinal, so the first event is always kept and the decision is
-   deterministic).  [tail] is computed against the histogram {e before}
-   this event is folded in. *)
-let admission t ~tail (ev : Middleware.query_event) : keep_reason option =
-  if ev.Middleware.error <> None then Some Failed
-  else if t.slow_keep_us > 0.0 && ev.Middleware.elapsed_us >= t.slow_keep_us
-  then Some Slow
-  else if tail then Some Tail
-  else if t.seen mod t.sample_every = 0 then Some Sampled
-  else None
 
 let observe t (ev : Middleware.query_event) : unit =
   Tango_obs.Counter.incr queries_total;
   if ev.Middleware.error <> None then Tango_obs.Counter.incr query_errors;
-  (* Admission, seq assignment and the ring write happen atomically
-     under the instance lock, so sequence numbers are unique and the
-     ring never tears under concurrent observers.  The histogram guards
-     itself (its own lock; no cycle — it never takes ours). *)
-  let decision =
-    Mutex.protect t.lock (fun () ->
-        let decision =
-          admission t ~tail:(is_tail ev.Middleware.elapsed_us) ev
-        in
-        Tango_obs.Histogram.observe query_us ev.Middleware.elapsed_us;
-        (match decision with
-        | Some kept ->
-            t.ring.(t.next) <- Some { seq = t.seen; kept; event = ev };
-            t.next <- (t.next + 1) mod t.capacity;
-            if t.stored < t.capacity then t.stored <- t.stored + 1;
-            t.kept <- t.kept + 1
-        | None -> ());
-        t.seen <- t.seen + 1;
-        decision)
-  in
-  match decision with
-  | Some _ -> Tango_obs.Counter.incr events_kept
-  | None -> Tango_obs.Counter.incr events_sampled_out
+  Tango_obs.Histogram.observe query_us ev.Middleware.elapsed_us;
+  (* seq assignment and the ring write happen atomically under the
+     instance lock, so sequence numbers are unique and the ring never
+     tears under concurrent observers *)
+  Mutex.protect t.lock (fun () ->
+      t.ring.(t.next) <- Some { seq = t.seen; event = ev };
+      t.next <- (t.next + 1) mod t.capacity;
+      if t.stored < t.capacity then t.stored <- t.stored + 1;
+      t.seen <- t.seen + 1)
 
 let find t seq : record option =
   Mutex.protect t.lock (fun () ->
@@ -143,12 +79,6 @@ let recent ?n t : record list =
         | None -> ()
       done;
       List.rev !out)
-
-let keep_reason_name = function
-  | Sampled -> "sampled"
-  | Slow -> "slow"
-  | Failed -> "failed"
-  | Tail -> "tail"
 
 let backends_to_json (backends : (string * Middleware.backend_breakdown) list)
     : Tango_obs.Json.t =
@@ -202,7 +132,6 @@ let record_to_json (r : record) : Tango_obs.Json.t =
   let opt_float = function Some f -> Float f | None -> Null in
   let run_us f = Float (field run 0.0 f) and run_int f = Int (field run 0 f) in
   let b_us f = Float (field b 0.0 f) and b_int f = Int (field b 0 f) in
-  let cache = Option.bind run (fun r -> r.Middleware.cache) in
   let gc = ev.Middleware.gc in
   Obj
     ([
@@ -241,10 +170,6 @@ let record_to_json (r : record) : Tango_obs.Json.t =
            ] );
        ( "backends",
          backends_to_json (field run [] (fun r -> r.Middleware.backends)) );
-       ( "cache_hit",
-         Bool (field cache false (fun c -> c.Middleware.cache_hit)) );
-       ( "cache_class",
-         String (field cache "" (fun c -> c.Middleware.cache_class)) );
        ("mw_operators", b_int (fun b -> b.Middleware.mw_operators));
        ("transfers", b_int (fun b -> b.Middleware.transfers));
        ("tm_rows", b_int (fun b -> b.Middleware.tm_rows));
@@ -256,7 +181,6 @@ let record_to_json (r : record) : Tango_obs.Json.t =
        ("verify_errors", b_int (fun b -> b.Middleware.verify_errors));
        ("verify_warnings", b_int (fun b -> b.Middleware.verify_warnings));
        ("error", opt_str ev.Middleware.error);
-       ("kept", String (keep_reason_name r.kept));
      ]
     @ run_json ~rows:(field run 0 (fun r -> r.Middleware.result)) run)
 

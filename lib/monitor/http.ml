@@ -242,17 +242,11 @@ let write_response fd (resp : response) =
   in
   write_all fd (head ^ resp.body)
 
-(* Wall time per served request (parse + handler + write), on the
-   monotonic clock — this is a duration, so a wall-clock step (NTP,
-   suspend) must not bend it. *)
-let request_histogram = lazy (Tango_obs.Histogram.make "monitor.http_us")
-
 (** Serve one connection: parse a single request, run the handler, write
     the response, leave the socket open for the caller to close.
     Handler exceptions become a 500, malformed requests a 400, and a
     read that hits the socket's receive timeout a 408. *)
 let handle_connection fd (handler : request -> response) : unit =
-  let t0 = Tango_obs.mono_us () in
   let resp =
     match parse_request (reader fd) with
     | None -> None
@@ -266,12 +260,9 @@ let handle_connection fd (handler : request -> response) : unit =
         Some (response ~status:408 "request timeout\n")
     | exception _ -> Some (response ~status:400 "malformed request\n")
   in
-  (match resp with
+  match resp with
   | None -> ()
-  | Some resp -> ( try write_response fd resp with _ -> ()));
-  Tango_obs.Histogram.observe
-    (Lazy.force request_histogram)
-    (Tango_obs.mono_us () -. t0)
+  | Some resp -> ( try write_response fd resp with _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Listening / accept loop                                              *)

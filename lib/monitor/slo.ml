@@ -19,7 +19,13 @@
 
     The worst state across the two objectives is reported.  Timestamps
     are supplied by the caller ([now_us]), so the engine is fully
-    deterministic under test. *)
+    deterministic under test.
+
+    The counts live in a ring of one-second buckets spanning the long
+    window, so memory is bounded by the windows and every query inside
+    them counts, whatever the query rate.  A window of width [w] covers
+    the [ceil(w / 1 s)] most recent buckets, the current partial one
+    included. *)
 
 type objective = {
   latency_us : float;
@@ -51,63 +57,75 @@ let state_name = function
 
 let state_rank = function Ok -> 0 | Warning -> 1 | Critical -> 2
 
-type sample = { at_us : float; slow : bool; failed : bool }
+let bucket_us = 1e6
+
+type window_stats = { total : int; slow : int; failed : int }
+
+(* One second's counts; [second] is [min_int] until the slot is used. *)
+type bucket = {
+  mutable second : int;
+  mutable queries : int;
+  mutable slow_queries : int;
+  mutable failed_queries : int;
+}
 
 type t = {
   objective : objective;
-  lock : Mutex.t;  (** guards [samples] *)
-  samples : sample Queue.t;  (** oldest first, pruned to the long window *)
+  lock : Mutex.t;  (** guards [buckets] *)
+  buckets : bucket array;  (** slot [s mod length] holds second [s] *)
 }
 
-(* Bounds the sample memory beyond the long window's pruning. *)
-let max_samples = 8192
+let buckets_of width_us = max 1 (int_of_float (Float.ceil (width_us /. bucket_us)))
 
 let create ?(objective = default_objective) () =
   if objective.latency_goal >= 1.0 || objective.error_goal >= 1.0 then
     invalid_arg "Slo.create: goals must leave a nonzero error budget";
   if objective.short_window_us > objective.long_window_us then
     invalid_arg "Slo.create: short window exceeds long window";
-  { objective; lock = Mutex.create (); samples = Queue.create () }
+  {
+    objective;
+    lock = Mutex.create ();
+    buckets =
+      Array.init (buckets_of objective.long_window_us) (fun _ ->
+          { second = min_int; queries = 0; slow_queries = 0; failed_queries = 0 });
+  }
 
-(* Only called with [t.lock] held. *)
-let prune t ~now_us =
-  let horizon = now_us -. t.objective.long_window_us in
-  while
-    (not (Queue.is_empty t.samples))
-    && (Queue.peek t.samples).at_us < horizon
-  do
-    ignore (Queue.pop t.samples)
-  done;
-  while Queue.length t.samples > max_samples do
-    ignore (Queue.pop t.samples)
-  done
+let second_of now_us = int_of_float (Float.floor (now_us /. bucket_us))
 
 let observe t ~now_us ~latency_us ~ok =
+  let s = second_of now_us in
+  let n = Array.length t.buckets in
+  let b = t.buckets.(((s mod n) + n) mod n) in
   Mutex.protect t.lock (fun () ->
-      Queue.push
-        {
-          at_us = now_us;
-          slow = latency_us > t.objective.latency_us;
-          failed = not ok;
-        }
-        t.samples;
-      prune t ~now_us)
+      (* a slot holding an older second is reused; a sample older than
+         the second its slot now holds is past the long window *)
+      if b.second < s then begin
+        b.second <- s;
+        b.queries <- 0;
+        b.slow_queries <- 0;
+        b.failed_queries <- 0
+      end;
+      if b.second = s then begin
+        b.queries <- b.queries + 1;
+        if latency_us > t.objective.latency_us then
+          b.slow_queries <- b.slow_queries + 1;
+        if not ok then b.failed_queries <- b.failed_queries + 1
+      end)
 
-type window_stats = { total : int; slow : int; failed : int }
-
+(* Only called with [t.lock] held. *)
 let window_stats t ~now_us ~width_us =
-  let horizon = now_us -. width_us in
-  Queue.fold
-    (fun acc s ->
-      if s.at_us >= horizon then
+  let oldest = second_of now_us - buckets_of width_us in
+  Array.fold_left
+    (fun acc b ->
+      if b.second > oldest then
         {
-          total = acc.total + 1;
-          slow = (acc.slow + if s.slow then 1 else 0);
-          failed = (acc.failed + if s.failed then 1 else 0);
+          total = acc.total + b.queries;
+          slow = acc.slow + b.slow_queries;
+          failed = acc.failed + b.failed_queries;
         }
       else acc)
     { total = 0; slow = 0; failed = 0 }
-    t.samples
+    t.buckets
 
 let burn ~budget ~bad ~total =
   if total = 0 then 0.0
@@ -126,7 +144,6 @@ type verdict = {
 let evaluate t ~now_us : verdict =
   let short, long =
     Mutex.protect t.lock (fun () ->
-        prune t ~now_us;
         let o = t.objective in
         ( window_stats t ~now_us ~width_us:o.short_window_us,
           window_stats t ~now_us ~width_us:o.long_window_us ))
@@ -164,40 +181,6 @@ let evaluate t ~now_us : verdict =
     short;
     long;
   }
-
-let verdict_to_json (o : objective) (v : verdict) : Tango_obs.Json.t =
-  let open Tango_obs.Json in
-  let window name (w : window_stats) burn_latency burn_error =
-    ( name,
-      Obj
-        [
-          ("queries", Int w.total);
-          ("slow", Int w.slow);
-          ("failed", Int w.failed);
-          ("latency_burn", Float burn_latency);
-          ("error_burn", Float burn_error);
-        ] )
-  in
-  Obj
-    [
-      ("state", String (state_name v.state));
-      ( "objective",
-        Obj
-          [
-            ("latency_us", Float o.latency_us);
-            ("latency_goal", Float o.latency_goal);
-            ("error_goal", Float o.error_goal);
-            ("short_window_s", Float (o.short_window_us /. 1e6));
-            ("long_window_s", Float (o.long_window_us /. 1e6));
-            ("warn_burn", Float o.warn_burn);
-            ("critical_burn", Float o.critical_burn);
-          ] );
-      window "short_window" v.short v.latency_burn_short v.error_burn_short;
-      window "long_window" v.long v.latency_burn_long v.error_burn_long;
-    ]
-
-let to_json t ~now_us : Tango_obs.Json.t =
-  verdict_to_json t.objective (evaluate t ~now_us)
 
 (** Gauge series for the metrics endpoint: the state as 0/1/2 and the
     four burn rates. *)

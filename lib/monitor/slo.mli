@@ -30,10 +30,12 @@ val state_name : state -> string
 type t
 
 val create : ?objective:objective -> unit -> t
-(** At most 8192 samples are kept; beyond that the oldest are dropped
-    early.  Raises
-    [Invalid_argument] when a goal leaves no error budget or the short
-    window exceeds the long one. *)
+(** Counts queries per one-second bucket in a ring spanning the long
+    window (600 buckets for {!default_objective}), so every query inside
+    a window counts whatever the rate; a window of width [w] covers the
+    [ceil(w / 1 s)] most recent buckets.  Raises [Invalid_argument] when
+    a goal leaves no error budget or the short window exceeds the long
+    one. *)
 
 val observe : t -> now_us:float -> latency_us:float -> ok:bool -> unit
 (** Record one query: [latency_us] against the latency objective, [ok]
@@ -53,8 +55,6 @@ type verdict = {
 
 val evaluate : t -> now_us:float -> verdict
 (** Burn rates and alert state as of [now_us]; empty windows burn 0. *)
-
-val to_json : t -> now_us:float -> Tango_obs.Json.t
 
 val prometheus_gauges : verdict -> (string * float) list
 (** [(dotted name, value)] gauges for the metrics endpoint: the state as

@@ -7,9 +7,10 @@
     dominant backend and the dominant pipeline phase, so
     [/debug/watchdog] answers "who is burning my budget" in one fetch.
 
-    The tracker is stateful across evaluations: the cache-hit-rate
-    signal compares against the rate seen at the {e previous} check
-    (a trend, not an absolute). *)
+    An evaluation reads and never writes: the cache-hit-rate signal
+    compares the hit rate of the runs the ring holds against the plan
+    cache's lifetime rate, so every poller at one moment gets the same
+    verdict. *)
 
 type signal = {
   name : string;
@@ -30,20 +31,13 @@ module Middleware = Tango_core.Middleware
 (* Worst per-cost-factor mean q-error above which [q_error] fires. *)
 let q_error_warn = 2.0
 
-(* A hit-rate fall larger than this since the previous check fires
-   [cache_hit_rate]. *)
+(* The ring's hit rate falling more than this below the plan cache's
+   lifetime rate fires [cache_hit_rate]. *)
 let hit_rate_drop = 0.2
 
 (* The tail analysis covers records at or above this latency quantile of
    the event-log ring. *)
 let tail_fraction = 0.9
-
-type t = {
-  lock : Mutex.t;  (* guards the cross-evaluation trend *)
-  mutable last_hit_rate : float option;
-}
-
-let create () = { lock = Mutex.create (); last_hit_rate = None }
 
 (* ------------------------------------------------------------------ *)
 (* Tail attribution                                                     *)
@@ -152,58 +146,60 @@ let q_error_signal feedback =
                 factor q samples;
           })
 
-(* Hit rate now vs. the previous check: a drop means the workload left
-   the cached plans behind (invalidation storm, shifted query mix). *)
-let cache_signal t cache =
-  match cache with
-  | None -> { name = "cache_hit_rate"; firing = false; detail = "no plan cache" }
-  | Some (s : Tango_cache.Plan_cache.stats) ->
-      let total = s.Tango_cache.Plan_cache.hits + s.Tango_cache.Plan_cache.misses in
-      if total = 0 then
-        { name = "cache_hit_rate"; firing = false; detail = "no lookups" }
-      else begin
-        let rate =
-          float_of_int s.Tango_cache.Plan_cache.hits /. float_of_int total
-        in
-        let previous =
-          Mutex.protect t.lock (fun () ->
-              let p = t.last_hit_rate in
-              t.last_hit_rate <- Some rate;
-              p)
-        in
-        match previous with
-        | Some prev when prev -. rate > hit_rate_drop ->
-            {
-              name = "cache_hit_rate";
-              firing = true;
-              detail =
-                Printf.sprintf "hit rate dropped %.2f -> %.2f%s" prev rate
-                  (match s.Tango_cache.Plan_cache.last_invalidation with
-                  | Some reason -> "; last invalidation: " ^ reason
-                  | None -> "");
-            }
-        | _ ->
-            {
-              name = "cache_hit_rate";
-              firing = false;
-              detail = Printf.sprintf "hit rate %.2f" rate;
-            }
-      end
+(* The hit rate of the runs the ring holds against the plan cache's
+   lifetime rate: a recent rate well below the lifetime one means the
+   workload left the cached plans behind (invalidation storm, shifted
+   query mix). *)
+let cache_signal records cache =
+  let signal firing detail = { name = "cache_hit_rate"; firing; detail } in
+  let outcomes =
+    List.filter_map
+      (fun (r : Event_log.record) ->
+        Option.bind r.Event_log.event.Middleware.run (fun run ->
+            run.Middleware.cache))
+      records
+  in
+  match (cache, outcomes) with
+  | None, _ -> signal false "no plan cache"
+  | Some _, [] -> signal false "no cached runs in the log"
+  | Some (s : Tango_cache.Plan_cache.stats), _ ->
+      let runs = List.length outcomes in
+      let hits =
+        List.length
+          (List.filter
+             (fun (c : Middleware.cache_report) ->
+               c.Middleware.cache_class <> "miss")
+             outcomes)
+      in
+      let recent = float_of_int hits /. float_of_int runs
+      and lifetime =
+        float_of_int s.Tango_cache.Plan_cache.hits
+        /. float_of_int
+             (s.Tango_cache.Plan_cache.hits + s.Tango_cache.Plan_cache.misses)
+      in
+      let firing = lifetime -. recent > hit_rate_drop in
+      signal firing
+        (Printf.sprintf "hit rate %.2f over the last %d runs, %.2f lifetime%s"
+           recent runs lifetime
+           (match s.Tango_cache.Plan_cache.last_invalidation with
+           | Some reason when firing -> "; last invalidation: " ^ reason
+           | _ -> ""))
 
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate t ~now_us ~slo ~log ?feedback ?cache () : verdict =
+let evaluate ~now_us ~slo ~log ?feedback ?cache () : verdict =
   let slo_verdict = Slo.evaluate slo ~now_us in
+  let records = Event_log.recent log in
   let signals =
     [
       slo_signal slo_verdict;
       q_error_signal feedback;
-      cache_signal t cache;
+      cache_signal records cache;
     ]
   in
-  let tail = tail_records (Event_log.recent log) in
+  let tail = tail_records records in
   let runs =
     List.filter_map
       (fun (r : Event_log.record) -> r.Event_log.event.Middleware.run)

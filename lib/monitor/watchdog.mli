@@ -26,17 +26,7 @@ type verdict = {
   tail_records : int;  (** records the tail analysis covered *)
 }
 
-type t
-
-val create : unit -> t
-(** Stateful tracker.  The thresholds are fixed: a worst per-cost-factor
-    mean q-error above 2.0 fires [q_error]; a hit-rate fall of more than
-    0.2 since the previous {!evaluate} fires [cache_hit_rate]; the tail
-    analysis covers records at or above the 0.9 latency quantile of the
-    event-log ring. *)
-
 val evaluate :
-  t ->
   now_us:float ->
   slo:Slo.t ->
   log:Event_log.t ->
@@ -44,7 +34,11 @@ val evaluate :
   ?cache:Tango_cache.Plan_cache.stats ->
   unit ->
   verdict
-(** One check, advancing the tracker's baseline: the cache-hit-rate
-    signal compares against the rate at the previous call. *)
+(** One check; it changes no state, so two calls over the same inputs
+    agree.  The thresholds are fixed: a worst per-cost-factor mean
+    q-error above 2.0 fires [q_error]; a hit rate over the ring's
+    records (each record's cache outcome) more than 0.2 below the plan
+    cache's lifetime rate fires [cache_hit_rate]; the tail analysis
+    covers records at or above the 0.9 latency quantile of the ring. *)
 
 val verdict_to_json : verdict -> Tango_obs.Json.t

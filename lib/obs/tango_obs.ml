@@ -305,10 +305,9 @@ module Histogram = struct
   (* Fixed exponential bucket bounds shared by every histogram: 1, 2, 4,
      ... 2^23 (≈8.4e6).  With the usual microsecond observations that
      spans 1µs to ~8.4s at factor 2; one extra overflow cell catches the
-     rest.  Fixed bounds make bucket counts additive — snapshots diff
-     elementwise and render directly as Prometheus cumulative buckets —
-     and they are the only distribution state kept: quantiles are read
-     off them. *)
+     rest.  Fixed bounds render directly as Prometheus cumulative
+     buckets, and they are the only distribution state kept: quantiles
+     are read off them. *)
   let bucket_bounds = Array.init 24 (fun i -> float_of_int (1 lsl i))
 
   type t = {
@@ -442,8 +441,7 @@ module Registry = struct
     histograms : (string * histogram_stats) list;  (** sorted by name *)
   }
 
-  (* Mean and quantiles follow from count, sum, max and the buckets —
-     for a snapshot and for a diff's delta alike. *)
+  (* Mean and quantiles follow from count, sum, max and the buckets. *)
   let stats ~count ~sum ~min ~max buckets =
     let q = Histogram.quantile_of_buckets ~count ~max buckets in
     {
@@ -487,29 +485,6 @@ module Registry = struct
 
   let counter_value (s : snapshot) name =
     match List.assoc_opt name s.counters with Some v -> v | None -> 0
-
-  (** [diff later earlier]: per-counter deltas, and per-histogram deltas
-      of count, sum and the fixed-bound bucket counts, with the mean and
-      quantiles recomputed from the deltas.  [min]/[max] cannot be
-      recovered for an interval, so they are carried over from [later]. *)
-  let diff (later : snapshot) (earlier : snapshot) : snapshot =
-    let diff_hist name (l : histogram_stats) : histogram_stats =
-      match List.assoc_opt name earlier.histograms with
-      | None -> l
-      | Some e ->
-          stats ~count:(l.count - e.count) ~sum:(l.sum -. e.sum) ~min:l.min
-            ~max:l.max
-            (List.map2 (fun (b, lc) (_, ec) -> (b, lc - ec)) l.buckets
-               e.buckets)
-    in
-    {
-      counters =
-        List.map
-          (fun (name, v) -> (name, v - counter_value earlier name))
-          later.counters;
-      histograms =
-        List.map (fun (name, l) -> (name, diff_hist name l)) later.histograms;
-    }
 
   let reset () =
     let counter_list =

@@ -80,16 +80,6 @@ module Histogram : sig
   val count : t -> int
   val sum : t -> float
 
-  val bucket_index : float -> int
-  (** Index of the fixed exponential bucket bound ([1, 2, 4, ... 2^23]
-      — with microsecond observations, 1µs to ~8.4s at factor 2), or of
-      the overflow cell after the last bound, that an observation of
-      this value falls in — lets callers compare observations by
-      latency band (e.g. "is this strictly above the band holding
-      p99?").  Every histogram shares these bounds, so bucket counts
-      stay additive across snapshots and render directly as Prometheus
-      cumulative buckets. *)
-
   val min_value : t -> float
   val max_value : t -> float
   val mean : t -> float
@@ -97,8 +87,7 @@ module Histogram : sig
   val quantile : t -> float -> float
   (** [quantile h q] for [q] in [0, 1]: the upper bound of the bucket
       holding the observation of rank [⌈q·count⌉], clamped to
-      {!max_value}; 0 when empty.  Exact about the bucket, which is all
-      a latency-band comparison needs. *)
+      {!max_value}; 0 when empty. *)
 
   val reset : t -> unit
 end
@@ -115,8 +104,9 @@ module Registry : sig
     p99 : float;
     buckets : (float * int) list;
         (** cumulative [(upper bound, observations <= bound)] over the
-            fixed bucket bounds (see {!Histogram.bucket_index}), closed
-            by [(infinity, count)] *)
+            fixed bucket bounds ([1, 2, 4, ... 2^23] — with microsecond
+            observations, 1µs to ~8.4s at factor 2 — shared by every
+            histogram), closed by [(infinity, count)] *)
   }
 
   type snapshot = {
@@ -129,15 +119,6 @@ module Registry : sig
 
   val counter_value : snapshot -> string -> int
   (** 0 when the name is not present. *)
-
-  val diff : snapshot -> snapshot -> snapshot
-  (** [diff later earlier]: per-counter deltas, and per-histogram deltas
-      of [count], [sum] and the fixed-bound [buckets], with [mean] and
-      [p50]/[p95]/[p99] recomputed from the deltas, so they describe the
-      interval.  [min]/[max] cannot be recovered for an interval from
-      aggregate state; they are carried over from [later] (quantiles
-      clamp to that lifetime [max]).  Histograms absent from [earlier]
-      pass through unchanged. *)
 
   val reset : unit -> unit
   (** Zero every registered counter and histogram. *)

@@ -33,31 +33,14 @@ let pp ppf d =
 
 let to_string d = Fmt.str "%a" pp d
 
-(* Minimal JSON emission, matching the style used elsewhere in the tree
-   (no external JSON dependency). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let opt name = function
-    | Some s -> Printf.sprintf ",\"%s\":\"%s\"" name (json_escape s)
-    | None -> ""
-  in
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"family\":\"%s\",\"path\":\"%s\",\"message\":\"%s\"%s%s}"
-    (severity_name d.severity) (json_escape d.family) (json_escape d.path)
-    (json_escape d.message) (opt "hint" d.hint) (opt "rule" d.rule)
-
-let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+  let open Tango_obs.Json in
+  let opt name = function Some s -> [ (name, String s) ] | None -> [] in
+  Obj
+    ([
+       ("severity", String (severity_name d.severity));
+       ("family", String d.family);
+       ("path", String d.path);
+       ("message", String d.message);
+     ]
+    @ opt "hint" d.hint @ opt "rule" d.rule)

@@ -27,9 +27,6 @@ val count_errors : t list -> int
 
 val to_string : t -> string
 
-val to_json : t -> string
+val to_json : t -> Tango_obs.Json.t
 (** One JSON object; fields [severity], [family], [path], [message] and,
     when present, [hint] and [rule]. *)
-
-val list_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)

@@ -106,7 +106,7 @@ let setup () =
 
 let cache_hit (r : _ Middleware.run) =
   match r.Middleware.cache with
-  | Some c -> c.Middleware.cache_hit
+  | Some c -> c.Middleware.cache_class <> "miss"
   | None -> Alcotest.fail "no cache report on a plan_cache session"
 
 let test_hit_on_resubmission () =

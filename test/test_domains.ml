@@ -152,11 +152,9 @@ let test_event_log_stress () =
       done);
   Alcotest.(check int) "every offer counted once" (domains * iters)
     (Event_log.seen log);
-  Alcotest.(check int) "sample_every=1 keeps everything" (domains * iters)
-    (Event_log.kept log);
   let recent = Event_log.recent log in
   Alcotest.(check int) "ring full" 64 (List.length recent);
-  (* admission assigns each kept record a unique seq under the lock *)
+  (* the ring write assigns each record a unique seq under the lock *)
   let seqs = List.map (fun r -> r.Event_log.seq) recent in
   Alcotest.(check int) "no duplicated seq in the ring"
     (List.length seqs)

@@ -313,24 +313,38 @@ let test_workload_verifies_clean () =
 
 (* ---------- diagnostics rendering ---------- *)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let test_diag_json () =
   let d =
     Diag.v ~hint:"insert a SORT" ~rule:"T5" Diag.Error "ordering"
       ~path:"/T^M/JOIN" "input not sorted on \"A.PosID\""
   in
-  let j = Diag.to_json d in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "json contains %s" needle)
-        true (contains ~needle j))
-    [ "\"severity\":\"error\""; "\"family\":\"ordering\""; "\"rule\":\"T5\"";
-      "\\\"A.PosID\\\"" ]
+  let field name = function
+    | Tango_obs.Json.Obj kvs -> List.assoc_opt name kvs
+    | _ -> None
+  in
+  (match Tango_obs.Json.parse (Tango_obs.Json.to_string (Diag.to_json d)) with
+  | Ok j ->
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check bool) ("field " ^ name) true
+            (field name j = Some (Tango_obs.Json.String v)))
+        [ ("severity", "error"); ("family", "ordering"); ("path", "/T^M/JOIN");
+          ("message", "input not sorted on \"A.PosID\"");
+          ("hint", "insert a SORT"); ("rule", "T5") ]
+  | Error e -> Alcotest.fail ("does not parse: " ^ e));
+  (* a quote, a backslash and a control character round-trip; absent
+     options leave their keys out *)
+  let message = "a \"quoted\" C:\\path\x01end" in
+  match
+    Tango_obs.Json.parse
+      (Tango_obs.Json.to_string
+         (Diag.to_json (Diag.v Diag.Warning "estimate" ~path:"" message)))
+  with
+  | Ok j ->
+      Alcotest.(check bool) "message round-trips" true
+        (field "message" j = Some (Tango_obs.Json.String message));
+      Alcotest.(check bool) "no hint key" true (field "hint" j = None)
+  | Error e -> Alcotest.fail ("does not parse: " ^ e)
 
 let () =
   Alcotest.run "tango_verify"
