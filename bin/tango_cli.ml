@@ -76,23 +76,35 @@ let setup ~scale ~csvs ~shards ~calibrate ~trace ?(profiling = false)
 
 (* ---------------- machine-readable output ---------------- *)
 
-(* [run], [explain] and [check] take the same flag: bare [--json] prints
-   the summary to stdout, [--json FILE] writes it to FILE. *)
+(* [run], [explain] and [check] take the same pair: [--json] prints the
+   summary to stdout, [--json-out FILE] writes it to FILE.  The file form
+   has its own spelling, so a bare [--json] never takes the positional SQL
+   that follows it as its FILE. *)
 let json_arg =
-  Arg.(value
-       & opt ~vopt:(Some "-") (some string) None
-       & info [ "json" ] ~docv:"FILE"
-           ~doc:"Emit a machine-readable JSON summary to $(docv); omit \
-                 $(docv) (or pass '-') for stdout.")
+  let to_stdout =
+    Arg.(value & flag
+         & info [ "json" ] ~doc:"Print a machine-readable JSON summary to stdout.")
+  and to_file =
+    Arg.(value
+         & opt (some string) None
+         & info [ "json-out" ] ~docv:"FILE"
+             ~doc:"Write the machine-readable JSON summary to $(docv).")
+  in
+  Term.(
+    const (fun to_stdout to_file ->
+        match to_file with
+        | Some path -> Some (`File path)
+        | None -> if to_stdout then Some `Stdout else None)
+    $ to_stdout $ to_file)
 
 let emit_json dest doc =
   let body = Json.to_string doc in
   match dest with
   | None -> ()
-  | Some "-" ->
+  | Some `Stdout ->
       print_string body;
       print_newline ()
-  | Some path ->
+  | Some (`File path) ->
       let oc = open_out path in
       output_string oc body;
       output_char oc '\n';

@@ -3,11 +3,9 @@
     per-column min/max, distinct and null counts, optional equi-depth
     histograms; index availability and clustering. *)
 
-val run :
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  ?buckets:int ->
-  Catalog.table ->
-  Stat.table_stats
+val run : ?histograms:Stat.histograms -> Catalog.table -> Stat.table_stats
 (** Scan the table once, attach fresh statistics to it, and return them.
-    The with/without-histograms optimizer comparison (paper Query 2)
-    toggles [histograms]. *)
+    Each column's statistics come from one stable sort of its values.
+    Histograms have 32 buckets; [histograms] (default [`All]) selects the
+    columns that get one, which the with/without-histograms optimizer
+    comparison (paper Query 2) toggles. *)

@@ -61,16 +61,31 @@ let table_names c =
   Hashtbl.fold (fun _ t acc -> t.name :: acc) c.tables []
   |> List.sort String.compare
 
+let index_on t attr =
+  List.find_opt
+    (fun i -> String.equal (Ordered_index.attr i) (Schema.base_name attr))
+    t.indexes
+
+let index_flags t attr =
+  match index_on t attr with
+  | Some i -> (true, Ordered_index.clustered i)
+  | None -> (false, false)
+
 (** Register an index on [attr]; replaces any previous index on the same
-    attribute. *)
+    attribute.  Index availability is catalog data, not an ANALYZE result,
+    so the table's statistics (if any) get their flags updated in place. *)
 let add_index c name ?(clustered = false) attr =
   let t = find c name in
   let idx = Ordered_index.build ~clustered ~stats:c.io t.file attr in
   t.indexes <-
     idx :: List.filter (fun i -> not (String.equal (Ordered_index.attr i) attr)) t.indexes;
+  t.stats <-
+    Option.map
+      (fun (ts : Stat.table_stats) ->
+        let flag (cs : Stat.column_stats) =
+          let indexed, clustered = index_flags t cs.col in
+          { cs with indexed; clustered }
+        in
+        { ts with columns = List.map flag ts.columns })
+      t.stats;
   idx
-
-let index_on t attr =
-  List.find_opt
-    (fun i -> String.equal (Ordered_index.attr i) (Schema.base_name attr))
-    t.indexes

@@ -32,6 +32,10 @@ val table_names : t -> string list
 
 val add_index : t -> string -> ?clustered:bool -> string -> Ordered_index.t
 (** Build an index on the named attribute (replacing any previous index on
-    it). *)
+    it), and update the [indexed]/[clustered] flags of the table's
+    statistics, if it has any. *)
 
 val index_on : table -> string -> Ordered_index.t option
+
+val index_flags : table -> string -> bool * bool
+(** [(indexed, clustered)] for the named attribute. *)

@@ -141,17 +141,18 @@ let create_index db ?(clustered = false) table attr =
   bump_generation db table
 
 (** ANALYZE a table (see {!Analyze.run}).  [bump:false] is for the
-    middleware's internal statistics collection: it re-runs ANALYZE as an
-    implementation detail and must not advance the schema generation,
-    which would flush plan caches keyed on it. *)
-let analyze db ?histograms ?buckets ?(bump = true) name : Stat.table_stats =
-  let r = Analyze.run ?histograms ?buckets (Catalog.find db.catalog name) in
+    Statistics Collector, which runs ANALYZE only when the catalog's
+    statistics are missing, out of date or lack a histogram it needs; that
+    must not advance the schema generation, which would flush plan caches
+    keyed on it. *)
+let analyze db ?histograms ?(bump = true) name : Stat.table_stats =
+  let r = Analyze.run ?histograms (Catalog.find db.catalog name) in
   if bump then bump_generation db name;
   r
 
-let analyze_all db ?histograms ?buckets () =
+let analyze_all db ?histograms () =
   List.iter
-    (fun name -> ignore (analyze db ?histograms ?buckets name))
+    (fun name -> ignore (analyze db ?histograms name))
     (Catalog.table_names db.catalog)
 
 let stats_of db name = (Catalog.find db.catalog name).Catalog.stats

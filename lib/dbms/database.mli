@@ -54,24 +54,15 @@ val create_index : t -> ?clustered:bool -> string -> string -> unit
 (** [create_index db table attr]. *)
 
 val analyze :
-  t ->
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  ?buckets:int ->
-  ?bump:bool ->
-  string ->
-  Stat.table_stats
+  t -> ?histograms:Stat.histograms -> ?bump:bool -> string -> Stat.table_stats
 (** ANALYZE one table (see {!Analyze.run}).  Advances the
     {!schema_generation} (statistics changed, cached plans are stale)
-    unless [bump:false] — which the middleware's internal statistics
-    collection passes, since its re-ANALYZE is an implementation detail,
+    unless [bump:false] — which the Statistics Collector passes when it
+    must ANALYZE a table whose catalog statistics are missing, out of
+    date or lack a histogram it needs: that fills the catalog in, it is
     not a user-visible statistics change. *)
 
-val analyze_all :
-  t ->
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  ?buckets:int ->
-  unit ->
-  unit
+val analyze_all : t -> ?histograms:Stat.histograms -> unit -> unit
 
 val stats_of : t -> string -> Stat.table_stats option
 (** Catalog statistics, if the table has been analyzed. *)

@@ -2,9 +2,24 @@
     (Section 3): "block counts, numbers of tuples, and average tuple sizes
     for relations; minimum values, maximum values, numbers of distinct
     values, histograms, and index availability for attributes; and
-    clusterings for indexes." *)
+    clusterings for indexes."
+
+    Statistics describe the table's current contents exactly when their
+    [cardinality] equals the heap file's tuple count: the heap is
+    append-only (INSERT and loads only append; DROP replaces the catalog
+    entry, statistics and all), and index DDL updates the [indexed] and
+    [clustered] flags in place.  The Statistics Collector relies on this
+    to reuse the catalog's statistics instead of re-running ANALYZE. *)
 
 open Tango_rel
+
+type histograms = [ `All | `Cols of string list | `None ]
+
+let wants_histogram (h : histograms) name =
+  match h with
+  | `All -> true
+  | `None -> false
+  | `Cols names -> List.mem name names
 
 type column_stats = {
   col : string;
@@ -23,6 +38,9 @@ type table_stats = {
   blocks : int;
   avg_tuple_size : float;
   columns : column_stats list;
+  histograms : histograms;
+      (** the setting ANALYZE ran with; a numeric column it selects has a
+          histogram (empty when the column is all NULL) *)
 }
 
 let column_stats ts name =

@@ -39,20 +39,10 @@ let bucket_no h v =
     go 0 n
   end
 
-let sorted_numeric values =
-  let xs =
-    Array.of_seq
-      (Seq.filter_map
-         (fun v -> if Value.is_null v then None else Some (Value.to_float v))
-         (Array.to_seq values))
-  in
-  Array.sort Float.compare xs;
-  xs
-
-(** Build a height-balanced histogram with (up to) [buckets] buckets from raw
-    attribute values.  Nulls are excluded. *)
-let height_balanced ~buckets values =
-  let xs = sorted_numeric values in
+(** Build a height-balanced histogram with (up to) [buckets] buckets from
+    the non-null attribute values' numeric views, sorted ascending by
+    [Float.compare]. *)
+let of_sorted ~buckets (xs : float array) =
   let n = Array.length xs in
   if n = 0 then { buckets = [||]; total = 0 }
   else begin

@@ -11,8 +11,10 @@ val total : t -> int
 
 val b_val : t -> int -> int
 
-val height_balanced : buckets:int -> Value.t array -> t
-(** Equi-depth histogram; nulls are excluded. *)
+val of_sorted : buckets:int -> float array -> t
+(** Equi-depth histogram of (up to) [buckets] buckets over the numeric
+    views of a column's non-null values, given sorted ascending by
+    [Float.compare]. *)
 
 val count_below : t -> float -> float
 (** Estimated number of values strictly below the argument: full preceding

@@ -101,41 +101,6 @@ let equal_list a b =
   && cardinality a = cardinality b
   && Array.for_all2 Tuple.equal a.tuples b.tuples
 
-(** Count of distinct values in a named attribute — the [distinct(A, r)]
-    statistic. *)
-let distinct_count r name =
-  let vs = Array.copy (column r name) in
-  Array.sort Value.compare vs;
-  let n = Array.length vs in
-  if n = 0 then 0
-  else begin
-    let count = ref 1 in
-    for i = 1 to n - 1 do
-      if Value.compare vs.(i) vs.(i - 1) <> 0 then incr count
-    done;
-    !count
-  end
-
-let min_value r name =
-  Array.fold_left
-    (fun acc v ->
-      if Value.is_null v then acc
-      else
-        match acc with
-        | None -> Some v
-        | Some m -> Some (if Value.compare v m < 0 then v else m))
-    None (column r name)
-
-let max_value r name =
-  Array.fold_left
-    (fun acc v ->
-      if Value.is_null v then acc
-      else
-        match acc with
-        | None -> Some v
-        | Some m -> Some (if Value.compare v m > 0 then v else m))
-    None (column r name)
-
 let pp ppf r =
   let widths =
     Array.map (fun a -> String.length a.Schema.name) r.schema

@@ -47,11 +47,5 @@ val equal_multiset : t -> t -> bool
 val equal_list : t -> t -> bool
 (** Same tuples in the same positions. *)
 
-val distinct_count : t -> string -> int
-(** The [distinct(A, r)] statistic. *)
-
-val min_value : t -> string -> Value.t option
-val max_value : t -> string -> Value.t option
-
 val pp : Format.formatter -> t -> unit
 (** Aligned tabular rendering. *)

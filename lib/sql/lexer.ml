@@ -25,7 +25,31 @@ let keywords =
     "VALIDTIME"; "COALESCE"; "PERIOD"; "OVERLAPS"; "CONTAINS";
   ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+(* Keywords by their spelling in any case: hashing and equality fold
+   ASCII case, so a lookup builds no uppercased copy, and a hit yields the
+   keyword's own uppercase string. *)
+module Caseless = Hashtbl.Make (struct
+  type t = string
+
+  let equal a b =
+    let n = String.length a in
+    n = String.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Char.uppercase_ascii a.[!i] = Char.uppercase_ascii b.[!i] do
+      incr i
+    done;
+    !i = n
+
+  let hash s =
+    String.fold_left (fun h c -> (h * 31) + Char.code (Char.uppercase_ascii c)) 0 s
+    land max_int
+end)
+
+let keyword_table =
+  let t = Caseless.create 64 in
+  List.iter (fun k -> Caseless.replace t k k) keywords;
+  t
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -64,12 +88,15 @@ let tokenize (s : string) : token list =
         end
       end
       else if is_ident_start c then begin
-        let j = ref i in
-        while !j < n && is_ident_char s.[!j] do incr j done;
+        let j = ref i and dotted = ref false in
+        while !j < n && is_ident_char s.[!j] do
+          if s.[!j] = '.' then dotted := true;
+          incr j
+        done;
         let word = String.sub s i (!j - i) in
-        if is_keyword word && not (String.contains word '.') then
-          emit (KW (String.uppercase_ascii word))
-        else emit (IDENT word);
+        (match if !dotted then None else Caseless.find_opt keyword_table word with
+        | Some kw -> emit (KW kw)
+        | None -> emit (IDENT word));
         go !j
       end
       else if c = '\'' then begin

@@ -50,13 +50,46 @@ let of_table_stats ~(qualifier : string) (ts : Stat.table_stats) : Rel_stats.t
   in
   { Rel_stats.card; cols }
 
-(** Collect statistics for a table directly from a database, running ANALYZE
-    when the catalog has none. *)
+(* The catalog's statistics, viewed without the histograms [want] does not
+   select; the record itself when nothing is dropped. *)
+let view (want : Stat.histograms) (ts : Stat.table_stats) =
+  let dropped (c : Stat.column_stats) =
+    c.histogram <> None && not (Stat.wants_histogram want c.col)
+  in
+  if not (List.exists dropped ts.columns) then ts
+  else
+    {
+      ts with
+      columns =
+        List.map
+          (fun c -> if dropped c then { c with Stat.histogram = None } else c)
+          ts.columns;
+      histograms = want;
+    }
+
+(** Collect statistics for a table from the catalog.  ANALYZE runs (without
+    advancing the schema generation) only when the catalog has no current
+    statistics for the table or they lack a histogram [histograms] asks
+    for; see {!Stat} for when statistics are current. *)
 let collect ?histograms (db : Database.t) ~(qualifier : string)
     (table : string) : Rel_stats.t =
-  let ts =
+  let covers (ts : Stat.table_stats) want =
+    List.for_all
+      (fun (c : Stat.column_stats) ->
+        Stat.wants_histogram ts.histograms c.col
+        || not (Stat.wants_histogram want c.col))
+      ts.columns
+  in
+  let current =
     match Database.stats_of db table with
-    | Some ts when histograms = None -> ts
+    | Some ts when ts.cardinality = Database.table_cardinality db table ->
+        Some ts
+    | _ -> None
+  in
+  let ts =
+    match (current, histograms) with
+    | Some ts, None -> ts
+    | Some ts, Some want when covers ts want -> view want ts
     | _ -> Database.analyze db ?histograms ~bump:false table
   in
   of_table_stats ~qualifier ts

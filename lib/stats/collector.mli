@@ -6,10 +6,15 @@
 open Tango_dbms
 
 val collect :
-  ?histograms:[ `All | `Cols of string list | `None ] ->
+  ?histograms:Stat.histograms ->
   Database.t ->
   qualifier:string ->
   string ->
   Rel_stats.t
-(** Collect for one table, running ANALYZE when the catalog has no
-    statistics (or when a specific [histograms] setting is requested). *)
+(** Collect for one table.  The catalog's statistics are reused whenever
+    they are current (their cardinality is the table's tuple count, see
+    {!Stat}) and were analyzed with every histogram [histograms] selects;
+    histograms it does not select are dropped from the returned view, not
+    from the catalog.  Otherwise ANALYZE runs with [histograms] (default
+    [`All]) without advancing the schema generation, and its statistics
+    replace the catalog's. *)

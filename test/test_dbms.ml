@@ -364,6 +364,141 @@ let test_analyze_stats () =
   let c = Option.get (Stat.column_stats st "T1") in
   Alcotest.(check bool) "no histogram" true (c.Stat.histogram = None)
 
+(* One-column table [T.C] of type [dtype] holding [vals] in this order. *)
+let column_db dtype vals =
+  let db = Database.create () in
+  Database.load_relation db "T"
+    (Relation.of_list (Schema.make [ ("C", dtype) ])
+       (List.map (fun v -> Tuple.of_list [ v ]) vals));
+  db
+
+let analyzed_column db = Option.get (Stat.column_stats (Database.analyze db "T") "C")
+
+let test_analyze_column_stats () =
+  let db = Database.create () in
+  Database.load_relation db "POSITION"
+    (Relation.of_list pos_schema
+       (List.map
+          (fun (p, n, a, b) ->
+            Tuple.of_list [ Value.Int p; Value.Str n; Value.Date a; Value.Date b ])
+          [ (2, "Tom", 5, 10); (1, "Tom", 2, 20); (1, "Jane", 5, 25) ]));
+  let st = Database.analyze db "POSITION" in
+  let col name = Option.get (Stat.column_stats st name) in
+  Alcotest.(check int) "distinct PosID" 2 (col "PosID").Stat.distinct;
+  Alcotest.(check int) "distinct EmpName" 2 (col "EmpName").Stat.distinct;
+  Alcotest.(check bool) "min T1" true ((col "T1").Stat.min_value = Some (Value.Date 2));
+  Alcotest.(check bool) "max T2" true ((col "T2").Stat.max_value = Some (Value.Date 25));
+  Alcotest.(check bool) "min EmpName" true
+    ((col "EmpName").Stat.min_value = Some (Value.Str "Jane"));
+  (* equal values of two representations: min and max are the first met *)
+  let c = analyzed_column (column_db Value.TFloat
+      [ Value.Float 5.0; Value.Int 3; Value.Int 5; Value.Float 3.0; Value.Null ]) in
+  Alcotest.(check bool) "min first of its run" true (c.Stat.min_value = Some (Value.Int 3));
+  Alcotest.(check bool) "max first of its run" true
+    (c.Stat.max_value = Some (Value.Float 5.0));
+  Alcotest.(check int) "distinct across representations" 3 c.Stat.distinct;
+  Alcotest.(check int) "nulls" 1 c.Stat.nulls;
+  (* an all-NULL numeric column has an empty histogram, no bounds *)
+  let c = analyzed_column (column_db Value.TInt [ Value.Null; Value.Null ]) in
+  Alcotest.(check bool) "all-NULL bounds" true
+    (c.Stat.min_value = None && c.Stat.max_value = None);
+  Alcotest.(check int) "all-NULL distinct" 1 c.Stat.distinct;
+  Alcotest.(check (option int)) "all-NULL histogram empty" (Some 0)
+    (Option.map Histogram.total c.Stat.histogram)
+
+let test_index_ddl_keeps_stats_current () =
+  let db = make_db () in
+  let before = Database.analyze db "POSITION" in
+  Database.create_index db ~clustered:true "POSITION" "PosID";
+  let after = Option.get (Database.stats_of db "POSITION") in
+  let c = Option.get (Stat.column_stats after "PosID") in
+  Alcotest.(check bool) "indexed, clustered" true (c.Stat.indexed && c.Stat.clustered);
+  Alcotest.(check bool) "other flags as before" true
+    (Stat.column_stats after "T1" = Stat.column_stats before "T1");
+  Alcotest.(check bool) "as a fresh ANALYZE" true
+    (after = Database.analyze db "POSITION")
+
+(* Today's formulas, one pass over the column per statistic: the
+   reference [Analyze.run]'s single sorted pass must agree with. *)
+let reference_column_stats (vals : Value.t array) ~numeric =
+  let fold keep =
+    Array.fold_left
+      (fun acc v ->
+        if Value.is_null v then acc
+        else
+          match acc with
+          | None -> Some v
+          | Some m -> Some (if keep (Value.compare v m) then v else m))
+      None vals
+  in
+  let distinct =
+    let vs = Array.copy vals in
+    Array.sort Value.compare vs;
+    let d = ref (min 1 (Array.length vs)) in
+    for i = 1 to Array.length vs - 1 do
+      if Value.compare vs.(i) vs.(i - 1) <> 0 then incr d
+    done;
+    !d
+  in
+  let nulls = Array.fold_left (fun n v -> if Value.is_null v then n + 1 else n) 0 vals in
+  let histogram =
+    if numeric && Array.length vals > 0 then begin
+      let xs =
+        Array.of_list
+          (List.filter_map
+             (fun v -> if Value.is_null v then None else Some (Value.to_float v))
+             (Array.to_list vals))
+      in
+      Array.sort Float.compare xs;
+      Some (Histogram.of_sorted ~buckets:32 xs)
+    end
+    else None
+  in
+  (fold (fun c -> c < 0), fold (fun c -> c > 0), distinct, nulls, histogram)
+
+(* Adversarial one-column tables: empty, all-NULL, NULLs mixed in, one
+   distinct value, strings, bools, dates, equal [Int]/[Float] values in a
+   FLOAT column, and BOOLs in an INT column. *)
+let column_gen =
+  let open QCheck.Gen in
+  let of_kind = function
+    | 0 -> (Value.TInt, map (fun i -> Value.Int i) (int_range (-3) 3))
+    | 1 ->
+        ( Value.TFloat,
+          map2
+            (fun i as_int -> if as_int then Value.Int i else Value.Float (float_of_int i))
+            (int_range 0 4) bool )
+    | 2 -> (Value.TFloat, map (fun f -> Value.Float f) (float_range (-1e3) 1e3))
+    | 3 -> (Value.TDate, map (fun d -> Value.Date d) (int_range 0 50))
+    | 4 -> (Value.TStr, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "B"; "ab"; "" ]))
+    | 5 -> (Value.TBool, map (fun b -> Value.Bool b) bool)
+    | 6 ->
+        (* an INSERT does not check types: BOOLs ranked below INTs *)
+        (Value.TInt, oneof [ map (fun i -> Value.Int i) (int_range 0 2); map (fun b -> Value.Bool b) bool ])
+    | _ -> (Value.TInt, return (Value.Int 7))
+  in
+  int_range 0 7 >>= fun kind ->
+  let dtype, value = of_kind kind in
+  oneofl [ 0.0; 0.3; 1.0 ] >>= fun null_p ->
+  list_size (oneof [ return 0; int_range 1 80 ])
+    (map2 (fun p v -> if p < null_p then Value.Null else v) (float_bound_exclusive 1.0) value)
+  >|= fun vals -> (dtype, vals)
+
+let prop_analyze_matches_reference =
+  QCheck.Test.make ~name:"ANALYZE column stats = per-statistic reference" ~count:400
+    (QCheck.make
+       ~print:(fun (_, vals) -> String.concat "," (List.map Value.to_string vals))
+       column_gen)
+    (fun (dtype, vals) ->
+      let c = analyzed_column (column_db dtype vals) in
+      let numeric =
+        match dtype with
+        | Value.TInt | Value.TFloat | Value.TDate -> true
+        | Value.TBool | Value.TStr -> false
+      in
+      (c.Stat.min_value, c.Stat.max_value, c.Stat.distinct, c.Stat.nulls, c.Stat.histogram)
+      = reference_column_stats (Array.of_list vals) ~numeric)
+
 let query_backend b sql = Backend.execute_query b (Tango_sql.Parser.query sql)
 
 let drain cur =
@@ -945,7 +1080,13 @@ let () =
           Alcotest.test_case "errors" `Quick test_sql_errors;
         ] );
       ( "catalog",
-        [ Alcotest.test_case "analyze" `Quick test_analyze_stats ] );
+        [
+          Alcotest.test_case "analyze" `Quick test_analyze_stats;
+          Alcotest.test_case "analyze column stats" `Quick test_analyze_column_stats;
+          Alcotest.test_case "index DDL keeps stats current" `Quick
+            test_index_ddl_keeps_stats_current;
+          QCheck_alcotest.to_alcotest prop_analyze_matches_reference;
+        ] );
       ( "client",
         [
           Alcotest.test_case "cursor transfer" `Quick test_client_transfer;

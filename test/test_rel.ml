@@ -175,13 +175,6 @@ let test_relation_equal_multiset () =
   Alcotest.(check bool) "multiset eq" true (Relation.equal_multiset a b);
   Alcotest.(check bool) "list neq" false (Relation.equal_list a b)
 
-let test_relation_stats () =
-  Alcotest.(check int) "distinct PosID" 2 (Relation.distinct_count sample "PosID");
-  Alcotest.(check bool) "min T1" true
-    (Value.equal (Option.get (Relation.min_value sample "T1")) (Value.Date 2));
-  Alcotest.(check bool) "max T2" true
-    (Value.equal (Option.get (Relation.max_value sample "T2")) (Value.Date 25))
-
 let test_order_prefix () =
   let o1 = [ Order.asc "A"; Order.asc "B" ] in
   Alcotest.(check bool) "prefix yes" true (Order.is_prefix [ Order.asc "A" ] o1);
@@ -193,10 +186,10 @@ let test_order_prefix () =
 
 (* ------------- Histogram ------------- *)
 
-let values_1_to n = Array.init n (fun i -> Value.Int (i + 1))
+let values_1_to n = Array.init n (fun i -> float_of_int (i + 1))
 
 let test_histogram_equidepth () =
-  let h = Histogram.height_balanced ~buckets:4 (values_1_to 100) in
+  let h = Histogram.of_sorted ~buckets:4 (values_1_to 100) in
   Alcotest.(check int) "buckets" 4 (Histogram.bucket_count h);
   Alcotest.(check int) "total" 100 (Histogram.total h);
   (* Every bucket has 25 values. *)
@@ -205,7 +198,7 @@ let test_histogram_equidepth () =
   done
 
 let test_histogram_count_below () =
-  let h = Histogram.height_balanced ~buckets:10 (values_1_to 1000) in
+  let h = Histogram.of_sorted ~buckets:10 (values_1_to 1000) in
   let below = Histogram.count_below h 500.0 in
   Alcotest.(check bool) "count below ~ 500" true (abs_float (below -. 500.0) < 20.0);
   Alcotest.(check bool) "below min" true (Histogram.count_below h 0.0 < 2.0);
@@ -215,9 +208,9 @@ let test_histogram_count_below () =
 let test_histogram_skewed () =
   (* Skew: 90 copies of 1, 10 distinct high values — equi-depth adapts. *)
   let vs =
-    Array.append (Array.make 90 (Value.Int 1)) (Array.init 10 (fun i -> Value.Int (100 + i)))
+    Array.append (Array.make 90 1.0) (Array.init 10 (fun i -> float_of_int (100 + i)))
   in
-  let h = Histogram.height_balanced ~buckets:5 vs in
+  let h = Histogram.of_sorted ~buckets:5 vs in
   let below = Histogram.count_below h 50.0 in
   Alcotest.(check bool) "skew captured" true (below >= 85.0 && below <= 95.0)
 
@@ -334,7 +327,6 @@ let () =
           Alcotest.test_case "sort stability" `Quick test_relation_sort_stable;
           Alcotest.test_case "filter/project" `Quick test_relation_filter_project;
           Alcotest.test_case "multiset equality" `Quick test_relation_equal_multiset;
-          Alcotest.test_case "column stats" `Quick test_relation_stats;
           Alcotest.test_case "order prefix" `Quick test_order_prefix;
         ] );
       ( "histogram",

@@ -23,6 +23,30 @@ let test_lexer_comments_and_symbols () =
   | [ Lexer.IDENT "x"; Lexer.SYM "<>"; Lexer.IDENT "y"; Lexer.EOF ] -> ()
   | _ -> Alcotest.fail "symbols mis-lexed"
 
+let test_lexer_keywords () =
+  let keywords =
+    [ "SELECT"; "DISTINCT"; "FROM"; "WHERE"; "GROUP"; "BY"; "HAVING"; "ORDER";
+      "ASC"; "DESC"; "AND"; "OR"; "NOT"; "AS"; "UNION"; "ALL"; "IS"; "NULL";
+      "BETWEEN"; "IN"; "EXISTS"; "CREATE"; "TABLE"; "DROP"; "INSERT"; "INTO";
+      "VALUES"; "DATE"; "TRUE"; "FALSE"; "COUNT"; "SUM"; "AVG"; "MIN"; "MAX";
+      "GREATEST"; "LEAST"; "VALIDTIME"; "COALESCE"; "PERIOD"; "OVERLAPS";
+      "CONTAINS" ]
+  in
+  let mixed k = String.mapi (fun i c -> if i mod 2 = 0 then c else Char.lowercase_ascii c) k in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelling ->
+          Alcotest.(check bool) spelling true
+            (Lexer.tokenize spelling = [ Lexer.KW k; Lexer.EOF ]))
+        [ k; String.lowercase_ascii k; mixed k ])
+    keywords;
+  (* near misses, and dotted words, stay identifiers with their spelling *)
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) w true (Lexer.tokenize w = [ Lexer.IDENT w; Lexer.EOF ]))
+    [ "Selects"; "selec"; "a.select"; "SELECT.x"; "by_"; "_in"; "Orders"; "x" ]
+
 let test_parse_simple_select () =
   match parse "SELECT PosID, EmpName FROM POSITION WHERE PosID = 1" with
   | Ast.Select s ->
@@ -226,6 +250,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "comments/symbols" `Quick test_lexer_comments_and_symbols;
+          Alcotest.test_case "keywords in any case" `Quick test_lexer_keywords;
         ] );
       ( "parser",
         [

@@ -143,7 +143,12 @@ let test_derive_join () =
   in
   let s = Derive.derive env op in
   (* self-join on key with d distinct values: n^2/d *)
-  let d = float_of_int (Relation.distinct_count pos_rel "PosID") in
+  let d =
+    float_of_int
+      (List.length
+         (List.sort_uniq Value.compare
+            (Array.to_list (Relation.column pos_rel "PosID"))))
+  in
   let expected = 2000.0 *. 2000.0 /. d in
   Alcotest.(check bool)
     (Printf.sprintf "join card %.0f ~ %.0f" s.Rel_stats.card expected)
@@ -208,6 +213,55 @@ let prop_temporal_beats_naive =
       let n = Selectivity.selectivity ~mode:Selectivity.Naive uniform_stats pred in
       abs_float (t -. actual) <= abs_float (n -. actual) +. 0.01)
 
+(* ------------- the Statistics Collector reads the catalog ------------- *)
+
+let uis_session () =
+  let db = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db;
+  (db, Tango_core.Middleware.connect ~roundtrip_spin:0 db)
+
+let test_collector_reuses_catalog () =
+  let db, mw = uis_session () in
+  let stats () = Option.get (Tango_dbms.Database.stats_of db "POSITION") in
+  let before = stats () in
+  List.iter
+    (fun (_, sql) -> ignore (Tango_core.Middleware.query mw sql))
+    Queries.workload;
+  Alcotest.(check bool) "catalog record untouched" true (stats () == before)
+
+let test_collector_sees_insert () =
+  let db, mw = uis_session () in
+  let card () = (Derive.derive (Tango_core.Middleware.stats_env mw) scan).Rel_stats.card in
+  let n = card () in
+  ignore
+    (Tango_dbms.Database.execute db
+       "INSERT INTO POSITION VALUES (9999, 1, 'X', 'D', 10.00, 'S', \
+        DATE '1990-01-01', DATE '1991-01-01')");
+  Tango_core.Middleware.refresh_statistics mw;
+  Alcotest.(check (float 0.0)) "new cardinality" (n +. 1.0) (card ())
+
+let test_collector_histogram_view () =
+  let db = Tango_dbms.Database.create () in
+  Tango_dbms.Database.load_relation db "R" uniform_rel;
+  let catalog = Tango_dbms.Database.analyze db ~histograms:`All "R" in
+  let hists (s : Rel_stats.t) =
+    List.filter (fun (_, c) -> c.Rel_stats.histogram <> None) s.Rel_stats.cols
+  in
+  let without = Collector.collect ~histograms:`None db ~qualifier:"R" "R" in
+  Alcotest.(check int) "no histograms in the view" 0 (List.length (hists without));
+  let in_catalog () = Option.get (Tango_dbms.Database.stats_of db "R") in
+  Alcotest.(check bool) "catalog record untouched" true (in_catalog () == catalog);
+  let only_t1 = Collector.collect ~histograms:(`Cols [ "T1" ]) db ~qualifier:"R" "R" in
+  Alcotest.(check (list string)) "only the selected column" [ "R.T1" ]
+    (List.map fst (hists only_t1));
+  let all = Collector.collect ~histograms:`All db ~qualifier:"R" "R" in
+  Alcotest.(check bool) "catalog histograms, no re-ANALYZE" true
+    (in_catalog () == catalog
+    && List.for_all2
+         (fun (_, (c : Rel_stats.col)) (k : Tango_dbms.Stat.column_stats) ->
+           c.histogram == k.histogram)
+         all.Rel_stats.cols catalog.columns)
+
 let () =
   Alcotest.run "tango_stats"
     [
@@ -230,6 +284,13 @@ let () =
           Alcotest.test_case "taggr no groups" `Quick test_derive_taggr_no_groups;
           Alcotest.test_case "temporal join factor" `Quick test_derive_temporal_join_factor;
           Alcotest.test_case "project & transfers" `Quick test_derive_project_transfers;
+        ] );
+      ( "collector",
+        [
+          Alcotest.test_case "catalog reused across Queries 1-4" `Quick
+            test_collector_reuses_catalog;
+          Alcotest.test_case "INSERT then refresh" `Quick test_collector_sees_insert;
+          Alcotest.test_case "histogram view" `Quick test_collector_histogram_view;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_temporal_beats_naive ] );
