@@ -7,10 +7,12 @@
     dashed "algorithm sequence" edges in the paper's figure); dependencies
     run during the transfer's [init].
 
-    Execution is instrumented: every node records wall time and bytes
-    produced, which feeds the middleware's cost-factor adaptation.  The
-    instrumentation costs a meter snapshot per batch and an int sum per
-    tuple, so it is cheap as long as producers fill their batches. *)
+    Execution is instrumented: every node records wall time and tuples
+    produced, and bytes produced when something will read them (the
+    trace, or profiling's cost-factor adaptation).  The instrumentation
+    costs a meter snapshot per batch, plus an int sum per tuple when
+    bytes are counted, so it is cheap as long as producers fill their
+    batches. *)
 
 open Tango_rel
 open Tango_sql
@@ -310,18 +312,20 @@ let alpha_normalize (q : Ast.query) : Ast.query =
   query q
 
 (** A per-execution context; when [share_transfers] is set, alpha-equivalent
-    dependency-free `TRANSFER^M` statements are fetched once. *)
+    dependency-free `TRANSFER^M` statements are fetched once; when
+    [count_bytes] is set, nodes count the bytes they produce. *)
 type run_ctx = {
   topology : Topology.t;
   share_transfers : bool;
+  count_bytes : bool;
   fetched : (Ast.query * string list, Relation.t) Hashtbl.t;
       (** keyed by normalized SQL {e and} the shard list: a scatter and a
           single-backend transfer of the same statement read different
           data *)
 }
 
-let run_ctx ?(share_transfers = true) topology =
-  { topology; share_transfers; fetched = Hashtbl.create 4 }
+let run_ctx ?(share_transfers = true) ~count_bytes topology =
+  { topology; share_transfers; count_bytes; fetched = Hashtbl.create 4 }
 
 (* The storage layer's page-read counter and the run's backend meters,
    snapshotted around each node's init/next_batch to attribute inclusive
@@ -340,8 +344,8 @@ let batch_bytes (b : Tuple.t array) =
 
 (* Wrap a cursor with per-node instrumentation.  Everything is paid once
    per batch (a meter snapshot and one add per counter) except the byte
-   count, which reads every tuple of the batch; producers fill whole
-   batches, so that is once per {!Cursor.default_batch_size} tuples. *)
+   count, which reads every tuple of the batch and so runs only when the
+   context counts bytes. *)
 let instrument (ctx : run_ctx) (n : node) (c : Cursor.t) : Cursor.t =
   n.elapsed_us <- 0.0;
   n.out_bytes <- 0.0;
@@ -371,7 +375,8 @@ let instrument (ctx : run_ctx) (n : node) (c : Cursor.t) : Cursor.t =
       (match r with
       | Some b ->
           n.out_tuples <- n.out_tuples + Array.length b;
-          n.out_bytes <- n.out_bytes +. float_of_int (batch_bytes b)
+          if ctx.count_bytes then
+            n.out_bytes <- n.out_bytes +. float_of_int (batch_bytes b)
       | None -> ());
       r)
 

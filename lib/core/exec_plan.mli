@@ -6,11 +6,11 @@
     middleware results into temp tables (the dashed "sequence" edges of
     the paper's figure) and run during its [init].
 
-    Execution is instrumented: every node records wall time, bytes and
-    tuples produced, feeding the middleware's cost-factor adaptation.
-    The counts are exact on every run; the clock and meters are read
-    once per batch, and the bytes are an int sum over the batch's
-    tuples. *)
+    Execution is instrumented: every node records wall time and tuples
+    produced, and the bytes produced when the run context counts them,
+    feeding the middleware's cost-factor adaptation.  The counts are
+    exact on every run; the clock and meters are read once per batch,
+    and the bytes are an int sum over the batch's tuples. *)
 
 open Tango_rel
 open Tango_sql
@@ -20,7 +20,7 @@ type node = {
   kind : kind;
   schema : Schema.t;
   mutable elapsed_us : float;  (** measured during the last execution *)
-  mutable out_bytes : float;
+  mutable out_bytes : float;  (** 0 unless the run counts bytes *)
   mutable out_tuples : int;
   mutable page_reads : int;  (** inclusive: DBMS pages read while running *)
   mutable roundtrips : int;  (** inclusive: boundary round trips while running *)
@@ -79,10 +79,13 @@ val alpha_normalize : Ast.query -> Ast.query
 (** A per-execution context; when [share_transfers] is set (the default),
     alpha-equivalent dependency-free `TRANSFER^M` statements are fetched
     from the DBMS only once — the paper's §7 "issue only one T^M"
-    refinement. *)
+    refinement.  [count_bytes] makes every node sum the bytes of the
+    tuples it produces, a walk over every tuple: set it only when
+    something reads [out_bytes] (the trace, profiling). *)
 type run_ctx
 
-val run_ctx : ?share_transfers:bool -> Tango_dbms.Topology.t -> run_ctx
+val run_ctx :
+  ?share_transfers:bool -> count_bytes:bool -> Tango_dbms.Topology.t -> run_ctx
 
 val build_cursor : run_ctx -> node -> Tango_xxl.Cursor.t
 

@@ -88,7 +88,8 @@ type cache_entry = {
   cached_classes : int;
   cached_elements : int;
   cached_diagnostics : Tango_verify.Diag.t list;
-  cached_generation : int;  (* DBMS schema generation at plan time *)
+  cached_generations : int list;
+      (* every backend's DBMS schema generation at plan time *)
   cached_fp : string;  (* query fingerprint, for the sentinel *)
 }
 
@@ -225,6 +226,8 @@ type t = {
   profile : Tango_profile.Feedback.t;
   sentinel : Tango_profile.Sentinel.t;
   stats_cache : (string * string, Rel_stats.t) Hashtbl.t;
+  mutable stats_generations : int list;
+      (* every backend's schema generation when [stats_cache] was filled *)
 }
 
 (** Attach a session to an existing topology ({!Topology.single} for the
@@ -243,6 +246,7 @@ let connect_topology ?(config = Config.default) (topology : Topology.t) : t =
     profile = Tango_profile.Feedback.create ();
     sentinel = Tango_profile.Sentinel.create ();
     stats_cache = Hashtbl.create 16;
+    stats_generations = [];
   }
 
 let connect ?(config = Config.default) ?row_prefetch ?roundtrip_spin
@@ -329,11 +333,25 @@ let refresh_statistics t =
   Hashtbl.reset t.stats_cache;
   invalidate_plan_cache t ~reason:"stats-refresh"
 
+(* Every backend's DBMS schema generation, in topology order: the
+   statistics of a partitioned table merge every shard's catalog, so DDL
+   or ANALYZE on any backend may change a plan's inputs. *)
+let generations t =
+  List.map Database.schema_generation
+    (List.filter_map Backend.database (Topology.backends t.topology))
+
 (* The Statistics Collector hook used for optimization.  For the
    partitioned table the per-shard catalogs are merged into whole-table
    statistics ({!Rel_stats.merge}); everything else is replicated, so the
-   primary's catalog is authoritative. *)
+   primary's catalog is authoritative.  The memo is dropped once any
+   backend's generation moved: DDL or ANALYZE behind the session's back
+   changed the statistics it holds. *)
 let base_stats t ~qualifier table : Rel_stats.t =
+  let g = generations t in
+  if g <> t.stats_generations then begin
+    Hashtbl.reset t.stats_cache;
+    t.stats_generations <- g
+  end;
   match Hashtbl.find_opt t.stats_cache (qualifier, table) with
   | Some s -> s
   | None ->
@@ -586,9 +604,14 @@ let execute_physical_full t (physical : Physical.plan) : execution =
               temp_tables)
           (fun () ->
             Tango_xxl.Attribution.with_collector collector (fun () ->
+                (* per-node bytes are read only by the trace the
+                   executed tree is grafted into and by profiling *)
                 let ctx =
                   Exec_plan.run_ctx
-                    ~share_transfers:t.config.Config.share_transfers t.topology
+                    ~share_transfers:t.config.Config.share_transfers
+                    ~count_bytes:
+                      (t.config.Config.profiling || Tango_obs.Trace.active ())
+                    t.topology
                 in
                 let r =
                   Tango_xxl.Cursor.to_relation
@@ -649,16 +672,14 @@ let profile_execution t ~(query_fingerprint : string)
 (* Plan cache: lookup and template binding                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Plan-cache lookup.  A hit whose entry was planned under an older DBMS
-   schema generation means DDL/ANALYZE happened behind our back: flush
+(* Plan-cache lookup.  A hit whose entry was planned under older DBMS
+   schema generations means DDL/ANALYZE happened behind our back: flush
    everything and report a miss. *)
 let cache_find ~kind t (sql : string) : cache_entry option =
   if not t.config.Config.plan_cache then None
   else
     match Tango_cache.Plan_cache.find ~kind t.plan_cache ~sql with
-    | Some entry
-      when entry.cached_generation
-           <> Database.schema_generation (database t) ->
+    | Some entry when entry.cached_generations <> generations t ->
         invalidate_plan_cache t ~reason:"ddl";
         None
     | found -> found
@@ -800,7 +821,7 @@ let fresh_plan t (entry : entry) : planned =
               cached_classes = r.Search.classes;
               cached_elements = r.Search.elements;
               cached_diagnostics = t.last_diagnostics;
-              cached_generation = Database.schema_generation (database t);
+              cached_generations = generations t;
               cached_fp = fingerprint;
             }
       in

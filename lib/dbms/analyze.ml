@@ -23,7 +23,7 @@ let sorted_views vals nulls =
   for i = 1 to Array.length xs - 1 do
     if Float.compare xs.(i - 1) xs.(i) > 0 then sorted := false
   done;
-  if not !sorted then Array.sort Float.compare xs;
+  if not !sorted then Array.stable_sort Float.compare xs;
   xs
 
 (* Every statistic of one column from one stable sort of its values,

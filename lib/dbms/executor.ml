@@ -508,7 +508,7 @@ let rec compile_query ctx (outer : Schema.t list) (q : Ast.query) :
               let ra = drain (fa rows) in
               let rb = drain (fb rows) in
               let all = Array.append ra rb in
-              Array.sort Tuple.compare all;
+              Array.stable_sort Tuple.compare all;
               of_array (dedup_sorted all)) )
   | Ast.Union_all (a, b) ->
       let sa, fa = compile_query ctx outer a in
@@ -752,8 +752,8 @@ and merge_join rows (left : producer) (right : producer) l_idx r_idx checks :
   deferred (fun () ->
       let ls = drain left in
       let rs = drain right in
-      Array.sort (fun a b -> Value.compare a.(l_idx) b.(l_idx)) ls;
-      Array.sort (fun a b -> Value.compare a.(r_idx) b.(r_idx)) rs;
+      Array.stable_sort (fun a b -> Value.compare a.(l_idx) b.(l_idx)) ls;
+      Array.stable_sort (fun a b -> Value.compare a.(r_idx) b.(r_idx)) rs;
       let nr = Array.length rs in
       (* first right row whose key is not below the current left key;
          NULL keys sort first on both sides and never match *)
@@ -1093,7 +1093,7 @@ and compile_plain ctx outer (s : Ast.select) combined_schema items out_schema
       else
         deferred (fun () ->
             let ts = drain projected in
-            Array.sort Tuple.compare ts;
+            Array.stable_sort Tuple.compare ts;
             of_array (dedup_sorted ts))
     in
     if output_keys = [] then projected
@@ -1198,7 +1198,7 @@ and compile_grouped ctx outer (s : Ast.select) combined_schema items
             (drain (join_all rows))
         in
         let cmp_key ka kb = Tuple.compare_on group_idx group_asc ka kb in
-        Array.sort (fun (ka, _) (kb, _) -> cmp_key ka kb) keyed;
+        Array.stable_sort (fun (ka, _) (kb, _) -> cmp_key ka kb) keyed;
         let groups = ref [] in
         let n = Array.length keyed in
         let i = ref 0 in

@@ -36,7 +36,7 @@ let quantile_bounds values n =
   if n <= 1 then [ unbounded ]
   else begin
     let v = Array.copy values in
-    Array.sort compare v;
+    Array.stable_sort compare v;
     let len = Array.length v in
     let cut i =
       if len = 0 then None else Some v.(min (len - 1) (i * len / n))

@@ -91,8 +91,8 @@ let equal_multiset a b =
   && cardinality a = cardinality b
   &&
   let sa = Array.copy a.tuples and sb = Array.copy b.tuples in
-  Array.sort Tuple.compare sa;
-  Array.sort Tuple.compare sb;
+  Array.stable_sort Tuple.compare sa;
+  Array.stable_sort Tuple.compare sb;
   Array.for_all2 Tuple.equal sa sb
 
 (** List equality: same tuples in the same positions. *)

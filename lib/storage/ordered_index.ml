@@ -35,7 +35,7 @@ let build ?(clustered = false) ~stats file attr =
     done
   done;
   let entries = Array.of_list !entries in
-  Array.sort (fun a b -> Value.compare a.key b.key) entries;
+  Array.stable_sort (fun a b -> Value.compare a.key b.key) entries;
   { attr; clustered; entries; stats }
 
 let attr i = i.attr

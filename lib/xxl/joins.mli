@@ -1,6 +1,10 @@
 (** Middleware join algorithms: `MERGEJOIN^M` and `TJOIN^M`, both
     sort-merge over inputs sorted on the join attributes (paper rules
-    T2/T3).
+    T2/T3).  Each pairs one group of equal join keys from either side at
+    a time; `TJOIN^M` finds a group pair's overlapping periods by a
+    forward scan in [T1] order, in time linear in the pair's input plus
+    its output.  Both emit a group pair's output in (left position,
+    right position) order, the order of a nested loop over the inputs.
 
     The temporal join concatenates the non-period attributes of both inputs
     and appends the period intersection as unqualified [T1]/[T2], matching
@@ -31,4 +35,7 @@ val temporal_merge_join :
   Cursor.t ->
   Cursor.t ->
   Cursor.t
-(** Temporal equi-join (period overlap implicit) of sorted inputs. *)
+(** Temporal equi-join (period overlap implicit) of sorted inputs; a
+    period with [T1 >= T2] joins nothing, and [pred] runs only on pairs
+    whose periods overlap.  It holds the current two groups and their
+    pair list, one int per output tuple of the group pair. *)

@@ -94,7 +94,7 @@ let taggr ~(group_by : string list) ~(aggs : Op.agg list) (arg : Cursor.t) :
   let started = ref false in
   let start_group len =
     ends := Array.sub !buf 0 len;
-    Array.sort (fun a b -> Value.compare a.(t2_idx) b.(t2_idx)) !ends;
+    Array.stable_sort (fun a b -> Value.compare a.(t2_idx) b.(t2_idx)) !ends;
     states :=
       Array.map
         (fun ((a : Op.agg), _, arg_dtype) -> Agg_state.create a.Op.fn ~arg_dtype)

@@ -235,6 +235,71 @@ let test_invalidation_on_analyze () =
   (* and the re-planned entry serves hits again *)
   Alcotest.(check bool) "re-cached" true (cache_hit (Middleware.query mw Queries.q1_sql))
 
+(* SQL literal of a stored value, for re-inserting rows. *)
+let sql_literal = function
+  | Value.Null -> "NULL"
+  | Value.Bool b -> if b then "TRUE" else "FALSE"
+  | Value.Int i -> string_of_int i
+  | Value.Float f -> Printf.sprintf "%.6f" f
+  | Value.Str s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | Value.Date d -> "DATE '" ^ Tango_temporal.Chronon.to_string d ^ "'"
+
+(* A plan made after ANALYZE must use the new statistics: grow POSITION
+   8x behind the session's back and ANALYZE it.  Then Query 2, never
+   cached, plans, and Query 1, cached, misses and re-plans, each at the
+   estimated cost a fresh session gives. *)
+let test_replan_after_analyze_reads_fresh_statistics () =
+  let db, mw = setup () in
+  let q2 = Queries.q2_sql ~period_end:"1996-01-01" in
+  let before = (Middleware.query mw Queries.q1_sql).Middleware.estimated_cost_us in
+  let rows = Relation.tuples (Tango_dbms.Database.query db "SELECT * FROM POSITION") in
+  for _ = 1 to 7 do
+    Array.iter
+      (fun t ->
+        ignore
+          (Tango_dbms.Database.execute db
+             (Printf.sprintf "INSERT INTO POSITION VALUES (%s)"
+                (String.concat ", " (List.map sql_literal (Array.to_list t))))))
+      rows
+  done;
+  ignore (Tango_dbms.Database.analyze db "POSITION");
+  let r2 = Middleware.query mw q2 in
+  let r = Middleware.query mw Queries.q1_sql in
+  Alcotest.(check bool) "post-ANALYZE submission misses" false (cache_hit r);
+  Alcotest.(check (option string)) "flushed as ddl" (Some "ddl")
+    (Middleware.plan_cache_stats mw).Plan_cache.last_invalidation;
+  let fresh sql =
+    let config = Middleware.config mw in
+    (Middleware.query (Middleware.connect ~config db) sql).Middleware.estimated_cost_us
+  in
+  let fresh1 = fresh Queries.q1_sql in
+  Alcotest.(check bool) "the statistics changed the estimate" true (fresh1 > before);
+  Alcotest.(check (float 0.0)) "re-plan = fresh session's estimate" fresh1
+    r.Middleware.estimated_cost_us;
+  Alcotest.(check (float 0.0)) "new plan = fresh session's estimate" (fresh q2)
+    r2.Middleware.estimated_cost_us
+
+(* The partitioned table's statistics merge every shard's catalog, so an
+   ANALYZE on a shard that is not the primary stales cached plans too. *)
+let test_analyze_on_any_shard_invalidates () =
+  let topology = Uis.load_sharded ~scale:0.005 ~roundtrip_spins:[ 0; 0 ] ~shards:2 () in
+  let config =
+    Middleware.Config.(default |> with_roundtrip_spin 0 |> with_plan_cache true)
+  in
+  let mw = Middleware.connect_topology ~config topology in
+  ignore (Middleware.query mw Queries.q1_sql);
+  Alcotest.(check bool) "cached" true (cache_hit (Middleware.query mw Queries.q1_sql));
+  let shard1 =
+    match Tango_dbms.Topology.find topology "shard1" with
+    | Some b -> Option.get (Tango_dbms.Backend.database b)
+    | None -> Alcotest.fail "no shard1"
+  in
+  ignore (Tango_dbms.Database.analyze shard1 "POSITION");
+  let r = Middleware.query mw Queries.q1_sql in
+  Alcotest.(check bool) "post-ANALYZE submission misses" false (cache_hit r);
+  Alcotest.(check (option string)) "flushed as ddl" (Some "ddl")
+    (Middleware.plan_cache_stats mw).Plan_cache.last_invalidation
+
 let test_invalidation_on_ddl () =
   let db, mw = setup () in
   ignore (Middleware.query mw Queries.q1_sql);
@@ -374,6 +439,10 @@ let () =
           Alcotest.test_case "event log records cache class" `Quick
             test_event_log_records_cache_class;
           Alcotest.test_case "invalidation on ANALYZE" `Quick test_invalidation_on_analyze;
+          Alcotest.test_case "re-plan reads fresh statistics" `Quick
+            test_replan_after_analyze_reads_fresh_statistics;
+          Alcotest.test_case "ANALYZE on any shard invalidates" `Quick
+            test_analyze_on_any_shard_invalidates;
           Alcotest.test_case "invalidation on DDL" `Quick test_invalidation_on_ddl;
           Alcotest.test_case "config change flushes" `Quick
             test_config_change_flushes;

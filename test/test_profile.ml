@@ -345,6 +345,37 @@ let test_exact_bytes () =
     "two shards";
   Alcotest.(check bool) "some sort node checked" true (!sorts_checked > 0)
 
+(* Bytes are counted only when something reads them: with tracing and
+   profiling both off no node walks its tuples for bytes, and tracing
+   alone counts them as exactly as profiling does. *)
+let test_bytes_only_when_read () =
+  let db = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db;
+  let run config =
+    let mw =
+      Middleware.connect
+        ~config:Middleware.Config.(config |> with_roundtrip_spin 0)
+        db
+    in
+    Middleware.query mw Queries.q1_sql
+  in
+  let off = run Middleware.Config.default in
+  Exec_plan.iter
+    (fun (n : Exec_plan.node) ->
+      Alcotest.(check (float 0.0))
+        (Exec_plan.kind_name n ^ ": no bytes counted") 0.0 n.Exec_plan.out_bytes)
+    off.Middleware.exec;
+  Alcotest.(check bool) "tuples still counted" true
+    (off.Middleware.exec.Exec_plan.out_tuples > 0);
+  let traced = run Middleware.Config.(default |> with_tracing true) in
+  let result_bytes =
+    Array.fold_left
+      (fun acc t -> acc + Tuple.byte_size t)
+      0 (Relation.tuples traced.Middleware.result)
+  in
+  Alcotest.(check int) "traced: root bytes = result bytes" result_bytes
+    (int_of_float traced.Middleware.exec.Exec_plan.out_bytes)
+
 let () =
   Alcotest.run "profile"
     [
@@ -379,5 +410,8 @@ let () =
             test_refit_keeps_other_factors;
         ] );
       ( "bytes",
-        [ Alcotest.test_case "exact per-node bytes" `Quick test_exact_bytes ] );
+        [
+          Alcotest.test_case "exact per-node bytes" `Quick test_exact_bytes;
+          Alcotest.test_case "bytes only when read" `Quick test_bytes_only_when_read;
+        ] );
     ]

@@ -335,6 +335,80 @@ let prop_tjoin_matches_reference =
       in
       Relation.equal_multiset ref_out out)
 
+(* property: both merge joins = a nested loop over the same sorted inputs,
+   as lists, so the join keeps the loop's pairing order (left-major, each
+   side in input order).  Keys are drawn from a few values and NULL, so
+   groups are large enough to span batches; both period ends are drawn
+   from a few chronons, so periods are often points, adjacent, identical,
+   nested, empty or inverted.  Inputs are sorted on the key alone (groups
+   out of [T1] order) or on (key, [T1]). *)
+let adversarial_row_gen =
+  QCheck.Gen.(
+    map
+      (fun (k, v, t1, t2) ->
+        Tuple.of_list
+          [ (if k = 0 then Value.Null else Value.Int k); Value.Float (float_of_int v);
+            Value.Date t1; Value.Date t2 ])
+      (quad (int_range 0 3) (int_range 0 5) (int_range 0 6) (int_range 0 6)))
+
+let prop_joins_match_nested_loop =
+  let side = QCheck.Gen.(list_size (int_bound 60) adversarial_row_gen) in
+  QCheck.Test.make ~name:"merge joins = nested loop, as lists" ~count:300
+    (QCheck.make
+       QCheck.Gen.(quad side side bool bool)
+       ~print:(fun (l, r, by_t1, residual) ->
+         let row t = String.concat "," (List.map Value.to_string (Array.to_list t)) in
+         let rows ts = String.concat "; " (List.map row ts) in
+         Printf.sprintf "left [%s]\nright [%s]\nby_t1 %b residual %b" (rows l)
+           (rows r) by_t1 residual))
+    (fun (lrows, rrows, by_t1, residual) ->
+      let sorted alias rows =
+        Relation.sort
+          (List.map Order.asc
+             ((alias ^ ".K") :: (if by_t1 then [ alias ^ ".T1" ] else [])))
+          (Relation.of_list (Schema.qualify alias schema_kab) rows)
+      in
+      let l = sorted "A" lrows and r = sorted "B" rrows in
+      let pred =
+        if residual then Ast.Binop (Ast.Le, col ~q:"A" "V", col ~q:"B" "V")
+        else Ast.Lit (Value.Bool true)
+      in
+      let keeps lt rt =
+        (not residual) || Value.to_float lt.(1) <= Value.to_float rt.(1)
+      in
+      let nested_loop pair =
+        List.concat_map
+          (fun lt ->
+            List.filter_map
+              (fun rt ->
+                if Value.is_null lt.(0) || Value.compare lt.(0) rt.(0) <> 0
+                   || not (keeps lt rt)
+                then None
+                else pair lt rt)
+              (Array.to_list (Relation.tuples r)))
+          (Array.to_list (Relation.tuples l))
+      in
+      let d = Value.to_int in
+      let merged = nested_loop (fun lt rt -> Some (Tuple.concat lt rt)) in
+      let tjoined =
+        nested_loop (fun lt rt ->
+            let t1 = max (d lt.(2)) (d rt.(2)) and t2 = min (d lt.(3)) (d rt.(3)) in
+            if t1 < t2 then
+              Some [| lt.(0); lt.(1); rt.(0); rt.(1); Value.Date t1; Value.Date t2 |]
+            else None)
+      in
+      let same expected (c : Cursor.t) =
+        let got = Relation.tuples (Cursor.to_relation c) in
+        List.length expected = Array.length got
+        && List.for_all2 Tuple.equal expected (Array.to_list got)
+      in
+      same merged
+        (Joins.merge_join ~pred ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+           (Cursor.of_relation l) (Cursor.of_relation r))
+      && same tjoined
+           (Joins.temporal_merge_join ~pred ~left_keys:[ "A.K" ] ~right_keys:[ "B.K" ]
+              (Cursor.of_relation l) (Cursor.of_relation r)))
+
 (* ---- dup elim / coalesce / difference ---- *)
 
 let test_dup_elim () =
@@ -666,6 +740,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_taggr_matches_reference;
           QCheck_alcotest.to_alcotest prop_merge_join_matches_reference;
           QCheck_alcotest.to_alcotest prop_tjoin_matches_reference;
+          QCheck_alcotest.to_alcotest prop_joins_match_nested_loop;
           QCheck_alcotest.to_alcotest prop_singletons_equal_whole;
         ] );
     ]
