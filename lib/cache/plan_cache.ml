@@ -98,13 +98,14 @@ let create ?(capacity = 128) () =
 let capacity c = c.capacity
 let length c = Mutex.protect c.lock (fun () -> Hashtbl.length c.table)
 
-let find ?(kind = Exact) c ~sql =
+let find ?(kind = Exact) ?(current = fun _ -> true) c ~sql =
   let normalized = normalize_sql sql in
   let key = key_of_normalized normalized in
   let result =
     Mutex.protect c.lock (fun () ->
         match Hashtbl.find_opt c.table key with
-        | Some entry when String.equal entry.normalized normalized ->
+        | Some entry
+          when String.equal entry.normalized normalized && current entry.value ->
             c.tick <- c.tick + 1;
             entry.last_used <- c.tick;
             c.hits <- c.hits + 1;

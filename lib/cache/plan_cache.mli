@@ -19,10 +19,11 @@
     classified (template vs exact) in both per-cache {!stats} and the
     process-wide [cache.*] counters of {!Tango_obs}.
 
-    Invalidation is explicit ({!invalidate_all}) and coarse: statistics
-    refreshes (ANALYZE), schema DDL, and adaptive cost-factor refits all
-    flush the whole cache, since any of them can change which plan is
-    best for {e every} cached query. *)
+    Invalidation is explicit ({!invalidate_all}) and coarse: the caller
+    flushes the whole cache.  The middleware does so on cost-factor
+    changes and refits, on settings that choose plans, and when a lookup
+    finds an entry whose plan reads a table that has changed version
+    (an append, DDL, index DDL or ANALYZE) since it was planned. *)
 
 type 'a t
 
@@ -36,10 +37,12 @@ val create : ?capacity:int -> unit -> 'a t
 
 val capacity : 'a t -> int
 
-val find : ?kind:kind -> 'a t -> sql:string -> 'a option
+val find :
+  ?kind:kind -> ?current:('a -> bool) -> 'a t -> sql:string -> 'a option
 (** Look up the plan cached for [sql]; a hit refreshes its LRU position
-    and is classified under [kind] (default [Exact]).  Collisions are
-    guarded by comparing the stored normalized text. *)
+    and is classified under [kind] (default [Exact]).  An entry [current]
+    rejects (by default none) is not returned and counts as a miss.
+    Collisions are guarded by comparing the stored normalized text. *)
 
 val add : 'a t -> sql:string -> 'a -> unit
 (** Insert (or replace) the entry for [sql], evicting the least recently

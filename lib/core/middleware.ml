@@ -88,8 +88,9 @@ type cache_entry = {
   cached_classes : int;
   cached_elements : int;
   cached_diagnostics : Tango_verify.Diag.t list;
-  cached_generations : int list;
-      (* every backend's DBMS schema generation at plan time *)
+  cached_versions : (string * int option list) list;
+      (* each table the plan reads, with its version on every backend,
+         read before the search *)
   cached_fp : string;  (* query fingerprint, for the sentinel *)
 }
 
@@ -225,9 +226,6 @@ type t = {
   mutable query_observer : (query_event -> unit) option;
   profile : Tango_profile.Feedback.t;
   sentinel : Tango_profile.Sentinel.t;
-  stats_cache : (string * string, Rel_stats.t) Hashtbl.t;
-  mutable stats_generations : int list;
-      (* every backend's schema generation when [stats_cache] was filled *)
 }
 
 (** Attach a session to an existing topology ({!Topology.single} for the
@@ -245,8 +243,6 @@ let connect_topology ?(config = Config.default) (topology : Topology.t) : t =
     query_observer = None;
     profile = Tango_profile.Feedback.create ();
     sentinel = Tango_profile.Sentinel.create ();
-    stats_cache = Hashtbl.create 16;
-    stats_generations = [];
   }
 
 let connect ?(config = Config.default) ?row_prefetch ?roundtrip_spin
@@ -285,10 +281,8 @@ let invalidate_plan_cache t ~reason =
 let plan_cache_stats t = Tango_cache.Plan_cache.stats t.plan_cache
 
 let set_config t (c : Config.t) =
-  if c.Config.histograms <> t.config.Config.histograms then begin
-    Hashtbl.reset t.stats_cache;
-    invalidate_plan_cache t ~reason:"config-histograms"
-  end;
+  if c.Config.histograms <> t.config.Config.histograms then
+    invalidate_plan_cache t ~reason:"config-histograms";
   (* cached plans and their findings were chosen under these settings *)
   if c.Config.selectivity_mode <> t.config.Config.selectivity_mode then
     invalidate_plan_cache t ~reason:"config-selectivity-mode";
@@ -327,49 +321,24 @@ let adopt_factors t (f : Factors.t) =
   Factors.assign t.factors f;
   invalidate_plan_cache t ~reason:"adopt-factors"
 
-(** Invalidate cached statistics (after loads or ANALYZE); cached plans
-    were chosen under the old statistics and go with them. *)
-let refresh_statistics t =
-  Hashtbl.reset t.stats_cache;
-  invalidate_plan_cache t ~reason:"stats-refresh"
+let refresh_statistics (_ : t) = ()
 
-(* Every backend's DBMS schema generation, in topology order: the
-   statistics of a partitioned table merge every shard's catalog, so DDL
-   or ANALYZE on any backend may change a plan's inputs. *)
-let generations t =
-  List.map Database.schema_generation
-    (List.filter_map Backend.database (Topology.backends t.topology))
+let databases t = List.filter_map Backend.database (Topology.backends t.topology)
 
 (* The Statistics Collector hook used for optimization.  For the
    partitioned table the per-shard catalogs are merged into whole-table
    statistics ({!Rel_stats.merge}); everything else is replicated, so the
-   primary's catalog is authoritative.  The memo is dropped once any
-   backend's generation moved: DDL or ANALYZE behind the session's back
-   changed the statistics it holds. *)
+   primary's catalog is authoritative. *)
 let base_stats t ~qualifier table : Rel_stats.t =
-  let g = generations t in
-  if g <> t.stats_generations then begin
-    Hashtbl.reset t.stats_cache;
-    t.stats_generations <- g
-  end;
-  match Hashtbl.find_opt t.stats_cache (qualifier, table) with
-  | Some s -> s
-  | None ->
-      let histograms = if t.config.Config.histograms then `All else `None in
-      let collect db = Collector.collect ~histograms db ~qualifier table in
-      let s =
-        match Topology.partitioned_table t.topology with
-        | Some (ptable, _)
-          when Topology.is_sharded t.topology && String.equal ptable table -> (
-            match
-              List.filter_map Backend.database (Topology.backends t.topology)
-            with
-            | [] -> collect (database t)
-            | dbs -> Rel_stats.merge (List.map collect dbs))
-        | _ -> collect (database t)
-      in
-      Hashtbl.replace t.stats_cache (qualifier, table) s;
-      s
+  let histograms = if t.config.Config.histograms then `All else `None in
+  let collect db = Collector.collect ~histograms db ~qualifier table in
+  match Topology.partitioned_table t.topology with
+  | Some (ptable, _)
+    when Topology.is_sharded t.topology && String.equal ptable table -> (
+      match databases t with
+      | [] -> collect (database t)
+      | dbs -> Rel_stats.merge (List.map collect dbs))
+  | _ -> collect (database t)
 
 let stats_env t : Derive.env =
   Derive.env ~mode:t.config.Config.selectivity_mode
@@ -672,14 +641,35 @@ let profile_execution t ~(query_fingerprint : string)
 (* Plan cache: lookup and template binding                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Plan-cache lookup.  A hit whose entry was planned under older DBMS
-   schema generations means DDL/ANALYZE happened behind our back: flush
-   everything and report a miss. *)
+(* A table's version on every backend, in topology order ([None] where
+   it does not exist).  A replicated table is read on the primary and the
+   partitioned one on every shard; every backend covers both. *)
+let table_versions t table =
+  List.map (fun db -> Database.table_version db table) (databases t)
+
+(* Each table [op] scans, with its versions: what a cache entry records. *)
+let versions t (op : Op.t) =
+  let rec scanned acc (op : Op.t) =
+    match op with
+    | Op.Scan { table; _ } -> if List.mem table acc then acc else table :: acc
+    | _ -> List.fold_left scanned acc (Op.children op)
+  in
+  List.map (fun table -> (table, table_versions t table)) (scanned [] op)
+
+(* Plan-cache lookup.  An entry that read a table which has changed since
+   (an append, DDL, index DDL or ANALYZE on any backend) is a miss and
+   flushes everything. *)
 let cache_find ~kind t (sql : string) : cache_entry option =
   if not t.config.Config.plan_cache then None
   else
-    match Tango_cache.Plan_cache.find ~kind t.plan_cache ~sql with
-    | Some entry when entry.cached_generations <> generations t ->
+    let stale = ref false in
+    let current (e : cache_entry) =
+      stale :=
+        List.exists (fun (table, vs) -> vs <> table_versions t table) e.cached_versions;
+      not !stale
+    in
+    match Tango_cache.Plan_cache.find ~kind ~current t.plan_cache ~sql with
+    | None when !stale ->
         invalidate_plan_cache t ~reason:"ddl";
         None
     | found -> found
@@ -777,6 +767,9 @@ let fresh_plan t (entry : entry) : planned =
     | Plan (op, order) | Fixed (op, order) ->
         ((op, order), 0.0, 0)
   in
+  (* read before the search: an entry never claims a version newer than
+     the statistics it was costed with *)
+  let cached_versions = if t.config.Config.plan_cache then versions t initial else [] in
   let r, optimize_alloc_bytes =
     match entry with
     | Fixed _ ->
@@ -821,7 +814,7 @@ let fresh_plan t (entry : entry) : planned =
               cached_classes = r.Search.classes;
               cached_elements = r.Search.elements;
               cached_diagnostics = t.last_diagnostics;
-              cached_generations = generations t;
+              cached_versions;
               cached_fp = fingerprint;
             }
       in

@@ -125,9 +125,8 @@ val config : t -> Config.t
 
 val set_config : t -> Config.t -> unit
 (** Replace the session configuration; applies [row_prefetch] and
-    [roundtrip_spin] to every live backend, invalidates cached
-    statistics when the [histograms] flag changes, and flushes the plan
-    cache when a setting that chooses plans or their findings changes
+    [roundtrip_spin] to every live backend, and flushes the plan cache
+    when a setting that chooses plans or their findings changes
     ([histograms], [selectivity_mode], [verify_plans]). *)
 
 val last_diagnostics : t -> Tango_verify.Diag.t list
@@ -147,8 +146,10 @@ val adopt_factors : t -> Tango_cost.Factors.t -> unit
 (** Adopt previously calibrated factors (e.g. shared across sessions). *)
 
 val refresh_statistics : t -> unit
-(** Invalidate cached statistics (after loads or ANALYZE); also flushes
-    the plan cache, whose plans were chosen under the old statistics. *)
+(** Does nothing.  The session holds no statistics of its own: each
+    optimization reads the catalog, and a cached plan is dropped once a
+    table it reads has changed version (see {!Tango_dbms.Catalog}).  Kept
+    because [ledger/inproc.ml] still calls it. *)
 
 val plan_cache_stats : t -> Tango_cache.Plan_cache.stats
 (** Hit/miss/eviction/invalidation totals of the session's plan cache. *)

@@ -62,10 +62,11 @@ let column_stats ~histogram (vals : Value.t array) =
   in
   (min_value, max_value, !distinct, nulls, histogram)
 
-(** [run ?histograms table] scans the table once and attaches fresh
-    statistics to it.  [histograms] selects the numeric columns that get
-    histograms; the with/without-histogram optimizer comparison of the
-    paper's Query 2 experiment toggles it. *)
+(** [run ?histograms table] scans the table once and computes its
+    statistics; {!Database.analyze} attaches them to the catalog.
+    [histograms] selects the numeric columns that get histograms; the
+    with/without-histogram optimizer comparison of the paper's Query 2
+    experiment toggles it. *)
 let run ?(histograms = `All) (table : Catalog.table) : Stat.table_stats =
   let file = table.file in
   let schema = Tango_storage.Heap_file.schema file in
@@ -96,15 +97,11 @@ let run ?(histograms = `All) (table : Catalog.table) : Stat.table_stats =
         })
       (Schema.attributes schema)
   in
-  let stats =
-    {
-      Stat.table = table.name;
-      cardinality = Tango_storage.Heap_file.tuple_count file;
-      blocks = Tango_storage.Heap_file.block_count file;
-      avg_tuple_size = Tango_storage.Heap_file.avg_tuple_size file;
-      columns;
-      histograms;
-    }
-  in
-  table.stats <- Some stats;
-  stats
+  {
+    Stat.table = table.name;
+    cardinality = Tango_storage.Heap_file.tuple_count file;
+    blocks = Tango_storage.Heap_file.block_count file;
+    avg_tuple_size = Tango_storage.Heap_file.avg_tuple_size file;
+    columns;
+    histograms;
+  }

@@ -4,8 +4,9 @@
     histograms; index availability and clustering. *)
 
 val run : ?histograms:Stat.histograms -> Catalog.table -> Stat.table_stats
-(** Scan the table once, attach fresh statistics to it, and return them.
-    Each column's statistics come from one stable sort of its values.
+(** Scan the table once and return its statistics, which
+    {!Database.analyze} attaches to the catalog.  Each column's
+    statistics come from one stable sort of its values.
     Histograms have 32 buckets; [histograms] (default [`All]) selects the
     columns that get one, which the with/without-histograms optimizer
     comparison (paper Query 2) toggles. *)

@@ -157,28 +157,26 @@ let fetch_batch (cur : cursor) : Tuple.t array option =
 let bulk_load b ~table (schema : Schema.t) (tuples : Tuple.t Seq.t) : string =
   b.bulk_loads <- b.bulk_loads + 1;
   Database.create_table b.db table (Schema.unqualify schema);
-  let cat_table = Catalog.find (Database.catalog b.db) table in
-  let batch = ref [] in
-  let batch_len = ref 0 in
-  let flush () =
-    if !batch_len > 0 then begin
-      Buffer.clear b.wire;
-      List.iter (Tuple.serialize b.wire) (List.rev !batch);
-      Array.iter
+  let cat = Database.catalog b.db in
+  Catalog.append cat (Catalog.find cat table) (fun add ->
+      let batch = ref [] in
+      let batch_len = ref 0 in
+      let flush () =
+        if !batch_len > 0 then begin
+          Buffer.clear b.wire;
+          List.iter (Tuple.serialize b.wire) (List.rev !batch);
+          Array.iter add (ship b !batch_len);
+          batch := [];
+          batch_len := 0
+        end
+      in
+      Seq.iter
         (fun t ->
-          ignore (Tango_storage.Heap_file.append cat_table.Catalog.file t))
-        (ship b !batch_len);
-      batch := [];
-      batch_len := 0
-    end
-  in
-  Seq.iter
-    (fun t ->
-      batch := t :: !batch;
-      incr batch_len;
-      if !batch_len >= b.row_prefetch then flush ())
-    tuples;
-  flush ();
+          batch := t :: !batch;
+          incr batch_len;
+          if !batch_len >= b.row_prefetch then flush ())
+        tuples;
+      flush ());
   table
 
 let drop_table b table =

@@ -1,5 +1,5 @@
 (** The DBMS catalog: tables, their heap files, indexes, and ANALYZE-produced
-    statistics. *)
+    statistics, each table versioned from one catalog-wide clock. *)
 
 open Tango_rel
 open Tango_storage
@@ -8,13 +8,16 @@ type table = {
   name : string;
   file : Heap_file.t;
   mutable indexes : Ordered_index.t list;
+  mutable version : int;
   mutable stats : Stat.table_stats option;  (** set by ANALYZE *)
+  mutable stats_version : int;  (** the [version] [stats] describe *)
 }
 
 type t = {
   tables : (string, table) Hashtbl.t;
   io : Io_stats.t;
   pool : Buffer_pool.t;  (** shared LRU buffer pool for all tables *)
+  mutable clock : int;  (** the last version handed out *)
 }
 
 exception Table_exists of string
@@ -28,7 +31,12 @@ let create ?(pool_pages = default_pool_pages) () =
     tables = Hashtbl.create 16;
     io = Io_stats.create ();
     pool = Buffer_pool.create ~capacity:pool_pages;
+    clock = 0;
   }
+
+let advance c t =
+  c.clock <- c.clock + 1;
+  t.version <- c.clock
 
 let key name = String.uppercase_ascii name
 
@@ -46,9 +54,12 @@ let add c name schema =
       name;
       file = Heap_file.create ~pool:c.pool ~stats:c.io schema;
       indexes = [];
+      version = 0;
       stats = None;
+      stats_version = 0;
     }
   in
+  advance c table;
   Hashtbl.replace c.tables (key name) table;
   table
 
@@ -61,6 +72,17 @@ let table_names c =
   Hashtbl.fold (fun _ t acc -> t.name :: acc) c.tables []
   |> List.sort String.compare
 
+let append c t fill =
+  advance c t;
+  fill (fun tuple -> ignore (Heap_file.append t.file tuple))
+
+let set_stats c t stats =
+  advance c t;
+  t.stats <- Some stats;
+  t.stats_version <- t.version
+
+let current_stats t = if t.stats_version = t.version then t.stats else None
+
 let index_on t attr =
   List.find_opt
     (fun i -> String.equal (Ordered_index.attr i) (Schema.base_name attr))
@@ -71,9 +93,6 @@ let index_flags t attr =
   | Some i -> (true, Ordered_index.clustered i)
   | None -> (false, false)
 
-(** Register an index on [attr]; replaces any previous index on the same
-    attribute.  Index availability is catalog data, not an ANALYZE result,
-    so the table's statistics (if any) get their flags updated in place. *)
 let add_index c name ?(clustered = false) attr =
   let t = find c name in
   let idx = Ordered_index.build ~clustered ~stats:c.io t.file attr in
@@ -88,4 +107,7 @@ let add_index c name ?(clustered = false) attr =
         in
         { ts with columns = List.map flag ts.columns })
       t.stats;
+  let current = t.stats_version = t.version in
+  advance c t;
+  if current then t.stats_version <- t.version;
   idx

@@ -11,7 +11,6 @@ type t = {
   catalog : Catalog.t;
   settings : Executor.settings;
   mutable temp_counter : int;
-  mutable schema_generation : int;
 }
 
 type result = Rows of Relation.t | Ok_count of int
@@ -21,22 +20,7 @@ let create ?pool_pages () =
     catalog = Catalog.create ?pool_pages ();
     settings = Executor.default_settings ();
     temp_counter = 0;
-    schema_generation = 0;
   }
-
-let schema_generation db = db.schema_generation
-
-let temp_prefix = "TANGO_TMP_"
-
-let is_temp_table name =
-  String.length name >= String.length temp_prefix
-  && String.sub name 0 (String.length temp_prefix) = temp_prefix
-
-(* DDL/ANALYZE on real tables advances the generation (plan caches key on
-   it); `TRANSFER^D` temp tables come and go on every query and must not. *)
-let bump_generation db name =
-  if not (is_temp_table name) then
-    db.schema_generation <- db.schema_generation + 1
 
 let catalog db = db.catalog
 let io_stats db = db.catalog.Catalog.io
@@ -56,11 +40,9 @@ let execute_ast db (stmt : Ast.statement) : result =
       Rows (Executor.run_query ~settings:db.settings db.catalog q)
   | Ast.Create_table (name, defs) ->
       ignore (Catalog.add db.catalog name (schema_of_defs defs));
-      bump_generation db name;
       Ok_count 0
   | Ast.Drop_table name ->
       Catalog.drop db.catalog name;
-      bump_generation db name;
       Ok_count 0
   | Ast.Insert (name, rows) ->
       let table = Catalog.find db.catalog name in
@@ -73,16 +55,15 @@ let execute_ast db (stmt : Ast.statement) : result =
         | Value.TFloat, Value.Int x -> Value.Float (float_of_int x)
         | _, v -> v
       in
-      List.iter
-        (fun row ->
-          if List.length row <> Schema.arity schema then
-            raise
-              (Executor.Sql_error
-                 (Printf.sprintf "INSERT arity mismatch for %s" name));
-          ignore
-            (Tango_storage.Heap_file.append table.Catalog.file
-               (Tuple.of_list (List.mapi coerce row))))
-        rows;
+      Catalog.append db.catalog table (fun add ->
+          List.iter
+            (fun row ->
+              if List.length row <> Schema.arity schema then
+                raise
+                  (Executor.Sql_error
+                     (Printf.sprintf "INSERT arity mismatch for %s" name));
+              add (Tuple.of_list (List.mapi coerce row)))
+            rows);
       Ok_count (List.length rows)
 
 (** Execute SQL text. *)
@@ -101,13 +82,8 @@ let open_query db q : Executor.stream =
   Executor.open_query ~settings:db.settings db.catalog q
 
 (** Create a table directly from a schema (bypassing SQL DDL). *)
-let create_table db name schema =
-  ignore (Catalog.add db.catalog name schema);
-  bump_generation db name
-
-let drop_table db name =
-  Catalog.drop db.catalog name;
-  bump_generation db name
+let create_table db name schema = ignore (Catalog.add db.catalog name schema)
+let drop_table db name = Catalog.drop db.catalog name
 
 let table_exists db name = Catalog.mem db.catalog name
 
@@ -120,10 +96,8 @@ let table_cardinality db name =
 (** Bulk-load a relation into an existing table (conventional path: one
     append per tuple). *)
 let load db name (r : Relation.t) =
-  let table = Catalog.find db.catalog name in
-  Relation.iter
-    (fun t -> ignore (Tango_storage.Heap_file.append table.Catalog.file t))
-    r
+  Catalog.append db.catalog (Catalog.find db.catalog name) (fun add ->
+      Relation.iter add r)
 
 (** Create-and-load in one step, used by workload setup. *)
 let load_relation db name (r : Relation.t) =
@@ -137,18 +111,15 @@ let fresh_temp_name db =
   Printf.sprintf "TANGO_TMP_%d" db.temp_counter
 
 let create_index db ?(clustered = false) table attr =
-  ignore (Catalog.add_index db.catalog table ~clustered attr);
-  bump_generation db table
+  ignore (Catalog.add_index db.catalog table ~clustered attr)
 
-(** ANALYZE a table (see {!Analyze.run}).  [bump:false] is for the
-    Statistics Collector, which runs ANALYZE only when the catalog's
-    statistics are missing, out of date or lack a histogram it needs; that
-    must not advance the schema generation, which would flush plan caches
-    keyed on it. *)
-let analyze db ?histograms ?(bump = true) name : Stat.table_stats =
-  let r = Analyze.run ?histograms (Catalog.find db.catalog name) in
-  if bump then bump_generation db name;
-  r
+(** ANALYZE a table (see {!Analyze.run}) and attach the statistics to the
+    catalog, which advances the table's version. *)
+let analyze db ?histograms name : Stat.table_stats =
+  let table = Catalog.find db.catalog name in
+  let stats = Analyze.run ?histograms table in
+  Catalog.set_stats db.catalog table stats;
+  stats
 
 let analyze_all db ?histograms () =
   List.iter
@@ -156,3 +127,10 @@ let analyze_all db ?histograms () =
     (Catalog.table_names db.catalog)
 
 let stats_of db name = (Catalog.find db.catalog name).Catalog.stats
+
+let current_stats db name = Catalog.current_stats (Catalog.find db.catalog name)
+
+let table_version db name =
+  if Catalog.mem db.catalog name then
+    Some (Catalog.find db.catalog name).Catalog.version
+  else None

@@ -2,7 +2,12 @@
 
     Accepts SQL text (or pre-parsed statements), maintains the catalog, and
     exposes ANALYZE and index DDL.  The middleware accesses it only through
-    this module and {!Backend}, mirroring the paper's JDBC boundary. *)
+    this module and {!Backend}, mirroring the paper's JDBC boundary.
+
+    Every table carries a version (see {!Catalog}) that create, each
+    INSERT statement or load, index DDL and ANALYZE advance; it is how
+    the middleware tells whether the statistics and plans it holds still
+    describe the table. *)
 
 open Tango_rel
 open Tango_sql
@@ -20,11 +25,6 @@ val io_stats : t -> Tango_storage.Io_stats.t
 
 val set_join_method : t -> Executor.join_method -> unit
 (** Force a join method — the stand-in for Oracle hints (Query 4). *)
-
-val schema_generation : t -> int
-(** Monotone counter advanced by DDL (create/drop table, create index)
-    and ANALYZE on non-temporary tables; `TANGO_TMP_*` transfer tables do
-    not advance it.  Plan caches compare it to detect staleness. *)
 
 val execute : t -> string -> result
 
@@ -53,16 +53,19 @@ val fresh_temp_name : t -> string
 val create_index : t -> ?clustered:bool -> string -> string -> unit
 (** [create_index db table attr]. *)
 
-val analyze :
-  t -> ?histograms:Stat.histograms -> ?bump:bool -> string -> Stat.table_stats
-(** ANALYZE one table (see {!Analyze.run}).  Advances the
-    {!schema_generation} (statistics changed, cached plans are stale)
-    unless [bump:false] — which the Statistics Collector passes when it
-    must ANALYZE a table whose catalog statistics are missing, out of
-    date or lack a histogram it needs: that fills the catalog in, it is
-    not a user-visible statistics change. *)
+val analyze : t -> ?histograms:Stat.histograms -> string -> Stat.table_stats
+(** ANALYZE one table (see {!Analyze.run}) and attach the statistics to
+    the catalog, stamped with the table's new version. *)
 
 val analyze_all : t -> ?histograms:Stat.histograms -> unit -> unit
 
 val stats_of : t -> string -> Stat.table_stats option
 (** Catalog statistics, if the table has been analyzed. *)
+
+val current_stats : t -> string -> Stat.table_stats option
+(** Catalog statistics that describe the table's current version:
+    nothing was appended since ANALYZE ran. *)
+
+val table_version : t -> string -> int option
+(** The table's version (see {!Catalog}); [None] when it does not
+    exist. *)

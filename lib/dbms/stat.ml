@@ -4,12 +4,9 @@
     values, histograms, and index availability for attributes; and
     clusterings for indexes."
 
-    Statistics describe the table's current contents exactly when their
-    [cardinality] equals the heap file's tuple count: the heap is
-    append-only (INSERT and loads only append; DROP replaces the catalog
-    entry, statistics and all), and index DDL updates the [indexed] and
-    [clustered] flags in place.  The Statistics Collector relies on this
-    to reuse the catalog's statistics instead of re-running ANALYZE. *)
+    The catalog records the table version a record describes (see
+    {!Catalog}); the record is current while that is the table's
+    version. *)
 
 open Tango_rel
 

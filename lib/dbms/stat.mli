@@ -3,11 +3,9 @@
     relations; min/max, distinct counts, histograms and index availability
     for attributes; clusterings for indexes.
 
-    Statistics describe the table's current contents exactly when their
-    [cardinality] equals the heap file's tuple count: the heap is
-    append-only (INSERT and loads only append; DROP replaces the catalog
-    entry, statistics and all), and index DDL updates the [indexed] and
-    [clustered] flags in place. *)
+    The catalog records the table version a record describes (see
+    {!Catalog}); the record is current while that is the table's
+    version. *)
 
 open Tango_rel
 

@@ -57,9 +57,6 @@ let metrics t =
       (fun (name, v) -> Prometheus.gauge ~name v)
       (Slo.prometheus_gauges verdict)
   in
-  let uptime =
-    Prometheus.gauge ~name:"monitor.uptime_seconds" (uptime_seconds t)
-  in
   let build_info =
     Prometheus.gauge ~name:"build_info"
       ~labels:
@@ -72,7 +69,7 @@ let metrics t =
   let body =
     Prometheus.render snapshot
     :: Prometheus.backends (Tango_dbms.Topology.backends (Middleware.topology t.mw))
-    :: uptime :: build_info
+    :: build_info
     :: Prometheus.runtime_gauges ()
     :: gauges
   in

@@ -67,10 +67,9 @@ let view (want : Stat.histograms) (ts : Stat.table_stats) =
       histograms = want;
     }
 
-(** Collect statistics for a table from the catalog.  ANALYZE runs (without
-    advancing the schema generation) only when the catalog has no current
-    statistics for the table or they lack a histogram [histograms] asks
-    for; see {!Stat} for when statistics are current. *)
+(** Collect statistics for a table from the catalog.  ANALYZE runs only
+    when the catalog has no statistics describing the table's current
+    version or they lack a histogram [histograms] asks for. *)
 let collect ?histograms (db : Database.t) ~(qualifier : string)
     (table : string) : Rel_stats.t =
   let covers (ts : Stat.table_stats) want =
@@ -80,16 +79,10 @@ let collect ?histograms (db : Database.t) ~(qualifier : string)
         || not (Stat.wants_histogram want c.col))
       ts.columns
   in
-  let current =
-    match Database.stats_of db table with
-    | Some ts when ts.cardinality = Database.table_cardinality db table ->
-        Some ts
-    | _ -> None
-  in
   let ts =
-    match (current, histograms) with
+    match (Database.current_stats db table, histograms) with
     | Some ts, None -> ts
     | Some ts, Some want when covers ts want -> view want ts
-    | _ -> Database.analyze db ?histograms ~bump:false table
+    | _ -> Database.analyze db ?histograms table
   in
   of_table_stats ~qualifier ts

@@ -12,9 +12,9 @@ val collect :
   string ->
   Rel_stats.t
 (** Collect for one table.  The catalog's statistics are reused whenever
-    they are current (their cardinality is the table's tuple count, see
-    {!Stat}) and were analyzed with every histogram [histograms] selects;
+    they describe the table's current version (see {!Database.current_stats})
+    and were analyzed with every histogram [histograms] selects;
     histograms it does not select are dropped from the returned view, not
     from the catalog.  Otherwise ANALYZE runs with [histograms] (default
-    [`All]) without advancing the schema generation, and its statistics
-    replace the catalog's. *)
+    [`All]); its statistics replace the catalog's and advance the table's
+    version. *)

@@ -17,7 +17,6 @@ type node = {
 
 let c_hits = Tango_obs.Counter.make "storage.pool_hits"
 let c_misses = Tango_obs.Counter.make "storage.pool_misses"
-let c_evictions = Tango_obs.Counter.make "storage.pool_evictions"
 
 type t = {
   capacity : int;
@@ -74,8 +73,7 @@ let evict_lru p =
       unlink p lru;
       Hashtbl.remove p.table lru.key;
       p.resident <- p.resident - 1;
-      p.evictions <- p.evictions + 1;
-      Tango_obs.Counter.incr c_evictions
+      p.evictions <- p.evictions + 1
 
 (** [touch p key]: record an access.  Returns [true] on a hit (page was
     resident), [false] on a miss (page is now resident, after evicting the

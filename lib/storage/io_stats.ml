@@ -4,10 +4,9 @@
     and the cost calibrator read them to reason about work performed (the
     substitute for Oracle's block-read statistics).
 
-    Each per-file/per-catalog record is mirrored into the process-wide
-    {!Tango_obs} registry under [storage.*] names through the [record_*]
-    functions, so traces and metric exports see storage work without
-    holding a reference to any particular [t]. *)
+    Page reads are also mirrored into the process-wide {!Tango_obs}
+    registry as [storage.page_reads], so traces and metric exports see
+    them without holding a reference to any particular [t]. *)
 
 type t = {
   mutable page_reads : int;
@@ -17,32 +16,17 @@ type t = {
   mutable index_lookups : int;
 }
 
-(* process-wide mirrors (see Tango_obs: find-or-create by name) *)
+(* process-wide mirror (see Tango_obs: find-or-create by name) *)
 let c_page_reads = Tango_obs.Counter.make "storage.page_reads"
-let c_page_writes = Tango_obs.Counter.make "storage.page_writes"
-let c_tuples_read = Tango_obs.Counter.make "storage.tuples_read"
-let c_tuples_written = Tango_obs.Counter.make "storage.tuples_written"
-let c_index_lookups = Tango_obs.Counter.make "storage.index_lookups"
 
 let record_page_read s =
   s.page_reads <- s.page_reads + 1;
   Tango_obs.Counter.incr c_page_reads
 
-let record_page_write s =
-  s.page_writes <- s.page_writes + 1;
-  Tango_obs.Counter.incr c_page_writes
-
-let record_tuples_read s n =
-  s.tuples_read <- s.tuples_read + n;
-  Tango_obs.Counter.add c_tuples_read n
-
-let record_tuple_written s =
-  s.tuples_written <- s.tuples_written + 1;
-  Tango_obs.Counter.incr c_tuples_written
-
-let record_index_lookup s =
-  s.index_lookups <- s.index_lookups + 1;
-  Tango_obs.Counter.incr c_index_lookups
+let record_page_write s = s.page_writes <- s.page_writes + 1
+let record_tuples_read s n = s.tuples_read <- s.tuples_read + n
+let record_tuple_written s = s.tuples_written <- s.tuples_written + 1
+let record_index_lookup s = s.index_lookups <- s.index_lookups + 1
 
 let create () =
   {

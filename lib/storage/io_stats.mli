@@ -1,8 +1,8 @@
 (** I/O accounting for the simulated storage layer — the substitute for
     Oracle's block-read statistics.  Every component that touches pages
-    increments these counters via the [record_*] functions, which also
-    mirror the event into the process-wide {!Tango_obs} registry under
-    [storage.*] names. *)
+    increments these counters via the [record_*] functions;
+    [record_page_read] also counts into the process-wide {!Tango_obs}
+    registry as [storage.page_reads]. *)
 
 type t = {
   mutable page_reads : int;

@@ -107,9 +107,6 @@ type t = {
 
 let c_considered = Tango_obs.Counter.make "volcano.plans_considered"
 
-let c_infeasible = Tango_obs.Counter.make "volcano.plans_infeasible"
-(** class elements rejected (location/order requirement unmet, or cyclic). *)
-
 (* Tarjan's strongly connected components of the class graph, which has an
    edge from each class to every child class of its elements: [comp.(c)]
    names class [c]'s component. *)
@@ -258,12 +255,7 @@ let rec best (p : t) (c : int) (r : req) : plan option =
         p.in_progress.(c) <- r :: p.in_progress.(c);
         let result =
           List.fold_left
-            (fun acc el ->
-              let pl = plan_element p c r el in
-              (match pl with
-              | None -> Tango_obs.Counter.incr c_infeasible
-              | Some _ -> ());
-              better acc pl)
+            (fun acc el -> better acc (plan_element p c r el))
             None (Memo.elements p.memo c)
         in
         p.in_progress.(c) <- List.tl p.in_progress.(c);

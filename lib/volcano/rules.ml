@@ -805,7 +805,6 @@ let all : rule list =
     t12; e1; e2; e3; e4; e5; c1; c2; r1; r2; r3; r4 ]
 
 let c_rules_fired = Tango_obs.Counter.make "volcano.rules_fired"
-let c_passes = Tango_obs.Counter.make "volcano.saturate_passes"
 let c_probes = Tango_obs.Counter.make "volcano.rule_probes"
 
 type observer = rule:string -> Memo.t -> int -> unit
@@ -843,7 +842,6 @@ let saturate ?(rules = all) ?observer (m : Memo.t) : unit =
   let changed = ref true in
   while !changed && Memo.element_count m < max_elements do
     changed := false;
-    Tango_obs.Counter.incr c_passes;
     List.iter
       (fun c ->
         let c = Memo.find m c in

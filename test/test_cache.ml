@@ -279,6 +279,61 @@ let test_replan_after_analyze_reads_fresh_statistics () =
   Alcotest.(check (float 0.0)) "new plan = fresh session's estimate" (fresh q2)
     r2.Middleware.estimated_cost_us
 
+(* Insert [times] copies of [rows] into [db]'s POSITION, one INSERT per
+   row. *)
+let insert_copies db ~times rows =
+  for _ = 1 to times do
+    Array.iter
+      (fun t ->
+        ignore
+          (Tango_dbms.Database.execute db
+             (Printf.sprintf "INSERT INTO POSITION VALUES (%s)"
+                (String.concat ", " (List.map sql_literal (Array.to_list t))))))
+      rows
+  done
+
+let position_rows db =
+  Relation.tuples (Tango_dbms.Database.query db "SELECT * FROM POSITION")
+
+(* The same growth by INSERT alone, with no ANALYZE: each INSERT moves
+   POSITION's version, so the cached Query 1 misses and re-plans, and the
+   Statistics Collector finds the catalog's statistics stale and
+   re-ANALYZEs.  Both queries match a fresh session's estimates, and the
+   re-planned entry still does once that session has run. *)
+let test_insert_without_analyze_replans () =
+  let db, mw = setup () in
+  let q2 = Queries.q2_sql ~period_end:"1996-01-01" in
+  let before = (Middleware.query mw Queries.q1_sql).Middleware.estimated_cost_us in
+  insert_copies db ~times:7 (position_rows db);
+  let fresh sql =
+    let config = Middleware.config mw in
+    (Middleware.query (Middleware.connect ~config db) sql).Middleware.estimated_cost_us
+  in
+  let r2 = Middleware.query mw q2 in
+  let r = Middleware.query mw Queries.q1_sql in
+  Alcotest.(check bool) "post-INSERT submission misses" false (cache_hit r);
+  let fresh1 = fresh Queries.q1_sql in
+  Alcotest.(check bool) "the growth changed the estimate" true (fresh1 > before);
+  Alcotest.(check (float 0.0)) "re-plan = fresh session's estimate" fresh1
+    r.Middleware.estimated_cost_us;
+  Alcotest.(check (float 0.0)) "new plan = fresh session's estimate" (fresh q2)
+    r2.Middleware.estimated_cost_us;
+  Alcotest.(check (float 0.0)) "cached re-plan still current" fresh1
+    (Middleware.query mw Queries.q1_sql).Middleware.estimated_cost_us
+
+(* A dropped and re-created POSITION with the same rows, re-ANALYZEd,
+   takes a version it never had: the cached Query 1 misses. *)
+let test_recreated_table_misses () =
+  let db, mw = setup () in
+  ignore (Middleware.query mw Queries.q1_sql);
+  Alcotest.(check bool) "cached" true (cache_hit (Middleware.query mw Queries.q1_sql));
+  let rows = Tango_dbms.Database.query db "SELECT * FROM POSITION" in
+  Tango_dbms.Database.drop_table db "POSITION";
+  Tango_dbms.Database.load_relation db "POSITION" rows;
+  ignore (Tango_dbms.Database.analyze db "POSITION");
+  Alcotest.(check bool) "re-created table misses" false
+    (cache_hit (Middleware.query mw Queries.q1_sql))
+
 (* The partitioned table's statistics merge every shard's catalog, so an
    ANALYZE on a shard that is not the primary stales cached plans too. *)
 let test_analyze_on_any_shard_invalidates () =
@@ -300,13 +355,111 @@ let test_analyze_on_any_shard_invalidates () =
   Alcotest.(check (option string)) "flushed as ddl" (Some "ddl")
     (Middleware.plan_cache_stats mw).Plan_cache.last_invalidation
 
+(* Random histories on 1 and 2 shards: INSERTs of k rows copied from a
+   shard's own slice (so they stay inside its bounds), ANALYZE, CREATE
+   INDEX on a POSITION column, CREATE/DROP of an unrelated table, each on
+   a random backend, and Queries 1-3.  After each query the session's
+   estimate equals a fresh session's, connected after that query. *)
+type step =
+  | Insert of int * int  (** backend, rows *)
+  | Analyze of int
+  | Index of int * string
+  | Churn of int  (** create the unrelated table, or drop it *)
+  | Query of int
+
+let show_step = function
+  | Insert (b, k) -> Printf.sprintf "INSERT %d rows @%d" k b
+  | Analyze b -> Printf.sprintf "ANALYZE @%d" b
+  | Index (b, c) -> Printf.sprintf "CREATE INDEX %s @%d" c b
+  | Churn b -> Printf.sprintf "CREATE/DROP OTHER @%d" b
+  | Query q -> Printf.sprintf "Q%d" q
+
+let step_gen =
+  QCheck.Gen.(
+    let backend = int_bound 1 in
+    frequency
+      [
+        (3, map2 (fun b k -> Insert (b, k)) backend (int_range 1 40));
+        (1, map (fun b -> Analyze b) backend);
+        (1, map2 (fun b c -> Index (b, c)) backend
+              (oneofl [ "PosID"; "EmpID"; "PayRate"; "T1"; "T2" ]));
+        (1, map (fun b -> Churn b) backend);
+        (4, map (fun q -> Query q) (int_range 1 3));
+      ])
+
+let query_sql = function
+  | 1 -> Queries.q1_sql
+  | 2 -> Queries.q2_sql ~period_end:"1996-01-01"
+  | _ -> Queries.q3_sql ~start_bound:"1996-01-01"
+
+let prop_session_matches_fresh shards =
+  QCheck.Test.make ~count:25
+    ~name:(Printf.sprintf "session estimate = fresh session's (%d shard%s)" shards
+             (if shards = 1 then "" else "s"))
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+       QCheck.Gen.(list_size (int_range 1 12) step_gen))
+    (fun steps ->
+      let topology =
+        Uis.load_sharded ~scale:0.005 ~roundtrip_spins:(List.init shards (fun _ -> 0))
+          ~shards ()
+      in
+      let dbs =
+        Array.of_list
+          (List.filter_map Tango_dbms.Backend.database
+             (Tango_dbms.Topology.backends topology))
+      in
+      let db b = dbs.(b mod Array.length dbs) in
+      let config =
+        Middleware.Config.(default |> with_roundtrip_spin 0 |> with_plan_cache true)
+      in
+      let mw = Middleware.connect_topology ~config topology in
+      List.for_all
+        (fun step ->
+          match step with
+          | Insert (b, k) ->
+              let rows = position_rows (db b) in
+              insert_copies (db b) ~times:1
+                (Array.sub rows 0 (min k (Array.length rows)));
+              true
+          | Analyze b ->
+              ignore (Tango_dbms.Database.analyze (db b) "POSITION");
+              true
+          | Index (b, c) ->
+              Tango_dbms.Database.create_index (db b) "POSITION" c;
+              true
+          | Churn b ->
+              let db = db b in
+              if Tango_dbms.Database.table_exists db "OTHER" then
+                Tango_dbms.Database.drop_table db "OTHER"
+              else
+                Tango_dbms.Database.create_table db "OTHER"
+                  (Schema.make [ ("A", Value.TInt) ]);
+              true
+          | Query q ->
+              let sql = query_sql q in
+              let session = (Middleware.query mw sql).Middleware.estimated_cost_us in
+              let fresh =
+                (Middleware.query (Middleware.connect_topology ~config topology) sql)
+                  .Middleware.estimated_cost_us
+              in
+              session = fresh
+              || QCheck.Test.fail_reportf "%s: session %.3f, fresh %.3f" (show_step step)
+                   session fresh)
+        steps)
+
+(* An entry records the tables its plan reads: DDL on another table
+   keeps it, index DDL on POSITION stales it. *)
 let test_invalidation_on_ddl () =
   let db, mw = setup () in
   ignore (Middleware.query mw Queries.q1_sql);
   Tango_dbms.Database.create_table db "NEWTBL"
     (Schema.make [ ("A", Value.TInt) ]);
+  Alcotest.(check bool) "DDL on another table keeps the entry" true
+    (cache_hit (Middleware.query mw Queries.q1_sql));
+  Tango_dbms.Database.create_index db "POSITION" "PosID";
   let r = Middleware.query mw Queries.q1_sql in
-  Alcotest.(check bool) "post-DDL submission misses" false (cache_hit r)
+  Alcotest.(check bool) "post-CREATE INDEX submission misses" false (cache_hit r)
 
 let test_invalidation_on_factor_change () =
   let _db, mw = setup () in
@@ -380,13 +533,6 @@ let test_config_change_flushes () =
   in
   Alcotest.(check bool) "fresh findings" true (r.Middleware.diagnostics <> [])
 
-let test_invalidation_on_stats_refresh () =
-  let _db, mw = setup () in
-  ignore (Middleware.query mw Queries.q1_sql);
-  Middleware.refresh_statistics mw;
-  let r = Middleware.query mw Queries.q1_sql in
-  Alcotest.(check bool) "post-refresh submission misses" false (cache_hit r)
-
 let test_disabled_cache_reports_nothing () =
   let db = Tango_dbms.Database.create () in
   Uis.load ~scale:0.005 db;
@@ -443,6 +589,11 @@ let () =
             test_replan_after_analyze_reads_fresh_statistics;
           Alcotest.test_case "ANALYZE on any shard invalidates" `Quick
             test_analyze_on_any_shard_invalidates;
+          Alcotest.test_case "INSERT without ANALYZE re-plans" `Quick
+            test_insert_without_analyze_replans;
+          Alcotest.test_case "re-created table misses" `Quick test_recreated_table_misses;
+          QCheck_alcotest.to_alcotest (prop_session_matches_fresh 1);
+          QCheck_alcotest.to_alcotest (prop_session_matches_fresh 2);
           Alcotest.test_case "invalidation on DDL" `Quick test_invalidation_on_ddl;
           Alcotest.test_case "config change flushes" `Quick
             test_config_change_flushes;
@@ -450,8 +601,6 @@ let () =
             test_invalidation_on_factor_change;
           Alcotest.test_case "refit flush drops the exact entry" `Quick
             test_refit_flush_drops_exact_entry;
-          Alcotest.test_case "invalidation on stats refresh" `Quick
-            test_invalidation_on_stats_refresh;
           Alcotest.test_case "disabled reports nothing" `Quick
             test_disabled_cache_reports_nothing;
           Alcotest.test_case "event log distinguishes hits" `Quick

@@ -584,26 +584,48 @@ let test_prefetch_clamped () =
       Alcotest.(check int) "setter clamps alike" 3 (Backend.roundtrips backend))
     [ 0; -4 ]
 
-let test_schema_generation () =
+(* Every change moves only its own table's version, and one catalog-wide
+   clock hands versions out: ANALYZE, an INSERT statement and index DDL
+   each move their table once; another table's churn moves nothing else;
+   a dropped and re-created table gets a version it never had. *)
+let test_table_versions () =
   let db = make_db () in
-  let g0 = Database.schema_generation db in
-  ignore (Database.analyze db "POSITION");
-  let g1 = Database.schema_generation db in
-  Alcotest.(check bool) "ANALYZE bumps" true (g1 > g0);
-  (* internal statistics collection must not look like DDL *)
-  ignore (Database.analyze db ~bump:false "POSITION");
-  Alcotest.(check int) "bump:false is silent" g1 (Database.schema_generation db);
-  Database.create_table db "G" (Schema.make [ ("A", Value.TInt) ]);
-  let g2 = Database.schema_generation db in
-  Alcotest.(check bool) "CREATE TABLE bumps" true (g2 > g1);
-  Database.drop_table db "G";
-  let g3 = Database.schema_generation db in
-  Alcotest.(check bool) "DROP TABLE bumps" true (g3 > g2);
-  (* per-query TANGO_TMP_* churn is invisible to the generation *)
+  Database.create_table db "OTHER" (Schema.make [ ("A", Value.TInt) ]);
+  let v name = Option.get (Database.table_version db name) in
+  let both () = (v "POSITION", v "OTHER") in
+  (* [change] moves [table]'s version once, to the catalog clock's next
+     value, and leaves the other table's alone *)
+  let moves label table change =
+    let other = if table = "POSITION" then "OTHER" else "POSITION" in
+    let clock = max (v "POSITION") (v "OTHER") and untouched = v other in
+    change ();
+    Alcotest.(check int) (label ^ " moves " ^ table ^ " once") (clock + 1) (v table);
+    Alcotest.(check int) (label ^ " leaves " ^ other) untouched (v other)
+  in
+  moves "ANALYZE" "POSITION" (fun () -> ignore (Database.analyze db "POSITION"));
+  moves "CREATE INDEX" "POSITION" (fun () -> Database.create_index db "POSITION" "PosID");
+  moves "INSERT" "POSITION" (fun () ->
+      ignore
+        (Database.execute db
+           "INSERT INTO POSITION VALUES (9, 'x', DATE '1990-01-01', DATE \
+            '1991-01-01'), (10, 'y', DATE '1990-01-01', DATE '1991-01-01')"));
+  moves "INSERT" "OTHER" (fun () ->
+      ignore (Database.execute db "INSERT INTO OTHER VALUES (1), (2), (3)"));
+  moves "ANALYZE" "OTHER" (fun () -> ignore (Database.analyze db "OTHER"));
+  (* per-query TANGO_TMP_* churn moves no other table *)
+  let before = both () in
   let tmp = Database.fresh_temp_name db in
   Database.create_table db tmp (Schema.make [ ("A", Value.TInt) ]);
+  ignore (Database.execute db (Printf.sprintf "INSERT INTO %s VALUES (1)" tmp));
   Database.drop_table db tmp;
-  Alcotest.(check int) "temp tables are silent" g3 (Database.schema_generation db)
+  Alcotest.(check (pair int int)) "temp tables move no other table" before (both ());
+  (* drop + re-create never reuses a version *)
+  let seen = v "OTHER" in
+  Database.drop_table db "OTHER";
+  Alcotest.(check (option int)) "dropped: no version" None
+    (Database.table_version db "OTHER");
+  Database.create_table db "OTHER" (Schema.make [ ("A", Value.TInt) ]);
+  Alcotest.(check bool) "re-created: a newer version" true (v "OTHER" > seen)
 
 let test_sql_errors () =
   let db = make_db () in
@@ -1093,7 +1115,7 @@ let () =
           Alcotest.test_case "bulk load" `Quick test_client_bulk_load;
           Alcotest.test_case "accounting pinned" `Quick test_client_accounting;
           Alcotest.test_case "prefetch clamped at connect" `Quick test_prefetch_clamped;
-          Alcotest.test_case "schema generation" `Quick test_schema_generation;
+          Alcotest.test_case "table versions" `Quick test_table_versions;
         ] );
       ( "streaming",
         [

@@ -1099,14 +1099,10 @@ let serve_families =
     "tango_monitor_slo_error_burn_short";
     "tango_monitor_slo_latency_burn_long";
     "tango_monitor_slo_latency_burn_short"; "tango_monitor_slo_state";
-    "tango_monitor_uptime_seconds"; "tango_profile_cost_refits";
-    "tango_profile_plan_regressions"; "tango_storage_index_lookups";
-    "tango_storage_page_reads"; "tango_storage_page_writes";
-    "tango_storage_pool_evictions"; "tango_storage_pool_hits";
-    "tango_storage_pool_misses"; "tango_storage_tuples_read";
-    "tango_storage_tuples_written"; "tango_volcano_plans_considered";
-    "tango_volcano_plans_infeasible"; "tango_volcano_rule_probes";
-    "tango_volcano_rules_fired"; "tango_volcano_saturate_passes" ]
+    "tango_profile_cost_refits"; "tango_profile_plan_regressions";
+    "tango_storage_page_reads"; "tango_storage_pool_hits";
+    "tango_storage_pool_misses"; "tango_volcano_plans_considered";
+    "tango_volcano_rule_probes"; "tango_volcano_rules_fired" ]
 
 let test_metrics_families () =
   let topo =
