@@ -12,7 +12,8 @@
      memo      equivalence class / element counts for Queries 1-4
      overhead  middleware optimization time vs execution time
      prefetch  row-prefetch sweep for TRANSFER^M (Section 3.2 remark)
-     calib     cost-model quality: default vs calibrated factors
+     calib     the calibration procedure behind Factors.default (median of 9
+               sessions), then cost-model quality: default vs calibrated
      adapt     est-vs-actual profiling + adaptive recalibration (JSON trajectory)
      obs       per-query traces + global metrics, exported as JSON
      throughput  repeated workload, plan cache on vs off (qps)
@@ -453,10 +454,77 @@ let prefetch ctx =
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
-(* calib: does calibration improve the cost model? (A2)                 *)
+(* calib: the calibration procedure behind Factors.default (E18), and   *)
+(* does calibration improve the cost model? (A2)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Independent calibrations the procedure takes the median over. *)
+let calibration_runs = 9
+
+(* Factors [Calibrate.run] does not measure: they keep their defaults. *)
+let unfitted = [ "p_dupm"; "p_coalm"; "p_diffm" ]
+
+(* A float as an OCaml literal (always with a dot or an exponent). *)
+let float_literal v =
+  let s = Printf.sprintf "%.4g" v in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ "."
+
+(* The committed procedure: [calibration_runs] fresh sessions on
+   [Config.default] (its round-trip spin and row prefetch), each
+   calibrated once against an empty database; every run is printed, and
+   the per-factor median as a ready-to-paste [Factors.default] record and
+   as one JSON line. *)
+let calibration_procedure () =
+  Fmt.pr "== Calibration procedure: per-factor median of %d sessions ==@."
+    calibration_runs;
+  let runs =
+    List.init calibration_runs (fun _ ->
+        let mw = Middleware.connect (Tango_dbms.Database.create ()) in
+        Middleware.calibrate mw;
+        Tango_cost.Factors.to_assoc (Middleware.factors mw))
+  in
+  let names = List.map fst (List.hd runs) in
+  let fitted = List.filter (fun n -> not (List.mem n unfitted)) names in
+  header ("run" :: fitted);
+  List.iteri
+    (fun i run ->
+      Fmt.pr "%-3d %s@." (i + 1)
+        (String.concat " "
+           (List.map (fun n -> float_literal (List.assoc n run)) fitted)))
+    runs;
+  let median name =
+    let xs = Array.of_list (List.map (List.assoc name) runs) in
+    Array.sort Float.compare xs;
+    xs.(Array.length xs / 2)
+  in
+  let defaults = Tango_cost.Factors.(to_assoc (default ())) in
+  Fmt.pr "@.(* medians of %d runs, ready to paste into lib/cost/factors.ml *)@."
+    calibration_runs;
+  Fmt.pr "let default () =@.  {@.";
+  List.iter
+    (fun n ->
+      if List.mem n fitted then Fmt.pr "    %s = %s;@." n (float_literal (median n))
+      else
+        Fmt.pr "    %s = %s; (* not fitted *)@." n
+          (float_literal (List.assoc n defaults)))
+    names;
+  Fmt.pr "  }@.";
+  let json_of assoc =
+    Tango_obs.Json.Obj (List.map (fun (n, v) -> (n, Tango_obs.Json.Float v)) assoc)
+  in
+  let summary =
+    Tango_obs.Json.Obj
+      [
+        ("runs", Tango_obs.Json.Int calibration_runs);
+        ("fitted", json_of (List.map (fun n -> (n, median n)) fitted));
+      ]
+  in
+  Fmt.pr "%s@.@."
+    (Tango_obs.Json.to_string (Tango_obs.Json.Obj [ ("calibration", summary) ]));
+  bench_payload := Some summary
+
 let calib ctx =
+  calibration_procedure ();
   Fmt.pr "== Ablation: cost-model quality, default vs calibrated factors ==@.";
   Fmt.pr "(does the cheapest-estimated plan coincide with the fastest-measured one?)@.";
   header [ "query"; "variant"; "est_best"; "measured_best"; "agree" ];

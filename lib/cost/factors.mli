@@ -2,9 +2,13 @@
     (Figure 6 and the "generic" DBMS formulas of [20]).
 
     Units: microseconds per byte of relation data ([size(r)] is in
-    bytes).  The defaults are order-of-magnitude guesses good enough
-    for unit tests; real runs determine them with {!Calibrate} and the
-    middleware's feedback loop may adapt them after each query.
+    bytes).  {!default} is the per-factor median of N = 9 {!Calibrate}
+    runs, each on a fresh session with the default round-trip spin
+    (20,000) and row prefetch (10), taken by [bench --experiment calib]
+    on a 2-vCPU Intel Xeon VM and recorded in EXPERIMENTS E18.
+    [p_dupm], [p_coalm] and [p_diffm], which calibration does not fit,
+    keep the seed's values.  A session may re-calibrate ({!Calibrate})
+    and the feedback loop may adapt factors after each query.
 
     Domain safety: a [t] is a plain mutable record with no internal
     lock.  Refits fit on a private {!copy}; treat a shared [t] as
@@ -40,6 +44,9 @@ type t = {
 
 val default : unit -> t
 val copy : t -> t
+
+val to_assoc : t -> (string * float) list
+(** Every factor as [(field name, value)], in declaration order. *)
 
 val get_by_name : t -> string -> float option
 

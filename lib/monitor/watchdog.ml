@@ -31,6 +31,10 @@ module Middleware = Tango_core.Middleware
 (* Worst per-cost-factor mean q-error above which [q_error] fires. *)
 let q_error_warn = 2.0
 
+(* Samples a factor needs before its mean q-error can fire [q_error]: a
+   handful of queries is not a trend. *)
+let q_error_min_samples = 20
+
 (* The ring's hit rate falling more than this below the plan cache's
    lifetime rate fires [cache_hit_rate]. *)
 let hit_rate_drop = 0.2
@@ -120,31 +124,38 @@ let slo_signal (v : Slo.verdict) =
   }
 
 (* Worst per-cost-factor mean q-error in the feedback store: sustained
-   misestimation means the optimizer is likely picking wrong plans. *)
+   misestimation means the optimizer is likely picking wrong plans.  Only
+   factors with at least [q_error_min_samples] samples can fire; below
+   that the worst one is reported with its count. *)
 let q_error_signal feedback =
+  let signal firing detail = { name = "q_error"; firing; detail } in
+  let worst factors =
+    List.fold_left
+      (fun acc (factor, (samples, q)) ->
+        match acc with
+        | Some (_, _, bq) when bq >= q -> acc
+        | _ when samples > 0 -> Some (factor, samples, q)
+        | _ -> acc)
+      None factors
+  in
   match feedback with
-  | None -> { name = "q_error"; firing = false; detail = "no profiling" }
+  | None -> signal false "no profiling"
   | Some fb -> (
-      let worst =
-        List.fold_left
-          (fun acc (factor, (samples, q)) ->
-            match acc with
-            | Some (_, _, bq) when bq >= q -> acc
-            | _ when samples > 0 -> Some (factor, samples, q)
-            | _ -> acc)
-          None
-          (Tango_profile.Feedback.factor_q fb)
+      let factors = Tango_profile.Feedback.factor_q fb in
+      let evidenced =
+        List.filter (fun (_, (samples, _)) -> samples >= q_error_min_samples) factors
       in
-      match worst with
-      | None -> { name = "q_error"; firing = false; detail = "no samples" }
-      | Some (factor, samples, q) ->
-          {
-            name = "q_error";
-            firing = q > q_error_warn;
-            detail =
-              Printf.sprintf "worst factor %s mean_q=%.2f over %d samples"
-                factor q samples;
-          })
+      match (worst evidenced, worst factors) with
+      | Some (factor, samples, q), _ ->
+          signal (q > q_error_warn)
+            (Printf.sprintf "worst factor %s mean_q=%.2f over %d samples" factor q
+               samples)
+      | None, Some (factor, samples, q) ->
+          signal false
+            (Printf.sprintf
+               "worst factor %s mean_q=%.2f over %d samples (fewer than %d)" factor
+               q samples q_error_min_samples)
+      | None, None -> signal false "no samples")
 
 (* The hit rate of the runs the ring holds against the plan cache's
    lifetime rate: a recent rate well below the lifetime one means the

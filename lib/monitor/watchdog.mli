@@ -36,9 +36,15 @@ val evaluate :
   verdict
 (** One check; it changes no state, so two calls over the same inputs
     agree.  The thresholds are fixed: a worst per-cost-factor mean
-    q-error above 2.0 fires [q_error]; a hit rate over the ring's
+    q-error above 2.0, over at least {!q_error_min_samples} samples,
+    fires [q_error]; a hit rate over the ring's
     records (each record's cache outcome) more than 0.2 below the plan
     cache's lifetime rate fires [cache_hit_rate]; the tail analysis
     covers records at or above the 0.9 latency quantile of the ring. *)
+
+val q_error_min_samples : int
+(** Samples (20) a cost factor needs before its mean q-error can fire
+    [q_error]; a factor with fewer is reported with its count and never
+    fires. *)
 
 val verdict_to_json : verdict -> Tango_obs.Json.t

@@ -531,6 +531,46 @@ let test_watchdog_transitions () =
   check_infix "json tail" "\"tail_records\":" s;
   Histogram.reset query_us
 
+(* The q_error signal needs evidence: the serve smoke's 5 samples of
+   TAGGR^M at mean q 7.67 stay quiet, the same mean over the minimum
+   count fires. *)
+let test_watchdog_q_error_samples () =
+  let slo = Slo.create ~objective:slo_objective () in
+  let log = Event_log.create () in
+  let feedback = Tango_profile.Feedback.create () in
+  let taggr =
+    {
+      Tango_profile.Analyze.operator = "TAGGR^M"; depth = 0; fingerprint = "f";
+      est_rows = 1.0; act_rows = 1; est_bytes = 1.0; act_bytes = 1.0;
+      est_us = 1.0; act_us = 7.67; est_self_us = 1.0; act_self_us = 7.67;
+      est_pages = 0.0; act_pages = 0; est_roundtrips = 0.0; act_roundtrips = 0;
+      q_rows = 1.0; q_cost = 7.67; q_self = 7.67;
+    }
+  in
+  let record n =
+    for _ = 1 to n do
+      Tango_profile.Feedback.record feedback
+        {
+          Tango_profile.Analyze.records = [ taggr ]; fingerprint = "f";
+          mean_q_rows = 1.0; mean_q_cost = 7.67; max_q_rows = 1.0;
+          max_q_cost = 7.67; total_est_us = 1.0; total_act_us = 7.67;
+          observations = [];
+        }
+    done
+  in
+  let q_error () =
+    signal (Watchdog.evaluate ~now_us:1e6 ~slo ~log ~feedback ()) "q_error"
+  in
+  record 5;
+  let s = q_error () in
+  Alcotest.(check bool) "5 samples: quiet" false s.Watchdog.firing;
+  check_infix "count reported" "over 5 samples" s.Watchdog.detail;
+  record (Watchdog.q_error_min_samples - 5);
+  let s = q_error () in
+  Alcotest.(check bool) "minimum count: firing" true s.Watchdog.firing;
+  let v = Watchdog.evaluate ~now_us:1e6 ~slo ~log ~feedback () in
+  Alcotest.(check bool) "lifted to warning" true (v.Watchdog.state = Slo.Warning)
+
 (* ---------------- attribution over a sharded topology ---------------- *)
 
 let test_sharded_attribution_conservation () =
@@ -1221,6 +1261,8 @@ let () =
         [
           Alcotest.test_case "signal transitions" `Quick
             test_watchdog_transitions;
+          Alcotest.test_case "q_error needs samples" `Quick
+            test_watchdog_q_error_samples;
           Alcotest.test_case "sharded attribution conservation" `Quick
             test_sharded_attribution_conservation;
           Alcotest.test_case "reading changes nothing" `Quick
