@@ -1,7 +1,8 @@
 (* TANGO benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section 5), plus the ablations listed in DESIGN.md.
 
-   Experiments (select with --experiment, comma-separated; default all):
+   Experiments (select with --experiment, comma-separated; default all;
+   an unknown name exits 2 before anything runs):
 
      fig8      Query 1 (temporal aggregation), 3 plans x relation sizes
      fig10     Query 2 (aggregation + temporal join), 6 plans x period ends
@@ -14,12 +15,15 @@
      prefetch  row-prefetch sweep for TRANSFER^M (Section 3.2 remark)
      calib     the calibration procedure behind Factors.default (median of 9
                sessions), then cost-model quality: default vs calibrated
+     sharing   transfer sharing on vs off for Query 3 (paper sec. 7)
      adapt     est-vs-actual profiling + adaptive recalibration (JSON trajectory)
-     obs       per-query traces + global metrics, exported as JSON
-     throughput  repeated workload, plan cache on vs off (qps)
      sharding  workload over 1/2/4 time-range shards + pruning smoke
      tail      tail-latency attribution on a skewed 2-shard topology
-     micro     Bechamel micro-benchmarks of the core algorithms
+     telemetry self-overhead of tracing and the event-log observer
+
+   Per-layer timings, allocation and plan-cache hit ratios are measured in
+   one place, the ledger benchmark (ledger/), and its traced replays;
+   the plan cache's exact hit counts are tier-1 tests (test/test_cache.ml).
 
    Sizes are scaled down from the paper's 83,857-tuple POSITION by --scale
    (default 0.02) so the full suite runs in minutes; shapes (who wins,
@@ -692,333 +696,6 @@ let adapt ctx =
     (if improved then "<" else ">= (ADAPTATION DID NOT IMPROVE)")
 
 (* ------------------------------------------------------------------ *)
-(* obs: tracing & metrics export (Tango_obs)                            *)
-(* ------------------------------------------------------------------ *)
-
-let obs ctx =
-  Fmt.pr "== Observability: per-query traces and middleware metrics (JSON) ==@.";
-  Fmt.pr "(the same span tree `tango run --trace` renders, plus the global@.";
-  Fmt.pr " metric registry after the workload — both machine-readable)@.";
-  let _db, mw =
-    session ctx [ ("POSITION", ctx.full_position); ("EMPLOYEE", ctx.full_employee) ]
-  in
-  Middleware.set_config mw
-    (Middleware.Config.with_tracing true (Middleware.config mw));
-  Tango_obs.Registry.reset ();
-  let traces =
-    List.map
-      (fun (name, sql) ->
-        let r = Middleware.query mw sql in
-        let trace =
-          match r.Middleware.trace with
-          | Some span -> Tango_obs.Trace.to_json span
-          | None -> Tango_obs.Json.Null
-        in
-        Tango_obs.Json.Obj
-          [
-            ("query", Tango_obs.Json.String name);
-            ("rows", Tango_obs.Json.Int (Relation.cardinality r.Middleware.result));
-            ("optimize_us", Tango_obs.Json.Float r.Middleware.optimize_us);
-            ("execute_us", Tango_obs.Json.Float r.Middleware.execute_us);
-            ("trace", trace);
-          ])
-      [
-        ("query1", Queries.q1_sql);
-        ("query2", Queries.q2_sql ~period_end:"1996-01-01");
-        ("query3", Queries.q3_sql ~start_bound:"1996-01-01");
-        ("query4", Queries.q4_sql);
-      ]
-  in
-  let doc =
-    Tango_obs.Json.Obj
-      [
-        ("traces", Tango_obs.Json.List traces);
-        ("metrics", Tango_obs.Registry.to_json (Tango_obs.Registry.snapshot ()));
-      ]
-  in
-  bench_payload := Some doc;
-  Fmt.pr "%s@.@." (Tango_obs.Json.to_string doc)
-
-(* ------------------------------------------------------------------ *)
-(* baseline: per-query wall times + transfer counters (CI artifact)     *)
-(* ------------------------------------------------------------------ *)
-
-(* The regression baseline: every workload query warmed once, then timed
-   over [runs] repetitions, with the per-run transfer counts read off the
-   session's backend meters and the DBMS statement count off the
-   [dbms.queries] counter.  The JSON lands in BENCH_baseline.json so
-   successive CI runs can be compared as artifacts. *)
-let baseline ctx =
-  Fmt.pr "== Baseline: per-query times and transfer counters (JSON artifact) ==@.";
-  header
-    [ "query"; "optimize[ms]"; "execute[ms]"; "rows"; "roundtrips";
-      "tuples_shipped"; "dbms_queries" ];
-  let _db, mw =
-    session ctx [ ("POSITION", ctx.full_position); ("EMPLOYEE", ctx.full_employee) ]
-  in
-  let runs = if ctx.quick then 2 else 3 in
-  let backends = Tango_dbms.Topology.backends (Middleware.topology mw) in
-  let meter m = List.fold_left (fun acc b -> acc + m b) 0 backends in
-  let statements = Tango_obs.Counter.make "dbms.queries" in
-  let entries =
-    List.map
-      (fun (name, sql) ->
-        ignore (Middleware.query mw sql) (* warm caches and statistics *);
-        let st0 = Tango_obs.Counter.value statements
-        and rt0 = meter Tango_dbms.Backend.roundtrips
-        and tu0 = meter Tango_dbms.Backend.tuples_shipped in
-        let reports = List.init runs (fun _ -> Middleware.query mw sql) in
-        let mean f =
-          List.fold_left (fun acc r -> acc +. f r) 0.0 reports
-          /. float_of_int runs
-        in
-        let optimize_us = mean (fun r -> r.Middleware.optimize_us) in
-        let execute_us = mean (fun r -> r.Middleware.execute_us) in
-        let rows = Relation.cardinality (List.hd reports).Middleware.result in
-        let roundtrips = (meter Tango_dbms.Backend.roundtrips - rt0) / runs in
-        let tuples_shipped =
-          (meter Tango_dbms.Backend.tuples_shipped - tu0) / runs
-        in
-        let dbms_queries = (Tango_obs.Counter.value statements - st0) / runs in
-        Fmt.pr "%-8s %11.1f %11.1f %6d %10d %14d %12d@." name
-          (optimize_us /. 1000.0) (execute_us /. 1000.0) rows roundtrips
-          tuples_shipped dbms_queries;
-        Tango_obs.Json.Obj
-          [
-            ("query", Tango_obs.Json.String name);
-            ("rows", Tango_obs.Json.Int rows);
-            ("optimize_us", Tango_obs.Json.Float optimize_us);
-            ("execute_us", Tango_obs.Json.Float execute_us);
-            ("roundtrips", Tango_obs.Json.Int roundtrips);
-            ("tuples_shipped", Tango_obs.Json.Int tuples_shipped);
-            ("dbms_queries", Tango_obs.Json.Int dbms_queries);
-          ])
-      Queries.workload
-  in
-  bench_payload :=
-    Some
-      (Tango_obs.Json.Obj
-         [
-           ("runs_per_query", Tango_obs.Json.Int runs);
-           ("queries", Tango_obs.Json.List entries);
-         ]);
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
-(* throughput: plan cache on vs off on the repeated workload            *)
-(* ------------------------------------------------------------------ *)
-
-(* Re-submit the whole workload [rounds] times with the plan cache on
-   and off.  The cache turns the repeated rounds into hit-path runs (no
-   parse, no optimize).  The JSON payload carries the qps of both
-   variants plus the speedup ratio the CI perf-smoke gates on.
-
-   Unlike the analytical experiments, the relations here are small fixed
-   prefixes (not governed by --scale): the cache amortizes the per-query
-   {e fixed} costs (parse, statistics, memo search), so its regime is
-   many repetitions of quick queries, not one scan-bound giant. *)
-let throughput ctx =
-  Fmt.pr "== Throughput: repeated workload, plan cache on vs off ==@.";
-  Fmt.pr "(every variant runs one untimed warm round, then %s timed rounds@."
-    (if ctx.quick then "5" else "10");
-  Fmt.pr " over Queries 1-4; parse+overhead = total - optimize - execute)@.";
-  header
-    [ "variant"; "qps"; "total[ms]"; "optimize[ms]"; "execute[ms]";
-      "parse+overhead[ms]"; "cache_hits" ];
-  let rounds = if ctx.quick then 5 else 10 in
-  let position = position_prefix ctx 400 in
-  let employee =
-    let tuples = Relation.tuples ctx.full_employee in
-    Relation.make
-      (Relation.schema ctx.full_employee)
-      (Array.sub tuples 0 (min 200 (Array.length tuples)))
-  in
-  let variants = [ ("cache-on", true); ("cache-off", false) ] in
-  let results =
-    List.map
-      (fun (name, cache) ->
-        let _db, mw =
-          session ctx [ ("POSITION", position); ("EMPLOYEE", employee) ]
-        in
-        (* spin 0: the simulated network latency is identical across the
-           variants (the cache preserves round trips), so leaving it in
-           only dilutes the middleware effect this experiment measures *)
-        Middleware.set_config mw
-          Middleware.Config.(
-            Middleware.config mw |> with_plan_cache cache
-            |> with_roundtrip_spin 0);
-        (* warm round: fills the plan cache and the statistics cache so the
-           timed rounds measure the steady state of each variant *)
-        List.iter (fun (_, sql) -> ignore (Middleware.query mw sql))
-          Queries.workload;
-        let optimize_us = ref 0.0 and execute_us = ref 0.0 in
-        let queries = rounds * List.length Queries.workload in
-        let t0 = Tango_obs.mono_us () in
-        for _ = 1 to rounds do
-          List.iter
-            (fun (_, sql) ->
-              let r = Middleware.query mw sql in
-              optimize_us := !optimize_us +. r.Middleware.optimize_us;
-              execute_us := !execute_us +. r.Middleware.execute_us)
-            Queries.workload
-        done;
-        let wall_s = (Tango_obs.mono_us () -. t0) /. 1e6 in
-        let qps = float_of_int queries /. wall_s in
-        let total_ms = 1000.0 *. wall_s in
-        let optimize_ms = !optimize_us /. 1000.0 in
-        let execute_ms = !execute_us /. 1000.0 in
-        let overhead_ms =
-          Stdlib.max 0.0 (total_ms -. optimize_ms -. execute_ms)
-        in
-        let hits = (Middleware.plan_cache_stats mw).Tango_cache.Plan_cache.hits in
-        Fmt.pr "%-12s %8.1f %10.1f %13.1f %12.1f %18.1f %10d@." name qps
-          total_ms optimize_ms execute_ms overhead_ms hits;
-        ( name,
-          Tango_obs.Json.Obj
-            [
-              ("variant", Tango_obs.Json.String name);
-              ("plan_cache", Tango_obs.Json.Bool cache);
-              ("rounds", Tango_obs.Json.Int rounds);
-              ("queries", Tango_obs.Json.Int queries);
-              ("qps", Tango_obs.Json.Float qps);
-              ("total_ms", Tango_obs.Json.Float total_ms);
-              ("optimize_ms", Tango_obs.Json.Float optimize_ms);
-              ("execute_ms", Tango_obs.Json.Float execute_ms);
-              ("parse_overhead_ms", Tango_obs.Json.Float overhead_ms);
-              ("cache_hits", Tango_obs.Json.Int hits);
-            ],
-          qps ))
-      variants
-  in
-  let qps_of name =
-    match List.find_opt (fun (n, _, _) -> String.equal n name) results with
-    | Some (_, _, qps) -> qps
-    | None -> nan
-  in
-  let cache_on = qps_of "cache-on" in
-  let cache_off = qps_of "cache-off" in
-  let cache_on_beats_cache_off = cache_on > cache_off in
-  let doc =
-    Tango_obs.Json.Obj
-      [
-        ("experiment", Tango_obs.Json.String "throughput");
-        ( "variants",
-          Tango_obs.Json.List (List.map (fun (_, j, _) -> j) results) );
-        ("speedup_cache", Tango_obs.Json.Float (cache_on /. cache_off));
-        ("cache_on_beats_cache_off", Tango_obs.Json.Bool cache_on_beats_cache_off);
-      ]
-  in
-  bench_payload := Some doc;
-  Fmt.pr "%s@." (Tango_obs.Json.to_string doc);
-  Fmt.pr "# cache on vs off: %.2fx%s@.@." (cache_on /. cache_off)
-    (if cache_on_beats_cache_off then "" else "  (CACHE DID NOT HELP)")
-
-(* ------------------------------------------------------------------ *)
-(* param_cache: template cache vs exact cache on a literal-varying      *)
-(* OLTP stream                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* An OLTP-style stream of three statement shapes in a skewed 70/20/10
-   mix, every submission carrying fresh literals (rotating rate bounds
-   and period ends), so the exact literal-keyed cache of PR 5 never
-   hits — each spelling is new text — while auto-parameterization folds
-   the whole stream onto three templates that hit from the second
-   sighting on.  This is the regime the tentpole targets: plan reuse
-   must survive literal variation, not just verbatim resubmission.
-   The CI perf smoke greps the emitted gate:
-   [template_cache_beats_exact_cache] = template hit rate >= 90% while
-   the exact cache stays under 10%, at strictly higher qps. *)
-let param_cache ctx =
-  Fmt.pr "== Param cache: literal-varying OLTP stream, template vs exact ==@.";
-  Fmt.pr "(same plan cache underneath; the variants differ only in@.";
-  Fmt.pr " auto-parameterization — literal-keyed vs template-keyed entries)@.";
-  header
-    [ "variant"; "qps"; "total[ms]"; "hits"; "template_hits"; "misses";
-      "hit_rate" ];
-  let n = if ctx.quick then 150 else 400 in
-  let position = position_prefix ctx 400 in
-  let date i =
-    Tango_temporal.Chronon.to_string
-      (Tango_temporal.Chronon.of_string "1980-01-01" + (i * 37 mod 5000))
-  in
-  let stream =
-    List.init n (fun i ->
-        match i mod 10 with
-        | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
-            (* hot shape, 70%: a two-sided rate selection whose bound
-               pair (mod 37 x mod 53) never repeats inside the stream *)
-            Printf.sprintf
-              "VALIDTIME SELECT PosID, PayRate FROM POSITION WHERE PayRate > \
-               %d AND PayRate < %d"
-              (i mod 37)
-              (40 + (i mod 53))
-        | 7 | 8 -> Queries.q2_sql ~period_end:(date i)
-        | _ -> Queries.q3_sql ~start_bound:(date i))
-  in
-  let results =
-    List.map
-      (fun (name, auto) ->
-        let _db, mw = session ctx [ ("POSITION", position) ] in
-        Middleware.set_config mw
-          Middleware.Config.(
-            Middleware.config mw |> with_plan_cache true
-            |> with_auto_parameterize auto |> with_roundtrip_spin 0);
-        let t0 = Tango_obs.mono_us () in
-        List.iter (fun sql -> ignore (Middleware.query mw sql)) stream;
-        let wall_s = (Tango_obs.mono_us () -. t0) /. 1e6 in
-        let s = Middleware.plan_cache_stats mw in
-        let hits = s.Tango_cache.Plan_cache.hits in
-        let hit_rate = float_of_int hits /. float_of_int n in
-        let qps = float_of_int n /. wall_s in
-        Fmt.pr "%-14s %8.1f %10.1f %6d %13d %7d %9.2f@." name qps
-          (1000.0 *. wall_s) hits s.Tango_cache.Plan_cache.template_hits
-          s.Tango_cache.Plan_cache.misses hit_rate;
-        ( name,
-          Tango_obs.Json.Obj
-            [
-              ("variant", Tango_obs.Json.String name);
-              ("auto_parameterize", Tango_obs.Json.Bool auto);
-              ("queries", Tango_obs.Json.Int n);
-              ("qps", Tango_obs.Json.Float qps);
-              ("total_ms", Tango_obs.Json.Float (1000.0 *. wall_s));
-              ("hits", Tango_obs.Json.Int hits);
-              ( "template_hits",
-                Tango_obs.Json.Int s.Tango_cache.Plan_cache.template_hits );
-              ("misses", Tango_obs.Json.Int s.Tango_cache.Plan_cache.misses);
-              ("hit_rate", Tango_obs.Json.Float hit_rate);
-            ],
-          qps,
-          hit_rate ))
-      [ ("exact-cache", false); ("template-cache", true) ]
-  in
-  let find name =
-    match List.find_opt (fun (n', _, _, _) -> String.equal n' name) results with
-    | Some (_, _, qps, rate) -> (qps, rate)
-    | None -> (nan, nan)
-  in
-  let exact_qps, exact_rate = find "exact-cache" in
-  let tmpl_qps, tmpl_rate = find "template-cache" in
-  let gate = tmpl_rate >= 0.9 && exact_rate <= 0.1 && tmpl_qps > exact_qps in
-  let doc =
-    Tango_obs.Json.Obj
-      [
-        ("experiment", Tango_obs.Json.String "param_cache");
-        ("queries", Tango_obs.Json.Int n);
-        ( "variants",
-          Tango_obs.Json.List (List.map (fun (_, j, _, _) -> j) results) );
-        ("template_hit_rate", Tango_obs.Json.Float tmpl_rate);
-        ("exact_hit_rate", Tango_obs.Json.Float exact_rate);
-        ("speedup", Tango_obs.Json.Float (tmpl_qps /. exact_qps));
-        ("template_cache_beats_exact_cache", Tango_obs.Json.Bool gate);
-      ]
-  in
-  bench_payload := Some doc;
-  Fmt.pr "%s@." (Tango_obs.Json.to_string doc);
-  Fmt.pr "# template vs exact: %.2fx qps; hit rates %.2f vs %.2f%s@.@."
-    (tmpl_qps /. exact_qps) tmpl_rate exact_rate
-    (if gate then "" else "  (TEMPLATE CACHE DID NOT WIN)")
-
-(* ------------------------------------------------------------------ *)
 (* sharding: scatter/gather over N backends + partition pruning         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1307,9 +984,8 @@ let telemetry ctx =
            let _db, mw =
              session ctx [ ("POSITION", position); ("EMPLOYEE", employee) ]
            in
-           (* spin 0 for the same reason as the throughput experiment: the
-              simulated network latency is identical across variants and
-              only dilutes the effect under measurement *)
+           (* spin 0: the simulated network latency is identical across
+              variants and only dilutes the effect under measurement *)
            Middleware.set_config mw
              Middleware.Config.(
                Middleware.config mw |> with_roundtrip_spin 0
@@ -1402,95 +1078,6 @@ let telemetry ctx =
     (if overhead_ok then "" else "  (OVER BUDGET)")
 
 (* ------------------------------------------------------------------ *)
-(* micro: Bechamel micro-benchmarks                                     *)
-(* ------------------------------------------------------------------ *)
-
-let micro ctx =
-  Fmt.pr "== Bechamel micro-benchmarks of core algorithms ==@.";
-  let open Bechamel in
-  let open Toolkit in
-  let n = 2000 in
-  let rel = position_prefix ctx (min n (Relation.cardinality ctx.full_position)) in
-  let sorted_rel = Relation.sort [ Order.asc "PosID"; Order.asc "T1" ] rel in
-  let qual alias =
-    Relation.make
-      (Schema.qualify alias (Schema.unqualify (Relation.schema rel)))
-      (Relation.tuples sorted_rel)
-  in
-  let db = Tango_dbms.Database.create () in
-  Tango_dbms.Database.load_relation db "POSITION" rel;
-  let small = position_prefix ctx 250 in
-  let db_small = Tango_dbms.Database.create () in
-  Tango_dbms.Database.load_relation db_small "POSITION" small;
-  let taggr_sql =
-    Tango_sqlgen.Translate.translate
-      (Op.temporal_aggregate [ "POSITION.PosID" ] [ Op.count_star "CNT" ]
-         (Op.scan "POSITION" Uis.position_schema))
-  in
-  let tests =
-    Test.make_grouped ~name:"tango"
-      [
-        Test.make
-          ~name:(Printf.sprintf "TAGGR^M (%d tuples)" (Relation.cardinality rel))
-          (Staged.stage (fun () ->
-               ignore
-                 (Tango_xxl.Cursor.to_relation
-                    (Tango_xxl.Taggr.taggr ~group_by:[ "PosID" ]
-                       ~aggs:[ Op.count_star "CNT" ]
-                       (Tango_xxl.Cursor.of_relation sorted_rel)))));
-        Test.make
-          ~name:
-            (Printf.sprintf "TJOIN^M (%dx%d)" (Relation.cardinality rel)
-               (Relation.cardinality rel))
-          (Staged.stage (fun () ->
-               ignore
-                 (Tango_xxl.Cursor.to_relation
-                    (Tango_xxl.Joins.temporal_merge_join
-                       ~pred:(Tango_sql.Ast.Lit (Value.Bool true))
-                       ~left_keys:[ "A.PosID" ] ~right_keys:[ "B.PosID" ]
-                       (Tango_xxl.Cursor.of_relation (qual "A"))
-                       (Tango_xxl.Cursor.of_relation (qual "B"))))));
-        Test.make
-          ~name:(Printf.sprintf "SORT^M (%d tuples)" (Relation.cardinality rel))
-          (Staged.stage (fun () ->
-               ignore
-                 (Tango_xxl.Cursor.to_relation
-                    (Tango_xxl.Sort.sort [ Order.asc "T1" ]
-                       (Tango_xxl.Cursor.of_relation rel)))));
-        Test.make
-          ~name:
-            (Printf.sprintf "tuple marshalling (%d tuples)"
-               (Relation.cardinality rel))
-          (Staged.stage (fun () ->
-               Relation.iter (fun t -> ignore (Tuple.marshal_roundtrip t)) rel));
-        Test.make
-          ~name:(Printf.sprintf "DBMS scan (%d tuples)" (Relation.cardinality rel))
-          (Staged.stage (fun () ->
-               ignore
-                 (Tango_dbms.Database.query db "SELECT COUNT(*) AS C FROM POSITION")));
-        Test.make
-          ~name:
-            (Printf.sprintf "TAGGR^D SQL (%d tuples)" (Relation.cardinality small))
-          (Staged.stage (fun () ->
-               ignore (Tango_dbms.Database.query_ast db_small taggr_sql)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) -> Fmt.pr "%-40s %12.1f us/run@." name (t /. 1000.0)
-      | _ -> Fmt.pr "%-40s (no estimate)@." name)
-    (List.sort compare rows);
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
 (* main                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1498,11 +1085,8 @@ let experiments =
   [ ("fig8", fig8); ("fig10", fig10); ("fig11a", fig11a); ("fig11b", fig11b);
     ("sel", sel); ("choice", choice); ("memo", memo); ("overhead", overhead);
     ("prefetch", prefetch); ("calib", calib);
-    ("sharing", sharing); ("adapt", adapt); ("obs", obs);
-    ("baseline", baseline); ("throughput", throughput);
-    ("param-cache", param_cache);
-    ("sharding", sharding); ("tail", tail); ("telemetry", telemetry);
-    ("micro", micro) ]
+    ("sharing", sharing); ("adapt", adapt);
+    ("sharding", sharding); ("tail", tail); ("telemetry", telemetry) ]
 
 let write_bench_json ~dir ~name ~scale ~quick ~wall_s payload =
   let doc =
@@ -1550,20 +1134,20 @@ let () =
     (fun s -> selected := s :: !selected)
     "tango bench: regenerate the paper's tables and figures";
   let to_run =
-    match !selected with
+    match List.rev !selected with
     | [] -> experiments
-    | names ->
-        List.filter_map
-          (fun n ->
-            match List.assoc_opt n experiments with
-            | Some f -> Some (n, f)
-            | None ->
-                Fmt.epr "unknown experiment %s (known: %s)@." n
-                  (String.concat ", " (List.map fst experiments));
-                None)
-          (List.rev names)
+    | names -> (
+        match
+          List.filter (fun n -> not (List.mem_assoc n experiments)) names
+        with
+        | [] -> List.map (fun n -> (n, List.assoc n experiments)) names
+        | unknown ->
+            Fmt.epr "unknown experiment%s %s (known: %s)@."
+              (if List.length unknown > 1 then "s" else "")
+              (String.concat ", " unknown)
+              (String.concat ", " (List.map fst experiments));
+            exit 2)
   in
-  if to_run = [] then exit 1;
   let t0 = Tango_obs.mono_us () in
   let ctx = make_ctx ~scale:!scale ~quick:!quick in
   List.iter

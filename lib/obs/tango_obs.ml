@@ -22,11 +22,11 @@
     state lives in domain-local storage — every domain collects its own
     trace.
 
-    Everything is exported three ways: a rendered span tree
-    ([Trace.render], the EXPLAIN-ANALYZE-style output of
-    [tango --trace]), machine-readable JSON ([Trace.to_json],
-    [Registry.to_json], consumed by [bench/main.ml]), and the
-    programmatic {!Registry.snapshot} API. *)
+    Everything is read two ways here: a rendered span tree
+    ([Trace.to_string], the EXPLAIN-ANALYZE-style output of
+    [tango --trace]) and the programmatic {!Registry.snapshot} API.  The
+    machine-readable renderings live in [tango_monitor]: Prometheus text
+    for the registry and Chrome trace JSON for spans. *)
 
 module Clock = Clock
 module Runtime = Runtime
@@ -311,7 +311,6 @@ module Histogram = struct
   let bucket_bounds = Array.init 24 (fun i -> float_of_int (1 lsl i))
 
   type t = {
-    name : string;
     lock : Mutex.t;  (** guards every mutable field below *)
     mutable count : int;
     mutable sum : float;
@@ -329,7 +328,6 @@ module Histogram = struct
         | None ->
             let h =
               {
-                name;
                 lock = Mutex.create ();
                 count = 0;
                 sum = 0.0;
@@ -340,8 +338,6 @@ module Histogram = struct
             in
             Hashtbl.replace registry name h;
             h)
-
-  let name h = h.name
 
   (* Index of the first bound >= v, or the overflow cell.  A linear scan
      over 24 bounds beats binary search at this size and the typical
@@ -497,39 +493,6 @@ module Registry = struct
     List.iter Counter.reset counter_list;
     List.iter Histogram.reset histogram_list
 
-  let to_json (s : snapshot) : Json.t =
-    Json.Obj
-      [
-        ( "counters",
-          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.counters) );
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (n, (h : histogram_stats)) ->
-                 ( n,
-                   Json.Obj
-                     [
-                       ("count", Json.Int h.count);
-                       ("sum", Json.Float h.sum);
-                       ("min", Json.Float h.min);
-                       ("max", Json.Float h.max);
-                       ("mean", Json.Float h.mean);
-                       ("p50", Json.Float h.p50);
-                       ("p95", Json.Float h.p95);
-                       ("p99", Json.Float h.p99);
-                       ( "buckets",
-                         Json.Obj
-                           (List.map
-                              (fun (bound, c) ->
-                                ( (if Float.is_finite bound then
-                                     Printf.sprintf "%.0f" bound
-                                   else "+Inf"),
-                                  Json.Int c ))
-                              h.buckets) );
-                     ] ))
-               s.histograms) );
-      ]
-
   let pp ppf (s : snapshot) =
     List.iter (fun (n, v) -> Fmt.pf ppf "%-40s %12d@." n v) s.counters;
     List.iter
@@ -660,26 +623,6 @@ module Trace = struct
     go "" true root
 
   let to_string root = Fmt.str "%a" render root
-
-  let json_value = function
-    | Int i -> Json.Int i
-    | Float f -> Json.Float f
-    | Str s -> Json.String s
-
-  let rec to_json (s : span) : Json.t =
-    Json.Obj
-      ([
-         ("name", Json.String s.name);
-         ("elapsed_us", Json.Float s.elapsed_us);
-       ]
-      @ (match s.attrs with
-        | [] -> []
-        | attrs ->
-            [ ("attrs", Json.Obj (List.map (fun (k, v) -> (k, json_value v)) attrs)) ])
-      @
-      match s.children with
-      | [] -> []
-      | cs -> [ ("children", Json.List (List.map to_json cs)) ])
 
   (* tree search helpers, used by tests and the CLI *)
   let rec find name (s : span) : span option =

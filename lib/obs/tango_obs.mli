@@ -9,8 +9,8 @@
       off by default; with no active trace, {!Trace.span} costs one
       branch, so instrumented code pays near-zero overhead when
       observability is disabled.
-    - {!Registry}: programmatic snapshots of every counter and histogram,
-      with JSON export (the machine-readable feed for [bench/main.ml]).
+    - {!Registry}: programmatic snapshots of every counter and histogram;
+      [tango_monitor] renders them as Prometheus text.
 
     Counter and histogram creation is {e find-or-create} by name, so
     independent modules naming the same metric share one instance.
@@ -75,7 +75,6 @@ module Histogram : sig
   val make : string -> t
   (** Find-or-create the histogram registered under this name. *)
 
-  val name : t -> string
   val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
@@ -123,7 +122,6 @@ module Registry : sig
   val reset : unit -> unit
   (** Zero every registered counter and histogram. *)
 
-  val to_json : snapshot -> Json.t
   val pp : Format.formatter -> snapshot -> unit
 end
 
@@ -165,12 +163,9 @@ module Trace : sig
       span was recorded.  Spans left open (by an escaping exception) are
       closed on the way out. *)
 
-  val render : Format.formatter -> span -> unit
+  val to_string : span -> string
   (** EXPLAIN-ANALYZE-style tree: one line per span with wall time and
       attributes. *)
-
-  val to_string : span -> string
-  val to_json : span -> Json.t
 
   val find : string -> span -> span option
   (** First span with this name, depth-first. *)

@@ -81,10 +81,3 @@ let read_cols (keep : bool array) (r : Value.reader) : t =
     done;
     t
   end
-
-(** Round-trip through bytes: the "marshalling work" performed for every
-    tuple that crosses the middleware/DBMS boundary. *)
-let marshal_roundtrip (t : t) : t =
-  let buf = Buffer.create 64 in
-  serialize buf t;
-  read (Value.reader (Buffer.contents buf) 0)

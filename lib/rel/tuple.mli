@@ -36,7 +36,3 @@ val read_cols : bool array -> Value.reader -> t
 (** [read_cols keep r] is {!read} that builds only the fields at positions
     where [keep] holds; the others are skipped with {!Value.skip} and read
     as [Null].  [keep] must cover the tuple's arity. *)
-
-val marshal_roundtrip : t -> t
-(** Serialize to a wire buffer and parse back — the marshalling work paid
-    by every tuple crossing the middleware/DBMS boundary. *)

@@ -93,7 +93,6 @@ val best : t -> int -> req -> plan option
 (** Cheapest plan for the class under the requirement ([None] when
     infeasible).  Memoized; cyclic memo paths are treated as infeasible. *)
 
-val pp : ?indent:int -> Format.formatter -> plan -> unit
 val to_string : plan -> string
 
 val signature : plan -> string

@@ -109,18 +109,33 @@ let cache_hit (r : _ Middleware.run) =
   | Some c -> c.Middleware.cache_class <> "miss"
   | None -> Alcotest.fail "no cache report on a plan_cache session"
 
+(* Queries 1-4 twice through one session: the second round is all hits
+   that skip parse and optimize and give the first round's rows. *)
 let test_hit_on_resubmission () =
   let _db, mw = setup () in
-  let r1 = Middleware.query mw Queries.q1_sql in
-  Alcotest.(check bool) "first submission misses" false (cache_hit r1);
-  let r2 = Middleware.query mw Queries.q1_sql in
-  Alcotest.(check bool) "resubmission hits" true (cache_hit r2);
-  Alcotest.(check bool) "hit skips optimize" true
-    (r2.Middleware.optimize_us = 0.0 && r2.Middleware.optimize_us < r1.Middleware.optimize_us);
-  Alcotest.(check bool) "identical result" true
-    (Relation.equal_list r1.Middleware.result r2.Middleware.result);
+  let first =
+    List.map
+      (fun (name, sql) ->
+        let r = Middleware.query mw sql in
+        Alcotest.(check bool) (name ^ ": first submission misses") false
+          (cache_hit r);
+        r)
+      Queries.workload
+  in
+  List.iter2
+    (fun (name, sql) r1 ->
+      let r2 = Middleware.query mw sql in
+      Alcotest.(check bool) (name ^ ": resubmission hits") true (cache_hit r2);
+      Alcotest.(check (float 0.0)) (name ^ ": hit skips parse") 0.0
+        r2.Middleware.parse_us;
+      Alcotest.(check (float 0.0)) (name ^ ": hit skips optimize") 0.0
+        r2.Middleware.optimize_us;
+      Alcotest.(check bool) (name ^ ": identical result") true
+        (Relation.equal_list r1.Middleware.result r2.Middleware.result))
+    Queries.workload first;
   let s = Middleware.plan_cache_stats mw in
-  Alcotest.(check int) "one hit" 1 s.Plan_cache.hits
+  Alcotest.(check int) "one hit per query" (List.length Queries.workload)
+    s.Plan_cache.hits
 
 let cache_class (r : _ Middleware.run) =
   match r.Middleware.cache with
@@ -162,6 +177,53 @@ let test_exact_mode_misses_on_literal_change () =
   let r2 = Middleware.query mw (Queries.q2_sql ~period_end:"1996-01-01") in
   Alcotest.(check bool) "original still cached" true (cache_hit r2);
   Alcotest.(check string) "classified as exact hit" "exact-hit" (cache_class r2)
+
+(* An OLTP-style stream of three statement shapes in a 70/20/10 mix,
+   every submission carrying fresh literals (rotating rate bounds and
+   period ends), so no text repeats: auto-parameterization folds it onto
+   three templates that miss once each and hit from then on. *)
+let template_stream =
+  let date i =
+    Tango_temporal.Chronon.to_string
+      (Tango_temporal.Chronon.of_string "1980-01-01" + (i * 37 mod 5000))
+  in
+  List.init 150 (fun i ->
+      match i mod 10 with
+      | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
+          Printf.sprintf
+            "VALIDTIME SELECT PosID, PayRate FROM POSITION WHERE PayRate > %d \
+             AND PayRate < %d"
+            (i mod 37)
+            (40 + (i mod 53))
+      | 7 | 8 -> Queries.q2_sql ~period_end:(date i)
+      | _ -> Queries.q3_sql ~start_bound:(date i))
+
+let test_template_stream () =
+  let _db, mw = setup () in
+  let runs = List.map (fun sql -> (sql, Middleware.query mw sql)) template_stream in
+  let s = Middleware.plan_cache_stats mw in
+  Alcotest.(check int) "one miss per shape" 3 s.Plan_cache.misses;
+  Alcotest.(check int) "every other submission template-hits" 147
+    s.Plan_cache.template_hits;
+  List.iter
+    (fun (_, r) ->
+      if cache_hit r then
+        Alcotest.(check (float 0.0)) "template hit skips optimize" 0.0
+          r.Middleware.optimize_us)
+    runs;
+  (* a late hit of each shape (rate range, Query 2, Query 3) answers its
+     own literals *)
+  let db2 = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db2;
+  let mw2 = Middleware.connect ~roundtrip_spin:0 db2 in
+  List.iter
+    (fun (sql, r) ->
+      Alcotest.(check string) "sampled submission hit" "template-hit"
+        (cache_class r);
+      let expect = Middleware.query mw2 sql in
+      Alcotest.(check bool) "hit equals an uncached session" true
+        (Relation.equal_multiset expect.Middleware.result r.Middleware.result))
+    (List.filteri (fun i _ -> List.mem i [ 146; 148; 149 ]) runs)
 
 (* Explicit bind variables: same template text + different bindings =
    one entry, and results match the literal-inlined spelling. *)
@@ -581,6 +643,8 @@ let () =
             test_template_hit_on_literal_change;
           Alcotest.test_case "exact mode misses on literal change" `Quick
             test_exact_mode_misses_on_literal_change;
+          Alcotest.test_case "literal-varying stream template-hits" `Quick
+            test_template_stream;
           Alcotest.test_case "explicit bind variables" `Quick test_query_params;
           Alcotest.test_case "event log records cache class" `Quick
             test_event_log_records_cache_class;

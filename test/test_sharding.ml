@@ -155,7 +155,21 @@ let test_pruning_reduces_shards_and_shipping () =
           (Backend.name b ^ " shipped nothing")
           0
           (Backend.tuples_shipped b))
-    backends
+    backends;
+  (* the same restriction as temporal SQL, planned by the optimizer *)
+  let sql =
+    "VALIDTIME SELECT PosID FROM POSITION WHERE T1 < DATE '1985-01-01' \
+     ORDER BY PosID"
+  in
+  let r1 = Middleware.query mw1 sql in
+  List.iter Backend.reset_meters backends;
+  let rn = Middleware.query mwn sql in
+  Alcotest.(check bool) "SQL: nonempty" true
+    (Relation.cardinality r1.Middleware.result > 0);
+  Alcotest.(check bool) "SQL: same rows" true
+    (Relation.equal_multiset r1.Middleware.result rn.Middleware.result);
+  Alcotest.(check bool) "SQL: some shard shipped nothing" true
+    (List.exists (fun b -> Backend.tuples_shipped b = 0) backends)
 
 (* ---- counter agreement: sum of per-backend tuples = single total ---- *)
 
